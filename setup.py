@@ -1,9 +1,10 @@
 """Legacy setup shim.
 
-The execution environment has no network and no ``wheel`` package, so PEP
-517 editable installs cannot build; this shim lets ``pip install -e .``
-take the legacy ``setup.py develop`` path.  All metadata lives in
-``pyproject.toml``.
+All metadata lives in ``pyproject.toml`` (name, version, the ``repro``
+console script, pytest settings); ``pip install -e .`` reads it through
+setuptools' PEP 517 backend.  The execution environment has no network
+and no ``wheel`` package, so PEP 517 builds cannot run there; this shim
+keeps ``python setup.py develop`` available as the offline path.
 """
 
 from setuptools import setup

@@ -687,7 +687,7 @@ def cmd_sql(args: argparse.Namespace) -> int:
     import json
 
     from repro.api import SpecError
-    from repro.sqlbackend import SqlBackendError, SqlMetaBlocker
+    from repro.sqlbackend import SqlBackendError, SqlMetaBlocker, planlint
 
     overrides = _backend_overrides(args)
     if overrides is None:
@@ -735,14 +735,24 @@ def cmd_sql(args: argparse.Namespace) -> int:
     )
     for stage, entries in plans.items():
         print(f"\n== stage: {stage} ({len(entries)} statement(s)) ==")
-        for sql_text, plan_lines in entries:
+        for sql_text, plan in entries:
             summary = " ".join(sql_text.split())
             if len(summary) > 100:
                 summary = summary[:97] + "..."
             print(f"\n  {summary}")
-            for line in plan_lines:
+            for line in planlint.render(plan):
                 print(f"    | {line}")
-    return 0
+    # the gate: an inner-loop full scan is the quadratic plan
+    violations = planlint.lint(plans)
+    statements = sum(len(entries) for entries in plans.values())
+    print(
+        f"\nplan lint: {statements} statement(s), "
+        f"{len(violations)} nested full scan(s), "
+        f"{len(planlint.automatic(plans))} automatic index(es)"
+    )
+    for violation in violations:
+        print(f"  nested scan: {violation}")
+    return 1 if violations else 0
 
 
 def cmd_synthesize(args: argparse.Namespace) -> int:

@@ -12,6 +12,7 @@ Layering:
 * :mod:`~repro.sqlbackend.engine` — dialects, connections, plan capture;
 * :mod:`~repro.sqlbackend.schema` — relational schema + bulk loaders;
 * :mod:`~repro.sqlbackend.compile` — per-stage SQL statements;
+* :mod:`~repro.sqlbackend.planlint` — the every-join-on-a-key plan gate;
 * :mod:`~repro.sqlbackend.metablocker` — the execution facade.
 """
 

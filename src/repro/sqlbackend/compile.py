@@ -62,8 +62,11 @@ SELECT COALESCE(
     1)
 """
 
-PURGED_ALL_SQL = "CREATE TABLE purged AS SELECT * FROM blocks"
-PURGED_SQL = "CREATE TABLE purged AS SELECT * FROM blocks WHERE card <= :threshold"
+#: ``purged`` and ``fblocks`` are ``blocks``-shaped tables keyed on
+#: ``bord`` (``schema.block_table_ddl``), so every later join probes a
+#: declared key instead of a per-run automatic index
+PURGED_ALL_SQL = "INSERT INTO purged SELECT * FROM blocks"
+PURGED_SQL = "INSERT INTO purged SELECT * FROM blocks WHERE card <= :threshold"
 
 
 # -- filtering --------------------------------------------------------------
@@ -96,6 +99,9 @@ HAVING MIN(rn) <= (CASE WHEN {limit} < 1 THEN 1 ELSE {limit} END)
 """
 
 
+#: the key ``FPLACEMENTS_SQL`` probes ``keep`` through
+KEEP_INDEX_SQL = "CREATE UNIQUE INDEX idx_keep_key ON keep (entity, bord)"
+
 FPLACEMENTS_SQL = """
 CREATE TABLE fplacements AS
 SELECT p.bord AS bord, p.entity AS entity, p.side AS side, p.pos AS pos
@@ -116,36 +122,34 @@ def fblocks_sql(engine: SqlEngine) -> str:
     Survival mirrors ``BlockFiltering.process``: bipartite blocks need
     both sides non-empty, dirty blocks at least two members.  The new
     cardinality is ``n1*n2 - overlap`` (bipartite; overlap = entities
-    retained on both sides) or ``n1*(n1-1)//2`` (dirty).
+    retained on both sides) or ``n1*(n1-1)//2`` (dirty).  A side never
+    repeats an entity, so the overlap is placements minus distinct
+    members — one grouped pass over ``fplacements``, no self-join.
     """
     dirty_card = engine.intdiv("s.n1 * (s.n1 - 1)", "2")
     return f"""
-CREATE TABLE fblocks AS
+INSERT INTO fblocks
 SELECT b.bord AS bord, b.bkey AS bkey, b.bipartite AS bipartite,
        CASE WHEN b.bipartite = 1
-            THEN s.n1 * s.n2 - COALESCE(o.ov, 0)
+            THEN s.n1 * s.n2 - (s.n1 + s.n2 - s.members)
             ELSE {dirty_card} END AS card,
        s.n1 + s.n2 AS size
-FROM purged b
-JOIN (
+FROM (
     SELECT bord,
            SUM(CASE WHEN side = 0 THEN 1 ELSE 0 END) AS n1,
-           SUM(CASE WHEN side = 1 THEN 1 ELSE 0 END) AS n2
+           SUM(CASE WHEN side = 1 THEN 1 ELSE 0 END) AS n2,
+           COUNT(DISTINCT entity) AS members
     FROM fplacements GROUP BY bord
-) s ON s.bord = b.bord
-LEFT JOIN (
-    SELECT a.bord AS bord, COUNT(*) AS ov
-    FROM fplacements a
-    JOIN fplacements c ON c.bord = a.bord AND c.entity = a.entity
-    WHERE a.side = 0 AND c.side = 1
-    GROUP BY a.bord
-) o ON o.bord = b.bord
+) s
+JOIN purged b ON b.bord = s.bord
 WHERE (b.bipartite = 1 AND s.n1 > 0 AND s.n2 > 0)
    OR (b.bipartite = 0 AND s.n1 >= 2)
 """
 
 
-FBLOCKS_INDEX_SQL = "CREATE INDEX idx_fblocks_bord ON fblocks (bord)"
+#: without filtering, every purged block survives as it is
+FBLOCKS_ALL_SQL = "INSERT INTO fblocks SELECT * FROM purged"
+
 FPLACEMENTS_INDEX_SQL = (
     "CREATE INDEX idx_fplacements_block ON fplacements (bord, side, pos)"
 )
@@ -178,30 +182,34 @@ WHERE fb.card > 0
 GROUP BY pk, p1.bord, fb.card
 """
 
+#: the key every later read of ``pair_cells`` goes through: the
+#: sequencing pass partitions on ``pk`` and the ARCS stream reads in
+#: ``(pk, bord)`` order
+PAIR_CELLS_INDEX_SQL = "CREATE UNIQUE INDEX idx_pair_cells_key ON pair_cells (pk, bord)"
+
 #: one row per distinct pair in first-seen enumeration order (first
 #: containing block, then first cell within it) — the reference dict's
 #: insertion order; ``common`` (cell count) aggregates exactly in SQL
-#: because it is an integer.
+#: because it is an integer.  One pass over ``pair_cells``: the window
+#: carries each pair's total and first block to its rows, and the row
+#: of the first block carries the first cell.
 PAIR_SEQ_SQL = """
 CREATE TABLE pair_seq AS
-SELECT a.pk AS pk, a.common AS common,
-       ROW_NUMBER() OVER (ORDER BY a.fbord, pc.mincell) AS seq
+SELECT pk, common, ROW_NUMBER() OVER (ORDER BY bord, mincell) AS seq
 FROM (
-    SELECT pk, MIN(bord) AS fbord, SUM(cells) AS common
-    FROM pair_cells GROUP BY pk
-) a
-JOIN pair_cells pc ON pc.pk = a.pk AND pc.bord = a.fbord
+    SELECT pk, bord, mincell,
+           SUM(cells) OVER (PARTITION BY pk) AS common,
+           MIN(bord) OVER (PARTITION BY pk) AS fbord
+    FROM pair_cells
+) c
+WHERE bord = fbord
 """
 
-#: the per-pair ARCS folds run in python over this ordered stream; see
-#: ``SqlMetaBlocker._fold_arcs``
-ARCS_STREAM_SQL = """
-SELECT s.seq, pc.cells, pc.card
-FROM pair_seq s JOIN pair_cells pc ON pc.pk = s.pk
-ORDER BY s.seq, pc.bord
-"""
+#: the per-pair ARCS folds run in python over this stream — pair by
+#: pair, blocks in order within a pair; see ``SqlMetaBlocker._fold_arcs``
+ARCS_STREAM_SQL = "SELECT pk, cells, card FROM pair_cells ORDER BY pk, bord"
 
-PAIR_ARCS_DDL = "CREATE TABLE pair_arcs (seq INTEGER PRIMARY KEY, arcs REAL NOT NULL)"
+PAIR_ARCS_DDL = "CREATE TABLE pair_arcs (pk INTEGER PRIMARY KEY, arcs REAL NOT NULL)"
 
 
 def pair_stats_sql(engine: SqlEngine) -> str:
@@ -223,13 +231,11 @@ SELECT s.seq AS seq,
        CASE WHEN e1.rank <= e2.rank THEN e2.uri ELSE e1.uri END AS uri_b,
        s.common AS common, pa.arcs AS arcs
 FROM pair_seq s
-JOIN pair_arcs pa ON pa.seq = s.seq
+JOIN pair_arcs pa ON pa.pk = s.pk
 JOIN entities e1 ON e1.id = {min_id}
 JOIN entities e2 ON e2.id = s.pk % :packmul
 """
 
-
-PAIR_STATS_INDEX_SQL = "CREATE INDEX idx_pair_stats_seq ON pair_stats (seq)"
 
 #: per-entity placement counts over the filtered collection — the
 #: ``_placement_counts_array`` ECBS/JS/χ² input (integers, exact in

@@ -15,6 +15,8 @@ accumulation order is part of the cross-backend contract.
 from __future__ import annotations
 
 import math
+from itertools import groupby
+from operator import itemgetter
 
 from repro.blocking.block import Block, BlockCollection
 from repro.blocking.filtering import BlockFiltering
@@ -105,16 +107,17 @@ class SqlMetaBlocker:
         Only the built-in :class:`BlockPurging` is compilable — callers
         must pre-apply custom operators in python.
         """
+        if purging is not None and type(purging) is not BlockPurging:
+            raise SqlBackendError(
+                f"cannot compile custom purging operator "
+                f"{type(purging).__qualname__!r} to SQL"
+            )
         session = self.session
+        session.run(_schema.block_table_ddl("purged"))
         if purging is None:
             session.run(_compile.PURGED_ALL_SQL, stage="purging")
             threshold = None
         else:
-            if type(purging) is not BlockPurging:
-                raise SqlBackendError(
-                    f"cannot compile custom purging operator "
-                    f"{type(purging).__qualname__!r} to SQL"
-                )
             if purging.max_cardinality is not None:
                 threshold = purging.max_cardinality
             else:
@@ -137,28 +140,28 @@ class SqlMetaBlocker:
 
     def filter(self, filtering: BlockFiltering | None) -> None:
         """Apply block filtering in SQL (``None`` = keep all placements)."""
+        if filtering is not None and type(filtering) is not BlockFiltering:
+            raise SqlBackendError(
+                f"cannot compile custom filtering operator "
+                f"{type(filtering).__qualname__!r} to SQL"
+            )
         session = self.session
+        session.run(_schema.block_table_ddl("fblocks"))
         if filtering is None:
             session.run(_compile.FPLACEMENTS_ALL_SQL, stage="filtering")
-            session.run(
-                "CREATE TABLE fblocks AS SELECT * FROM purged", stage="filtering"
-            )
+            session.run(_compile.FPLACEMENTS_INDEX_SQL)
+            session.run(_compile.FBLOCKS_ALL_SQL, stage="filtering")
         else:
-            if type(filtering) is not BlockFiltering:
-                raise SqlBackendError(
-                    f"cannot compile custom filtering operator "
-                    f"{type(filtering).__qualname__!r} to SQL"
-                )
             session.run(
                 _compile.keep_sql(self.engine),
                 {"ratio": float(filtering.ratio)},
                 stage="filtering",
             )
+            session.run(_compile.KEEP_INDEX_SQL)
             session.run(_compile.FPLACEMENTS_SQL, stage="filtering")
+            session.run(_compile.FPLACEMENTS_INDEX_SQL)
             session.run(_compile.fblocks_sql(self.engine), stage="filtering")
             self._processed_name = f"filtered({self._processed_name})"
-        session.run(_compile.FPLACEMENTS_INDEX_SQL)
-        session.run(_compile.FBLOCKS_INDEX_SQL)
         self.stats["filtered_blocks"] = session.scalar("SELECT COUNT(*) FROM fblocks")
         # the collection statistics the CEP/CNP budgets derive from
         self.stats["total_assignments"] = int(
@@ -186,7 +189,7 @@ class SqlMetaBlocker:
     def _fold_arcs(self) -> int:
         """Per-pair ARCS sums, folded in the reference enumeration order.
 
-        Streams ``(seq, cells, card)`` grouped rows ordered by (pair,
+        Streams ``(pk, cells, card)`` grouped rows ordered by (pair,
         block): each cell adds ``1.0 / card`` exactly as the numpy
         bincount accumulates the expanded cells, because a pair's
         within-block contributions are equal and its across-block order
@@ -195,30 +198,20 @@ class SqlMetaBlocker:
         session = self.session
         session.run(_compile.PAIR_ARCS_DDL)
         cursor = session.stream(_compile.ARCS_STREAM_SQL, stage="pairs")
-        batch: list[tuple[int, float]] = []
-        pairs = 0
-        current_seq = None
-        acc = 0.0
-        for seq, cells, card in cursor:
-            if seq != current_seq:
-                if current_seq is not None:
-                    batch.append((current_seq, acc))
-                    if len(batch) >= _schema.BATCH:
-                        session.executemany(
-                            "INSERT INTO pair_arcs VALUES (?, ?)", batch
-                        )
-                        batch = []
-                    pairs += 1
-                current_seq = seq
+
+        def folded():
+            for pk, rows in groupby(cursor, key=itemgetter(0)):
                 acc = 0.0
-            contribution = 1.0 / card
-            for _ in range(cells):
-                acc += contribution
-        if current_seq is not None:
-            batch.append((current_seq, acc))
-            pairs += 1
-        if batch:
+                for _, cells, card in rows:
+                    contribution = 1.0 / card
+                    for _ in range(cells):
+                        acc += contribution
+                yield pk, acc
+
+        pairs = 0
+        for batch in _schema.batched(folded()):
             session.executemany("INSERT INTO pair_arcs VALUES (?, ?)", batch)
+            pairs += len(batch)
         return pairs
 
     def _load_factors(self) -> None:
@@ -267,6 +260,7 @@ class SqlMetaBlocker:
         }
         with self.obs.span("sql.pairs") as span:
             session.run(_compile.PAIR_CELLS_SQL, params, stage="pairs")
+            session.run(_compile.PAIR_CELLS_INDEX_SQL)
             session.run(_compile.PAIR_SEQ_SQL, stage="pairs")
             self.stats["pairs"] = self._fold_arcs()
             session.run(
@@ -274,7 +268,6 @@ class SqlMetaBlocker:
                 {"packmul": self.stats["packmul"]},
                 stage="pairs",
             )
-            session.run(_compile.PAIR_STATS_INDEX_SQL)
             self._load_factors()
             span.set(pairs=self.stats["pairs"])
         self._pairs_built = True
@@ -401,7 +394,8 @@ class SqlMetaBlocker:
             SELECT p.bord, p.side, e.uri
             FROM fplacements p JOIN entities e ON e.id = p.entity
             ORDER BY p.bord, p.side, p.pos
-            """
+            """,
+            stage="collect",
         ):
             sides = members.setdefault(bord, ([], []))
             sides[side].append(uri)

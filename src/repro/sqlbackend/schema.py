@@ -16,7 +16,10 @@ placements(bord, entity, side, pos) one row per block membership; pos =
 Derived tables (``purged``/``keep``/``fplacements``/``fblocks``/
 ``pair_cells``/``pair_seq``/``pair_arcs``/``pair_stats``/``factors``/
 ``edges``) are created by the stage statements in
-:mod:`repro.sqlbackend.compile`.
+:mod:`repro.sqlbackend.compile`.  Every table a later statement probes
+has a declared key: a single integer key is the ``INTEGER PRIMARY KEY``
+(``purged``/``fblocks`` reuse the ``blocks`` DDL), a composite key is a
+``UNIQUE`` index built after the bulk insert (``keep``, ``pair_cells``).
 
 Because ``rank`` is order-isomorphic to the URI text and TEXT compares
 bytewise on UTF-8 (= python's code-point order), every ``ORDER BY`` on
@@ -32,12 +35,25 @@ from repro.sqlbackend.engine import Session
 #: executemany batch size for the bulk loaders
 BATCH = 50_000
 
+
+
+def block_table_ddl(name: str) -> str:
+    """DDL of a ``blocks``-shaped table keyed on the block ordinal.
+
+    ``blocks`` and its derived subsets ``purged`` and ``fblocks`` share
+    it, so every join on ``bord`` probes a declared primary key.
+    """
+    return (
+        f"CREATE TABLE {name} ("
+        " bord INTEGER PRIMARY KEY, bkey TEXT NOT NULL,"
+        " bipartite INTEGER NOT NULL, card INTEGER NOT NULL, size INTEGER NOT NULL)"
+    )
+
+
 DDL = (
     "CREATE TABLE entities ("
     " id INTEGER PRIMARY KEY, uri TEXT NOT NULL, rank INTEGER NOT NULL)",
-    "CREATE TABLE blocks ("
-    " bord INTEGER PRIMARY KEY, bkey TEXT NOT NULL,"
-    " bipartite INTEGER NOT NULL, card INTEGER NOT NULL, size INTEGER NOT NULL)",
+    block_table_ddl("blocks"),
     "CREATE TABLE placements ("
     " bord INTEGER NOT NULL, entity INTEGER NOT NULL,"
     " side INTEGER NOT NULL, pos INTEGER NOT NULL)",
@@ -53,7 +69,7 @@ def create_schema(session: Session) -> None:
         session.run(statement)
 
 
-def _batched(rows):
+def batched(rows):
     batch = []
     for row in rows:
         batch.append(row)
@@ -80,7 +96,7 @@ def load_collection(session: Session, blocks: BlockCollection) -> dict:
     rank = [0] * len(uris)
     for position, entity_id in enumerate(by_uri):
         rank[entity_id] = position
-    for batch in _batched(
+    for batch in batched(
         (i, uris[i], rank[i]) for i in range(len(uris))
     ):
         session.executemany("INSERT INTO entities VALUES (?, ?, ?)", batch)
@@ -95,7 +111,7 @@ def load_collection(session: Session, blocks: BlockCollection) -> dict:
             (ordinal, keys[ordinal], int(ids2 is not None), cardinality, size)
         )
         max_side = max(max_side, len(ids1), len(ids2) if ids2 is not None else 0)
-    for batch in _batched(iter(block_rows)):
+    for batch in batched(iter(block_rows)):
         session.executemany("INSERT INTO blocks VALUES (?, ?, ?, ?, ?)", batch)
 
     def placement_rows():
@@ -107,7 +123,7 @@ def load_collection(session: Session, blocks: BlockCollection) -> dict:
                     yield (ordinal, entity, 1, pos)
 
     total_placements = 0
-    for batch in _batched(placement_rows()):
+    for batch in batched(placement_rows()):
         session.executemany("INSERT INTO placements VALUES (?, ?, ?, ?)", batch)
         total_placements += len(batch)
 

@@ -434,13 +434,18 @@ def capture_state(
             },
             "threshold": view._threshold,
             "threshold_dirty": view._threshold_dirty,
+            # Deletes leave empty entries behind that a full reconcile
+            # (forced after every restore) drops; they answer every query
+            # like a missing entry, so the canonical capture omits them.
             "retained": {
                 str(entity): sorted(keys)
                 for entity, keys in view._retained.items()
+                if keys
             },
             "members": {
                 key: [sorted(sides[0]), sorted(sides[1])]
                 for key, sides in view._members.items()
+                if sides[0] or sides[1]
             },
             "present": sorted(view._present),
             "entity_keys": {

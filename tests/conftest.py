@@ -14,14 +14,6 @@ from repro.datasets import (
 )
 
 
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers",
-        "slow: long-running test (out-of-core scale); run in the CI "
-        "nightly job, deselect locally with -m 'not slow'",
-    )
-
-
 @pytest.fixture(scope="session")
 def movies():
     """The embedded movies corpus: (kb_a, kb_b, gold)."""

@@ -77,6 +77,13 @@ class TestDuckDbDialect:
             "SELECT REALITY FROM surreal"
         )
 
+    def test_integer_becomes_bigint(self):
+        # packed pair keys outgrow DuckDB's 32-bit INTEGER
+        assert (
+            self.engine.translate("CREATE TABLE t (pk INTEGER PRIMARY KEY)")
+            == "CREATE TABLE t (pk BIGINT PRIMARY KEY)"
+        )
+
     def test_trunc_int_goes_through_trunc(self):
         assert "trunc" in self.engine.trunc_int("x * 0.5")
 
@@ -94,7 +101,8 @@ class TestSession:
         assert "probe" in session.plans
         sql, plan = session.plans["probe"][0]
         assert "SELECT" in sql
-        assert isinstance(plan, list)
+        assert [row.detail for row in plan] == ["SCAN t"]
+        assert plan[0].parent == 0
         session.close()
 
     def test_collect_plans_off(self):
@@ -114,3 +122,43 @@ class TestSession:
         ]
         assert session.scalar("SELECT SUM(x) FROM t") == 6
         session.close()
+
+
+class TestEngineErrors:
+    """Driver errors surface as SqlBackendError, never raw sqlite3."""
+
+    def test_failing_statement_names_stage_and_statement(self):
+        session = Session(SqliteEngine())
+        with pytest.raises(SqlBackendError) as err:
+            session.run("SELECT x FROM missing_table", stage="probe")
+        message = str(err.value)
+        assert "'probe'" in message
+        assert "SELECT x FROM missing_table" in message
+        assert "no such table" in message
+        session.close()
+
+    def test_executemany_is_wrapped(self):
+        session = Session(SqliteEngine())
+        with pytest.raises(SqlBackendError, match="no such table"):
+            session.executemany("INSERT INTO missing_table VALUES (?)", [(1,)])
+        session.close()
+
+    def test_non_empty_db_path(self, tmp_path):
+        from repro.sqlbackend import schema
+
+        db_path = str(tmp_path / "twice.db")
+        first = Session(SqliteEngine(), db_path=db_path)
+        schema.create_schema(first)
+        first.close()
+        second = Session(SqliteEngine(), db_path=db_path)
+        with pytest.raises(SqlBackendError) as err:
+            schema.create_schema(second)
+        assert "already exists" in str(err.value)
+        assert db_path in str(err.value)
+        second.close()
+
+    def test_corrupt_db_path(self, tmp_path):
+        db_path = tmp_path / "garbage.db"
+        db_path.write_bytes(b"\x00not a database\xff" * 200)
+        with pytest.raises(SqlBackendError, match="not a database"):
+            Session(SqliteEngine(), db_path=str(db_path))

@@ -347,6 +347,31 @@ class TestRun:
         assert main(["run", "--spec", self.SPEC, "--kb2", kb_b]) == 2
         assert "kb2" in capsys.readouterr().out
 
+    def test_sql_db_path_already_loaded_exits_2(self, capsys, tmp_path):
+        # a second run into the same database file: a message naming
+        # the file and the statement, not a sqlite3 traceback
+        db_path = str(tmp_path / "run.db")
+        command = ["run", "--spec", self.SPEC, "--backend", "sql", "--db-path", db_path]
+        assert main(command) == 0
+        capsys.readouterr()
+        assert main(command) == 2
+        out = capsys.readouterr().out
+        assert "cannot run spec" in out
+        assert "already exists" in out and db_path in out
+
+    def test_sql_db_path_not_a_database_exits_2(self, capsys, tmp_path):
+        db_path = tmp_path / "garbage.db"
+        db_path.write_bytes(b"this is not a sqlite database file\n" * 64)
+        assert (
+            main(
+                ["run", "--spec", self.SPEC, "--backend", "sql",
+                 "--db-path", str(db_path)]
+            )
+            == 2
+        )
+        out = capsys.readouterr().out
+        assert "cannot run spec" in out and "not a database" in out
+
 
 class TestComponents:
     def test_lists_registry(self, capsys):
