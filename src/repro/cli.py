@@ -417,8 +417,16 @@ def build_parser() -> argparse.ArgumentParser:
 # -- command implementations -------------------------------------------------
 
 
+class _InputError(Exception):
+    """A --kb1/--kb2 file could not be loaded; ``main`` turns it into exit 2."""
+
+
 def _load(path: str) -> EntityCollection:
-    return load_collection(path)
+    try:
+        return load_collection(path)
+    except (OSError, ValueError) as exc:
+        # ValueError: NTriplesParseError, an unsupported extension, bad UTF-8
+        raise _InputError(f"cannot load {path}: {exc}") from exc
 
 
 def _maybe_gold(path: str | None) -> GoldStandard | None:
@@ -1330,7 +1338,11 @@ _COMMANDS = {
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except _InputError as exc:
+        print(exc)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

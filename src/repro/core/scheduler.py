@@ -46,6 +46,8 @@ class ComparisonScheduler:
         self.benefit = benefit
         self.context = context
         self._interner = EntityInterner()
+        # the interner's live id → URI table (append-only, never rebound)
+        self._uris = self._interner.uri_table()
         self._heap: AddressableMaxHeap[int] = AddressableMaxHeap()
         self._base_weight: dict[int, float] = {}
         self._boost: dict[int, float] = {}
@@ -89,7 +91,7 @@ class ComparisonScheduler:
 
     def _pair(self, key: int) -> tuple[str, str]:
         """Canonical (URI-sorted) pair of a packed key."""
-        uris = self._interner.uri_table()
+        uris = self._uris
         uri_a, uri_b = uris[key >> 32], uris[key & 0xFFFFFFFF]
         return (uri_a, uri_b) if uri_a < uri_b else (uri_b, uri_a)
 

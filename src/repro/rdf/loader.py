@@ -10,6 +10,8 @@ graph), literal objects become attribute values.
 from __future__ import annotations
 
 import os
+from itertools import groupby
+from operator import attrgetter
 from typing import Iterable
 
 from repro.model.collection import EntityCollection
@@ -41,16 +43,20 @@ def collection_from_triples(
     """
     source = source or name
     collection = EntityCollection(name=name)
-    for triple in triples:
-        if skip_blank_nodes and triple.subject.startswith("_:"):
+    if skip_rdf_type:
+        triples = (t for t in triples if t.predicate != _RDF_TYPE)
+    # Dumps list a subject's statements together: touch the collection once
+    # per run of equal subjects, not once per statement.
+    for subject, statements in groupby(triples, key=attrgetter("subject")):
+        if skip_blank_nodes and subject.startswith("_:"):
             continue
-        if skip_rdf_type and triple.predicate == _RDF_TYPE:
-            continue
-        description = collection.get(triple.subject)
+        description = collection.get(subject)
         if description is None:
-            description = EntityDescription(triple.subject, source=source)
+            description = EntityDescription(subject, source=source)
             collection.add(description)
-        description.add(triple.predicate, triple.object)
+        add = description.add
+        for triple in statements:
+            add(triple.predicate, triple.object)
     return collection
 
 
@@ -62,22 +68,25 @@ def load_collection(
 ) -> EntityCollection:
     """Load an entity collection from an ``.nt`` or ``.ttl`` file.
 
-    The syntax is chosen by file extension.  Additional keyword arguments
-    are forwarded to :func:`collection_from_triples`.
+    The syntax is chosen by file extension, compared case-insensitively;
+    a UTF-8 byte-order mark is skipped.  Additional keyword arguments are
+    forwarded to :func:`collection_from_triples`.
 
     Raises:
         ValueError: for unsupported extensions.
+        NTriplesParseError: on a malformed statement (a ``ValueError``).
         OSError: if the file cannot be read.
     """
     base = os.path.basename(path)
     stem, ext = os.path.splitext(base)
     name = name or stem
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    if ext in (".nt", ".ntriples"):
-        triples: Iterable[Triple] = parse_ntriples(text)
-    elif ext in (".ttl", ".turtle"):
-        triples = parse_turtle(text)
-    else:
+    ext = ext.lower()
+    if ext not in (".nt", ".ntriples", ".ttl", ".turtle"):
         raise ValueError(f"unsupported RDF extension {ext!r} (use .nt or .ttl)")
-    return collection_from_triples(triples, name=name, source=source, **kwargs)
+    # utf-8-sig: a byte-order mark is not part of the first statement.
+    with open(path, "r", encoding="utf-8-sig") as handle:
+        if ext in (".nt", ".ntriples"):
+            triples = parse_ntriples(handle)
+        else:
+            triples = parse_turtle(handle.read())
+        return collection_from_triples(triples, name=name, source=source, **kwargs)

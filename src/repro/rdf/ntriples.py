@@ -4,10 +4,17 @@ N-Triples (https://www.w3.org/TR/n-triples/) is the line-oriented RDF
 syntax that Web-of-data dumps (BTC, DBpedia exports) ship in.  The parser
 here supports the full core grammar needed for entity resolution corpora:
 
-* IRIs in angle brackets with ``\\u``/``\\U`` escapes,
-* blank nodes (``_:label``),
+* IRIs in angle brackets with ``\\u``/``\\U`` escapes (a raw space, control
+  character or any of ``<>"{}|^`\\`` inside one is an error, as in the spec),
+* blank nodes (``_:label``; a label may contain but not end with ``.``),
 * literals with escapes, language tags and datatype IRIs,
-* comments and blank lines.
+* comment lines, blank lines and a ``# comment`` after a statement's ``.``.
+
+Escapes must decode to Unicode scalar values: surrogates and code points
+beyond U+10FFFF are parse errors, not strings that fail later on write.
+One statement is one regex match (the scanning runs in C); the serializer
+escapes exactly the characters the scanner refuses to read raw, so
+``parse(serialize(triples)) == triples`` for any IRI or literal text.
 
 Datatypes and language tags are preserved on the :class:`Triple` but the
 ``object_value`` convenience accessor exposes the plain lexical form, which
@@ -16,19 +23,9 @@ is what blocking tokenizes.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
-
-_ESCAPES = {
-    "t": "\t",
-    "b": "\b",
-    "n": "\n",
-    "r": "\r",
-    "f": "\f",
-    '"': '"',
-    "'": "'",
-    "\\": "\\",
-}
 
 
 class NTriplesParseError(ValueError):
@@ -67,6 +64,38 @@ class Triple:
         return self.object
 
 
+# One statement, one match: every term is a character-class run with the
+# escape sequences unrolled out of it, so the regex engine scans at C speed
+# and never backtracks into a term.
+_UCHAR = r"\\u[0-9A-Fa-f]{4}|\\U[0-9A-Fa-f]{8}"
+#: what an IRI may only carry as a \u escape: U+0000–U+0020 and <>"{}|^`\
+_IRI_UNSAFE = "".join(map(chr, range(0x21))) + '<>"{}|^`\\'
+_IRI_SAFE = f"[^{re.escape(_IRI_UNSAFE)}]*"
+_IRI = rf"<((?!>){_IRI_SAFE}(?:(?:{_UCHAR}){_IRI_SAFE})*)>"
+# A blank-node label may contain '.', but not end with one (the final '.'
+# belongs to the statement).
+_BNODE = r"(_:[\w.-]*[\w-])"
+_LITERAL = rf'"([^"\\]*(?:(?:\\[tbnrf"\'\\]|{_UCHAR})[^"\\]*)*)"'
+_QUALIFIER = rf"(?:@((?:[^\W_]|-)+)|\^\^{_IRI})?"
+_SUBJECT = rf"(?:{_IRI}|{_BNODE})[ \t]+"
+_PREDICATE = rf"{_IRI}[ \t]+"
+_OBJECT = rf"(?:{_IRI}|{_BNODE}|{_LITERAL}{_QUALIFIER})"
+_END = r"[ \t]*\.[ \t]*(?:#.*)?"
+_STATEMENT = re.compile(_SUBJECT + _PREDICATE + _OBJECT + _END)
+
+_ESCAPE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))")
+_ESCAPES = {
+    "t": "\t",
+    "b": "\b",
+    "n": "\n",
+    "r": "\r",
+    "f": "\f",
+    '"': '"',
+    "'": "'",
+    "\\": "\\",
+}
+
+
 def parse_ntriples(text: str | Iterable[str]) -> Iterator[Triple]:
     """Parse N-Triples *text* (a string or iterable of lines) lazily.
 
@@ -89,18 +118,55 @@ def parse_ntriples_line(line: str, line_number: int = 0) -> Triple:
     Raises:
         NTriplesParseError: if the statement is malformed.
     """
-    cursor = _Cursor(line, line_number)
-    subject = cursor.read_subject()
-    cursor.skip_ws(required=True)
-    predicate = cursor.read_iri()
-    cursor.skip_ws(required=True)
-    obj, is_literal, language, datatype = cursor.read_object()
-    cursor.skip_ws()
-    cursor.expect(".")
-    cursor.skip_ws()
-    if not cursor.at_end():
-        cursor.fail("trailing content after '.'")
-    return Triple(subject, predicate, obj, is_literal, language, datatype)
+    match = _STATEMENT.fullmatch(line)
+    if match is None:
+        raise NTriplesParseError(_diagnose(line), line_number, line)
+    s_iri, s_bnode, predicate, o_iri, o_bnode, literal, language, datatype = match.groups()
+    subject = s_iri or s_bnode
+    obj = o_iri or o_bnode
+    if "\\" in line:
+        try:
+            subject = _unescape(subject)
+            predicate = _unescape(predicate)
+            if literal is not None:
+                literal = _unescape(literal)
+                datatype = datatype and _unescape(datatype)
+            else:
+                obj = _unescape(obj)
+        except ValueError as error:
+            raise NTriplesParseError(str(error), line_number, line) from None
+    if literal is not None:
+        return Triple(subject, predicate, literal, True, language or "", datatype or "")
+    return Triple(subject, predicate, obj)
+
+
+def _unescape(term: str) -> str:
+    return _ESCAPE.sub(_decode_escape, term) if "\\" in term else term
+
+
+def _decode_escape(match: re.Match) -> str:
+    digits = match.group(1) or match.group(2)
+    if digits is None:
+        return _ESCAPES[match.group(3)]
+    code = int(digits, 16)
+    if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
+        raise ValueError(f"escape {match.group()} is not a Unicode scalar value")
+    return chr(code)
+
+
+def _diagnose(line: str) -> str:
+    """Say which term of a statement the pattern rejected."""
+    position = 0
+    for name, pattern in (
+        ("subject (an IRI or blank node, then whitespace)", _SUBJECT),
+        ("predicate (an IRI, then whitespace)", _PREDICATE),
+        ("object (an IRI, blank node or literal)", _OBJECT),
+    ):
+        match = re.compile(pattern).match(line, position)
+        if match is None:
+            return f"malformed {name} at column {position + 1}"
+        position = match.end()
+    return f"expected '.' and at most a comment after it at column {position + 1}"
 
 
 def serialize_ntriples(triples: Iterable[Triple]) -> str:
@@ -111,177 +177,30 @@ def serialize_ntriples(triples: Iterable[Triple]) -> str:
 def serialize_triple(triple: Triple) -> str:
     """One statement, terminated by `` .`` (no newline)."""
     subject = _term(triple.subject)
-    predicate = f"<{triple.predicate}>"
+    predicate = _iri(triple.predicate)
     if triple.is_literal:
-        obj = '"' + _escape_literal(triple.object) + '"'
+        obj = '"' + triple.object.translate(_LITERAL_ESCAPES) + '"'
         if triple.language:
             obj += f"@{triple.language}"
         elif triple.datatype:
-            obj += f"^^<{triple.datatype}>"
+            obj += f"^^{_iri(triple.datatype)}"
     else:
         obj = _term(triple.object)
     return f"{subject} {predicate} {obj} ."
 
 
 def _term(value: str) -> str:
-    if value.startswith("_:"):
-        return value
-    return f"<{value}>"
+    return value if value.startswith("_:") else _iri(value)
 
 
-def _escape_literal(value: str) -> str:
-    out = []
-    for ch in value:
-        if ch == "\\":
-            out.append("\\\\")
-        elif ch == '"':
-            out.append('\\"')
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\r":
-            out.append("\\r")
-        elif ch == "\t":
-            out.append("\\t")
-        else:
-            out.append(ch)
-    return "".join(out)
+def _iri(value: str) -> str:
+    return f"<{value.translate(_IRI_ESCAPES)}>"
 
 
-class _Cursor:
-    """Character-level scanner over one statement line."""
-
-    def __init__(self, line: str, line_number: int) -> None:
-        self.line = line
-        self.line_number = line_number
-        self.pos = 0
-
-    def fail(self, message: str) -> None:
-        raise NTriplesParseError(message, self.line_number, self.line)
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.line)
-
-    def peek(self) -> str:
-        return self.line[self.pos] if self.pos < len(self.line) else ""
-
-    def expect(self, ch: str) -> None:
-        if self.peek() != ch:
-            self.fail(f"expected {ch!r}")
-        self.pos += 1
-
-    def skip_ws(self, required: bool = False) -> None:
-        start = self.pos
-        while self.peek() in (" ", "\t"):
-            self.pos += 1
-        if required and self.pos == start:
-            self.fail("expected whitespace")
-
-    def read_subject(self) -> str:
-        if self.peek() == "<":
-            return self.read_iri()
-        if self.line.startswith("_:", self.pos):
-            return self.read_bnode()
-        self.fail("subject must be an IRI or blank node")
-        raise AssertionError("unreachable")
-
-    def read_bnode(self) -> str:
-        start = self.pos
-        self.pos += 2  # consume '_:'
-        while not self.at_end() and (self.peek().isalnum() or self.peek() in "._-"):
-            self.pos += 1
-        label = self.line[start : self.pos]
-        if label == "_:":
-            self.fail("empty blank node label")
-        return label
-
-    def read_iri(self) -> str:
-        self.expect("<")
-        out: list[str] = []
-        while True:
-            if self.at_end():
-                self.fail("unterminated IRI")
-            ch = self.line[self.pos]
-            self.pos += 1
-            if ch == ">":
-                break
-            if ch == "\\":
-                out.append(self._read_escape(unicode_only=True))
-            elif ch in ' "{}|^`':
-                self.fail(f"character {ch!r} must be escaped inside an IRI")
-            else:
-                out.append(ch)
-        iri = "".join(out)
-        if not iri:
-            self.fail("empty IRI")
-        return iri
-
-    def read_object(self) -> tuple[str, bool, str, str]:
-        ch = self.peek()
-        if ch == "<":
-            return self.read_iri(), False, "", ""
-        if self.line.startswith("_:", self.pos):
-            return self.read_bnode(), False, "", ""
-        if ch == '"':
-            return self.read_literal()
-        self.fail("object must be an IRI, blank node or literal")
-        raise AssertionError("unreachable")
-
-    def read_literal(self) -> tuple[str, bool, str, str]:
-        self.expect('"')
-        out: list[str] = []
-        while True:
-            if self.at_end():
-                self.fail("unterminated literal")
-            ch = self.line[self.pos]
-            self.pos += 1
-            if ch == '"':
-                break
-            if ch == "\\":
-                out.append(self._read_escape(unicode_only=False))
-            else:
-                out.append(ch)
-        value = "".join(out)
-        language = ""
-        datatype = ""
-        if self.peek() == "@":
-            self.pos += 1
-            start = self.pos
-            while not self.at_end() and (self.peek().isalnum() or self.peek() == "-"):
-                self.pos += 1
-            language = self.line[start : self.pos]
-            if not language:
-                self.fail("empty language tag")
-        elif self.line.startswith("^^", self.pos):
-            self.pos += 2
-            datatype = self.read_iri()
-        return value, True, language, datatype
-
-    def _read_escape(self, unicode_only: bool) -> str:
-        if self.at_end():
-            self.fail("dangling escape")
-        ch = self.line[self.pos]
-        self.pos += 1
-        if ch == "u":
-            return self._read_hex(4)
-        if ch == "U":
-            return self._read_hex(8)
-        if not unicode_only and ch in _ESCAPES:
-            return _ESCAPES[ch]
-        self.fail(f"invalid escape \\{ch}")
-        raise AssertionError("unreachable")
-
-    def _read_hex(self, width: int) -> str:
-        digits = self.line[self.pos : self.pos + width]
-        if len(digits) != width:
-            self.fail("truncated unicode escape")
-        try:
-            code = int(digits, 16)
-        except ValueError:
-            self.fail(f"invalid unicode escape digits {digits!r}")
-            raise AssertionError("unreachable")
-        self.pos += width
-        try:
-            return chr(code)
-        except ValueError:
-            self.fail(f"code point out of range: {digits}")
-            raise AssertionError("unreachable")
+# What the serializer escapes is exactly what the scanner refuses to read
+# raw: inside an IRI the _IRI_UNSAFE characters, inside a literal the quote,
+# the backslash and the line breaks.
+_IRI_ESCAPES = {ord(ch): f"\\u{ord(ch):04X}" for ch in _IRI_UNSAFE}
+_LITERAL_ESCAPES = str.maketrans(
+    {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+)

@@ -1,26 +1,33 @@
-"""An addressable binary max-heap.
+"""An addressable max-heap on top of :mod:`heapq`.
 
 The progressive scheduler (:mod:`repro.core.scheduler`) keeps every candidate
 comparison in a priority queue keyed by its current utility.  The *update*
 phase of MinoanER re-weights comparisons whose neighbourhood was touched by a
-new match, which requires an efficient *increase-key* / *decrease-key*
-operation — something :mod:`heapq` does not offer.  This module provides a
-classic addressable binary heap with O(log n) push/pop/update and O(1)
-priority lookup by item.
+new match, which requires *increase-key* / *decrease-key* / *remove*.
+:mod:`heapq` has none of them, but it sifts in C, so this module gets them
+by **lazy invalidation**: a priority change pushes a fresh
+``(-priority, seq, item)`` entry and leaves the old one in the array as a
+stale entry, recognised (and skipped) at pop time because the
+``item → entry`` dict no longer points at it.  Stale entries are compacted
+away as soon as they outnumber the live ones, so the array never holds more
+than ``2 × len(heap)`` entries and every operation stays amortised
+O(log n), with O(1) priority lookup by item.
 
-Items must be hashable.  Ties are broken deterministically by insertion
-order so that runs are reproducible.
+Items must be hashable.  The order is total — priority descending, then
+insertion order (``seq``, which an item keeps across updates) — so pop
+order is a function of the operations alone, never of the array layout.
 """
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from typing import Generic, Hashable, Iterator, TypeVar
 
 T = TypeVar("T", bound=Hashable)
 
 
 class AddressableMaxHeap(Generic[T]):
-    """Binary max-heap supporting priority updates of queued items.
+    """Max-heap supporting priority updates and removal of queued items.
 
     >>> heap = AddressableMaxHeap()
     >>> heap.push("a", 1.0)
@@ -33,22 +40,23 @@ class AddressableMaxHeap(Generic[T]):
     ('b', 3.0)
     """
 
-    __slots__ = ("_entries", "_positions", "_counter")
+    __slots__ = ("_entries", "_live", "_counter")
 
     def __init__(self) -> None:
-        # Each entry is [priority, tie_breaker, item].
-        self._entries: list[list] = []
-        self._positions: dict[T, int] = {}
+        # Each entry is the tuple (-priority, seq, item); ``_live`` maps an
+        # item to its one current entry, every other entry is stale.
+        self._entries: list[tuple] = []
+        self._live: dict[T, tuple] = {}
         self._counter = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._live)
 
     def __bool__(self) -> bool:
-        return bool(self._entries)
+        return bool(self._live)
 
     def __contains__(self, item: T) -> bool:
-        return item in self._positions
+        return item in self._live
 
     def priority(self, item: T) -> float:
         """Return the current priority of *item*.
@@ -56,7 +64,7 @@ class AddressableMaxHeap(Generic[T]):
         Raises:
             KeyError: if *item* is not queued.
         """
-        return self._entries[self._positions[item]][0]
+        return -self._live[item][0]
 
     def push(self, item: T, priority: float) -> None:
         """Insert *item* with *priority*.
@@ -64,19 +72,16 @@ class AddressableMaxHeap(Generic[T]):
         Raises:
             ValueError: if *item* is already queued (use :meth:`update`).
         """
-        if item in self._positions:
+        if item in self._live:
             raise ValueError(f"item already queued: {item!r}")
-        # Earlier insertions win ties, hence the negated counter for a
-        # max-heap ordering on [priority, tie_breaker].
-        entry = [priority, -self._counter, item]
+        entry = (-priority, self._counter, item)
         self._counter += 1
-        self._entries.append(entry)
-        self._positions[item] = len(self._entries) - 1
-        self._sift_up(len(self._entries) - 1)
+        self._live[item] = entry
+        heappush(self._entries, entry)
 
     def push_or_update(self, item: T, priority: float) -> None:
         """Insert *item*, or change its priority if already queued."""
-        if item in self._positions:
+        if item in self._live:
             self.update(item, priority)
         else:
             self.push(item, priority)
@@ -87,13 +92,13 @@ class AddressableMaxHeap(Generic[T]):
         Raises:
             KeyError: if *item* is not queued.
         """
-        pos = self._positions[item]
-        old = self._entries[pos][0]
-        self._entries[pos][0] = priority
-        if priority > old:
-            self._sift_up(pos)
-        elif priority < old:
-            self._sift_down(pos)
+        stale = self._live[item]
+        if -priority == stale[0]:
+            return
+        entry = (-priority, stale[1], item)
+        self._live[item] = entry
+        heappush(self._entries, entry)
+        self._compact_if_mostly_stale()
 
     def increase_if_higher(self, item: T, priority: float) -> bool:
         """Raise the priority of *item* to *priority* if that is higher.
@@ -101,11 +106,9 @@ class AddressableMaxHeap(Generic[T]):
         Returns:
             True if the priority changed.
         """
-        pos = self._positions[item]
-        if priority <= self._entries[pos][0]:
+        if priority <= -self._live[item][0]:
             return False
-        self._entries[pos][0] = priority
-        self._sift_up(pos)
+        self.update(item, priority)
         return True
 
     def add_to_priority(self, item: T, delta: float) -> float:
@@ -114,8 +117,7 @@ class AddressableMaxHeap(Generic[T]):
         Returns:
             The new priority.
         """
-        pos = self._positions[item]
-        new = self._entries[pos][0] + delta
+        new = -self._live[item][0] + delta
         self.update(item, new)
         return new
 
@@ -125,10 +127,12 @@ class AddressableMaxHeap(Generic[T]):
         Raises:
             IndexError: if the heap is empty.
         """
-        if not self._entries:
+        if not self._live:
             raise IndexError("peek from an empty heap")
-        entry = self._entries[0]
-        return entry[2], entry[0]
+        entries, live = self._entries, self._live
+        while live.get(entries[0][2]) is not entries[0]:
+            heappop(entries)
+        return entries[0][2], -entries[0][0]
 
     def pop(self) -> tuple[T, float]:
         """Remove and return ``(item, priority)`` of the maximum.
@@ -136,16 +140,16 @@ class AddressableMaxHeap(Generic[T]):
         Raises:
             IndexError: if the heap is empty.
         """
-        if not self._entries:
+        if not self._live:
             raise IndexError("pop from an empty heap")
-        top = self._entries[0]
-        last = self._entries.pop()
-        del self._positions[top[2]]
-        if self._entries:
-            self._entries[0] = last
-            self._positions[last[2]] = 0
-            self._sift_down(0)
-        return top[2], top[0]
+        entries, live = self._entries, self._live
+        while True:
+            entry = heappop(entries)
+            item = entry[2]
+            if live.get(item) is entry:
+                del live[item]
+                self._compact_if_mostly_stale()
+                return item, -entry[0]
 
     def remove(self, item: T) -> float:
         """Remove *item* from the heap and return its priority.
@@ -153,65 +157,31 @@ class AddressableMaxHeap(Generic[T]):
         Raises:
             KeyError: if *item* is not queued.
         """
-        pos = self._positions.pop(item)
-        entry = self._entries[pos]
-        last = self._entries.pop()
-        if pos < len(self._entries):
-            self._entries[pos] = last
-            self._positions[last[2]] = pos
-            self._sift_down(pos)
-            self._sift_up(pos)
-        return entry[0]
+        entry = self._live.pop(item)
+        self._compact_if_mostly_stale()
+        return -entry[0]
 
     def discard(self, item: T) -> bool:
         """Remove *item* if queued.  Returns True if it was present."""
-        if item not in self._positions:
+        if item not in self._live:
             return False
         self.remove(item)
         return True
 
     def items(self) -> Iterator[tuple[T, float]]:
-        """Iterate over ``(item, priority)`` pairs in arbitrary heap order."""
-        for priority, _tie, item in self._entries:
-            yield item, priority
+        """Iterate over ``(item, priority)`` pairs in arbitrary order."""
+        for neg_priority, _seq, item in self._live.values():
+            yield item, -neg_priority
 
     def clear(self) -> None:
         """Drop every queued item."""
         self._entries.clear()
-        self._positions.clear()
+        self._live.clear()
 
-    # -- internal sifting -------------------------------------------------
-
-    def _ordered_before(self, a: int, b: int) -> bool:
-        ea, eb = self._entries[a], self._entries[b]
-        return (ea[0], ea[1]) > (eb[0], eb[1])
-
-    def _swap(self, a: int, b: int) -> None:
-        entries = self._entries
-        entries[a], entries[b] = entries[b], entries[a]
-        self._positions[entries[a][2]] = a
-        self._positions[entries[b][2]] = b
-
-    def _sift_up(self, pos: int) -> None:
-        while pos > 0:
-            parent = (pos - 1) >> 1
-            if self._ordered_before(pos, parent):
-                self._swap(pos, parent)
-                pos = parent
-            else:
-                break
-
-    def _sift_down(self, pos: int) -> None:
-        size = len(self._entries)
-        while True:
-            left = 2 * pos + 1
-            right = left + 1
-            best = pos
-            if left < size and self._ordered_before(left, best):
-                best = left
-            if right < size and self._ordered_before(right, best):
-                best = right
-            if best == pos:
-                break
-            self._swap(pos, best)
-            pos = best
+    def _compact_if_mostly_stale(self) -> None:
+        # Rebuilding costs O(live) and is reached only after more than
+        # ``live`` invalidations, so it is amortised O(1) per operation;
+        # the total order makes the rebuilt array pop identically.
+        if len(self._entries) > 2 * len(self._live):
+            self._entries = list(self._live.values())
+            heapify(self._entries)

@@ -42,7 +42,10 @@ def token_split(text: str, min_length: int = 1) -> list[str]:
     Returns:
         Tokens in order of appearance, possibly with duplicates.
     """
-    tokens = _TOKEN_RE.findall(normalize(text))
+    # NFKD and accent folding are the identity on ASCII (isascii() is an
+    # O(n) C check), and whitespace never reaches a token.
+    folded = text.lower() if text.isascii() else normalize(text)
+    tokens = _TOKEN_RE.findall(folded)
     if min_length > 1:
         tokens = [t for t in tokens if len(t) >= min_length]
     return tokens

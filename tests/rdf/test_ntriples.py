@@ -61,6 +61,25 @@ class TestParseLine:
         triple = parse_ntriples_line("<http://a>   <http://p>\t<http://b>   .")
         assert triple.predicate == "http://p"
 
+    def test_blank_node_label_does_not_swallow_the_terminator(self):
+        triple = parse_ntriples_line("_:b1 <http://p> _:b2.")
+        assert triple == Triple("_:b1", "http://p", "_:b2")
+        # ... but a '.' inside the label belongs to it
+        assert parse_ntriples_line("_:b.1 <http://p> _:b.2.").object == "_:b.2"
+
+    def test_trailing_comment_after_statement(self):
+        triple = parse_ntriples_line('<http://a> <http://p> "v" . # a "comment" <x> .')
+        assert triple == Triple("http://a", "http://p", "v", True)
+        assert parse_ntriples_line("<http://a> <http://p> <http://b> .#c").object == "http://b"
+
+    def test_hash_inside_terms_is_not_a_comment(self):
+        triple = parse_ntriples_line('<http://a#x> <http://p#y> "#z" .')
+        assert triple == Triple("http://a#x", "http://p#y", "#z", True)
+
+    def test_escaped_datatype_iri(self):
+        triple = parse_ntriples_line(r'<http://a> <http://p> "1"^^<http://t/a\u0020b> .')
+        assert triple.datatype == "http://t/a b"
+
 
 class TestParseErrors:
     @pytest.mark.parametrize(
@@ -76,6 +95,20 @@ class TestParseErrors:
             '<http://a> <http://p> "x"@ .',  # empty language
             "<> <http://p> <http://b> .",  # empty IRI
             "_: <http://p> <http://b> .",  # empty bnode label
+            "_:b1. <http://p> <http://b> .",  # label may not end with '.'
+            "<http://a b> <http://p> <http://b> .",  # raw space in IRI
+            "<http://a<b> <http://p> <http://b> .",  # raw '<' in IRI
+            "<http://a\tb> <http://p> <http://b> .",  # raw control character in IRI
+            r"<http://a\n> <http://p> <http://b> .",  # only \u escapes in IRIs
+            r'<http://a> <http://p> "\uD800" .',  # lone surrogate
+            r'<http://a> <http://p> "\U0000DFFF" .',  # lone surrogate, long form
+            r"<http://a/\uDC00> <http://p> <http://b> .",  # surrogate in IRI
+            r'<http://a> <http://p> "\U00110000" .',  # beyond U+10FFFF
+            r'<http://a> <http://p> "\UA0000000" .',  # beyond a C int (was OverflowError)
+            r'<http://a> <http://p> "\u12G4" .',  # non-hex digits
+            r'<http://a> <http://p> "\u1_23" .',  # int() would take the underscore
+            r'<http://a> <http://p> "\u+123" .',  # ... and the sign
+            "<http://a> <http://p> <http://b> . # c\n<x>",  # comment ends the line
         ],
     )
     def test_malformed_rejected(self, line):
@@ -86,6 +119,26 @@ class TestParseErrors:
         with pytest.raises(NTriplesParseError) as excinfo:
             list(parse_ntriples("<http://a> <http://p> <http://b> .\nbroken line ."))
         assert excinfo.value.line_number == 2
+
+    def test_bad_code_point_carries_line_number(self):
+        text = '<http://a> <http://p> "ok" .\n\n<http://a> <http://p> "\\uDABC" .'
+        with pytest.raises(NTriplesParseError, match="line 3: .*scalar value") as excinfo:
+            list(parse_ntriples(text))
+        assert excinfo.value.line_number == 3
+
+    @pytest.mark.parametrize(
+        "line, term",
+        [
+            ('"lit" <http://p> <http://b> .', "subject"),
+            ("<http://a><http://p> <http://b> .", "subject"),
+            ('<http://a> "lit" <http://b> .', "predicate"),
+            ("<http://a> <http://p> http://b .", "object"),
+            ("<http://a> <http://p> <http://b>", "'.'"),
+        ],
+    )
+    def test_error_names_the_malformed_term(self, line, term):
+        with pytest.raises(NTriplesParseError, match=term):
+            parse_ntriples_line(line)
 
 
 class TestParseDocument:
@@ -117,6 +170,19 @@ class TestRoundTrip:
     def test_document_round_trip(self):
         text = serialize_ntriples(self.CASES)
         assert list(parse_ntriples(text)) == self.CASES
+
+    @pytest.mark.parametrize("char", list(' <>\\"{}|^`\n\r\t\x00\x1f'))
+    def test_unsafe_iri_characters_are_escaped(self, char):
+        iri = f"http://a/b{char}c"
+        triple = Triple(iri, iri, "v", True, "", iri)
+        line = serialize_triple(triple)
+        assert "\n" not in line and f"\\u{ord(char):04X}" in line
+        assert parse_ntriples_line(line) == triple
+        assert parse_ntriples_line(serialize_triple(Triple(iri, iri, iri))).object == iri
+
+    def test_safe_iri_characters_are_written_verbatim(self):
+        iri = "http://a/b?c=d&e=%20#f~g'h(i)*j,k;l:m@n!o$p+q=r[s]té"
+        assert serialize_triple(Triple(iri, iri, iri)) == f"<{iri}> <{iri}> <{iri}> ."
 
     literal_text = st.text(
         alphabet=st.characters(blacklist_categories=("Cs",), min_codepoint=1),

@@ -63,6 +63,32 @@ class TestBlock:
             main(["block", "--kb1", kb_a, "--method", "bogus"])
 
 
+class TestUnloadableInput:
+    """A bad --kb1 is a usage error (exit 2, one line), not a traceback."""
+
+    @pytest.mark.parametrize(
+        "filename, content, exit_code, message",
+        [
+            ("bad.nt", '<http://a/1> <http://p> "ok" .\nnot a triple\n', 2, "line 2: "),
+            ("missing.nt", None, 2, "No such file"),
+            ("data.json", "{}", 2, "unsupported RDF extension"),
+            ("UPPER.NT", '<http://a/1> <http://p> "ok" .\n', 0, "Blocking summary"),
+        ],
+    )
+    def test_exit_code_and_message(
+        self, capsys, tmp_path, filename, content, exit_code, message
+    ):
+        path = tmp_path / filename
+        if content is not None:
+            path.write_text(content)
+        assert main(["block", "--kb1", str(path)]) == exit_code
+        out = capsys.readouterr().out
+        assert message in out
+        if exit_code:
+            assert out.startswith(f"cannot load {path}: ")
+            assert len(out.splitlines()) == 1
+
+
 class TestResolve:
     def test_end_to_end_with_gold(self, capsys, movies_paths):
         kb_a, kb_b, gold = movies_paths
