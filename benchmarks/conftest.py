@@ -18,11 +18,8 @@ root (CI uploads it per run for trajectory tracking).  Run it standalone
 with ``PYTHONPATH=src python benchmarks/bench_perf_graph.py`` or through
 pytest as ``pytest benchmarks/bench_perf_graph.py -s``.
 
-``bench_stream.py`` is the streaming counterpart: it replays the
-uniform/bursty/skewed arrival+query scenarios against the streaming
-resolver on the center workload, gates per-insert latency flatness
-(amortized O(delta)) and stream==batch equivalence, and writes the
-``BENCH_stream.json`` artifact at the repo root.
+The streaming counterpart is the ``stream-mixed`` workload of the
+repository benchmark (``python3 bench/run.py --workload stream-mixed``).
 """
 
 from __future__ import annotations

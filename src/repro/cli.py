@@ -819,7 +819,7 @@ def _stream_recover_only(args: argparse.Namespace) -> int:
     rows = [
         {"metric": "live descriptions", "value": str(len(result.store))},
         {"metric": "blocking keys", "value": str(len(result.index))},
-        {"metric": "pairs tracked", "value": str(len(result.pairs))},
+        {"metric": "pairs tracked", "value": str(result.pairs.edge_count)},
         {"metric": "WAL records", "value": str(report.wal_records)},
         {"metric": "snapshot LSN", "value": str(report.snapshot_lsn)},
         {"metric": "events replayed", "value": str(report.replayed_events)},

@@ -28,6 +28,7 @@ from repro.stream.index import IncrementalBlockIndex
 from repro.stream.pairs import DeltaPairTable
 from repro.stream.resolver import (
     _StreamContext,
+    check_query_names,
     prune_neighbourhood,
     run_match_phase,
     weigh_candidates,
@@ -103,6 +104,7 @@ class LocalTier:
         scheme = scheme if scheme is not None else self.scheme
         pruner = pruner if pruner is not None else self.pruner
         budget = budget if budget is not None else self.budget
+        check_query_names(scheme, pruner)
         if ingest:
             self.ingest(description, source)
         uri = description.uri

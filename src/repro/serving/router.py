@@ -55,6 +55,7 @@ from repro.stream.pairs import DeltaPairTable
 from repro.stream.resolver import (
     StreamMatch,
     _StreamContext,
+    check_query_names,
     prune_neighbourhood,
     run_match_phase,
     weigh_candidates,
@@ -489,6 +490,7 @@ class Router:
         scheme = scheme if scheme is not None else self.scheme
         pruner = pruner if pruner is not None else self.pruner
         budget = budget if budget is not None else self.budget
+        check_query_names(scheme, pruner)  # before any shard sees a Query
         with self.obs.span("serving.query", source=source) as span:
             result = self._resolve(
                 description, source, scheme, pruner, budget, ingest,

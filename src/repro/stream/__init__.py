@@ -11,10 +11,10 @@ structures *maintainable under inserts*:
 * :class:`~repro.stream.index.IncrementalBlockIndex` — a mutable
   inverted blocking index whose posting lists are updated per insert
   instead of re-running the blocker;
-* :class:`~repro.stream.pairs.DeltaPairTable` — packed-pair
-  ``(common, arcs)`` statistics maintained from the delta pairs each
-  insert generates, keeping all six weighting schemes evaluable per
-  pair without a global rebuild;
+* :class:`~repro.stream.pairs.DeltaPairTable` — the pair table as a
+  lazy view over the postings: ``(common, arcs)`` are read per pair at
+  query time and only the global scheme factors are maintained, keeping
+  all six weighting schemes evaluable per pair without a global rebuild;
 * :class:`~repro.stream.processed_view.IncrementalProcessedView` — the
   purge/filter-surviving block set maintained under inserts (exact
   histogram-derived purging threshold, per-touched-entity filtering,

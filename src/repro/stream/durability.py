@@ -14,7 +14,7 @@ deployment restartable:
   poisons recovery.  An ``fsync`` batching knob trades durability
   window for insert latency.
 * Snapshots — the full serialized component state (store, posting
-  arrays, pair statistics, processed-view histogram and survivor
+  arrays, global pair factors, processed-view histogram and survivor
   bookkeeping) written atomically (tmp + ``os.replace``) under the same
   CRC envelope.  Restoring a snapshot is deserialization, not replay,
   so :func:`recover` only re-applies the WAL *suffix* past the latest
@@ -62,7 +62,10 @@ from repro.stream.store import StreamingEntityStore
 WAL_FORMAT = "repro-wal"
 WAL_VERSION = 1
 SNAPSHOT_FORMAT = "repro-snapshot"
-SNAPSHOT_VERSION = 1
+#: written by this build; 1 also carried the raw pair table's
+#: ``state.pairs.common`` dict, which the lazy table derives instead
+SNAPSHOT_VERSION = 2
+_READABLE_SNAPSHOT_VERSIONS = (1, 2)
 WAL_NAME = "wal.log"
 _SNAPSHOT_SUFFIX = ".json"
 _SNAPSHOT_PREFIX = "snapshot-"
@@ -342,9 +345,8 @@ def _restore_description(payload: list) -> EntityDescription:
     return EntityDescription(payload[0], payload[1], source=payload[2])
 
 
-def _capture_pairs(table) -> dict:
+def _capture_factors(table) -> dict:
     return {
-        "common": {str(key): count for key, count in table.common.items()},
         "placements": {str(k): v for k, v in table.placements.items()},
         "degrees": {str(k): v for k, v in table.degrees.items()},
         "active_blocks": table.active_blocks,
@@ -354,8 +356,7 @@ def _capture_pairs(table) -> dict:
     }
 
 
-def _restore_pairs(table, state: dict) -> None:
-    table.common = {int(k): v for k, v in state["common"].items()}
+def _restore_factors(table, state: dict) -> None:
     table.placements = {int(k): v for k, v in state["placements"].items()}
     table.degrees = {int(k): v for k, v in state["degrees"].items()}
     table.active_blocks = state["active_blocks"]
@@ -412,7 +413,7 @@ def capture_state(
             ],
             "overlap": dict(index._overlap),
         },
-        "pairs": _capture_pairs(pairs),
+        "pairs": _capture_factors(pairs),
         "view": None,
         "view_pairs": None,
     }
@@ -455,7 +456,10 @@ def capture_state(
             "reconciled_version": view._reconciled_version,
         }
     if view_pairs is not None:
-        state["view_pairs"] = _capture_pairs(view_pairs)
+        state["view_pairs"] = {
+            "common": {str(k): v for k, v in view_pairs.common.items()},
+            **_capture_factors(view_pairs),
+        }
     return state
 
 
@@ -508,7 +512,8 @@ def restore_components(
     index._overlap = dict(i["overlap"])
 
     pairs = DeltaPairTable(index)
-    _restore_pairs(pairs, state["pairs"])
+    # A version-1 ``pairs.common`` is ignored: the postings hold it.
+    _restore_factors(pairs, state["pairs"])
 
     view = None
     view_pairs = None
@@ -551,7 +556,9 @@ def restore_components(
         view._reconciled_version = v["reconciled_version"]
         if state.get("view_pairs") is not None:
             view_pairs = SurvivorPairTable(view)
-            _restore_pairs(view_pairs, state["view_pairs"])
+            captured = state["view_pairs"]
+            view_pairs.common = {int(k): v for k, v in captured["common"].items()}
+            _restore_factors(view_pairs, captured)
     return store, index, pairs, view, view_pairs
 
 
@@ -616,7 +623,7 @@ def load_snapshot(path: str) -> dict | None:
         return None
     if document.get("format") != SNAPSHOT_FORMAT:
         return None
-    if document.get("version") != SNAPSHOT_VERSION:
+    if document.get("version") not in _READABLE_SNAPSHOT_VERSIONS:
         return None
     return document
 

@@ -4,13 +4,16 @@ The batch blocker groups a frozen corpus by key in one pass; this index
 maintains the same grouping under inserts.  Each insert computes the
 description's blocking keys (token keys by default; pass a q-grams or
 composite blocker for other key spaces), appends the entity to the
-touched posting lists, and emits the **delta** — new comparison cells,
-placements and block activations — to attached consumers (the
-:class:`~repro.stream.pairs.DeltaPairTable`).
+touched posting lists, and emits the **delta** — placements, block
+activations and the entity's changed neighbour set — to attached
+consumers (the :class:`~repro.stream.pairs.DeltaPairTable`).
 
-Per-insert work is proportional to the delta the entity generates (its
-keys plus the co-members it newly pairs with), never to the corpus.
-Global concerns are deferred, not dropped:
+Comparison cells are never enumerated: the postings *are* the pair
+table, read back per pair at query time.  Per-insert Python work is
+O(keys + distinct new partners) — one hook per posted key, and one
+:meth:`~IncrementalBlockIndex.neighbours_of` union (a C-speed
+``set.update`` per key) before and after the event, whose difference
+is the pairs gained.  Global concerns are deferred, not dropped:
 
 * posting lists are kept in per-source arrival order; an entity that
   gains a key *late* (attribute merge) is re-sorted **lazily, only for
@@ -59,27 +62,20 @@ def _posting_pair() -> tuple[array, array]:
 class DeltaConsumer:
     """Interface for delta-maintained structures attached to the index.
 
-    The index calls these hooks *during* each insert or delete, in a
-    fixed order: cells first (so pair statistics see the partner set as
-    it was before the entity joined or after it left), then
-    placements/activations.  The ``*_removed``/``*_deactivated`` hooks
-    mirror the insert hooks exactly — a delete emits the negation of
-    the deltas the corresponding inserts emitted.
+    The index calls these hooks *during* each insert or delete, per
+    touched key: placements/activations, then ``on_key_update``.  The
+    ``*_removed``/``*_deactivated`` hooks mirror the insert hooks
+    exactly — a delete emits the negation of the deltas the
+    corresponding inserts emitted.  ``on_neighbours`` closes the event.
     """
 
     __slots__ = ()
-
-    def on_cell(self, id_a: int, id_b: int) -> None:
-        """One new comparison cell between two distinct entities."""
 
     def on_placement(self, entity_id: int) -> None:
         """One new placement of an entity in a comparison-bearing block."""
 
     def on_block_activated(self, key: str) -> None:
         """A block crossed from singleton/one-sided to comparison-bearing."""
-
-    def on_cell_removed(self, id_a: int, id_b: int) -> None:
-        """One comparison cell between two distinct entities vanished."""
 
     def on_placement_removed(self, entity_id: int) -> None:
         """One placement in a comparison-bearing block vanished."""
@@ -91,11 +87,22 @@ class DeltaConsumer:
         """The entity's posting under *key* on side *source* changed.
 
         Fired once per (event, key, side) **after** the posting append
-        or removal and the cell/placement hooks, so a consumer reading
-        the index back sees the post-event state of the key.  This is
-        the hook cardinality-sensitive maintainers (the incremental
+        or removal and the placement hooks, so a consumer reading the
+        index back sees the post-event state of the key.  This is the
+        hook cardinality-sensitive maintainers (the incremental
         processed view) subscribe to; pair-statistics consumers can
         ignore it.
+        """
+
+    def on_neighbours(
+        self, entity_id: int, before: set[int], after: set[int]
+    ) -> None:
+        """The event moved *entity_id*'s comparison partners.
+
+        Fired once per event that changed a posting, last: *before* and
+        *after* are :meth:`IncrementalBlockIndex.neighbours_of` around
+        it, so ``after - before`` are the pairs that came into being and
+        ``before - after`` the pairs that vanished.
         """
 
 
@@ -188,10 +195,17 @@ class IncrementalBlockIndex(DeltaConsumer):
         mask = self._key_mask.setdefault(entity_id, {})
         bit = 1 << source
         self._snapshots.clear()
+        new_keys = [
+            key
+            for key in self.blocker.keys_for(description)
+            if not mask.get(key, 0) & bit  # not yet posted on this side
+        ]
+        if not new_keys:
+            return
         consumers = self._consumers
-        for key in self.blocker.keys_for(description):
-            if mask.get(key, 0) & bit:
-                continue  # already posted on this side
+        # A first insert has no partners yet: only a merge reads them back.
+        before = self.neighbours_of(entity_id) if mask else set()
+        for key in new_keys:
             self._block_cache.pop(key, None)
             sides = self._postings.get(key)
             if sides is None:
@@ -211,10 +225,6 @@ class IncrementalBlockIndex(DeltaConsumer):
                 other = sides[1 - source]
                 was_active = bool(side) and bool(other)
                 side.append(entity_id)
-                for partner in other:
-                    if partner != entity_id:
-                        for consumer in consumers:
-                            consumer.on_cell(entity_id, partner)
                 if not was_active and side and other:
                     # The block just became comparison-bearing: every
                     # member (this one included) gains its placement now.
@@ -229,9 +239,6 @@ class IncrementalBlockIndex(DeltaConsumer):
                         consumer.on_placement(entity_id)
             else:
                 was_active = len(side) >= 2
-                for partner in side:
-                    for consumer in consumers:
-                        consumer.on_cell(entity_id, partner)
                 side.append(entity_id)
                 if len(side) == 2:
                     for consumer in consumers:
@@ -243,6 +250,9 @@ class IncrementalBlockIndex(DeltaConsumer):
                         consumer.on_placement(entity_id)
             for consumer in consumers:
                 consumer.on_key_update(key, entity_id, source)
+        after = self.neighbours_of(entity_id)
+        for consumer in consumers:
+            consumer.on_neighbours(entity_id, before, after)
 
     # -- delete path ---------------------------------------------------------
 
@@ -250,14 +260,14 @@ class IncrementalBlockIndex(DeltaConsumer):
         """Shed the entity's side-*source* postings, emitting removal deltas.
 
         The mirror of :meth:`_on_insert`: for every key the entity held
-        on this side, the cells it contributed vanish first, then its
-        placement (or the whole block's placements, when the removal
-        drops the block below the comparison-bearing floor), and finally
-        ``on_key_update`` fires so cardinality-sensitive consumers
-        re-read the post-delete state.  The per-source arrival rank is
-        **kept** — a re-inserted URI regains its original position, so
-        snapshots stay bit-identical to a batch build over the final
-        live corpus.
+        on this side, its placement vanishes (or the whole block's
+        placements, when the removal drops the block below the
+        comparison-bearing floor), then ``on_key_update`` fires so
+        cardinality-sensitive consumers re-read the post-delete state;
+        ``on_neighbours`` closes the event with the partners lost.  The
+        per-source arrival rank is **kept** — a re-inserted URI regains
+        its original position, so snapshots stay bit-identical to a
+        batch build over the final live corpus.
         """
         mask = self._key_mask.get(entity_id)
         if mask is None:
@@ -268,6 +278,7 @@ class IncrementalBlockIndex(DeltaConsumer):
             return
         self._snapshots.clear()
         consumers = self._consumers
+        before = self.neighbours_of(entity_id)
         for key in touched:
             self._block_cache.pop(key, None)
             sides = self._postings[key]
@@ -289,10 +300,6 @@ class IncrementalBlockIndex(DeltaConsumer):
                 other = sides[1 - source]
                 was_active = bool(other)  # side holds the entity, so nonempty
                 side.remove(entity_id)
-                for partner in other:
-                    if partner != entity_id:
-                        for consumer in consumers:
-                            consumer.on_cell_removed(entity_id, partner)
                 if was_active and not (side and other):
                     # The block just lost comparison-bearing status:
                     # every member (this one included) loses its
@@ -309,9 +316,6 @@ class IncrementalBlockIndex(DeltaConsumer):
                         consumer.on_placement_removed(entity_id)
             else:
                 side.remove(entity_id)
-                for partner in side:
-                    for consumer in consumers:
-                        consumer.on_cell_removed(entity_id, partner)
                 if len(side) == 1:
                     for consumer in consumers:
                         consumer.on_placement_removed(entity_id)
@@ -329,6 +333,9 @@ class IncrementalBlockIndex(DeltaConsumer):
                 consumer.on_key_update(key, entity_id, source)
         if not mask:
             del self._key_mask[entity_id]
+        after = self.neighbours_of(entity_id)
+        for consumer in consumers:
+            consumer.on_neighbours(entity_id, before, after)
 
     # -- interrogation -------------------------------------------------------
 
@@ -406,6 +413,28 @@ class IncrementalBlockIndex(DeltaConsumer):
         return int(bool(mask_a & 1) and bool(mask_b & 2)) + int(
             bool(mask_b & 1) and bool(mask_a & 2)
         )
+
+    def neighbours_of(self, entity_id: int) -> set[int]:
+        """Every entity sharing a comparison cell with *entity_id*.
+
+        The union of the entity's opposite-side postings (its own side
+        in a dirty store) over all its keys, uncapped — the pair table's
+        edge set around one node, read straight from the postings.
+        """
+        found: set[int] = set()
+        postings = self._postings
+        if self.two_sided:
+            for key, mask in self._key_mask.get(entity_id, {}).items():
+                sides = postings[key]
+                if mask & 1:
+                    found.update(sides[1])
+                if mask & 2:
+                    found.update(sides[0])
+        else:
+            for key in self._key_mask.get(entity_id, ()):
+                found.update(postings[key][0])
+        found.discard(entity_id)
+        return found
 
     def partners_of(
         self,

@@ -1,19 +1,18 @@
-"""The delta-maintained pair table.
+"""The pair table as a lazy view over the postings.
 
 The batch :class:`~repro.metablocking.graph.PairTable` aggregates every
-implied comparison of a finished block collection in one pass.  This
-table maintains the same per-pair statistics — packed ``a << 32 | b``
-keys, common-block counts — plus the global factors the six weighting
-schemes consume (placements, active block count, edge count, node
-degrees), by folding in **only the delta pairs a new entity generates**.
-
-ARCS needs care: a block's reciprocal-cardinality contribution changes
-retroactively each time that block grows, so eager per-pair ARCS
-maintenance would cost O(pairs-in-block) per insert.  Instead the ARCS
-sum is evaluated **lazily per pair** from the live index — the shared
-keys in sorted order, each contributing ``cells / cardinality`` exactly
-as the batch enumeration accumulates them — which keeps inserts O(delta)
-and still reproduces the batch float sums bit-identically.
+implied comparison of a finished block collection in one pass.  The
+streaming table materialises no pair at all: the per-pair statistics
+are **read from the index at query time** — the pair's shared keys in
+sorted order, each contributing its cells to ``common`` and ``cells /
+cardinality`` to ``arcs``, exactly as the batch enumeration accumulates
+them (ARCS could never be kept eagerly anyway: a block's reciprocal
+cardinality changes retroactively each time the block grows).  What
+*is* maintained under inserts and deletes are the six global factors
+the weighting schemes and pruners consume: ``placements``,
+``active_blocks``, ``entities_placed`` and ``total_assignments`` from
+the per-placement hooks, ``degrees`` and ``edge_count`` from one set
+difference of the touched entity's neighbours per event.
 
 All six schemes are therefore evaluable for any single pair in
 O(keys-of-the-smaller-endpoint), with **no global rebuild**: exactly
@@ -41,7 +40,8 @@ class PairStatsView:
     :class:`~repro.stream.processed_view.SurvivorPairTable` — evaluates
     them identically.  Subclasses provide:
 
-    * :meth:`common_of` / :meth:`arcs_of` — per-pair statistics;
+    * :meth:`block_source` — the structure the per-pair statistics
+      (:meth:`common_of` / :meth:`arcs_of`) are read from;
     * ``placements`` (entity id → block placements), ``degrees``
       (entity id → distinct partners), ``active_blocks`` and
       ``edge_count`` — the global factors;
@@ -64,13 +64,43 @@ class PairStatsView:
     active_blocks: int
     edge_count: int
 
-    def common_of(self, id_a: int, id_b: int) -> int:
-        """Common-block count of the pair (0 when never co-blocked)."""
+    def block_source(self):
+        """The live blocks behind the pair statistics: anything exposing
+        ``keys_of`` / ``cells_between`` / ``cardinality_of`` (the index
+        and the processed view both do)."""
         raise NotImplementedError
 
+    def _shared_cells(self, id_a: int, id_b: int):
+        """``(cells, cardinality)`` per block holding the (distinct)
+        pair, in sorted-key order — the batch enumeration's order."""
+        source = self.block_source()
+        shared = source.keys_of(id_a).keys() & source.keys_of(id_b).keys()
+        for key in sorted(shared):
+            cells = source.cells_between(key, id_a, id_b)
+            if cells:
+                yield cells, source.cardinality_of(key)
+
+    def common_of(self, id_a: int, id_b: int) -> int:
+        """Common-block count of the pair (0 when never co-blocked)."""
+        return sum(cells for cells, _ in self._shared_cells(id_a, id_b))
+
     def arcs_of(self, id_a: int, id_b: int) -> float:
-        """Lazy ARCS sum of the pair, bit-identical to the batch path."""
-        raise NotImplementedError
+        """Lazy ARCS sum of the pair, bit-identical to the batch path.
+
+        The batch reference walks blocks in sorted-key order and adds
+        ``1 / cardinality`` once per comparison cell; this walks the
+        pair's shared keys in the same order, reading each block's
+        *current* cardinality — identical terms, identical order,
+        identical floats.
+        """
+        arcs = 0.0
+        for cells, cardinality in self._shared_cells(id_a, id_b):
+            if not cardinality:
+                continue
+            contribution = 1.0 / cardinality
+            for _ in range(cells):
+                arcs += contribution
+        return arcs
 
     def interner(self):
         """The URI ↔ dense-id mapping of the underlying store."""
@@ -99,11 +129,11 @@ class PairStatsView:
         """Like :meth:`weight` over ids; ``id_a`` must be the endpoint
         whose URI sorts first (the bit-identity argument order)."""
         name = scheme_name.upper()
+        if name == "ARCS":
+            return self.arcs_of(id_a, id_b)
         common = self.common_of(id_a, id_b)
         if name == "CBS":
             return float(common)
-        if name == "ARCS":
-            return self.arcs_of(id_a, id_b)
         placements = self.placements
         if name == "ECBS":
             total = max(self.active_blocks, 1)
@@ -177,7 +207,7 @@ class PairStatsView:
 
 
 class DeltaPairTable(PairStatsView, DeltaConsumer):
-    """Packed-pair statistics maintained under inserts and deletes.
+    """Global scheme factors maintained under inserts and deletes.
 
     Every removal hook is the exact negation of its insert counterpart
     (1→0 transitions unwind edges, degrees and placement counts), so
@@ -190,7 +220,6 @@ class DeltaPairTable(PairStatsView, DeltaConsumer):
 
     __slots__ = (
         "index",
-        "common",
         "placements",
         "degrees",
         "active_blocks",
@@ -201,8 +230,6 @@ class DeltaPairTable(PairStatsView, DeltaConsumer):
 
     def __init__(self, index: IncrementalBlockIndex) -> None:
         self.index = index
-        #: packed pair → number of common blocks (counting repeated cells)
-        self.common: dict[int, int] = {}
         #: entity id → placements in comparison-bearing blocks
         self.placements: dict[int, int] = {}
         #: entity id → distinct comparison partners (EJS degrees)
@@ -219,15 +246,6 @@ class DeltaPairTable(PairStatsView, DeltaConsumer):
 
     # -- delta hooks ---------------------------------------------------------
 
-    def on_cell(self, id_a: int, id_b: int) -> None:
-        key = pack_pair(id_a, id_b)
-        count = self.common.get(key, 0)
-        if count == 0:
-            self.edge_count += 1
-            self.degrees[id_a] = self.degrees.get(id_a, 0) + 1
-            self.degrees[id_b] = self.degrees.get(id_b, 0) + 1
-        self.common[key] = count + 1
-
     def on_placement(self, entity_id: int) -> None:
         count = self.placements.get(entity_id, 0)
         if count == 0:
@@ -237,21 +255,6 @@ class DeltaPairTable(PairStatsView, DeltaConsumer):
 
     def on_block_activated(self, key: str) -> None:
         self.active_blocks += 1
-
-    def on_cell_removed(self, id_a: int, id_b: int) -> None:
-        key = pack_pair(id_a, id_b)
-        count = self.common[key] - 1
-        if count == 0:
-            del self.common[key]
-            self.edge_count -= 1
-            for entity_id in (id_a, id_b):
-                remaining = self.degrees[entity_id] - 1
-                if remaining:
-                    self.degrees[entity_id] = remaining
-                else:
-                    del self.degrees[entity_id]
-        else:
-            self.common[key] = count
 
     def on_placement_removed(self, entity_id: int) -> None:
         count = self.placements[entity_id] - 1
@@ -265,54 +268,42 @@ class DeltaPairTable(PairStatsView, DeltaConsumer):
     def on_block_deactivated(self, key: str) -> None:
         self.active_blocks -= 1
 
+    def on_neighbours(
+        self, entity_id: int, before: set[int], after: set[int]
+    ) -> None:
+        degrees = self.degrees
+        gained = after - before
+        lost = before - after
+        for partner in gained:
+            degrees[partner] = degrees.get(partner, 0) + 1
+        for partner in lost:
+            remaining = degrees[partner] - 1
+            if remaining:
+                degrees[partner] = remaining
+            else:
+                del degrees[partner]
+        if after:
+            degrees[entity_id] = len(after)
+        else:
+            degrees.pop(entity_id, None)
+        self.edge_count += len(gained) - len(lost)
+
     # -- statistics ----------------------------------------------------------
 
     def __len__(self) -> int:
         """Number of distinct pairs tracked."""
-        return len(self.common)
+        return self.edge_count
 
     def interner(self):
         """The store's URI ↔ dense-id mapping."""
         return self.index.store.interner
 
+    def block_source(self) -> IncrementalBlockIndex:
+        return self.index
+
     def _common_items(self):
-        return self.common.items()
-
-    def common_of(self, id_a: int, id_b: int) -> int:
-        """Common-block count of the pair (0 when never co-blocked)."""
-        if id_a == id_b:
-            return 0
-        return self.common.get(pack_pair(id_a, id_b), 0)
-
-    def arcs_of(self, id_a: int, id_b: int) -> float:
-        """Lazy ARCS sum of the pair, bit-identical to the batch path.
-
-        The batch reference walks blocks in sorted-key order and adds
-        ``1 / cardinality`` once per comparison cell; this walks the
-        pair's shared keys in the same order, reading each block's
-        *current* cardinality — identical terms, identical order,
-        identical floats.
-        """
-        if id_a == id_b:
-            return 0.0
         index = self.index
-        keys_a = index.keys_of(id_a)
-        keys_b = index.keys_of(id_b)
-        if len(keys_b) < len(keys_a):
-            keys_a, keys_b = keys_b, keys_a
-        shared = [key for key in keys_a if key in keys_b]
-        if not shared:
-            return 0.0
-        shared.sort()
-        arcs = 0.0
-        for key in shared:
-            cells = index.cells_between(key, id_a, id_b)
-            if not cells:
-                continue
-            cardinality = index.cardinality_of(key)
-            if not cardinality:
-                continue
-            contribution = 1.0 / cardinality
-            for _ in range(cells):
-                arcs += contribution
-        return arcs
+        for id_a in index.entity_ids():
+            for id_b in index.neighbours_of(id_a):
+                if id_a < id_b:
+                    yield pack_pair(id_a, id_b), self.common_of(id_a, id_b)

@@ -24,8 +24,8 @@ module maintains the surviving block set **under inserts** instead:
 
 Consumers (:class:`SurvivorPairTable`) receive placement-level deltas
 as survivors enter and leave, so pair statistics follow the processed
-view the same way :class:`~repro.stream.pairs.DeltaPairTable` follows
-the raw index.
+view the way :class:`~repro.stream.pairs.DeltaPairTable`'s global
+factors follow the raw index.
 
 **Contract:** immediately after :meth:`reconcile`, the view is
 bit-identical to ``snapshot_processed(purging, filtering)`` — same
@@ -891,7 +891,13 @@ class SurvivorPairTable(PairStatsView, ViewConsumer):
         """The store's URI ↔ dense-id mapping."""
         return self.view.index.store.interner
 
+    def block_source(self) -> IncrementalProcessedView:
+        """ARCS walks the *filtered* blocks — the same terms, in the
+        same order, as a batch graph over the processed collection."""
+        return self.view
+
     def _common_items(self):
+        self.view._apply_pending()  # a view read: drain before iterating
         return self.common.items()
 
     def common_of(self, id_a: int, id_b: int) -> int:
@@ -899,35 +905,3 @@ class SurvivorPairTable(PairStatsView, ViewConsumer):
         if id_a == id_b:
             return 0
         return self.common.get(pack_pair(id_a, id_b), 0)
-
-    def arcs_of(self, id_a: int, id_b: int) -> float:
-        """Lazy ARCS over surviving blocks, batch-identical at reconcile.
-
-        Walks the pair's shared surviving keys in sorted order, reading
-        each *filtered* block's current cardinality — the same terms, in
-        the same order, as a batch graph enumeration over the processed
-        collection.
-        """
-        if id_a == id_b:
-            return 0.0
-        view = self.view
-        keys_a = view.keys_of(id_a)
-        keys_b = view.keys_of(id_b)
-        if len(keys_b) < len(keys_a):
-            keys_a, keys_b = keys_b, keys_a
-        shared = [key for key in keys_a if key in keys_b]
-        if not shared:
-            return 0.0
-        shared.sort()
-        arcs = 0.0
-        for key in shared:
-            cells = view.cells_between(key, id_a, id_b)
-            if not cells:
-                continue
-            cardinality = view.cardinality_of(key)
-            if not cardinality:
-                continue
-            contribution = 1.0 / cardinality
-            for _ in range(cells):
-                arcs += contribution
-        return arcs

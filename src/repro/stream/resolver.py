@@ -42,7 +42,7 @@ from repro.stream.durability import (
     recover as recover_state,
 )
 from repro.stream.index import IncrementalBlockIndex
-from repro.stream.pairs import DeltaPairTable
+from repro.stream.pairs import SCHEME_NAMES, DeltaPairTable
 from repro.stream.processed_view import IncrementalProcessedView, SurvivorPairTable
 from repro.stream.similarity import StreamingSimilarityIndex
 from repro.stream.store import StreamingEntityStore
@@ -67,6 +67,33 @@ class StreamMatch:
 # them — is what makes the merged results bit-identical to this
 # resolver by construction.
 # ---------------------------------------------------------------------------
+
+
+#: the pruner names :func:`prune_neighbourhood` accepts, by behaviour
+#: (matched case-insensitively)
+_KEEP_ALL = ("none", "all", "")
+_ABOVE_MEAN = ("wnp", "wep")
+_TOP_K = ("cnp", "cep")
+
+
+def check_query_names(scheme: str, pruner: str) -> None:
+    """Reject an unknown scheme or pruner before a query touches state.
+
+    Without this a bad name only surfaces once a candidate exists to be
+    weighed or pruned, so the same call would succeed on an empty store
+    and fail on a full one.
+
+    Raises:
+        KeyError: naming the choices.
+    """
+    if scheme.upper() not in SCHEME_NAMES:
+        raise KeyError(
+            f"unknown weighting scheme {scheme!r}; choose from {SCHEME_NAMES}"
+        )
+    if pruner.lower() not in _KEEP_ALL + _ABOVE_MEAN + _TOP_K:
+        raise KeyError(
+            f"unknown stream pruner {pruner!r}; choose CNP, WNP or none"
+        )
 
 
 def weigh_candidates(
@@ -113,13 +140,13 @@ def prune_neighbourhood(
         return []
     items = list(weights.items())
     name = pruner.lower()
-    if name in ("none", "all", ""):
+    if name in _KEEP_ALL:
         return sorted(items, key=lambda iw: (-iw[1], uris[iw[0]]))
-    if name in ("wnp", "wep"):
+    if name in _ABOVE_MEAN:
         mean = sum(weights.values()) / len(weights)
         kept = [iw for iw in items if iw[1] >= mean]
         return sorted(kept, key=lambda iw: (-iw[1], uris[iw[0]]))
-    if name in ("cnp", "cep"):
+    if name in _TOP_K:
         entities = max(entities_placed, 1)
         average = total_assignments / entities
         k = max(1, math.ceil(average) - 1)
@@ -404,6 +431,10 @@ class StreamResolver:
         Returns:
             The query result with matches (weight-ordered execution,
             similarity recorded) and per-phase latency.
+
+        Raises:
+            KeyError: for an unknown *scheme* or *pruner*, before the
+                description is ingested.
         """
         with self.obs.span("stream.query", source=source) as query_span:
             result = self._resolve(
@@ -425,6 +456,7 @@ class StreamResolver:
         budget: int | None,
         ingest: bool,
     ) -> StreamQueryResult:
+        check_query_names(scheme, pruner)
         obs = self.obs
         t_total = time.perf_counter()
         latency: dict[str, float] = {}

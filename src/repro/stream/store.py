@@ -132,8 +132,14 @@ class StreamingEntityStore:
         semantics); subscribers always receive the merged description.
 
         Raises:
-            IndexError: for an unknown source ordinal.
+            IndexError: for an unknown source ordinal — checked before
+                the event is logged or anything is mutated.
         """
+        if not 0 <= source < len(self.collections):
+            raise IndexError(
+                f"unknown source ordinal {source!r}: the store serves "
+                f"sources 0..{len(self.collections) - 1}"
+            )
         collection = self.collections[source]
         if self.durability is not None:
             self.durability.log_insert(description, source)

@@ -121,3 +121,15 @@ def test_order_must_be_a_permutation():
         tier.resolve(
             EntityDescription("http://e/1", {"p": ["alpha"]}), order=[0, 1]
         )
+
+
+def test_bad_source_and_bad_names_fail_before_the_tier_moves():
+    """Same early checks as the single-store resolver, on any store size."""
+    tier = LocalTier(2)
+    description = EntityDescription("http://e/1", {"p": ["alpha"]})
+    with pytest.raises(IndexError):
+        tier.ingest(description, -1)
+    for bad in ({"scheme": "nope"}, {"pruner": "nope"}):
+        with pytest.raises(KeyError, match="nope"):
+            tier.resolve(description, **bad)
+    assert len(tier.store) == 0 and tier.store.version == 0

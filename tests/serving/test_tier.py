@@ -106,6 +106,17 @@ class TestHealthyTier:
         assert report.ok, report.mismatches
         assert report.checked == len(queries_of(events[:40]))
 
+    def test_bad_source_and_bad_names_never_reach_a_shard(self, events):
+        description = events[0].description
+        with Router(2, query_timeout_s=10.0) as router:
+            with pytest.raises(IndexError):
+                router.ingest(description, -1)
+            for bad in ({"scheme": "nope"}, {"pruner": "nope"}):
+                with pytest.raises(KeyError, match="nope"):
+                    router.resolve(description, 0, **bad)
+            assert router.log == [] and router.store.version == 0
+            assert router.sync(timeout_s=10.0)  # every shard still serving
+
     def test_sync_reaches_all_shards(self, events):
         with Router(2, query_timeout_s=10.0) as router:
             for event in events[:20]:

@@ -20,7 +20,9 @@ header versioning, fsync batching, snapshot atomicity and pruning.
 
 from __future__ import annotations
 
+import json
 import os
+import shutil
 import zlib
 
 import pytest
@@ -486,3 +488,71 @@ def test_resume_after_recovery_continues_the_log(tmp_path):
         sum(len(c) for c in final.store.collections) == count_before + 1
     )
     assert final.store.get(extra.description.uri) is not None
+
+
+# -- snapshot format upgrade --------------------------------------------------
+
+#: a durability directory written by the last build whose snapshots were
+#: version 1 (they carry the raw pair table's ``state.pairs.common``): a
+#: clean-clean processed-view resolver, 22 WAL records — inserts, queries
+#: (apply/reconcile records), one URI in both KBs, a delete, a late-key
+#: merge and a re-insert — with its only snapshot at LSN 15.  No
+#: reconcile follows the re-insert: the first reconcile after a restore
+#: is a full one and runs the lazy posting re-sort a replay still defers,
+#: so the index's ``unsorted`` / ``resort_count`` would differ by path.
+V1_FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "v1")
+
+
+def _rewrite_snapshot(source: str, target: str, **changes) -> None:
+    """Copy a snapshot file with header fields changed and the CRC redone."""
+    document = json.loads(open(source, "rb").read()[9:])
+    document.update(changes)
+    body = json.dumps(document, separators=(",", ":")).encode("utf-8")
+    with open(target, "wb") as handle:
+        handle.write(b"%08x %s" % (zlib.crc32(body), body))
+
+
+def test_version_1_snapshot_recovers_to_the_replayed_state(tmp_path):
+    directory = shutil.copytree(V1_FIXTURE, str(tmp_path / "v1"))
+    document = load_snapshot(list_snapshots(directory)[0])
+    assert document["version"] == 1
+    assert document["state"]["pairs"]["common"]  # what version 2 dropped
+
+    recovered = StreamResolver.recover(directory)
+    assert recovered.recovery.snapshot_lsn == 15
+    assert recovered.recovery.replayed_events == 7
+    replayed = StreamResolver.recover(directory, from_scratch=True)
+    assert replayed.recovery.replayed_events == replayed.recovery.wal_records == 22
+    assert _capture(recovered) == _capture(replayed)
+    assert (
+        recovered.pairs.as_reference_stats() == replayed.pairs.as_reference_stats()
+    )
+    assert (
+        recovered.view_pairs.as_reference_stats()
+        == replayed.view_pairs.as_reference_stats()
+    )
+
+    # A resumed controller writes the current version next to the old one.
+    resumed = StreamResolver.recover(directory, resume=True)
+    newest = load_snapshot(resumed.durability.snapshot_now())
+    assert newest["version"] == 2
+    assert "common" not in newest["state"]["pairs"]
+    assert "common" in newest["state"]["view_pairs"]
+    resumed.close()
+
+
+def test_unknown_snapshot_version_falls_back(tmp_path):
+    """A snapshot from a future build is skipped, never half-understood."""
+    directory = shutil.copytree(V1_FIXTURE, str(tmp_path / "future"))
+    known = list_snapshots(directory)[0]
+    future = os.path.join(directory, "snapshot-000000000020.json")
+    _rewrite_snapshot(known, future, version=99, lsn=20)
+    assert load_snapshot(future) is None
+
+    older = recover(directory)
+    assert older.report.snapshot_path == known
+    os.remove(known)
+    replayed = recover(directory)
+    assert replayed.report.snapshot_lsn == 0
+    assert replayed.report.replayed_events == replayed.report.wal_records
+    assert _capture(older) == _capture(replayed)

@@ -7,6 +7,7 @@ import pytest
 from repro.datasets import load_movies, load_restaurants
 from repro.model.description import EntityDescription
 from repro.stream import StreamResolver
+from repro.stream.durability import capture_state
 
 
 @pytest.fixture()
@@ -69,6 +70,14 @@ class TestResolve:
             resolver.resolve(description, scheme="nope")
         with pytest.raises(KeyError):
             resolver.resolve(description, pruner="nope")
+
+    @pytest.mark.parametrize("bad", [{"scheme": "nope"}, {"pruner": "nope"}])
+    def test_unknown_names_rejected_without_candidates_too(self, bad):
+        """The same call fails the same way on an empty and a full store."""
+        resolver = StreamResolver()
+        with pytest.raises(KeyError, match="nope"):
+            resolver.resolve(EntityDescription("http://e/a", {"p": ["x"]}), **bad)
+        assert len(resolver.store) == 0  # rejected before the ingest
 
     def test_decisions_accumulate_across_queries(self, restaurant_resolver):
         resolver, kb1, _, _ = restaurant_resolver
@@ -145,3 +154,24 @@ class TestIngestion:
         resolver = StreamResolver()
         with pytest.raises(IndexError):
             resolver.ingest(EntityDescription("http://e/a", {"p": ["x"]}), source=1)
+
+    @pytest.mark.parametrize("source", [-1, 2])
+    def test_rejected_insert_moves_nothing(self, tmp_path, source):
+        """A bad source ordinal fails before the WAL, store or index move.
+
+        ``-1`` used to pick kb2 by negative indexing, get logged and
+        merged, and only then die inside the index.
+        """
+        resolver = StreamResolver(clean_clean=True, durability=str(tmp_path))
+        resolver.ingest(EntityDescription("http://e/a", {"p": ["x y"]}), 0)
+        wal_path = tmp_path / "wal.log"
+
+        def everything():
+            state = capture_state(resolver.store, resolver.index, resolver.pairs)
+            return state, wal_path.read_bytes()
+
+        before = everything()
+        with pytest.raises(IndexError, match="source"):
+            resolver.ingest(EntityDescription("http://e/b", {"p": ["y z"]}), source)
+        assert everything() == before
+        assert len(resolver.store.collections[1]) == 0
