@@ -9,14 +9,11 @@ in DESIGN.md.  Each prints its rows/series and also writes them under
 (add ``-s`` to watch the tables stream by; the files are written either
 way).
 
-``bench_perf_graph.py`` is the perf-tracking benchmark for the int-id /
-array backbone behind ``BlockingGraph``: it times ``materialize()`` and a
-CNP pruning pass through the fast path against the retained string-tuple
-reference on the center/periphery workloads, asserts the committed ≥ 3×
-center speedup, and writes a ``BENCH_graph.json`` artifact at the repo
-root (CI uploads it per run for trajectory tracking).  Run it standalone
-with ``PYTHONPATH=src python benchmarks/bench_perf_graph.py`` or through
-pytest as ``pytest benchmarks/bench_perf_graph.py -s``.
+The int-id / array backbone behind ``BlockingGraph`` is held equal to
+the retained string-tuple reference by
+``tests/metablocking/test_int_id_equivalence.py``; its speed shows in the
+``batch-*`` workloads of the repository benchmark
+(``python3 bench/run.py --workload batch-center --trace 1``).
 
 The streaming counterpart is the ``stream-mixed`` workload of the
 repository benchmark (``python3 bench/run.py --workload stream-mixed``).

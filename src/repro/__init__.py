@@ -33,6 +33,7 @@ from repro.model import (
     EntityDescription,
     EntityCollection,
     EntityInterner,
+    EntityIdOverflowError,
     Tokenizer,
     infer_stop_tokens,
 )
@@ -126,6 +127,7 @@ __all__ = [
     "EntityDescription",
     "EntityCollection",
     "EntityInterner",
+    "EntityIdOverflowError",
     "Tokenizer",
     "parse_ntriples",
     "parse_turtle",

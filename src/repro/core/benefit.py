@@ -20,18 +20,20 @@ implemented here alongside the quantity baseline:
   neighbour pairs that are themselves resolved — so resolution
   concentrates on finishing connected groups rather than scattering.
 
-Each model supplies two functions: :meth:`~BenefitModel.estimate`, a cheap
-pre-comparison proxy the scheduler multiplies into comparison priorities,
-and :meth:`~BenefitModel.realized`, the actual benefit recorded after a
-match is confirmed (used for the benefit@budget curves of E6).  Neither
-touches the ground truth — benefit is a property of the resolver's own
-progress.
+Each model supplies three functions: :meth:`~BenefitModel.estimate`, a
+cheap pre-comparison proxy the scheduler multiplies into comparison
+priorities; :meth:`~BenefitModel.realized`, the actual benefit recorded
+after a match is confirmed (used for the benefit@budget curves of E6); and
+:meth:`~BenefitModel.stale_after`, the descriptions whose queued pairs'
+estimates a confirmed match can have changed — the update phase
+re-estimates those and nothing else.  None touches the ground truth —
+benefit is a property of the resolver's own progress.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING
+from typing import Iterable, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.engine import ResolutionContext
@@ -62,6 +64,32 @@ class BenefitModel(ABC):
         graph.
         """
 
+    def stale_after(
+        self, decision: "MatchDecision", context: "ResolutionContext"
+    ) -> Iterable[str]:
+        """Descriptions whose queued pairs this match may have re-valued.
+
+        Called after a confirmed match is recorded; every queued pair
+        touching a returned URI is re-estimated.  The default is the
+        conservative answer — both endpoints and their neighbourhoods,
+        all an estimate may read of the match state — so a model that
+        overrides nothing stays correct; override it to return less.
+        """
+        return context.vicinity(decision.pair)
+
+
+def _newly_resolved(
+    decision: "MatchDecision", context: "ResolutionContext"
+) -> list[str]:
+    """Endpoints of a recorded match that had no partner before it."""
+    left, right = decision.pair
+    partners = context.match_graph.partners
+    return [
+        uri
+        for uri, other in ((left, right), (right, left))
+        if partners(uri) == {other}
+    ]
+
 
 class QuantityBenefit(BenefitModel):
     """The baseline of [1]: every resolved pair is worth exactly 1.
@@ -78,6 +106,11 @@ class QuantityBenefit(BenefitModel):
 
     def realized(self, decision: "MatchDecision", context: "ResolutionContext") -> float:
         return 1.0 if decision.is_match else 0.0
+
+    def stale_after(
+        self, decision: "MatchDecision", context: "ResolutionContext"
+    ) -> Iterable[str]:
+        return ()  # the estimate is a constant
 
 
 class AttributeCompletenessBenefit(BenefitModel):
@@ -131,6 +164,11 @@ class AttributeCompletenessBenefit(BenefitModel):
         new_evidence = len(pairs_b - pairs_a) + len(pairs_a - pairs_b)
         return min(1.0, new_evidence / (2 * smaller))
 
+    def stale_after(
+        self, decision: "MatchDecision", context: "ResolutionContext"
+    ) -> Iterable[str]:
+        return ()  # the estimate reads profile shapes, never match state
+
 
 class EntityCoverageBenefit(BenefitModel):
     """Value = resolving a real-world entity that had no resolved pair yet.
@@ -167,6 +205,11 @@ class EntityCoverageBenefit(BenefitModel):
         if not partners_left and not partners_right:
             return 1.0
         return self.extension_value
+
+    def stale_after(
+        self, decision: "MatchDecision", context: "ResolutionContext"
+    ) -> Iterable[str]:
+        return _newly_resolved(decision, context)
 
 
 class RelationshipCompletenessBenefit(BenefitModel):
@@ -221,6 +264,21 @@ class RelationshipCompletenessBenefit(BenefitModel):
                 if context.match_graph.is_resolved(neighbor):
                     completed += 1
         return self.base_value + float(completed)
+
+    def stale_after(
+        self, decision: "MatchDecision", context: "ResolutionContext"
+    ) -> Iterable[str]:
+        if context.has_shared_descriptions():
+            # Neighbourhoods are then not symmetric: a pair can read the
+            # resolved flag of a description that does not list it, and
+            # catches up only when the conservative set of a later match
+            # covers it.
+            return super().stale_after(decision, context)
+        stale: list[str] = []
+        for uri in _newly_resolved(decision, context):
+            stale.append(uri)
+            stale.extend(context.neighborhood(uri))
+        return stale
 
 
 #: registry used by experiment sweeps

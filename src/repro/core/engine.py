@@ -10,6 +10,7 @@ progressive curve); resolution decisions never see it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.core.benefit import BenefitModel, QuantityBenefit
 from repro.core.budget import CostBudget
@@ -36,9 +37,16 @@ class ResolutionContext:
         self.collections = collections
         self.match_graph = MatchGraph()
         self._home: dict[str, EntityCollection] = {}
+        self._source: dict[str, str] = {}
         for collection in collections:
             for description in collection:
-                self._home.setdefault(description.uri, collection)
+                self._adopt(description, collection)
+
+    def _adopt(self, description: EntityDescription, collection: EntityCollection) -> None:
+        """Record *collection* as the home of a URI seen for the first time."""
+        if description.uri not in self._home:
+            self._home[description.uri] = collection
+            self._source[description.uri] = description.source
 
     def description(self, uri: str) -> EntityDescription | None:
         """The description with *uri*, or None if unknown."""
@@ -47,16 +55,15 @@ class ResolutionContext:
 
     def source_of(self, uri: str) -> str:
         """Source tag of the description (empty for unknown URIs)."""
-        description = self.description(uri)
-        return description.source if description is not None else ""
+        return self._source.get(uri, "")
 
     def same_source(self, uri_a: str, uri_b: str) -> bool:
         """True if both descriptions come from the same KB (clean-clean guard).
 
         Unknown URIs are never considered same-source.
         """
-        source_a = self.source_of(uri_a)
-        return bool(source_a) and source_a == self.source_of(uri_b)
+        source_a = self._source.get(uri_a)
+        return bool(source_a) and source_a == self._source.get(uri_b)
 
     def neighbors(self, uri: str) -> list[str]:
         """Out-neighbours of *uri* in its home collection."""
@@ -67,6 +74,30 @@ class ResolutionContext:
         """In-neighbours of *uri* in its home collection."""
         home = self._home.get(uri)
         return home.inverse_neighbors(uri) if home is not None else []
+
+    def neighborhood(self, uri: str) -> Sequence[str]:
+        """Out- then in-neighbours of *uri*, deduplicated: the collection's
+        memoised :meth:`~repro.model.collection.EntityCollection.all_neighbors`
+        (read-only; empty for unknown URIs)."""
+        home = self._home.get(uri)
+        return home.all_neighbors(uri) if home is not None else ()
+
+    def vicinity(self, pair: tuple[str, str]) -> set[str]:
+        """Both endpoints of *pair* and their neighbourhoods — every
+        description whose queued comparisons a match of *pair* touches."""
+        touched = set(pair)
+        for uri in pair:
+            touched.update(self.neighborhood(uri))
+        return touched
+
+    def has_shared_descriptions(self) -> bool:
+        """True when some URI is described by more than one collection.
+
+        Such a URI is a neighbour of descriptions in every collection
+        holding it but lists only its home collection's neighbours, so
+        neighbourhoods are then not symmetric.
+        """
+        return len(self._home) < sum(len(c) for c in self.collections)
 
 
 @dataclass
@@ -107,10 +138,12 @@ class ProgressiveER:
         checkpoint_every: progressive-curve sampling period, in
             comparisons.
         refresh_estimates: after each confirmed match, re-estimate the
-            queued pairs that touch the matched descriptions or their
-            neighbours, so state-dependent benefit estimates (coverage,
-            relationship completeness) stay current.  Charged to the
-            budget as scheduling operations.
+            queued pairs touching the descriptions the benefit model
+            declares stale (:meth:`~repro.core.benefit.BenefitModel.stale_after`),
+            so state-dependent benefit estimates (coverage, relationship
+            completeness) stay current.  Charged to the budget as one
+            scheduling operation per queued pair touching the matched
+            descriptions or their neighbours.
     """
 
     def __init__(

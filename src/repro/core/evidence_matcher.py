@@ -14,12 +14,17 @@ score::
 
     score = value_similarity + evidence_weight × matched_neighbour_fraction
 
-where the matched-neighbour fraction is the share of the smaller
-neighbourhood whose members are (transitively) matched into the other
-description's neighbourhood.  The engine binds the live resolution context
-before execution, so the evidence grows as matching progresses — early
-decisions are value-driven, late decisions increasingly graph-driven,
-which is the pay-as-you-go behaviour the poster describes.
+where the matched-neighbour fraction counts, in each direction, the
+members of one description's neighbourhood that are (transitively)
+matched into the other's, and divides the smaller count by the smaller
+neighbourhood's size — symmetric in the two descriptions and never above
+1.  Two neighbours co-refer exactly when their clusters have the same
+union-find root, so the counts come from one root lookup per resolved
+neighbour of the context's memoised neighbourhoods, not from a question
+per neighbour pair.  The engine binds the live resolution context before
+execution, so the evidence grows as matching progresses — early decisions
+are value-driven, late decisions increasingly graph-driven, which is the
+pay-as-you-go behaviour the poster describes.
 """
 
 from __future__ import annotations
@@ -84,21 +89,30 @@ class NeighborAwareMatcher(Matcher):
         self.base.prime(pairs)
 
     def neighbor_evidence(self, uri_a: str, uri_b: str) -> float:
-        """Matched-neighbour fraction in [0, 1] (0 when unbound)."""
+        """Matched-neighbour fraction in [0, 1] (0 when unbound).
+
+        Symmetric: the smaller of "members of *uri_a*'s neighbourhood
+        matched into *uri_b*'s" and the converse, over the smaller
+        neighbourhood's size.
+        """
         context = self._context
         if context is None or self.evidence_weight == 0:
             return 0.0
-        neighbors_a = _neighborhood(context, uri_a)
-        neighbors_b = _neighborhood(context, uri_b)
+        graph = context.match_graph
+        if not graph.match_count:
+            return 0.0
+        neighbors_a = context.neighborhood(uri_a)
+        neighbors_b = context.neighborhood(uri_b)
         if not neighbors_a or not neighbors_b:
             return 0.0
-        graph = context.match_graph
-        matched = 0
-        for left in neighbors_a:
-            if not graph.is_resolved(left):
-                continue
-            if any(graph.are_matched(left, right) for right in neighbors_b):
-                matched += 1
+        roots_a = graph.cluster_roots(neighbors_a)
+        roots_b = graph.cluster_roots(neighbors_b) if roots_a else ()
+        if not roots_b:
+            return 0.0
+        matched = min(
+            sum(map(set(roots_b).__contains__, roots_a)),
+            sum(map(set(roots_a).__contains__, roots_b)),
+        )
         return matched / min(len(neighbors_a), len(neighbors_b))
 
     def similarity(self, uri_a: str, uri_b: str) -> float:
@@ -110,10 +124,3 @@ class NeighborAwareMatcher(Matcher):
         score = value + self.evidence_weight * self.neighbor_evidence(uri_a, uri_b)
         is_match = score >= self.threshold and value >= self.min_value_similarity
         return MatchDecision(uri_a, uri_b, score, is_match)
-
-
-def _neighborhood(context: "ResolutionContext", uri: str) -> list[str]:
-    seen = dict.fromkeys(context.neighbors(uri))
-    for other in context.inverse_neighbors(uri):
-        seen.setdefault(other)
-    return list(seen)

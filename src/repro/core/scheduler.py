@@ -100,15 +100,30 @@ class ComparisonScheduler:
     def add_edges(self, edges: Iterable[WeightedEdge]) -> int:
         """Queue the comparisons surviving meta-blocking.
 
+        New pairs enter the heap in one bulk fill, in first-seen order —
+        the order one :meth:`schedule` per edge would give them.
+
         Returns:
             Number of pairs queued (duplicates are merged, keeping the
             maximum base weight).
         """
-        added = 0
+        seen = self._seen
+        fresh: dict[int, float] = {}
         for edge in edges:
-            if self.schedule(edge.left, edge.right, edge.weight):
-                added += 1
-        return added
+            key = self._key(edge.left, edge.right)
+            if key in seen:
+                self.schedule(edge.left, edge.right, edge.weight)
+            elif key not in fresh or edge.weight > fresh[key]:
+                fresh[key] = edge.weight
+        seen.update(fresh)
+        self._base_weight.update(fresh)
+        self._boost.update(dict.fromkeys(fresh, 0.0))
+        by_id = self._by_id
+        for key in fresh:
+            by_id.setdefault(key >> 32, set()).add(key)
+            by_id.setdefault(key & 0xFFFFFFFF, set()).add(key)
+        self._heap.push_many((key, self._priority(key)) for key in fresh)
+        return len(fresh)
 
     def schedule(self, uri_a: str, uri_b: str, weight: float) -> bool:
         """Queue one pair with the given base weight.
@@ -195,8 +210,9 @@ class ComparisonScheduler:
 
         Benefit estimates depend on the evolving match state (e.g. a pair's
         entity-coverage value drops once either endpoint is resolved); the
-        engine calls this after each confirmed match so queued priorities
-        track reality.  Returns the number of pairs re-prioritized.
+        engine calls this after a confirmed match for every URI the benefit
+        model declares stale, so queued priorities track reality.  Returns
+        the number of pairs re-prioritized.
         """
         entity_id = self._interner.get(uri)
         if entity_id < 0:
@@ -207,6 +223,14 @@ class ComparisonScheduler:
         for key in keys:
             self._reprioritize(key)
         return len(keys)
+
+    def count_involving(self, uris: Iterable[str]) -> int:
+        """Queued pairs touching each of *uris*, summed — a pair with both
+        endpoints among them counts twice, as one :meth:`refresh_involving`
+        per URI would count it."""
+        get_id = self._interner.get
+        buckets = self._by_id
+        return sum(len(buckets.get(get_id(uri), ())) for uri in uris)
 
     def queued_pairs(self) -> Iterable[tuple[tuple[str, str], float]]:
         """Iterate over ``(pair, priority)`` of queued comparisons

@@ -8,6 +8,13 @@ consumed budget, progressive curve) and exposes :meth:`advance`, which
 consumes an *instalment* of comparisons and returns, so the caller can
 inspect intermediate quality, change their mind, or grant more budget
 later.  ``ProgressiveER.run`` is a session drained in one instalment.
+
+The update phase after a confirmed match is a delta: the propagator
+boosts or discovers the neighbour pairs, and only the queued pairs the
+benefit model declares stale (:meth:`~repro.core.benefit.BenefitModel.
+stale_after`) are re-estimated.  The scheduling charge does not depend
+on the model: it is the number of queued pairs touching the match's
+endpoints or their neighbours.
 """
 
 from __future__ import annotations
@@ -38,8 +45,9 @@ class ProgressiveSession:
         label: progressive-curve label.
         checkpoint_every: curve sampling period, in comparisons.
         scheduling_cost_weight: forwarded to the session budget.
-        refresh_estimates: re-estimate affected queued pairs after each
-            match (see :class:`~repro.core.engine.ProgressiveER`).
+        refresh_estimates: after each match, re-estimate the queued pairs
+            the benefit model declares stale (see
+            :class:`~repro.core.engine.ProgressiveER`).
 
     The session starts with a **zero** budget: nothing is resolved until
     the first :meth:`advance`.
@@ -151,14 +159,13 @@ class ProgressiveSession:
                     operations = self.updater.on_match(decision, scheduler, context)
                     budget.charge_scheduling(operations)
                 if self.refresh_estimates:
-                    refreshed = 0
-                    touched = set(pair)
-                    for uri in pair:
-                        touched.update(context.neighbors(uri))
-                        touched.update(context.inverse_neighbors(uri))
-                    for uri in touched:
-                        refreshed += scheduler.refresh_involving(uri)
-                    budget.charge_scheduling(refreshed)
+                    # The charge is the match's queued vicinity whatever
+                    # the model; only what it declares stale is re-estimated.
+                    budget.charge_scheduling(
+                        scheduler.count_involving(context.vicinity(pair))
+                    )
+                    for uri in set(self.benefit.stale_after(decision, context)):
+                        scheduler.refresh_involving(uri)
             if budget.comparisons_executed % self.checkpoint_every == 0:
                 self._checkpoint()
         self._checkpoint()

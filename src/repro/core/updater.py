@@ -15,7 +15,9 @@ candidates for co-reference.  The propagator therefore:
   token blocking missed become reachable at all.
 
 Propagation fan-out is capped to keep the update phase's cost bounded (it
-is charged to the budget as scheduling operations).
+is charged to the budget as scheduling operations).  Neighbourhoods are
+the resolution context's memoised out∪in tuples, in out-then-in order —
+the cap makes that order observable.
 """
 
 from __future__ import annotations
@@ -81,8 +83,11 @@ class NeighborEvidencePropagator:
         if not decision.is_match:
             return 0
         left, right = decision.pair
-        neighbors_left = self._neighborhood(left, context)
-        neighbors_right = self._neighborhood(right, context)
+        neighborhood = (
+            context.neighborhood if self.use_inverse_neighbors else context.neighbors
+        )
+        neighbors_left = neighborhood(left)
+        neighbors_right = neighborhood(right)
         if not neighbors_left or not neighbors_right:
             return 0
 
@@ -108,12 +113,3 @@ class NeighborEvidencePropagator:
                     if scheduler.discover(n_left, n_right, self.discovery_weight):
                         self.discovered += 1
         return operations
-
-    def _neighborhood(self, uri: str, context: "ResolutionContext") -> list[str]:
-        neighbors = context.neighbors(uri)
-        if self.use_inverse_neighbors:
-            seen = dict.fromkeys(neighbors)
-            for other in context.inverse_neighbors(uri):
-                seen.setdefault(other)
-            neighbors = list(seen)
-        return neighbors

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from repro.blocking.block import BlockCollection
 from repro.datasets.gold import GoldStandard
+from repro.metablocking.graph import pair_table_for
 
 
 @dataclass(frozen=True)
@@ -86,8 +87,15 @@ def evaluate_blocks(
         gold: ground truth.
         collection_size1: size of the (first) input collection.
         collection_size2: size of the second collection for clean-clean ER.
+
+    The distinct comparisons are the rows of the collection's cached
+    pair table (the one meta-blocking weighs), not a second enumeration
+    of every block.
     """
-    distinct = blocks.distinct_comparisons()
+    if blocks.id_arrays() is None:  # numpy absent: no pair table
+        distinct = blocks.distinct_comparisons()
+    else:
+        distinct = set(pair_table_for(blocks).pairs)
     return evaluate_comparisons(
         distinct,
         gold,

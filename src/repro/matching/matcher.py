@@ -302,6 +302,16 @@ class MatchGraph:
             return False
         return self._clusters.connected(uri_a, uri_b)
 
+    def cluster_roots(self, uris: Iterable[str]) -> list[str]:
+        """Cluster representative of each resolved member of *uris*.
+
+        Unresolved members are skipped; two resolved descriptions are in
+        the same cluster exactly when their representatives are equal.
+        """
+        partners = self._partners
+        find = self._clusters.find
+        return [find(uri) for uri in uris if uri in partners]
+
     def cluster_of(self, uri: str) -> frozenset[str]:
         """Members of the resolved cluster containing *uri* (singleton if unmatched)."""
         if uri not in self._clusters:

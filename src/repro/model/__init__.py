@@ -18,7 +18,12 @@ This package defines:
 
 from repro.model.description import EntityDescription
 from repro.model.collection import EntityCollection, CollectionStatistics
-from repro.model.interner import EntityInterner, pack_pair, unpack_pair
+from repro.model.interner import (
+    EntityIdOverflowError,
+    EntityInterner,
+    pack_pair,
+    unpack_pair,
+)
 from repro.model.namespaces import split_uri, uri_infix, uri_local_name
 from repro.model.tokenizer import Tokenizer, infer_stop_tokens
 
@@ -27,6 +32,7 @@ __all__ = [
     "EntityCollection",
     "CollectionStatistics",
     "EntityInterner",
+    "EntityIdOverflowError",
     "pack_pair",
     "unpack_pair",
     "split_uri",

@@ -68,6 +68,7 @@ class EntityCollection:
         self._interner = EntityInterner()
         self._neighbors: dict[str, list[str]] | None = None
         self._inverse_neighbors: dict[str, list[str]] | None = None
+        self._all_neighbors: dict[str, tuple[str, ...]] = {}
         for description in descriptions:
             self.add(description)
 
@@ -98,8 +99,8 @@ class EntityCollection:
         """Insert *description*; merges attributes if the URI already exists."""
         existing = self._by_uri.get(description.uri)
         if existing is None:
-            self._by_uri[description.uri] = description
             self._interner.intern(description.uri)
+            self._by_uri[description.uri] = description
         else:
             for prop, value in description.pairs():
                 existing.add(prop, value)
@@ -157,6 +158,7 @@ class EntityCollection:
     def _invalidate(self) -> None:
         self._neighbors = None
         self._inverse_neighbors = None
+        self._all_neighbors.clear()
 
     # -- relationship graph -----------------------------------------------------
 
@@ -177,14 +179,23 @@ class EntityCollection:
         assert self._inverse_neighbors is not None
         return list(self._inverse_neighbors.get(uri, ()))
 
-    def all_neighbors(self, uri: str) -> list[str]:
-        """Union of in- and out-neighbours, deduplicated, order-stable."""
-        seen: dict[str, None] = {}
-        for other in self.neighbors(uri):
-            seen.setdefault(other)
-        for other in self.inverse_neighbors(uri):
-            seen.setdefault(other)
-        return list(seen)
+    def all_neighbors(self, uri: str) -> tuple[str, ...]:
+        """Union of out- and in-neighbours, deduplicated, order-stable.
+
+        Out-neighbours come first, then the in-neighbours not already
+        seen.  The tuple is memoised per URI until the collection next
+        mutates, so the progressive loop reads a neighbourhood without
+        copying it.
+        """
+        union = self._all_neighbors.get(uri)
+        if union is None:
+            self._ensure_graph()
+            assert self._neighbors is not None
+            assert self._inverse_neighbors is not None
+            seen = dict.fromkeys(self._neighbors.get(uri, ()))
+            seen.update(dict.fromkeys(self._inverse_neighbors.get(uri, ())))
+            union = self._all_neighbors[uri] = tuple(seen)
+        return union
 
     def relationship_edges(self) -> Iterator[tuple[str, str]]:
         """Iterate over directed (subject, object) relationship edges."""

@@ -21,6 +21,14 @@ from typing import Iterable, Iterator
 PAIR_SHIFT = 32
 #: mask extracting the low id from a packed pair
 PAIR_MASK = (1 << PAIR_SHIFT) - 1
+#: ids an interner may assign: the smaller id of a pair is shifted into
+#: the high half, and ``id << PAIR_SHIFT`` stays a non-negative int64
+#: only below this
+MAX_ENTITIES = 1 << (PAIR_SHIFT - 1)
+
+
+class EntityIdOverflowError(ValueError):
+    """An interner was asked for more ids than a packed pair can hold."""
 
 
 def pack_pair(id_a: int, id_b: int) -> int:
@@ -81,11 +89,21 @@ class EntityInterner:
         return f"EntityInterner({len(self)} entities)"
 
     def intern(self, uri: str) -> int:
-        """Id of *uri*, assigning the next dense id on first sight."""
+        """Id of *uri*, assigning the next dense id on first sight.
+
+        Raises:
+            EntityIdOverflowError: when the next id would not fit the
+                ``a << 32 | b`` pair packing; the interner is unchanged.
+        """
         existing = self._ids.get(uri)
         if existing is not None:
             return existing
         new_id = len(self._uris)
+        if new_id >= MAX_ENTITIES:
+            raise EntityIdOverflowError(
+                f"cannot intern {uri!r}: {MAX_ENTITIES} ids are assigned and "
+                f"a packed pair holds no larger one"
+            )
         self._ids[uri] = new_id
         self._uris.append(uri)
         return new_id

@@ -246,10 +246,11 @@ class _StreamContext(ResolutionContext):
         self.collections = store.collections
         self.match_graph = MatchGraph()
         self._home = {}
+        self._source = {}
         store.subscribe(self._register, replay=True)
 
     def _register(self, description, source, entity_id, was_present) -> None:
-        self._home.setdefault(description.uri, self.collections[source])
+        self._adopt(description, self.collections[source])
 
 
 class StreamResolver:

@@ -21,7 +21,7 @@ order is a function of the operations alone, never of the array layout.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from typing import Generic, Hashable, Iterator, TypeVar
+from typing import Generic, Hashable, Iterable, Iterator, TypeVar
 
 T = TypeVar("T", bound=Hashable)
 
@@ -78,6 +78,29 @@ class AddressableMaxHeap(Generic[T]):
         self._counter += 1
         self._live[item] = entry
         heappush(self._entries, entry)
+
+    def push_many(self, items: Iterable[tuple[T, float]]) -> None:
+        """Insert every ``(item, priority)`` of *items* with one heapify.
+
+        Pops exactly like one :meth:`push` per pair in the same order
+        (the order is total), in O(n) instead of O(n log n).
+
+        Raises:
+            ValueError: if an item is already queued or repeated; the
+                heap is then left unchanged.
+        """
+        live = self._live
+        fresh: dict[T, tuple] = {}
+        counter = self._counter
+        for item, priority in items:
+            if item in live or item in fresh:
+                raise ValueError(f"item already queued: {item!r}")
+            fresh[item] = (-priority, counter, item)
+            counter += 1
+        self._counter = counter
+        live.update(fresh)
+        self._entries.extend(fresh.values())
+        heapify(self._entries)
 
     def push_or_update(self, item: T, priority: float) -> None:
         """Insert *item*, or change its priority if already queued."""

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core.engine import ResolutionContext
 from repro.core.evidence_matcher import NeighborAwareMatcher
@@ -146,3 +147,91 @@ class TestEvidence:
         context.match_graph.record(MatchDecision("a_film", "b_film", 1.0, True))
         decision = matcher.decide("http://x/a_dir", "http://y/b_dir")
         assert decision.is_match
+
+
+def star_context(spokes: dict[str, list[str]]) -> ResolutionContext:
+    """One KB: every hub in *spokes* references its listed neighbours."""
+    members = {uri for targets in spokes.values() for uri in targets}
+    descriptions = [
+        EntityDescription(hub, {"rel": targets}) for hub, targets in spokes.items()
+    ] + [EntityDescription(uri, {"n": ["v"]}) for uri in sorted(members)]
+    return ResolutionContext([EntityCollection(descriptions)])
+
+
+class TestEvidenceIsAFraction:
+    """The evidence is symmetric and never exceeds 1."""
+
+    def bound(self, context: ResolutionContext) -> NeighborAwareMatcher:
+        matcher = NeighborAwareMatcher(StubMatcher({}))
+        matcher.bind(context)
+        return matcher
+
+    def test_two_members_of_one_cluster_count_once_for_the_smaller_side(self):
+        # x -> {a1, a2}, y -> {b1}; a1 ~ b1 and a2 ~ b1: two members of
+        # N(x) are matched into N(y), but N(y) has one member to match.
+        context = star_context(
+            {"http://h/x": ["http://n/a1", "http://n/a2"], "http://h/y": ["http://n/b1"]}
+        )
+        matcher = self.bound(context)
+        for left in ("http://n/a1", "http://n/a2"):
+            context.match_graph.record(MatchDecision(left, "http://n/b1", 1.0, True))
+        assert matcher.neighbor_evidence("http://h/x", "http://h/y") == 1.0
+        assert matcher.neighbor_evidence("http://h/y", "http://h/x") == 1.0
+
+    def test_partial_overlap_is_the_smaller_directed_count(self):
+        context = star_context(
+            {
+                "http://h/x": ["http://n/a1", "http://n/a2", "http://n/a3"],
+                "http://h/y": ["http://n/b1", "http://n/b2"],
+            }
+        )
+        matcher = self.bound(context)
+        graph = context.match_graph
+        graph.record(MatchDecision("http://n/a1", "http://n/b1", 1.0, True))
+        graph.record(MatchDecision("http://n/a2", "http://n/b1", 1.0, True))
+        graph.record(MatchDecision("http://n/a3", "http://n/zz", 1.0, True))
+        # 2 of N(x) reach N(y), 1 of N(y) reaches N(x); min(2, 1) / min(3, 2).
+        assert matcher.neighbor_evidence("http://h/x", "http://h/y") == 0.5
+        assert matcher.neighbor_evidence("http://h/y", "http://h/x") == 0.5
+
+    def test_shared_resolved_neighbour_counts(self):
+        context = star_context(
+            {"http://h/x": ["http://n/c"], "http://h/y": ["http://n/c"]}
+        )
+        matcher = self.bound(context)
+        assert matcher.neighbor_evidence("http://h/x", "http://h/y") == 0.0
+        context.match_graph.record(MatchDecision("http://n/c", "http://n/d", 1.0, True))
+        assert matcher.neighbor_evidence("http://h/x", "http://h/y") == 1.0
+
+    def test_resolved_neighbours_on_one_side_only(self):
+        context = star_context(
+            {"http://h/x": ["http://n/a1"], "http://h/y": ["http://n/b1"]}
+        )
+        matcher = self.bound(context)
+        context.match_graph.record(MatchDecision("http://n/a1", "http://n/q", 1.0, True))
+        assert matcher.neighbor_evidence("http://h/x", "http://h/y") == 0.0
+        assert matcher.neighbor_evidence("http://h/y", "http://h/x") == 0.0
+
+    @given(
+        matches=st.lists(
+            st.tuples(st.integers(0, 7), st.integers(0, 7)).filter(lambda p: p[0] != p[1]),
+            max_size=8,
+        ),
+        spokes_x=st.lists(st.integers(0, 7), min_size=1, max_size=5, unique=True),
+        spokes_y=st.lists(st.integers(0, 7), min_size=1, max_size=5, unique=True),
+    )
+    def test_bounded_and_symmetric(self, matches, spokes_x, spokes_y):
+        context = star_context(
+            {
+                "http://h/x": [f"http://n/{i}" for i in spokes_x],
+                "http://h/y": [f"http://n/{i}" for i in spokes_y],
+            }
+        )
+        matcher = self.bound(context)
+        for a, b in matches:
+            context.match_graph.record(
+                MatchDecision(f"http://n/{a}", f"http://n/{b}", 1.0, True)
+            )
+        forward = matcher.neighbor_evidence("http://h/x", "http://h/y")
+        assert 0.0 <= forward <= 1.0
+        assert forward == matcher.neighbor_evidence("http://h/y", "http://h/x")

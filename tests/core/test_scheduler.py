@@ -124,3 +124,49 @@ class TestBenefitWeighting:
         scheduler.schedule("a", "b", 1.0)
         scheduler.schedule("c", "d", 2.0)
         assert scheduler.pop()[1] == pytest.approx(2.0)
+
+
+class TestBulkFill:
+    """``add_edges`` on any frontier equals one ``schedule`` per edge."""
+
+    EDGES = [
+        WeightedEdge("http://e/0", "http://e/1", 1.0),
+        WeightedEdge("http://e/2", "http://e/3", 1.0),  # ties with the first
+        WeightedEdge("http://e/1", "http://e/0", 2.5),  # raises the first
+        WeightedEdge("http://e/4", "http://e/5", 2.5),  # ties with the raised one
+        WeightedEdge("http://e/2", "http://e/3", 0.5),  # lower duplicate
+        WeightedEdge("http://e/0", "http://e/5", 9.0),
+    ]
+
+    def drained(self, fill, prepare=lambda scheduler: None):
+        scheduler = make_scheduler(EntityCoverageBenefit())
+        prepare(scheduler)
+        added = fill(scheduler)
+        return added, [scheduler.pop() for _ in range(len(scheduler))]
+
+    def per_edge(self, scheduler):
+        return sum(scheduler.schedule(e.left, e.right, e.weight) for e in self.EDGES)
+
+    def bulk(self, scheduler):
+        return scheduler.add_edges(iter(self.EDGES))
+
+    def test_empty_frontier(self):
+        assert self.drained(self.bulk) == self.drained(self.per_edge)
+        assert self.drained(self.bulk)[0] == 4
+
+    def test_used_frontier(self):
+        def prepare(scheduler):
+            scheduler.schedule("http://e/2", "http://e/3", 0.25)  # queued: merged
+            scheduler.schedule("http://e/0", "http://e/5", 1.0)
+            scheduler.pop()  # (0, 5) is decided: not resurrected
+            scheduler.schedule("http://e/1", "http://e/2", 1.0)
+
+        assert self.drained(self.bulk, prepare) == self.drained(self.per_edge, prepare)
+        assert self.drained(self.bulk, prepare)[0] == 2
+
+    def test_buckets_follow_the_fill(self):
+        scheduler = make_scheduler()
+        scheduler.add_edges(self.EDGES)
+        assert scheduler.refresh_involving("http://e/0") == 2
+        assert scheduler.count_involving(["http://e/0", "http://e/5", "http://e/9"]) == 4
+        assert scheduler.count_involving([]) == 0

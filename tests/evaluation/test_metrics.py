@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.blocking import BlockFiltering, BlockPurging, TokenBlocking
 from repro.blocking.block import Block, BlockCollection
 from repro.datasets.gold import GoldStandard
 from repro.evaluation.metrics import (
@@ -12,6 +13,7 @@ from repro.evaluation.metrics import (
     evaluate_comparisons,
     evaluate_matches,
 )
+from repro.metablocking import BlockingGraph, make_scheme
 
 
 def gold() -> GoldStandard:
@@ -104,3 +106,66 @@ class TestEvaluateMatches:
     def test_as_row(self):
         row = evaluate_matches(set(gold().matches), gold()).as_row()
         assert row == {"precision": "1.000", "recall": "1.000", "F1": "1.000"}
+
+
+class TestEvaluateBlocksReadsThePairTable:
+    """``evaluate_blocks`` scores the cached pair table's rows; enumerating
+    every block (``distinct_comparisons``) is the oracle it must equal."""
+
+    def expect_equal(self, blocks, gold, size1, size2=None):
+        expected = evaluate_comparisons(
+            blocks.distinct_comparisons(), gold, size1, size2,
+            blocks=len(blocks), total_comparisons=blocks.total_comparisons(),
+        )
+        assert "metablocking.pair_table" not in blocks.derived_cache
+        cold = evaluate_blocks(blocks, gold, size1, size2)
+        assert "metablocking.pair_table" in blocks.derived_cache
+        warm = evaluate_blocks(blocks, gold, size1, size2)
+        assert cold == expected
+        assert warm == expected
+        return expected
+
+    def test_clean_clean(self, center_dataset):
+        data = center_dataset
+        blocks = TokenBlocking().build(data.kb1, data.kb2)
+        quality = self.expect_equal(blocks, data.gold, len(data.kb1), len(data.kb2))
+        assert quality.distinct_comparisons < quality.total_comparisons
+
+    def test_purged_and_filtered(self, periphery_dataset):
+        data = periphery_dataset
+        raw = TokenBlocking().build(data.kb1, data.kb2)
+        blocks = BlockFiltering().process(BlockPurging().process(raw))
+        assert len(blocks) < len(raw) or blocks.total_comparisons() < raw.total_comparisons()
+        self.expect_equal(blocks, data.gold, len(data.kb1), len(data.kb2))
+
+    def test_dirty(self, dirty_dataset):
+        collection, dirty_gold = dirty_dataset
+        blocks = TokenBlocking().build(collection)
+        quality = self.expect_equal(blocks, dirty_gold, len(collection))
+        assert quality.covered_matches > 0
+
+    def test_after_metablocking_warmed_the_cache(self, center_dataset):
+        data = center_dataset
+        blocks = TokenBlocking().build(data.kb1, data.kb2)
+        BlockingGraph(blocks, make_scheme("ARCS")).materialize()
+        table = blocks.derived_cache["metablocking.pair_table"]
+        quality = evaluate_blocks(blocks, data.gold, len(data.kb1), len(data.kb2))
+        assert blocks.derived_cache["metablocking.pair_table"] is table
+        assert quality == evaluate_comparisons(
+            blocks.distinct_comparisons(), data.gold, len(data.kb1), len(data.kb2),
+            blocks=len(blocks), total_comparisons=blocks.total_comparisons(),
+        )
+
+    def test_empty(self):
+        self.expect_equal(BlockCollection(), gold(), 10, 10)
+
+    def test_single_blocks(self):
+        self.expect_equal(BlockCollection([Block("k", ["a", "b"], ["x", "a"])]), gold(), 3, 3)
+        self.expect_equal(BlockCollection([Block("k", ["c", "a", "x", "z"])]), gold(), 4)
+        self.expect_equal(BlockCollection([Block("lonely", ["a"])]), gold(), 4)
+
+    def test_mutated_collection_is_rescored(self):
+        blocks = BlockCollection([Block("k1", ["a"], ["x"])])
+        assert evaluate_blocks(blocks, gold(), 3, 3).covered_matches == 1
+        blocks.add(Block("k2", ["b"], ["y"]))
+        assert evaluate_blocks(blocks, gold(), 3, 3).covered_matches == 2

@@ -80,10 +80,10 @@ class TestRelationshipGraph:
 
     def test_all_neighbors_deduplicated(self):
         collection = build_collection()
-        assert collection.all_neighbors("http://ex.org/person/D") == [
+        assert collection.all_neighbors("http://ex.org/person/D") == (
             "http://ex.org/person/E",
             "http://ex.org/film/F",
-        ]
+        )
 
     def test_dangling_references_ignored(self):
         collection = EntityCollection(

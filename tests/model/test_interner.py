@@ -107,3 +107,49 @@ class TestBlockCollectionIdViews:
         assert len(blocks.interner()) == 6
         blocks.remove("k3")
         assert len(blocks.interner()) == 4
+
+
+class TestIdOverflow:
+    """One typed check where ids are born covers every packing site."""
+
+    def test_interner_rejects_the_id_that_would_not_pack(self, monkeypatch):
+        from repro import EntityIdOverflowError
+        from repro.model import interner as module
+
+        assert module.MAX_ENTITIES == 1 << (module.PAIR_SHIFT - 1)
+        monkeypatch.setattr(module, "MAX_ENTITIES", 4)
+        interner = EntityInterner(["a", "b", "c", "d"])
+        with pytest.raises(EntityIdOverflowError) as caught:
+            interner.intern("e")
+        assert isinstance(caught.value, ValueError)
+        assert "'e'" in str(caught.value)
+        # Unchanged, and the hit path still answers at the limit.
+        assert len(interner) == 4 and "e" not in interner
+        assert interner.get("e") == -1
+        assert interner.intern("d") == 3
+        with pytest.raises(EntityIdOverflowError):
+            EntityInterner("abcde")
+
+    def test_scheduler_and_blocks_are_covered(self, monkeypatch):
+        from repro import EntityIdOverflowError
+        from repro.core.benefit import QuantityBenefit
+        from repro.core.engine import ResolutionContext
+        from repro.core.scheduler import ComparisonScheduler
+        from repro.model import interner as module
+
+        collection = EntityCollection(
+            [EntityDescription(f"http://e/{i}", {"p": ["v"]}) for i in range(4)]
+        )
+        monkeypatch.setattr(module, "MAX_ENTITIES", 4)
+        scheduler = ComparisonScheduler(QuantityBenefit(), ResolutionContext([collection]))
+        scheduler.schedule("http://e/0", "http://e/1", 1.0)
+        scheduler.schedule("http://e/2", "http://e/3", 1.0)
+        with pytest.raises(EntityIdOverflowError):
+            scheduler.schedule("http://e/0", "http://e/4", 1.0)
+        assert len(scheduler) == 2
+        blocks = BlockCollection([Block("k", ["a", "b", "c"]), Block("l", ["d", "e"])])
+        with pytest.raises(EntityIdOverflowError):
+            blocks.id_blocks()
+        with pytest.raises(EntityIdOverflowError):
+            collection.add(EntityDescription("http://e/4", {"p": ["v"]}))
+        assert len(collection) == 4 and "http://e/4" not in collection

@@ -52,6 +52,14 @@ class TwoHeaps(RuleBasedStateMachine):
     def push(self, item, priority):
         self.both(lambda heap: heap.push(item, priority))
 
+    @rule(batch=st.lists(st.tuples(items, tied), max_size=8, unique_by=lambda p: p[0]))
+    def push_many(self, batch):
+        """One bulk fill on the new heap, one push per pair on the old."""
+        fresh = [(item, priority) for item, priority in batch if item not in self.old]
+        self.new.push_many(fresh)
+        for item, priority in fresh:
+            self.old.push(item, priority)
+
     @rule(item=items, priority=tied)
     def push_or_update(self, item, priority):
         self.both(lambda heap: heap.push_or_update(item, priority))
@@ -130,3 +138,33 @@ def test_update_storm_pops_identically(size):
     assert len(new._entries) <= 2 * len(new)
     drained = [[heap.pop() for _ in range(len(heap))] for heap in (new, old)]
     assert drained[0] == drained[1]
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 7, 64, 500])
+def test_push_many_pops_like_one_push_per_item(size):
+    """Tied priorities included: insertion order breaks them either way."""
+    pairs = [(item, float((item * 7) % 5)) for item in range(size)]
+    bulk, single = AddressableMaxHeap(), AddressableMaxHeap()
+    bulk.push_many(iter(pairs))
+    for item, priority in pairs:
+        single.push(item, priority)
+    # Later single pushes tie-break after everything filled in bulk.
+    for heap in (bulk, single):
+        heap.push("late", 2.0)
+        if size:
+            heap.update(0, 4.0)
+    assert [bulk.pop() for _ in range(len(bulk))] == [
+        single.pop() for _ in range(len(single))
+    ]
+
+
+def test_push_many_rejects_queued_and_repeated_items_atomically():
+    heap = AddressableMaxHeap()
+    heap.push("a", 1.0)
+    for batch in ([("b", 2.0), ("a", 3.0)], [("b", 2.0), ("c", 1.0), ("b", 0.0)]):
+        with pytest.raises(ValueError):
+            heap.push_many(batch)
+        assert dict(heap.items()) == {"a": 1.0}
+    heap.push("b", 2.0)  # the rejected batch consumed no insertion rank
+    heap.push("c", 2.0)
+    assert [heap.pop()[0] for _ in range(3)] == ["b", "c", "a"]
