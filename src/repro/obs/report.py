@@ -132,14 +132,24 @@ _SERVING_ROWS: tuple[tuple[str, str], ...] = (
     ("repro.serving.respawn.count", "respawns"),
 )
 
+#: ... and its histograms, as "mean / p99" rows: a query's wall, the
+#: part of it spent outside any shard's compute (serialisation, pipes,
+#: wake-ups — compute or transport?), and how long outages lasted
+_SERVING_HISTOGRAMS: tuple[tuple[str, str], ...] = (
+    ("repro.serving.query.seconds", "query mean / p99 (ms)"),
+    ("repro.serving.transit.seconds", "fan-out transit mean / p99 (ms)"),
+    ("repro.serving.time.to.healthy.seconds", "time-to-healthy mean / p99 (ms)"),
+)
+
 
 def render_serving_section(metrics: dict[str, dict]) -> str:
     """The serving-tier robustness summary, or "" for non-serving runs.
 
-    Pulls the tier's counters plus the time-to-healthy histogram out of
-    the generic tables into one glanceable fault-tolerance section —
-    how often the tier retried, hedged, failed over, degraded, and how
-    long outages lasted.
+    Pulls the tier's counters plus its latency, transit and
+    time-to-healthy histograms out of the generic tables into one
+    glanceable section — how often the tier retried, hedged, failed
+    over, degraded, how long outages lasted, and how much of a query
+    was transport rather than compute.
     """
     if "repro.serving.query.count" not in metrics:
         return ""
@@ -148,15 +158,13 @@ def render_serving_section(metrics: dict[str, dict]) -> str:
         entry = metrics.get(name)
         if entry is not None and entry["type"] != "histogram":
             lines.append(f"  {label.ljust(44)}{entry['value']:>14}")
-    healthy = metrics.get("repro.serving.time.to.healthy.seconds")
-    if healthy is not None and healthy["type"] == "histogram":
-        count = healthy["count"]
-        if count:
-            mean_ms = healthy["sum"] / count * 1e3
-            p99_ms = healthy["quantiles"].get(0.99, 0.0) * 1e3
+    for name, label in _SERVING_HISTOGRAMS:
+        entry = metrics.get(name)
+        if entry is not None and entry["type"] == "histogram" and entry["count"]:
+            mean_ms = entry["sum"] / entry["count"] * 1e3
+            p99_ms = entry["quantiles"].get(0.99, 0.0) * 1e3
             lines.append(
-                f"  {'time-to-healthy mean / p99 (ms)'.ljust(44)}"
-                f"{f'{mean_ms:.1f} / {p99_ms:.1f}':>14}"
+                f"  {label.ljust(44)}{f'{mean_ms:.2f} / {p99_ms:.2f}':>14}"
             )
     return "\n".join(lines)
 

@@ -228,10 +228,11 @@ def run_open_loop(
                     fire(fault, now_rel)
             if now_rel >= scheduled:
                 break
-            # Idle until the next arrival; keep supervision moving so
-            # respawns are not deferred to the next operation.
-            router.pump()
-            time.sleep(min(scheduled - now_rel, 0.002))
+            # Idle until the next arrival or timed fault; a response or
+            # a death wakes the router early, so supervision is not
+            # deferred to the next operation.
+            due = [f.at_s for f in pending if not f.fired and f.at_s is not None]
+            router.idle(min([scheduled, *due]) - now_rel)
 
         if event.kind == "delete":
             router.delete(event.description.uri)

@@ -1,10 +1,11 @@
-"""The queue protocol between the router and its shard processes.
+"""The message protocol between the router and its shard processes.
 
-Requests travel on a per-shard request queue (FIFO — ingest-before-
-query ordering is the protocol's consistency guarantee), responses on a
-per-shard response queue (one writer per queue, so a SIGKILLed shard
-can corrupt at most its own stream, which the respawn replaces).  All
-message types are plain frozen dataclasses of picklable fields.
+Requests travel down a per-shard one-way pipe (FIFO — ingest-before-
+query ordering is the protocol's consistency guarantee), responses up a
+second one (one writer per pipe, so a SIGKILLed shard can tear at most
+the last frame of its own stream, which the respawn replaces).  All
+message types are plain frozen dataclasses of picklable fields, framed
+by :mod:`repro.serving.channel`.
 """
 
 from __future__ import annotations
@@ -85,6 +86,8 @@ class Answer:
     candidates owned by ``partitions``; ``entities_placed`` /
     ``total_assignments`` are the global placement aggregates the
     router's CNP pruning needs (identical on every replica).
+    ``busy_s`` is the time the shard spent on this query plus on the
+    mutations it applied since its previous answer.
     """
 
     request_id: int
@@ -94,6 +97,7 @@ class Answer:
     entities_placed: int
     total_assignments: int
     version: int
+    busy_s: float = 0.0
 
 
 @dataclass(frozen=True)

@@ -24,16 +24,21 @@ the partial merge is served tagged ``degraded=True`` with coverage
 accounting instead of an exception.
 
 The router is single-threaded by design — supervision runs inline
-(:meth:`Router.pump`) between queue operations, so respawn, re-drive
-and the request stream interleave deterministically.
+(:meth:`Router.pump`) between pipe operations, so respawn, re-drive
+and the request stream interleave deterministically.  It never sleeps
+on a timer and never blocks on a peer: writes are non-blocking with a
+pending buffer, reads take only complete frames, and the one place it
+waits (:meth:`Router._wait`) is a readiness wait over the shards' pipes
+and process sentinels, bounded by the nearest retry / hedge / heartbeat
+deadline.
 """
 
 from __future__ import annotations
 
 import os
 import time
+from bisect import insort
 from dataclasses import dataclass, field
-from queue import Empty
 
 from repro.blocking.base import Blocker
 from repro.core.benefit import BenefitModel, QuantityBenefit
@@ -42,6 +47,7 @@ from repro.model.description import EntityDescription
 from repro.obs import DISABLED, Observability
 from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 from repro.serving import messages
+from repro.serving.channel import encode, wait_ready
 from repro.serving.shard import ShardConfig, ShardHandle
 from repro.serving.supervisor import (
     DEAD,
@@ -99,6 +105,10 @@ class ServingStats:
         self.query_hist = Histogram()
         #: per-shard request latency (send → answer), the hedge input
         self.shard_hist = Histogram()
+        #: the same latencies kept sorted, so the hedge delay is an index
+        self.shard_latencies: list[float] = []
+        #: per-query fan-out time not spent computing in a shard
+        self.transit_hist = Histogram()
         #: outage-detected → shard live again
         self.time_to_healthy_hist = Histogram()
 
@@ -122,6 +132,7 @@ class ServingStats:
         registry.register("repro.serving.shard.dead.count", self._shard_deaths)
         registry.register("repro.serving.query.seconds", self.query_hist)
         registry.register("repro.serving.shard.request.seconds", self.shard_hist)
+        registry.register("repro.serving.transit.seconds", self.transit_hist)
         registry.register(
             "repro.serving.time.to.healthy.seconds", self.time_to_healthy_hist
         )
@@ -187,6 +198,8 @@ class _LogEntry:
     source: int
     #: router-store version after applying this entry (replicas agree)
     version_after: int
+    #: the entry's Ingest message, encoded once for broadcast and re-drive
+    frame: bytes
 
 
 class _Slot:
@@ -205,6 +218,17 @@ class _Slot:
         self.resend_at: float | None = None
         self.hedge_shard: int | None = None
         self.done = False
+
+    def timer(self, now: float, retry, hedge, hedge_delay: float) -> float:
+        """When this unanswered slot next acts if no response arrives."""
+        if self.resend_at is not None:
+            return self.resend_at
+        timeout_at = self.sent_at + retry.timeout_s
+        hedge_at = self.sent_at + hedge_delay
+        # A hedge already due found no second shard to go to.
+        if hedge.enabled and self.hedge_shard is None and hedge_at > now:
+            return min(timeout_at, hedge_at)
+        return timeout_at
 
 
 @dataclass
@@ -263,7 +287,6 @@ class Router:
         hedge: HedgePolicy | None = None,
         crash_budgets: dict[int, int] | None = None,
         query_timeout_s: float = 30.0,
-        poll_interval_s: float = 0.002,
         start_timeout_s: float = 60.0,
         obs: Observability | None = None,
         seed: int = 17,
@@ -282,7 +305,6 @@ class Router:
         self.failover = failover
         self.degrade = degrade
         self.query_timeout_s = query_timeout_s
-        self.poll_interval_s = poll_interval_s
         self._sources = ("kb1", "kb2") if clean_clean else ("stream",)
 
         # The match-plane replica: store + similarity + decisions.  The
@@ -310,7 +332,8 @@ class Router:
         self._sync_acks: dict[int, dict[int, int]] = {}
 
         context = multiprocessing.get_context("fork")
-        self.shards = [
+        self.shards: list[ShardHandle] = []  # every handle is given this list
+        self.shards += [
             ShardHandle(
                 ShardConfig(
                     shard_id=shard_id,
@@ -326,6 +349,7 @@ class Router:
                     snapshot_every=snapshot_every,
                 ),
                 context,
+                self.shards,
             )
             for shard_id in range(n_shards)
         ]
@@ -350,10 +374,10 @@ class Router:
     def _await_all_live(self, timeout_s: float) -> None:
         deadline = time.monotonic() + timeout_s
         while time.monotonic() < deadline:
-            if self.pump() == 0:
-                time.sleep(self.poll_interval_s)
+            self.pump()
             if self.supervisor.all_live():
                 return
+            self._wait(deadline)
         self.close()
         raise RuntimeError(
             f"serving tier failed to start within {timeout_s:.0f}s"
@@ -378,29 +402,46 @@ class Router:
     # -- supervision pump ----------------------------------------------------
 
     def pump(self) -> int:
-        """Drain shard responses + run one supervision tick.
+        """One supervision tick + flush pending writes + drain responses.
 
-        Returns the number of messages handled; callers waiting on
-        external progress should sleep when it is 0.
+        Never blocks.  Returns the number of messages handled; callers
+        waiting on external progress should :meth:`idle` when it is 0.
         """
         self.supervisor.tick()
         handled = 0
         for handle in self.shards:
-            queue_obj = handle.response_queue
-            if queue_obj is None:
+            if handle.reader is None:  # stopped: its pipes are closed
                 continue
-            while True:
-                try:
-                    message = queue_obj.get_nowait()
-                except Empty:
-                    break
-                except Exception:
-                    # Torn pickle from a writer killed mid-put; the
-                    # respawn replaces this queue wholesale.
-                    break
+            handle.writer.flush()
+            for message in handle.reader.read():
                 handled += 1
                 self._on_response(message)
         return handled
+
+    def _wait(self, until: float) -> None:
+        """Block until something can happen, at the latest at *until*.
+
+        Something is a response to read, room in a pipe for pending
+        request bytes, a shard exiting (its sentinel) or the oldest live
+        heartbeat falling due; the last two force the supervision tick
+        past its throttle.  A pipe at EOF and a shard left dead are not
+        watched: they stay "ready" for ever and would make this a spin.
+        """
+        now = time.monotonic()
+        until = min(until, self.supervisor.next_check_at(now))
+        watched = [h for h in self.shards if h.state != DEAD]
+        sentinels = [h.process.sentinel for h in watched]
+        readable = [h.reader.fd for h in watched if not h.reader.eof]
+        writable = [h.writer.fd for h in watched if h.writer.pending]
+        ready = wait_ready(sentinels + readable, writable, until - now)
+        if not ready or not ready.isdisjoint(sentinels):
+            self.supervisor.tick(force=True)
+
+    def idle(self, timeout_s: float) -> None:
+        """Sleep until a response, a shard death or the timeout; then pump
+        (for drivers between operations: supervision keeps moving)."""
+        self._wait(time.monotonic() + timeout_s)
+        self.pump()
 
     def _on_response(self, message) -> None:
         if isinstance(message, messages.Answer):
@@ -421,15 +462,10 @@ class Router:
         queue holds the full missed suffix ahead of any future query —
         later queries therefore always see the caught-up state.
         """
-        handle = self.shards[shard_id]
+        writer = self.shards[shard_id].writer
         for entry in self.log:
             if entry.version_after > version:
-                handle.send(
-                    messages.Ingest(
-                        entry.seq, entry.op, entry.description,
-                        entry.uri, entry.source,
-                    )
-                )
+                writer.send(entry.frame)
 
     # -- ingestion -----------------------------------------------------------
 
@@ -455,16 +491,18 @@ class Router:
         source: int,
     ) -> None:
         self._seq += 1
-        entry = _LogEntry(
-            self._seq, op, description, uri, source, self.store.version
+        # Encoded once: every replica, live or re-driven, gets these bytes.
+        frame = encode(messages.Ingest(self._seq, op, description, uri, source))
+        self.log.append(
+            _LogEntry(
+                self._seq, op, description, uri, source, self.store.version, frame
+            )
         )
-        self.log.append(entry)
-        message = messages.Ingest(entry.seq, op, description, uri, source)
         for handle in self.shards:
             # Only live shards receive the broadcast directly; anything
             # else catches up through the re-drive on ready.
             if handle.state == LIVE:
-                handle.send(message)
+                handle.writer.send(frame)
 
     # -- query fan-out -------------------------------------------------------
 
@@ -521,6 +559,12 @@ class Router:
         t0 = time.perf_counter()
         answers, missing = self._fan_out(uri, source, scheme)
         latency["fanout_s"] = time.perf_counter() - t0
+        # Compute or transport?  The slowest merged answer's busy time
+        # (capped: mutations applied before the fan-out are not its wait)
+        # against the rest — serialisation, pipes, wake-ups.
+        busy = max((answer.busy_s for answer in answers.values()), default=0.0)
+        latency["shard_s"] = min(busy, latency["fanout_s"])
+        latency["transit_s"] = latency["fanout_s"] - latency["shard_s"]
 
         degraded = bool(missing)
         coverage = (self.n_shards - len(missing)) / self.n_shards
@@ -551,6 +595,7 @@ class Router:
 
         self.stats.queries += 1
         self.stats.query_hist.observe(latency["total_s"])
+        self.stats.transit_hist.observe(latency["transit_s"])
         if degraded:
             self.stats.degraded += 1
         return RoutedQueryResult(
@@ -580,7 +625,7 @@ class Router:
         self._answers = {}
         retry = self.supervisor.retry
         hedge = self.supervisor.hedge
-        hedge_delay = hedge.delay_s(sorted(self.stats.shard_hist.values))
+        hedge_delay = hedge.delay_s(self.stats.shard_latencies)
 
         slots = [_Slot(partition) for partition in range(self.n_shards)]
         failed: set[int] = set()
@@ -591,25 +636,24 @@ class Router:
         deadline = now + self.query_timeout_s
         try:
             while True:
-                pending = [
-                    s for s in slots
-                    if not s.done and s.partition not in failed
-                ]
-                if not pending:
-                    break
-                progressed = self.pump() > 0
+                self.pump()
                 now = time.monotonic()
-                if now >= deadline:
-                    for slot in pending:
+                timers = []  # of the slots still waiting after this pass
+                for slot in slots:
+                    if slot.done or slot.partition in failed:
+                        continue
+                    if now >= deadline:
                         failed.add(slot.partition)
-                    break
-                for slot in pending:
+                        continue
                     self._advance_slot(
                         slot, request_id, uri, source, scheme,
                         now, retry, hedge, hedge_delay, failed,
                     )
-                if not progressed:
-                    time.sleep(self.poll_interval_s)
+                    if not slot.done and slot.partition not in failed:
+                        timers.append(slot.timer(now, retry, hedge, hedge_delay))
+                if not timers:
+                    break
+                self._wait(min(deadline, *timers))
             return dict(self._answers), failed
         finally:
             self._current_request = None
@@ -654,7 +698,9 @@ class Router:
         if answer is not None:
             slot.done = True
             if slot.sent_at:
-                self.stats.shard_hist.observe(now - slot.sent_at)
+                took = now - slot.sent_at
+                self.stats.shard_hist.observe(took)
+                insort(self.stats.shard_latencies, took)
             if slot.hedge_shard is not None and answer.shard_id == slot.hedge_shard:
                 self.stats.hedge_wins += 1
             return
@@ -730,29 +776,29 @@ class Router:
         """
         deadline = time.monotonic() + timeout_s
         while time.monotonic() < deadline:
-            if self.pump() == 0:
-                time.sleep(self.poll_interval_s)
+            self.pump()
             if not self.supervisor.all_live():
+                self._wait(deadline)
                 continue
             self._sync_seq += 1
             sync_id = self._sync_seq
-            self._sync_acks[sync_id] = {}
+            acks = self._sync_acks[sync_id] = {}
             for handle in self.shards:
                 handle.send(messages.Sync(sync_id))
             round_deadline = min(deadline, time.monotonic() + 2.0)
             while time.monotonic() < round_deadline:
-                if self.pump() == 0:
-                    time.sleep(self.poll_interval_s)
-                acks = self._sync_acks[sync_id]
+                self.pump()
                 if len(acks) == self.n_shards:
                     break
                 if not self.supervisor.all_live():
                     break
-            acks = self._sync_acks.pop(sync_id, {})
-            if len(acks) == self.n_shards and all(
-                version == self.store.version for version in acks.values()
-            ):
-                return True
+                self._wait(round_deadline)
+            del self._sync_acks[sync_id]
+            if len(acks) == self.n_shards:
+                # Acked after applying everything sent: retrying is futile.
+                return all(
+                    version == self.store.version for version in acks.values()
+                )
         return False
 
     # -- fresh match planes (verification) -----------------------------------

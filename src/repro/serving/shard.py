@@ -8,10 +8,11 @@ partitions it is asked to serve.  A daemon thread beats a shared
 heartbeat cell so the supervisor can tell *stuck* (alive, stale
 heartbeat) from *slow* (alive, beating, main loop busy) from *dead*.
 
-:class:`ShardHandle` is the parent-side view: it owns the queues,
+:class:`ShardHandle` is the parent-side view: it owns the two one-way
+pipes (requests down, responses up; :mod:`repro.serving.channel`),
 spawns/kills/respawns the process, and tracks the supervision state.
-Queues are remade on every spawn — a SIGKILLed process can leave a torn
-pickle in its response stream, and the replacement must start clean.
+Pipes are remade on every spawn — a SIGKILLed process can leave half a
+frame in its response stream, and the replacement must start clean.
 """
 
 from __future__ import annotations
@@ -21,9 +22,11 @@ import signal
 import threading
 import time
 from dataclasses import dataclass
+from multiprocessing.connection import Connection
 
 from repro.blocking.base import Blocker
 from repro.serving import messages
+from repro.serving.channel import FrameReader, FrameWriter, encode, wait_ready
 from repro.stream.durability import (
     CrashError,
     CrashyFiles,
@@ -99,22 +102,30 @@ class _Shutdown(Exception):
     """Raised by the SIGTERM handler to unwind into the clean exit."""
 
 
-def shard_main(config: ShardConfig, request_queue, response_queue, heartbeat) -> None:
+def shard_main(
+    config: ShardConfig, request_fd, response_fd, heartbeat, router_fds
+) -> None:
     """The shard process entry point (runs in the forked child).
 
     Applies ingest messages in arrival order, answers weigh queries for
     the requested partitions, and exits cleanly on a :class:`~repro.
-    serving.messages.Stop` pill or SIGTERM (durability synced — the
-    supervised-shutdown path is always recovery-clean).  An injected
+    serving.messages.Stop` pill, SIGTERM or the router closing the
+    request pipe (durability synced — the supervised-shutdown path is
+    always recovery-clean).  An injected
     :class:`~repro.stream.durability.CrashError` (torn write) kills the
     process like a power cut would: no sync, non-zero exit, recovery
-    left to the WAL.
+    left to the WAL.  ``router_fds`` (the router's pipe ends the fork
+    copied in) are closed first, so a pipe's EOF means its owner let go.
     """
 
     def _on_sigterm(_signum, _frame):
         raise _Shutdown()
 
     signal.signal(signal.SIGTERM, _on_sigterm)
+    for fd in router_fds:
+        os.close(fd)
+    requests = Connection(request_fd, writable=False)
+    responses = Connection(response_fd, readable=False)
     files = (
         CrashyFiles(config.crash_budget)
         if config.crash_budget is not None
@@ -130,22 +141,26 @@ def shard_main(config: ShardConfig, request_queue, response_queue, heartbeat) ->
         args=(heartbeat, config.heartbeat_interval_s),
         daemon=True,
     ).start()
-    response_queue.put(
-        messages.Ready(config.shard_id, store.version, recovered)
-    )
+    responses.send(messages.Ready(config.shard_id, store.version, recovered))
 
+    applying = 0.0  # seconds spent on mutations since the previous answer
     try:
         while True:
-            message = request_queue.get()
+            message = requests.recv()
+            started = time.perf_counter()
             if isinstance(message, messages.Ingest):
                 if message.op == "insert":
                     store.insert(message.description, message.source)
                 else:
                     store.delete(message.uri)
+                applying += time.perf_counter() - started
             elif isinstance(message, messages.Query):
-                response_queue.put(_answer(message, config, store, index, pairs))
+                responses.send(
+                    _answer(message, config, store, index, pairs, applying, started)
+                )
+                applying = 0.0
             elif isinstance(message, messages.Sync):
-                response_queue.put(
+                responses.send(
                     messages.Synced(
                         message.sync_id, config.shard_id, store.version
                     )
@@ -155,12 +170,12 @@ def shard_main(config: ShardConfig, request_queue, response_queue, heartbeat) ->
             elif isinstance(message, messages.Stop):
                 if durability is not None:
                     durability.close()
-                response_queue.put(messages.Stopped(config.shard_id))
+                responses.send(messages.Stopped(config.shard_id))
                 return
-    except _Shutdown:
+    except (_Shutdown, EOFError):  # SIGTERM / the router let go of the pipe
         if durability is not None:
             durability.close()
-        response_queue.put(messages.Stopped(config.shard_id))
+        responses.send(messages.Stopped(config.shard_id))
     except CrashError:
         # Injected torn write: die like a crash (no durability sync).
         os._exit(1)
@@ -172,6 +187,8 @@ def _answer(
     store: StreamingEntityStore,
     index: IncrementalBlockIndex,
     pairs: DeltaPairTable,
+    applying_s: float,
+    started: float,
 ) -> messages.Answer:
     """Weigh the query's candidates owned by the requested partitions."""
     entity_id = store.interner.get(query.uri, -1)
@@ -196,18 +213,24 @@ def _answer(
         entities_placed=pairs.entities_placed,
         total_assignments=pairs.total_assignments,
         version=store.version,
+        busy_s=applying_s + time.perf_counter() - started,
     )
 
 
 class ShardHandle:
-    """Parent-side handle: process lifecycle + queues + liveness probes."""
+    """Parent-side handle: process lifecycle + pipe ends + liveness probes.
 
-    def __init__(self, config: ShardConfig, context) -> None:
+    ``siblings`` is the tier's handle list: a forked shard closes the
+    copies it inherits of their router-side pipe ends (and of its own).
+    """
+
+    def __init__(self, config: ShardConfig, context, siblings=()) -> None:
         self.config = config
         self.context = context
+        self.siblings = siblings
         self.process = None
-        self.request_queue = None
-        self.response_queue = None
+        self.writer: FrameWriter | None = None
+        self.reader: FrameReader | None = None
         self.heartbeat = None
         #: supervision state (owned by the Supervisor): "live",
         #: "recovering" or "dead"
@@ -225,27 +248,43 @@ class ShardHandle:
         return self.process.pid if self.process is not None else None
 
     def spawn(self, crash_budget: int | None = None) -> None:
-        """Fork a fresh shard process with fresh queues.
+        """Fork a fresh shard process with fresh pipes.
 
         ``crash_budget`` arms a :class:`~repro.stream.durability.
         CrashyFiles` byte budget in the child (torn-write fault
         injection); it applies to this spawn only — a respawn after the
         injected crash gets plain OS files again.
         """
-        self.request_queue = self.context.Queue()
-        self.response_queue = self.context.Queue()
+        self._close_channel()
+        request_fd, request_end = os.pipe()
+        response_end, response_fd = os.pipe()
+        self.writer = FrameWriter(request_end)
+        self.reader = FrameReader(response_end)
         self.heartbeat = self.context.Value("d", time.monotonic())
         # The budget rides on a per-spawn copy so the fault never
         # outlives the spawn it was scheduled for.
         config = ShardConfig(**{**self.config.__dict__, "crash_budget": crash_budget})
+        router_fds = [
+            end.fd for handle in {self, *self.siblings}
+            for end in (handle.writer, handle.reader) if end is not None
+        ]
         self.process = self.context.Process(
             target=shard_main,
-            args=(config, self.request_queue, self.response_queue, self.heartbeat),
+            args=(config, request_fd, response_fd, self.heartbeat, router_fds),
             daemon=True,
         )
         self.process.start()
+        # Copies held here would keep a dead shard's pipe from reaching EOF.
+        os.close(request_fd)
+        os.close(response_fd)
         self.spawn_count += 1
         self.state = "recovering"
+
+    def _close_channel(self) -> None:
+        for end in (self.writer, self.reader):
+            if end is not None:
+                os.close(end.fd)
+        self.writer = self.reader = None
 
     def is_alive(self) -> bool:
         return self.process is not None and self.process.is_alive()
@@ -257,7 +296,8 @@ class ShardHandle:
         return (now if now is not None else time.monotonic()) - self.heartbeat.value
 
     def send(self, message) -> None:
-        self.request_queue.put(message)
+        """Frame *message* for the shard; never blocks (see FrameWriter)."""
+        self.writer.send(encode(message))
 
     def kill(self) -> None:
         """SIGKILL the process (fault injection / stuck-shard recovery)."""
@@ -276,12 +316,18 @@ class ShardHandle:
         if self.process is None:
             return True
         if self.process.is_alive():
-            try:
-                self.send(messages.Stop())
-            except (ValueError, OSError):  # pragma: no cover - queue closed
-                pass
-            self.process.join(timeout=timeout_s)
-        if self.process.is_alive():
+            self.send(messages.Stop())
+            deadline = time.monotonic() + timeout_s
+            # The pill may sit behind pending bytes: push until it is out.
+            while self.writer.pending and self.process.is_alive():
+                remaining = deadline - time.monotonic()
+                if remaining <= 0.0:
+                    break
+                wait_ready([self.process.sentinel], [self.writer.fd], remaining)
+                self.writer.flush()
+            self.process.join(timeout=max(deadline - time.monotonic(), 0.0))
+        exited = not self.process.is_alive()
+        if not exited:
             self.kill()
-            return False
-        return True
+        self._close_channel()
+        return exited

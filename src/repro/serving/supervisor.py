@@ -1,12 +1,13 @@
 """Shard supervision: liveness, retry/hedge policy, respawn.
 
 The supervisor is deliberately single-threaded: the router calls
-:meth:`Supervisor.tick` from its own loop (every ingest, every poll
-iteration while waiting on answers), so death detection, respawn and
-re-drive interleave deterministically with the request stream — a
-respawned shard's catch-up events are enqueued *before* the shard is
-marked live, and FIFO queue ordering then guarantees any later query
-sees the caught-up state.
+:meth:`Supervisor.tick` from its own loop (every ingest, every wake-up
+while waiting on answers — at once when a process sentinel fires, and
+no later than :meth:`Supervisor.next_check_at`), so death detection,
+respawn and re-drive interleave deterministically with the request
+stream — a respawned shard's catch-up events are written *before* the
+shard is marked live, and FIFO pipe ordering then guarantees any later
+query sees the caught-up state.
 
 Two distinct failure signals:
 
@@ -151,6 +152,12 @@ class Supervisor:
                 # Alive but silent past the deadline: stuck, not slow.
                 handle.kill()
                 self._mark_dead(handle, now, "stuck")
+
+    def next_check_at(self, now: float) -> float:
+        """The moment the oldest live heartbeat would go stale (deaths
+        need no timer: the router watches the process sentinels)."""
+        ages = [h.heartbeat_age_s(now) for h in self.shards if h.state == LIVE]
+        return now + self.heartbeat_deadline_s - max(ages, default=float("-inf"))
 
     def _mark_dead(self, handle, now: float, cause: str) -> None:
         was_recovering = handle.state == RECOVERING

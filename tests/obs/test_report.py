@@ -112,3 +112,19 @@ class TestServingSection:
         assert "failovers" in text
         assert "time-to-healthy mean / p99 (ms)" in text
         assert "6.0" in text
+
+    def test_renders_transit_beside_query_latency(self):
+        from repro.obs import parse_metrics_text
+        from repro.obs.report import render_serving_section
+        from repro.serving import ServingStats
+
+        stats = ServingStats()
+        registry = MetricsRegistry()
+        stats.bind(registry)
+        stats._queries.inc(1)
+        stats.query_hist.observe(0.0015)
+        stats.transit_hist.observe(0.00042)
+        text = render_serving_section(parse_metrics_text(prometheus_text(registry)))
+        assert "query mean / p99 (ms)" in text and "1.50" in text
+        assert "fan-out transit mean / p99 (ms)" in text and "0.42" in text
+        assert "time-to-healthy" not in text  # no outage, no row

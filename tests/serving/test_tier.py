@@ -14,12 +14,15 @@ stays a few seconds; scale behavior lives in the benchmark.
 from __future__ import annotations
 
 import os
+import threading
 import time
+import types
 
 import pytest
 
 from repro.datasets import load_restaurants
-from repro.serving import messages
+from repro.model.description import EntityDescription
+from repro.serving import messages, router as router_module
 from repro.serving import (
     DEAD,
     LIVE,
@@ -88,9 +91,27 @@ def queries_of(events, limit=15):
 
 
 class TestHealthyTier:
-    def test_live_path_bit_identical_to_single_store(self, events):
+    def test_live_path_bit_identical_to_single_store(self, events, monkeypatch):
+        def no_sleep(_seconds):
+            raise AssertionError("the router slept on a timer")
+
+        # Only the router module's view of ``time``: the shards' heartbeat
+        # threads (forked from this process) keep the real one.
+        monkeypatch.setattr(
+            router_module, "time",
+            types.SimpleNamespace(
+                monotonic=time.monotonic, perf_counter=time.perf_counter,
+                sleep=no_sleep,
+            ),
+        )
+        threads = set(threading.enumerate())
         with Router(2, query_timeout_s=10.0) as router:
             got = drive(router, events)
+            assert router.sync(timeout_s=10.0)
+            # One thread, before and after: no queue feeders.
+            assert set(threading.enumerate()) == threads
+            assert all(t.name != "QueueFeederThread" for t in threads)
+            assert router.stats.transit_hist.count == len(got)
         want = oracle_results(events)
         assert len(got) == len(want)
         for tier, oracle in zip(got, want):
@@ -98,6 +119,13 @@ class TestHealthyTier:
             assert tier.candidates == oracle.candidates
             assert tier.comparisons == oracle.comparisons
             assert not tier.degraded
+            # Compute or transport: the two always add up to the fan-out.
+            latency = tier.latency
+            assert 0.0 <= latency["shard_s"] <= latency["fanout_s"]
+            assert latency["shard_s"] + latency["transit_s"] == pytest.approx(
+                latency["fanout_s"], abs=1e-12
+            )
+        assert any(tier.latency["shard_s"] > 0.0 for tier in got)
 
     def test_verify_equivalence_passes(self, events):
         with Router(3, query_timeout_s=10.0) as router:
@@ -202,6 +230,90 @@ class TestKillAndRecovery:
             assert router.sync(timeout_s=10.0)
             report = verify_equivalence(router, queries_of(events[:10], 5))
             assert report.ok, report.mismatches
+
+
+def kill_and_await_respawn(router, shard_id, timeout_s=10.0):
+    """SIGKILL the shard, then idle the router until its successor is live."""
+    handle = router.shards[shard_id]
+    spawned = handle.spawn_count
+    handle.kill()
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline:
+        router.idle(0.5)
+        if handle.spawn_count > spawned and handle.state == LIVE:
+            return True
+    return False
+
+
+class TestEventDrivenDataPlane:
+    def test_frozen_shard_with_a_full_pipe_never_blocks_ingest(self, events):
+        with Router(
+            2, query_timeout_s=15.0, heartbeat_deadline_s=3600.0,
+            retry=RetryPolicy(attempts=4, timeout_s=0.3),
+        ) as router:
+            drive(router, events[:10])
+            router.shards[1].freeze()
+            for number in range(100):  # 4 KiB each, far past the 64 KiB pipe
+                router.ingest(
+                    EntityDescription(
+                        f"http://bulk.example.org/{number}",
+                        {"note": [f"bulk{number}" + "x" * 4096]},
+                    ),
+                    number % 2,
+                )
+            # Every ingest returned; what the frozen shard's pipe would
+            # not take is held for it.
+            assert len(router.shards[1].writer.pending) > 256 * 1024
+            assert router.stats.shard_deaths == 0
+
+            router.supervisor.heartbeat_deadline_s = 0.3
+            assert router.sync(timeout_s=20.0)
+            causes = [event for _, event, _ in router.supervisor.events]
+            assert "stuck" in causes and "respawn" in causes
+            assert router.shards[1].spawn_count == 2
+            assert not router.shards[1].writer.pending  # re-drive went through
+            report = verify_equivalence(router, queries_of(events[:10], 5))
+            assert report.ok, report.mismatches
+
+    def test_respawn_cycles_do_not_leak_descriptors(self, events):
+        def open_fds():
+            return len(os.listdir("/proc/self/fd"))
+
+        with Router(2, query_timeout_s=10.0, heartbeat_deadline_s=0.5) as router:
+            drive(router, events[:10])
+            counts = []
+            for _ in range(5):
+                assert kill_and_await_respawn(router, 1)
+                counts.append(open_fds())
+            assert router.stats.respawns == 5
+            assert counts == [counts[0]] * 5
+            assert router.sync(timeout_s=10.0)
+
+    def test_hedge_delay_reads_latencies_kept_sorted(self, events, monkeypatch):
+        handed = []
+        real_delay = HedgePolicy.delay_s
+
+        def spy_delay(policy, sorted_latencies):
+            handed.append(sorted_latencies)
+            return real_delay(policy, sorted_latencies)
+
+        monkeypatch.setattr(HedgePolicy, "delay_s", spy_delay)
+        with Router(2, query_timeout_s=10.0) as router:
+            history = router.stats.shard_hist.values
+
+            def spy_sorted(iterable, **kwargs):
+                assert iterable is not history, "fan-out re-sorted the history"
+                return sorted(iterable, **kwargs)
+
+            monkeypatch.setattr(router_module, "sorted", spy_sorted, raising=False)
+            drive(router, events[:40])
+            for _ in range(4):
+                for description, source in queries_of(events[:40], 40):
+                    router.resolve(description, source, ingest=False)
+            assert router.stats.queries == 200 == len(handed)
+            assert len(history) == 400  # two partitions per resolve
+            assert handed[-1] is router.stats.shard_latencies
+            assert handed[-1] == sorted(history)
 
 
 class TestGracefulDegradation:
@@ -344,6 +456,7 @@ class TestOpenLoopHarness:
             )
             assert report.degraded_after(recovered_at) == 0
             assert router.stats.respawns == 1
+            assert router.stats.time_to_healthy_hist.summary()["max"] <= 10.0
             verdict = verify_equivalence(router, queries_of(events[:60]))
             assert verdict.ok, verdict.mismatches
         finally:
