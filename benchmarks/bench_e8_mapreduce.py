@@ -20,10 +20,7 @@ from repro.blocking import BlockFiltering, BlockPurging, TokenBlocking
 from repro.evaluation.reporting import format_table
 from repro.mapreduce.engine import MapReduceEngine
 from repro.mapreduce.parallel_blocking import parallel_token_blocking
-from repro.mapreduce.parallel_metablocking import (
-    parallel_metablocking,
-    parallel_node_pruning,
-)
+from repro.mapreduce.parallel_metablocking_ids import parallel_metablocking_ids
 from repro.metablocking.pruning import CNP, WEP
 from repro.metablocking.weighting import ARCS
 
@@ -63,11 +60,11 @@ def run_experiment(center, processed_blocks):
         engine = MapReduceEngine(workers=workers)
         _, blocking_metrics = parallel_token_blocking(engine, center.kb1, center.kb2)
         add("token blocking", workers, [blocking_metrics])
-        _, edge_metrics = parallel_metablocking(
+        _, edge_metrics = parallel_metablocking_ids(
             engine, processed_blocks, ARCS(), WEP()
         )
         add("meta-blocking (edge-centric WEP)", workers, edge_metrics)
-        _, node_metrics = parallel_node_pruning(
+        _, node_metrics = parallel_metablocking_ids(
             engine, processed_blocks, ARCS(), CNP()
         )
         add("meta-blocking (entity-centric CNP)", workers, node_metrics)

@@ -10,7 +10,7 @@ in DESIGN.md.  Each prints its rows/series and also writes them under
 way).
 
 The int-id / array backbone behind ``BlockingGraph`` is held equal to
-the retained string-tuple reference by
+the string-tuple test oracle by
 ``tests/metablocking/test_int_id_equivalence.py``; its speed shows in the
 ``batch-*`` workloads of the repository benchmark
 (``python3 bench/run.py --workload batch-center --trace 1``).

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Parallel blocking and meta-blocking on the simulated MapReduce cluster.
 
-Runs the MapReduce formulations of token blocking [5] and meta-blocking
-[4] at increasing worker counts, verifying output equivalence with the
+Runs the MapReduce jobs of token blocking [5] and meta-blocking [4] at
+increasing worker counts, verifying output equivalence with the
 sequential implementations and reporting the simulated speedup, shuffle
 volume and reduce-side skew — the trade-offs the companion papers measure
 on a real Hadoop cluster.
@@ -12,7 +12,7 @@ Run:  python examples/mapreduce_scaling.py
 
 from repro import MapReduceEngine, SyntheticConfig, format_table, synthesize_pair
 from repro.blocking import BlockFiltering, BlockPurging, TokenBlocking
-from repro.mapreduce import parallel_metablocking, parallel_token_blocking
+from repro.mapreduce import parallel_metablocking_ids, parallel_token_blocking
 from repro.metablocking import BlockingGraph, make_pruner, make_scheme
 
 
@@ -35,13 +35,15 @@ def main() -> None:
         blocks, blocking_metrics = parallel_token_blocking(engine, kb1, kb2)
         assert blocks.keys() == sequential_blocks.keys(), "parallel != sequential!"
 
-        edges, meta_metrics = parallel_metablocking(
+        edges, meta_metrics = parallel_metablocking_ids(
             engine,
             BlockFiltering().process(BlockPurging().process(blocks)),
             make_scheme("ARCS"),
             make_pruner("CNP"),
         )
-        assert {e.pair for e in edges} == {e.pair for e in sequential_edges}
+        assert [(e.pair, e.weight) for e in edges] == [
+            (e.pair, e.weight) for e in sequential_edges
+        ], "parallel != sequential!"
 
         cost = blocking_metrics.critical_path_cost + sum(
             m.critical_path_cost for m in meta_metrics

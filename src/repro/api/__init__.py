@@ -17,7 +17,7 @@ One import gives the whole platform a single, serializable surface::
     print(report.summary())
 
 The same spec executes on the sequential batch path, the parallel
-MapReduce formulations, or the streaming resolver — with bit-identical
+MapReduce jobs, or the streaming resolver — with bit-identical
 pruned edges and match decisions — by changing only the ``backend``
 node.  Components (blockers, weighting schemes, pruners, matchers,
 budget policies, workload scenarios, sample corpora) resolve through

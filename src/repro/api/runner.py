@@ -319,32 +319,22 @@ class Pipeline:
         from repro.mapreduce import (
             MapReduceEngine,
             ProcessExecutor,
-            parallel_metablocking,
             parallel_metablocking_ids,
         )
 
         backend = self.spec.backend
         self._record_blocks(kb1, kb2, report, processed)
 
-        formulation = backend.formulation
-        if formulation == "int":
-            try:
-                import numpy  # noqa: F401
-            except ImportError:  # pragma: no cover - container ships numpy
-                formulation = "string"
         executor = backend.executor
         if executor == "process" and not ProcessExecutor.available():
             executor = "serial"
-        runner = (
-            parallel_metablocking_ids if formulation == "int" else parallel_metablocking
-        )
         obs = self.obs
         t0 = time.perf_counter()
         with obs.span("pipeline.weighting", fused=True) as span:
             with MapReduceEngine(
                 workers=backend.workers, executor=executor, obs=obs
             ) as engine:
-                edges, metrics = runner(
+                edges, metrics = parallel_metablocking_ids(
                     engine, report.processed_blocks, self.scheme, self.pruner
                 )
             span.set(edges=len(edges))
@@ -360,7 +350,6 @@ class Pipeline:
                 "kind": "mapreduce",
                 "workers": backend.workers,
                 "executor": executor,
-                "formulation": formulation,
                 "shuffle_records": sum(m.shuffle_records for m in metrics),
                 "shuffle_bytes": sum(m.shuffle_bytes for m in metrics),
             }

@@ -256,7 +256,6 @@ class EvaluationSpec:
 
 BACKEND_KINDS = ("sequential", "mapreduce", "stream", "sql")
 MAPREDUCE_EXECUTORS = ("serial", "process")
-MAPREDUCE_FORMULATIONS = ("int", "string")
 SQL_ENGINES = ("sqlite", "duckdb")
 
 
@@ -265,21 +264,19 @@ class BackendSpec:
     """How the plan executes.
 
     ``sequential`` runs the in-process batch pipeline; ``mapreduce``
-    produces the pruned edges through the parallel int-ID (or reference
-    string-tuple) MapReduce jobs on *workers* workers; ``stream``
-    replays a workload *scenario* through the streaming resolver and
-    takes the edges from the batch bridge; ``sql`` compiles purging,
-    filtering, weighting and pruning to SQL on *engine* (stdlib sqlite,
-    or DuckDB when installed), optionally out of core via *db_path*.
-    All four produce bit-identical pruned edges and match decisions for
-    the same spec.
+    produces the pruned edges through the parallel int-ID MapReduce
+    jobs on *workers* workers; ``stream`` replays a workload *scenario*
+    through the streaming resolver and takes the edges from the batch
+    bridge; ``sql`` compiles purging, filtering, weighting and pruning
+    to SQL on *engine* (stdlib sqlite, or DuckDB when installed),
+    optionally out of core via *db_path*.  All four produce
+    bit-identical pruned edges and match decisions for the same spec.
     """
 
     kind: str = "sequential"
     # -- mapreduce ----------------------------------------------------------
     workers: int = 2
     executor: str = "serial"
-    formulation: str = "int"
     # -- stream -------------------------------------------------------------
     scenario: ComponentSpec = field(default_factory=lambda: ComponentSpec("uniform"))
     processed_view: bool = False
@@ -315,11 +312,6 @@ class BackendSpec:
             raise SpecError(
                 f"unknown mapreduce executor {self.executor!r}; "
                 f"choose from {', '.join(MAPREDUCE_EXECUTORS)}"
-            )
-        if self.formulation not in MAPREDUCE_FORMULATIONS:
-            raise SpecError(
-                f"unknown mapreduce formulation {self.formulation!r}; "
-                f"choose from {', '.join(MAPREDUCE_FORMULATIONS)}"
             )
         if self.engine not in SQL_ENGINES:
             raise SpecError(
@@ -357,7 +349,6 @@ class BackendSpec:
             "kind": self.kind,
             "workers": self.workers,
             "executor": self.executor,
-            "formulation": self.formulation,
             "scenario": self.scenario.to_dict(),
             "processed_view": self.processed_view,
             "reconcile_every": self.reconcile_every,
@@ -375,6 +366,13 @@ class BackendSpec:
         if isinstance(data, str):
             data = {"kind": data}
         data = dict(data or {})
+        # Legacy key, still written by bench/workloads.py: the only value
+        # that ever meant today's behaviour is accepted and dropped.
+        if data.pop("formulation", "int") != "int":
+            raise SpecError(
+                "backend.formulation was removed: the int-ID jobs are the "
+                "only MapReduce formulation"
+            )
         known = {f.name for f in dataclasses.fields(cls)}
         extra = set(data) - known
         if extra:

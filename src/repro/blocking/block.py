@@ -16,10 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-try:  # pragma: no cover - exercised through the array fast paths
-    import numpy as _np
-except ImportError:  # pragma: no cover - the container ships numpy
-    _np = None
+import numpy as _np
 
 from repro.model.interner import EntityInterner
 
@@ -130,7 +127,7 @@ class BlockIdArrays:
     The layout the vectorized meta-blocking path consumes: all side-1
     members concatenated block by block with an offsets array, likewise
     for side-2 members (dirty blocks contribute an empty side-2 span),
-    plus per-block bipartite flags and cardinalities.  Requires numpy.
+    plus per-block bipartite flags and cardinalities.
     """
 
     __slots__ = (
@@ -147,7 +144,6 @@ class BlockIdArrays:
     def __init__(
         self, id_blocks: list[tuple[list[int], list[int] | None, int]]
     ) -> None:
-        assert _np is not None
         sizes1 = _np.fromiter(
             (len(ids1) for ids1, _, _ in id_blocks), dtype=_np.int64, count=len(id_blocks)
         )
@@ -356,34 +352,12 @@ class BlockCollection:
         """
         return self._ensure_id_views()[1]
 
-    def id_entity_index(self) -> list[list[int]]:
-        """Entity id → ordinals (into :meth:`id_blocks`) of its blocks.
-
-        The id-level counterpart of :meth:`entity_index`: the list at
-        index ``i`` has one entry per placement of entity ``i``, in block
-        insertion order.
-        """
-        cached = self.derived_cache.get("block.id_entity_index")
-        if cached is None:
-            interner, id_blocks = self._ensure_id_views()
-            cached = [[] for _ in range(len(interner))]
-            for ordinal, (ids1, ids2, _) in enumerate(id_blocks):
-                for entity_id in ids1:
-                    cached[entity_id].append(ordinal)
-                if ids2 is not None:
-                    for entity_id in ids2:
-                        cached[entity_id].append(ordinal)
-            self.derived_cache["block.id_entity_index"] = cached
-        return cached
-
-    def id_arrays(self) -> BlockIdArrays | None:
-        """CSR-style numpy view of the blocks (None when numpy is absent).
+    def id_arrays(self) -> BlockIdArrays:
+        """CSR-style numpy view of the blocks.
 
         Like the other id views this is a pure re-layout of the block
         structure, built lazily and invalidated on mutation.
         """
-        if _np is None:
-            return None
         if self._id_arrays is None:
             self._id_arrays = BlockIdArrays(self._ensure_id_views()[1])
         return self._id_arrays

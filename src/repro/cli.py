@@ -26,7 +26,6 @@ Subcommands::
                                [--reconcile-interval adaptive|K[,K2,...]]
     python -m repro mapreduce  --kb1 A.nt [--kb2 B.nt] [--workers 1 2 4]
                                [--executor serial|process|both]
-                               [--formulation int|string|both]
     python -m repro workflow   blocking|metablocking|progressive|budgets ...
     python -m repro components [--kind KIND]         # registry listing
     python -m repro synthesize --entities N --profile center|periphery
@@ -383,10 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--executor", choices=("serial", "process", "both"), default="both",
         help="serial simulates the cluster; process measures real speedup",
     )
-    mapreduce.add_argument(
-        "--formulation", choices=("int", "string", "both"), default="int",
-        help="int-ID record batches vs the string-tuple reference jobs",
-    )
     _add_obs_flags(mapreduce)
 
     obs = sub.add_parser(
@@ -648,7 +643,7 @@ _BACKEND_ROWS = [
     },
     {
         "backend": "mapreduce",
-        "spec knobs": "workers, executor, formulation",
+        "spec knobs": "workers, executor",
         "description": "parallel meta-blocking via MapReduce jobs",
     },
     {
@@ -1156,17 +1151,6 @@ def cmd_mapreduce(args: argparse.Namespace) -> int:
         executors = [e for e in executors if e != "process"]
         if not executors:
             return 1
-    formulations = (
-        ["string", "int"] if args.formulation == "both" else [args.formulation]
-    )
-    if "int" in formulations:
-        try:
-            import numpy  # noqa: F401
-        except ImportError:
-            print("numpy unavailable: the int-ID formulation is disabled")
-            formulations = [f for f in formulations if f != "int"]
-            if not formulations:
-                return 1
 
     base = PipelineSpec.from_dict(
         {
@@ -1176,41 +1160,36 @@ def cmd_mapreduce(args: argparse.Namespace) -> int:
         }
     )
     rows = []
-    base_wall: dict[tuple[str, str], float] = {}
+    base_wall: dict[str, float] = {}
     obs = _make_obs(args)
     # Blocking is identical across cells: build once, reuse per cell so
     # the sweep times only the meta-blocking stage.
     _, processed_blocks = Pipeline(base, obs=obs).block(kb1, kb2)
-    for formulation in formulations:
-        for executor in executors:
-            for workers in args.workers:
-                spec = base.with_backend(
-                    workers=workers, executor=executor, formulation=formulation
-                )
-                report = Pipeline(spec, obs=obs).execute(
-                    kb1, kb2, match=False, processed_blocks=processed_blocks
-                )
-                elapsed = report.phase_seconds["metablock_s"]
-                metrics = report.job_metrics
-                group = (formulation, executor)
-                base_wall.setdefault(group, elapsed)
-                rows.append(
-                    {
-                        "formulation": formulation,
-                        "executor": executor,
-                        "workers": str(workers),
-                        "wall ms": f"{elapsed * 1e3:.1f}",
-                        "speedup": f"{base_wall[group] / elapsed:.2f}x",
-                        "critical path": str(
-                            sum(m.critical_path_cost for m in metrics)
-                        ),
-                        "shuffle records": str(
-                            sum(m.shuffle_records for m in metrics)
-                        ),
-                        "shuffle KiB": f"{sum(m.shuffle_bytes for m in metrics) / 1024:.0f}",
-                        "edges": str(len(report.edges)),
-                    }
-                )
+    for executor in executors:
+        for workers in args.workers:
+            spec = base.with_backend(workers=workers, executor=executor)
+            report = Pipeline(spec, obs=obs).execute(
+                kb1, kb2, match=False, processed_blocks=processed_blocks
+            )
+            elapsed = report.phase_seconds["metablock_s"]
+            metrics = report.job_metrics
+            base_wall.setdefault(executor, elapsed)
+            rows.append(
+                {
+                    "executor": executor,
+                    "workers": str(workers),
+                    "wall ms": f"{elapsed * 1e3:.1f}",
+                    "speedup": f"{base_wall[executor] / elapsed:.2f}x",
+                    "critical path": str(
+                        sum(m.critical_path_cost for m in metrics)
+                    ),
+                    "shuffle records": str(
+                        sum(m.shuffle_records for m in metrics)
+                    ),
+                    "shuffle KiB": f"{sum(m.shuffle_bytes for m in metrics) / 1024:.0f}",
+                    "edges": str(len(report.edges)),
+                }
+            )
     print(
         format_table(
             rows,
@@ -1219,13 +1198,13 @@ def cmd_mapreduce(args: argparse.Namespace) -> int:
                 f"({args.weighting}/{args.pruning}, "
                 f"{len(processed_blocks) if processed_blocks is not None else 0} blocks)"
             ),
-            first_column="formulation",
+            first_column="executor",
         )
     )
     print(
         "\nspeedup is measured wall clock vs the first worker count of the "
-        "same (formulation, executor); serial wall time simulates, the "
-        "process executor actually parallelizes."
+        "same executor; serial wall time simulates, the process executor "
+        "actually parallelizes."
     )
     _finish_obs(obs, args)
     return 0

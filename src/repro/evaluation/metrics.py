@@ -92,12 +92,8 @@ def evaluate_blocks(
     pair table (the one meta-blocking weighs), not a second enumeration
     of every block.
     """
-    if blocks.id_arrays() is None:  # numpy absent: no pair table
-        distinct = blocks.distinct_comparisons()
-    else:
-        distinct = set(pair_table_for(blocks).pairs)
     return evaluate_comparisons(
-        distinct,
+        set(pair_table_for(blocks).pairs),
         gold,
         collection_size1,
         collection_size2,

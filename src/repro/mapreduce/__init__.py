@@ -14,25 +14,22 @@ execution dimension:
 * the **process executor** runs map/reduce tasks in real
   ``multiprocessing`` workers, so wall-clock speedup is measured.
 
-Two formulations of meta-blocking coexist: the seed's string-tuple jobs
-(retained as the readable reference) and the int-ID rebuild whose
-mappers exchange packed-``a << 32 | b`` columnar numpy batches — the
-production path, bit-identical to the sequential int-ID graph.
+There is one formulation of every job: mappers and reducers exchange
+columnar numpy batches over dense int ids (meta-blocking packs each pair
+into ``a << 32 | b``), bit-identical to the sequential graph.
 
 * :mod:`repro.mapreduce.engine` — the job runner + executors;
 * :mod:`repro.mapreduce.records` — columnar shuffle batches;
 * :mod:`repro.mapreduce.shm` — the zero-copy shared-memory data plane;
 * :mod:`repro.mapreduce.parallel_blocking` — MapReduce token blocking [5];
-* :mod:`repro.mapreduce.parallel_metablocking` — string-tuple meta-blocking
-  [4], edge-centric and entity-centric strategies (reference);
-* :mod:`repro.mapreduce.parallel_metablocking_ids` — the int-ID rebuild;
+* :mod:`repro.mapreduce.parallel_metablocking_ids` — meta-blocking [4],
+  edge-centric and entity-centric strategies;
 * :mod:`repro.mapreduce.parallel_postprocessing` — purging/filtering jobs.
 """
 
 from repro.mapreduce.engine import (
     ArrayMapReduceJob,
     MapReduceEngine,
-    MapReduceJob,
     JobMetrics,
     ProcessExecutor,
     SerialExecutor,
@@ -40,11 +37,6 @@ from repro.mapreduce.engine import (
     make_executor,
 )
 from repro.mapreduce.parallel_blocking import parallel_token_blocking
-from repro.mapreduce.parallel_metablocking import (
-    parallel_pair_statistics,
-    parallel_metablocking,
-    parallel_node_pruning,
-)
 from repro.mapreduce.parallel_metablocking_ids import (
     parallel_metablocking_ids,
     parallel_pair_table,
@@ -64,16 +56,12 @@ from repro.mapreduce.shm import (
 __all__ = [
     "ArrayMapReduceJob",
     "MapReduceEngine",
-    "MapReduceJob",
     "JobMetrics",
     "ProcessExecutor",
     "SerialExecutor",
     "hash_partitioner",
     "make_executor",
     "parallel_token_blocking",
-    "parallel_pair_statistics",
-    "parallel_metablocking",
-    "parallel_node_pruning",
     "parallel_metablocking_ids",
     "parallel_pair_table",
     "parallel_block_purging",

@@ -1,13 +1,13 @@
 """The MapReduce job runner: one programming model, two executors.
 
-The engine executes a classic Hadoop-style job:
+The engine executes a Hadoop-style job over columnar record batches:
 
-1. the input record list is split into ``workers`` map tasks;
-2. each map task runs the **mapper** over its records and, if configured,
-   a **combiner** over its local output (grouped by key);
-3. map output is **partitioned** by key hash into ``workers`` reduce
-   partitions and each partition is **sorted by key** (the shuffle);
-4. each reduce task runs the **reducer** over its groups.
+1. the driver pre-splits the input into one chunk per map task;
+2. each map task runs the **mapper** over its chunk, combining locally
+   (sort + bincount fold) and **partitioning** its output by vectorized
+   integer key hash into ``workers`` reduce partitions;
+3. the shuffle hands every partition its batches, in map-task order;
+4. each reduce task runs the **reducer** over its partition's batches.
 
 Where the work actually happens is pluggable:
 
@@ -18,18 +18,17 @@ Where the work actually happens is pluggable:
 * the :class:`ProcessExecutor` runs map and reduce tasks in real
   ``multiprocessing`` worker processes (fork start method), so wall-clock
   speedup is **measured**, not simulated.  Outputs are identical either
-  way: partitioning, key sorting and output ordering are all decided by
-  deterministic driver-side logic.
+  way: partitioning and output ordering are all decided by deterministic
+  driver-side logic.
 
-Either way the data movement is real: the engine counts records and
-(approximate) bytes crossing the shuffle, so experiments can measure skew
-and shuffle volume exactly the way the parallel meta-blocking paper does.
+Either way the data movement is real: the engine counts records and bytes
+crossing the shuffle, so experiments can measure skew and shuffle volume
+exactly the way the parallel meta-blocking paper does.
 
-Two job shapes are supported: the record-at-a-time :class:`MapReduceJob`
-(any Python key/value types, closure mappers welcome) and the array-native
-:class:`ArrayMapReduceJob` whose tasks exchange columnar numpy record
-batches (see :mod:`repro.mapreduce.records`) — the int-ID formulation of
-parallel meta-blocking runs on the latter.
+There is one job shape, :class:`ArrayMapReduceJob` (tasks exchange the
+numpy record batches of :mod:`repro.mapreduce.records`), and one dispatch
+route, :meth:`Executor.run_specs` over picklable ``(function, args)``
+specs.
 """
 
 from __future__ import annotations
@@ -37,36 +36,28 @@ from __future__ import annotations
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable
 
 from repro.obs import DISABLED, Observability
 from repro.obs.metrics import Counter, MetricsRegistry
 from repro.utils.rng import stable_hash, stable_hash_int
-
-#: mapper: (key, value) -> iterable of (key, value)
-Mapper = Callable[[Any, Any], Iterable[tuple[Any, Any]]]
-#: reducer/combiner: (key, list of values) -> iterable of (key, value)
-Reducer = Callable[[Any, list], Iterable[tuple[Any, Any]]]
-#: partitioner: (key, partitions) -> partition index
-Partitioner = Callable[[Any, int], int]
 
 #: seconds a single executor phase may take before a deadlock is assumed
 DEFAULT_TASK_TIMEOUT_S = 600.0
 
 
 def hash_partitioner(key: Any, partitions: int) -> int:
-    """Hadoop-style deterministic hash partitioning.
+    """Hadoop-style deterministic hash partitioning of one scalar key.
 
-    Integer keys (packed int64 pairs, dense entity ids, cardinalities)
-    are hashed directly through the splitmix64
-    :func:`~repro.utils.rng.stable_hash_int` — no ``repr`` string is
-    allocated on the hot path.  Every other key type keeps the historical
-    ``stable_hash(repr(key))`` route, so partitioning of string-keyed
-    jobs is unchanged (asserted by a regression test).
+    The scalar reference the vectorised routing of
+    :mod:`repro.mapreduce.records` is checked against
+    (``tests/mapreduce/test_hash_fuzz.py``).  Integer keys (packed int64
+    pairs, dense entity ids, cardinalities) are hashed directly through
+    the splitmix64 :func:`~repro.utils.rng.stable_hash_int`; every other
+    key type goes through ``stable_hash(repr(key))``.
 
     ``bool`` is an ``int`` subclass but has a distinct ``repr``; the
-    exact type check keeps bool keys on the legacy path.
+    exact type check keeps bool keys on the ``repr`` path.
     """
     if type(key) is int:
         return stable_hash_int(key, partitions)
@@ -85,27 +76,16 @@ class Executor(ABC):
     name = "executor"
 
     @abstractmethod
-    def run_tasks(self, tasks: list[Callable[[], Any]]) -> list[Any]:
-        """Run zero-argument task callables; results in task order.
-
-        Tasks may be closures over arbitrary driver state.
-        """
-
     def run_specs(self, specs: list[tuple[Callable, tuple]]) -> list[Any]:
         """Run ``(function, args)`` task specs; results in spec order.
 
         Specs must be picklable (module-level function, array/scalar
-        args) — the contract array jobs honour so process pools can ship
-        them without fork-inheritance tricks.
+        args) so process pools can ship them without fork-inheritance
+        tricks.
         """
-        return self.run_tasks([_bind_spec(fn, args) for fn, args in specs])
 
     def close(self) -> None:
         """Release executor resources (worker pools); idempotent."""
-
-
-def _bind_spec(fn: Callable, args: tuple) -> Callable[[], Any]:
-    return lambda: fn(*args)
 
 
 class SerialExecutor(Executor):
@@ -113,18 +93,8 @@ class SerialExecutor(Executor):
 
     name = "serial"
 
-    def run_tasks(self, tasks: list[Callable[[], Any]]) -> list[Any]:
-        return [task() for task in tasks]
-
-
-#: fork-inherited task table for closure tasks (set just before the pool
-#: forks, so children see it without pickling the closures)
-_FORK_TASK_TABLE: list[Callable[[], Any]] | None = None
-
-
-def _run_fork_task(index: int) -> Any:
-    assert _FORK_TASK_TABLE is not None
-    return _FORK_TASK_TABLE[index]()
+    def run_specs(self, specs: list[tuple[Callable, tuple]]) -> list[Any]:
+        return [fn(*args) for fn, args in specs]
 
 
 def _apply_spec(spec: tuple[Callable, tuple]) -> Any:
@@ -149,13 +119,9 @@ class _WorkerLoss(Exception):
 class ProcessExecutor(Executor):
     """Real ``multiprocessing`` workers (fork start method, POSIX only).
 
-    Two dispatch routes, one per task shape:
-
-    * **specs** (picklable module-level functions + array args) run on a
-      persistent worker pool created lazily on first use — the hot route
-      the array jobs take, amortizing pool start-up across jobs;
-    * **closure tasks** are not picklable, so each phase stashes them in
-      a module global and forks a fresh pool whose children inherit it.
+    Task specs (picklable module-level functions + array args) run on a
+    persistent worker pool created lazily on first use, amortizing pool
+    start-up across jobs.
 
     The *pool size* is capped at the CPUs actually available to this
     process: ``workers`` is the **logical** parallelism (task splits,
@@ -256,34 +222,6 @@ class ProcessExecutor(Executor):
             f"consecutive attempts ({last_loss})"
         )
 
-    def run_tasks(self, tasks: list[Callable[[], Any]]) -> list[Any]:
-        if len(tasks) <= 1 or self.workers <= 1:
-            return [task() for task in tasks]
-        global _FORK_TASK_TABLE
-        import multiprocessing
-
-        ctx = multiprocessing.get_context("fork")
-        _FORK_TASK_TABLE = tasks
-        last_loss = None
-        try:
-            for attempt in range(self.retry_attempts + 1):
-                if attempt:
-                    time.sleep(self.retry_backoff_s * (2 ** (attempt - 1)))
-                with ctx.Pool(min(self.pool_size, len(tasks))) as pool:
-                    result = pool.map_async(
-                        _run_fork_task, range(len(tasks)), chunksize=1
-                    )
-                    try:
-                        return self._wait(pool, result)
-                    except _WorkerLoss as loss:
-                        last_loss = loss
-            raise RuntimeError(
-                f"MapReduce phase lost workers in {self.retry_attempts + 1} "
-                f"consecutive attempts ({last_loss})"
-            )
-        finally:
-            _FORK_TASK_TABLE = None
-
     def _wait(self, pool, async_result) -> list[Any]:
         """Wait for a phase; fail fast on deadline or worker loss.
 
@@ -346,25 +284,6 @@ def make_executor(executor: str | Executor, workers: int) -> Executor:
 # ---------------------------------------------------------------------------
 # Jobs and metrics
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class MapReduceJob:
-    """A single record-at-a-time MapReduce job description.
-
-    Args:
-        name: label for metrics and logs.
-        mapper: emits intermediate key/value pairs per input record.
-        reducer: folds each key group into output records.
-        combiner: optional local pre-aggregation run per map task.
-        partitioner: key → reduce-partition routing (hash by default).
-    """
-
-    name: str
-    mapper: Mapper
-    reducer: Reducer
-    combiner: Reducer | None = None
-    partitioner: Partitioner = hash_partitioner
 
 
 @dataclass
@@ -505,64 +424,11 @@ class JobMetrics:
         return max(costs) / (sum(costs) / len(costs))
 
 
-def _run_record_map_task(
-    job: MapReduceJob, split: list[tuple[Any, Any]]
-) -> tuple[int, list[tuple[Any, Any]], float]:
-    """One map task: mapper over the split, then the optional combiner.
-
-    Returns ``(pre_combine_record_count, task_output, combine_seconds)``
-    — the combine time is measured in the worker and travels back with
-    the result, so the driver can attribute it without a second clock.
-    """
-    task_output: list[tuple[Any, Any]] = []
-    for key, value in split:
-        for out in job.mapper(key, value):
-            task_output.append(out)
-    raw_count = len(task_output)
-    combine_s = 0.0
-    if job.combiner is not None:
-        t0 = time.perf_counter()
-        grouped = _group(task_output)
-        combined: list[tuple[Any, Any]] = []
-        for key in grouped:
-            combined.extend(job.combiner(key, grouped[key]))
-        task_output = combined
-        combine_s = time.perf_counter() - t0
-    return raw_count, task_output, combine_s
-
-
-def _timed_task(task: Callable[[], Any]) -> tuple[float, Any]:
-    """Wrap one closure task: measure its wall in the worker."""
-    t0 = time.perf_counter()
-    result = task()
-    return time.perf_counter() - t0, result
-
-
 def _timed_spec(fn: Callable, *args) -> tuple[float, Any]:
     """Picklable spec wrapper: ``(duration_s, fn(*args))``."""
     t0 = time.perf_counter()
     result = fn(*args)
     return time.perf_counter() - t0, result
-
-
-def _run_record_reduce_task(
-    job: MapReduceJob, grouped: dict[Any, list[Any]]
-) -> tuple[list[tuple[Any, Any]], int, int]:
-    """One reduce task over a partition's groups, in sorted key order.
-
-    Returns ``(output, task_cost, group_count)``.
-    """
-    output: list[tuple[Any, Any]] = []
-    task_cost = 0
-    groups = 0
-    for key in sorted(grouped, key=repr):
-        values = grouped[key]
-        task_cost += len(values)
-        groups += 1
-        for out in job.reducer(key, values):
-            output.append(out)
-            task_cost += 1
-    return output, task_cost, groups
 
 
 class MapReduceEngine:
@@ -577,7 +443,7 @@ class MapReduceEngine:
             instance.  Results are identical across executors.
         obs: an :class:`~repro.obs.Observability` handle — every job
             then emits a ``mapreduce.job`` span with
-            map/combine/shuffle/reduce children (per-task spans carry
+            map/shuffle/reduce children (per-task spans carry
             worker-measured durations) plus aggregate record/byte
             counters.  Default: the disabled no-op handle.
     """
@@ -623,135 +489,6 @@ class MapReduceEngine:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def run(
-        self,
-        job: MapReduceJob,
-        records: Iterable[tuple[Any, Any]],
-    ) -> tuple[list[tuple[Any, Any]], JobMetrics]:
-        """Execute *job* over *records*.
-
-        Returns:
-            ``(output_records, metrics)``.  Output records are ordered by
-            reduce partition then sorted key, mirroring part-file order on
-            a real cluster — identically for every executor.
-        """
-        record_list = list(records)
-        metrics = JobMetrics(
-            job_name=job.name, workers=self.workers, executor=self.executor.name
-        )
-        metrics.map_input_records = len(record_list)
-        obs = self.obs
-
-        with obs.span(
-            "mapreduce.job",
-            job=job.name,
-            workers=self.workers,
-            executor=self.executor.name,
-        ) as job_span:
-            # -- map phase (with per-task combining) ----------------------
-            # Record jobs carry closure mappers/reducers (not picklable),
-            # so they dispatch as bound tasks: the serial executor calls
-            # them inline, the process executor fork-inherits them.
-            splits = list(self._split(record_list))
-            tasks = [
-                partial(_run_record_map_task, job, split) for split in splits
-            ]
-            if obs.enabled:
-                tasks = [partial(_timed_task, task) for task in tasks]
-            with obs.timed(
-                "mapreduce.map",
-                metric="repro.mapreduce.map.seconds",
-                tasks=len(tasks),
-            ) as timer:
-                raw_results = self.executor.run_tasks(tasks)
-                if obs.enabled:
-                    map_results = []
-                    for index, (task_s, result) in enumerate(raw_results):
-                        obs.event(
-                            "mapreduce.map.task", task_s, worker=index
-                        )
-                        if job.combiner is not None:
-                            obs.event(
-                                "mapreduce.combine.task",
-                                result[2],
-                                worker=index,
-                            )
-                        map_results.append(result)
-                else:
-                    map_results = raw_results
-            metrics.map_wall_s = timer.duration_s
-
-            # -- shuffle (driver-side, deterministic) ---------------------
-            with obs.timed(
-                "mapreduce.shuffle", metric="repro.mapreduce.shuffle.seconds"
-            ) as shuffle_span:
-                partitions: list[dict[Any, list[Any]]] = [
-                    dict() for _ in range(self.workers)
-                ]
-                partition_bytes = [0] * self.workers
-                for split, (raw_count, task_output, _combine_s) in zip(
-                    splits, map_results
-                ):
-                    metrics.map_output_records += raw_count
-                    metrics.map_task_costs.append(len(split) + raw_count)
-                    if job.combiner is not None:
-                        metrics.combine_output_records += len(task_output)
-                    for key, value in task_output:
-                        partition = job.partitioner(key, self.workers)
-                        partitions[partition].setdefault(key, []).append(value)
-                        metrics.shuffle_records += 1
-                        partition_bytes[partition] += _record_size(key, value)
-                metrics.shuffle_bytes += sum(partition_bytes)
-                metrics.shuffle_partition_bytes = partition_bytes
-                shuffle_span.set(
-                    records=metrics.shuffle_records,
-                    bytes=metrics.shuffle_bytes,
-                )
-
-            # -- reduce phase ---------------------------------------------
-            tasks = [
-                partial(_run_record_reduce_task, job, grouped)
-                for grouped in partitions
-            ]
-            if obs.enabled:
-                tasks = [partial(_timed_task, task) for task in tasks]
-            with obs.timed(
-                "mapreduce.reduce",
-                metric="repro.mapreduce.reduce.seconds",
-                tasks=len(tasks),
-            ) as timer:
-                raw_results = self.executor.run_tasks(tasks)
-                reduce_results = self._unwrap_timed(
-                    raw_results, "mapreduce.reduce.task"
-                )
-            metrics.reduce_wall_s = timer.duration_s
-
-            output: list[tuple[Any, Any]] = []
-            for partition_output, task_cost, groups in reduce_results:
-                output.extend(partition_output)
-                metrics.reduce_task_costs.append(task_cost)
-                metrics.reduce_groups += groups
-            metrics.reduce_output_records = len(output)
-            job_span.set(
-                input_records=metrics.map_input_records,
-                output_records=metrics.reduce_output_records,
-            )
-        self._count_job(metrics)
-        return output, metrics
-
-    def run_chain(
-        self,
-        jobs: list[MapReduceJob],
-        records: Iterable[tuple[Any, Any]],
-    ) -> tuple[list[tuple[Any, Any]], list[JobMetrics]]:
-        """Run *jobs* sequentially, feeding each job's output to the next."""
-        current = list(records)
-        all_metrics: list[JobMetrics] = []
-        for job in jobs:
-            current, metrics = self.run(job, current)
-            all_metrics.append(metrics)
-        return current, all_metrics
 
     def run_array(
         self,
@@ -897,28 +634,3 @@ class MapReduceEngine:
             "repro.mapreduce.reduce.output.records.count",
             metrics.reduce_output_records,
         )
-
-    def _split(self, records: list[tuple[Any, Any]]) -> Iterator[list[tuple[Any, Any]]]:
-        """Round-robin input splits, as contiguous ranges (like HDFS splits)."""
-        if not records:
-            return
-        size, remainder = divmod(len(records), self.workers)
-        start = 0
-        for worker in range(self.workers):
-            length = size + (1 if worker < remainder else 0)
-            if length == 0:
-                continue
-            yield records[start : start + length]
-            start += length
-
-
-def _group(pairs: list[tuple[Any, Any]]) -> dict[Any, list[Any]]:
-    grouped: dict[Any, list[Any]] = {}
-    for key, value in pairs:
-        grouped.setdefault(key, []).append(value)
-    return grouped
-
-
-def _record_size(key: Any, value: Any) -> int:
-    """Approximate serialized record size in bytes."""
-    return len(repr(key)) + len(repr(value))

@@ -25,10 +25,7 @@ persistent process pool without fork-inheritance tricks.
 
 from __future__ import annotations
 
-try:  # pragma: no cover - exercised throughout this module
-    import numpy as np
-except ImportError:  # pragma: no cover - the container ships numpy
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.blocking.block import Block, BlockCollection
 from repro.mapreduce.engine import ArrayMapReduceJob, JobMetrics, MapReduceEngine

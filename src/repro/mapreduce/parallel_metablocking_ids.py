@@ -1,10 +1,19 @@
-"""Int-ID MapReduce meta-blocking on the shared-memory data plane.
+"""MapReduce meta-blocking, after Efthymiou et al. (IEEE Big Data 2015) [4].
 
-The retained string-tuple formulation in
-:mod:`repro.mapreduce.parallel_metablocking` ships one Python tuple per
-implied comparison through the shuffle.  This module is the rebuild on
-PR 1's integer backbone, now carried end to end by the zero-copy plane
-of :mod:`repro.mapreduce.shm`:
+The paper parallelizes meta-blocking with two families of strategies:
+**edge-centric** — materialize the blocking graph's edges in the shuffle
+(map over blocks emitting one record per implied comparison with that
+block's evidence contribution, reduce into the per-pair statistics every
+weighting scheme needs; WEP/CEP then run on the aggregated edge list) —
+and **entity-centric** — route each entity's complete neighbourhood to
+one reducer, apply the node-local decision (WNP's neighbourhood mean or
+CNP's top-k) there, and merge the retention votes with the
+union/reciprocal semantics.  The engine metrics expose their very
+different shuffle volumes — the trade-off the paper's evaluation (E8)
+measures.
+
+Both run here over dense int ids, carried end to end by the zero-copy
+plane of :mod:`repro.mapreduce.shm`:
 
 * the driver publishes the collection's CSR id views (and, for pruning,
   the weighted edge table) **once** into shared segments — map tasks
@@ -22,9 +31,9 @@ of :mod:`repro.mapreduce.shm`:
 
 **Bit-identity contract.**  Every result — pair statistics, weights,
 surviving edges — is bit-identical to the sequential
-:class:`~repro.metablocking.graph.BlockingGraph` fast path, for any
-worker count and either executor.  Floating-point addition is not
-associative, so this needs care at two points:
+:class:`~repro.metablocking.graph.BlockingGraph`, for any worker count
+and either executor.  Floating-point addition is not associative, so
+this needs care at two points:
 
 * **ARCS sums** — every comparison cell ships with its global cell
   index; the reducer orders each pair's cells by that index
@@ -49,10 +58,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-try:  # pragma: no cover - exercised throughout this module
-    import numpy as np
-except ImportError:  # pragma: no cover - the container ships numpy
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.blocking.block import BlockCollection
 from repro.mapreduce.engine import ArrayMapReduceJob, JobMetrics, MapReduceEngine
@@ -72,14 +78,6 @@ from repro.metablocking.graph import (
 )
 from repro.metablocking.pruning import CEP, CNP, PruningScheme, WEP, WNP
 from repro.metablocking.weighting import WeightingScheme, weight_pair_table
-
-
-def _require_numpy() -> None:
-    if np is None:  # pragma: no cover - the container ships numpy
-        raise RuntimeError(
-            "the int-ID MapReduce formulation requires numpy; "
-            "use repro.mapreduce.parallel_metablocking instead"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +227,7 @@ def parallel_pair_table(
     reducers carry each pair's first global cell index, so the driver can
     restore first-seen enumeration order after the shuffle scattered it.
     """
-    _require_numpy()
     csr = blocks.id_arrays()
-    assert csr is not None
     ranges = _block_ranges(csr, engine.workers)
     total_cells = int(csr.cardinality.sum()) if len(csr.cardinality) else 0
     if not ranges or not total_cells:
@@ -324,7 +320,7 @@ def _map_topk(chunk, partitions: int, params: dict):
         rank_b[top],
     )
     writer = ArenaWriter(arena)
-    # One logical reduce group, like the string formulation's "topk" key.
+    # One logical reduce group: every candidate routes on the same key.
     return (
         partition_batch_into(
             columns, np.zeros(len(top), dtype=np.int64), partitions, writer
@@ -520,7 +516,7 @@ def parallel_metablocking_ids(
     scheme: WeightingScheme,
     pruner: PruningScheme,
 ) -> tuple[list[WeightedEdge], list[JobMetrics]]:
-    """Int-ID parallel meta-blocking: statistics, weighting, pruning.
+    """Parallel meta-blocking over int ids: statistics, weighting, pruning.
 
     Stage 1 aggregates the pair table edge-centrically; weights are then
     evaluated through the shared
@@ -539,7 +535,6 @@ def parallel_metablocking_ids(
         TypeError: for pruning schemes with neither global nor
             node-centric parallel semantics.
     """
-    _require_numpy()
     table, stats_metrics = parallel_pair_table(engine, blocks)
     metrics = [stats_metrics]
     weights = weight_pair_table(scheme, blocks, table)

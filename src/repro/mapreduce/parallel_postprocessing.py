@@ -30,10 +30,7 @@ process pool.
 
 from __future__ import annotations
 
-try:  # pragma: no cover - exercised throughout this module
-    import numpy as np
-except ImportError:  # pragma: no cover - the container ships numpy
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.blocking.block import Block, BlockCollection
 from repro.blocking.filtering import BlockFiltering

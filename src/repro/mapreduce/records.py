@@ -1,11 +1,10 @@
 """Columnar record batches for the array-native MapReduce jobs.
 
-The int-ID formulation of parallel meta-blocking never ships Python
-tuples through the shuffle: mappers emit *record batches* — parallel
-numpy arrays, one row per logical record — and the shuffle routes whole
-batches by vectorized integer hashing.  A batch knows its row count
-(``len``) and serialized size (``nbytes``), which is what the engine's
-shuffle counters read.
+The parallel jobs never ship Python tuples through the shuffle: mappers
+emit *record batches* — parallel numpy arrays, one row per logical
+record — and the shuffle routes whole batches by vectorized integer
+hashing.  A batch knows its row count (``len``) and serialized size
+(``nbytes``), which is what the engine's shuffle counters read.
 
 Two batch carriers share that interface:
 
@@ -25,10 +24,7 @@ million rows at once.
 
 from __future__ import annotations
 
-try:  # pragma: no cover - exercised wherever the int-ID jobs run
-    import numpy as np
-except ImportError:  # pragma: no cover - the container ships numpy
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.mapreduce.shm import ArenaWriter, ArrayRef, attach_array
 from repro.utils.rng import MIX_GAMMA, MIX_M1, MIX_M2, stable_hash

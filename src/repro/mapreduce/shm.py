@@ -42,10 +42,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-try:  # pragma: no cover - exercised wherever the int-ID jobs run
-    import numpy as np
-except ImportError:  # pragma: no cover - the container ships numpy
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 try:  # pragma: no cover - stdlib on every supported platform
     from multiprocessing import shared_memory as _shared_memory
@@ -107,8 +104,8 @@ class ArenaRef:
 
 
 def shared_memory_available() -> bool:
-    """True when the plane can run (numpy + POSIX shared memory)."""
-    return np is not None and _shared_memory is not None
+    """True when the plane can run (POSIX shared memory exists)."""
+    return _shared_memory is not None
 
 
 class SharedBlockStore:
@@ -125,7 +122,7 @@ class SharedBlockStore:
     def __init__(self) -> None:
         if not shared_memory_available():  # pragma: no cover - POSIX container
             raise RuntimeError(
-                "SharedBlockStore requires numpy and multiprocessing.shared_memory"
+                "SharedBlockStore requires multiprocessing.shared_memory"
             )
         cls = SharedBlockStore
         self.store_id = f"{SEGMENT_PREFIX}_{os.getpid()}_{cls._next_store_id}"

@@ -14,10 +14,7 @@ import math
 from collections import Counter
 from typing import Iterable, Sequence
 
-try:  # pragma: no cover - exercised through cosine_many's fast path
-    import numpy as _np
-except ImportError:  # pragma: no cover - the container ships numpy
-    _np = None
+import numpy as _np
 
 from repro.model.collection import EntityCollection
 from repro.model.tokenizer import Tokenizer
@@ -312,8 +309,7 @@ class SimilarityIndex:
         both sides are matched with one sort + searchsorted, the matched
         products are accumulated per pair with ``bincount`` in each left
         vector's insertion order, so every score is **bit-identical** to
-        the scalar :meth:`cosine` result.  Returns a ``float64`` array
-        (a plain list when numpy is unavailable).
+        the scalar :meth:`cosine` result.  Returns a ``float64`` array.
 
         Raises:
             ValueError: when the two sequences differ in length.
@@ -321,8 +317,6 @@ class SimilarityIndex:
         """
         if len(left) != len(right):
             raise ValueError("left and right must have equal length")
-        if _np is None:
-            return [self.cosine(a, b) for a, b in zip(left, right)]
         count = len(left)
         if count == 0:
             return _np.empty(0, dtype=_np.float64)
@@ -356,7 +350,7 @@ def cosine_many_vectors(left_vecs: list, right_vecs: list, norms, vocab_size: in
     match, and ``bincount`` accumulates the matched products in the left
     vector's insertion order — mirroring the scalar dot's running sum
     (whose unmatched terms add exact zeros), which keeps the result
-    bit-identical to per-pair scoring.  Requires numpy.
+    bit-identical to per-pair scoring.
     """
     np = _np
     count = len(left_vecs)

@@ -6,47 +6,33 @@ co-occurring in at least one block; the edge weight is computed by a
 co-occurrence statistics.  The graph is materialized lazily from a
 :class:`~repro.blocking.block.BlockCollection`.
 
-Three construction paths produce identical results:
+Construction is columnar: all implied comparisons are expanded from the
+collection's CSR id views into flat arrays, each pair is packed into a
+single ``a << 32 | b`` integer, and the ``(common, arcs)`` statistics are
+aggregated with one sort plus bincounts into a scheme-independent
+:class:`PairTable` cached on the collection.  Weighting schemes that
+implement the vectorized path (all built-ins do) are evaluated as array
+expressions over per-entity factor tables precomputed once; URIs are
+translated back only when the public string-keyed edge map is built.
 
-* the **array fast path** (default when numpy is available) expands all
-  implied comparisons from the collection's CSR id views into flat
-  arrays, packs each pair into a single ``a << 32 | b`` integer, and
-  aggregates the ``(common, arcs)`` statistics with one sort plus
-  bincounts into a scheme-independent :class:`PairTable` cached on the
-  collection.  Weighting schemes that implement the vectorized path (all
-  built-ins do) are evaluated as array expressions over per-entity
-  factor tables precomputed once; URIs are translated back only when the
-  public string-keyed edge map is built.
-* the **scalar id fallback** (no numpy) runs the same node-centric
-  aggregation in pure Python: within each block's id-array an entity
-  emits the pairs it forms with the co-members after it, accumulating
-  the packed-pair statistics in flat int-keyed dicts.
-* the **reference slow path** (``fast_path=False``) is the original
-  string-tuple formulation, retained verbatim as the equivalence oracle
-  for tests and for the MapReduce formulation in
-  :mod:`repro.mapreduce.parallel_metablocking`.
-
-All paths visit blocks and intra-block pairs in the same order, so the
-floating-point ARCS accumulations — and therefore every derived weight —
-are bit-identical between them.
+Blocks and intra-block pairs are visited in the order of the hand-written
+string-tuple loop kept as the test oracle
+(``tests/metablocking/string_graph_oracle.py``), so the floating-point
+ARCS accumulations — and therefore every derived weight — are
+bit-identical to it.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterator, TYPE_CHECKING
+from typing import Iterator
 
-try:  # pragma: no cover - exercised through the array fast path
-    import numpy as _np
-except ImportError:  # pragma: no cover - the container ships numpy
-    _np = None
+import numpy as _np
 
 from repro.blocking.block import BlockCollection, BlockIdArrays, comparison_pair
+from repro.metablocking.weighting import WeightingScheme, weight_pair_table
 from repro.model.interner import PAIR_MASK, PAIR_SHIFT
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.metablocking.weighting import WeightingScheme
 
 
 def expand_comparison_cells(
@@ -65,7 +51,7 @@ def expand_comparison_cells(
     triangular ``row < col`` cells and bipartite blocks drop self-pairs.
     The surviving cells appear in exactly the reference enumeration order
     (blocks in insertion order, nested pair order inside each block), so
-    downstream float accumulations stay bit-identical to the string path.
+    downstream float accumulations stay bit-identical to the string oracle.
 
     Returns ``(left, right, contribution)`` arrays, plus — when
     *with_provenance* is set — the **global** block ordinal of each kept
@@ -104,11 +90,6 @@ def expand_comparison_cells(
     cell_base = int(csr.cardinality[:start].sum())
     cell_index = cell_base + np.arange(int(keep.sum()), dtype=np.int64)
     return left[keep], right[keep], contribution[keep], ordinals, cell_index
-
-
-def _expand_comparison_cells(csr: BlockIdArrays):
-    """Whole-collection cells (the array fast path's historical entry)."""
-    return expand_comparison_cells(csr)
 
 
 class PairTable:
@@ -152,8 +133,8 @@ def finish_pair_table(blocks: BlockCollection, unique_keys, common, arcs) -> Pai
     reference dict's insertion order); this resolves packed keys to URI
     pairs in canonical string order via integer ranks — one O(n log n)
     sort over the n entities instead of a string compare per edge.
-    Shared by the sequential array fast path and the MapReduce int-ID
-    formulation, which reassembles the same inputs from reducer output.
+    Shared by the sequential graph and the MapReduce jobs, which
+    reassemble the same inputs from reducer output.
     """
     np = _np
     uris = np.array(blocks.interner().uri_table(), dtype=object)
@@ -170,9 +151,7 @@ def finish_pair_table(blocks: BlockCollection, unique_keys, common, arcs) -> Pai
 
 def _build_pair_table(blocks: BlockCollection) -> PairTable:
     np = _np
-    csr = blocks.id_arrays()
-    assert csr is not None
-    left, right, contribution = _expand_comparison_cells(csr)
+    left, right, contribution = expand_comparison_cells(blocks.id_arrays())
     keys = pack_pair_arrays(left, right)
     if not len(keys):
         empty = np.empty(0, dtype=np.int64)
@@ -203,7 +182,7 @@ def _build_pair_table(blocks: BlockCollection) -> PairTable:
 
 
 def pair_table_for(blocks: BlockCollection) -> PairTable:
-    """The (cached) pair table of *blocks*; requires numpy.
+    """The (cached) pair table of *blocks*.
 
     Cached in ``blocks.derived_cache``: like the entity index, the table
     is a function of the block structure alone and is shared by every
@@ -237,9 +216,6 @@ class BlockingGraph:
         blocks: the (post-processed) block collection.
         scheme: edge-weighting scheme; see
             :mod:`repro.metablocking.weighting`.
-        fast_path: build edge weights through the int-id backbone
-            (default).  ``False`` selects the retained string-tuple
-            reference implementation; results are identical either way.
 
     The graph computes, per distinct pair:
 
@@ -247,15 +223,9 @@ class BlockingGraph:
     * the sum over common blocks of ``1 / cardinality(block)`` (for ARCS).
     """
 
-    def __init__(
-        self,
-        blocks: BlockCollection,
-        scheme: "WeightingScheme",
-        fast_path: bool = True,
-    ) -> None:
+    def __init__(self, blocks: BlockCollection, scheme: WeightingScheme) -> None:
         self.blocks = blocks
         self.scheme = scheme
-        self.fast_path = fast_path
         self._edges: dict[tuple[str, str], float] | None = None
         self._adjacency: dict[str, list[tuple[str, float]]] | None = None
         self._sorted_edges: list[WeightedEdge] | None = None
@@ -264,115 +234,12 @@ class BlockingGraph:
 
     # -- construction ------------------------------------------------------
 
-    def _pair_statistics(self) -> dict[tuple[str, str], tuple[int, float]]:
-        """Per-pair (common_blocks, arcs_sum): the reference slow path.
-
-        Kept as the equivalence oracle for the int-id fast path (and used
-        by the MapReduce tests): allocates a string tuple and a stats
-        tuple per implied comparison.
-        """
-        stats: dict[tuple[str, str], tuple[int, float]] = {}
-        for block in self.blocks:
-            cardinality = block.cardinality()
-            if cardinality == 0:
-                continue
-            arcs_contribution = 1.0 / cardinality
-            for pair in block.comparisons():
-                common, arcs = stats.get(pair, (0, 0.0))
-                stats[pair] = (common + 1, arcs + arcs_contribution)
-        return stats
-
-    def _pair_statistics_ids(self) -> tuple[dict[int, int], dict[int, float]]:
-        """Packed-pair → (common, arcs) maps over dense entity ids.
-
-        Node-centric generation: within each block's id-array, entity
-        ``ids1[i]`` emits the pairs it forms with the co-members after
-        it (dirty blocks) or with the whole opposite side (bipartite
-        blocks), in the same order as the reference path — keeping the
-        ARCS float accumulation bit-identical.
-        """
-        common: dict[int, int] = {}
-        arcs: dict[int, float] = {}
-        common_get = common.get
-        arcs_get = arcs.get
-        shift = PAIR_SHIFT
-        for ids1, ids2, cardinality in self.blocks.id_blocks():
-            if cardinality == 0:
-                continue
-            contribution = 1.0 / cardinality
-            if ids2 is None:
-                for i in range(len(ids1) - 1):
-                    a = ids1[i]
-                    for b in ids1[i + 1 :]:
-                        key = (a << shift) | b if a < b else (b << shift) | a
-                        common[key] = common_get(key, 0) + 1
-                        arcs[key] = arcs_get(key, 0.0) + contribution
-            else:
-                for a in ids1:
-                    for b in ids2:
-                        if a == b:
-                            continue
-                        key = (a << shift) | b if a < b else (b << shift) | a
-                        common[key] = common_get(key, 0) + 1
-                        arcs[key] = arcs_get(key, 0.0) + contribution
-        return common, arcs
-
-    def _materialize_arrays(self) -> dict[tuple[str, str], float]:
-        from repro.metablocking.weighting import weight_pair_table
-
-        table = pair_table_for(self.blocks)
-        self._pair_table = table
-        if not table.pairs:
-            return {}
-        weights = weight_pair_table(self.scheme, self.blocks, table)
-        return dict(zip(table.pairs, weights.tolist()))
-
-    def _materialize_slow(self) -> dict[tuple[str, str], float]:
-        stats = self._pair_statistics()
-        self.scheme.prepare(self.blocks, stats)
-        return {
-            pair: self.scheme.weight(pair[0], pair[1], common, arcs)
-            for pair, (common, arcs) in stats.items()
-        }
-
-    def _materialize_ids(self) -> dict[tuple[str, str], float]:
-        common, arcs = self._pair_statistics_ids()
-        uris = self.blocks.interner().uri_table()
-        shift, mask = PAIR_SHIFT, PAIR_MASK
-        if not self.scheme.prepare_ids(self.blocks, common):
-            # Scheme without an id fast path: translate the statistics to
-            # the string API once and weight through the generic hooks.
-            stats: dict[tuple[str, str], tuple[int, float]] = {}
-            for key, count in common.items():
-                uri_a, uri_b = uris[key >> shift], uris[key & mask]
-                if uri_b < uri_a:
-                    uri_a, uri_b = uri_b, uri_a
-                stats[(uri_a, uri_b)] = (count, arcs[key])
-            self.scheme.prepare(self.blocks, stats)
-            return {
-                pair: self.scheme.weight(pair[0], pair[1], count, arc)
-                for pair, (count, arc) in stats.items()
-            }
-        weight_ids = self.scheme.weight_ids
-        edges: dict[tuple[str, str], float] = {}
-        for key, count in common.items():
-            id_a, id_b = key >> shift, key & mask
-            uri_a, uri_b = uris[id_a], uris[id_b]
-            if uri_b < uri_a:
-                uri_a, uri_b = uri_b, uri_a
-                id_a, id_b = id_b, id_a
-            edges[(uri_a, uri_b)] = weight_ids(id_a, id_b, count, arcs[key])
-        return edges
-
     def materialize(self) -> dict[tuple[str, str], float]:
         """Compute (once) and return the pair → weight map."""
         if self._edges is None:
-            if not self.fast_path:
-                self._edges = self._materialize_slow()
-            elif _np is not None:
-                self._edges = self._materialize_arrays()
-            else:
-                self._edges = self._materialize_ids()
+            table = self._pair_table = pair_table_for(self.blocks)
+            weights = weight_pair_table(self.scheme, self.blocks, table)
+            self._edges = dict(zip(table.pairs, weights.tolist()))
         return self._edges
 
     # -- access -------------------------------------------------------------
@@ -406,12 +273,11 @@ class BlockingGraph:
             seen.add(right)
         return sorted(seen)
 
-    def pair_table(self) -> PairTable | None:
-        """The pair table backing this graph's edges, or None.
+    def pair_table(self) -> PairTable:
+        """The pair table backing this graph's edges.
 
-        Only set after the array fast path materialized the graph; rows
-        align one-to-one with :meth:`materialize` iteration order, which
-        is what lets pruning run vectorized over the same arrays.
+        Rows align one-to-one with :meth:`materialize` iteration order,
+        which is what lets pruning run vectorized over the same arrays.
         """
         self.materialize()
         return self._pair_table

@@ -20,19 +20,18 @@ algorithms (plus reciprocal node-centric variants):
 ==========  =================================================================
 
 All schemes return deterministic, weight-then-pair ordered edge lists so
-experiment tables are stable across runs.
+experiment tables are stable across runs.  The node-centric schemes run
+vectorized over the graph's pair table; the adjacency-dict loops they
+replaced are the test oracle (``tests/metablocking/string_graph_oracle.py``)
+they stay bit-identical to.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from abc import ABC, abstractmethod
 
-try:  # pragma: no cover - exercised through the vectorized prune paths
-    import numpy as _np
-except ImportError:  # pragma: no cover - the container ships numpy
-    _np = None
+import numpy as _np
 
 from repro.metablocking.graph import BlockingGraph, WeightedEdge
 
@@ -45,18 +44,15 @@ def _ranked(edges: list[WeightedEdge]) -> list[WeightedEdge]:
 
 
 def _directed_view(graph: BlockingGraph):
-    """Edge arrays plus the interleaved directed layout of a fast graph.
+    """Edge arrays plus the interleaved directed layout of a graph.
 
-    Returns ``(table, weights, node, weight_directed)`` or None when the
-    graph has no pair table (slow path / no numpy).  The directed arrays
-    interleave each edge's two endpoints (left at ``2i``, right at
+    Returns ``(table, weights, node, weight_directed)``.  The directed
+    arrays interleave each edge's two endpoints (left at ``2i``, right at
     ``2i+1``), which is exactly the order the adjacency-dict construction
     appends neighbours in — so per-node float accumulations over this
     layout are bit-identical to sums over ``adjacency()`` lists.
     """
     table = graph.pair_table()
-    if _np is None or table is None:
-        return None
     edges = graph.materialize()
     count = len(edges)
     weights = _np.fromiter(edges.values(), dtype=_np.float64, count=count)
@@ -132,8 +128,8 @@ class CEP(PruningScheme):
     def budget_from_blocks(self, blocks) -> int:
         """The K derived from a block collection's statistics.
 
-        Shared with the parallel formulations so their budget can never
-        drift from the sequential derivation.
+        Shared with the MapReduce jobs so their budget can never drift
+        from the sequential derivation.
         """
         if self.k is not None:
             return self.k
@@ -153,34 +149,14 @@ class WNP(PruningScheme):
     required_votes = 1
 
     def prune(self, graph: BlockingGraph) -> list[WeightedEdge]:
-        view = _directed_view(graph)
-        if view is not None:
-            return self._prune_arrays(view)
-        adjacency = graph.adjacency()
-        thresholds: dict[str, float] = {}
-        for node, neighbors in adjacency.items():
-            if neighbors:
-                thresholds[node] = sum(w for _, w in neighbors) / len(neighbors)
-        survivors: list[WeightedEdge] = []
-        for edge in graph.edges():
-            votes = 0
-            if edge.weight >= thresholds.get(edge.left, math.inf):
-                votes += 1
-            if edge.weight >= thresholds.get(edge.right, math.inf):
-                votes += 1
-            if votes >= self.required_votes:
-                survivors.append(edge)
-        return _ranked(survivors)
-
-    def _prune_arrays(self, view) -> list[WeightedEdge]:
         """Vectorized WNP: per-node mean thresholds over the int arrays.
 
         ``bincount`` accumulates in the interleaved directed order, so the
         per-node sums (and hence thresholds) are bit-identical to the
-        adjacency-dict formulation above.
+        adjacency-dict formulation.
         """
         np = _np
-        table, weights, node, weight_directed = view
+        table, weights, node, weight_directed = _directed_view(graph)
         entities = len(table.uri_rank)
         if not len(weights):
             return []
@@ -232,38 +208,17 @@ class CNP(PruningScheme):
         return max(1, math.ceil(avg_assignments) - 1)
 
     def prune(self, graph: BlockingGraph) -> list[WeightedEdge]:
-        k = self.node_budget(graph)
-        view = _directed_view(graph)
-        if view is not None:
-            return self._prune_arrays(view, k)
-        adjacency = graph.adjacency()
-        kept_by_node: dict[str, set[str]] = {}
-        # heapq.nsmallest == sorted(...)[:k] (same key, same ties), but
-        # O(n log k) per node instead of a full O(n log n) sort.
-        for node, neighbors in adjacency.items():
-            top = heapq.nsmallest(k, neighbors, key=lambda nw: (-nw[1], nw[0]))
-            kept_by_node[node] = {other for other, _ in top}
-        survivors: list[WeightedEdge] = []
-        for edge in graph.edges():
-            votes = 0
-            if edge.right in kept_by_node.get(edge.left, ()):
-                votes += 1
-            if edge.left in kept_by_node.get(edge.right, ()):
-                votes += 1
-            if votes >= self.required_votes:
-                survivors.append(edge)
-        return _ranked(survivors)
-
-    def _prune_arrays(self, view, k: int) -> list[WeightedEdge]:
         """Vectorized CNP: one lexsort ranks every node's neighbourhood.
 
         Sorting the directed entries by ``(node, -weight, neighbour URI
         rank)`` makes each node's top-k a contiguous prefix of its group —
-        the same deterministic order the heap selection above uses, with
-        integer ranks standing in for the URI tie-break.
+        the deterministic order a per-node ``(-weight, URI)`` top-k
+        selection uses, with integer ranks standing in for the URI
+        tie-break.
         """
         np = _np
-        table, weights, node, weight_directed = view
+        k = self.node_budget(graph)
+        table, weights, node, weight_directed = _directed_view(graph)
         if not len(weights):
             return []
         rank = table.uri_rank

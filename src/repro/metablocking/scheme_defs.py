@@ -1,11 +1,12 @@
 """The six weighting-scheme formulas, defined exactly once.
 
-Every execution surface — the scalar string path and the id/array fast
-paths in :mod:`repro.metablocking.weighting` (which the sequential,
-MapReduce and streaming backends all flow through), and the relational
-backend's SQL compiler (:mod:`repro.sqlbackend.compile`) — consumes the
-definitions in this module, so a formula lives in one place and the
-cross-backend bit-identity contract has a single source of truth.
+Every execution surface — the array kernels and the string plugin API of
+:mod:`repro.metablocking.weighting` (which the sequential and MapReduce
+backends flow through), the streaming backend's per-pair weights
+(:mod:`repro.stream.pairs`) and the relational backend's SQL compiler
+(:mod:`repro.sqlbackend.compile`) — consumes the definitions in this
+module, so a formula lives in one place and the cross-backend
+bit-identity contract has a single source of truth.
 
 Three kinds of definition per scheme:
 
@@ -31,10 +32,7 @@ from __future__ import annotations
 
 import math
 
-try:  # pragma: no cover - exercised through the array kernels
-    import numpy as _np
-except ImportError:  # pragma: no cover - the container ships numpy
-    _np = None
+import numpy as _np
 
 #: canonical scheme names, in the table order used by sweeps
 SCHEME_NAMES = ("CBS", "ECBS", "JS", "EJS", "ARCS", "X2")

@@ -18,21 +18,19 @@ parallel meta-blocking paper [4]) are implemented:
             blocks b: small (selective) blocks count more.
 ==========  ==================================================================
 
-Every scheme supports two evaluation paths with bit-identical results:
+Every built-in scheme is evaluated as array expressions over a pair
+table's columns: :meth:`~WeightingScheme.prepare_arrays` once
+(precomputing per-entity factors — block counts, degrees and their log
+discounts — indexed by dense entity id, one log per entity instead of one
+per edge endpoint visit), then :meth:`~WeightingScheme.weight_array` over
+all edges.  The string API — :meth:`~WeightingScheme.prepare` once, then
+:meth:`~WeightingScheme.weight` per URI pair — is the registry's plugin
+contract (a scheme that implements only it is weighted row by row) and
+the input of the test oracle, with bit-identical results.
 
-* the **string path** — :meth:`~WeightingScheme.prepare` once, then
-  :meth:`~WeightingScheme.weight` per URI pair (the original API, used by
-  the reference graph construction and the MapReduce jobs);
-* the **id fast path** — :meth:`~WeightingScheme.prepare_ids` once
-  (precomputing per-entity factors — block counts, degrees and their log
-  discounts — as flat lists indexed by dense entity id), then
-  :meth:`~WeightingScheme.weight_ids` per packed pair.  Log factors are
-  computed once per entity instead of once per edge endpoint visit.
-
-``weight_ids`` must be called with ``id_a`` naming the endpoint whose URI
-sorts first, mirroring the canonical argument order of ``weight`` — float
-products associate left-to-right, so argument order is part of the
-bit-identity contract.
+``ids_a`` names the endpoint whose URI sorts first, mirroring the
+canonical argument order of ``weight`` — float products associate
+left-to-right, so argument order is part of the bit-identity contract.
 
 The formulas themselves live in :mod:`repro.metablocking.scheme_defs`
 (shared with the SQL compiler); the classes here only orchestrate the
@@ -43,23 +41,19 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 
-try:  # pragma: no cover - exercised through the array fast path
-    import numpy as _np
-except ImportError:  # pragma: no cover - the container ships numpy
-    _np = None
+import numpy as _np
 
 from repro.blocking.block import BlockCollection
 from repro.metablocking import scheme_defs
-from repro.model.interner import PAIR_MASK, PAIR_SHIFT
 
 
 class WeightingScheme(ABC):
     """Base class: per-pair weight from co-occurrence statistics.
 
-    :meth:`prepare` (or :meth:`prepare_ids`) is called once with the full
-    statistics so schemes can compute global quantities (block counts,
-    node degrees); :meth:`weight` (or :meth:`weight_ids`) is then called
-    per pair.
+    :meth:`prepare` (or :meth:`prepare_arrays`) is called once with the
+    full statistics so schemes can compute global quantities (block
+    counts, node degrees); :meth:`weight` is then called per pair (or
+    :meth:`weight_array` once over all of them).
     """
 
     #: short name used in experiment tables (overridden per scheme)
@@ -71,34 +65,6 @@ class WeightingScheme(ABC):
         pair_stats: dict[tuple[str, str], tuple[int, float]],
     ) -> None:
         """Hook for global precomputation (default: none)."""
-
-    def prepare_ids(
-        self,
-        blocks: BlockCollection,
-        pair_common: dict[int, int],
-    ) -> bool:
-        """Prepare the int-id fast path from packed-pair statistics.
-
-        Args:
-            blocks: the block collection (for its id views).
-            pair_common: packed pair → number of common blocks.
-
-        Returns:
-            True when the scheme supports :meth:`weight_ids`; the default
-            implementation opts out, making the graph fall back to the
-            string API.
-        """
-        return False
-
-    def weight_ids(
-        self, id_a: int, id_b: int, common_blocks: int, arcs: float
-    ) -> float:
-        """Weight of the edge (id_a, id_b); requires :meth:`prepare_ids`.
-
-        ``id_a`` must be the endpoint whose URI is lexicographically
-        smaller (see module docstring).
-        """
-        raise NotImplementedError(f"{self.name} has no id fast path")
 
     def prepare_arrays(self, blocks: BlockCollection, ids_a, ids_b, common) -> bool:
         """Prepare the vectorized path from distinct-edge endpoint arrays.
@@ -112,7 +78,7 @@ class WeightingScheme(ABC):
         Returns:
             True when the scheme supports :meth:`weight_array`; the
             default opts out, making the graph fall back to the string
-            API.  Requires numpy.
+            API.
         """
         return False
 
@@ -136,16 +102,9 @@ class WeightingScheme(ABC):
         """
 
 
-def _blocks_per_entity_ids(blocks: BlockCollection) -> list[int]:
-    """Per-entity placement counts, indexed by dense id."""
-    return [len(ordinals) for ordinals in blocks.id_entity_index()]
-
-
 def _placement_counts_array(blocks: BlockCollection):
-    """Per-entity placement counts as an int64 array (numpy path)."""
-    csr = blocks.id_arrays()
-    assert csr is not None
-    return _np.bincount(csr.sides, minlength=len(blocks.interner()))
+    """Per-entity placement counts as an int64 array, indexed by dense id."""
+    return _np.bincount(blocks.id_arrays().sides, minlength=len(blocks.interner()))
 
 
 class CBS(WeightingScheme):
@@ -153,14 +112,8 @@ class CBS(WeightingScheme):
 
     name = "CBS"
 
-    def prepare_ids(self, blocks, pair_common) -> bool:
-        return True
-
-    def weight_ids(self, id_a, id_b, common_blocks, arcs) -> float:
-        return scheme_defs.cbs_weight(common_blocks)
-
     def prepare_arrays(self, blocks, ids_a, ids_b, common) -> bool:
-        return _np is not None
+        return True
 
     def weight_array(self, ids_a, ids_b, common, arcs):
         return scheme_defs.cbs_weights(common)
@@ -182,7 +135,6 @@ class ECBS(WeightingScheme):
     def __init__(self) -> None:
         self._total_blocks = 1
         self._blocks_per_entity: dict[str, int] = {}
-        self._log_factor: list[float] = []
         self._log_factor_array = None
 
     def prepare(self, blocks, pair_stats) -> None:
@@ -191,22 +143,7 @@ class ECBS(WeightingScheme):
             uri: len(keys) for uri, keys in blocks.entity_index().items()
         }
 
-    def prepare_ids(self, blocks, pair_common) -> bool:
-        total = max(len(blocks), 1)
-        self._total_blocks = total
-        # one log per entity, not per edge
-        self._log_factor = scheme_defs.ecbs_log_factors(
-            total, _blocks_per_entity_ids(blocks)
-        )
-        return True
-
-    def weight_ids(self, id_a, id_b, common_blocks, arcs) -> float:
-        factor = self._log_factor
-        return scheme_defs.factor_product(common_blocks, factor[id_a], factor[id_b])
-
     def prepare_arrays(self, blocks, ids_a, ids_b, common) -> bool:
-        if _np is None:
-            return False
         total = max(len(blocks), 1)
         self._total_blocks = total
         counts = _placement_counts_array(blocks)
@@ -237,7 +174,6 @@ class JS(WeightingScheme):
 
     def __init__(self) -> None:
         self._blocks_per_entity: dict[str, int] = {}
-        self._block_counts: list[int] = []
         self._block_counts_array = None
 
     def prepare(self, blocks, pair_stats) -> None:
@@ -245,18 +181,7 @@ class JS(WeightingScheme):
             uri: len(keys) for uri, keys in blocks.entity_index().items()
         }
 
-    def prepare_ids(self, blocks, pair_common) -> bool:
-        self._block_counts = _blocks_per_entity_ids(blocks)
-        return True
-
-    def weight_ids(self, id_a, id_b, common_blocks, arcs) -> float:
-        counts = self._block_counts
-        union = scheme_defs.js_union(counts[id_a], counts[id_b], common_blocks)
-        return scheme_defs.js_weight(common_blocks, union)
-
     def prepare_arrays(self, blocks, ids_a, ids_b, common) -> bool:
-        if _np is None:
-            return False
         self._block_counts_array = _placement_counts_array(blocks)
         return True
 
@@ -288,7 +213,6 @@ class EJS(WeightingScheme):
         self._js = JS()
         self._edge_count = 1
         self._degrees: dict[str, int] = {}
-        self._log_factor: list[float] = []
         self._log_factor_array = None
 
     def prepare(self, blocks, pair_stats) -> None:
@@ -300,35 +224,16 @@ class EJS(WeightingScheme):
             degrees[right] = degrees.get(right, 0) + 1
         self._degrees = degrees
 
-    def prepare_ids(self, blocks, pair_common) -> bool:
-        self._js.prepare_ids(blocks, pair_common)
-        edge_count = max(len(pair_common), 1)
-        degrees = [0] * len(blocks.id_entity_index())
-        for key in pair_common:
-            degrees[key >> PAIR_SHIFT] += 1
-            degrees[key & PAIR_MASK] += 1
-        self._set_log_factor(edge_count, degrees)
-        return True
-
-    def _set_log_factor(self, edge_count: int, degrees) -> None:
-        self._edge_count = edge_count
-        self._log_factor = scheme_defs.ejs_log_factors(edge_count, degrees)
-
-    def weight_ids(self, id_a, id_b, common_blocks, arcs) -> float:
-        js = self._js.weight_ids(id_a, id_b, common_blocks, arcs)
-        factor = self._log_factor
-        return scheme_defs.factor_product(js, factor[id_a], factor[id_b])
-
     def prepare_arrays(self, blocks, ids_a, ids_b, common) -> bool:
-        if _np is None:
-            return False
         self._js.prepare_arrays(blocks, ids_a, ids_b, common)
         entities = len(blocks.interner())
         degrees = _np.bincount(ids_a, minlength=entities) + _np.bincount(
             ids_b, minlength=entities
         )
-        self._set_log_factor(max(len(common), 1), degrees.tolist())
-        self._log_factor_array = _np.asarray(self._log_factor)
+        self._edge_count = max(len(common), 1)
+        self._log_factor_array = _np.array(
+            scheme_defs.ejs_log_factors(self._edge_count, degrees.tolist())
+        )
         return True
 
     def weight_array(self, ids_a, ids_b, common, arcs):
@@ -353,14 +258,8 @@ class ARCS(WeightingScheme):
 
     name = "ARCS"
 
-    def prepare_ids(self, blocks, pair_common) -> bool:
-        return True
-
-    def weight_ids(self, id_a, id_b, common_blocks, arcs) -> float:
-        return scheme_defs.arcs_weight(arcs)
-
     def prepare_arrays(self, blocks, ids_a, ids_b, common) -> bool:
-        return _np is not None
+        return True
 
     def weight_array(self, ids_a, ids_b, common, arcs):
         return scheme_defs.arcs_weight(arcs)
@@ -387,7 +286,6 @@ class ChiSquare(WeightingScheme):
     def __init__(self) -> None:
         self._total_blocks = 1
         self._blocks_per_entity: dict[str, int] = {}
-        self._block_counts: list[int] = []
         self._block_counts_array = None
 
     def prepare(self, blocks, pair_stats) -> None:
@@ -396,18 +294,7 @@ class ChiSquare(WeightingScheme):
             uri: len(keys) for uri, keys in blocks.entity_index().items()
         }
 
-    def prepare_ids(self, blocks, pair_common) -> bool:
-        self._total_blocks = max(len(blocks), 1)
-        self._block_counts = _blocks_per_entity_ids(blocks)
-        return True
-
-    def weight_ids(self, id_a, id_b, common_blocks, arcs) -> float:
-        counts = self._block_counts
-        return self._statistic(common_blocks, counts[id_a], counts[id_b])
-
     def prepare_arrays(self, blocks, ids_a, ids_b, common) -> bool:
-        if _np is None:
-            return False
         self._total_blocks = max(len(blocks), 1)
         self._block_counts_array = _placement_counts_array(blocks)
         return True
@@ -421,9 +308,6 @@ class ChiSquare(WeightingScheme):
     def weight(self, uri_a: str, uri_b: str, common_blocks: int, arcs: float) -> float:
         in_a = self._blocks_per_entity.get(uri_a, 0)
         in_b = self._blocks_per_entity.get(uri_b, 0)
-        return self._statistic(common_blocks, in_a, in_b)
-
-    def _statistic(self, common_blocks: int, in_a: int, in_b: int) -> float:
         return scheme_defs.chi_square_statistic(
             common_blocks, in_a, in_b, self._total_blocks
         )
@@ -436,11 +320,10 @@ def weight_pair_table(scheme: WeightingScheme, blocks: BlockCollection, table):
     spelled out for array-shaped statistics: schemes with a vectorized
     path are evaluated as array expressions; schemes without one fall
     back to the string API row by row.  Shared by the sequential
-    :meth:`~repro.metablocking.graph.BlockingGraph.materialize` fast path
-    and the MapReduce int-ID formulation, which guarantees both produce
-    bit-identical weights from identical statistics.
+    :meth:`~repro.metablocking.graph.BlockingGraph.materialize` and the
+    MapReduce jobs, which guarantees both produce bit-identical weights
+    from identical statistics.
     """
-    assert _np is not None
     if not table.pairs:
         return _np.empty(0, dtype=_np.float64)
     if scheme.prepare_arrays(blocks, table.ids_a, table.ids_b, table.common):

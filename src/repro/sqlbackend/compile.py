@@ -9,7 +9,7 @@ through the :class:`~repro.sqlbackend.engine.SqlEngine` hooks and
 
 Bit-identity notes (the contract gated in ``tests/api/``):
 
-* every float expression mirrors the numpy fast path operator for
+* every float expression mirrors the numpy kernels operator for
   operator — same association, same int→double promotion points;
 * unordered SQL aggregation over doubles is **never** used where the
   reference accumulates floats in a defined order (ARCS sums, WEP's

@@ -21,13 +21,12 @@ what query-time resolution needs.
 
 from __future__ import annotations
 
-import math
-
+from repro.metablocking import scheme_defs
 from repro.model.interner import PAIR_MASK, PAIR_SHIFT, pack_pair
 from repro.stream.index import DeltaConsumer, IncrementalBlockIndex
 
 #: the weighting-scheme names the table can evaluate
-SCHEME_NAMES = ("CBS", "ECBS", "JS", "EJS", "ARCS", "X2")
+SCHEME_NAMES = scheme_defs.SCHEME_NAMES
 
 
 class PairStatsView:
@@ -133,62 +132,38 @@ class PairStatsView:
             return self.arcs_of(id_a, id_b)
         common = self.common_of(id_a, id_b)
         if name == "CBS":
-            return float(common)
+            return scheme_defs.cbs_weight(common)
         placements = self.placements
+        total = max(self.active_blocks, 1)
         if name == "ECBS":
-            total = max(self.active_blocks, 1)
-            idf_a = math.log((total + 1) / placements.get(id_a, 1))
-            idf_b = math.log((total + 1) / placements.get(id_b, 1))
-            return common * idf_a * idf_b
-        if name == "JS":
-            return self._js(id_a, id_b, common)
-        if name == "EJS":
-            js = self._js(id_a, id_b, common)
+            idf_a = scheme_defs.ecbs_log_factor(total, placements.get(id_a, 1))
+            idf_b = scheme_defs.ecbs_log_factor(total, placements.get(id_b, 1))
+            return scheme_defs.factor_product(common, idf_a, idf_b)
+        in_a = placements.get(id_a, 0)
+        in_b = placements.get(id_b, 0)
+        if name in ("JS", "EJS"):
+            js = scheme_defs.js_weight(
+                common, scheme_defs.js_union(in_a, in_b, common)
+            )
+            if name == "JS":
+                return js
             edge_count = max(self.edge_count, 1)
-            deg_a = self.degrees.get(id_a) or 1
-            deg_b = self.degrees.get(id_b) or 1
-            idf_a = math.log((edge_count + 1) / deg_a)
-            idf_b = math.log((edge_count + 1) / deg_b)
-            return js * idf_a * idf_b
+            degrees = self.degrees
+            idf_a = scheme_defs.ejs_log_factor(edge_count, degrees.get(id_a, 0))
+            idf_b = scheme_defs.ejs_log_factor(edge_count, degrees.get(id_b, 0))
+            return scheme_defs.factor_product(js, idf_a, idf_b)
         if name == "X2":
-            return self._chi_square(id_a, id_b, common)
+            return scheme_defs.chi_square_statistic(common, in_a, in_b, total)
         raise KeyError(
             f"unknown weighting scheme {scheme_name!r}; choose from {SCHEME_NAMES}"
         )
 
-    def _js(self, id_a: int, id_b: int, common: int) -> float:
-        union = (
-            self.placements.get(id_a, 0) + self.placements.get(id_b, 0) - common
-        )
-        if union <= 0:
-            return 0.0
-        return common / union
-
-    def _chi_square(self, id_a: int, id_b: int, common: int) -> float:
-        # Mirrors ChiSquare._statistic's accumulation cell by cell.
-        total = max(self.active_blocks, 1)
-        in_a = self.placements.get(id_a, 0)
-        in_b = self.placements.get(id_b, 0)
-        observed = [
-            [common, in_a - common],
-            [in_b - common, total - in_a - in_b + common],
-        ]
-        row_sums = [in_a, total - in_a]
-        col_sums = [in_b, total - in_b]
-        statistic = 0.0
-        for i in range(2):
-            for j in range(2):
-                expected = row_sums[i] * col_sums[j] / total
-                if expected > 0:
-                    deviation = observed[i][j] - expected
-                    statistic += deviation * deviation / expected
-        return statistic
-
     def as_reference_stats(self) -> dict[tuple[str, str], tuple[int, float]]:
         """URI-keyed (common, arcs) map, comparable to the batch oracle.
 
-        Matches ``BlockingGraph(blocks, ...)._pair_statistics()`` over
-        the subclass's block universe — entry for entry.  Meant for the
+        Matches the string-loop oracle of the batch pair table
+        (``tests/metablocking/string_graph_oracle.py``) over the
+        subclass's block universe — entry for entry.  Meant for the
         equivalence suite and for audits; cost is O(pairs).
         """
         uris = self.interner().uri_table()

@@ -19,10 +19,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 
-try:  # pragma: no cover - exercised through cosine_many's fast path
-    import numpy as _np
-except ImportError:  # pragma: no cover - the container ships numpy
-    _np = None
+import numpy as _np
 
 from repro.matching.similarity import (
     cosine_many_vectors,
@@ -188,8 +185,6 @@ class StreamingSimilarityIndex:
         """
         if len(left) != len(right):
             raise ValueError("left and right must have equal length")
-        if _np is None:
-            return [self.cosine(a, b) for a, b in zip(left, right)]
         count = len(left)
         if count == 0:
             return _np.empty(0, dtype=_np.float64)

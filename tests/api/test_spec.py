@@ -136,6 +136,24 @@ class TestValidation:
         with pytest.raises(SpecError):
             PipelineSpec.from_dict({"backend": {"executor": "gpu"}})
 
+    def test_legacy_formulation_int_is_dropped(self):
+        plain = PipelineSpec.from_dict({"backend": {"kind": "mapreduce"}})
+        legacy = PipelineSpec.from_dict(
+            {"backend": {"kind": "mapreduce", "formulation": "int"}}
+        )
+        assert legacy == plain
+        assert legacy.cache_key() == plain.cache_key()
+        assert "formulation" not in legacy.to_dict()["backend"]
+        assert PipelineSpec.from_dict(legacy.to_dict()) == legacy
+
+    @pytest.mark.parametrize("value", ["string", "both", 3, None])
+    def test_removed_formulation_values_rejected(self, value):
+        with pytest.raises(SpecError, match="removed: the int-ID jobs"):
+            PipelineSpec.from_dict(
+                {"backend": {"kind": "mapreduce", "formulation": value}}
+            )
+        assert not hasattr(BackendSpec(), "formulation")
+
     def test_bad_reconcile_interval(self):
         with pytest.raises(SpecError):
             PipelineSpec.from_dict(

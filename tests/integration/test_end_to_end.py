@@ -116,8 +116,9 @@ class TestMapReduceEndToEnd:
     def test_parallel_pipeline_agrees_with_sequential(self, movies):
         from repro.mapreduce.engine import MapReduceEngine
         from repro.mapreduce.parallel_blocking import parallel_token_blocking
-        from repro.mapreduce.parallel_metablocking import parallel_metablocking
-        from repro.metablocking.graph import BlockingGraph
+        from repro.mapreduce.parallel_metablocking_ids import (
+            parallel_metablocking_ids,
+        )
 
         kb_a, kb_b, gold = movies
         platform = MinoanER()
@@ -129,10 +130,12 @@ class TestMapReduceEndToEnd:
         par_blocks, _ = parallel_token_blocking(engine, kb_a, kb_b)
         par_processed = platform.purging.process(par_blocks)
         par_processed = platform.filtering.process(par_processed)
-        par_edges, _ = parallel_metablocking(
+        par_edges, _ = parallel_metablocking_ids(
             engine, par_processed, platform.weighting, platform.pruning
         )
-        assert {e.pair for e in seq_edges} == {e.pair for e in par_edges}
+        assert [(e.pair, e.weight) for e in par_edges] == [
+            (e.pair, e.weight) for e in seq_edges
+        ]
 
     def test_simulated_speedup_monotone_on_average(self, center_dataset):
         from repro.mapreduce.engine import MapReduceEngine

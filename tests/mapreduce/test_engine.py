@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.mapreduce.engine import (
     JobMetrics,
     MapReduceEngine,
-    MapReduceJob,
     ProcessExecutor,
     SerialExecutor,
     hash_partitioner,
@@ -15,53 +15,33 @@ from repro.mapreduce.engine import (
 )
 from repro.utils.rng import stable_hash, stable_hash_int
 
+from .array_jobs import run_sum
 
-def word_count_job(with_combiner: bool = False) -> MapReduceJob:
-    def mapper(_key, line):
-        for word in line.split():
-            yield word, 1
-
-    def reducer(word, counts):
-        yield word, sum(counts)
-
-    return MapReduceJob(
-        name="word-count",
-        mapper=mapper,
-        reducer=reducer,
-        combiner=reducer if with_combiner else None,
-    )
-
-
-LINES = [
-    (0, "the quick brown fox"),
-    (1, "the lazy dog"),
-    (2, "the quick dog"),
-]
+LINES = ["the quick brown fox", "the lazy dog", "the quick dog"]
 EXPECTED = {"the": 3, "quick": 2, "brown": 1, "fox": 1, "lazy": 1, "dog": 2}
+WORDS = [word for line in LINES for word in line.split()]
+VOCABULARY = sorted(set(WORDS))
+
+
+def word_count(engine: MapReduceEngine, words=WORDS):
+    """Word count as a sum-by-key array job over vocabulary ids."""
+    ids = [VOCABULARY.index(word) for word in words]
+    records, metrics = run_sum(engine, ids, [1] * len(ids))
+    return [(VOCABULARY[key], count) for key, count in records], metrics
 
 
 class TestEngine:
     def test_word_count(self):
-        output, _ = MapReduceEngine(workers=3).run(word_count_job(), LINES)
+        output, _ = word_count(MapReduceEngine(workers=3))
         assert dict(output) == EXPECTED
 
     def test_single_worker_equivalent(self):
-        out1, _ = MapReduceEngine(workers=1).run(word_count_job(), LINES)
-        out4, _ = MapReduceEngine(workers=4).run(word_count_job(), LINES)
+        out1, _ = word_count(MapReduceEngine(workers=1))
+        out4, _ = word_count(MapReduceEngine(workers=4))
         assert dict(out1) == dict(out4)
 
-    def test_combiner_preserves_result(self):
-        plain, _ = MapReduceEngine(workers=2).run(word_count_job(), LINES)
-        combined, _ = MapReduceEngine(workers=2).run(word_count_job(True), LINES)
-        assert dict(plain) == dict(combined)
-
-    def test_combiner_reduces_shuffle(self):
-        _, plain = MapReduceEngine(workers=1).run(word_count_job(), LINES)
-        _, combined = MapReduceEngine(workers=1).run(word_count_job(True), LINES)
-        assert combined.shuffle_records < plain.shuffle_records
-
     def test_empty_input(self):
-        output, metrics = MapReduceEngine(workers=2).run(word_count_job(), [])
+        output, metrics = word_count(MapReduceEngine(workers=2), [])
         assert output == []
         assert metrics.map_input_records == 0
 
@@ -70,37 +50,21 @@ class TestEngine:
             MapReduceEngine(workers=0)
 
     def test_more_workers_than_records(self):
-        output, _ = MapReduceEngine(workers=16).run(word_count_job(), LINES)
+        output, _ = word_count(MapReduceEngine(workers=16))
         assert dict(output) == EXPECTED
-
-    def test_run_chain(self):
-        def invert_mapper(word, count):
-            yield count, word
-
-        def collect_reducer(count, word_list):
-            yield count, sorted(word_list)
-
-        chain = [
-            word_count_job(),
-            MapReduceJob(name="invert", mapper=invert_mapper, reducer=collect_reducer),
-        ]
-        output, metrics = MapReduceEngine(workers=2).run_chain(chain, LINES)
-        result = dict(output)
-        assert result[3] == ["the"]
-        assert set(result[2]) == {"dog", "quick"}
-        assert len(metrics) == 2
 
 
 class TestMetrics:
     def run_metrics(self, workers: int) -> JobMetrics:
-        _, metrics = MapReduceEngine(workers=workers).run(word_count_job(), LINES)
+        _, metrics = word_count(MapReduceEngine(workers=workers))
         return metrics
 
     def test_counters(self):
         metrics = self.run_metrics(2)
-        assert metrics.map_input_records == 3
-        assert metrics.map_output_records == 10
-        assert metrics.shuffle_records == 10
+        assert metrics.map_input_records == 10
+        # Each 5-word split holds 4 distinct words after the local fold.
+        assert metrics.map_output_records == 8
+        assert metrics.shuffle_records == 8
         assert metrics.reduce_groups == 6
         assert metrics.reduce_output_records == 6
         assert metrics.shuffle_bytes > 0
@@ -116,7 +80,7 @@ class TestMetrics:
         assert parallel <= sequential
 
     def test_skew_of_empty_run(self):
-        _, metrics = MapReduceEngine(workers=2).run(word_count_job(), [])
+        _, metrics = word_count(MapReduceEngine(workers=2), [])
         assert metrics.skew == 1.0
 
     def test_skew_at_least_one(self):
@@ -148,7 +112,6 @@ class TestPartitioner:
                 )
 
     def test_scalar_matches_vectorized(self):
-        np = pytest.importorskip("numpy")
         from repro.mapreduce.records import stable_hash_int_array
 
         keys = np.array([0, 1, 7, (5 << 32) | 2, (1 << 62) + 13], dtype=np.int64)
@@ -160,15 +123,10 @@ class TestPartitioner:
 
     def test_partitioning_respected(self):
         # All records of one key land in the same reduce group exactly once.
-        def mapper(_k, v):
-            yield v % 5, 1
-
-        def reducer(k, values):
-            yield k, len(values)
-
-        job = MapReduceJob(name="mod", mapper=mapper, reducer=reducer)
-        output, _ = MapReduceEngine(workers=4).run(job, [(i, i) for i in range(100)])
-        assert dict(output) == {r: 20 for r in range(5)}
+        output, _ = run_sum(
+            MapReduceEngine(workers=4), [i % 5 for i in range(100)], [1] * 100
+        )
+        assert sorted(output) == [(r, 20) for r in range(5)]
 
 
 class TestExecutors:
@@ -183,29 +141,29 @@ class TestExecutors:
         if not ProcessExecutor.available():
             pytest.skip("fork start method unavailable")
         with MapReduceEngine(workers=2, executor="process") as engine:
-            output, metrics = engine.run(word_count_job(True), LINES)
+            output, metrics = word_count(engine)
         assert dict(output) == EXPECTED
         assert metrics.executor == "process"
 
     def test_executors_produce_identical_output(self):
         if not ProcessExecutor.available():
             pytest.skip("fork start method unavailable")
-        serial_out, _ = MapReduceEngine(workers=3).run(word_count_job(), LINES)
+        serial_out, _ = word_count(MapReduceEngine(workers=3))
         with MapReduceEngine(workers=3, executor="process") as engine:
-            process_out, _ = engine.run(word_count_job(), LINES)
+            process_out, _ = word_count(engine)
         assert serial_out == process_out  # order included
 
     def test_wall_clock_measured(self):
-        _, metrics = MapReduceEngine(workers=2).run(word_count_job(), LINES)
+        _, metrics = word_count(MapReduceEngine(workers=2))
         assert metrics.map_wall_s >= 0.0
         assert metrics.reduce_wall_s >= 0.0
         assert metrics.wall_s == metrics.map_wall_s + metrics.reduce_wall_s
 
-    def test_single_worker_process_runs_inline(self):
+    def test_single_worker_process_pool(self):
         if not ProcessExecutor.available():
             pytest.skip("fork start method unavailable")
         with MapReduceEngine(workers=1, executor="process") as engine:
-            output, _ = engine.run(word_count_job(), LINES)
+            output, _ = word_count(engine)
         assert dict(output) == EXPECTED
 
     def test_process_pool_close_idempotent(self):

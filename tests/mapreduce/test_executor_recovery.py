@@ -1,11 +1,10 @@
 """ProcessExecutor failure-path coverage: timeouts and worker deaths.
 
 The per-phase hard timeout exists so a deadlocked worker fails the job
-instead of hanging the driver.  These tests pin the whole path on both
-dispatch routes (picklable specs on the persistent pool, closure tasks
-on fork-inherited pools): the stuck phase raises, the stuck pool is
-torn down, and the executor remains usable — the next phase builds a
-fresh pool and completes.
+instead of hanging the driver.  These tests pin the whole path on the
+dispatch route (picklable specs on the persistent pool): the stuck
+phase raises, the stuck pool is torn down, and the executor remains
+usable — the next phase builds a fresh pool and completes.
 
 A worker *dying* mid-phase (OOM kill, segfault) is a different failure:
 ``multiprocessing.Pool`` silently respawns the process but the task it
@@ -23,18 +22,19 @@ import os
 import signal
 import time
 
+import numpy as np
 import pytest
 
-import numpy as np
-
 from repro.mapreduce import (
+    ArrayMapReduceJob,
     MapReduceEngine,
-    MapReduceJob,
     ProcessExecutor,
     SharedBlockStore,
     attach_array,
     leaked_segments,
 )
+
+from .array_jobs import SUM_JOB, run_sum
 
 pytestmark = pytest.mark.skipif(
     not ProcessExecutor.available(), reason="fork start method unavailable"
@@ -116,19 +116,6 @@ class TestSpecPathTimeout:
             executor.close()
 
 
-class TestClosureTaskPathTimeout:
-    def test_closure_tasks_honor_timeout_and_recover(self):
-        executor = ProcessExecutor(workers=2, task_timeout_s=0.2)
-        try:
-            with pytest.raises(RuntimeError, match="exceeded"):
-                executor.run_tasks(
-                    [lambda: time.sleep(30), lambda: time.sleep(30)]
-                )
-            assert executor.run_tasks([lambda: 1 + 1, lambda: 2 + 2]) == [2, 4]
-        finally:
-            executor.close()
-
-
 class TestWorkerDeathRecovery:
     def test_spec_phase_survives_one_worker_death(self, tmp_path):
         executor = ProcessExecutor(
@@ -138,19 +125,6 @@ class TestWorkerDeathRecovery:
         try:
             results = executor.run_specs(
                 [(_die_once_then, (sentinel, i)) for i in range(4)]
-            )
-            assert results == [0, 1, 2, 3]
-        finally:
-            executor.close()
-
-    def test_closure_phase_survives_one_worker_death(self, tmp_path):
-        executor = ProcessExecutor(
-            workers=2, task_timeout_s=30.0, retry_backoff_s=0.01
-        )
-        sentinel = str(tmp_path / "died-once")
-        try:
-            results = executor.run_tasks(
-                [lambda i=i: _die_once_then(sentinel, i) for i in range(4)]
             )
             assert results == [0, 1, 2, 3]
         finally:
@@ -259,28 +233,22 @@ class TestSegmentCleanupOnFailure:
         assert leaked_segments() == []
 
 
+def _map_stuck(chunk, partitions: int, params: dict):
+    time.sleep(30)
+    return [], 0  # pragma: no cover - the phase times out first
+
+
 class TestEngineLevelTimeout:
     def test_stuck_map_phase_fails_the_job(self):
-        def stuck_mapper(_key, _value):
-            time.sleep(30)
-            yield _key, _value
-
-        def reducer(key, values):
-            yield key, len(values)
-
-        job = MapReduceJob(name="stuck", mapper=stuck_mapper, reducer=reducer)
+        stuck_job = ArrayMapReduceJob("stuck", _map_stuck, SUM_JOB.reducer)
         engine = MapReduceEngine(
             workers=2, executor=ProcessExecutor(workers=2, task_timeout_s=0.2)
         )
         try:
             with pytest.raises(RuntimeError, match="exceeded"):
-                engine.run(job, [(i, i) for i in range(4)])
+                run_sum(engine, range(4), range(4), job=stuck_job)
             # The engine (same executor instance) recovers for the next job.
-            def mapper(key, value):
-                yield value % 2, 1
-
-            ok_job = MapReduceJob(name="ok", mapper=mapper, reducer=reducer)
-            output, metrics = engine.run(ok_job, [(i, i) for i in range(8)])
+            output, metrics = run_sum(engine, [i % 2 for i in range(8)], [1] * 8)
             assert dict(output) == {0: 4, 1: 4}
             assert metrics.executor == "process"
         finally:

@@ -1,11 +1,10 @@
 """Bit-identity suite: int-ID parallel meta-blocking == sequential graph.
 
-The int-ID MapReduce formulation promises results **bit-identical** to
-the sequential :class:`~repro.metablocking.graph.BlockingGraph` fast
-path — pairs, float weights and surviving-edge order — for all six
-weighting schemes × the four canonical pruners, on all three sample
-corpora, at every worker count, on both executors.  This suite is that
-promise spelled out.
+The MapReduce jobs promise results **bit-identical** to the sequential
+:class:`~repro.metablocking.graph.BlockingGraph` — pairs, float weights
+and surviving-edge order — for all six weighting schemes × the four
+canonical pruners, on all three sample corpora, at every worker count,
+on both executors.  This suite is that promise spelled out.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ def corpus_blocks():
 
 @pytest.fixture(scope="module")
 def sequential_edges(corpus_blocks):
-    """Expected (pair, weight) lists from the sequential fast path."""
+    """Expected (pair, weight) lists from the sequential graph."""
     expected = {}
     for corpus, blocks in corpus_blocks.items():
         for scheme_name in SCHEME_NAMES:
@@ -177,6 +176,25 @@ class TestReciprocalVariants:
             make_pruner(pruner_name),
         )
         assert _as_pairs(parallel) == expected
+
+
+class TestShuffleScaling:
+    def test_per_worker_shuffle_bytes_shrink_with_workers(self, center_dataset):
+        """Deterministic half of the retired perf bench's worker sweep:
+        the total shuffle volume is a property of the workload, but the
+        most-loaded partition's share must strictly shrink as workers
+        are added (summed over the three jobs of an ARCS / CNP run)."""
+        blocks = TokenBlocking().build(center_dataset.kb1, center_dataset.kb2)
+        per_worker = []
+        for workers in (1, 2, 4):
+            _, metrics = parallel_metablocking_ids(
+                MapReduceEngine(workers=workers),
+                blocks,
+                make_scheme("ARCS"),
+                make_pruner("CNP"),
+            )
+            per_worker.append(sum(m.shuffle_bytes_per_worker for m in metrics))
+        assert per_worker[0] > per_worker[1] > per_worker[2] > 0, per_worker
 
 
 class TestEdgeCases:

@@ -1,90 +1,53 @@
 """Property test: the MapReduce engine equals a sequential reference
-implementation for arbitrary jobs, inputs and worker counts."""
+fold for arbitrary inputs and worker counts."""
 
 from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.mapreduce.engine import MapReduceEngine, MapReduceJob
+from repro.mapreduce.engine import MapReduceEngine
+
+from .array_jobs import run_sum
 
 records = st.lists(
     st.tuples(st.integers(0, 50), st.integers(-100, 100)), max_size=80
 )
 
 
-def reference(mapper, reducer, data):
-    grouped: dict = {}
+def reference(data):
+    sums: dict[int, int] = {}
     for key, value in data:
-        for out_key, out_value in mapper(key, value):
-            grouped.setdefault(out_key, []).append(out_value)
-    output = []
-    for key in grouped:
-        output.extend(reducer(key, grouped[key]))
-    return sorted(output, key=repr)
+        sums[key % 7] = sums.get(key % 7, 0) + value
+    return sorted(sums.items())
 
 
-def sum_mapper(key, value):
-    yield key % 7, value
-
-
-def sum_reducer(key, values):
-    yield key, sum(values)
-
-
-def fanout_mapper(key, value):
-    yield key % 3, value
-    if value % 2 == 0:
-        yield "even", 1
-
-
-def count_reducer(key, values):
-    yield key, len(values)
+def run(workers, data):
+    return run_sum(
+        MapReduceEngine(workers), [key % 7 for key, _ in data], [v for _, v in data]
+    )
 
 
 class TestGenericEquivalence:
     @settings(max_examples=40, deadline=None)
     @given(records, st.integers(1, 9))
     def test_sum_job(self, data, workers):
-        job = MapReduceJob("sum", sum_mapper, sum_reducer)
-        output, _ = MapReduceEngine(workers).run(job, data)
-        assert sorted(output, key=repr) == reference(sum_mapper, sum_reducer, data)
-
-    @settings(max_examples=40, deadline=None)
-    @given(records, st.integers(1, 9))
-    def test_fanout_job(self, data, workers):
-        job = MapReduceJob("fanout", fanout_mapper, count_reducer)
-        output, _ = MapReduceEngine(workers).run(job, data)
-        assert sorted(output, key=repr) == reference(
-            fanout_mapper, count_reducer, data
-        )
-
-    @settings(max_examples=40, deadline=None)
-    @given(records, st.integers(1, 9))
-    def test_combiner_transparent_for_associative_reduce(self, data, workers):
-        with_combiner = MapReduceJob("sum", sum_mapper, sum_reducer, combiner=sum_reducer)
-        without = MapReduceJob("sum", sum_mapper, sum_reducer)
-        engine = MapReduceEngine(workers)
-        out_with, metrics_with = engine.run(with_combiner, data)
-        out_without, metrics_without = engine.run(without, data)
-        assert sorted(out_with, key=repr) == sorted(out_without, key=repr)
-        assert metrics_with.shuffle_records <= metrics_without.shuffle_records
+        output, _ = run(workers, data)
+        assert sorted(output) == reference(data)
 
     @settings(max_examples=30, deadline=None)
     @given(records)
     def test_worker_count_invariance(self, data):
-        job = MapReduceJob("sum", sum_mapper, sum_reducer)
-        baseline, _ = MapReduceEngine(1).run(job, data)
+        baseline, _ = run(1, data)
         for workers in (2, 5, 8):
-            output, metrics = MapReduceEngine(workers).run(job, data)
-            assert sorted(output, key=repr) == sorted(baseline, key=repr)
+            output, metrics = run(workers, data)
+            assert sorted(output) == sorted(baseline)
             assert metrics.map_input_records == len(data)
 
     @settings(max_examples=30, deadline=None)
     @given(records, st.integers(1, 9))
     def test_metric_conservation(self, data, workers):
-        job = MapReduceJob("sum", sum_mapper, sum_reducer)
-        _, metrics = MapReduceEngine(workers).run(job, data)
-        # Without a combiner every map output record crosses the shuffle.
+        _, metrics = run(workers, data)
+        # Every row a mapper emits after its local fold crosses the shuffle.
         assert metrics.shuffle_records == metrics.map_output_records
         assert len(metrics.reduce_task_costs) == workers
-        assert sum(1 for _ in data) == metrics.map_input_records
+        assert len(data) == metrics.map_input_records

@@ -1,6 +1,6 @@
-"""Equivalence: the int-id fast path == the retained string reference path.
+"""Equivalence: the columnar int-id graph == the string-tuple oracle.
 
-The fast path must be *bit-identical*, not approximately equal: pruning
+The array path must be *bit-identical*, not approximately equal: pruning
 schemes compare weights against thresholds and each other, so even a
 last-ulp drift could flip a survivor.  Every weighting scheme and every
 pruning scheme is exercised on both a clean-clean (center synthetic) and
@@ -14,9 +14,16 @@ import pytest
 from repro.blocking.filtering import BlockFiltering
 from repro.blocking.purging import BlockPurging
 from repro.blocking.token_blocking import TokenBlocking
-from repro.metablocking.graph import BlockingGraph
+from repro.metablocking.graph import BlockingGraph, pair_table_for
 from repro.metablocking.pruning import PRUNERS, make_pruner
 from repro.metablocking.weighting import SCHEMES, make_scheme
+
+from .string_graph_oracle import (
+    reference_edges,
+    reference_pair_statistics,
+    reference_prune,
+    sorted_edges,
+)
 
 
 def _build_blocks(kb1, kb2=None):
@@ -37,8 +44,9 @@ def dirty_blocks(dirty_dataset):
 
 
 def _graph_pair(blocks, scheme_name):
-    fast = BlockingGraph(blocks, make_scheme(scheme_name), fast_path=True)
-    slow = BlockingGraph(blocks, make_scheme(scheme_name), fast_path=False)
+    """The production graph and the oracle's pair → weight map."""
+    fast = BlockingGraph(blocks, make_scheme(scheme_name))
+    slow = reference_edges(blocks, make_scheme(scheme_name))
     return fast, slow
 
 
@@ -46,47 +54,52 @@ def _graph_pair(blocks, scheme_name):
 class TestWeightEquivalence:
     def test_center_weights_bit_identical(self, center_blocks, scheme_name):
         fast, slow = _graph_pair(center_blocks, scheme_name)
-        assert fast.materialize() == slow.materialize()
+        assert fast.materialize() == slow
 
     def test_dirty_weights_bit_identical(self, dirty_blocks, scheme_name):
         fast, slow = _graph_pair(dirty_blocks, scheme_name)
-        assert fast.materialize() == slow.materialize()
+        assert fast.materialize() == slow
 
     def test_edge_iteration_order_identical(self, center_blocks, scheme_name):
         fast, slow = _graph_pair(center_blocks, scheme_name)
         # Same insertion order too: adjacency construction (and thus any
         # float sums over neighbour lists) must agree between the paths.
-        assert list(fast.materialize()) == list(slow.materialize())
-        assert list(fast.edges()) == list(slow.edges())
+        assert list(fast.materialize()) == list(slow)
+        assert list(fast.edges()) == sorted_edges(slow)
 
 
 @pytest.mark.parametrize("pruner_name", sorted(PRUNERS))
 @pytest.mark.parametrize("scheme_name", sorted(SCHEMES))
 class TestPruningEquivalence:
     def test_center_pruned_edges_identical(self, center_blocks, scheme_name, pruner_name):
-        fast, slow = _graph_pair(center_blocks, scheme_name)
+        fast = BlockingGraph(center_blocks, make_scheme(scheme_name))
         pruner = make_pruner(pruner_name)
-        assert pruner.prune(fast) == pruner.prune(slow)
+        assert pruner.prune(fast) == reference_prune(
+            center_blocks, make_scheme(scheme_name), pruner
+        )
 
     def test_dirty_pruned_edges_identical(self, dirty_blocks, scheme_name, pruner_name):
-        fast, slow = _graph_pair(dirty_blocks, scheme_name)
+        fast = BlockingGraph(dirty_blocks, make_scheme(scheme_name))
         pruner = make_pruner(pruner_name)
-        assert pruner.prune(fast) == pruner.prune(slow)
+        assert pruner.prune(fast) == reference_prune(
+            dirty_blocks, make_scheme(scheme_name), pruner
+        )
 
 
 class TestStatisticsEquivalence:
-    def test_packed_statistics_match_reference(self, center_blocks):
-        graph = BlockingGraph(center_blocks, make_scheme("CBS"))
-        common, arcs = graph._pair_statistics_ids()
-        reference = graph._pair_statistics()
+    def test_pair_table_statistics_match_reference(self, center_blocks):
+        table = pair_table_for(center_blocks)
+        reference = reference_pair_statistics(center_blocks)
         uris = center_blocks.interner().uri_table()
-        translated = {}
-        for key, count in common.items():
-            uri_a, uri_b = uris[key >> 32], uris[key & 0xFFFFFFFF]
-            if uri_b < uri_a:
-                uri_a, uri_b = uri_b, uri_a
-            translated[(uri_a, uri_b)] = (count, arcs[key])
+        translated = {
+            (uris[id_a], uris[id_b]): (count, arcs)
+            for id_a, id_b, count, arcs in zip(
+                table.ids_a.tolist(), table.ids_b.tolist(),
+                table.common.tolist(), table.arcs.tolist(),
+            )
+        }
         assert translated == reference
+        assert table.pairs == list(translated) == list(reference)
 
     def test_top_edges_heap_matches_full_ranking(self, center_blocks):
         heap_graph = BlockingGraph(center_blocks, make_scheme("ARCS"))

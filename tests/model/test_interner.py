@@ -92,14 +92,6 @@ class TestBlockCollectionIdViews:
         # 2x2 cross pairs minus the (c, c) self-pair.
         assert card_b == 3
 
-    def test_id_entity_index_counts_match_string_index(self):
-        blocks = self.collection()
-        interner = blocks.interner()
-        string_index = blocks.entity_index()
-        id_index = blocks.id_entity_index()
-        for uri, keys in string_index.items():
-            assert len(id_index[interner.id_of(uri)]) == len(keys)
-
     def test_views_invalidated_on_mutation(self):
         blocks = self.collection()
         assert len(blocks.interner()) == 4

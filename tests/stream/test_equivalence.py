@@ -20,6 +20,8 @@ from repro.metablocking.pruning import PRUNERS, make_pruner
 from repro.metablocking.weighting import SCHEMES, make_scheme
 from repro.stream import StreamResolver
 
+from metablocking.string_graph_oracle import reference_pair_statistics
+
 CORPORA = {
     "restaurants": load_restaurants,
     "movies": load_movies,
@@ -101,7 +103,7 @@ class TestPairStatisticsEquivalence:
     def test_common_and_arcs_match_reference(self, corpus, streamed):
         kb1, kb2 = corpus
         raw = TokenBlocking().build(kb1, kb2)
-        reference = BlockingGraph(raw, make_scheme("CBS"))._pair_statistics()
+        reference = reference_pair_statistics(raw)
         assert streamed.pairs.as_reference_stats() == reference
 
     def test_global_factors_match_batch(self, corpus, streamed):
@@ -148,7 +150,7 @@ class TestDirtyStreaming:
         resolver = make_streamed(collection, None)
         raw = TokenBlocking().build(collection)
         assert_blocks_equal(resolver.index.snapshot(), raw)
-        reference = BlockingGraph(raw, make_scheme("CBS"))._pair_statistics()
+        reference = reference_pair_statistics(raw)
         assert resolver.pairs.as_reference_stats() == reference
         for scheme_name in sorted(SCHEMES):
             batch = make_pruner("CNP").prune(

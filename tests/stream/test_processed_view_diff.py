@@ -177,8 +177,7 @@ def test_reconcile_restores_exactness_under_any_interleaving(data):
 @given(data=st.data())
 def test_survivor_stats_follow_reconciled_view(data):
     """SurvivorPairTable == batch graph over the processed collection."""
-    from repro.metablocking.graph import BlockingGraph
-    from repro.metablocking.weighting import make_scheme
+    from metablocking.string_graph_oracle import reference_pair_statistics
 
     _name, two_sources, arrivals = _draw_arrivals(data)
     sources = ("kb1", "kb2") if two_sources else ("kb1",)
@@ -192,7 +191,7 @@ def test_survivor_stats_follow_reconciled_view(data):
             view.reconcile()
     view.reconcile()
     processed = index.snapshot_processed()
-    reference = BlockingGraph(processed, make_scheme("CBS"))._pair_statistics()
+    reference = reference_pair_statistics(processed)
     assert table.as_reference_stats() == reference
     assert table.active_blocks == len(processed)
     assert table.total_assignments == processed.total_assignments()

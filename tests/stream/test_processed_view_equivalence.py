@@ -17,11 +17,11 @@ from repro.blocking.filtering import BlockFiltering
 from repro.blocking.purging import BlockPurging
 from repro.blocking.token_blocking import TokenBlocking
 from repro.datasets import load_movies, load_people, load_restaurants
-from repro.metablocking.graph import BlockingGraph
-from repro.metablocking.weighting import make_scheme
 from repro.model.collection import EntityCollection
 from repro.stream import StreamResolver, WorkloadDriver
 from repro.stream.workload import SCENARIOS
+
+from metablocking.string_graph_oracle import reference_pair_statistics
 
 CORPORA = {
     "restaurants": load_restaurants,
@@ -105,7 +105,7 @@ def test_survivor_stats_match_processed_graph(corpus, replayed):
     resolver, _stats = replayed
     resolver.view.reconcile()
     processed = resolver.index.snapshot_processed()
-    reference = BlockingGraph(processed, make_scheme("CBS"))._pair_statistics()
+    reference = reference_pair_statistics(processed)
     assert resolver.view_pairs.as_reference_stats() == reference
     assert resolver.view_pairs.active_blocks == len(processed)
     assert resolver.view_pairs.total_assignments == processed.total_assignments()

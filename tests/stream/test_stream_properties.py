@@ -12,11 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.blocking.token_blocking import TokenBlocking
-from repro.metablocking.graph import BlockingGraph
-from repro.metablocking.weighting import make_scheme
 from repro.model.collection import EntityCollection
 from repro.model.description import EntityDescription
 from repro.stream import StreamResolver
+
+from metablocking.string_graph_oracle import reference_pair_statistics
 
 TOKENS = ["alpha", "beta", "gamma", "delta", "kappa", "sigma"]
 
@@ -52,7 +52,7 @@ def _assert_equivalent(resolver: StreamResolver, collection: EntityCollection):
     assert snapshot.keys() == batch.keys()
     for key in batch.keys():
         assert snapshot[key].entities1 == batch[key].entities1
-    reference = BlockingGraph(batch, make_scheme("CBS"))._pair_statistics()
+    reference = reference_pair_statistics(batch)
     assert resolver.pairs.as_reference_stats() == reference
 
 

@@ -364,6 +364,17 @@ class TestRun:
         # The error names the registered alternatives.
         assert "ARCS" in out
 
+    def test_removed_formulation_value_is_an_invalid_spec(self, capsys, tmp_path):
+        import json
+
+        path = str(tmp_path / "legacy.json")
+        with open(path, "w") as handle:
+            json.dump({"backend": {"kind": "mapreduce", "formulation": "string"}}, handle)
+        assert main(["run", "--spec", path]) == 2
+        out = capsys.readouterr().out
+        assert f"invalid spec {path}:" in out
+        assert "removed" in out
+
     def test_missing_spec_file_reports_cleanly(self, capsys):
         assert main(["run", "--spec", "/nonexistent/spec.json"]) == 2
         assert "not found" in capsys.readouterr().out
@@ -513,14 +524,14 @@ class TestMapReduce:
                 [
                     "mapreduce", "--kb1", kb_a, "--kb2", kb_b,
                     "--workers", "1", "2",
-                    "--executor", "serial", "--formulation", "both",
+                    "--executor", "serial",
                 ]
             )
             == 0
         )
         out = capsys.readouterr().out
         assert "MapReduce meta-blocking sweep" in out
-        assert "string" in out and "int" in out
+        assert "formulation" not in out
         assert "speedup" in out
 
     def test_process_executor(self, capsys, movies_paths):
@@ -547,6 +558,11 @@ class TestMapReduce:
         kb_a, _, _ = movies_paths
         with pytest.raises(SystemExit):
             main(["mapreduce", "--kb1", kb_a, "--executor", "gpu"])
+
+    def test_formulation_flag_is_gone(self, movies_paths):
+        kb_a, _, _ = movies_paths
+        with pytest.raises(SystemExit):
+            main(["mapreduce", "--kb1", kb_a, "--formulation", "int"])
 
 
 class TestObservability:
@@ -616,7 +632,7 @@ class TestObservability:
                 [
                     "mapreduce", "--kb1", kb_a, "--kb2", kb_b,
                     "--workers", "2", "--executor", "serial",
-                    "--formulation", "string", "--trace-dir", mr_dir,
+                    "--trace-dir", mr_dir,
                 ]
             )
             == 0
