@@ -208,15 +208,15 @@ class Pipeline:
     def meta_block(self, blocks: BlockCollection) -> list[WeightedEdge]:
         """Weight + prune the blocking graph sequentially.
 
-        The two stages get separate spans: edge materialization is
-        cached on the graph, so forcing it under the weighting span
-        leaves the pruning span with only the pruner's own work —
-        honest per-stage attribution at no extra cost.
+        The two stages get separate spans: the weight column is cached
+        on the graph, so forcing it under the weighting span leaves the
+        pruning span with only the pruner's own work — honest per-stage
+        attribution at no extra cost.
         """
         obs = self.obs
         graph = BlockingGraph(blocks, self.scheme)
         with obs.span("pipeline.weighting") as span:
-            span.set(pairs=len(graph.materialize()))
+            span.set(pairs=len(graph.weights))
         with obs.span("pipeline.pruning") as span:
             edges = self.pruner.prune(graph)
             span.set(edges=len(edges))

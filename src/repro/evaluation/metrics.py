@@ -90,15 +90,19 @@ def evaluate_blocks(
 
     The distinct comparisons are the rows of the collection's cached
     pair table (the one meta-blocking weighs), not a second enumeration
-    of every block.
+    of every block, and the gold pairs are looked up by packed id key —
+    no string is built per comparison.
     """
-    return evaluate_comparisons(
-        set(pair_table_for(blocks).pairs),
+    table = pair_table_for(blocks)
+    covered = int((table.rows_of(blocks.interner(), gold.matches) >= 0).sum())
+    return _blocking_quality(
+        covered,
+        len(table),
         gold,
         collection_size1,
         collection_size2,
-        blocks=len(blocks),
-        total_comparisons=blocks.total_comparisons(),
+        len(blocks),
+        blocks.total_comparisons(),
     )
 
 
@@ -112,8 +116,27 @@ def evaluate_comparisons(
 ) -> BlockingQuality:
     """PC/PQ/RR of an arbitrary comparison set (e.g. after meta-blocking)."""
     covered = sum(1 for pair in gold.matches if pair in comparisons)
+    return _blocking_quality(
+        covered,
+        len(comparisons),
+        gold,
+        collection_size1,
+        collection_size2,
+        blocks,
+        total_comparisons,
+    )
+
+
+def _blocking_quality(
+    covered: int,
+    distinct_count: int,
+    gold: GoldStandard,
+    collection_size1: int,
+    collection_size2: int | None,
+    blocks: int,
+    total_comparisons: int | None,
+) -> BlockingQuality:
     gold_count = len(gold.matches)
-    distinct_count = len(comparisons)
     brute = brute_force_comparisons(collection_size1, collection_size2)
     return BlockingQuality(
         pairs_completeness=covered / gold_count if gold_count else 0.0,

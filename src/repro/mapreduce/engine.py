@@ -253,7 +253,14 @@ class ProcessExecutor(Executor):
     def _ensure_pool(self):
         if self._pool is None:
             import multiprocessing
+            from multiprocessing import resource_tracker
 
+            # Start the driver's tracker before forking: a worker that
+            # attaches a segment registers it (Python < 3.13), and one
+            # forked without a tracker connection would spawn its own —
+            # which then "cleans up" the driver's segments when the
+            # worker exits or is killed.
+            resource_tracker.ensure_running()
             ctx = multiprocessing.get_context("fork")
             self._pool = ctx.Pool(self.pool_size)
         return self._pool

@@ -7,10 +7,10 @@ removing work.  This module is the replacement transport:
 
 * the **driver** owns a :class:`SharedBlockStore` per parallel driver
   call — input arrays are *published* once into
-  ``multiprocessing.shared_memory`` segments created **before** the pool
-  forks, and per-task output *arenas* are pre-allocated (``/dev/shm``
-  pages are lazily committed, so generous arena bounds cost nothing
-  until written);
+  ``multiprocessing.shared_memory`` segments created **before** the
+  tasks that read them ship, and per-task output *arenas* are
+  pre-allocated (``/dev/shm`` pages are lazily committed, so generous
+  arena bounds cost nothing until written);
 * **workers** receive only :class:`ArrayRef` descriptors —
   ``(segment, dtype, shape, offset)`` — and reconstruct numpy views with
   :func:`attach_array`, zero-copy; map output is gathered straight into
@@ -31,10 +31,13 @@ Lifecycle and ownership rules (the contract every driver honours):
    time per driver call, so the cache stays one store deep).
 
 Fork-only constraint: the plane assumes the ``fork`` start method (the
-:class:`~repro.mapreduce.engine.ProcessExecutor` requirement) — children
-inherit the driver's resource-tracker connection, so the driver-side
-``unlink()`` is the single point of truth for segment disposal and no
-tracker leak warnings are emitted for worker attachments.
+:class:`~repro.mapreduce.engine.ProcessExecutor` requirement) — the
+executor starts the driver's resource tracker before it forks the pool,
+so children inherit that connection even when no segment existed yet:
+the driver-side ``unlink()`` is the single point of truth for segment
+disposal, a worker's attach registers with the driver's tracker (a
+no-op) and a killed worker takes no tracker of its own — and none of the
+driver's segments — with it.
 """
 
 from __future__ import annotations

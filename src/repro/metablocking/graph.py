@@ -6,14 +6,16 @@ co-occurring in at least one block; the edge weight is computed by a
 co-occurrence statistics.  The graph is materialized lazily from a
 :class:`~repro.blocking.block.BlockCollection`.
 
-Construction is columnar: all implied comparisons are expanded from the
-collection's CSR id views into flat arrays, each pair is packed into a
-single ``a << 32 | b`` integer, and the ``(common, arcs)`` statistics are
-aggregated with one sort plus bincounts into a scheme-independent
-:class:`PairTable` cached on the collection.  Weighting schemes that
-implement the vectorized path (all built-ins do) are evaluated as array
-expressions over per-entity factor tables precomputed once; URIs are
-translated back only when the public string-keyed edge map is built.
+The graph is columns end to end: all implied comparisons are expanded
+from the collection's CSR id views into flat arrays, each pair is packed
+into a single ``a << 32 | b`` integer, and the ``(common, arcs)``
+statistics are aggregated with one sort plus bincounts into a
+scheme-independent :class:`PairTable` cached on the collection.  Weights
+are one float64 array over its rows, pruning selects row indices, and
+URIs are resolved for the survivors alone (:meth:`PairTable.ranked`):
+no string, tuple or dict entry exists per comparison.
+:meth:`BlockingGraph.materialize` returns a read-only :class:`EdgeView`
+mapping over the columns for callers that want ``pair → weight``.
 
 Blocks and intra-block pairs are visited in the order of the hand-written
 string-tuple loop kept as the test oracle
@@ -24,7 +26,7 @@ bit-identical to it.
 
 from __future__ import annotations
 
-import heapq
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -32,7 +34,7 @@ import numpy as _np
 
 from repro.blocking.block import BlockCollection, BlockIdArrays, comparison_pair
 from repro.metablocking.weighting import WeightingScheme, weight_pair_table
-from repro.model.interner import PAIR_MASK, PAIR_SHIFT
+from repro.model.interner import PAIR_MASK, PAIR_SHIFT, pack_pair
 
 
 def expand_comparison_cells(
@@ -54,11 +56,10 @@ def expand_comparison_cells(
     downstream float accumulations stay bit-identical to the string oracle.
 
     Returns ``(left, right, contribution)`` arrays, plus — when
-    *with_provenance* is set — the **global** block ordinal of each kept
-    cell and its global kept-cell index (its position in the whole
-    collection's comparison enumeration).  Provenance is what lets the
-    MapReduce formulation reassemble the exact sequential fold order
-    across map-task boundaries.
+    *with_provenance* is set — each kept cell's global index (its
+    position in the whole collection's comparison enumeration), which is
+    what lets the MapReduce formulation reassemble the exact sequential
+    fold order across map-task boundaries.
     """
     np = _np
     if stop is None:
@@ -84,37 +85,101 @@ def expand_comparison_cells(
     contribution = np.repeat(1.0 / csr.cardinality[active], cells)
     if not with_provenance:
         return left[keep], right[keep], contribution[keep]
-    ordinals = active[cell_block][keep]
     # Kept cells per block == block cardinality, so the range's first kept
     # cell sits at the cumulative cardinality of the preceding blocks.
     cell_base = int(csr.cardinality[:start].sum())
     cell_index = cell_base + np.arange(int(keep.sum()), dtype=np.int64)
-    return left[keep], right[keep], contribution[keep], ordinals, cell_index
+    return left[keep], right[keep], contribution[keep], cell_index
 
 
 class PairTable:
     """Scheme-independent pair statistics of a block collection.
 
-    One row per distinct comparison, in first-occurrence order (matching
-    the reference dict's insertion order): the canonical string ``pairs``,
-    the endpoint id arrays (``ids_a`` holding the lexicographically
-    smaller URI), the common-block counts and the ARCS sums.  Weighting a
-    graph is then just a vectorized function over these columns — the
-    expensive aggregation and URI translation happen once per collection,
-    not once per scheme.
+    One row per distinct comparison, in first-occurrence order (the
+    reference dict's insertion order), as columns only: the endpoint id
+    arrays (``ids_a`` holding the lexicographically smaller URI), the
+    common-block counts and the ARCS sums, plus ``uri_rank`` (entity id →
+    rank of its URI in lexicographic order, so ties break "by URI" with
+    integer compares) and ``uris`` (the interner's id → URI table as an
+    object array).  Weighting and pruning are vectorized functions over
+    these columns; :meth:`ranked` resolves URIs for surviving rows only.
     """
 
-    __slots__ = ("pairs", "ids_a", "ids_b", "common", "arcs", "uri_rank")
+    __slots__ = ("ids_a", "ids_b", "common", "arcs", "uri_rank", "uris", "_pairs", "_index")
 
-    def __init__(self, pairs, ids_a, ids_b, common, arcs, uri_rank) -> None:
-        self.pairs = pairs
+    def __init__(self, ids_a, ids_b, common, arcs, uri_rank, uris) -> None:
         self.ids_a = ids_a
         self.ids_b = ids_b
         self.common = common
         self.arcs = arcs
-        #: entity id → rank of its URI in lexicographic order (int64);
-        #: lets consumers break ties "by URI" with integer compares.
         self.uri_rank = uri_rank
+        self.uris = uris
+        self._pairs = None
+        self._index = None
+
+    def __len__(self) -> int:
+        return len(self.common)
+
+    @property
+    def pairs(self) -> list[tuple[str, str]]:
+        """The canonical string pair of every row, derived on first access.
+
+        For string-API plugin schemes, tests and ad-hoc inspection: no
+        built-in scheme, pruner, backend or evaluation reads it.
+        """
+        if self._pairs is None:
+            uris = self.uris
+            self._pairs = list(zip(uris[self.ids_a].tolist(), uris[self.ids_b].tolist()))
+        return self._pairs
+
+    def rows_of(self, interner, pairs):
+        """Row of each canonical URI pair in *pairs*; ``-1`` where absent.
+
+        Membership by packed id key against a sorted copy of the key
+        column (built on first use) — no string is hashed per table row.
+        """
+        np = _np
+        if self._index is None:
+            keys = pack_pair_arrays(self.ids_a, self.ids_b)
+            order = np.argsort(keys)
+            self._index = keys[order], order
+        sorted_keys, order = self._index
+        id_of = interner.get
+        # An unknown URI has id -1, which packs to a negative key no row holds.
+        wanted = np.fromiter(
+            (pack_pair(id_of(a), id_of(b)) if a < b else -1 for a, b in pairs),
+            dtype=np.int64,
+        )
+        if not len(sorted_keys):
+            return np.full(len(wanted), -1)
+        at = np.minimum(np.searchsorted(sorted_keys, wanted), len(sorted_keys) - 1)
+        return np.where(sorted_keys[at] == wanted, order[at], -1)
+
+    def edges(self, weights, rows) -> list[WeightedEdge]:
+        """*rows* as :class:`WeightedEdge` objects, in the order given."""
+        uris = self.uris
+        return list(
+            map(
+                WeightedEdge,
+                uris[self.ids_a[rows]].tolist(),
+                uris[self.ids_b[rows]].tolist(),
+                weights[rows].tolist(),
+            )
+        )
+
+    def ranked(self, weights, rows, limit: int | None = None) -> list[WeightedEdge]:
+        """The survivor tail every pruner on every backend ends in.
+
+        Ranks *rows* by ``(-weight, URI rank of a, URI rank of b)`` — the
+        deterministic (weight desc, pair asc) order — and builds edges
+        for the first *limit* of them (all by default): the one place a
+        URI is resolved, and only for rows that survived.
+        """
+        rank = self.uri_rank
+        order = _np.lexsort(
+            (rank[self.ids_b[rows]], rank[self.ids_a[rows]], -weights[rows])
+        )
+        return self.edges(weights, rows[order[:limit]])
 
 
 def pack_pair_arrays(left, right):
@@ -130,11 +195,11 @@ def finish_pair_table(blocks: BlockCollection, unique_keys, common, arcs) -> Pai
     """Assemble a :class:`PairTable` from aggregated per-pair statistics.
 
     *unique_keys* must already be in first-seen enumeration order (the
-    reference dict's insertion order); this resolves packed keys to URI
-    pairs in canonical string order via integer ranks — one O(n log n)
-    sort over the n entities instead of a string compare per edge.
-    Shared by the sequential graph and the MapReduce jobs, which
-    reassemble the same inputs from reducer output.
+    reference dict's insertion order); this orients every packed key in
+    canonical string order via integer ranks — one O(n log n) sort over
+    the n entities instead of a string compare per edge.  Shared by the
+    sequential graph and the MapReduce jobs, which reassemble the same
+    inputs from reducer output.
     """
     np = _np
     uris = np.array(blocks.interner().uri_table(), dtype=object)
@@ -145,8 +210,7 @@ def finish_pair_table(blocks: BlockCollection, unique_keys, common, arcs) -> Pai
     swap = rank[ids_a] > rank[ids_b]
     if swap.any():
         ids_a, ids_b = np.where(swap, ids_b, ids_a), np.where(swap, ids_a, ids_b)
-    pairs = list(zip(uris[ids_a].tolist(), uris[ids_b].tolist()))
-    return PairTable(pairs, ids_a, ids_b, common, arcs, rank)
+    return PairTable(ids_a, ids_b, common, arcs, rank, uris)
 
 
 def _build_pair_table(blocks: BlockCollection) -> PairTable:
@@ -154,8 +218,7 @@ def _build_pair_table(blocks: BlockCollection) -> PairTable:
     left, right, contribution = expand_comparison_cells(blocks.id_arrays())
     keys = pack_pair_arrays(left, right)
     if not len(keys):
-        empty = np.empty(0, dtype=np.int64)
-        return PairTable([], empty, empty, empty, np.empty(0, dtype=np.float64), empty)
+        return finish_pair_table(blocks, keys, keys, contribution)
     # Stable sort -> group boundaries; per-group accumulation via bincount
     # adds weights in input (= enumeration) order, bit-identical to the
     # reference's running sums.  np.add.reduceat would be faster but sums
@@ -209,6 +272,49 @@ class WeightedEdge:
         return (self.left, self.right)
 
 
+def mean_weight(weights) -> float:
+    """Mean of a weight column, folded the way the reference folds it.
+
+    A left-to-right Python ``sum`` over row order, like the string
+    oracle's ``sum(dict.values())``: ``np.mean`` sums pairwise and can
+    differ in the last bit, which would move WEP's threshold.
+    """
+    return sum(weights.tolist()) / len(weights) if len(weights) else 0.0
+
+
+class EdgeView(Mapping):
+    """Read-only ``(left, right) → weight`` mapping over a graph's columns.
+
+    What :meth:`BlockingGraph.materialize` returns in place of a dict:
+    ``len`` is O(1), a lookup goes through the packed id key
+    (:meth:`PairTable.rows_of`), and only iteration — row order, the
+    reference dict's insertion order — derives the table's strings.
+    """
+
+    def __init__(self, table: PairTable, weights, interner) -> None:
+        self.table = table
+        self.weights = weights
+        self._interner = interner
+
+    def __len__(self) -> int:
+        return len(self.weights)
+
+    def __iter__(self) -> Iterator[tuple[str, str]]:
+        return iter(self.table.pairs)
+
+    def __getitem__(self, pair: tuple[str, str]) -> float:
+        row = self.table.rows_of(self._interner, (pair,))[0]
+        if row < 0:
+            raise KeyError(pair)
+        return self.weights[row].item()
+
+    def values(self):
+        return self.weights.tolist()
+
+    def items(self):
+        return dict(zip(self.table.pairs, self.values())).items()
+
+
 class BlockingGraph:
     """Weighted co-occurrence graph over a block collection.
 
@@ -226,21 +332,29 @@ class BlockingGraph:
     def __init__(self, blocks: BlockCollection, scheme: WeightingScheme) -> None:
         self.blocks = blocks
         self.scheme = scheme
-        self._edges: dict[tuple[str, str], float] | None = None
+        self._view: EdgeView | None = None
         self._adjacency: dict[str, list[tuple[str, float]]] | None = None
         self._sorted_edges: list[WeightedEdge] | None = None
         self._ranked_edges: list[WeightedEdge] | None = None
-        self._pair_table: PairTable | None = None
 
     # -- construction ------------------------------------------------------
 
-    def materialize(self) -> dict[tuple[str, str], float]:
-        """Compute (once) and return the pair → weight map."""
-        if self._edges is None:
-            table = self._pair_table = pair_table_for(self.blocks)
+    def materialize(self) -> EdgeView:
+        """Weigh the pair table (once); return the pair → weight view."""
+        if self._view is None:
+            table = pair_table_for(self.blocks)
             weights = weight_pair_table(self.scheme, self.blocks, table)
-            self._edges = dict(zip(table.pairs, weights.tolist()))
-        return self._edges
+            self._view = EdgeView(table, weights, self.blocks.interner())
+        return self._view
+
+    @property
+    def weights(self):
+        """Per-row weights (float64), aligned with :meth:`pair_table`."""
+        return self.materialize().weights
+
+    def pair_table(self) -> PairTable:
+        """The pair table whose rows the weights (and pruners) run over."""
+        return self.materialize().table
 
     # -- access -------------------------------------------------------------
 
@@ -255,10 +369,10 @@ class BlockingGraph:
         iterate the cache.
         """
         if self._sorted_edges is None:
-            edges = self.materialize()
-            self._sorted_edges = [
-                WeightedEdge(pair[0], pair[1], edges[pair]) for pair in sorted(edges)
-            ]
+            table = self.pair_table()
+            rank = table.uri_rank
+            order = _np.lexsort((rank[table.ids_b], rank[table.ids_a]))
+            self._sorted_edges = table.edges(self.weights, order)
         return iter(self._sorted_edges)
 
     def weight_of(self, uri_a: str, uri_b: str) -> float:
@@ -267,20 +381,9 @@ class BlockingGraph:
 
     def nodes(self) -> list[str]:
         """All node URIs, sorted."""
-        seen: set[str] = set()
-        for left, right in self.materialize():
-            seen.add(left)
-            seen.add(right)
-        return sorted(seen)
-
-    def pair_table(self) -> PairTable:
-        """The pair table backing this graph's edges.
-
-        Rows align one-to-one with :meth:`materialize` iteration order,
-        which is what lets pruning run vectorized over the same arrays.
-        """
-        self.materialize()
-        return self._pair_table
+        table = self.pair_table()
+        ids = _np.unique(_np.concatenate((table.ids_a, table.ids_b)))
+        return sorted(table.uris[ids].tolist())
 
     def adjacency(self) -> dict[str, list[tuple[str, float]]]:
         """Node → list of (neighbour, weight), each edge listed on both ends."""
@@ -298,31 +401,29 @@ class BlockingGraph:
 
     def average_weight(self) -> float:
         """Mean edge weight (0.0 for an empty graph)."""
-        edges = self.materialize()
-        if not edges:
-            return 0.0
-        return sum(edges.values()) / len(edges)
+        return mean_weight(self.weights)
 
     def total_weight(self) -> float:
         """Sum of edge weights."""
-        return sum(self.materialize().values())
+        return sum(self.weights.tolist())
 
     def ranked_edges(self) -> list[WeightedEdge]:
         """All edges ranked (weight desc, pair asc); computed once, cached."""
         if self._ranked_edges is None:
-            edges = self.materialize()
-            ranked = sorted(edges.items(), key=lambda kv: (-kv[1], kv[0]))
-            self._ranked_edges = [WeightedEdge(p[0], p[1], w) for p, w in ranked]
+            self._ranked_edges = self.top_edges(len(self))
         return self._ranked_edges
 
     def top_edges(self, count: int) -> list[WeightedEdge]:
         """The *count* highest-weight edges (weight desc, pair asc).
 
-        Served from the cached full ranking when available; otherwise a
-        top-k heap selection avoids sorting the whole edge set.
+        Served from the cached full ranking when available; otherwise
+        only the rows at or above the *count*-th largest weight (ties
+        included) are ranked, not the whole edge set.
         """
-        edges = self.materialize()
-        if self._ranked_edges is not None or count >= len(edges):
-            return self.ranked_edges()[:count]
-        top = heapq.nsmallest(count, edges.items(), key=lambda kv: (-kv[1], kv[0]))
-        return [WeightedEdge(p[0], p[1], w) for p, w in top]
+        if self._ranked_edges is not None:
+            return self._ranked_edges[:count]
+        weights = self.weights
+        rows = _np.arange(len(weights))
+        if 0 < count < len(weights):
+            rows = _np.flatnonzero(weights >= _np.partition(weights, -count)[-count])
+        return self.pair_table().ranked(weights, rows, count)

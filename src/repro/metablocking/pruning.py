@@ -19,11 +19,13 @@ algorithms (plus reciprocal node-centric variants):
             endpoints keep it (higher precision, lower recall).
 ==========  =================================================================
 
-All schemes return deterministic, weight-then-pair ordered edge lists so
-experiment tables are stable across runs.  The node-centric schemes run
-vectorized over the graph's pair table; the adjacency-dict loops they
-replaced are the test oracle (``tests/metablocking/string_graph_oracle.py``)
-they stay bit-identical to.
+Every scheme is a vectorized function from the graph's columns (pair
+table + weight array) to the surviving row indices, followed by the one
+shared tail, :meth:`~repro.metablocking.graph.PairTable.ranked`, which
+puts the survivors in deterministic weight-then-pair order and builds
+edge objects for them alone.  The string-dict loops they replaced are the
+test oracle (``tests/metablocking/string_graph_oracle.py``) they stay
+bit-identical to.
 """
 
 from __future__ import annotations
@@ -33,45 +35,56 @@ from abc import ABC, abstractmethod
 
 import numpy as _np
 
-from repro.metablocking.graph import BlockingGraph, WeightedEdge
+from repro.metablocking.graph import BlockingGraph, WeightedEdge, mean_weight
 
 
-def _ranked(edges: list[WeightedEdge]) -> list[WeightedEdge]:
-    """Weight-descending, pair-ascending deterministic order."""
-    # (-w, left, right) orders identically to (-w, pair) without building
-    # a pair tuple per key call.
-    return sorted(edges, key=lambda e: (-e.weight, e.left, e.right))
+def retention_votes(ids_a, ids_b, weights, uri_rank, directed, k: int | None = None):
+    """The node-local retention rule (WNP's mean, CNP's top-*k*) as votes.
 
-
-def _directed_view(graph: BlockingGraph):
-    """Edge arrays plus the interleaved directed layout of a graph.
-
-    Returns ``(table, weights, node, weight_directed)``.  The directed
-    arrays interleave each edge's two endpoints (left at ``2i``, right at
-    ``2i+1``), which is exactly the order the adjacency-dict construction
-    appends neighbours in — so per-node float accumulations over this
-    layout are bit-identical to sums over ``adjacency()`` lists.
+    Entry ``2·row`` of the directed layout is edge *row* seen from its
+    left endpoint, ``2·row + 1`` from its right — the order the
+    adjacency-dict construction appends neighbours in.  *directed* must
+    be ascending and hold every entry of each node it names: the whole
+    range sequentially, one hash partition's nodes in a MapReduce
+    reducer.  Returns the row of every entry its node keeps, one vote
+    each; :func:`voted_rows` merges them.
     """
-    table = graph.pair_table()
-    edges = graph.materialize()
-    count = len(edges)
-    weights = _np.fromiter(edges.values(), dtype=_np.float64, count=count)
-    node = _np.empty(2 * count, dtype=_np.int64)
-    node[0::2] = table.ids_a
-    node[1::2] = table.ids_b
-    weight_directed = _np.repeat(weights, 2)
-    return table, weights, node, weight_directed
+    np = _np
+    if not len(directed):
+        return directed
+    row = directed >> 1
+    right = (directed & 1).astype(bool)
+    node = np.where(right, ids_b[row], ids_a[row])
+    weight = weights[row]
+    if k is None:
+        # bincount folds each node's weights in directed order, so sums
+        # (hence thresholds) are bit-identical to the adjacency lists'.
+        with np.errstate(invalid="ignore"):  # 0/0 at ids *directed* never names
+            means = np.bincount(node, weights=weight) / np.bincount(node)
+        return row[weight >= means[node]]
+    # Sorting by (node, -weight, neighbour URI rank) makes each node's
+    # top-k a contiguous prefix of its group — the order a per-node
+    # ``(-weight, URI)`` selection uses, integer ranks breaking the ties.
+    neighbor_rank = uri_rank[np.where(right, ids_a[row], ids_b[row])]
+    order = np.lexsort((neighbor_rank, -weight, node))
+    sorted_nodes = node[order]
+    boundary = np.concatenate(([True], sorted_nodes[1:] != sorted_nodes[:-1]))
+    group_start = np.flatnonzero(boundary)[np.cumsum(boundary) - 1]
+    return row[order[np.arange(len(order)) - group_start < k]]
 
 
-def _survivor_edges(table, weights, surviving_indices) -> list[WeightedEdge]:
-    pairs = table.pairs
-    weight_list = weights.tolist()
-    return _ranked(
-        [
-            WeightedEdge(pairs[i][0], pairs[i][1], weight_list[i])
-            for i in surviving_indices.tolist()
-        ]
+def voted_rows(votes, rows: int, required_votes: int):
+    """Rows of a *rows*-row table with at least *required_votes* votes."""
+    return _np.flatnonzero(_np.bincount(votes, minlength=rows) >= required_votes)
+
+
+def _prune_by_votes(graph: BlockingGraph, required_votes: int, k: int | None):
+    table, weights = graph.pair_table(), graph.weights
+    votes = retention_votes(
+        table.ids_a, table.ids_b, weights, table.uri_rank,
+        _np.arange(2 * len(weights)), k,
     )
+    return table.ranked(weights, voted_rows(votes, len(weights), required_votes))
 
 
 class PruningScheme(ABC):
@@ -100,10 +113,14 @@ class WEP(PruningScheme):
             raise ValueError("threshold_factor must be positive")
         self.threshold_factor = threshold_factor
 
+    def threshold(self, weights) -> float:
+        """The cut for a weight column (shared with the MapReduce driver)."""
+        return mean_weight(weights) * self.threshold_factor
+
     def prune(self, graph: BlockingGraph) -> list[WeightedEdge]:
-        threshold = graph.average_weight() * self.threshold_factor
-        survivors = [edge for edge in graph.edges() if edge.weight >= threshold]
-        return _ranked(survivors)
+        weights = graph.weights
+        rows = _np.flatnonzero(weights >= self.threshold(weights))
+        return graph.pair_table().ranked(weights, rows)
 
 
 class CEP(PruningScheme):
@@ -149,26 +166,7 @@ class WNP(PruningScheme):
     required_votes = 1
 
     def prune(self, graph: BlockingGraph) -> list[WeightedEdge]:
-        """Vectorized WNP: per-node mean thresholds over the int arrays.
-
-        ``bincount`` accumulates in the interleaved directed order, so the
-        per-node sums (and hence thresholds) are bit-identical to the
-        adjacency-dict formulation.
-        """
-        np = _np
-        table, weights, node, weight_directed = _directed_view(graph)
-        entities = len(table.uri_rank)
-        if not len(weights):
-            return []
-        sums = np.bincount(node, weights=weight_directed, minlength=entities)
-        counts = np.bincount(node, minlength=entities)
-        thresholds = np.full(entities, np.inf)
-        occupied = counts > 0
-        thresholds[occupied] = sums[occupied] / counts[occupied]
-        votes = (weights >= thresholds[table.ids_a]).astype(np.int8) + (
-            weights >= thresholds[table.ids_b]
-        )
-        return _survivor_edges(table, weights, np.flatnonzero(votes >= self.required_votes))
+        return _prune_by_votes(graph, self.required_votes, None)
 
 
 class ReciprocalWNP(WNP):
@@ -208,34 +206,7 @@ class CNP(PruningScheme):
         return max(1, math.ceil(avg_assignments) - 1)
 
     def prune(self, graph: BlockingGraph) -> list[WeightedEdge]:
-        """Vectorized CNP: one lexsort ranks every node's neighbourhood.
-
-        Sorting the directed entries by ``(node, -weight, neighbour URI
-        rank)`` makes each node's top-k a contiguous prefix of its group —
-        the deterministic order a per-node ``(-weight, URI)`` top-k
-        selection uses, with integer ranks standing in for the URI
-        tie-break.
-        """
-        np = _np
-        k = self.node_budget(graph)
-        table, weights, node, weight_directed = _directed_view(graph)
-        if not len(weights):
-            return []
-        rank = table.uri_rank
-        neighbor_rank = np.empty_like(node)
-        neighbor_rank[0::2] = rank[table.ids_b]
-        neighbor_rank[1::2] = rank[table.ids_a]
-        order = np.lexsort((neighbor_rank, -weight_directed, node))
-        sorted_nodes = node[order]
-        boundary = np.empty(len(sorted_nodes), dtype=bool)
-        boundary[0] = True
-        np.not_equal(sorted_nodes[1:], sorted_nodes[:-1], out=boundary[1:])
-        group_start = np.flatnonzero(boundary)
-        position = np.arange(len(sorted_nodes)) - group_start[np.cumsum(boundary) - 1]
-        kept = np.empty(len(sorted_nodes), dtype=bool)
-        kept[order] = position < k
-        votes = kept[0::2].astype(np.int8) + kept[1::2]
-        return _survivor_edges(table, weights, np.flatnonzero(votes >= self.required_votes))
+        return _prune_by_votes(graph, self.required_votes, self.node_budget(graph))
 
 
 class ReciprocalCNP(CNP):

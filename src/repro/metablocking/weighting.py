@@ -319,12 +319,13 @@ def weight_pair_table(scheme: WeightingScheme, blocks: BlockCollection, table):
     The one place the "prepare globals, then weight each pair" dance is
     spelled out for array-shaped statistics: schemes with a vectorized
     path are evaluated as array expressions; schemes without one fall
-    back to the string API row by row.  Shared by the sequential
+    back to the string API row by row — the only reader of the table's
+    derived ``pairs`` on any backend.  Shared by the sequential
     :meth:`~repro.metablocking.graph.BlockingGraph.materialize` and the
     MapReduce jobs, which guarantees both produce bit-identical weights
     from identical statistics.
     """
-    if not table.pairs:
+    if not len(table):
         return _np.empty(0, dtype=_np.float64)
     if scheme.prepare_arrays(blocks, table.ids_a, table.ids_b, table.common):
         return scheme.weight_array(table.ids_a, table.ids_b, table.common, table.arcs)

@@ -20,6 +20,11 @@ Three layers of guarantees, each pinned here:
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -382,3 +387,90 @@ class TestSegmentAccounting:
         assert leaked_segments() == []
         engine.close()  # must not trip over the already-released store
         assert leaked_segments() == []
+
+
+# ---------------------------------------------------------------------------
+# Resource-tracker ownership (needs a driver that never made a segment
+# before its pool forked, hence a fresh interpreter per test)
+# ---------------------------------------------------------------------------
+
+_CHAIN = """
+from repro.datasets import load_movies
+from repro.mapreduce import (
+    MapReduceEngine, leaked_segments, parallel_metablocking_ids,
+    parallel_token_blocking,
+)
+from repro.metablocking.pruning import make_pruner
+from repro.metablocking.weighting import make_scheme
+
+kb1, kb2, _ = load_movies()
+with MapReduceEngine(workers=2, executor="process") as engine:
+    blocks, _ = parallel_token_blocking(engine, kb1, kb2)  # forks, no segment yet
+    edges, jobs = parallel_metablocking_ids(
+        engine, blocks, make_scheme("ARCS"), make_pruner("CNP")
+    )
+assert edges and len(jobs) == 2
+assert leaked_segments() == [], leaked_segments()
+"""
+
+_KILLED_WORKER = """
+import os, signal, sys
+import numpy as np
+from repro.mapreduce import (
+    MapReduceEngine, ProcessExecutor, SharedBlockStore, attach_array,
+    leaked_segments,
+)
+
+def attach_sum_die_once(sentinel, refs):
+    total = sum(float(attach_array(ref).sum()) for ref in refs)
+    if not os.path.exists(sentinel):
+        open(sentinel, "w").close()
+        os.kill(os.getpid(), signal.SIGKILL)
+    return total
+
+executor = ProcessExecutor(workers=2, task_timeout_s=30.0, retry_backoff_s=0.2)
+engine = MapReduceEngine(workers=2, executor=executor)
+try:
+    assert executor.run_specs([(len, ("ab",)), (len, ("abc",))]) == [2, 3]  # forks
+    first, second = SharedBlockStore(), SharedBlockStore()
+    engine.adopt_store(first)
+    engine.adopt_store(second)
+    refs = first.publish_arrays(np.arange(64.0)) + second.publish_arrays(np.ones(8))
+    live = leaked_segments()
+    totals = executor.run_specs([(attach_sum_die_once, (sys.argv[1], refs))] * 4)
+    assert totals == [2016.0 + 8.0] * 4, totals
+    assert leaked_segments() == live  # the dead worker took no segment with it
+finally:
+    engine.close()
+assert leaked_segments() == [], leaked_segments()
+"""
+
+
+def _run_fresh(script: str, *args: str) -> subprocess.CompletedProcess:
+    src = Path(__file__).resolve().parents[2] / "src"
+    return subprocess.run(
+        [sys.executable, "-c", script, *args],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+@pytest.mark.skipif(
+    not ProcessExecutor.available(), reason="fork start method unavailable"
+)
+class TestDriverOwnsTheTracker:
+    """Workers forked before the driver made its first segment must not
+    start resource trackers of their own: those claim every segment the
+    worker attaches and unlink it when the worker goes away."""
+
+    def test_blocking_then_metablocking_ends_with_clean_stderr(self):
+        result = _run_fresh(_CHAIN)
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == "", result.stderr  # no tracker warning at exit
+
+    def test_killed_worker_leaves_segments_attachable(self, tmp_path):
+        result = _run_fresh(_KILLED_WORKER, str(tmp_path / "died-once"))
+        assert result.returncode == 0, result.stderr
+        assert "resource_tracker" not in result.stderr, result.stderr

@@ -8,6 +8,12 @@ plus pinned adversarial shapes — and every scheme × pruner is held to
 ``==`` on the ordered ``(pair, weight)`` list across the three
 implementations: the string-tuple oracle, ``pruner.prune(BlockingGraph)``
 and ``parallel_metablocking_ids`` on the serial executor at 1–3 workers.
+
+The second half pins the columnar contract itself: WEP / CEP cuts that
+sit exactly on a tie, an astral-plane URI and a shared-URI self-pair;
+the ``materialize()`` mapping view against the oracle dict (content,
+order, ``len``, ``in``, missing keys, ``weight_of``); and a string-only
+plugin scheme weighed through the table's derived ``pairs``.
 """
 
 from __future__ import annotations
@@ -23,11 +29,11 @@ from repro.metablocking.pruning import (
     CEP,
     CNP,
     PRUNERS,
-    WNP,
+    WEP,
     ReciprocalCNP,
     make_pruner,
 )
-from repro.metablocking.weighting import SCHEMES, make_scheme
+from repro.metablocking.weighting import SCHEMES, WeightingScheme, make_scheme
 
 from .string_graph_oracle import reference_edges, reference_prune
 
@@ -102,8 +108,8 @@ def _assert_all_equal(blocks: BlockCollection, scheme_name: str, pruner, workers
         MapReduceEngine(workers), blocks, make_scheme(scheme_name), pruner
     )
     assert _as_pairs(parallel) == expected
-    # pair statistics + one global job, or + retention and vote merge
-    assert len(metrics) == (3 if isinstance(pruner, (WNP, CNP)) else 2)
+    # pair statistics + one pruning job (retention votes fold driver-side)
+    assert len(metrics) == 2
 
 
 @pytest.mark.parametrize("pruner_name", sorted(PRUNERS))
@@ -145,3 +151,139 @@ def test_pinned_ties_sit_on_the_thresholds(scheme_name):
     assert CEP().budget_from_blocks(TIED) == 6  # of 15 tied edges
     assert len(reference_prune(TIED, make_scheme(scheme_name), CEP())) == 6
     assert len(reference_prune(TIED, make_scheme(scheme_name), ReciprocalCNP())) < 15
+
+
+# ---------------------------------------------------------------------------
+# Columnar WEP / CEP: pinned cuts
+# ---------------------------------------------------------------------------
+
+#: CBS weights 3, 2, 2, 1 — the mean is exactly 2.0, the weight of two edges
+CBS_LADDER = collection(
+    [(["http://e/a", "http://e/b"], None)] * 3
+    + [(["http://e/c", "http://e/d"], None)] * 2
+    + [(["http://e/c", "http://e/e"], None)] * 2
+    + [(["http://e/d", "http://e/e"], None)]
+)
+ASTRAL, HALFWIDTH = "http://e/\U0001f600", "http://e/\uffee"
+
+
+def _prune_everywhere(blocks, scheme_name, pruner):
+    """Sequential and MapReduce survivors, both already held to the oracle."""
+    expected = reference_prune(blocks, make_scheme(scheme_name), pruner)
+    _assert_all_equal(blocks, scheme_name, pruner, workers=2)
+    return expected
+
+
+def test_wep_keeps_the_edges_exactly_at_the_mean():
+    graph = BlockingGraph(CBS_LADDER, make_scheme("CBS"))
+    assert graph.average_weight() == 2.0
+    kept = _prune_everywhere(CBS_LADDER, "CBS", WEP())
+    assert [(edge.pair, edge.weight) for edge in kept] == [
+        (("http://e/a", "http://e/b"), 3.0),
+        (("http://e/c", "http://e/d"), 2.0),
+        (("http://e/c", "http://e/e"), 2.0),
+    ]
+
+
+def test_cep_cuts_a_tied_run_in_pair_order():
+    kept = _prune_everywhere(CBS_LADDER, "CBS", CEP(k=2))
+    assert [edge.pair for edge in kept] == [
+        ("http://e/a", "http://e/b"),
+        ("http://e/c", "http://e/d"),  # not (c, e): same weight, later pair
+    ]
+    assert len(_prune_everywhere(CBS_LADDER, "CBS", CEP(k=3))) == 3
+    assert len(_prune_everywhere(CBS_LADDER, "CBS", CEP(k=10**6))) == 4
+
+
+@pytest.mark.parametrize("scheme_name", sorted(SCHEMES))
+def test_wep_mean_is_the_python_fold_over_row_order(scheme_name):
+    """``np.mean`` sums pairwise and can land one ulp off the reference's
+    ``sum(dict.values())``; with every weight tied that ulp decides whether
+    WEP keeps all fifteen edges or none."""
+    oracle = reference_edges(TIED, make_scheme(scheme_name))
+    graph = BlockingGraph(TIED, make_scheme(scheme_name))
+    assert graph.total_weight() == sum(oracle.values())
+    assert graph.average_weight() == sum(oracle.values()) / 15
+    assert len(_prune_everywhere(TIED, scheme_name, WEP())) in (0, 15)
+
+
+def test_astral_uri_ranks_by_code_point():
+    """U+1F600 sorts after U+FFEE by code point, before it in UTF-16."""
+    blocks = star(URIS[0], [ASTRAL, HALFWIDTH])
+    for pruner in (CEP(k=1), WEP()):
+        kept = _prune_everywhere(blocks, "CBS", pruner)
+        assert kept[0].pair == (URIS[0], HALFWIDTH)
+    assert [e.pair for e in BlockingGraph(blocks, make_scheme("CBS")).edges()] == [
+        (URIS[0], HALFWIDTH), (URIS[0], ASTRAL),
+    ]
+
+
+@pytest.mark.parametrize("pruner", [WEP(threshold_factor=1e-9), CEP(k=10**6)], ids=["WEP", "CEP"])
+def test_shared_uri_self_pair_is_never_an_edge(pruner):
+    kept = _prune_everywhere(SHARED_URI, "ARCS", pruner)
+    assert len(kept) == len(reference_edges(SHARED_URI, make_scheme("ARCS"))) == 8
+    assert all(edge.left < edge.right for edge in kept)
+
+
+# ---------------------------------------------------------------------------
+# The mapping view over the columns == the oracle dict
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(blocks=collections, scheme_name=st.sampled_from(sorted(SCHEMES)))
+@example(blocks=EMPTY, scheme_name="ARCS")
+@example(blocks=NON_ASCII, scheme_name="EJS")
+@example(blocks=SHARED_URI, scheme_name="ARCS")
+def test_edge_view_behaves_like_the_oracle_dict(blocks, scheme_name):
+    oracle = reference_edges(blocks, make_scheme(scheme_name))
+    graph = BlockingGraph(blocks, make_scheme(scheme_name))
+    view = graph.materialize()
+    assert len(view) == len(graph) == len(oracle)
+    assert list(view) == list(oracle)  # row order == insertion order
+    assert list(view.items()) == list(oracle.items())
+    assert list(view.values()) == list(oracle.values())
+    assert view == oracle and oracle == view
+    assert list(graph.weights) == list(oracle.values())
+    for pair, weight in oracle.items():
+        assert pair in view and view[pair] == weight
+        assert type(view[pair]) is float
+        assert graph.weight_of(*pair) == graph.weight_of(*reversed(pair)) == weight
+        # The dict holds canonical pairs only; so does the view.
+        assert pair[::-1] not in view and view.get(pair[::-1]) is None
+    for missing in [("http://e/a", "http://nowhere"), ("http://e/a", "http://e/a"), ("", "")]:
+        assert missing not in view
+        with pytest.raises(KeyError):
+            view[missing]
+    for left in URIS[:4]:
+        for right in URIS_2[:3]:
+            if left != right:
+                expected = oracle.get((min(left, right), max(left, right)), 0.0)
+                assert graph.weight_of(left, right) == expected
+    assert not hasattr(view, "__setitem__")
+
+
+class _StringOnlyScheme(WeightingScheme):
+    """A plugin on the string API alone: no ``prepare_arrays``."""
+
+    name = "string-only"
+
+    def prepare(self, blocks, pair_stats):
+        self.total = sum(common for common, _ in pair_stats.values())
+
+    def weight(self, uri_a, uri_b, common_blocks, arcs):
+        return (common_blocks + arcs) / self.total + len(uri_a) - len(uri_b)
+
+
+@pytest.mark.parametrize("pruner_name", sorted(PRUNERS))
+@pytest.mark.parametrize("blocks", [NON_ASCII, SHARED_URI, TIED, EMPTY], ids=["non-ascii", "shared", "tied", "empty"])
+def test_string_only_plugin_scheme_weighs_through_derived_pairs(blocks, pruner_name):
+    pruner = make_pruner(pruner_name)
+    expected = _as_pairs(reference_prune(blocks, _StringOnlyScheme(), pruner))
+    graph = BlockingGraph(blocks, _StringOnlyScheme())
+    assert graph.materialize() == reference_edges(blocks, _StringOnlyScheme())
+    assert _as_pairs(pruner.prune(graph)) == expected
+    parallel, _ = parallel_metablocking_ids(
+        MapReduceEngine(2), blocks, _StringOnlyScheme(), pruner
+    )
+    assert _as_pairs(parallel) == expected
