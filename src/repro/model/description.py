@@ -80,6 +80,10 @@ class EntityDescription:
         """The property names used by this description."""
         return list(self._attributes)
 
+    def attributes(self) -> dict[str, list[str]]:
+        """The property → values mapping itself (live; do not mutate)."""
+        return self._attributes
+
     def get(self, prop: str) -> list[str]:
         """Values of *prop* (empty list if absent)."""
         return list(self._attributes.get(prop, ()))

@@ -11,8 +11,7 @@ deployment restartable:
   record (LSN 0) pins the format and the store configuration.  On open
   the log is scanned and the **torn tail** — a partially-written or
   CRC-corrupt final stretch — is truncated, so a crash mid-write never
-  poisons recovery.  An ``fsync`` batching knob trades durability
-  window for insert latency.
+  poisons recovery.
 * Snapshots — the full serialized component state (store, posting
   arrays, global pair factors, processed-view histogram and survivor
   bookkeeping) written atomically (tmp + ``os.replace``) under the same
@@ -21,19 +20,36 @@ deployment restartable:
   valid snapshot — strictly fewer events than the full history.
 * :class:`Durability` — the controller gluing both to a live
   :class:`~repro.stream.store.StreamingEntityStore`: logs
-  insert/delete/reconcile events write-ahead and snapshots every
+  insert/delete/reconcile/apply events write-ahead and snapshots every
   ``snapshot_every`` records.
 * :func:`recover` — rebuilds ``(store, index, pairs, view,
   view_pairs)`` bit-identical to the uninterrupted run at the last
   durable event: latest valid snapshot (skipping torn or corrupt ones)
   plus WAL-suffix replay.
 
+**The contract: only an acknowledged mutation costs an fsync.**
+``insert`` and ``delete`` records are the acknowledgements — someone is
+told the event happened when ``ingest`` / ``delete`` returns — so they
+are what ``fsync_every`` counts (1 = synced before the call returns, N =
+at most N - 1 of them in the OS cache) and what forces a sync.  The
+``apply`` / ``reconcile`` records a *query* writes (the processed view's
+drain markers) acknowledge nothing: they go through the same unbuffered
+handle in LSN order and ride on the next mutation's sync or on
+``close()``.  A crash may therefore lose a trailing run of drain
+markers — a state the uninterrupted run also passed through, which the
+next read re-derives — never an acknowledged insert or delete, and
+never half of a record.  A snapshot never leads the durable log:
+:meth:`Durability.snapshot_now` syncs the log before capturing, and
+opening a directory discards a snapshot whose LSN the log never reached.
+
 Fault injection is a first-class seam: all file I/O goes through a
 :class:`OsFiles` object, and :class:`CrashyFiles` is a byte-budgeted
 variant that tears the over-budget write and raises
-:class:`CrashError` — the shape a power cut leaves behind — so the
-test harness can kill a replay at any byte offset, including mid-
-snapshot.
+:class:`CrashError` — a process killed mid-write — so the test harness
+can kill a replay at any byte offset, including mid-snapshot; its
+:meth:`~CrashyFiles.power_loss` then drops every appended byte no
+``fsync`` covered, which is what tells an acknowledged event from a
+cached one.
 
 Not recovered (documented limitations): the resolver's match-decision
 graph (query results are serving artifacts, not store state) and the
@@ -63,9 +79,10 @@ WAL_FORMAT = "repro-wal"
 WAL_VERSION = 1
 SNAPSHOT_FORMAT = "repro-snapshot"
 #: written by this build; 1 also carried the raw pair table's
-#: ``state.pairs.common`` dict, which the lazy table derives instead
-SNAPSHOT_VERSION = 2
-_READABLE_SNAPSHOT_VERSIONS = (1, 2)
+#: ``state.pairs.common`` dict and 1 / 2 the survivor table's
+#: ``state.view_pairs.common``, which the lazy tables derive instead
+SNAPSHOT_VERSION = 3
+_READABLE_SNAPSHOT_VERSIONS = (1, 2, 3)
 WAL_NAME = "wal.log"
 _SNAPSHOT_SUFFIX = ".json"
 _SNAPSHOT_PREFIX = "snapshot-"
@@ -98,9 +115,10 @@ class OsFiles:
 class _CrashyHandle:
     """Append-handle proxy that tears the write exceeding the budget."""
 
-    def __init__(self, inner, owner: "CrashyFiles") -> None:
+    def __init__(self, inner, owner: "CrashyFiles", path: str) -> None:
         self._inner = inner
         self._owner = owner
+        self.path = path
 
     def write(self, payload: bytes) -> int:
         allowed = self._owner.consume(payload)
@@ -129,12 +147,19 @@ class CrashyFiles(OsFiles):
     The first *budget* bytes reach the OS; the write that would exceed
     it is cut short (a torn record or a partial snapshot temp file) and
     :class:`CrashError` is raised.  Every later write fails immediately
-    — the process is "dead".  ``fsync`` is a no-op so a crashed handle
-    never double-faults.
+    — the process is "dead".
+
+    The layer also remembers, per appended file, how many bytes the last
+    ``fsync`` covered: :meth:`power_loss` cuts every such file back to
+    that length, which is what losing power (not just the process) does
+    to the part of a log the OS had only cached.  Snapshot files are
+    written and fsynced in one call, so they survive whole or not at all.
     """
 
     def __init__(self, budget: int) -> None:
         self.budget = budget
+        #: appended path → bytes known to be on stable storage
+        self._synced: dict[str, int] = {}
 
     def consume(self, payload: bytes) -> bytes:
         if self.budget < 0:
@@ -147,7 +172,10 @@ class CrashyFiles(OsFiles):
         return allowed
 
     def open_append(self, path: str):
-        return _CrashyHandle(super().open_append(path), self)
+        handle = _CrashyHandle(super().open_append(path), self, path)
+        # What a file held when it was opened is taken to be on disk.
+        self._synced.setdefault(path, os.path.getsize(path))
+        return handle
 
     def write_bytes(self, path: str, payload: bytes) -> None:
         allowed = self.consume(payload)
@@ -157,8 +185,18 @@ class CrashyFiles(OsFiles):
             raise CrashError("injected crash mid-snapshot")
         super().write_bytes(path, payload)
 
-    def fsync(self, handle) -> None:  # pragma: no cover - trivial
-        pass
+    def fsync(self, handle) -> None:
+        # No real fsync (a crashed handle must not double-fault): the
+        # unbuffered writes are in the file, so its size is what a real
+        # one would have made durable.
+        self._synced[handle.path] = os.path.getsize(handle.path)
+
+    def power_loss(self) -> None:
+        """Kill the process and drop every appended byte never fsynced."""
+        self.budget = -1
+        for path, length in self._synced.items():
+            with open(path, "r+b") as handle:
+                handle.truncate(length)
 
 
 def _encode_record(lsn: int, kind: str, payload) -> bytes:
@@ -186,6 +224,25 @@ def _decode_line(line: bytes):
     return record[0], record[1], record[2]
 
 
+def _valid_records(raw: bytes, expected_lsn: int):
+    """``(end offset, (lsn, kind, payload))`` over *raw*'s valid prefix.
+
+    Stops at the first record that is unterminated, CRC-bad, malformed
+    or out of LSN sequence — the torn-tail rule.
+    """
+    offset = 0
+    while True:
+        end = raw.find(b"\n", offset)
+        if end < 0:
+            return  # torn final record: no newline ever made it out
+        decoded = _decode_line(raw[offset:end])
+        if decoded is None or decoded[0] != expected_lsn:
+            return
+        offset = end + 1
+        expected_lsn += 1
+        yield offset, decoded
+
+
 class WriteAheadLog:
     """Append-only CRC-framed event log with torn-tail truncation.
 
@@ -196,10 +253,15 @@ class WriteAheadLog:
     longest valid prefix (CRC-good, newline-terminated, consecutive
     LSNs) and truncates the rest — the torn-tail rule.
 
+    The log object holds the records its open-time scan found (what
+    :func:`recover` replays) and nothing it appends afterwards: a
+    long-lived writer does not keep a second copy of every description.
+
     Args:
         path: log file path (created on first append).
-        fsync_every: fsync after every N appends; 1 (default) is the
-            durable-per-event setting, 0 defers to :meth:`close`.
+        fsync_every: fsync after every N *acknowledged* appends; 1
+            (default) is the durable-per-event setting, 0 defers to
+            :meth:`close`.
         files: file-operation layer (fault-injection seam).
     """
 
@@ -212,10 +274,15 @@ class WriteAheadLog:
         #: observability handle (the owning controller re-points this)
         self.obs = DISABLED
         self.header: dict | None = None
-        #: event records surviving the open-time scan (header excluded)
-        self._records: list[tuple[int, str, object]] = []
+        #: event records found by the open-time scan (header excluded)
+        self._scanned: list[tuple[int, str, object]] = []
+        #: file offset where the scanned prefix (header included) ends
+        self._scanned_end = 0
         self._next_lsn = 0
+        #: acknowledged appends since the last fsync
         self._since_fsync = 0
+        #: bytes were written since the last fsync
+        self._unsynced = False
         self._scan_and_truncate()
         self._file = None
 
@@ -227,36 +294,23 @@ class WriteAheadLog:
                 raw = handle.read()
         except FileNotFoundError:
             return
-        offset = 0
-        valid_bytes = 0
-        expected_lsn = 0
-        while offset < len(raw):
-            end = raw.find(b"\n", offset)
-            if end < 0:
-                break  # torn final record: no newline ever made it out
-            decoded = _decode_line(raw[offset:end])
-            if decoded is None:
-                break
-            lsn, kind, payload = decoded
-            if lsn != expected_lsn:
-                break
+        for end, (lsn, kind, payload) in _valid_records(raw, 0):
             if lsn == 0:
-                if kind != "header" or not isinstance(payload, dict):
-                    break
-                if payload.get("format") != WAL_FORMAT:
-                    break
-                if payload.get("version") != WAL_VERSION:
+                if (
+                    kind != "header"
+                    or not isinstance(payload, dict)
+                    or payload.get("format") != WAL_FORMAT
+                    or payload.get("version") != WAL_VERSION
+                ):
                     break
                 self.header = payload
             else:
-                self._records.append((lsn, kind, payload))
-            expected_lsn += 1
-            offset = end + 1
-            valid_bytes = offset
-        self._next_lsn = expected_lsn
-        if valid_bytes < len(raw):
+                self._scanned.append((lsn, kind, payload))
+            self._scanned_end = end
+        self._next_lsn = len(self._scanned) + (self.header is not None)
+        if self._scanned_end < len(raw):
             with open(self.path, "r+b") as handle:
-                handle.truncate(valid_bytes)
+                handle.truncate(self._scanned_end)
 
     # -- append path ---------------------------------------------------------
 
@@ -268,11 +322,26 @@ class WriteAheadLog:
     @property
     def record_count(self) -> int:
         """Event records in the log (header excluded)."""
-        return len(self._records)
+        return self.last_lsn
 
     def records(self, after_lsn: int = 0):
-        """Event records with ``lsn > after_lsn``, in LSN order."""
-        return [record for record in self._records if record[0] > after_lsn]
+        """Event records with ``lsn > after_lsn``, in LSN order.
+
+        The log as it is on disk: the scanned prefix, then whatever was
+        appended since, read back from the file.
+        """
+        found = [record for record in self._scanned if record[0] > after_lsn]
+        due = len(self._scanned) + 1
+        if self._next_lsn > due:
+            with open(self.path, "rb") as handle:
+                handle.seek(self._scanned_end)
+                raw = handle.read()
+            found += [
+                record
+                for _end, record in _valid_records(raw, due)
+                if record[0] > after_lsn
+            ]
+        return found
 
     def _handle(self):
         if self._file is None or getattr(self._file, "closed", False):
@@ -284,37 +353,49 @@ class WriteAheadLog:
         if self._next_lsn != 0:
             raise ValueError("WAL already has a header")
         payload = {"format": WAL_FORMAT, "version": WAL_VERSION, **config}
-        self._handle().write(_encode_record(0, "header", payload))
+        encoded = _encode_record(0, "header", payload)
+        self._handle().write(encoded)
+        self._scanned_end = len(encoded)
+        self._unsynced = True
         self.header = payload
         self._next_lsn = 1
         self.sync()
 
-    def append(self, kind: str, payload) -> int:
+    def append(self, kind: str, payload, acknowledged: bool = True) -> int:
         """Append one event record; returns its LSN.
 
         The record reaches the OS before this returns (unbuffered
-        write); it reaches the platter per the ``fsync_every`` batching.
+        write).  An *acknowledged* record — a mutation someone was told
+        had happened — counts towards the ``fsync_every`` batching and
+        reaches the platter with it; any other record rides on the next
+        sync.
         """
         if self._next_lsn == 0:
             raise ValueError("write the WAL header before appending events")
         lsn = self._next_lsn
         encoded = _encode_record(lsn, kind, payload)
         self._handle().write(encoded)
+        self._unsynced = True
         if self.obs.enabled:
             self.obs.count("repro.durability.wal.append.count")
             self.obs.count("repro.durability.wal.append.bytes", len(encoded))
         self._next_lsn = lsn + 1
-        self._records.append((lsn, kind, payload))
-        self._since_fsync += 1
-        if self.fsync_every and self._since_fsync >= self.fsync_every:
-            self.sync()
+        if acknowledged:
+            self._since_fsync += 1
+            if self.fsync_every and self._since_fsync >= self.fsync_every:
+                self.sync()
         return lsn
 
     def sync(self) -> None:
-        """Force the log to stable storage now."""
-        if self._file is not None and not getattr(self._file, "closed", True):
+        """Force the log to stable storage now (a no-op when it is)."""
+        if (
+            self._unsynced
+            and self._file is not None
+            and not getattr(self._file, "closed", True)
+        ):
             with self.obs.timed(metric="repro.durability.wal.fsync.seconds"):
                 self.files.fsync(self._file)
+        self._unsynced = False
         self._since_fsync = 0
 
     def close(self) -> None:
@@ -335,10 +416,7 @@ class WriteAheadLog:
 
 
 def _describe(description: EntityDescription) -> list:
-    attributes: dict[str, list[str]] = {}
-    for prop, value in description.pairs():
-        attributes.setdefault(prop, []).append(value)
-    return [description.uri, attributes, description.source]
+    return [description.uri, description.attributes(), description.source]
 
 
 def _restore_description(payload: list) -> EntityDescription:
@@ -435,18 +513,13 @@ def capture_state(
             },
             "threshold": view._threshold,
             "threshold_dirty": view._threshold_dirty,
-            # Deletes leave empty entries behind that a full reconcile
-            # (forced after every restore) drops; they answer every query
-            # like a missing entry, so the canonical capture omits them.
             "retained": {
                 str(entity): sorted(keys)
                 for entity, keys in view._retained.items()
-                if keys
             },
             "members": {
                 key: [sorted(sides[0]), sorted(sides[1])]
                 for key, sides in view._members.items()
-                if sides[0] or sides[1]
             },
             "present": sorted(view._present),
             "entity_keys": {
@@ -456,10 +529,7 @@ def capture_state(
             "reconciled_version": view._reconciled_version,
         }
     if view_pairs is not None:
-        state["view_pairs"] = {
-            "common": {str(k): v for k, v in view_pairs.common.items()},
-            **_capture_factors(view_pairs),
-        }
+        state["view_pairs"] = _capture_factors(view_pairs)
     return state
 
 
@@ -512,7 +582,8 @@ def restore_components(
     index._overlap = dict(i["overlap"])
 
     pairs = DeltaPairTable(index)
-    # A version-1 ``pairs.common`` is ignored: the postings hold it.
+    # A ``common`` dict in an older document (``pairs`` in version 1,
+    # ``view_pairs`` in 1 and 2) is ignored: the postings hold it.
     _restore_factors(pairs, state["pairs"])
 
     view = None
@@ -556,9 +627,7 @@ def restore_components(
         view._reconciled_version = v["reconciled_version"]
         if state.get("view_pairs") is not None:
             view_pairs = SurvivorPairTable(view)
-            captured = state["view_pairs"]
-            view_pairs.common = {int(k): v for k, v in captured["common"].items()}
-            _restore_factors(view_pairs, captured)
+            _restore_factors(view_pairs, state["view_pairs"])
     return store, index, pairs, view, view_pairs
 
 
@@ -686,9 +755,16 @@ class Durability:
         self.last_snapshot_lsn = 0
         for path in list_snapshots(directory):
             document = load_snapshot(path)
-            if document is not None:
-                self.last_snapshot_lsn = document["lsn"]
-                break
+            if document is None:
+                continue
+            if document["lsn"] > self.wal.last_lsn:
+                # A snapshot of a history the log never durably reached
+                # (written before snapshots synced the log first): new
+                # appends would reuse its LSNs for other events.
+                os.remove(path)
+                continue
+            self.last_snapshot_lsn = document["lsn"]
+            break
         self._components = None
         self._obs = DISABLED
 
@@ -751,9 +827,10 @@ class Durability:
         bookkeeping without re-running any query.  Written ahead like
         every record — the caller runs ``view.reconcile()`` after this
         returns, then offers :meth:`maybe_snapshot` (a snapshot at this
-        LSN must already contain the reconcile's effects).
+        LSN must already contain the reconcile's effects).  Not an
+        acknowledgement: it rides on the next mutation's sync.
         """
-        return self.wal.append("reconcile", [])
+        return self.wal.append("reconcile", [], acknowledged=False)
 
     def log_apply(self) -> int:
         """Log a processed-view pending-buffer drain.
@@ -761,9 +838,13 @@ class Durability:
         The approximate survivor state depends on *when* the buffer
         drains relative to the insert stream (a view read triggers it),
         so recovery replays drains at their original positions to land
-        on bit-identical approximate state.
+        on bit-identical approximate state.  A query is a read, so the
+        marker is written but not fsynced: it rides on the next
+        mutation's sync, and a crash that loses a trailing run of
+        markers leaves a state the uninterrupted run also passed
+        through — the next read drains again.
         """
-        return self.wal.append("apply", [])
+        return self.wal.append("apply", [], acknowledged=False)
 
     # -- snapshots -----------------------------------------------------------
 
@@ -781,6 +862,9 @@ class Durability:
             raise ValueError("bind() the durability controller first")
         store, index, pairs, view, view_pairs = self._components
         obs = self._obs
+        # A snapshot never leads the durable log: recovery would restore
+        # it into a history whose tail a power cut took away.
+        self.wal.sync()
         with obs.span("durability.snapshot", lsn=self.wal.last_lsn):
             with obs.timed(
                 metric="repro.durability.snapshot.capture.seconds"

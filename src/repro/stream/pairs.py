@@ -12,7 +12,10 @@ cardinality changes retroactively each time the block grows).  What
 the weighting schemes and pruners consume: ``placements``,
 ``active_blocks``, ``entities_placed`` and ``total_assignments`` from
 the per-placement hooks, ``degrees`` and ``edge_count`` from one set
-difference of the touched entity's neighbours per event.
+difference of the touched entity's neighbours per event.  The same holds
+one layer up: :class:`~repro.stream.processed_view.SurvivorPairTable`
+is this view over the processed view's *exposed* blocks, its neighbour
+differences taken once per batch of view transitions.
 
 All six schemes are therefore evaluable for any single pair in
 O(keys-of-the-smaller-endpoint), with **no global rebuild**: exactly
@@ -186,15 +189,16 @@ class DeltaPairTable(PairStatsView, DeltaConsumer):
 
     Every removal hook is the exact negation of its insert counterpart
     (1→0 transitions unwind edges, degrees and placement counts), so
-    the table always equals a fresh build over the live corpus.
+    the table always equals a fresh build over its source's blocks.
 
     Args:
-        index: the incremental block index to attach to.  Attach before
-            the first insert — deltas are not replayed.
+        source: what the pair statistics are read from and whose deltas
+            keep the factors — the incremental block index (attach
+            before the first insert: deltas are not replayed).
     """
 
     __slots__ = (
-        "index",
+        "source",
         "placements",
         "degrees",
         "active_blocks",
@@ -203,8 +207,10 @@ class DeltaPairTable(PairStatsView, DeltaConsumer):
         "edge_count",
     )
 
-    def __init__(self, index: IncrementalBlockIndex) -> None:
-        self.index = index
+    def __init__(
+        self, source: IncrementalBlockIndex | IncrementalProcessedView
+    ) -> None:
+        self.source = source
         #: entity id → placements in comparison-bearing blocks
         self.placements: dict[int, int] = {}
         #: entity id → distinct comparison partners (EJS degrees)
@@ -217,7 +223,7 @@ class DeltaPairTable(PairStatsView, DeltaConsumer):
         self.entities_placed = 0
         #: number of distinct pairs (the blocking graph's edge count)
         self.edge_count = 0
-        index.attach(self)
+        source.attach(self)
 
     # -- delta hooks ---------------------------------------------------------
 
@@ -246,22 +252,44 @@ class DeltaPairTable(PairStatsView, DeltaConsumer):
     def on_neighbours(
         self, entity_id: int, before: set[int], after: set[int]
     ) -> None:
+        self.fold_neighbours({entity_id: before}, {entity_id: after})
+
+    def fold_neighbours(
+        self, before: dict[int, set[int]], after: dict[int, set[int]]
+    ) -> None:
+        """Fold one batch of neighbour-set changes into ``degrees`` and
+        ``edge_count``.
+
+        *before* / *after* map every entity whose placements the batch
+        moved to its neighbours around it.  A pair with both endpoints
+        in the batch shows up from both sides and is counted once.
+        """
         degrees = self.degrees
-        gained = after - before
-        lost = before - after
-        for partner in gained:
-            degrees[partner] = degrees.get(partner, 0) + 1
-        for partner in lost:
-            remaining = degrees[partner] - 1
-            if remaining:
-                degrees[partner] = remaining
+        alone = len(after) == 1  # nobody is their own neighbour
+        edges = twice = 0
+        for entity_id, now in after.items():
+            was = before[entity_id]
+            gained = now - was
+            lost = was - now
+            gained_outside = gained if alone else gained.difference(after)
+            lost_outside = lost if alone else lost.difference(after)
+            for partner in gained_outside:
+                degrees[partner] = degrees.get(partner, 0) + 1
+            for partner in lost_outside:
+                remaining = degrees[partner] - 1
+                if remaining:
+                    degrees[partner] = remaining
+                else:
+                    del degrees[partner]
+            if now:
+                degrees[entity_id] = len(now)
             else:
-                del degrees[partner]
-        if after:
-            degrees[entity_id] = len(after)
-        else:
-            degrees.pop(entity_id, None)
-        self.edge_count += len(gained) - len(lost)
+                degrees.pop(entity_id, None)
+            edges += len(gained_outside) - len(lost_outside)
+            twice += (len(gained) - len(gained_outside)) - (
+                len(lost) - len(lost_outside)
+            )
+        self.edge_count += edges + twice // 2
 
     # -- statistics ----------------------------------------------------------
 
@@ -271,14 +299,14 @@ class DeltaPairTable(PairStatsView, DeltaConsumer):
 
     def interner(self):
         """The store's URI ↔ dense-id mapping."""
-        return self.index.store.interner
+        return self.source.store.interner
 
-    def block_source(self) -> IncrementalBlockIndex:
-        return self.index
+    def block_source(self):
+        return self.source
 
     def _common_items(self):
-        index = self.index
-        for id_a in index.entity_ids():
-            for id_b in index.neighbours_of(id_a):
+        source = self.source
+        for id_a in source.entity_ids():
+            for id_b in source.neighbours_of(id_a):
                 if id_a < id_b:
                     yield pack_pair(id_a, id_b), self.common_of(id_a, id_b)

@@ -22,10 +22,14 @@ module maintains the surviving block set **under inserts** instead:
   every K inserts (see :attr:`~IncrementalProcessedView.due`) or on
   demand.
 
-Consumers (:class:`SurvivorPairTable`) receive placement-level deltas
-as survivors enter and leave, so pair statistics follow the processed
-view the way :class:`~repro.stream.pairs.DeltaPairTable`'s global
-factors follow the raw index.
+A drain costs what it changes: presence is decided from the side sizes
+plus the key's membership delta, a key that stays exposed moves only
+its delta placements, and only a presence flip walks a block.  The
+attached :class:`SurvivorPairTable` receives one hook per moved
+placement and one before/after neighbour-set difference per batch of
+transitions, so pair statistics follow the processed view the way
+:class:`~repro.stream.pairs.DeltaPairTable`'s global factors follow the
+raw index — no comparison cell is ever enumerated.
 
 **Contract:** immediately after :meth:`reconcile`, the view is
 bit-identical to ``snapshot_processed(purging, filtering)`` — same
@@ -35,37 +39,14 @@ statistics equal a batch graph built over that processed collection.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from repro.blocking.block import Block, BlockCollection
 from repro.blocking.filtering import BlockFiltering, retained_keys
 from repro.blocking.purging import BlockPurging, threshold_from_histogram
-from repro.model.interner import pack_pair
 from repro.obs import DISABLED
 from repro.stream.index import DeltaConsumer, IncrementalBlockIndex
-from repro.stream.pairs import PairStatsView
-
-
-class ViewConsumer:
-    """Interface for structures maintained from processed-view deltas.
-
-    Hooks fire as survivors enter or leave the view, during insert
-    application and during reconciliation repair alike — a consumer that
-    folds them in is always consistent with the view's current content.
-    ``delta`` is always ``+1`` or ``-1``.
-    """
-
-    __slots__ = ()
-
-    def on_view_cell(self, id_a: int, id_b: int, delta: int) -> None:
-        """One comparison cell between distinct survivors (dis)appeared."""
-
-    def on_view_placement(self, entity_id: int, delta: int) -> None:
-        """One placement of an entity in a surviving block (dis)appeared."""
-
-    def on_view_block(self, key: str, delta: int) -> None:
-        """A block entered (+1) or left (-1) the surviving set."""
+from repro.stream.pairs import DeltaPairTable
 
 
 @dataclass(frozen=True)
@@ -168,7 +149,7 @@ class IncrementalProcessedView(DeltaConsumer):
         #: the first reconcile must be full — before it, untouched
         #: entities have never had their retained sets computed at all
         self._reconciled_once = False
-        self._consumers: list[ViewConsumer] = []
+        self._consumers: list[DeltaPairTable] = []
         #: notified when a non-empty pending buffer is about to drain
         #: (the durability layer's write-ahead hook)
         self._apply_listeners: list = []
@@ -179,9 +160,19 @@ class IncrementalProcessedView(DeltaConsumer):
 
     # -- wiring --------------------------------------------------------------
 
-    def attach(self, consumer: ViewConsumer) -> None:
-        """Attach a view-delta consumer (attach before inserting)."""
+    def attach(self, consumer: DeltaPairTable) -> None:
+        """Attach a statistics table (attach before inserting).
+
+        It gets the index's placement and block hooks, for *exposed*
+        placements and blocks, and one ``fold_neighbours(before,
+        after)`` per batch of transitions.
+        """
         self._consumers.append(consumer)
+
+    @property
+    def store(self):
+        """The store behind the index (what an attached table interns by)."""
+        return self.index.store
 
     def subscribe_apply(self, listener) -> None:
         """Call *listener* just before a non-empty pending drain.
@@ -272,12 +263,18 @@ class IncrementalProcessedView(DeltaConsumer):
     # -- delta application ---------------------------------------------------
 
     def _retained_for(self, entity_id: int, threshold: int) -> list[str]:
-        """The entity's retained keys under the live cardinalities."""
+        """The entity's retained keys under the live cardinalities.
+
+        A key counts once per side the entity holds it on, as in the
+        batch operator's per-entity key list (a URI both KBs describe is
+        placed twice in such a block).
+        """
         card = self._card
         eligible = [
             key
-            for key in self.index.keys_of(entity_id)
+            for key, mask in self.index.keys_of(entity_id).items()
             if key in card and card[key][0] <= threshold
+            for _side in range(mask.bit_count())
         ]
         return retained_keys(
             eligible, lambda key: card[key][0], self.filtering.ratio
@@ -292,23 +289,14 @@ class IncrementalProcessedView(DeltaConsumer):
             mask |= 2
         return mask
 
-    def _present_now(self, key: str) -> bool:
+    def _exposable(self, key: str, size0: int, size1: int) -> bool:
+        """Would *key* be exposed with these candidate side sizes?"""
         entry = self._card.get(key)
         if entry is None or entry[0] > self._threshold:
             return False
-        sides = self._members.get(key)
-        if sides is None:
-            return False
         if self.index.two_sided:
-            return bool(sides[0]) and bool(sides[1])
-        return len(sides[0]) >= 2
-
-    def _view_of(self, key: str) -> tuple[frozenset, frozenset] | None:
-        """The view's current content for *key* (None when not exposed)."""
-        if key not in self._present:
-            return None
-        sides = self._members.get(key) or (set(), set())
-        return (frozenset(sides[0]), frozenset(sides[1]))
+            return size0 > 0 and size1 > 0
+        return size0 >= 2
 
     def _apply_pending(self) -> None:
         """Fold buffered key/entity touches into the survivor state.
@@ -409,7 +397,10 @@ class IncrementalProcessedView(DeltaConsumer):
         for entity_id in entities:
             old_r = self._retained.get(entity_id, frozenset())
             new_r = frozenset(self._retained_for(entity_id, threshold))
-            self._retained[entity_id] = new_r
+            if new_r:
+                self._retained[entity_id] = new_r
+            else:
+                self._retained.pop(entity_id, None)
             masks = index.keys_of(entity_id)
             for key in old_r | new_r:
                 desired = masks.get(key, 0) if key in new_r else 0
@@ -434,119 +425,140 @@ class IncrementalProcessedView(DeltaConsumer):
         affected: dict[str, None],
         mem_delta: dict[str, list[tuple[int, int, int]]],
     ) -> tuple[int, int, int, int]:
-        """Fold membership deltas and re-evaluate presence per key.
+        """Re-evaluate presence per affected key and expose the result.
 
-        Keys are visited in sorted order (deterministic delta stream for
-        the attached consumers).  Returns ``(blocks_added,
+        Presence comes from the candidate side sizes plus the key's
+        delta — no block is read, let alone copied, to decide it.  Keys
+        are visited in sorted order.  Returns ``(blocks_added,
         blocks_removed, placements_added, placements_removed)``.
         """
-        blocks_added = blocks_removed = 0
-        placements_added = placements_removed = 0
+        present = self._present
+        members = self._members
+        changes: list[tuple[str, bool, bool, list]] = []
         for key in sorted(affected):
-            old_view = self._view_of(key)
-            for entity_id, source, delta in mem_delta.get(key, ()):
-                sides = self._members.get(key)
-                if sides is None:
-                    sides = (set(), set())
-                    self._members[key] = sides
+            deltas = mem_delta.get(key, ())
+            sides = members.get(key)
+            sizes = [len(sides[0]), len(sides[1])] if sides is not None else [0, 0]
+            for _entity_id, source, delta in deltas:
+                sizes[source] += delta
+            was = key in present
+            now = self._exposable(key, sizes[0], sizes[1])
+            if deltas or was != now:
+                changes.append((key, was, now, deltas))
+        return self._expose(changes)
+
+    def _expose(
+        self, changes: list[tuple[str, bool, bool, list]]
+    ) -> tuple[int, int, int, int]:
+        """Fold ``(key, was exposed, is exposed, membership deltas)`` in.
+
+        The one routine every drain and every reconciliation ends in.  A
+        key that stays exposed moves only its delta placements; only a
+        presence flip walks a block.  Attached tables get a hook per
+        moved placement and, around the whole batch, the neighbour sets
+        of every entity an exposed placement moved for.
+
+        Returns:
+            ``(blocks_added, blocks_removed, placements_added,
+            placements_removed)``.
+        """
+        members = self._members
+        present = self._present
+        consumers = self._consumers
+        touched: set[int] = set()
+        if consumers:
+            for key, was, now, deltas in changes:
+                if was != now and key in members:
+                    touched.update(*members[key])
+                if was or now:
+                    touched.update(delta[0] for delta in deltas)
+            before = {entity: self._neighbours(entity) for entity in touched}
+
+        blocks_added = blocks_removed = added = removed = 0
+        for key, was, now, deltas in changes:
+            sides = members.get(key)
+            if sides is None:
+                sides = members[key] = (set(), set())
+            if was and not now:
+                removed += self._place_block(key, sides, -1)
+                present.discard(key)
+                blocks_removed += 1
+            for entity_id, source, delta in deltas:
                 if delta > 0:
                     sides[source].add(entity_id)
                 else:
                     sides[source].discard(entity_id)
-            new_view = (
-                self._view_of_members(key) if self._present_now(key) else None
-            )
-            if old_view is None and new_view is not None:
+                if was and now:
+                    self._place(entity_id, key, 1 << source, delta)
+                    if delta > 0:
+                        added += 1
+                    else:
+                        removed += 1
+            if now and not was:
+                present.add(key)
                 blocks_added += 1
-            elif old_view is not None and new_view is None:
-                blocks_removed += 1
-            added, removed = self._transition(key, old_view, new_view)
-            placements_added += added
-            placements_removed += removed
-        return blocks_added, blocks_removed, placements_added, placements_removed
+                added += self._place_block(key, sides, 1)
+            if was != now:
+                for consumer in consumers:
+                    if now:
+                        consumer.on_block_activated(key)
+                    else:
+                        consumer.on_block_deactivated(key)
+            if not sides[0] and not sides[1]:
+                del members[key]
 
-    def _view_of_members(self, key: str) -> tuple[frozenset, frozenset]:
-        sides = self._members[key]
-        return (frozenset(sides[0]), frozenset(sides[1]))
-
-    def _transition(
-        self,
-        key: str,
-        old_view: tuple[frozenset, frozenset] | None,
-        new_view: tuple[frozenset, frozenset] | None,
-    ) -> tuple[int, int]:
-        """Move the view's content for *key* from *old_view* to *new_view*.
-
-        Emits placement/cell/block deltas to the attached consumers by
-        replaying the difference one placement at a time (removals
-        first), so incremental cell counting stays exact; updates the
-        ``_present`` set and the per-entity present-key masks.
-
-        Returns:
-            ``(placements_added, placements_removed)``.
-        """
-        if old_view == new_view:
-            return (0, 0)
-        consumers = self._consumers
-        two_sided = self.index.two_sided
-        work0 = set(old_view[0]) if old_view is not None else set()
-        work1 = set(old_view[1]) if old_view is not None else set()
-        new0 = new_view[0] if new_view is not None else frozenset()
-        new1 = new_view[1] if new_view is not None else frozenset()
-        removals = [(entity, 0) for entity in work0 - new0]
-        removals += [(entity, 1) for entity in work1 - new1]
-        additions = [(entity, 0) for entity in new0 - work0]
-        additions += [(entity, 1) for entity in new1 - work1]
-        removals.sort(key=lambda placement: (placement[1], placement[0]))
-        additions.sort(key=lambda placement: (placement[1], placement[0]))
-
-        if old_view is None and new_view is not None:
-            self._present.add(key)
+        if touched:
+            after = {entity: self._neighbours(entity) for entity in touched}
             for consumer in consumers:
-                consumer.on_view_block(key, 1)
+                consumer.fold_neighbours(before, after)
+        return blocks_added, blocks_removed, added, removed
 
-        for entity_id, side in removals:
-            partners = (work1 if side == 0 else work0) if two_sided else work0
-            for partner in sorted(partners):
-                if partner != entity_id:
-                    for consumer in consumers:
-                        consumer.on_view_cell(entity_id, partner, -1)
-            (work0 if side == 0 else work1).discard(entity_id)
-            self._entity_key_clear(entity_id, key, 1 << side)
-            for consumer in consumers:
-                consumer.on_view_placement(entity_id, -1)
-        for entity_id, side in additions:
-            partners = (work1 if side == 0 else work0) if two_sided else work0
-            for partner in sorted(partners):
-                if partner != entity_id:
-                    for consumer in consumers:
-                        consumer.on_view_cell(entity_id, partner, 1)
-            (work0 if side == 0 else work1).add(entity_id)
-            self._entity_key_set(entity_id, key, 1 << side)
-            for consumer in consumers:
-                consumer.on_view_placement(entity_id, 1)
+    def _place_block(self, key: str, sides: tuple[set, set], delta: int) -> int:
+        """(Un)expose every member of *key*; returns the placements moved."""
+        for source in (0, 1):
+            for entity_id in sides[source]:
+                self._place(entity_id, key, 1 << source, delta)
+        return len(sides[0]) + len(sides[1])
 
-        if new_view is None and old_view is not None:
-            self._present.discard(key)
-            for consumer in consumers:
-                consumer.on_view_block(key, -1)
-        return (len(additions), len(removals))
-
-    def _entity_key_set(self, entity_id: int, key: str, bit: int) -> None:
-        keys = self._entity_keys.setdefault(entity_id, {})
-        keys[key] = keys.get(key, 0) | bit
-
-    def _entity_key_clear(self, entity_id: int, key: str, bit: int) -> None:
-        keys = self._entity_keys.get(entity_id)
-        if keys is None:
-            return
-        mask = keys.get(key, 0) & ~bit
-        if mask:
-            keys[key] = mask
+    def _place(self, entity_id: int, key: str, bit: int, delta: int) -> None:
+        """One exposed placement (dis)appears: per-entity mask + hooks."""
+        entity_keys = self._entity_keys
+        keys = entity_keys.get(entity_id)
+        if delta > 0:
+            if keys is None:
+                keys = entity_keys[entity_id] = {}
+            keys[key] = keys.get(key, 0) | bit
         else:
-            keys.pop(key, None)
-            if not keys:
-                self._entity_keys.pop(entity_id, None)
+            mask = keys[key] & ~bit
+            if mask:
+                keys[key] = mask
+            else:
+                del keys[key]
+                if not keys:
+                    del entity_keys[entity_id]
+        for consumer in self._consumers:
+            if delta > 0:
+                consumer.on_placement(entity_id)
+            else:
+                consumer.on_placement_removed(entity_id)
+
+    def _neighbours(self, entity_id: int) -> set[int]:
+        """Entities sharing an exposed comparison cell with *entity_id*."""
+        found: set[int] = set()
+        members = self._members
+        keys = self._entity_keys.get(entity_id, {})
+        if self.index.two_sided:
+            for key, mask in keys.items():
+                sides = members[key]
+                if mask & 1:
+                    found.update(sides[1])
+                if mask & 2:
+                    found.update(sides[0])
+        else:
+            for key in keys:
+                found.update(members[key][0])
+        found.discard(entity_id)
+        return found
 
     # -- serving -------------------------------------------------------------
 
@@ -554,6 +566,17 @@ class IncrementalProcessedView(DeltaConsumer):
         """Key → side-bitmask map over *present* blocks (live view)."""
         self._apply_pending()
         return self._entity_keys.get(entity_id, {})
+
+    def entity_ids(self) -> list[int]:
+        """Ids of every entity placed in at least one present block."""
+        self._apply_pending()
+        return list(self._entity_keys)
+
+    def neighbours_of(self, entity_id: int) -> set[int]:
+        """Every entity sharing a surviving comparison cell with the
+        entity — the survivor graph's edge set around one node."""
+        self._apply_pending()
+        return self._neighbours(entity_id)
 
     def cardinality_of(self, key: str) -> int:
         """Comparisons the view's (filtered) block implies (0 if absent)."""
@@ -659,23 +682,24 @@ class IncrementalProcessedView(DeltaConsumer):
         Two repair strategies behind the same contract (the view is
         bit-identical to ``snapshot_processed`` afterwards):
 
-        * **full** — diff the view against the exact processed snapshot
-          and rebuild every retained set.  Cost is proportional to the
-          whole corpus.  Forced on the first reconciliation (and the
-          first after a durability restore), when no dirty bookkeeping
-          exists yet, or when *full* is passed.
+        * **full** — recompute every entity's retained set and
+          re-evaluate every key.  Cost is proportional to the whole
+          corpus.  Forced on the first reconciliation (and the first
+          after a durability restore), when no dirty bookkeeping exists
+          yet, or when *full* is passed.
         * **partial** — key-partitioned repair.  Between reconciles the
           only entities whose retained sets can have drifted are those
           touched directly or sharing a key whose cardinality or
           threshold-eligibility changed (the drains keep everything
           else exact).  Recompute just that dirty closure and
-          re-transition the affected keys.  Cost is proportional to the
+          re-evaluate the affected keys.  Cost is proportional to the
           churn, not the corpus.
 
-        Emits corrective deltas to attached consumers for every block
-        and placement the approximation got wrong, and caches the exact
-        collection so :meth:`materialize` returns it bit-identically
-        until the next insert.
+        Both end in :meth:`_expose`, which moves every block and
+        placement the approximation got wrong (and tells the attached
+        statistics table); the exact collection is cached so
+        :meth:`materialize` returns it bit-identically until the next
+        insert.
         """
         # Metric-only timing (no span: the resolver's query path owns the
         # reconcile span); the measured wall feeds both the report and
@@ -687,10 +711,33 @@ class IncrementalProcessedView(DeltaConsumer):
         staleness = self.staleness
         if full or not self._reconciled_once:
             mode = "full"
-            exact, counts, entities_repaired = self._reconcile_full()
+            # Post-drain, a retained set belongs to an indexed entity: a
+            # delete touches the entity, and the drain drops its entry.
+            entities = set(index.entity_ids())
+            keys = self._card.keys() | self._present
         else:
+            # The dirty closure: entities touched since the last
+            # reconcile, plus the posting lists of every key whose
+            # cardinality or threshold-eligibility changed — only their
+            # filtering rankings can have drifted.
             mode = "partial"
-            exact, counts, entities_repaired = self._reconcile_partial()
+            entities = set(self._dirty_entities)
+            keys = self._dirty_keys
+            for key in keys:
+                for side in index.postings(key):
+                    entities.update(side)
+        affected: dict[str, None] = dict.fromkeys(keys)
+        mem_delta = self._retained_deltas(
+            sorted(entities), self._current_threshold(), affected
+        )
+        counts = self._apply_transitions(affected, mem_delta)
+        # Threshold exact (histogram invariant) and every drifted entity
+        # re-ranked: the view now holds the exact processed snapshot.
+        exact = (
+            index.snapshot_processed(self.purging, self.filtering)
+            if mode == "full"
+            else self._build_collection()
+        )
         blocks_added, blocks_removed, placements_added, placements_removed = counts
 
         version = index.store.version
@@ -711,197 +758,26 @@ class IncrementalProcessedView(DeltaConsumer):
             placements_removed=placements_removed,
             exact_blocks=len(exact),
             mode=mode,
-            entities_repaired=entities_repaired,
+            entities_repaired=len(entities),
         )
         self.last_report = report
         return report
 
-    def _reconcile_full(self):
-        """Snapshot-diff repair over the whole corpus."""
-        index = self.index
-        exact = index.snapshot_processed(self.purging, self.filtering)
-        interner = index.store.interner
-        exact_members: dict[str, tuple[frozenset, frozenset]] = {}
-        for block in exact:
-            side0 = frozenset(interner.id_of(uri) for uri in block.entities1)
-            side1 = (
-                frozenset(interner.id_of(uri) for uri in block.entities2)
-                if block.entities2 is not None
-                else frozenset()
-            )
-            exact_members[block.key] = (side0, side1)
 
-        blocks_added = blocks_removed = 0
-        placements_added = placements_removed = 0
-        for key in sorted(set(self._present) | set(exact_members)):
-            old_view = self._view_of(key)
-            new_view = exact_members.get(key)
-            if old_view is None and new_view is not None:
-                blocks_added += 1
-            elif old_view is not None and new_view is None:
-                blocks_removed += 1
-            added, removed = self._transition(key, old_view, new_view)
-            placements_added += added
-            placements_removed += removed
-
-        # Wholesale repair of the approximate bookkeeping: with the
-        # threshold exact (histogram invariant) and every retained set
-        # recomputed, the candidate state matches batch filtering.
-        threshold = self._current_threshold()
-        self._retained = {}
-        self._members = {}
-        entities_repaired = 0
-        for entity_id in index.entity_ids():
-            entities_repaired += 1
-            new_r = frozenset(self._retained_for(entity_id, threshold))
-            self._retained[entity_id] = new_r
-            masks = index.keys_of(entity_id)
-            for key in new_r:
-                mask = masks[key]
-                sides = self._members.get(key)
-                if sides is None:
-                    sides = (set(), set())
-                    self._members[key] = sides
-                if mask & 1:
-                    sides[0].add(entity_id)
-                if mask & 2:
-                    sides[1].add(entity_id)
-        counts = (
-            blocks_added,
-            blocks_removed,
-            placements_added,
-            placements_removed,
-        )
-        return exact, counts, entities_repaired
-
-    def _reconcile_partial(self):
-        """Key-partitioned repair over the dirty closure only.
-
-        The dirty closure: entities touched since the last reconcile,
-        plus the current members (posting lists) of every key whose
-        cardinality or threshold-eligibility changed.  Only those
-        entities' per-entity filtering rankings can have drifted, so
-        recomputing exactly them restores the batch-exact state.
-        """
-        index = self.index
-        threshold = self._current_threshold()
-        dirty_entities = set(self._dirty_entities)
-        for key in self._dirty_keys:
-            side0, side1 = index.postings(key)
-            dirty_entities.update(int(e) for e in side0)
-            dirty_entities.update(int(e) for e in side1)
-        affected: dict[str, None] = dict.fromkeys(sorted(self._dirty_keys))
-        mem_delta = self._retained_deltas(
-            sorted(dirty_entities), threshold, affected
-        )
-        counts = self._apply_transitions(affected, mem_delta)
-        return self._build_collection(), counts, len(dirty_entities)
-
-
-class SurvivorPairTable(PairStatsView, ViewConsumer):
+class SurvivorPairTable(DeltaPairTable):
     """Pair statistics over the processed view's surviving blocks.
 
-    The processed-view counterpart of
-    :class:`~repro.stream.pairs.DeltaPairTable`: per-pair common counts
-    and the global scheme factors follow the *survivors* — placements
-    and cells enter and leave as purging/filtering decisions shift —
-    so query-time weighting matches a batch graph built over the
-    processed collection (exactly so right after a reconciliation).
+    :class:`~repro.stream.pairs.DeltaPairTable` with the view as its
+    source: a pair's ``common`` / ``arcs`` are read from the *exposed*
+    blocks when asked — the same terms, in the same order, as a batch
+    graph over the processed collection — and the global factors follow
+    the survivors as purging / filtering decisions shift, so query-time
+    weighting matches that graph (exactly so right after a
+    reconciliation).
 
     Args:
-        view: the processed view to attach to.  Attach before the first
-            insert — view deltas are not replayed.
+        source: the processed view to attach to.  Attach before the
+            first insert — view deltas are not replayed.
     """
 
-    __slots__ = (
-        "view",
-        "common",
-        "placements",
-        "degrees",
-        "active_blocks",
-        "total_assignments",
-        "entities_placed",
-        "edge_count",
-    )
-
-    def __init__(self, view: IncrementalProcessedView) -> None:
-        self.view = view
-        #: packed pair → cells in common surviving blocks
-        self.common: dict[int, int] = {}
-        #: entity id → placements in surviving blocks
-        self.placements: dict[int, int] = {}
-        #: entity id → distinct surviving partners (EJS degrees)
-        self.degrees: dict[int, int] = {}
-        #: number of surviving blocks
-        self.active_blocks = 0
-        #: total surviving placements (the CEP/CNP budget numerator)
-        self.total_assignments = 0
-        #: entities with at least one surviving placement
-        self.entities_placed = 0
-        #: number of distinct surviving pairs
-        self.edge_count = 0
-        view.attach(self)
-
-    # -- view-delta hooks ----------------------------------------------------
-
-    def on_view_cell(self, id_a: int, id_b: int, delta: int) -> None:
-        key = pack_pair(id_a, id_b)
-        old = self.common.get(key, 0)
-        count = old + delta
-        if old == 0 and count > 0:
-            self.edge_count += 1
-            self.degrees[id_a] = self.degrees.get(id_a, 0) + 1
-            self.degrees[id_b] = self.degrees.get(id_b, 0) + 1
-        elif old > 0 and count == 0:
-            self.edge_count -= 1
-            for entity_id in (id_a, id_b):
-                remaining = self.degrees.get(entity_id, 0) - 1
-                if remaining:
-                    self.degrees[entity_id] = remaining
-                else:
-                    self.degrees.pop(entity_id, None)
-        if count:
-            self.common[key] = count
-        else:
-            self.common.pop(key, None)
-
-    def on_view_placement(self, entity_id: int, delta: int) -> None:
-        old = self.placements.get(entity_id, 0)
-        count = old + delta
-        if old == 0 and count > 0:
-            self.entities_placed += 1
-        elif old > 0 and count == 0:
-            self.entities_placed -= 1
-        self.total_assignments += delta
-        if count:
-            self.placements[entity_id] = count
-        else:
-            self.placements.pop(entity_id, None)
-
-    def on_view_block(self, key: str, delta: int) -> None:
-        self.active_blocks += delta
-
-    # -- statistics ----------------------------------------------------------
-
-    def __len__(self) -> int:
-        """Number of distinct surviving pairs tracked."""
-        return len(self.common)
-
-    def interner(self):
-        """The store's URI ↔ dense-id mapping."""
-        return self.view.index.store.interner
-
-    def block_source(self) -> IncrementalProcessedView:
-        """ARCS walks the *filtered* blocks — the same terms, in the
-        same order, as a batch graph over the processed collection."""
-        return self.view
-
-    def _common_items(self):
-        self.view._apply_pending()  # a view read: drain before iterating
-        return self.common.items()
-
-    def common_of(self, id_a: int, id_b: int) -> int:
-        """Common surviving-block cells of the pair (0 when none)."""
-        if id_a == id_b:
-            return 0
-        return self.common.get(pack_pair(id_a, id_b), 0)
+    __slots__ = ()

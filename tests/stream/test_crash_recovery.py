@@ -110,11 +110,34 @@ class TestWriteAheadLog:
         reopened.close()
 
     def test_records_after_lsn_filters(self, tmp_path):
+        """records() is the log as it is on disk, whoever wrote it."""
         wal = self._fresh(tmp_path)
         wal.write_header({})
         for i in range(5):
             wal.append("insert", [i])
         assert [p for _l, _k, p in wal.records(after_lsn=3)] == [[3], [4]]
+        wal.close()
+        reopened = self._fresh(tmp_path)
+        reopened.append("insert", [5])  # past what the open-time scan saw
+        assert [p for _l, _k, p in reopened.records(after_lsn=3)] == [[3], [4], [5]]
+        assert reopened.record_count == 6
+        reopened.close()
+
+    def test_appends_are_not_retained(self, tmp_path):
+        """A live log is not a second copy of everything it was given."""
+        wal = self._fresh(tmp_path, fsync_every=0)
+        wal.write_header({})
+        for i in range(2000):
+            wal.append("insert", [["http://e/%d" % i, {"p": ["v"]}, ""], 0])
+        assert wal.record_count == wal.last_lsn == 2000
+        retained = [
+            value
+            for value in vars(wal).values()
+            if isinstance(value, (list, dict, tuple))
+            and value is not wal.header
+        ]
+        assert sum(len(value) for value in retained) == 0
+        assert len(wal.records()) == 2000
         wal.close()
 
     def test_append_requires_header(self, tmp_path):
@@ -501,6 +524,9 @@ def test_resume_after_recovery_continues_the_log(tmp_path):
 #: is a full one and runs the lazy posting re-sort a replay still defers,
 #: so the index's ``unsorted`` / ``resort_count`` would differ by path.
 V1_FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "v1")
+#: the same events through the last build whose snapshots were version 2
+#: (no ``state.pairs.common``, still ``state.view_pairs.common``)
+V2_FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "v2")
 
 
 def _rewrite_snapshot(source: str, target: str, **changes) -> None:
@@ -512,11 +538,18 @@ def _rewrite_snapshot(source: str, target: str, **changes) -> None:
         handle.write(b"%08x %s" % (zlib.crc32(body), body))
 
 
-def test_version_1_snapshot_recovers_to_the_replayed_state(tmp_path):
-    directory = shutil.copytree(V1_FIXTURE, str(tmp_path / "v1"))
+@pytest.mark.parametrize(
+    "fixture, version", [(V1_FIXTURE, 1), (V2_FIXTURE, 2)], ids=["v1", "v2"]
+)
+def test_version_1_snapshot_recovers_to_the_replayed_state(
+    tmp_path, fixture, version
+):
+    directory = shutil.copytree(fixture, str(tmp_path / "old"))
     document = load_snapshot(list_snapshots(directory)[0])
-    assert document["version"] == 1
-    assert document["state"]["pairs"]["common"]  # what version 2 dropped
+    assert document["version"] == version
+    # what version 2 dropped, and what version 3 dropped
+    assert ("common" in document["state"]["pairs"]) == (version == 1)
+    assert document["state"]["view_pairs"]["common"]
 
     recovered = StreamResolver.recover(directory)
     assert recovered.recovery.snapshot_lsn == 15
@@ -535,9 +568,9 @@ def test_version_1_snapshot_recovers_to_the_replayed_state(tmp_path):
     # A resumed controller writes the current version next to the old one.
     resumed = StreamResolver.recover(directory, resume=True)
     newest = load_snapshot(resumed.durability.snapshot_now())
-    assert newest["version"] == 2
+    assert newest["version"] == 3
     assert "common" not in newest["state"]["pairs"]
-    assert "common" in newest["state"]["view_pairs"]
+    assert "common" not in newest["state"]["view_pairs"]
     resumed.close()
 
 
