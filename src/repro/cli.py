@@ -811,10 +811,11 @@ def _stream_recover_only(args: argparse.Namespace) -> int:
         print(error)
         return 1
     report = result.report
+    table = result.pairs if result.view is None else result.view_pairs
     rows = [
         {"metric": "live descriptions", "value": str(len(result.store))},
         {"metric": "blocking keys", "value": str(len(result.index))},
-        {"metric": "pairs tracked", "value": str(result.pairs.edge_count)},
+        {"metric": "pairs tracked", "value": str(table.edge_count)},
         {"metric": "WAL records", "value": str(report.wal_records)},
         {"metric": "snapshot LSN", "value": str(report.snapshot_lsn)},
         {"metric": "events replayed", "value": str(report.replayed_events)},

@@ -80,9 +80,11 @@ WAL_VERSION = 1
 SNAPSHOT_FORMAT = "repro-snapshot"
 #: written by this build; 1 also carried the raw pair table's
 #: ``state.pairs.common`` dict and 1 / 2 the survivor table's
-#: ``state.view_pairs.common``, which the lazy tables derive instead
-SNAPSHOT_VERSION = 3
-_READABLE_SNAPSHOT_VERSIONS = (1, 2, 3)
+#: ``state.view_pairs.common``, which the lazy tables derive instead;
+#: 1 – 3 carried raw ``state.pairs`` factors beside a view's, which no
+#: query of such a resolver reads (4 writes ``null`` there)
+SNAPSHOT_VERSION = 4
+_READABLE_SNAPSHOT_VERSIONS = (1, 2, 3, 4)
 WAL_NAME = "wal.log"
 _SNAPSHOT_SUFFIX = ".json"
 _SNAPSHOT_PREFIX = "snapshot-"
@@ -446,11 +448,14 @@ def _restore_factors(table, state: dict) -> None:
 def capture_state(
     store: StreamingEntityStore,
     index: IncrementalBlockIndex,
-    pairs: DeltaPairTable,
+    pairs: DeltaPairTable | None,
     view: IncrementalProcessedView | None = None,
     view_pairs: SurvivorPairTable | None = None,
 ) -> dict:
     """The full serializable state of the streaming component stack.
+
+    A stack holds one statistics table — *pairs* without a view,
+    *view_pairs* with one — and the other is captured as ``None``.
 
     JSON-safe and canonical (sets are sorted), so two captures compare
     with ``==`` — the bit-identity check the crash-recovery gate uses —
@@ -491,7 +496,7 @@ def capture_state(
             ],
             "overlap": dict(index._overlap),
         },
-        "pairs": _capture_factors(pairs),
+        "pairs": _capture_factors(pairs) if pairs is not None else None,
         "view": None,
         "view_pairs": None,
     }
@@ -538,7 +543,7 @@ def restore_components(
 ) -> tuple[
     StreamingEntityStore,
     IncrementalBlockIndex,
-    DeltaPairTable,
+    DeltaPairTable | None,
     IncrementalProcessedView | None,
     SurvivorPairTable | None,
 ]:
@@ -581,14 +586,16 @@ def restore_components(
     ]
     index._overlap = dict(i["overlap"])
 
-    pairs = DeltaPairTable(index)
     # A ``common`` dict in an older document (``pairs`` in version 1,
-    # ``view_pairs`` in 1 and 2) is ignored: the postings hold it.
-    _restore_factors(pairs, state["pairs"])
-
+    # ``view_pairs`` in 1 and 2) is ignored: the postings hold it.  So
+    # is the raw table a version 1 – 3 document carries beside a view.
+    pairs = None
     view = None
     view_pairs = None
-    if state.get("view") is not None:
+    if state.get("view") is None:
+        pairs = DeltaPairTable(index)
+        _restore_factors(pairs, state["pairs"])
+    else:
         v = state["view"]
         view = IncrementalProcessedView(
             index,
@@ -927,7 +934,9 @@ class RecoveryResult:
 
     store: StreamingEntityStore
     index: IncrementalBlockIndex
-    pairs: DeltaPairTable
+    #: the table the stack's queries read: ``pairs`` without a view,
+    #: ``view_pairs`` with one (the other is None)
+    pairs: DeltaPairTable | None
     view: IncrementalProcessedView | None
     view_pairs: SurvivorPairTable | None
     report: RecoveryReport
@@ -939,11 +948,13 @@ def _fresh_components(config: dict, blocker: Blocker | None):
         name=config.get("name", "stream"),
     )
     index = IncrementalBlockIndex(store, blocker)
-    pairs = DeltaPairTable(index)
+    pairs = None
     view = None
     view_pairs = None
     view_config = config.get("view")
-    if view_config is not None:
+    if view_config is None:
+        pairs = DeltaPairTable(index)
+    else:
         view = IncrementalProcessedView(
             index,
             BlockPurging(

@@ -4,16 +4,19 @@ The batch blocker groups a frozen corpus by key in one pass; this index
 maintains the same grouping under inserts.  Each insert computes the
 description's blocking keys (token keys by default; pass a q-grams or
 composite blocker for other key spaces), appends the entity to the
-touched posting lists, and emits the **delta** — placements, block
-activations and the entity's changed neighbour set — to attached
-consumers (the :class:`~repro.stream.pairs.DeltaPairTable`).
+touched posting lists, and emits the **delta** — placements and block
+activations, bracketed by an event-begin / event-end pair — to attached
+consumers (the :class:`~repro.stream.pairs.DeltaPairTable`, the
+:class:`~repro.stream.processed_view.IncrementalProcessedView`).
 
 Comparison cells are never enumerated: the postings *are* the pair
-table, read back per pair at query time.  Per-insert Python work is
-O(keys + distinct new partners) — one hook per posted key, and one
-:meth:`~IncrementalBlockIndex.neighbours_of` union (a C-speed
-``set.update`` per key) before and after the event, whose difference
-is the pairs gained.  Global concerns are deferred, not dropped:
+table, read back per pair at query time.  Per-insert Python work in the
+index is O(keys) — one hook per posted key.  The index takes no
+neighbour union on anyone's behalf: a consumer that maintains pair
+counts (the raw ``DeltaPairTable``) reads
+:meth:`~IncrementalBlockIndex.neighbours_of` itself inside the event
+bracket, and a consumer that folds nothing (the view) costs nothing.
+Global concerns are deferred, not dropped:
 
 * posting lists are kept in per-source arrival order; an entity that
   gains a key *late* (attribute merge) is re-sorted **lazily, only for
@@ -66,7 +69,8 @@ class DeltaConsumer:
     touched key: placements/activations, then ``on_key_update``.  The
     ``*_removed``/``*_deactivated`` hooks mirror the insert hooks
     exactly — a delete emits the negation of the deltas the
-    corresponding inserts emitted.  ``on_neighbours`` closes the event.
+    corresponding inserts emitted.  ``on_event_begin`` /
+    ``on_event_end`` bracket every event that changes a posting.
     """
 
     __slots__ = ()
@@ -94,16 +98,18 @@ class DeltaConsumer:
         ignore it.
         """
 
-    def on_neighbours(
-        self, entity_id: int, before: set[int], after: set[int]
-    ) -> None:
-        """The event moved *entity_id*'s comparison partners.
+    def on_event_begin(self, entity_id: int) -> None:
+        """An event is about to change *entity_id*'s postings.
 
-        Fired once per event that changed a posting, last: *before* and
-        *after* are :meth:`IncrementalBlockIndex.neighbours_of` around
-        it, so ``after - before`` are the pairs that came into being and
-        ``before - after`` the pairs that vanished.
+        Fired once per such event, first: the source still answers with
+        the pre-event state, so a consumer that folds neighbour sets
+        reads ``neighbours_of(entity_id)`` here and again in
+        :meth:`on_event_end` — their difference is the pairs that came
+        into being or vanished.
         """
+
+    def on_event_end(self, entity_id: int) -> None:
+        """The event is fully applied (fired last, once per event)."""
 
 
 class IncrementalBlockIndex(DeltaConsumer):
@@ -203,8 +209,8 @@ class IncrementalBlockIndex(DeltaConsumer):
         if not new_keys:
             return
         consumers = self._consumers
-        # A first insert has no partners yet: only a merge reads them back.
-        before = self.neighbours_of(entity_id) if mask else set()
+        for consumer in consumers:
+            consumer.on_event_begin(entity_id)
         for key in new_keys:
             self._block_cache.pop(key, None)
             sides = self._postings.get(key)
@@ -250,9 +256,8 @@ class IncrementalBlockIndex(DeltaConsumer):
                         consumer.on_placement(entity_id)
             for consumer in consumers:
                 consumer.on_key_update(key, entity_id, source)
-        after = self.neighbours_of(entity_id)
         for consumer in consumers:
-            consumer.on_neighbours(entity_id, before, after)
+            consumer.on_event_end(entity_id)
 
     # -- delete path ---------------------------------------------------------
 
@@ -264,7 +269,7 @@ class IncrementalBlockIndex(DeltaConsumer):
         placements, when the removal drops the block below the
         comparison-bearing floor), then ``on_key_update`` fires so
         cardinality-sensitive consumers re-read the post-delete state;
-        ``on_neighbours`` closes the event with the partners lost.  The
+        ``on_event_end`` closes the event.  The
         per-source arrival rank is **kept** — a re-inserted URI regains
         its original position, so snapshots stay bit-identical to a
         batch build over the final live corpus.
@@ -278,7 +283,8 @@ class IncrementalBlockIndex(DeltaConsumer):
             return
         self._snapshots.clear()
         consumers = self._consumers
-        before = self.neighbours_of(entity_id)
+        for consumer in consumers:
+            consumer.on_event_begin(entity_id)
         for key in touched:
             self._block_cache.pop(key, None)
             sides = self._postings[key]
@@ -333,9 +339,8 @@ class IncrementalBlockIndex(DeltaConsumer):
                 consumer.on_key_update(key, entity_id, source)
         if not mask:
             del self._key_mask[entity_id]
-        after = self.neighbours_of(entity_id)
         for consumer in consumers:
-            consumer.on_neighbours(entity_id, before, after)
+            consumer.on_event_end(entity_id)
 
     # -- interrogation -------------------------------------------------------
 

@@ -12,10 +12,16 @@ cardinality changes retroactively each time the block grows).  What
 the weighting schemes and pruners consume: ``placements``,
 ``active_blocks``, ``entities_placed`` and ``total_assignments`` from
 the per-placement hooks, ``degrees`` and ``edge_count`` from one set
-difference of the touched entity's neighbours per event.  The same holds
-one layer up: :class:`~repro.stream.processed_view.SurvivorPairTable`
-is this view over the processed view's *exposed* blocks, its neighbour
-differences taken once per batch of view transitions.
+difference of the touched entity's neighbours per event — two
+``neighbours_of`` unions the table takes itself, inside the index's
+event bracket.  The same holds one layer up:
+:class:`~repro.stream.processed_view.SurvivorPairTable` is this view
+over the processed view's *exposed* blocks, its neighbour differences
+taken once per batch of view transitions.
+
+A resolver keeps **one** table, the one its queries read — the raw one
+over the index or the survivor one over a processed view, never both —
+so nothing folds neighbour sets into statistics no query consults.
 
 All six schemes are therefore evaluable for any single pair in
 O(keys-of-the-smaller-endpoint), with **no global rebuild**: exactly
@@ -205,6 +211,7 @@ class DeltaPairTable(PairStatsView, DeltaConsumer):
         "total_assignments",
         "entities_placed",
         "edge_count",
+        "_before",
     )
 
     def __init__(
@@ -223,6 +230,8 @@ class DeltaPairTable(PairStatsView, DeltaConsumer):
         self.entities_placed = 0
         #: number of distinct pairs (the blocking graph's edge count)
         self.edge_count = 0
+        #: the touched entity's neighbours when the current event began
+        self._before: set[int] = set()
         source.attach(self)
 
     # -- delta hooks ---------------------------------------------------------
@@ -249,10 +258,14 @@ class DeltaPairTable(PairStatsView, DeltaConsumer):
     def on_block_deactivated(self, key: str) -> None:
         self.active_blocks -= 1
 
-    def on_neighbours(
-        self, entity_id: int, before: set[int], after: set[int]
-    ) -> None:
-        self.fold_neighbours({entity_id: before}, {entity_id: after})
+    def on_event_begin(self, entity_id: int) -> None:
+        self._before = self.source.neighbours_of(entity_id)
+
+    def on_event_end(self, entity_id: int) -> None:
+        self.fold_neighbours(
+            {entity_id: self._before},
+            {entity_id: self.source.neighbours_of(entity_id)},
+        )
 
     def fold_neighbours(
         self, before: dict[int, set[int]], after: dict[int, set[int]]

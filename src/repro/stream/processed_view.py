@@ -17,10 +17,13 @@ module maintains the surviving block set **under inserts** instead:
   — drift comes only from the per-entity filtering rankings of
   untouched entities — with a **bounded staleness counter** (inserts
   since the last reconciliation) and an exact
-  :meth:`~IncrementalProcessedView.reconcile` that diffs the view
-  against ``snapshot_processed()`` and repairs the drift in place,
-  every K inserts (see :attr:`~IncrementalProcessedView.due`) or on
-  demand.
+  :meth:`~IncrementalProcessedView.reconcile` that re-ranks what can
+  have drifted and repairs the survivor state in place, every K inserts
+  (see :attr:`~IncrementalProcessedView.due`) or on demand.  A
+  reconcile leaves *state*, not a collection: it builds no block and
+  takes no index snapshot (so it never runs the index's lazy posting
+  re-sort either); :meth:`~IncrementalProcessedView.materialize`
+  derives the ``BlockCollection`` from the survivor state when asked.
 
 A drain costs what it changes: presence is decided from the side sizes
 plus the key's membership delta, a key that stays exposed moves only
@@ -31,8 +34,8 @@ transitions, so pair statistics follow the processed view the way
 :class:`~repro.stream.pairs.DeltaPairTable`'s global factors follow the
 raw index — no comparison cell is ever enumerated.
 
-**Contract:** immediately after :meth:`reconcile`, the view is
-bit-identical to ``snapshot_processed(purging, filtering)`` — same
+**Contract:** immediately after :meth:`reconcile`, the view
+materializes equal to ``snapshot_processed(purging, filtering)`` — same
 blocks, members, cardinalities and id views — and attached survivor
 statistics equal a batch graph built over that processed collection.
 """
@@ -62,8 +65,9 @@ class ReconcileReport:
     placements_removed: int
     #: surviving blocks after the repair
     exact_blocks: int
-    #: ``"full"`` (snapshot diff over every block) or ``"partial"``
-    #: (key-partitioned repair over the dirty blocks/entities only)
+    #: ``"full"`` (every entity re-ranked, every key re-evaluated) or
+    #: ``"partial"`` (key-partitioned repair over the dirty
+    #: blocks/entities only)
     mode: str = "full"
     #: entities whose retained sets the pass recomputed
     entities_repaired: int = 0
@@ -154,8 +158,8 @@ class IncrementalProcessedView(DeltaConsumer):
         #: (the durability layer's write-ahead hook)
         self._apply_listeners: list = []
         self._reconciled_version = index.store.version
-        self._exact: tuple[int, BlockCollection] | None = None
-        self._approx: tuple[int, BlockCollection] | None = None
+        #: :meth:`materialize` cache: (store version, collection)
+        self._materialized: tuple[int, BlockCollection] | None = None
         index.attach(self)
 
     # -- wiring --------------------------------------------------------------
@@ -637,21 +641,18 @@ class IncrementalProcessedView(DeltaConsumer):
     # -- materialization -----------------------------------------------------
 
     def materialize(self) -> BlockCollection:
-        """The view as a ``BlockCollection``.
+        """The view as a ``BlockCollection``, built on demand.
 
-        Exact (the ``snapshot_processed`` result itself) right after a
-        reconciliation with no inserts since; the approximate survivor
-        state otherwise.  Cached per store version.
+        Equal to ``snapshot_processed`` right after a reconciliation
+        with no inserts since; the approximate survivor state otherwise.
+        Cached per (store version, reconciliation).
         """
         self._apply_pending()
         version = self.index.store.version
-        if self._exact is not None and self._exact[0] == version:
-            return self._exact[1]
-        if self._approx is not None and self._approx[0] == version:
-            return self._approx[1]
-        blocks = self._build_collection()
-        self._approx = (version, blocks)
-        return blocks
+        cached = self._materialized
+        if cached is None or cached[0] != version:
+            cached = self._materialized = (version, self._build_collection())
+        return cached[1]
 
     def _build_collection(self) -> BlockCollection:
         """Materialize the survivor state (batch-identical shape/order)."""
@@ -679,8 +680,8 @@ class IncrementalProcessedView(DeltaConsumer):
     def reconcile(self, full: bool = False) -> ReconcileReport:
         """Repair the view's drift; leave it exact for the current version.
 
-        Two repair strategies behind the same contract (the view is
-        bit-identical to ``snapshot_processed`` afterwards):
+        Two repair strategies behind the same contract (the view
+        materializes equal to ``snapshot_processed`` afterwards):
 
         * **full** — recompute every entity's retained set and
           re-evaluate every key.  Cost is proportional to the whole
@@ -697,9 +698,9 @@ class IncrementalProcessedView(DeltaConsumer):
 
         Both end in :meth:`_expose`, which moves every block and
         placement the approximation got wrong (and tells the attached
-        statistics table); the exact collection is cached so
-        :meth:`materialize` returns it bit-identically until the next
-        insert.
+        statistics table).  Nothing else is built: the repaired survivor
+        state is what the next query reads, and :meth:`materialize`
+        derives the collection from it if anyone asks.
         """
         # Metric-only timing (no span: the resolver's query path owns the
         # reconcile span); the measured wall feeds both the report and
@@ -730,20 +731,13 @@ class IncrementalProcessedView(DeltaConsumer):
         mem_delta = self._retained_deltas(
             sorted(entities), self._current_threshold(), affected
         )
-        counts = self._apply_transitions(affected, mem_delta)
         # Threshold exact (histogram invariant) and every drifted entity
         # re-ranked: the view now holds the exact processed snapshot.
-        exact = (
-            index.snapshot_processed(self.purging, self.filtering)
-            if mode == "full"
-            else self._build_collection()
+        blocks_added, blocks_removed, placements_added, placements_removed = (
+            self._apply_transitions(affected, mem_delta)
         )
-        blocks_added, blocks_removed, placements_added, placements_removed = counts
-
-        version = index.store.version
-        self._exact = (version, exact)
-        self._approx = None
-        self._reconciled_version = version
+        self._materialized = None  # same store version, repaired state
+        self._reconciled_version = index.store.version
         self._reconciled_once = True
         self._dirty_keys.clear()
         self._dirty_entities.clear()
@@ -756,7 +750,7 @@ class IncrementalProcessedView(DeltaConsumer):
             blocks_removed=blocks_removed,
             placements_added=placements_added,
             placements_removed=placements_removed,
-            exact_blocks=len(exact),
+            exact_blocks=len(self._present),
             mode=mode,
             entities_repaired=len(entities),
         )

@@ -237,7 +237,11 @@ class StreamQueryResult:
 
 
 class _StreamContext(ResolutionContext):
-    """A resolution context registered incrementally, never by scan."""
+    """A resolution context registered incrementally, never by scan.
+
+    It follows deletes too: a retracted URI is forgotten (the maps hold
+    live URIs only) and re-homed by its next insert, in whichever source.
+    """
 
     def __init__(self, store: StreamingEntityStore) -> None:
         # Deliberately does NOT call super().__init__: the batch context
@@ -248,9 +252,16 @@ class _StreamContext(ResolutionContext):
         self._home = {}
         self._source = {}
         store.subscribe(self._register, replay=True)
+        store.subscribe_delete(self._forget)
 
     def _register(self, description, source, entity_id, was_present) -> None:
         self._adopt(description, self.collections[source])
+
+    def _forget(self, uri, source, entity_id) -> None:
+        # A delete retracts the URI from every source holding it (one
+        # notification per source), so no holder is left to stay home.
+        self._home.pop(uri, None)
+        self._source.pop(uri, None)
 
 
 class StreamResolver:
@@ -275,7 +286,10 @@ class StreamResolver:
             instead of the raw index (the per-query stand-in caps above
             are then ignored).  Queries auto-reconcile the view when its
             staleness bound is reached, with the reconcile time reported
-            separately from serve time in the latency split.
+            separately from serve time in the latency split.  The
+            resolver maintains the one statistics table its queries
+            read: ``view_pairs`` under a view (``pairs`` is None), the
+            raw ``pairs`` without one (``view_pairs`` is None).
         purging / filtering: the processed view's operators (defaults
             match the batch pipeline).
         reconcile_every: the view's reconcile cadence in inserts
@@ -324,19 +338,21 @@ class StreamResolver:
                 self.view.obs = self.obs
         else:
             self.index = IncrementalBlockIndex(store, blocker)
-            self.pairs = DeltaPairTable(self.index)
-            self.view = None
-            self.view_pairs = None
+            self.pairs = self.view = self.view_pairs = None
             if processed_view:
                 self.view = IncrementalProcessedView(
                     self.index, purging, filtering, reconcile_every=reconcile_every
                 )
                 self.view.obs = self.obs
                 self.view_pairs = SurvivorPairTable(self.view)
+            else:
+                self.pairs = DeltaPairTable(self.index)
             # A pre-populated store is replayed into every derived
             # structure (after the pair table and view attached, so no
             # delta is lost); on an empty store these are no-ops.
             self.index.replay_store()
+        #: the statistics table queries weigh and prune against
+        self._query_table = self.pairs if self.view is None else self.view_pairs
         self.similarity = StreamingSimilarityIndex(store)
         self.context = _StreamContext(store)
         self.matcher = matcher or ThresholdMatcher(
@@ -502,11 +518,8 @@ class StreamResolver:
         with obs.timed(
             "stream.query.weigh", metric="repro.stream.query.weigh.seconds"
         ) as timer:
-            pair_table = (
-                self.view_pairs if self.view_pairs is not None else self.pairs
-            )
             weights = weigh_candidates(
-                pair_table, uris, uri_q, entity_id, candidate_ids, scheme
+                self._query_table, uris, uri_q, entity_id, candidate_ids, scheme
             )
             survivors = self._prune_local(weights, pruner, uris)
         latency["weigh_s"] = timer.duration_s
@@ -547,7 +560,7 @@ class StreamResolver:
         the survivor placements — matching batch CNP, whose k comes
         from the processed collection.
         """
-        table = self.view_pairs if self.view_pairs is not None else self.pairs
+        table = self._query_table
         return prune_neighbourhood(
             weights, pruner, uris, table.entities_placed, table.total_assignments
         )

@@ -9,9 +9,12 @@ vectors **lazily for the handful of descriptions a query touches**,
 always against the *current* IDF.
 
 It is measure-compatible with the batch index (``cosine``, ``jaccard``,
-``weighted_jaccard``, ``cosine_many``, ``__contains__``), so the
-existing :class:`~repro.matching.matcher.ThresholdMatcher` — and its
-vectorized ``decide_many`` path — work on it unchanged.
+``weighted_jaccard``, ``__contains__``), so the existing
+:class:`~repro.matching.matcher.ThresholdMatcher` works on it
+unchanged.  There is deliberately no ``cosine_many``: a query scores a
+handful of pairs, and ``decide_many`` falls back to the scalar
+:meth:`~StreamingSimilarityIndex.cosine` — a dict dot product over two
+cached vectors — which costs less than one array round trip.
 """
 
 from __future__ import annotations
@@ -19,13 +22,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 
-import numpy as _np
-
-from repro.matching.similarity import (
-    cosine_many_vectors,
-    jaccard,
-    weighted_jaccard,
-)
+from repro.matching.similarity import jaccard, weighted_jaccard
 from repro.model.description import EntityDescription
 from repro.model.tokenizer import Tokenizer
 from repro.stream.store import StreamingEntityStore
@@ -55,7 +52,6 @@ class StreamingSimilarityIndex:
         self._epoch = 0
         #: uri → (epoch, vector dict, norm); valid only at the same epoch
         self._vector_cache: dict[str, tuple[int, dict[str, float], float]] = {}
-        self._token_ids: dict[str, int] = {}
         store.subscribe(self._on_insert, replay=True)
         store.subscribe_delete(self._on_delete)
 
@@ -176,37 +172,3 @@ class StreamingSimilarityIndex:
         if norm_a == 0.0 or norm_b == 0.0:
             return 0.0
         return dot / (norm_a * norm_b)
-
-    def cosine_many(self, left, right):
-        """Vectorized pairwise cosine, bit-identical to :meth:`cosine`.
-
-        Typically called with a constant left side (the query) against
-        its candidate list; vectors are derived once per URI per call.
-        """
-        if len(left) != len(right):
-            raise ValueError("left and right must have equal length")
-        count = len(left)
-        if count == 0:
-            return _np.empty(0, dtype=_np.float64)
-        token_ids = self._token_ids
-        id_vectors: dict[str, tuple] = {}
-        norms: dict[str, float] = {}
-        for uri in {*left, *right}:
-            vector, norm = self._vector(uri)
-            ids = [token_ids.setdefault(token, len(token_ids)) for token in vector]
-            id_vectors[uri] = (
-                _np.array(ids, dtype=_np.int64),
-                _np.fromiter(vector.values(), dtype=_np.float64, count=len(vector)),
-            )
-            norms[uri] = norm
-        norm_products = _np.fromiter(
-            (norms[a] * norms[b] for a, b in zip(left, right)),
-            _np.float64,
-            count,
-        )
-        return cosine_many_vectors(
-            [id_vectors[uri] for uri in left],
-            [id_vectors[uri] for uri in right],
-            norm_products,
-            len(token_ids),
-        )

@@ -28,6 +28,7 @@ import zlib
 import pytest
 
 from repro.datasets import load_movies, load_people, load_restaurants
+from repro.model.description import EntityDescription
 from repro.stream import StreamResolver, WorkloadDriver
 from repro.stream.durability import (
     CrashError,
@@ -358,6 +359,55 @@ def test_clean_shutdown_roundtrip_matches_live_state(tmp_path, corpus_name, scen
     assert _capture(recovered) == live
 
 
+def test_recovery_paths_agree_after_a_late_key_merge_past_the_snapshot(tmp_path):
+    """``recover()``, ``recover(from_scratch=True)`` and the live run are
+    one state — on the whole ``capture_state``.
+
+    The first reconcile after a snapshot restore is a full one; it used
+    to end in ``snapshot_processed()``, which re-sorted the straggler
+    postings of a late-key merge that a replay and the live run (on
+    their partial reconciles) still deferred: ``unsorted == {}``,
+    ``resort_count == 2`` and ``gamma`` posted ``[0, 2, 4]`` on the
+    restored path against ``{gamma, omega}``, ``0`` and ``[2, 4, 0]``
+    on the other two.  A reconcile builds no snapshot now.
+    """
+
+    def described(uri: str, text: str) -> EntityDescription:
+        return EntityDescription(uri, {"p": [text]})
+
+    directory = str(tmp_path / "late-key")
+    live = StreamResolver(
+        clean_clean=True,
+        processed_view=True,
+        reconcile_every=3,
+        durability=Durability(directory),
+    )
+    live.ingest(described("a/1", "alpha beta"), 0)
+    live.ingest(described("b/1", "alpha beta gamma"), 1)
+    live.ingest(described("a/2", "gamma delta"), 0)
+    live.ingest(described("b/2", "delta beta"), 1)
+    live.resolve(described("a/1", "alpha beta"), source=0, ingest=False)
+    live.durability.snapshot_now()
+    live.ingest(described("a/3", "gamma"), 0)
+    live.ingest(described("a/4", "omega delta"), 0)
+    live.ingest(described("a/1", "omega gamma"), 0)  # the late-key merge
+    live.ingest(described("b/3", "omega"), 1)
+    live.resolve(described("b/3", "omega"), source=1, ingest=False)
+    assert live.view.last_report.mode == "partial"
+    uninterrupted = _capture(live)
+    live.close()
+
+    restored = recover(directory)
+    assert restored.report.snapshot_lsn > 0
+    assert restored.view.last_report.mode == "full"
+    replayed = recover(directory, from_scratch=True)
+    assert _capture(restored) == uninterrupted == _capture(replayed)
+    index = uninterrupted["index"]
+    assert index["unsorted"] == {"gamma": 1, "omega": 1}
+    assert index["resort_count"] == 0
+    assert index["postings"]["gamma"] == [[2, 4, 0], [1]]
+
+
 @pytest.mark.parametrize("budget", [260, 900, 2600])
 def test_byte_budget_crash_keeps_surviving_prefix(tmp_path, budget):
     """A torn write at an arbitrary byte offset never poisons recovery.
@@ -519,14 +569,15 @@ def test_resume_after_recovery_continues_the_log(tmp_path):
 #: version 1 (they carry the raw pair table's ``state.pairs.common``): a
 #: clean-clean processed-view resolver, 22 WAL records — inserts, queries
 #: (apply/reconcile records), one URI in both KBs, a delete, a late-key
-#: merge and a re-insert — with its only snapshot at LSN 15.  No
-#: reconcile follows the re-insert: the first reconcile after a restore
-#: is a full one and runs the lazy posting re-sort a replay still defers,
-#: so the index's ``unsorted`` / ``resort_count`` would differ by path.
+#: merge and a re-insert — with its only snapshot at LSN 15.
 V1_FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "v1")
 #: the same events through the last build whose snapshots were version 2
 #: (no ``state.pairs.common``, still ``state.view_pairs.common``)
 V2_FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "v2")
+#: ... and through the last build whose snapshots were version 3 (no
+#: ``common`` anywhere, still the raw ``state.pairs`` factors beside the
+#: view's, which no query of a view-serving resolver reads)
+V3_FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "v3")
 
 
 def _rewrite_snapshot(source: str, target: str, **changes) -> None:
@@ -539,7 +590,9 @@ def _rewrite_snapshot(source: str, target: str, **changes) -> None:
 
 
 @pytest.mark.parametrize(
-    "fixture, version", [(V1_FIXTURE, 1), (V2_FIXTURE, 2)], ids=["v1", "v2"]
+    "fixture, version",
+    [(V1_FIXTURE, 1), (V2_FIXTURE, 2), (V3_FIXTURE, 3)],
+    ids=["v1", "v2", "v3"],
 )
 def test_version_1_snapshot_recovers_to_the_replayed_state(
     tmp_path, fixture, version
@@ -547,19 +600,22 @@ def test_version_1_snapshot_recovers_to_the_replayed_state(
     directory = shutil.copytree(fixture, str(tmp_path / "old"))
     document = load_snapshot(list_snapshots(directory)[0])
     assert document["version"] == version
-    # what version 2 dropped, and what version 3 dropped
+    # what version 2 dropped, what version 3 dropped, and what version 4
+    # dropped: the raw table's factors beside a view's
     assert ("common" in document["state"]["pairs"]) == (version == 1)
-    assert document["state"]["view_pairs"]["common"]
+    assert ("common" in document["state"]["view_pairs"]) == (version < 3)
+    assert document["state"]["pairs"]["edge_count"] > 0
 
     recovered = StreamResolver.recover(directory)
     assert recovered.recovery.snapshot_lsn == 15
     assert recovered.recovery.replayed_events == 7
     replayed = StreamResolver.recover(directory, from_scratch=True)
     assert replayed.recovery.replayed_events == replayed.recovery.wal_records == 22
+    # Exactly: the restored path and the replayed one agree on every
+    # field, the index's lazy re-sort bookkeeping included.
     assert _capture(recovered) == _capture(replayed)
-    assert (
-        recovered.pairs.as_reference_stats() == replayed.pairs.as_reference_stats()
-    )
+    assert _capture(recovered)["index"]["unsorted"]  # the late-key merge
+    assert recovered.pairs is None and replayed.pairs is None
     assert (
         recovered.view_pairs.as_reference_stats()
         == replayed.view_pairs.as_reference_stats()
@@ -568,8 +624,8 @@ def test_version_1_snapshot_recovers_to_the_replayed_state(
     # A resumed controller writes the current version next to the old one.
     resumed = StreamResolver.recover(directory, resume=True)
     newest = load_snapshot(resumed.durability.snapshot_now())
-    assert newest["version"] == 3
-    assert "common" not in newest["state"]["pairs"]
+    assert newest["version"] == 4
+    assert newest["state"]["pairs"] is None
     assert "common" not in newest["state"]["view_pairs"]
     resumed.close()
 

@@ -152,7 +152,8 @@ class _CountingConsumer(DeltaConsumer):
         self.calls += 1
 
     on_placement = on_block_activated = on_key_update = _count
-    on_placement_removed = on_block_deactivated = on_neighbours = _count
+    on_placement_removed = on_block_deactivated = _count
+    on_event_begin = on_event_end = _count
 
 
 def test_insert_hook_calls_do_not_grow_with_the_block():
@@ -169,9 +170,9 @@ def test_insert_hook_calls_do_not_grow_with_the_block():
     store.insert(newcomer)
     keys = len(index.keys_of(store.interner.id_of(newcomer.uri)))
     assert keys >= 3  # its tokens, plus whatever the URI contributes
-    # Per key: at most one placement and one key update; per event: one
-    # neighbour hook.
-    assert 0 < counter.calls <= 2 * keys + 1
+    # Per key: at most one placement and one key update; per event: the
+    # begin / end bracket.
+    assert 0 < counter.calls <= 2 * keys + 2
     before = counter.calls
     store.delete(newcomer.uri)
-    assert counter.calls - before <= 2 * keys + 1
+    assert counter.calls - before <= 2 * keys + 2

@@ -10,7 +10,10 @@ is the whole durability contract:
   the recovered store (at ``fsync_every=N`` fewer than N may be lost);
 * the recovered state equals the uninterrupted run cut after the last
   surviving record — nothing is half-applied;
-* ``recover()`` equals ``recover(from_scratch=True)``;
+* ``recover()`` equals ``recover(from_scratch=True)`` — on the whole
+  ``capture_state``, the index's lazy re-sort bookkeeping included (a
+  reconcile builds no snapshot, so no recovery path sorts a straggler
+  posting another still defers);
 * a snapshot on disk never has an LSN beyond the durable log, and one
   that does (a directory written before snapshots synced the log) is
   discarded when the directory is opened for writing;
@@ -46,7 +49,7 @@ SNAPSHOT_EVERY = 6
 
 draws = st.lists(
     st.tuples(
-        st.sampled_from(["ingest", "resolve", "delete"]),
+        st.sampled_from(["ingest", "resolve", "delete", "merge"]),
         st.sampled_from(URIS),
         st.sets(st.sampled_from(TOKENS), min_size=1, max_size=3),
         st.integers(0, 1),
@@ -57,43 +60,33 @@ draws = st.lists(
 
 
 def _capture(stack) -> dict:
-    """``capture_state`` minus the lazy posting re-sort's bookkeeping.
-
-    The first reconcile after a snapshot restore is a full one and sorts
-    the straggler postings (late-key merges, re-inserts) that a replay
-    still defers, so ``unsorted`` / ``resort_count`` and the order inside
-    a touched posting differ by recovery path (known since PR 15; ROADMAP
-    item 4).  Every snapshot of the index sorts them the same way.
-    """
-    state = capture_state(
+    """``capture_state`` of anything exposing the five components, whole."""
+    return capture_state(
         stack.store, stack.index, stack.pairs, stack.view, stack.view_pairs
     )
-    index = dict(state["index"])
-    ranks = index["side_seq"]
-    index["postings"] = {
-        key: [
-            sorted(side, key=lambda entity: ranks[source][str(entity)])
-            for source, side in enumerate(sides)
-        ]
-        for key, sides in index["postings"].items()
-    }
-    del index["unsorted"], index["resort_count"]
-    return {**state, "index": index}
 
 
 def _events(drawn, sides: int) -> list[tuple]:
-    """``(op, description, source)``; a delete always hits a live URI."""
+    """``(op, description, source)``; a delete always hits a live URI.
+
+    A ``merge`` re-ingests a live URI into the source that holds it with
+    the drawn tokens: the URI gains keys that later arrivals may have
+    claimed first (a late-key merge, the index's lazy re-sort case).
+    """
     events = []
-    live: set[str] = set()
+    live: dict[str, int] = {}
     for op, uri, tokens, side in drawn:
-        if op == "delete" and uri not in live:
+        side %= sides
+        if op in ("delete", "merge") and uri not in live:
             op = "ingest"
         description = EntityDescription(uri, {"p": [" ".join(sorted(tokens))]})
         if op == "delete":
-            live.discard(uri)
+            del live[uri]
+        elif op == "merge":
+            op, side = "ingest", live[uri]
         else:
-            live.add(uri)
-        events.append((op, description, side % sides))
+            live[uri] = side
+        events.append((op, description, side))
     return events
 
 

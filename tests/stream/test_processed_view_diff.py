@@ -109,9 +109,12 @@ def _assert_view_exact(view, index, purging, filtering, context: str) -> None:
             key,
         )
     assert rebuilt.id_blocks() == exact.id_blocks(), context
-    # materialize() must return the cached exact collection object after
-    # a reconcile at the same store version.
-    assert view.materialize() is exact or view.materialize().keys() == exact.keys()
+    # materialize() derives the same collection from the repaired state
+    # (cached per store version).
+    materialized = view.materialize()
+    assert materialized is view.materialize()
+    assert materialized.keys() == exact.keys(), context
+    assert materialized.id_blocks() == exact.id_blocks(), context
 
 
 def _draw_ops(data) -> tuple[str, bool, list[tuple]]:

@@ -19,6 +19,8 @@ from repro.blocking.token_blocking import TokenBlocking
 from repro.datasets import load_movies, load_people, load_restaurants
 from repro.model.collection import EntityCollection
 from repro.stream import StreamResolver, WorkloadDriver
+from repro.stream import index as index_module
+from repro.stream import processed_view as processed_view_module
 from repro.stream.workload import SCENARIOS
 
 from metablocking.string_graph_oracle import reference_pair_statistics
@@ -50,16 +52,8 @@ def replayed(request, corpus):
     return resolver, stats
 
 
-def test_reconciled_view_bit_identical(corpus, replayed):
-    resolver, _stats = replayed
-    # The replay auto-reconciled at least once, so this pass takes the
-    # key-partitioned partial path...
-    report = resolver.view.reconcile()
-    assert report.mode == "partial"
-    exact = resolver.index.snapshot_processed()
-    # ...whose repaired state rebuilds to the same collection: keys,
-    # per-side members, cardinalities, id views, name.
-    rebuilt = resolver.view.materialize()
+def _assert_same_collection(rebuilt, exact) -> None:
+    """Keys, per-side members, cardinalities, id views, interner, name."""
     assert rebuilt.name == exact.name
     assert rebuilt.keys() == exact.keys()
     for key in exact.keys():
@@ -68,9 +62,53 @@ def test_reconciled_view_bit_identical(corpus, replayed):
         assert rebuilt[key].cardinality() == exact[key].cardinality(), key
     assert rebuilt.id_blocks() == exact.id_blocks()
     assert rebuilt.interner().uris() == exact.interner().uris()
-    # A forced full pass hands back the exact snapshot itself.
-    assert resolver.view.reconcile(full=True).mode == "full"
-    assert resolver.view.materialize() is exact
+
+
+def test_reconciled_view_bit_identical(corpus, replayed):
+    resolver, _stats = replayed
+    view = resolver.view
+    # The replay auto-reconciled at least once, so this pass takes the
+    # key-partitioned partial path...
+    report = view.reconcile()
+    assert report.mode == "partial"
+    exact = resolver.index.snapshot_processed()
+    # ...whose repaired state materializes to the same collection,
+    assert report.exact_blocks == len(exact)
+    rebuilt = view.materialize()
+    _assert_same_collection(rebuilt, exact)
+    assert view.materialize() is rebuilt  # one cache, per version
+    # and so does a forced full pass: a reconcile leaves state, and the
+    # collection is derived from it when asked (never handed over).
+    assert view.reconcile(full=True).mode == "full"
+    again = view.materialize()
+    assert again is not rebuilt and again is not exact
+    _assert_same_collection(again, exact)
+
+
+@pytest.mark.parametrize("full", [False, True], ids=["partial", "full"])
+def test_reconcile_leaves_state_not_a_collection(replayed, monkeypatch, full):
+    """A reconcile builds no block, takes no snapshot and sorts no
+    posting; the collection is derived from its state afterwards."""
+    resolver, _stats = replayed
+    view, index = resolver.view, resolver.index
+    extra = next(iter(resolver.store.collections[1])).copy()
+    resolver.ingest(extra, 0)  # something to repair, and a URI on both sides
+
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("reconcile() built a collection")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(processed_view_module, "Block", forbidden)
+        patched.setattr(index_module, "Block", forbidden)
+        patched.setattr(type(index), "snapshot_processed", forbidden)
+        patched.setattr(type(view), "_build_collection", forbidden)
+        lazy_sorts = dict(index._unsorted), index.resort_count
+        report = view.reconcile(full=full)
+        assert (dict(index._unsorted), index.resort_count) == lazy_sorts
+    assert report.mode == ("full" if full else "partial")
+    exact = index.snapshot_processed()
+    assert report.exact_blocks == len(exact)
+    _assert_same_collection(view.materialize(), exact)
 
 
 def test_view_matches_batch_pipeline(corpus, replayed):

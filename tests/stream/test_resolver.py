@@ -175,3 +175,40 @@ class TestIngestion:
             resolver.ingest(EntityDescription("http://e/b", {"p": ["y z"]}), source)
         assert everything() == before
         assert len(resolver.store.collections[1]) == 0
+
+
+class TestContextFollowsDeletes:
+    """The resolution context forgets a retracted URI (it used to
+    subscribe to inserts only)."""
+
+    def test_insert_delete_cycles_leave_no_context_entries(self):
+        resolver = StreamResolver(processed_view=True)
+        for i in range(2000):
+            uri = f"http://e/{i}"
+            resolver.ingest(EntityDescription(uri, {"p": [f"token{i % 7} x"]}))
+            assert resolver.delete(uri)
+        assert len(resolver.store) == 0
+        assert resolver.context._home == {} and resolver.context._source == {}
+
+    def test_a_uri_reinserted_into_the_other_source_is_rehomed(self):
+        resolver = StreamResolver(clean_clean=True)
+        context = resolver.context
+        uri = "http://e/mover"
+        resolver.ingest(EntityDescription(uri, {"p": ["x y"]}, source="one"), 0)
+        assert context.source_of(uri) == "one"
+        resolver.delete(uri)
+        assert context.description(uri) is None and context.source_of(uri) == ""
+        resolver.ingest(EntityDescription(uri, {"p": ["y z"]}, source="two"), 1)
+        assert context.description(uri) is resolver.store.get(uri) is not None
+        assert context.source_of(uri) == "two"
+        assert context._home[uri] is resolver.store.collections[1]
+
+    def test_a_uri_held_by_both_sources_is_forgotten_once_retracted(self):
+        resolver = StreamResolver(clean_clean=True)
+        uri = "http://e/both"
+        resolver.ingest(EntityDescription(uri, {"p": ["x"]}, source="one"), 0)
+        resolver.ingest(EntityDescription(uri, {"p": ["x"]}, source="two"), 1)
+        assert resolver.context.source_of(uri) == "one"  # first home wins
+        resolver.delete(uri)
+        assert uri not in resolver.context._home
+        assert uri not in resolver.context._source

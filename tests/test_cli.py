@@ -235,6 +235,11 @@ class TestStreamDurability:
         out = capsys.readouterr().out
         assert "Crash harness: churn @ event 40" in out
         assert "recovery equivalence: OK" in out
+        # The crashed directory holds a processed-view stack, which keeps
+        # one statistics table (the survivor one): the summary reads it.
+        assert main(["stream", "--recover-dir", directory]) == 0
+        out = capsys.readouterr().out
+        assert "pairs tracked" in out and "view threshold" in out
 
     def test_crash_at_requires_recover_dir(self, capsys, movies_paths):
         kb_a, _, _ = movies_paths
