@@ -4,7 +4,10 @@ Every blocking method maps one collection (dirty ER) or two collections
 (clean-clean ER) to a :class:`~repro.blocking.block.BlockCollection`.
 Methods differ only in how they derive blocking keys per description, so
 the base class implements the grouping loop and subclasses supply
-:meth:`Blocker.keys_for`.
+:meth:`Blocker.keys_for`; a blocker that can group a whole collection at
+once (token blocking, from the collection's token column) overrides
+:meth:`Blocker.groups` instead, and ``keys_for`` remains its
+per-description form for incremental indexes.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from abc import ABC, abstractmethod
 from repro.blocking.block import Block, BlockCollection
 from repro.model.collection import EntityCollection
 from repro.model.description import EntityDescription
-from repro.model.interner import EntityInterner
 
 
 class Blocker(ABC):
@@ -26,6 +28,14 @@ class Blocker(ABC):
     @abstractmethod
     def keys_for(self, description: EntityDescription) -> set[str]:
         """The blocking keys of one description."""
+
+    def groups(self, collection: EntityCollection) -> dict[str, list[str]]:
+        """Blocking key → member URIs, members in collection order."""
+        groups: dict[str, list[str]] = {}
+        for description in collection:
+            for key in self.keys_for(description):
+                groups.setdefault(key, []).append(description.uri)
+        return groups
 
     def build(
         self,
@@ -46,54 +56,22 @@ class Blocker(ABC):
             The block collection, with deterministic block order (sorted
             keys) for reproducible downstream processing.
         """
-        groups1: dict[str, list[str]] = {}
-        for description in collection1:
-            for key in self.keys_for(description):
-                groups1.setdefault(key, []).append(description.uri)
-
-        # Members are in hand while blocks are built, so entity ids are
-        # interned here (in first-placement order, matching what the lazy
-        # view would compute) and primed onto the collection — the cold
-        # meta-blocking path no longer re-derives them from finished
-        # blocks.
-        interner = EntityInterner()
-        intern = interner.intern
-        id_blocks: list[tuple[list[int], list[int] | None, int]] = []
-
-        blocks = BlockCollection(name=f"{self.name}({collection1.name})")
-        if collection2 is None:
-            for key in sorted(groups1):
-                members = groups1[key]
-                if drop_singletons and len(members) < 2:
-                    continue
-                block = Block(key, members)
-                blocks.add(block)
-                id_blocks.append(
-                    (list(map(intern, block.entities1)), None, block.cardinality())
-                )
-            blocks.prime_id_views(interner, id_blocks)
-            return blocks
-
-        groups2: dict[str, list[str]] = {}
-        for description in collection2:
-            for key in self.keys_for(description):
-                groups2.setdefault(key, []).append(description.uri)
-
-        blocks.name = f"{self.name}({collection1.name},{collection2.name})"
-        for key in sorted(set(groups1) | set(groups2)):
-            side1 = groups1.get(key, [])
-            side2 = groups2.get(key, [])
-            if drop_singletons and (not side1 or not side2):
-                continue
-            block = Block(key, side1, side2)
-            blocks.add(block)
-            assert block.entities2 is not None
-            id_blocks.append(
-                (
-                    list(map(intern, block.entities1)),
-                    list(map(intern, block.entities2)),
-                    block.cardinality(),
-                )
-            )
-        blocks.prime_id_views(interner, id_blocks)
+        groups1 = self.groups(collection1)
+        groups2 = None if collection2 is None else self.groups(collection2)
+        if groups2 is None:
+            name = collection1.name
+            keys = [k for k, m in groups1.items() if len(m) > 1 or not drop_singletons]
+        else:
+            name = f"{collection1.name},{collection2.name}"
+            # A key on one side only makes a one-sided block.
+            keys = groups1.keys() & groups2.keys()
+            if not drop_singletons:
+                keys = groups1.keys() | groups2.keys()
+        blocks = BlockCollection(name=f"{self.name}({name})")
+        for key in sorted(keys):
+            side2 = None if groups2 is None else groups2.get(key, [])
+            blocks.add(Block(key, groups1.get(key, []), side2))
+        # Entity ids are interned while the members are hot, so the cold
+        # meta-blocking path finds its id views ready.
+        blocks.id_blocks()
         return blocks

@@ -14,11 +14,12 @@ Terminology (following the blocking literature the paper builds on):
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as _np
 
-from repro.model.interner import EntityInterner
+from repro.model.interner import EntityInterner, dense_ids
 
 
 def comparison_pair(uri_a: str, uri_b: str) -> tuple[str, str]:
@@ -131,59 +132,30 @@ class BlockIdArrays:
     """
 
     __slots__ = (
-        "side1",
-        "offsets1",
-        "side2",
-        "offsets2",
-        "sides",
-        "offsets2_abs",
-        "bipartite",
-        "cardinality",
+        "side1", "offsets1", "side2", "offsets2", "sides", "offsets2_abs",
+        "bipartite", "cardinality",
     )
 
     def __init__(
         self, id_blocks: list[tuple[list[int], list[int] | None, int]]
     ) -> None:
-        sizes1 = _np.fromiter(
-            (len(ids1) for ids1, _, _ in id_blocks), dtype=_np.int64, count=len(id_blocks)
-        )
-        sizes2 = _np.fromiter(
-            (len(ids2) if ids2 is not None else 0 for _, ids2, _ in id_blocks),
-            dtype=_np.int64,
-            count=len(id_blocks),
-        )
-        self.offsets1 = _np.zeros(len(id_blocks) + 1, dtype=_np.int64)
-        _np.cumsum(sizes1, out=self.offsets1[1:])
-        self.offsets2 = _np.zeros(len(id_blocks) + 1, dtype=_np.int64)
-        _np.cumsum(sizes2, out=self.offsets2[1:])
-        self.side1 = _np.fromiter(
-            (entity for ids1, _, _ in id_blocks for entity in ids1),
-            dtype=_np.int64,
-            count=int(self.offsets1[-1]),
-        )
-        self.side2 = _np.fromiter(
-            (
-                entity
-                for _, ids2, _ in id_blocks
-                if ids2 is not None
-                for entity in ids2
-            ),
-            dtype=_np.int64,
-            count=int(self.offsets2[-1]),
-        )
-        self.bipartite = _np.fromiter(
-            (ids2 is not None for _, ids2, _ in id_blocks),
-            dtype=bool,
-            count=len(id_blocks),
-        )
-        self.cardinality = _np.fromiter(
-            (card for _, _, card in id_blocks), dtype=_np.int64, count=len(id_blocks)
-        )
+        self.offsets1, self.side1 = _flatten([ids1 for ids1, _, _ in id_blocks])
+        self.offsets2, self.side2 = _flatten([ids2 or () for _, ids2, _ in id_blocks])
+        self.bipartite = _np.array([ids2 is not None for _, ids2, _ in id_blocks], bool)
+        self.cardinality = _np.array([card for *_, card in id_blocks], _np.int64)
         # Both sides in one gatherable array: side-2 spans addressed via
         # offsets2_abs so a single fancy-index serves dirty and bipartite
         # blocks alike.
         self.sides = _np.concatenate([self.side1, self.side2])
         self.offsets2_abs = self.offsets2 + len(self.side1)
+
+
+def _flatten(lists: list) -> tuple[_np.ndarray, _np.ndarray]:
+    """CSR offsets and concatenated values of *lists*."""
+    offsets = _np.zeros(len(lists) + 1, dtype=_np.int64)
+    _np.cumsum(_np.fromiter(map(len, lists), _np.int64, len(lists)), out=offsets[1:])
+    values = _np.fromiter(chain.from_iterable(lists), _np.int64, int(offsets[-1]))
+    return offsets, values
 
 
 class BlockCollection:
@@ -321,18 +293,16 @@ class BlockCollection:
         self,
     ) -> tuple[EntityInterner, list[tuple[list[int], list[int] | None, int]]]:
         if self._id_views is None:
-            interner = EntityInterner()
-            intern = interner.intern
+            entity_ids = dense_ids()
+            intern = entity_ids.__getitem__
             id_blocks: list[tuple[list[int], list[int] | None, int]] = []
             for block in self:
                 ids1 = list(map(intern, block.entities1))
-                ids2 = (
-                    list(map(intern, block.entities2))
-                    if block.entities2 is not None
-                    else None
-                )
+                ids2 = block.entities2
+                if ids2 is not None:
+                    ids2 = list(map(intern, ids2))
                 id_blocks.append((ids1, ids2, block.cardinality()))
-            self._id_views = (interner, id_blocks)
+            self._id_views = (EntityInterner(entity_ids), id_blocks)
         return self._id_views
 
     def interner(self) -> EntityInterner:

@@ -7,11 +7,16 @@ becomes a blocking key.  Matching descriptions that share *any* token are
 guaranteed to co-occur in at least one block, which gives token blocking
 its high recall (and its enormous number of repeated comparisons, which
 meta-blocking then prunes).
+
+A batch build groups placements from the collection's token column, the
+copy the TF-IDF index reads too; :meth:`TokenBlocking.keys_for` serves the
+streaming index's per-insert path.
 """
 
 from __future__ import annotations
 
 from repro.blocking.base import Blocker
+from repro.model.collection import EntityCollection
 from repro.model.description import EntityDescription
 from repro.model.tokenizer import Tokenizer
 
@@ -32,3 +37,6 @@ class TokenBlocking(Blocker):
 
     def keys_for(self, description: EntityDescription) -> set[str]:
         return set(self.tokenizer.token_set(description))
+
+    def groups(self, collection: EntityCollection) -> dict[str, list[str]]:
+        return self.tokenizer.column(collection).postings()

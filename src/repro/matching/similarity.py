@@ -6,18 +6,24 @@ with many common tokens, while TF-IDF cosine keeps rare, discriminative
 tokens informative for "somehow similar" descriptions that share only a
 few.  Character-level measures (Levenshtein, Jaro-Winkler) serve the
 value-level comparisons used by some baselines and tests.
+
+:class:`SimilarityIndex` reads the collections' token columns (the copy
+token blocking built) and holds the corpus as CSR rows: token ids in
+first-occurrence order with counts, TF-IDF weights and one norm per row.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as _np
 
 from repro.model.collection import EntityCollection
-from repro.model.tokenizer import Tokenizer
+from repro.model.interner import dense_ids
+from repro.model.tokenizer import Tokenizer, row_positions
 
 
 # -- set-based token measures ---------------------------------------------------
@@ -50,7 +56,7 @@ def overlap_coefficient(a: Iterable[str], b: Iterable[str]) -> float:
     return len(set_a & set_b) / smaller
 
 
-def weighted_jaccard(a: Counter, b: Counter) -> float:
+def weighted_jaccard(a: Mapping, b: Mapping) -> float:
     """Weighted (multiset) Jaccard: Σ min / Σ max over token counts."""
     if not a and not b:
         return 0.0
@@ -174,12 +180,12 @@ def jaro_winkler(a: str, b: str, prefix_scale: float = 0.1) -> float:
 
 
 class SimilarityIndex:
-    """Caches token profiles and IDF weights over entity collections.
+    """TF-IDF over the token columns of collections, one CSR row per URI.
 
-    Matching runs millions of pairwise similarity calls over the same
-    descriptions; tokenizing on every call would dominate the cost.  The
-    index tokenizes each description once, precomputes IDF over the indexed
-    corpus and exposes pairwise measures by URI.
+    ``uri → row`` is the only per-URI structure; every measure derives from
+    the rows.  A URI is one document: the first collection describing it
+    wins (as in :class:`~repro.core.engine.ResolutionContext`) and it
+    counts once in document frequency.
 
     Args:
         collections: the collections whose descriptions will be compared.
@@ -193,44 +199,55 @@ class SimilarityIndex:
         tokenizer: Tokenizer | None = None,
     ) -> None:
         self.tokenizer = tokenizer or Tokenizer(include_uri_infix=True)
-        self._counts: dict[str, Counter] = {}
-        self._sets: dict[str, frozenset[str]] = {}
-        document_frequency: Counter = Counter()
+        self._rows: dict[str, int] = {}
+        self._vocabulary: dict[str, int] = dense_ids()
+        empty = _np.empty(0, dtype=_np.int64)
+        ids, counts, sizes = [empty], [empty], [empty]
         for collection in collections:
-            for description in collection:
-                counts = self.tokenizer.token_counts(description)
-                self._counts[description.uri] = counts
-                tokens = frozenset(counts)
-                self._sets[description.uri] = tokens
-                document_frequency.update(tokens)
-        corpus_size = max(len(self._counts), 1)
-        # Smoothed IDF (log((1+N)/(1+df)) + 1): a token present in every
-        # description keeps a small positive weight instead of zeroing the
-        # whole vector — essential on small or homogeneous corpora.
-        self._idf = {
-            token: math.log((1 + corpus_size) / (1 + df)) + 1.0
-            for token, df in document_frequency.items()
-        }
-        # TF-IDF vectors and their norms, computed once per description:
-        # cosine() then only needs the sparse dot product, instead of
-        # rebuilding both vectors and both norms on every pairwise call.
-        self._vectors: dict[str, dict[str, float]] = {}
-        self._norms: dict[str, float] = {}
-        idf = self._idf
-        for uri, counts in self._counts.items():
-            vector = {token: count * idf[token] for token, count in counts.items()}
-            self._vectors[uri] = vector
-            self._norms[uri] = math.sqrt(sum(w * w for w in vector.values()))
-        # Int-token arrays for the vectorized batch path, built lazily on
-        # the first cosine_many() call (None until then).
-        self._token_ids: dict[str, int] | None = None
-        self._id_vectors: dict[str, tuple] | None = None
+            column = self.tokenizer.column(collection)
+            remap = _np.fromiter(
+                map(self._vocabulary.__getitem__, column.vocabulary), _np.int64
+            )
+            # A URI an earlier collection described is shadowed here.
+            keep = [row for row, uri in enumerate(column.uris) if uri not in self._rows]
+            uris = map(column.uris.__getitem__, keep)
+            self._rows.update(zip(uris, itertools.count(len(self._rows))))
+            positions, kept_sizes = row_positions(column.indptr, _np.array(keep, int))
+            ids.append(remap[column.ids[positions]])
+            counts.append(column.counts[positions])
+            sizes.append(kept_sizes)
+        self._vocabulary.default_factory = None
+        self._tokens: list[str] = list(self._vocabulary)
+        self._ids = _np.concatenate(ids)
+        self._counts = _np.concatenate(counts)
+        self._indptr = _np.zeros(len(self._rows) + 1, dtype=_np.int64)
+        _np.cumsum(_np.concatenate(sizes), out=self._indptr[1:])
+        self._bounds: list[int] = self._indptr.tolist()
+        # Smoothed IDF (log((1+N)/(1+df)) + 1) keeps a token present in every
+        # description weighted — essential on small or homogeneous corpora.
+        # math.log runs once per distinct df (numpy's log may round apart);
+        # a token only a shadowed description held has df 0: unseen.
+        size = max(len(self._rows), 1)
+        df = _np.bincount(self._ids, minlength=len(self._tokens))
+        levels, level_of = _np.unique(df, return_inverse=True)
+        idf = [math.log((1 + size) / (1 + n)) + 1.0 for n in levels.tolist()]
+        self._idf = _np.where(df > 0, _np.array(idf)[level_of], 0.0)
+        self._weights = self._counts * self._idf[self._ids]
+        # Each norm is Python's left-to-right sum of squares, as the
+        # scalar formula takes it (numpy's reductions sum pairwise).
+        squares = (self._weights * self._weights).tolist()
+        spans = map(slice, self._bounds, self._bounds[1:])
+        self._norms = _np.array([math.sqrt(sum(squares[span])) for span in spans])
 
     def __contains__(self, uri: str) -> bool:
-        return uri in self._counts
+        return uri in self._rows
 
     def __len__(self) -> int:
-        return len(self._counts)
+        return len(self._rows)
+
+    def _row(self, uri: str, values: _np.ndarray) -> list:
+        row = self._rows[uri]
+        return values[self._bounds[row] : self._bounds[row + 1]].tolist()
 
     def tokens_of(self, uri: str) -> frozenset[str]:
         """Distinct tokens of the description with *uri*.
@@ -238,78 +255,57 @@ class SimilarityIndex:
         Raises:
             KeyError: for unindexed URIs.
         """
-        return self._sets[uri]
+        return frozenset(map(self._tokens.__getitem__, self._row(uri, self._ids)))
 
     def idf(self, token: str) -> float:
         """IDF of *token* over the indexed corpus (0.0 if unseen)."""
-        return self._idf.get(token, 0.0)
+        token_id = self._vocabulary.get(token)
+        return 0.0 if token_id is None else float(self._idf[token_id])
 
     def jaccard(self, uri_a: str, uri_b: str) -> float:
         """Jaccard similarity of two indexed descriptions."""
-        return jaccard(self._sets[uri_a], self._sets[uri_b])
+        return jaccard(self._row(uri_a, self._ids), self._row(uri_b, self._ids))
 
     def weighted_jaccard(self, uri_a: str, uri_b: str) -> float:
         """Multiset Jaccard of two indexed descriptions."""
-        return weighted_jaccard(self._counts[uri_a], self._counts[uri_b])
+        return weighted_jaccard(
+            dict(zip(self._row(uri_a, self._ids), self._row(uri_a, self._counts))),
+            dict(zip(self._row(uri_b, self._ids), self._row(uri_b, self._counts))),
+        )
 
     def cosine(self, uri_a: str, uri_b: str) -> float:
         """TF-IDF cosine of two indexed descriptions.
 
-        Uses the vectors and norms precomputed at construction; the
-        result is identical to ``cosine_tfidf`` over the raw counts.
+        The dot runs over the left row in first-occurrence order with the
+        right row as a lookup, so the result is identical to
+        ``cosine_tfidf`` over the raw counts.
         """
-        vector_a, vector_b = self._vectors[uri_a], self._vectors[uri_b]
-        if not vector_a or not vector_b:
+        ids_a, ids_b = self._row(uri_a, self._ids), self._row(uri_b, self._ids)
+        if not ids_a or not ids_b:
             return 0.0
-        get_b = vector_b.get
-        dot = sum(w * get_b(t, 0.0) for t, w in vector_a.items())
+        get_b = dict(zip(ids_b, self._row(uri_b, self._weights))).get
+        weights_a = self._row(uri_a, self._weights)
+        dot = sum(w * get_b(t, 0.0) for t, w in zip(ids_a, weights_a))
         if dot == 0.0:
             return 0.0
-        norm_a, norm_b = self._norms[uri_a], self._norms[uri_b]
+        norm_a, norm_b = self._norms[[self._rows[uri_a], self._rows[uri_b]]].tolist()
         if norm_a == 0.0 or norm_b == 0.0:
             return 0.0
         return dot / (norm_a * norm_b)
 
     def common_tokens(self, uri_a: str, uri_b: str) -> frozenset[str]:
         """Tokens the two descriptions share."""
-        return self._sets[uri_a] & self._sets[uri_b]
+        return self.tokens_of(uri_a) & self.tokens_of(uri_b)
 
     # -- batch scoring -------------------------------------------------------
-
-    def _ensure_id_vectors(self):
-        """Token-interned (ids, weights) arrays per URI, in vector order.
-
-        The arrays preserve each vector's insertion order — cosine_many
-        accumulates dot products in exactly the order :meth:`cosine`
-        iterates them, which is what keeps the two bit-identical.
-        """
-        if self._id_vectors is None:
-            token_ids: dict[str, int] = {}
-            id_vectors: dict[str, tuple] = {}
-            for uri, vector in self._vectors.items():
-                ids = [
-                    token_ids.setdefault(token, len(token_ids)) for token in vector
-                ]
-                id_vectors[uri] = (
-                    _np.array(ids, dtype=_np.int64),
-                    _np.fromiter(
-                        vector.values(), dtype=_np.float64, count=len(vector)
-                    ),
-                )
-            self._token_ids = token_ids
-            self._id_vectors = id_vectors
-        return self._id_vectors
 
     def cosine_many(self, left: Sequence[str], right: Sequence[str]):
         """TF-IDF cosine of ``zip(left, right)`` pairs in one vectorized pass.
 
-        The hot loop of matching scores every pruned edge; calling
-        :meth:`cosine` per pair re-walks two Python dicts each time.
-        This method joins all pairs' sparse vectors at once: token ids of
-        both sides are matched with one sort + searchsorted, the matched
-        products are accumulated per pair with ``bincount`` in each left
-        vector's insertion order, so every score is **bit-identical** to
-        the scalar :meth:`cosine` result.  Returns a ``float64`` array.
+        Both sides' rows are gathered from the CSR arrays and joined on
+        (pair, token) keys by one searchsorted; ``bincount`` adds the matched
+        products in the left row's order, as the scalar dot does, so every
+        score is **bit-identical** to :meth:`cosine`.  Returns ``float64``.
 
         Raises:
             ValueError: when the two sequences differ in length.
@@ -317,81 +313,26 @@ class SimilarityIndex:
         """
         if len(left) != len(right):
             raise ValueError("left and right must have equal length")
+        np = _np
         count = len(left)
-        if count == 0:
-            return _np.empty(0, dtype=_np.float64)
-        vectors = self._ensure_id_vectors()
-        norms = _np.fromiter(
-            (self._norms[a] * self._norms[b] for a, b in zip(left, right)),
-            _np.float64,
-            count,
-        )
-        assert self._token_ids is not None
-        return cosine_many_vectors(
-            [vectors[uri] for uri in left],
-            [vectors[uri] for uri in right],
-            norms,
-            len(self._token_ids),
-        )
-
-
-def cosine_many_vectors(left_vecs: list, right_vecs: list, norms, vocab_size: int):
-    """Vectorized pairwise sparse cosine over (token-ids, weights) arrays.
-
-    Args:
-        left_vecs / right_vecs: per-pair ``(int64 ids, float64 weights)``
-            tuples, ids in vector insertion order and distinct within
-            each vector.
-        norms: per-pair product of the two endpoint norms (float64).
-        vocab_size: exclusive upper bound on token ids.
-
-    Tokens being distinct within a vector, each (pair, token) key occurs
-    at most once per side; one sorted-side searchsorted join finds every
-    match, and ``bincount`` accumulates the matched products in the left
-    vector's insertion order — mirroring the scalar dot's running sum
-    (whose unmatched terms add exact zeros), which keeps the result
-    bit-identical to per-pair scoring.
-    """
-    np = _np
-    count = len(left_vecs)
-    sizes_l = np.fromiter((len(v[0]) for v in left_vecs), np.int64, count)
-    sizes_r = np.fromiter((len(v[0]) for v in right_vecs), np.int64, count)
-    pair_l = np.repeat(np.arange(count), sizes_l)
-    tok_l = (
-        np.concatenate([v[0] for v in left_vecs])
-        if len(pair_l)
-        else np.empty(0, dtype=np.int64)
-    )
-    w_l = (
-        np.concatenate([v[1] for v in left_vecs])
-        if len(pair_l)
-        else np.empty(0, dtype=np.float64)
-    )
-    pair_r = np.repeat(np.arange(count), sizes_r)
-    tok_r = (
-        np.concatenate([v[0] for v in right_vecs])
-        if len(pair_r)
-        else np.empty(0, dtype=np.int64)
-    )
-    w_r = (
-        np.concatenate([v[1] for v in right_vecs])
-        if len(pair_r)
-        else np.empty(0, dtype=np.float64)
-    )
-    vocab = max(vocab_size, 1)
-    key_l = pair_l * vocab + tok_l
-    key_r = pair_r * vocab + tok_r
-    order_r = np.argsort(key_r, kind="stable")
-    sorted_r = key_r[order_r]
-    slot = np.searchsorted(sorted_r, key_l)
-    slot_clipped = np.minimum(slot, max(len(sorted_r) - 1, 0))
-    matched = (
-        (sorted_r[slot_clipped] == key_l)
-        if len(sorted_r)
-        else np.zeros(len(key_l), dtype=bool)
-    )
-    products = w_l[matched] * w_r[order_r[slot_clipped[matched]]]
-    dots = np.bincount(pair_l[matched], weights=products, minlength=count)
-    scores = np.zeros(count, dtype=np.float64)
-    np.divide(dots, norms, out=scores, where=(dots != 0.0) & (norms != 0.0))
-    return scores
+        width = max(len(self._tokens), 1)
+        sides = []
+        for uris in (left, right):
+            rows = np.fromiter(map(self._rows.__getitem__, uris), np.int64, count)
+            positions, sizes = row_positions(self._indptr, rows)
+            pair = np.repeat(np.arange(count), sizes)
+            sides.append((rows, pair, pair * width + self._ids[positions], positions))
+        (rows_l, pair_l, key_l, at_l), (rows_r, _, key_r, at_r) = sides
+        order_r = np.argsort(key_r, kind="stable")
+        # A sentinel above every key ends the sorted side, so each slot is
+        # valid and only a true (pair, token) match compares equal.
+        sorted_r = np.append(key_r[order_r], np.iinfo(np.int64).max)
+        slot = np.searchsorted(sorted_r, key_l)
+        matched = sorted_r[slot] == key_l
+        weights = self._weights
+        products = weights[at_l[matched]] * weights[at_r[order_r[slot[matched]]]]
+        dots = np.bincount(pair_l[matched], weights=products, minlength=count)
+        norms = self._norms[rows_l] * self._norms[rows_r]
+        scores = np.zeros(count, dtype=np.float64)
+        np.divide(dots, norms, out=scores, where=(dots != 0.0) & (norms != 0.0))
+        return scores

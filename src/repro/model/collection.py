@@ -9,6 +9,11 @@ platform needs:
 * per-collection **statistics** — the LOD-cloud shape measurements the
   paper's motivation section quotes (property diversity, vocabulary reuse,
   linkage density).
+
+The neighbourhoods of :meth:`~EntityCollection.all_neighbors` and the token
+columns of :meth:`repro.model.tokenizer.Tokenizer.column` are memoised until
+the next :meth:`~EntityCollection.add` / :meth:`~EntityCollection.remove`;
+editing a member description in place bypasses both.
 """
 
 from __future__ import annotations
@@ -69,6 +74,8 @@ class EntityCollection:
         self._neighbors: dict[str, list[str]] | None = None
         self._inverse_neighbors: dict[str, list[str]] | None = None
         self._all_neighbors: dict[str, tuple[str, ...]] = {}
+        #: tokenizer signature → TokenColumn (``Tokenizer.column``'s memo)
+        self.token_columns: dict = {}
         for description in descriptions:
             self.add(description)
 
@@ -159,6 +166,7 @@ class EntityCollection:
         self._neighbors = None
         self._inverse_neighbors = None
         self._all_neighbors.clear()
+        self.token_columns.clear()
 
     # -- relationship graph -----------------------------------------------------
 

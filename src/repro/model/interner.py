@@ -15,6 +15,7 @@ underlying collection is not mutated.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Iterable, Iterator
 
 #: number of bits reserved for the low id in a packed pair
@@ -29,6 +30,14 @@ MAX_ENTITIES = 1 << (PAIR_SHIFT - 1)
 
 class EntityIdOverflowError(ValueError):
     """An interner was asked for more ids than a packed pair can hold."""
+
+
+def dense_ids() -> defaultdict:
+    """A dict giving each missing key the next dense id: ``map(d.__getitem__,
+    keys)`` interns in C; a ``default_factory`` of None freezes it."""
+    ids: defaultdict = defaultdict()
+    ids.default_factory = ids.__len__
+    return ids
 
 
 def pack_pair(id_a: int, id_b: int) -> int:
@@ -71,10 +80,13 @@ class EntityInterner:
     __slots__ = ("_ids", "_uris")
 
     def __init__(self, uris: Iterable[str] = ()) -> None:
-        self._ids: dict[str, int] = {}
-        self._uris: list[str] = []
-        for uri in uris:
-            self.intern(uri)
+        self._uris: list[str] = list(dict.fromkeys(uris))
+        if len(self._uris) > MAX_ENTITIES:
+            raise EntityIdOverflowError(
+                f"cannot intern {self._uris[MAX_ENTITIES]!r}: {MAX_ENTITIES} ids "
+                f"are assigned and a packed pair holds no larger one"
+            )
+        self._ids: dict[str, int] = dict(zip(self._uris, range(len(self._uris))))
 
     def __len__(self) -> int:
         return len(self._uris)

@@ -5,19 +5,79 @@ description as a bag of normalized tokens drawn from its literal values and
 (optionally) its URI infix.  Centralizing tokenization here guarantees the
 two stages agree on what a "common token" is — the invariant the
 meta-blocking weighting schemes rely on.
+
+A batch job reads that bag several times (token blocking, stop-token
+inference, the TF-IDF index), so :meth:`Tokenizer.column` tokenises a
+collection once into a :class:`TokenColumn` of CSR token-id rows, memoised
+on the collection until it next mutates.  The per-description calls serve
+the streaming path, whose collections change on every event.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable
 
+import numpy as _np
+
 from repro.model.description import EntityDescription
+from repro.model.interner import dense_ids
 from repro.model.namespaces import uri_infix
 from repro.utils.text import token_split
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.model.collection import EntityCollection
+
+
+class TokenColumn:
+    """One tokenisation pass over a collection, as CSR rows.
+
+    Row ``r`` is ``uris[r]`` (collection order); its distinct tokens are
+    ``ids[indptr[r]:indptr[r + 1]]`` in first-occurrence order, with their
+    multiplicities at the same positions of ``counts``; ``vocabulary[i]``
+    is the token of id ``i``.  Read-only: the collection's memo shares it.
+    """
+
+    def __init__(self, collection: "EntityCollection", tokenizer: "Tokenizer") -> None:
+        self.uris: list[str] = collection.uris()
+        bags = list(map(tokenizer.tokens, collection))
+        token_ids = dense_ids()
+        flat = _np.fromiter(map(token_ids.__getitem__, chain(*bags)), _np.int64)
+        token_ids.default_factory = None  # breaks the dict's reference cycle
+        self.vocabulary: list[str] = list(token_ids)
+        width = max(len(self.vocabulary), 1)
+        rows = _np.repeat(_np.arange(len(bags)), list(map(len, bags)))
+        keys, first, counts = _np.unique(
+            rows * width + flat, return_index=True, return_counts=True
+        )
+        # Repeats fold into one (row, token) key each; ordering the keys by
+        # first position keeps rows contiguous and in first-occurrence order.
+        order = _np.argsort(first, kind="stable")
+        self.ids: _np.ndarray = keys[order] % width
+        self.counts: _np.ndarray = counts[order]
+        self.indptr: _np.ndarray = _np.zeros(len(bags) + 1, dtype=_np.int64)
+        sizes = _np.bincount(keys // width, minlength=len(bags))
+        _np.cumsum(sizes, out=self.indptr[1:])
+
+    def postings(self) -> dict[str, list[str]]:
+        """Token → URIs of the rows holding it, in row order."""
+        rows = _np.repeat(_np.arange(len(self.uris)), _np.diff(self.indptr))
+        order = _np.argsort(self.ids, kind="stable")
+        members = list(map(self.uris.__getitem__, rows[order].tolist()))
+        sizes = _np.bincount(self.ids, minlength=len(self.vocabulary))
+        bounds = [0, *_np.cumsum(sizes).tolist()]
+        spans = map(slice, bounds, bounds[1:])
+        return dict(zip(self.vocabulary, map(members.__getitem__, spans)))
+
+
+def row_positions(indptr: _np.ndarray, rows: _np.ndarray) -> tuple:
+    """Positions of the CSR entries of *rows*, row after row, and row sizes."""
+    starts = indptr[rows]
+    sizes = indptr[rows + 1] - starts
+    ends = _np.cumsum(sizes)
+    shift = _np.repeat(starts - (ends - sizes), sizes)
+    return _np.arange(len(shift)) + shift, sizes
 
 
 class Tokenizer:
@@ -70,6 +130,16 @@ class Tokenizer:
         """Token multiplicities (for TF-IDF style similarity)."""
         return Counter(self.tokens(description))
 
+    def column(self, collection: "EntityCollection") -> TokenColumn:
+        """*collection*'s :class:`TokenColumn`: one :meth:`tokens` call per
+        description, memoised on the collection per tokenizer signature."""
+        memo = collection.token_columns
+        signature = (type(self), self.min_token_length, self.include_uri_infix,
+                     self.include_reference_infixes, self.stop_tokens)
+        if signature not in memo:
+            memo[signature] = TokenColumn(collection, self)
+        return memo[signature]
+
     def with_stop_tokens(self, stop_tokens: Iterable[str]) -> "Tokenizer":
         """A copy of this tokenizer with *stop_tokens* added."""
         return Tokenizer(
@@ -107,9 +177,11 @@ def infer_stop_tokens(
     document_frequency: Counter = Counter()
     total = 0
     for collection in collections:
-        for description in collection:
-            total += 1
-            document_frequency.update(tokenizer.token_set(description))
+        column = tokenizer.column(collection)
+        total += len(column.uris)
+        # Row tokens are distinct: an id's count is its document frequency.
+        df = _np.bincount(column.ids, minlength=len(column.vocabulary))
+        document_frequency.update(dict(zip(column.vocabulary, df.tolist())))
     if total == 0:
         return frozenset()
     limit = max_document_fraction * total

@@ -13,10 +13,22 @@ from __future__ import annotations
 import re
 import unicodedata
 
-# Unicode letters and digits (underscore excluded): Web-of-data values mix
-# scripts, and an ASCII-only pattern would make non-Latin descriptions
-# invisible to blocking.
-_TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+
+class _TokenPatterns(dict):
+    """min_length → the pattern of letter/digit runs at least that long.
+
+    Unicode letters and digits (underscore excluded): Web-of-data values mix
+    scripts, and an ASCII-only pattern would make non-Latin descriptions
+    invisible to blocking.  A match can only start where a maximal run
+    starts, so short runs are skipped without a filtering pass.
+    """
+
+    def __missing__(self, min_length: int) -> re.Pattern:
+        self[min_length] = re.compile(rf"[^\W_]{{{max(min_length, 1)},}}")
+        return self[min_length]
+
+
+_TOKEN_RE = _TokenPatterns()
 _WS_RE = re.compile(r"\s+")
 
 
@@ -45,7 +57,4 @@ def token_split(text: str, min_length: int = 1) -> list[str]:
     # NFKD and accent folding are the identity on ASCII (isascii() is an
     # O(n) C check), and whitespace never reaches a token.
     folded = text.lower() if text.isascii() else normalize(text)
-    tokens = _TOKEN_RE.findall(folded)
-    if min_length > 1:
-        tokens = [t for t in tokens if len(t) >= min_length]
-    return tokens
+    return _TOKEN_RE[min_length].findall(folded)
