@@ -1,10 +1,13 @@
 """Shared fixtures and reporting helpers for the experiment harness.
 
-Every ``bench_e*.py`` module regenerates one of the tables/figures listed
-in DESIGN.md.  Each prints its rows/series and also writes them under
-``benchmarks/output/`` so EXPERIMENTS.md can quote exact numbers.  Run::
+Every ``bench_e*.py`` module regenerates one of the paper's tables or
+figures and asserts its qualitative claim (the README's repository map
+lists the harness).  Each prints its rows/series and also writes them
+under ``benchmarks/output/``, where they are committed: CI reruns the
+eleven experiments and fails on any byte of drift or any untracked
+output.  Run::
 
-    pytest benchmarks/ --benchmark-only
+    PYTHONPATH=src pytest benchmarks/ -o python_files='bench_e*.py' --benchmark-disable
 
 (add ``-s`` to watch the tables stream by; the files are written either
 way).

@@ -75,7 +75,7 @@ class AltowimProgressiveER:
         *gold* instruments the recall curve only.
         """
         context = ResolutionContext(collections)
-        matcher.bind(context)
+        matcher.attach(context)
         budget = (budget or CostBudget()).copy()
         curve = ProgressiveCurve(label="altowim")
         result = ProgressiveResult(
@@ -110,15 +110,17 @@ class AltowimProgressiveER:
                 if pair is None:
                     depleted = True
                     break
-                if pair in context.match_graph:
+                pair_key = context.key(*pair)
+                if pair_key in context.match_graph.rows:
                     result.skipped_decided += 1
                     continue
-                decision = matcher.decide(pair[0], pair[1])
+                a, b = context.oriented(pair_key)
+                score, is_match = matcher.decide_ids(a, b)
                 budget.charge_comparison()
                 executed_in_window += 1
                 observed_comparisons[key] += 1
-                context.match_graph.record(decision)
-                if decision.is_match:
+                context.match_graph.record_ids(a, b, score, is_match)
+                if is_match:
                     observed_matches[key] += 1
                     result.benefit_total += 1.0
                     if gold is not None and pair in gold.matches:

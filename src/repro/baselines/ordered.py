@@ -37,7 +37,7 @@ def run_ordered(
     curve only.
     """
     context = ResolutionContext(collections)
-    matcher.bind(context)
+    matcher.attach(context)
     budget = (budget or CostBudget()).copy()
     # Pre-score only what the budget can reach: a tightly budgeted run
     # must not pay for vectorized scoring of comparisons it will never
@@ -60,16 +60,19 @@ def run_ordered(
         curve.record(budget.comparisons_executed, **values)
 
     checkpoint()
+    graph = context.match_graph
     for pair in pairs:
         if budget.exhausted:
             break
-        if pair in context.match_graph:
+        key = context.key(*pair)
+        if key in graph.rows:
             result.skipped_decided += 1
             continue
-        decision = matcher.decide(pair[0], pair[1])
+        a, b = context.oriented(key)
+        score, is_match = matcher.decide_ids(a, b)
         budget.charge_comparison()
-        context.match_graph.record(decision)
-        if decision.is_match:
+        graph.record_ids(a, b, score, is_match)
+        if is_match:
             result.benefit_total += 1.0
             if gold is not None and pair in gold.matches:
                 found_gold += 1

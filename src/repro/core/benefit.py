@@ -20,10 +20,12 @@ implemented here alongside the quantity baseline:
   neighbour pairs that are themselves resolved — so resolution
   concentrates on finishing connected groups rather than scattering.
 
-Each model supplies three functions: :meth:`~BenefitModel.estimate`, a
-cheap pre-comparison proxy the scheduler multiplies into comparison
-priorities; :meth:`~BenefitModel.realized`, the actual benefit recorded
-after a match is confirmed (used for the benefit@budget curves of E6); and
+Each model supplies three functions over ids of the resolution context:
+:meth:`~BenefitModel.estimate`, a cheap pre-comparison proxy the scheduler
+multiplies into comparison priorities; :meth:`~BenefitModel.realized_ids`,
+the actual benefit recorded after a match is confirmed (used for the
+benefit@budget curves of E6; :meth:`~BenefitModel.realized` is its
+boundary over a :class:`~repro.matching.matcher.MatchDecision`); and
 :meth:`~BenefitModel.stale_after`, the descriptions whose queued pairs'
 estimates a confirmed match can have changed — the update phase
 re-estimates those and nothing else.  None touches the ground truth —
@@ -47,8 +49,9 @@ class BenefitModel(ABC):
     name = "benefit"
 
     @abstractmethod
-    def estimate(self, uri_a: str, uri_b: str, context: "ResolutionContext") -> float:
-        """Cheap pre-comparison proxy of this pair's marginal benefit.
+    def estimate(self, a: int, b: int, context: "ResolutionContext") -> float:
+        """Cheap pre-comparison proxy of the marginal benefit of the pair
+        of context ids *a*, *b* (symmetric in the two).
 
         Must be computable without executing the comparison (no similarity
         evaluation): only profile shapes, current match state and the
@@ -57,38 +60,35 @@ class BenefitModel(ABC):
         """
 
     @abstractmethod
-    def realized(self, decision: "MatchDecision", context: "ResolutionContext") -> float:
-        """Actual benefit of an executed comparison (0 for non-matches).
+    def realized_ids(self, a: int, b: int, context: "ResolutionContext") -> float:
+        """Actual benefit of the confirmed match of ids *a* and *b*.
 
-        Called *after* the decision is recorded in the context's match
-        graph.
+        Called *after* the match is recorded in the context's match graph.
         """
 
-    def stale_after(
-        self, decision: "MatchDecision", context: "ResolutionContext"
-    ) -> Iterable[str]:
-        """Descriptions whose queued pairs this match may have re-valued.
+    def realized(self, decision: "MatchDecision", context: "ResolutionContext") -> float:
+        """Actual benefit of an executed comparison (0 for non-matches)."""
+        if not decision.is_match:
+            return 0.0
+        get = context.interner.get
+        return self.realized_ids(get(decision.left), get(decision.right), context)
+
+    def stale_after(self, a: int, b: int, context: "ResolutionContext") -> Iterable[int]:
+        """Ids whose queued pairs the match of *a* and *b* may have re-valued.
 
         Called after a confirmed match is recorded; every queued pair
-        touching a returned URI is re-estimated.  The default is the
+        touching a returned id is re-estimated.  The default is the
         conservative answer — both endpoints and their neighbourhoods,
         all an estimate may read of the match state — so a model that
         overrides nothing stays correct; override it to return less.
         """
-        return context.vicinity(decision.pair)
+        return context.vicinity_ids(a, b)
 
 
-def _newly_resolved(
-    decision: "MatchDecision", context: "ResolutionContext"
-) -> list[str]:
+def _newly_resolved(a: int, b: int, context: "ResolutionContext") -> list[int]:
     """Endpoints of a recorded match that had no partner before it."""
-    left, right = decision.pair
-    partners = context.match_graph.partners
-    return [
-        uri
-        for uri, other in ((left, right), (right, left))
-        if partners(uri) == {other}
-    ]
+    partners = context.match_graph.partner_ids
+    return [x for x, other in ((a, b), (b, a)) if partners.get(x) == {other}]
 
 
 class QuantityBenefit(BenefitModel):
@@ -101,15 +101,13 @@ class QuantityBenefit(BenefitModel):
 
     name = "quantity"
 
-    def estimate(self, uri_a: str, uri_b: str, context: "ResolutionContext") -> float:
+    def estimate(self, a: int, b: int, context: "ResolutionContext") -> float:
         return 1.0
 
-    def realized(self, decision: "MatchDecision", context: "ResolutionContext") -> float:
-        return 1.0 if decision.is_match else 0.0
+    def realized_ids(self, a: int, b: int, context: "ResolutionContext") -> float:
+        return 1.0
 
-    def stale_after(
-        self, decision: "MatchDecision", context: "ResolutionContext"
-    ) -> Iterable[str]:
+    def stale_after(self, a: int, b: int, context: "ResolutionContext") -> Iterable[int]:
         return ()  # the estimate is a constant
 
 
@@ -132,9 +130,9 @@ class AttributeCompletenessBenefit(BenefitModel):
 
     name = "attribute-completeness"
 
-    def estimate(self, uri_a: str, uri_b: str, context: "ResolutionContext") -> float:
-        desc_a = context.description(uri_a)
-        desc_b = context.description(uri_b)
+    def estimate(self, a: int, b: int, context: "ResolutionContext") -> float:
+        desc_a = context.description_of_id(a)
+        desc_b = context.description_of_id(b)
         if desc_a is None or desc_b is None:
             return 1.0
         props_a = set(desc_a.properties())
@@ -149,11 +147,9 @@ class AttributeCompletenessBenefit(BenefitModel):
         )
         return 0.75 + 0.25 * complementarity + 0.25 * imbalance
 
-    def realized(self, decision: "MatchDecision", context: "ResolutionContext") -> float:
-        if not decision.is_match:
-            return 0.0
-        desc_a = context.description(decision.pair[0])
-        desc_b = context.description(decision.pair[1])
+    def realized_ids(self, a: int, b: int, context: "ResolutionContext") -> float:
+        desc_a = context.description_of_id(a)
+        desc_b = context.description_of_id(b)
         if desc_a is None or desc_b is None:
             return 0.0
         pairs_a = set(desc_a.pairs())
@@ -164,9 +160,7 @@ class AttributeCompletenessBenefit(BenefitModel):
         new_evidence = len(pairs_b - pairs_a) + len(pairs_a - pairs_b)
         return min(1.0, new_evidence / (2 * smaller))
 
-    def stale_after(
-        self, decision: "MatchDecision", context: "ResolutionContext"
-    ) -> Iterable[str]:
+    def stale_after(self, a: int, b: int, context: "ResolutionContext") -> Iterable[int]:
         return ()  # the estimate reads profile shapes, never match state
 
 
@@ -185,31 +179,26 @@ class EntityCoverageBenefit(BenefitModel):
     #: residual value of enlarging an already-covered entity
     extension_value = 0.1
 
-    def estimate(self, uri_a: str, uri_b: str, context: "ResolutionContext") -> float:
-        resolved_a = context.match_graph.is_resolved(uri_a)
-        resolved_b = context.match_graph.is_resolved(uri_b)
+    def estimate(self, a: int, b: int, context: "ResolutionContext") -> float:
+        partners = context.match_graph.partner_ids
+        resolved_a = a in partners
+        resolved_b = b in partners
         if not resolved_a and not resolved_b:
             return 1.0
         if resolved_a and resolved_b:
             return self.extension_value
         return 0.5
 
-    def realized(self, decision: "MatchDecision", context: "ResolutionContext") -> float:
-        if not decision.is_match:
-            return 0.0
-        left, right = decision.pair
-        # The decision is already recorded, so "new entity" means the two
+    def realized_ids(self, a: int, b: int, context: "ResolutionContext") -> float:
+        partners = context.match_graph.partner_ids
+        # The match is already recorded, so "new entity" means the two
         # endpoints have no *other* partners.
-        partners_left = context.match_graph.partners(left) - {right}
-        partners_right = context.match_graph.partners(right) - {left}
-        if not partners_left and not partners_right:
+        if partners.get(a, set()) <= {b} and partners.get(b, set()) <= {a}:
             return 1.0
         return self.extension_value
 
-    def stale_after(
-        self, decision: "MatchDecision", context: "ResolutionContext"
-    ) -> Iterable[str]:
-        return _newly_resolved(decision, context)
+    def stale_after(self, a: int, b: int, context: "ResolutionContext") -> Iterable[int]:
+        return _newly_resolved(a, b, context)
 
 
 class RelationshipCompletenessBenefit(BenefitModel):
@@ -233,51 +222,42 @@ class RelationshipCompletenessBenefit(BenefitModel):
     #: spending budget on while unresolved frontier pairs remain
     redundancy_discount = 0.1
 
-    def estimate(self, uri_a: str, uri_b: str, context: "ResolutionContext") -> float:
-        resolved_a = context.match_graph.is_resolved(uri_a)
-        resolved_b = context.match_graph.is_resolved(uri_b)
-        if resolved_a and resolved_b:
+    def estimate(self, a: int, b: int, context: "ResolutionContext") -> float:
+        resolved = context.match_graph.partner_ids.__contains__
+        if resolved(a) and resolved(b):
             return self.base_value * self.redundancy_discount
         resolved_neighbors = 0
         total_neighbors = 0
-        for uri in (uri_a, uri_b):
-            for neighbor in context.neighbors(uri):
-                total_neighbors += 1
-                if context.match_graph.is_resolved(neighbor):
-                    resolved_neighbors += 1
-            for neighbor in context.inverse_neighbors(uri):
-                total_neighbors += 1
-                if context.match_graph.is_resolved(neighbor):
-                    resolved_neighbors += 1
+        for entity_id in (a, b):
+            for neighbors in (
+                context.neighbor_ids(entity_id),
+                context.inverse_neighbor_ids(entity_id),
+            ):
+                total_neighbors += len(neighbors)
+                resolved_neighbors += sum(map(resolved, neighbors))
         if total_neighbors == 0:
             # A relationship-free entity is a one-entity graph: a single
             # match completes it — the cheapest graph on offer.
             return 1.0
         return self.base_value + resolved_neighbors / total_neighbors
 
-    def realized(self, decision: "MatchDecision", context: "ResolutionContext") -> float:
-        if not decision.is_match:
-            return 0.0
-        completed = 0
-        for uri in decision.pair:
-            for neighbor in context.neighbors(uri):
-                if context.match_graph.is_resolved(neighbor):
-                    completed += 1
+    def realized_ids(self, a: int, b: int, context: "ResolutionContext") -> float:
+        resolved = context.match_graph.partner_ids.__contains__
+        completed = sum(map(resolved, context.neighbor_ids(a)))
+        completed += sum(map(resolved, context.neighbor_ids(b)))
         return self.base_value + float(completed)
 
-    def stale_after(
-        self, decision: "MatchDecision", context: "ResolutionContext"
-    ) -> Iterable[str]:
+    def stale_after(self, a: int, b: int, context: "ResolutionContext") -> Iterable[int]:
         if context.has_shared_descriptions():
             # Neighbourhoods are then not symmetric: a pair can read the
             # resolved flag of a description that does not list it, and
             # catches up only when the conservative set of a later match
             # covers it.
-            return super().stale_after(decision, context)
-        stale: list[str] = []
-        for uri in _newly_resolved(decision, context):
-            stale.append(uri)
-            stale.extend(context.neighborhood(uri))
+            return super().stale_after(a, b, context)
+        stale: list[int] = []
+        for entity_id in _newly_resolved(a, b, context):
+            stale.append(entity_id)
+            stale.extend(context.neighborhood_ids(entity_id))
         return stale
 
 

@@ -21,74 +21,115 @@ from repro.matching.matcher import Matcher, MatchGraph
 from repro.metablocking.graph import WeightedEdge
 from repro.model.collection import EntityCollection
 from repro.model.description import EntityDescription
+from repro.model.interner import PAIR_MASK, PAIR_SHIFT, EntityInterner, pack_pair
 
 
 class ResolutionContext:
-    """What benefit models and the update phase may look at.
+    """What matchers, benefit models and the update phase may look at.
 
     Bundles the input collections (for profile shapes and the relationship
-    graph) with the evolving match graph.  All lookups are by URI and work
-    across any number of collections.
+    graph) with the evolving match graph, in one id space: every URI the
+    collections describe is interned once, first collection wins, in
+    collection order — the rows :class:`~repro.matching.similarity.
+    SimilarityIndex` builds over the same collections.  Per id the context
+    holds the home collection, the source tag and the neighbourhood as a
+    tuple of ids, memoised on first read (so the collections must not
+    change during resolution).  The progressive loop speaks ids only; the
+    URI methods are the boundary and read the collections live.
+
+    Args:
+        collections: the input KBs.
+        interner: the id space to adopt (default: a new one).
     """
 
-    def __init__(self, collections: list[EntityCollection]) -> None:
+    def __init__(
+        self,
+        collections: list[EntityCollection],
+        interner: EntityInterner | None = None,
+    ) -> None:
         if not collections:
             raise ValueError("at least one collection is required")
         self.collections = collections
-        self.match_graph = MatchGraph()
-        self._home: dict[str, EntityCollection] = {}
-        self._source: dict[str, str] = {}
+        self.interner = interner if interner is not None else EntityInterner()
+        #: id → URI (the interner's live table)
+        self.uris = self.interner.uri_table()
+        self.match_graph = MatchGraph(self.interner)
+        self._home: dict[int, EntityCollection] = {}
+        self._source: dict[int, str] = {}
+        self._neighborhoods: dict[int, tuple[int, ...]] = {}
+        intern = self.interner.intern
         for collection in collections:
             for description in collection:
-                self._adopt(description, collection)
+                self._adopt(intern(description.uri), description.source, collection)
 
-    def _adopt(self, description: EntityDescription, collection: EntityCollection) -> None:
-        """Record *collection* as the home of a URI seen for the first time."""
-        if description.uri not in self._home:
-            self._home[description.uri] = collection
-            self._source[description.uri] = description.source
+    def _adopt(self, entity_id: int, source: str, collection: EntityCollection) -> None:
+        """Record *collection* as the home of an id seen for the first time."""
+        if entity_id not in self._home:
+            self._home[entity_id] = collection
+            self._source[entity_id] = source
 
-    def description(self, uri: str) -> EntityDescription | None:
-        """The description with *uri*, or None if unknown."""
-        home = self._home.get(uri)
-        return home.get(uri) if home is not None else None
+    # -- ids -------------------------------------------------------------------
 
-    def source_of(self, uri: str) -> str:
-        """Source tag of the description (empty for unknown URIs)."""
-        return self._source.get(uri, "")
+    def key(self, uri_a: str, uri_b: str) -> int:
+        """Packed id pair of two URIs, interning unseen ones.
 
-    def same_source(self, uri_a: str, uri_b: str) -> bool:
-        """True if both descriptions come from the same KB (clean-clean guard).
-
-        Unknown URIs are never considered same-source.
+        Raises:
+            ValueError: for a self-comparison.
         """
-        source_a = self._source.get(uri_a)
-        return bool(source_a) and source_a == self._source.get(uri_b)
+        if uri_a == uri_b:
+            raise ValueError(f"self-comparison: {uri_a!r}")
+        intern = self.interner.intern
+        return pack_pair(intern(uri_a), intern(uri_b))
 
-    def neighbors(self, uri: str) -> list[str]:
-        """Out-neighbours of *uri* in its home collection."""
-        home = self._home.get(uri)
-        return home.neighbors(uri) if home is not None else []
+    def key_of(self, uri_a: str, uri_b: str) -> int | None:
+        """Packed id pair of two URIs, or None when either is unknown."""
+        get = self.interner.get
+        id_a, id_b = get(uri_a), get(uri_b)
+        if id_a < 0 or id_b < 0 or id_a == id_b:
+            return None
+        return pack_pair(id_a, id_b)
 
-    def inverse_neighbors(self, uri: str) -> list[str]:
-        """In-neighbours of *uri* in its home collection."""
-        home = self._home.get(uri)
-        return home.inverse_neighbors(uri) if home is not None else []
+    def oriented(self, key: int) -> tuple[int, int]:
+        """The ids of a packed pair in URI order: the orientation every
+        pair is scored and reported in."""
+        a, b = key >> PAIR_SHIFT, key & PAIR_MASK
+        uris = self.uris
+        return (a, b) if uris[a] < uris[b] else (b, a)
 
-    def neighborhood(self, uri: str) -> Sequence[str]:
-        """Out- then in-neighbours of *uri*, deduplicated: the collection's
-        memoised :meth:`~repro.model.collection.EntityCollection.all_neighbors`
-        (read-only; empty for unknown URIs)."""
-        home = self._home.get(uri)
-        return home.all_neighbors(uri) if home is not None else ()
+    def description_of_id(self, entity_id: int) -> EntityDescription | None:
+        """The description of *entity_id*, or None if unknown."""
+        return self.description(self.uris[entity_id]) if entity_id >= 0 else None
 
-    def vicinity(self, pair: tuple[str, str]) -> set[str]:
-        """Both endpoints of *pair* and their neighbourhoods — every
-        description whose queued comparisons a match of *pair* touches."""
-        touched = set(pair)
-        for uri in pair:
-            touched.update(self.neighborhood(uri))
-        return touched
+    def same_source_ids(self, a: int, b: int) -> bool:
+        """True if both descriptions come from the same KB (clean-clean
+        guard); unknown ids are never considered same-source."""
+        source = self._source.get(a)
+        return bool(source) and source == self._source.get(b)
+
+    def neighbor_ids(self, entity_id: int) -> tuple[int, ...]:
+        """Out-neighbours of *entity_id* in its home collection."""
+        return self._link_ids(entity_id, EntityCollection.neighbors)
+
+    def inverse_neighbor_ids(self, entity_id: int) -> tuple[int, ...]:
+        """In-neighbours of *entity_id* in its home collection."""
+        return self._link_ids(entity_id, EntityCollection.inverse_neighbors)
+
+    def neighborhood_ids(self, entity_id: int) -> tuple[int, ...]:
+        """Out- then in-neighbours of *entity_id*, deduplicated (memoised)."""
+        ids = self._neighborhoods.get(entity_id)
+        if ids is None:
+            ids = self._link_ids(entity_id, EntityCollection.all_neighbors)
+            self._neighborhoods[entity_id] = ids
+        return ids
+
+    def _link_ids(self, entity_id: int, links) -> tuple[int, ...]:
+        uris = self._from_home(self.uris[entity_id], links) if entity_id >= 0 else ()
+        return tuple(self.interner.ids_of(uris))
+
+    def vicinity_ids(self, a: int, b: int) -> set[int]:
+        """Both ids and their neighbourhoods — every description whose
+        queued comparisons a match of the pair touches."""
+        return {a, b, *self.neighborhood_ids(a), *self.neighborhood_ids(b)}
 
     def has_shared_descriptions(self) -> bool:
         """True when some URI is described by more than one collection.
@@ -98,6 +139,38 @@ class ResolutionContext:
         neighbourhoods are then not symmetric.
         """
         return len(self._home) < sum(len(c) for c in self.collections)
+
+    # -- URIs ------------------------------------------------------------------
+
+    def _from_home(self, uri: str, read, default=()):
+        home = self._home.get(self.interner.get(uri))
+        return read(home, uri) if home is not None else default
+
+    def description(self, uri: str) -> EntityDescription | None:
+        """The description with *uri*, or None if unknown."""
+        return self._from_home(uri, EntityCollection.get, None)
+
+    def source_of(self, uri: str) -> str:
+        """Source tag of the description (empty for unknown URIs)."""
+        return self._source.get(self.interner.get(uri), "")
+
+    def same_source(self, uri_a: str, uri_b: str) -> bool:
+        """:meth:`same_source_ids` of two URIs."""
+        return self.same_source_ids(self.interner.get(uri_a), self.interner.get(uri_b))
+
+    def neighbors(self, uri: str) -> list[str]:
+        """Out-neighbours of *uri* in its home collection."""
+        return self._from_home(uri, EntityCollection.neighbors, [])
+
+    def inverse_neighbors(self, uri: str) -> list[str]:
+        """In-neighbours of *uri* in its home collection."""
+        return self._from_home(uri, EntityCollection.inverse_neighbors, [])
+
+    def neighborhood(self, uri: str) -> Sequence[str]:
+        """Out- then in-neighbours of *uri*, deduplicated: the collection's
+        memoised :meth:`~repro.model.collection.EntityCollection.all_neighbors`
+        (read-only; empty for unknown URIs)."""
+        return self._from_home(uri, EntityCollection.all_neighbors)
 
 
 @dataclass

@@ -20,8 +20,8 @@ matched into the other's, and divides the smaller count by the smaller
 neighbourhood's size — symmetric in the two descriptions and never above
 1.  Two neighbours co-refer exactly when their clusters have the same
 union-find root, so the counts come from one root lookup per resolved
-neighbour of the context's memoised neighbourhoods, not from a question
-per neighbour pair.  The engine binds the live resolution context before
+neighbour of the context's memoised id neighbourhoods, not from a
+question per neighbour pair.  The engine binds the live resolution context before
 execution, so the evidence grows as matching progresses — early decisions
 are value-driven, late decisions increasingly graph-driven, which is the
 pay-as-you-go behaviour the poster describes.
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.matching.matcher import Matcher, MatchDecision
+from repro.matching.matcher import Matcher
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.engine import ResolutionContext
@@ -54,8 +54,8 @@ class NeighborAwareMatcher(Matcher):
             at all; demanding a sliver of value agreement (any common
             token) filters those out.
 
-    The matcher is inert until an engine calls :meth:`bind` with a
-    resolution context; unbound, it behaves exactly like *base*.
+    The matcher is inert until an engine attaches it to a resolution
+    context; unbound, it behaves exactly like *base*.
     """
 
     def __init__(
@@ -77,23 +77,23 @@ class NeighborAwareMatcher(Matcher):
             else getattr(base, "threshold", 0.5)
         )
         self.min_value_similarity = min_value_similarity
-        self._context: "ResolutionContext | None" = None
 
     def bind(self, context: "ResolutionContext") -> None:
-        self._context = context
-        self.base.bind(context)
+        super().bind(context)
+        self.base.attach(context)
 
     def prime(self, pairs) -> None:
         """Forward batch pre-scoring to the value matcher (evidence is
         state-dependent and never cacheable)."""
         self.base.prime(pairs)
 
-    def neighbor_evidence(self, uri_a: str, uri_b: str) -> float:
-        """Matched-neighbour fraction in [0, 1] (0 when unbound).
+    def evidence_ids(self, a: int, b: int) -> float:
+        """Matched-neighbour fraction of two context ids, in [0, 1] (0
+        when unbound).
 
-        Symmetric: the smaller of "members of *uri_a*'s neighbourhood
-        matched into *uri_b*'s" and the converse, over the smaller
-        neighbourhood's size.
+        Symmetric: the smaller of "members of *a*'s neighbourhood matched
+        into *b*'s" and the converse, over the smaller neighbourhood's
+        size.
         """
         context = self._context
         if context is None or self.evidence_weight == 0:
@@ -101,12 +101,12 @@ class NeighborAwareMatcher(Matcher):
         graph = context.match_graph
         if not graph.match_count:
             return 0.0
-        neighbors_a = context.neighborhood(uri_a)
-        neighbors_b = context.neighborhood(uri_b)
+        neighbors_a = context.neighborhood_ids(a)
+        neighbors_b = context.neighborhood_ids(b)
         if not neighbors_a or not neighbors_b:
             return 0.0
-        roots_a = graph.cluster_roots(neighbors_a)
-        roots_b = graph.cluster_roots(neighbors_b) if roots_a else ()
+        roots_a = graph.roots(neighbors_a)
+        roots_b = graph.roots(neighbors_b) if roots_a else ()
         if not roots_b:
             return 0.0
         matched = min(
@@ -115,12 +115,23 @@ class NeighborAwareMatcher(Matcher):
         )
         return matched / min(len(neighbors_a), len(neighbors_b))
 
+    def neighbor_evidence(self, uri_a: str, uri_b: str) -> float:
+        """:meth:`evidence_ids` of two URIs."""
+        if self._context is None:
+            return 0.0
+        get = self._context.interner.get
+        return self.evidence_ids(get(uri_a), get(uri_b))
+
     def similarity(self, uri_a: str, uri_b: str) -> float:
         value = self.base.similarity(uri_a, uri_b)
         return value + self.evidence_weight * self.neighbor_evidence(uri_a, uri_b)
 
-    def decide(self, uri_a: str, uri_b: str) -> MatchDecision:
+    def verdict(self, uri_a: str, uri_b: str) -> tuple[float, bool]:
         value = self.base.similarity(uri_a, uri_b)
         score = value + self.evidence_weight * self.neighbor_evidence(uri_a, uri_b)
-        is_match = score >= self.threshold and value >= self.min_value_similarity
-        return MatchDecision(uri_a, uri_b, score, is_match)
+        return score, score >= self.threshold and value >= self.min_value_similarity
+
+    def decide_ids(self, a: int, b: int) -> tuple[float, bool]:
+        value = self.base.decide_ids(a, b)[0]
+        score = value + self.evidence_weight * self.evidence_ids(a, b)
+        return score, score >= self.threshold and value >= self.min_value_similarity

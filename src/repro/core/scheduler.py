@@ -13,20 +13,21 @@ scheduling phase.  The heap is addressable: the update phase re-prioritizes
 queued pairs in O(log n) and can inject brand-new pairs that blocking never
 proposed (the "discover new candidate description pairs" capability).
 
-Internally the frontier runs on the integer-ID backbone: URIs are
-interned to dense ids on first sight and every dict/heap key is a packed
-``a << 32 | b`` integer — the string-tuple churn of the frontier-update
-hot loop (one tuple allocation plus two string hashes per touch) is gone.
-The public API stays URI-based, and ties still break by insertion order,
-so scheduling behaviour is unchanged.
+The frontier speaks its resolution context's ids: every dict and heap
+key is a packed ``a << 32 | b`` pair of context ids, :meth:`pop_key`
+hands that key back, and the update phase boosts and discovers by id.
+The URI methods are the boundary, interning through the context.  Ties
+break by insertion order, never by id, so scheduling does not depend on
+how ids were assigned.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Iterable, TYPE_CHECKING
 
 from repro.metablocking.graph import WeightedEdge
-from repro.model.interner import EntityInterner, pack_pair
+from repro.model.interner import PAIR_MASK, PAIR_SHIFT, pack_pair, unpack_pair
 from repro.utils.heap import AddressableMaxHeap
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -39,19 +40,17 @@ class ComparisonScheduler:
 
     Args:
         benefit: the benefit model whose estimates shape priorities.
-        context: resolution context handed to benefit estimation.
+        context: resolution context handed to benefit estimation; its
+            ids key the queue.
     """
 
     def __init__(self, benefit: "BenefitModel", context: "ResolutionContext") -> None:
         self.benefit = benefit
         self.context = context
-        self._interner = EntityInterner()
-        # the interner's live id → URI table (append-only, never rebound)
-        self._uris = self._interner.uri_table()
         self._heap: AddressableMaxHeap[int] = AddressableMaxHeap()
         self._base_weight: dict[int, float] = {}
         self._boost: dict[int, float] = {}
-        self._by_id: dict[int, set[int]] = {}
+        self._by_id: defaultdict[int, set[int]] = defaultdict(set)
         #: pairs ever scheduled (so re-discovery does not re-queue decided pairs)
         self._seen: set[int] = set()
         #: number of pairs injected by the update phase, for diagnostics
@@ -64,44 +63,30 @@ class ComparisonScheduler:
         return bool(self._heap)
 
     def __contains__(self, pair: tuple[str, str]) -> bool:
-        key = self._key_of(pair[0], pair[1])
+        key = self.context.key_of(pair[0], pair[1])
         return key is not None and key in self._heap
-
-    # -- id plumbing ---------------------------------------------------------
-
-    def _key(self, uri_a: str, uri_b: str) -> int:
-        """Packed key of the pair, interning unseen URIs.
-
-        Raises:
-            ValueError: when both URIs are identical (a description is
-                never compared with itself).
-        """
-        if uri_a == uri_b:
-            raise ValueError(f"self-comparison: {uri_a!r}")
-        intern = self._interner.intern
-        return pack_pair(intern(uri_a), intern(uri_b))
-
-    def _key_of(self, uri_a: str, uri_b: str) -> int | None:
-        """Packed key of the pair, or None when either URI is unknown."""
-        get = self._interner.get
-        id_a, id_b = get(uri_a), get(uri_b)
-        if id_a < 0 or id_b < 0 or id_a == id_b:
-            return None
-        return pack_pair(id_a, id_b)
 
     def _pair(self, key: int) -> tuple[str, str]:
         """Canonical (URI-sorted) pair of a packed key."""
-        uris = self._uris
-        uri_a, uri_b = uris[key >> 32], uris[key & 0xFFFFFFFF]
+        uris = self.context.uris
+        uri_a, uri_b = uris[key >> PAIR_SHIFT], uris[key & PAIR_MASK]
         return (uri_a, uri_b) if uri_a < uri_b else (uri_b, uri_a)
 
     # -- filling -------------------------------------------------------------
 
     def add_edges(self, edges: Iterable[WeightedEdge]) -> int:
-        """Queue the comparisons surviving meta-blocking.
+        """Queue the comparisons surviving meta-blocking (see :meth:`add_keys`)."""
+        edges = list(edges)
+        key = self.context.key
+        return self.add_keys(
+            [key(edge.left, edge.right) for edge in edges], [edge.weight for edge in edges]
+        )
+
+    def add_keys(self, keys: list[int], weights: list[float]) -> int:
+        """Queue packed pairs with their base weights.
 
         New pairs enter the heap in one bulk fill, in first-seen order —
-        the order one :meth:`schedule` per edge would give them.
+        the order one :meth:`schedule` per pair would give them.
 
         Returns:
             Number of pairs queued (duplicates are merged, keeping the
@@ -109,30 +94,22 @@ class ComparisonScheduler:
         """
         seen = self._seen
         fresh: dict[int, float] = {}
-        for edge in edges:
-            key = self._key(edge.left, edge.right)
+        for key, weight in zip(keys, weights):
             if key in seen:
-                self.schedule(edge.left, edge.right, edge.weight)
-            elif key not in fresh or edge.weight > fresh[key]:
-                fresh[key] = edge.weight
+                self._schedule(key, weight)
+            elif key not in fresh or weight > fresh[key]:
+                fresh[key] = weight
         seen.update(fresh)
         self._base_weight.update(fresh)
         self._boost.update(dict.fromkeys(fresh, 0.0))
         by_id = self._by_id
         for key in fresh:
-            by_id.setdefault(key >> 32, set()).add(key)
-            by_id.setdefault(key & 0xFFFFFFFF, set()).add(key)
-        self._heap.push_many((key, self._priority(key)) for key in fresh)
+            by_id[key >> PAIR_SHIFT].add(key)
+            by_id[key & PAIR_MASK].add(key)
+        self._heap.push_many(zip(fresh, map(self._priority, fresh)))
         return len(fresh)
 
-    def schedule(self, uri_a: str, uri_b: str, weight: float) -> bool:
-        """Queue one pair with the given base weight.
-
-        Already-seen pairs are merged: the base weight is raised to the
-        maximum of old and new, never lowered.  Returns True if the pair
-        is newly queued.
-        """
-        key = self._key(uri_a, uri_b)
+    def _schedule(self, key: int, weight: float) -> bool:
         if key in self._heap:
             if weight > self._base_weight[key]:
                 self._base_weight[key] = weight
@@ -143,28 +120,40 @@ class ComparisonScheduler:
         self._seen.add(key)
         self._base_weight[key] = weight
         self._boost[key] = 0.0
-        self._by_id.setdefault(key >> 32, set()).add(key)
-        self._by_id.setdefault(key & 0xFFFFFFFF, set()).add(key)
+        self._by_id[key >> PAIR_SHIFT].add(key)
+        self._by_id[key & PAIR_MASK].add(key)
         self._heap.push(key, self._priority(key))
         return True
 
-    def discover(self, uri_a: str, uri_b: str, weight: float) -> bool:
+    def schedule(self, uri_a: str, uri_b: str, weight: float) -> bool:
+        """Queue one pair with the given base weight.
+
+        Already-seen pairs are merged: the base weight is raised to the
+        maximum of old and new, never lowered.  Returns True if the pair
+        is newly queued.
+
+        Raises:
+            ValueError: for a self-comparison.
+        """
+        return self._schedule(self.context.key(uri_a, uri_b), weight)
+
+    def discover_ids(self, a: int, b: int, weight: float) -> bool:
         """Inject a pair proposed by the update phase (possibly unblocked).
 
         Returns True if the pair entered the queue.
         """
-        key = self._key(uri_a, uri_b)
-        was_new = key not in self._seen and key not in self._heap
-        queued = self.schedule(uri_a, uri_b, weight)
-        if queued and was_new:
-            self.discovered_pairs += 1
+        queued = self._schedule(pack_pair(a, b), weight)
+        self.discovered_pairs += queued
         return queued
+
+    def discover(self, uri_a: str, uri_b: str, weight: float) -> bool:
+        """:meth:`discover_ids` of two URIs."""
+        return self.discover_ids(*unpack_pair(self.context.key(uri_a, uri_b)), weight)
 
     # -- prioritization --------------------------------------------------------
 
     def _priority(self, key: int) -> float:
-        uri_a, uri_b = self._pair(key)
-        estimate = self.benefit.estimate(uri_a, uri_b, self.context)
+        estimate = self.benefit.estimate(key >> PAIR_SHIFT, key & PAIR_MASK, self.context)
         return (self._base_weight[key] + self._boost[key]) * max(estimate, 1e-9)
 
     def _reprioritize(self, key: int) -> None:
@@ -176,61 +165,64 @@ class ComparisonScheduler:
         Raises:
             KeyError: if the pair is not queued.
         """
-        key = self._key_of(uri_a, uri_b)
-        if key is None:
-            raise KeyError((uri_a, uri_b))
-        return self._heap.priority(key)
+        return self._heap.priority(self.context.key_of(uri_a, uri_b))
 
-    def boost(self, uri_a: str, uri_b: str, delta: float) -> bool:
+    def boost_ids(self, a: int, b: int, delta: float) -> bool:
         """Add *delta* evidence weight to a queued pair.
 
         Returns:
             True if the pair was queued and re-prioritized.
         """
-        key = self._key_of(uri_a, uri_b)
-        if key is None or key not in self._heap:
+        key = pack_pair(a, b)
+        if key not in self._heap:
             return False
         self._boost[key] += delta
         self._reprioritize(key)
         return True
 
+    def boost(self, uri_a: str, uri_b: str, delta: float) -> bool:
+        """:meth:`boost_ids` of two URIs."""
+        key = self.context.key_of(uri_a, uri_b)
+        return key is not None and self.boost_ids(*unpack_pair(key), delta)
+
     def refresh(self, uri_a: str, uri_b: str) -> bool:
         """Recompute a queued pair's priority (benefit estimates drift as
         the match state evolves).  Returns True if the pair was queued."""
-        key = self._key_of(uri_a, uri_b)
-        if key is None or key not in self._heap:
+        key = self.context.key_of(uri_a, uri_b)
+        if key not in self._heap:
             return False
         self._reprioritize(key)
         return True
 
     # -- consumption ---------------------------------------------------------
 
-    def refresh_involving(self, uri: str) -> int:
-        """Re-estimate every queued pair touching *uri*.
+    def refresh_involving_ids(self, ids: Iterable[int]) -> int:
+        """Re-estimate every queued pair touching each of *ids*.
 
         Benefit estimates depend on the evolving match state (e.g. a pair's
         entity-coverage value drops once either endpoint is resolved); the
-        engine calls this after a confirmed match for every URI the benefit
+        engine calls this after a confirmed match with the ids the benefit
         model declares stale, so queued priorities track reality.  Returns
-        the number of pairs re-prioritized.
+        the number of re-prioritizations.
         """
-        entity_id = self._interner.get(uri)
-        if entity_id < 0:
-            return 0
-        keys = self._by_id.get(entity_id)
-        if not keys:
-            return 0
-        for key in keys:
-            self._reprioritize(key)
-        return len(keys)
+        refreshed = 0
+        for entity_id in ids:
+            keys = self._by_id.get(entity_id, ())
+            for key in keys:
+                self._reprioritize(key)
+            refreshed += len(keys)
+        return refreshed
 
-    def count_involving(self, uris: Iterable[str]) -> int:
-        """Queued pairs touching each of *uris*, summed — a pair with both
-        endpoints among them counts twice, as one :meth:`refresh_involving`
-        per URI would count it."""
-        get_id = self._interner.get
+    def refresh_involving(self, uri: str) -> int:
+        """:meth:`refresh_involving_ids` of one URI."""
+        return self.refresh_involving_ids((self.context.interner.get(uri),))
+
+    def count_involving(self, ids: Iterable[int]) -> int:
+        """Queued pairs touching each of *ids*, summed — a pair with both
+        endpoints among them counts twice, as one refresh per id would
+        count it."""
         buckets = self._by_id
-        return sum(len(buckets.get(get_id(uri), ())) for uri in uris)
+        return sum(len(buckets.get(entity_id, ())) for entity_id in ids)
 
     def queued_pairs(self) -> Iterable[tuple[tuple[str, str], float]]:
         """Iterate over ``(pair, priority)`` of queued comparisons
@@ -238,19 +230,24 @@ class ComparisonScheduler:
         for key, priority in self._heap.items():
             yield self._pair(key), priority
 
-    def pop(self) -> tuple[tuple[str, str], float]:
-        """Remove and return ``(pair, priority)`` of the best comparison.
+    def pop_key(self) -> tuple[int, float]:
+        """Remove and return ``(packed key, priority)`` of the best comparison.
 
         Raises:
             IndexError: when the queue is empty.
         """
         key, priority = self._heap.pop()
-        for entity_id in (key >> 32, key & 0xFFFFFFFF):
-            bucket = self._by_id.get(entity_id)
-            if bucket is not None:
-                bucket.discard(key)
-                if not bucket:
-                    del self._by_id[entity_id]
+        by_id = self._by_id
+        for entity_id in (key >> PAIR_SHIFT, key & PAIR_MASK):
+            bucket = by_id[entity_id]
+            bucket.remove(key)
+            if not bucket:
+                del by_id[entity_id]
+        return key, priority
+
+    def pop(self) -> tuple[tuple[str, str], float]:
+        """:meth:`pop_key` with the URI-sorted pair instead of the key."""
+        key, priority = self.pop_key()
         return self._pair(key), priority
 
     def peek(self) -> tuple[tuple[str, str], float]:
@@ -260,7 +257,4 @@ class ComparisonScheduler:
 
     def base_weight(self, uri_a: str, uri_b: str) -> float:
         """Current base weight of a pair (0.0 if never scheduled)."""
-        key = self._key_of(uri_a, uri_b)
-        if key is None:
-            return 0.0
-        return self._base_weight.get(key, 0.0)
+        return self._base_weight.get(self.context.key_of(uri_a, uri_b), 0.0)

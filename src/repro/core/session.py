@@ -9,6 +9,12 @@ consumes an *instalment* of comparisons and returns, so the caller can
 inspect intermediate quality, change their mind, or grant more budget
 later.  ``ProgressiveER.run`` is a session drained in one instalment.
 
+The loop speaks context ids end to end: edges and gold pairs are interned
+once, the scheduler pops packed id pairs, the matcher decides them in URI
+orientation (:meth:`~repro.matching.matcher.Matcher.decide_ids`) and the
+match graph records columns; URIs and ``MatchDecision`` objects are
+derived from it only for the report.
+
 The update phase after a confirmed match is a delta: the propagator
 boosts or discovers the neighbour pairs, and only the queued pairs the
 benefit model declares stale (:meth:`~repro.core.benefit.BenefitModel.
@@ -75,19 +81,23 @@ class ProgressiveSession:
         self.checkpoint_every = checkpoint_every
         self.refresh_estimates = refresh_estimates
 
-        self.context = ResolutionContext(collections)
-        self.matcher.bind(self.context)
+        self.context = context = ResolutionContext(collections)
+        self.matcher.attach(context)
+        key = context.key
+        keys = [key(edge.left, edge.right) for edge in edges]
         # Batch pre-scoring: the candidate set is known up front, so
         # matchers with a vectorized path (TF-IDF cosine) score every
         # pair at once; bit-identical to scoring inside the loop.
         self.matcher.prime([edge.pair for edge in edges])
-        self.scheduler = ComparisonScheduler(self.benefit, self.context)
-        self.scheduler.add_edges(edges)
+        self.scheduler = ComparisonScheduler(self.benefit, context)
+        self.scheduler.add_keys(keys, [edge.weight for edge in edges])
         self.budget = CostBudget(0, scheduling_cost_weight=scheduling_cost_weight)
 
-        self._blocked_pairs = {edge.pair for edge in edges}
+        self._blocked_keys = set(keys)
+        matches = gold.matches if gold is not None else ()
+        self._gold_keys = {context.key_of(a, b) for a, b in matches} - {None}
         self._found_gold = 0
-        self._gold_total = len(gold.matches) if gold is not None else 0
+        self._gold_total = len(matches)
         curve = ProgressiveCurve(label=label or self.benefit.name)
         self.result = ProgressiveResult(
             match_graph=self.context.match_graph, curve=curve, budget=self.budget
@@ -141,36 +151,40 @@ class ProgressiveSession:
         budget = self.budget
         context = self.context
         graph = context.match_graph
+        decided = graph.rows
+        decide = self.matcher.decide_ids
+        benefit = self.benefit
+        result = self.result
         while scheduler and not budget.exhausted:
-            pair, _priority = scheduler.pop()
-            if pair in graph:
-                self.result.skipped_decided += 1
+            key, _priority = scheduler.pop_key()
+            if key in decided:
+                result.skipped_decided += 1
                 continue
-            decision = self.matcher.decide(pair[0], pair[1])
+            a, b = context.oriented(key)
+            score, is_match = decide(a, b)
             budget.charge_comparison()
-            graph.record(decision)
-            self.result.benefit_total += self.benefit.realized(decision, context)
-            if decision.is_match:
-                if self.gold is not None and pair in self.gold.matches:
+            graph.record_ids(a, b, score, is_match)
+            if is_match:
+                result.benefit_total += benefit.realized_ids(a, b, context)
+                if key in self._gold_keys:
                     self._found_gold += 1
-                if pair not in self._blocked_pairs:
-                    self.result.discovered_matches += 1
+                if key not in self._blocked_keys:
+                    result.discovered_matches += 1
                 if self.updater is not None:
-                    operations = self.updater.on_match(decision, scheduler, context)
+                    operations = self.updater.on_match(a, b, scheduler, context)
                     budget.charge_scheduling(operations)
                 if self.refresh_estimates:
                     # The charge is the match's queued vicinity whatever
                     # the model; only what it declares stale is re-estimated.
                     budget.charge_scheduling(
-                        scheduler.count_involving(context.vicinity(pair))
+                        scheduler.count_involving(context.vicinity_ids(a, b))
                     )
-                    for uri in set(self.benefit.stale_after(decision, context)):
-                        scheduler.refresh_involving(uri)
+                    scheduler.refresh_involving_ids(set(benefit.stale_after(a, b, context)))
             if budget.comparisons_executed % self.checkpoint_every == 0:
                 self._checkpoint()
         self._checkpoint()
-        self.result.discovered_pairs = scheduler.discovered_pairs
-        return self.result
+        result.discovered_pairs = scheduler.discovered_pairs
+        return result
 
     def _checkpoint(self) -> None:
         values = {"benefit": self.result.benefit_total}

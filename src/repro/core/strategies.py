@@ -1,7 +1,6 @@
 """Preconfigured scheduling strategies.
 
-Three ways to run the progressive loop, named as in DESIGN.md's ablation
-list:
+Three ways to run the progressive loop:
 
 * **static** — schedule once from the meta-blocking weights and never
   revisit: the update phase is disabled, so the comparison order is fixed
@@ -18,7 +17,7 @@ from repro.core.benefit import BenefitModel
 from repro.core.budget import CostBudget
 from repro.core.engine import ProgressiveER
 from repro.core.updater import NeighborEvidencePropagator
-from repro.matching.matcher import Matcher, MatchDecision
+from repro.matching.matcher import Matcher
 
 
 def static_strategy(
@@ -65,18 +64,17 @@ class _BatchedPropagator(NeighborEvidencePropagator):
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         self.batch_size = batch_size
-        self._pending: list[MatchDecision] = []
+        #: matched context-id pairs (URI order) awaiting propagation
+        self._pending: list[tuple[int, int]] = []
 
-    def on_match(self, decision, scheduler, context) -> int:
-        if not decision.is_match:
-            return 0
-        self._pending.append(decision)
+    def on_match(self, left, right, scheduler, context) -> int:
+        self._pending.append((left, right))
         if len(self._pending) < self.batch_size:
             return 0
         operations = 0
         batch, self._pending = self._pending, []
-        for pending in batch:
-            operations += super().on_match(pending, scheduler, context)
+        for pending_left, pending_right in batch:
+            operations += super().on_match(pending_left, pending_right, scheduler, context)
         return operations
 
 

@@ -16,15 +16,14 @@ candidates for co-reference.  The propagator therefore:
 
 Propagation fan-out is capped to keep the update phase's cost bounded (it
 is charged to the budget as scheduling operations).  Neighbourhoods are
-the resolution context's memoised out∪in tuples, in out-then-in order —
-the cap makes that order observable.
+the resolution context's memoised out∪in id tuples, in out-then-in
+order, and the match is propagated in URI order (left endpoint's
+neighbours outermost) — the cap makes both orders observable.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
-
-from repro.matching.matcher import MatchDecision
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.engine import ResolutionContext
@@ -70,27 +69,27 @@ class NeighborEvidencePropagator:
 
     def on_match(
         self,
-        decision: MatchDecision,
+        left: int,
+        right: int,
         scheduler: "ComparisonScheduler",
         context: "ResolutionContext",
     ) -> int:
-        """Propagate one confirmed match.
+        """Propagate the confirmed match of context ids *left* and
+        *right* (in URI order).
 
         Returns:
             The number of scheduling operations performed (to be charged
             to the budget).
         """
-        if not decision.is_match:
-            return 0
-        left, right = decision.pair
         neighborhood = (
-            context.neighborhood if self.use_inverse_neighbors else context.neighbors
+            context.neighborhood_ids if self.use_inverse_neighbors else context.neighbor_ids
         )
         neighbors_left = neighborhood(left)
         neighbors_right = neighborhood(right)
         if not neighbors_left or not neighbors_right:
             return 0
 
+        are_matched = context.match_graph.are_matched_ids
         operations = 0
         touched = 0
         for n_left in neighbors_left:
@@ -100,16 +99,16 @@ class NeighborEvidencePropagator:
                 if n_left == n_right:
                     continue
                 # Neighbours already known to co-refer need no evidence.
-                if context.match_graph.are_matched(n_left, n_right):
+                if are_matched(n_left, n_right):
                     continue
                 # Descriptions of the same KB never match in clean-clean ER.
-                if context.same_source(n_left, n_right):
+                if context.same_source_ids(n_left, n_right):
                     continue
                 touched += 1
                 operations += 1
-                if scheduler.boost(n_left, n_right, self.boost_factor):
+                if scheduler.boost_ids(n_left, n_right, self.boost_factor):
                     self.boosted += 1
                 elif self.discovery_weight > 0:
-                    if scheduler.discover(n_left, n_right, self.discovery_weight):
+                    if scheduler.discover_ids(n_left, n_right, self.discovery_weight):
                         self.discovered += 1
         return operations

@@ -122,6 +122,4 @@ def area_under_curve(
         if end > start:
             area += y[i] * (end - start)
     # The stretch before the first checkpoint contributes zero.
-    if x[0] > 0:
-        pass
     return area / span

@@ -1,20 +1,27 @@
 """Pairwise matchers and the match graph.
 
-A :class:`Matcher` maps a candidate pair to a :class:`MatchDecision`
-(similarity score + boolean verdict); the :class:`MatchGraph` accumulates
-verdicts as matching progresses, maintaining the transitive clustering the
-benefit models and the update phase read.
+A :class:`Matcher` decides whether a candidate pair co-refers: the
+progressive loops ask :meth:`Matcher.decide_ids` for ``(score,
+is_match)`` on ids of their resolution context, and the URI-level
+:meth:`Matcher.decide` returns a :class:`MatchDecision`.  The
+:class:`MatchGraph` accumulates verdicts by id as matching progresses,
+maintaining the transitive clustering the benefit models and the update
+phase read; URIs and :class:`MatchDecision` objects are derived from its
+columns only for the report.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
+import numpy as _np
+
 from repro.blocking.block import comparison_pair
 from repro.matching.similarity import SimilarityIndex
-from repro.utils.disjoint_set import DisjointSet
+from repro.model.interner import PAIR_SHIFT, EntityInterner, pack_pair
 
 
 @dataclass(frozen=True)
@@ -33,43 +40,72 @@ class MatchDecision:
 
 
 class Matcher(ABC):
-    """Base class: decide whether two descriptions co-refer."""
+    """Base class: decide whether two descriptions co-refer.
+
+    The progressive loops call :meth:`decide_ids` with ids of the bound
+    context; a matcher that only knows URIs is served by the base-class
+    adapter, which calls :meth:`decide` on the ids' URIs.
+    """
+
+    #: the bound resolution context (None until :meth:`attach`)
+    _context = None
+
+    def attach(self, context) -> None:
+        """Bind the matcher to *context*: what resolution engines call.
+
+        The context is kept for the id adapters before the :meth:`bind`
+        hook runs, so a subclass may override :meth:`bind` without
+        calling ``super``.  Not meant to be overridden.
+        """
+        self._context = context
+        self.bind(context)
 
     def bind(self, context) -> None:
-        """Hook called by resolution engines before execution starts.
+        """Hook called by :meth:`attach` before execution starts.
 
         *context* is a :class:`repro.core.engine.ResolutionContext`;
         matchers that exploit the evolving match state (e.g. the
-        neighbour-evidence matcher) capture it here.  The default is a
-        no-op so plain value matchers need not care.
+        neighbour-evidence matcher) read it.  The default keeps it, so a
+        direct ``bind`` call binds too.
         """
+        self._context = context
 
     def prime(self, pairs: Iterable[tuple[str, str]]) -> None:
         """Hook: pre-score a known candidate set in one batch.
 
         Engines call this with the full pruned-edge pair list before the
         progressive loop starts; matchers with a vectorized scoring path
-        (TF-IDF cosine) cache the batch scores so the per-pair
-        :meth:`similarity` calls inside the loop become lookups.  Scores
-        must be bit-identical to the scalar path — priming may never
-        change a decision.  The default is a no-op.
+        (TF-IDF cosine) cache the batch scores so the per-pair calls
+        inside the loop become lookups.  Scores must be bit-identical to
+        the scalar path — priming may never change a decision.  The
+        default is a no-op.
         """
 
     @abstractmethod
     def similarity(self, uri_a: str, uri_b: str) -> float:
         """Similarity score in [0, 1] (best effort) for the pair."""
 
-    @abstractmethod
+    def verdict(self, uri_a: str, uri_b: str) -> tuple[float, bool]:
+        """``(score, is_match)`` of the pair; the default thresholds
+        :meth:`similarity` at the matcher's ``threshold``."""
+        score = self.similarity(uri_a, uri_b)
+        return score, score >= self.threshold
+
     def decide(self, uri_a: str, uri_b: str) -> MatchDecision:
-        """Full decision for the pair."""
+        """Full decision for the pair: its :meth:`verdict`."""
+        return MatchDecision(uri_a, uri_b, *self.verdict(uri_a, uri_b))
 
     def decide_many(self, pairs: list[tuple[str, str]]) -> list[MatchDecision]:
-        """Decide a batch of pairs (default: per-pair :meth:`decide`).
-
-        Matchers with a vectorized similarity path override the scoring;
-        the decisions are identical to calling :meth:`decide` per pair.
-        """
+        """Decide a batch of pairs: per-pair :meth:`decide`."""
         return [self.decide(a, b) for a, b in pairs]
+
+    def decide_ids(self, a: int, b: int) -> tuple[float, bool]:
+        """``(score, is_match)`` of two ids of the bound context, in the
+        given orientation (the loops pass URI-sorted ids); the default
+        serves a URI-level matcher through :meth:`decide`."""
+        uris = self._context.uris
+        decision = self.decide(uris[a], uris[b])
+        return decision.similarity, decision.is_match
 
 
 class ThresholdMatcher(Matcher):
@@ -95,10 +131,9 @@ class ThresholdMatcher(Matcher):
             raise ValueError("threshold must be in [0, 1]")
         self.index = index
         self.threshold = threshold
-        #: batch-scored cache filled by :meth:`prime` (pair → similarity)
-        self._primed: dict[tuple[str, str], float] = {}
-        #: index epoch the cache was scored against (None = immutable index)
-        self._primed_epoch = None
+        #: batch-scored cache filled by :meth:`prime`: packed pair of ids
+        #: of the bound context → similarity
+        self._primed: dict[int, float] = {}
         if callable(measure):
             self._measure = measure
             self.measure_name = getattr(measure, "__name__", "custom")
@@ -116,58 +151,39 @@ class ThresholdMatcher(Matcher):
                 f"unknown measure {measure!r}; choose from {self.MEASURES}"
             )
 
-    def _batch_scores(self, pairs: list[tuple[str, str]]):
-        """Vectorized scores for *pairs*, or None without a batch path."""
-        if self.measure_name != "cosine" or not hasattr(self.index, "cosine_many"):
-            return None
-        if any(a not in self.index or b not in self.index for a, b in pairs):
-            return None
-        return self.index.cosine_many([a for a, _ in pairs], [b for _, b in pairs])
-
-    def _check_primed_epoch(self) -> None:
-        """Drop the cache when a mutable index has drifted since priming.
-
-        Immutable indexes have no ``epoch``; a streaming index bumps it
-        on every IDF-shifting insert, and primed scores from an older
-        epoch would no longer be bit-identical to fresh scoring — the
-        one thing priming must never break.
-        """
-        epoch = getattr(self.index, "epoch", None)
-        if self._primed and epoch != self._primed_epoch:
-            self._primed.clear()
+    def bind(self, context) -> None:
+        super().bind(context)
+        self._primed.clear()  # keyed by the previous context's ids
 
     def prime(self, pairs: Iterable[tuple[str, str]]) -> None:
-        self._check_primed_epoch()
-        pair_list = [p for p in pairs if p not in self._primed]
-        if not pair_list:
+        # One vectorized pass, once bound and when every URI is indexed.
+        # Each pair is scored in the orientation given (the cosine's dot
+        # runs over the left row): engines prime the URI-sorted pairs they
+        # decide in.
+        pairs = list(pairs)
+        index, context = self.index, self._context
+        batch_path = self.measure_name == "cosine" and hasattr(index, "cosine_many")
+        if not (pairs and batch_path and context is not None):
             return
-        scores = self._batch_scores(pair_list)
-        if scores is None:
-            return
-        self._primed_epoch = getattr(self.index, "epoch", None)
-        self._primed.update(zip(pair_list, (float(s) for s in scores)))
+        lefts, rights = zip(*pairs)
+        try:
+            scores = index.cosine_many(lefts, rights)
+            ids_a, ids_b = (_np.array(context.interner.ids_of(side)) for side in (lefts, rights))
+        except KeyError:
+            return  # an unindexed or unknown URI: the loop scores it
+        keys = _np.minimum(ids_a, ids_b) << PAIR_SHIFT | _np.maximum(ids_a, ids_b)
+        self._primed.update(zip(keys.tolist(), scores.tolist()))
 
     def similarity(self, uri_a: str, uri_b: str) -> float:
-        if self._primed:
-            self._check_primed_epoch()
-            primed = self._primed.get(comparison_pair(uri_a, uri_b))
-            if primed is not None:
-                return primed
         return self._measure(uri_a, uri_b)
 
-    def decide(self, uri_a: str, uri_b: str) -> MatchDecision:
-        score = self.similarity(uri_a, uri_b)
-        return MatchDecision(uri_a, uri_b, score, score >= self.threshold)
-
-    def decide_many(self, pairs: list[tuple[str, str]]) -> list[MatchDecision]:
-        scores = self._batch_scores(pairs)
-        if scores is None:
-            return [self.decide(a, b) for a, b in pairs]
-        threshold = self.threshold
-        return [
-            MatchDecision(a, b, score, score >= threshold)
-            for (a, b), score in zip(pairs, (float(s) for s in scores))
-        ]
+    def decide_ids(self, a: int, b: int) -> tuple[float, bool]:
+        # pack_pair, inlined: this runs once per comparison
+        score = self._primed.get(a << PAIR_SHIFT | b if a < b else b << PAIR_SHIFT | a)
+        if score is None:
+            uris = self._context.uris
+            score = self._measure(uris[a], uris[b])
+        return score, score >= self.threshold
 
 
 class EnsembleMatcher(Matcher):
@@ -199,8 +215,9 @@ class EnsembleMatcher(Matcher):
         self._total_weight = sum(weight for _, weight in members)
 
     def bind(self, context) -> None:
+        super().bind(context)
         for matcher, _weight in self.members:
-            matcher.bind(context)
+            matcher.attach(context)
 
     def prime(self, pairs: Iterable[tuple[str, str]]) -> None:
         pair_list = list(pairs)
@@ -214,10 +231,6 @@ class EnsembleMatcher(Matcher):
         )
         return combined / self._total_weight
 
-    def decide(self, uri_a: str, uri_b: str) -> MatchDecision:
-        score = self.similarity(uri_a, uri_b)
-        return MatchDecision(uri_a, uri_b, score, score >= self.threshold)
-
 
 class OracleMatcher(Matcher):
     """Ground-truth matcher used by oracle baselines and tests.
@@ -226,105 +239,208 @@ class OracleMatcher(Matcher):
         gold: set of canonical matching pairs.
     """
 
+    threshold = 1.0
+
     def __init__(self, gold: set[tuple[str, str]]) -> None:
         self.gold = gold
 
     def similarity(self, uri_a: str, uri_b: str) -> float:
         return 1.0 if comparison_pair(uri_a, uri_b) in self.gold else 0.0
 
-    def decide(self, uri_a: str, uri_b: str) -> MatchDecision:
-        score = self.similarity(uri_a, uri_b)
-        return MatchDecision(uri_a, uri_b, score, score >= 1.0)
-
 
 class MatchGraph:
-    """Accumulated match decisions with transitive clustering.
+    """Accumulated match decisions with transitive clustering, by id.
 
-    Tracks every executed comparison (so repeated work can be measured),
-    the positive decisions, and a union-find over matched descriptions
-    giving the current resolved clusters.
+    The graph works in the id space of its interner (its resolution
+    context's): decisions are parallel columns ``a``, ``b``, ``score`` and
+    ``is_match`` in execution order, ``rows`` maps the packed pair of each
+    live decision to its row (a forgotten decision leaves ``rows`` at
+    once and the columns at the next compaction), ``partner_ids`` holds
+    the direct partners of every matched id, and a parent list is the
+    union-find over matched ids.
+    URIs and :class:`MatchDecision` objects exist only at the boundary:
+    :meth:`record` interns a decision on the way in, and the report
+    accessors derive them on the way out.
     """
 
-    def __init__(self) -> None:
-        self._decisions: dict[tuple[str, str], MatchDecision] = {}
-        self._matches: list[MatchDecision] = []
-        self._clusters = DisjointSet()
-        self._partners: dict[str, set[str]] = {}
+    def __init__(self, interner: EntityInterner | None = None) -> None:
+        self.interner = interner if interner is not None else EntityInterner()
+        self.uris = self.interner.uri_table()
+        self.a: list[int] = []
+        self.b: list[int] = []
+        self.score: list[float] = []
+        self.is_match: list[bool] = []
+        self.rows: dict[int, int] = {}
+        self.partner_ids: dict[int, set[int]] = {}
+        #: number of positive decisions recorded
+        self.match_count = 0
+        self._parent: list[int] = []
+        #: id → packed pairs of its live decisions, for :meth:`forget`
+        self._keys_of: defaultdict[int, set[int]] = defaultdict(set)
 
     def __len__(self) -> int:
         """Number of comparisons executed."""
-        return len(self._decisions)
+        return len(self.rows)
 
     def __contains__(self, pair: tuple[str, str]) -> bool:
-        return pair in self._decisions
+        return self._row(*pair) is not None
 
-    @property
-    def match_count(self) -> int:
-        """Number of positive decisions recorded."""
-        return len(self._matches)
+    def _row(self, uri_a: str, uri_b: str) -> int | None:
+        get = self.interner.get
+        a, b = get(uri_a), get(uri_b)
+        return self.rows.get(pack_pair(a, b)) if a >= 0 and b >= 0 else None
+
+    def record_ids(self, a: int, b: int, score: float, is_match: bool) -> bool:
+        """Store a decision on ids; False if the pair was already decided."""
+        key = a << PAIR_SHIFT | b if a < b else b << PAIR_SHIFT | a  # pack_pair
+        rows = self.rows
+        if key in rows:
+            return False
+        rows[key] = len(self.a)
+        self._keys_of[a].add(key)
+        self._keys_of[b].add(key)
+        self.a.append(a)
+        self.b.append(b)
+        self.score.append(score)
+        self.is_match.append(is_match)
+        if is_match:
+            self.match_count += 1
+            self._union(a, b)
+            partners = self.partner_ids
+            partners.setdefault(a, set()).add(b)
+            partners.setdefault(b, set()).add(a)
+        return True
 
     def record(self, decision: MatchDecision) -> bool:
-        """Store *decision*; returns False if the pair was already decided."""
-        pair = decision.pair
-        if pair in self._decisions:
-            return False
-        self._decisions[pair] = decision
-        if decision.is_match:
-            self._matches.append(decision)
-            self._clusters.union(pair[0], pair[1])
-            self._partners.setdefault(pair[0], set()).add(pair[1])
-            self._partners.setdefault(pair[1], set()).add(pair[0])
-        return True
+        """Store *decision*; returns False if the pair was already decided.
+
+        Raises:
+            ValueError: for a self-comparison.
+        """
+        if decision.left == decision.right:
+            raise ValueError(f"self-comparison: {decision.left!r}")
+        intern = self.interner.intern
+        return self.record_ids(
+            intern(decision.left), intern(decision.right), decision.similarity, decision.is_match
+        )
+
+    def forget(self, entity_id: int) -> None:
+        """Drop every decision involving *entity_id* (a retracted
+        description) and its partners, re-clustering its component."""
+        rows, keys_of, a, b = self.rows, self._keys_of, self.a, self.b
+        for key in keys_of.pop(entity_id, ()):
+            row = rows.pop(key)
+            self.match_count -= self.is_match[row]
+            other = b[row] if a[row] == entity_id else a[row]
+            keys_of[other].discard(key)
+            if not keys_of[other]:
+                del keys_of[other]
+        if len(a) > 2 * len(rows):  # forgotten rows outnumber live ones
+            live = list(rows.values())
+            for column in (a, b, self.score, self.is_match):
+                column[:] = [column[row] for row in live]
+            for row, key in enumerate(rows):  # rows are in execution order
+                rows[key] = row
+        partners = self.partner_ids
+        if entity_id not in partners:
+            return
+        # Its cluster may split: re-link that component only.
+        component, stack = {entity_id}, [entity_id]
+        while stack:
+            for other in partners[stack.pop()]:
+                if other not in component:
+                    component.add(other)
+                    stack.append(other)
+        for other in partners.pop(entity_id):
+            partners[other].discard(entity_id)
+            if not partners[other]:
+                del partners[other]
+        parent = self._parent
+        for member in component:
+            parent[member] = member
+        for member in component:
+            for other in partners.get(member, ()):
+                self._union(member, other)
+
+    def _find(self, entity_id: int) -> int:
+        parent = self._parent
+        root = entity_id
+        while parent[root] != root:
+            root = parent[root]
+        while parent[entity_id] != root:  # path compression
+            parent[entity_id], entity_id = root, parent[entity_id]
+        return root
+
+    def _union(self, a: int, b: int) -> None:
+        parent = self._parent
+        parent.extend(range(len(parent), max(a, b) + 1))
+        parent[self._find(b)] = self._find(a)
+
+    def are_matched_ids(self, a: int, b: int) -> bool:
+        """True if the two ids are in the same resolved cluster."""
+        partners = self.partner_ids
+        return a in partners and b in partners and self._find(a) == self._find(b)
+
+    def roots(self, ids: Iterable[int]) -> list[int]:
+        """Cluster representative of each resolved member of *ids*
+        (unresolved members are skipped)."""
+        partners = self.partner_ids
+        return [self._find(entity_id) for entity_id in ids if entity_id in partners]
+
+    # -- the report: URIs and decisions, derived on demand ---------------------
+
+    def _decision(self, row: int) -> MatchDecision:
+        uris = self.uris
+        return MatchDecision(
+            uris[self.a[row]], uris[self.b[row]], self.score[row], self.is_match[row]
+        )
+
+    def decisions(self) -> Iterator[MatchDecision]:
+        """Every decision in execution order."""
+        return map(self._decision, self.rows.values())
 
     def decision_for(self, uri_a: str, uri_b: str) -> MatchDecision | None:
         """Previously recorded decision for the pair, if any."""
-        return self._decisions.get(comparison_pair(uri_a, uri_b))
+        row = self._row(uri_a, uri_b)
+        return None if row is None else self._decision(row)
 
     def matches(self) -> Iterator[MatchDecision]:
         """Positive decisions in execution order."""
-        return iter(self._matches)
+        return map(self._decision, self._matched_rows())
+
+    def _matched_rows(self) -> list[int]:
+        is_match = self.is_match
+        return [row for row in self.rows.values() if is_match[row]]
 
     def matched_pairs(self) -> set[tuple[str, str]]:
         """Canonical pairs decided as matches (directly, not transitively)."""
-        return {d.pair for d in self._matches}
+        uris, a, b = self.uris, self.a, self.b
+        pairs = ((uris[a[row]], uris[b[row]]) for row in self._matched_rows())
+        return {(x, y) if x < y else (y, x) for x, y in pairs}
 
     def is_resolved(self, uri: str) -> bool:
         """True if *uri* has been directly matched with some description."""
-        return uri in self._partners
+        return self.interner.get(uri) in self.partner_ids
 
     def partners(self, uri: str) -> set[str]:
         """Descriptions directly matched with *uri* (not transitive)."""
-        return set(self._partners.get(uri, ()))
+        return {self.uris[i] for i in self.partner_ids.get(self.interner.get(uri), ())}
 
     def are_matched(self, uri_a: str, uri_b: str) -> bool:
         """True if the two descriptions are in the same resolved cluster."""
-        if uri_a not in self._clusters or uri_b not in self._clusters:
-            return False
-        return self._clusters.connected(uri_a, uri_b)
-
-    def cluster_roots(self, uris: Iterable[str]) -> list[str]:
-        """Cluster representative of each resolved member of *uris*.
-
-        Unresolved members are skipped; two resolved descriptions are in
-        the same cluster exactly when their representatives are equal.
-        """
-        partners = self._partners
-        find = self._clusters.find
-        return [find(uri) for uri in uris if uri in partners]
+        return self.are_matched_ids(self.interner.get(uri_a), self.interner.get(uri_b))
 
     def cluster_of(self, uri: str) -> frozenset[str]:
         """Members of the resolved cluster containing *uri* (singleton if unmatched)."""
-        if uri not in self._clusters:
-            return frozenset((uri,))
-        root = self._clusters.find(uri)
-        return frozenset(
-            member for member in self._clusters.items()
-            if self._clusters.find(member) == root
-        )
+        return next((c for c in self.clusters() if uri in c), frozenset((uri,)))
 
     def clusters(self) -> list[frozenset[str]]:
-        """All non-singleton resolved clusters, deterministic order."""
-        return [c for c in self._clusters.to_clusters() if len(c) > 1]
+        """All non-singleton resolved clusters, largest first, deterministic order."""
+        groups: dict[int, set[str]] = {}
+        for entity_id in self.partner_ids:
+            groups.setdefault(self._find(entity_id), set()).add(self.uris[entity_id])
+        clusters = map(frozenset, groups.values())
+        return sorted(clusters, key=lambda c: (-len(c), sorted(map(repr, c))))
 
     def transitive_pairs(self) -> set[tuple[str, str]]:
         """All pairs implied by the clustering (transitive closure)."""

@@ -128,6 +128,10 @@ class EntityInterner:
         """
         return self._ids[uri]
 
+    def ids_of(self, uris: Iterable[str]) -> list[int]:
+        """Ids of already-interned URIs (KeyError for one never interned)."""
+        return list(map(self._ids.__getitem__, uris))
+
     def get(self, uri: str, default: int = -1) -> int:
         """Id of *uri*, or *default* when unknown."""
         return self._ids.get(uri, default)

@@ -74,7 +74,7 @@ class LocalTier:
             threshold=threshold,
             measure="cosine",
         )
-        self.matcher.bind(self.context)
+        self.matcher.attach(self.context)
         self.benefit = benefit or QuantityBenefit()
         self.down: set[int] = set()
 
@@ -134,8 +134,7 @@ class LocalTier:
             self.pairs.entities_placed, self.pairs.total_assignments,
         )
         matches, scheduled, comparisons, skipped = run_match_phase(
-            uri, survivors, weights, budget,
-            self.context, self.matcher, self.benefit, self.store,
+            uri, survivors, weights, budget, self.context, self.matcher, self.benefit
         )
         coverage = (self.n_partitions - len(missing)) / self.n_partitions
         return RoutedQueryResult(

@@ -316,7 +316,7 @@ class Router:
         self.matcher = ThresholdMatcher(
             self.similarity, threshold=threshold, measure="cosine"
         )
-        self.matcher.bind(self.context)
+        self.matcher.attach(self.context)
         self.benefit = benefit or QuantityBenefit()
 
         self.stats = ServingStats()
@@ -587,8 +587,7 @@ class Router:
             weights, pruner, uris, entities_placed, total_assignments
         )
         matches, scheduled, comparisons, skipped = run_match_phase(
-            uri, survivors, weights, budget,
-            context, matcher, self.benefit, self.store,
+            uri, survivors, weights, budget, context, matcher, self.benefit
         )
         latency["match_s"] = time.perf_counter() - t0
         latency["total_s"] = time.perf_counter() - t_total
@@ -815,7 +814,7 @@ class Router:
             threshold=self.threshold,
             measure="cosine",
         )
-        matcher.bind(context)
+        matcher.attach(context)
         return context, matcher
 
 
@@ -892,7 +891,7 @@ def verify_equivalence(
         )
         oracle_matches, _, oracle_comparisons, _ = run_match_phase(
             uri, oracle_survivors, oracle_weights, budget,
-            oracle_plane[0], oracle_plane[1], router.benefit, oracle_store,
+            oracle_plane[0], oracle_plane[1], router.benefit,
         )
         if result.matches != oracle_matches:
             mismatches.append(f"{uri}: match list diverges from oracle")

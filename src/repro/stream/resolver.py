@@ -34,6 +34,7 @@ from repro.metablocking.graph import BlockingGraph, WeightedEdge
 from repro.metablocking.pruning import make_pruner
 from repro.metablocking.weighting import make_scheme
 from repro.model.description import EntityDescription
+from repro.model.interner import pack_pair
 from repro.obs import DISABLED, Observability
 from repro.stream.durability import (
     Durability,
@@ -164,57 +165,49 @@ def run_match_phase(
     context: ResolutionContext,
     matcher: Matcher,
     benefit: BenefitModel,
-    store: StreamingEntityStore,
 ) -> tuple[list[StreamMatch], int, int, int]:
     """Schedule, compare and decide the pruned survivors.
 
-    Returns ``(matches, scheduled, comparisons, skipped_decided)`` —
-    exactly the match section of a single-store
-    :meth:`StreamResolver.resolve`, operating on whichever *context*
-    and *matcher* the caller serves decisions from.
+    Candidate ids are *context*'s: a stream context adopts its store's
+    interner.  Returns ``(matches, scheduled, comparisons,
+    skipped_decided)`` — exactly the match section of a single-store
+    :meth:`StreamResolver.resolve`, operating on whichever *context* and
+    *matcher* the caller serves decisions from.
     """
-    uris = store.interner.uri_table()
+    query = context.interner.get(uri_q)
     scheduler = ComparisonScheduler(benefit, context)
-    for candidate_id, weight in survivors:
-        scheduler.schedule(uri_q, uris[candidate_id], weight)
+    scheduler.add_keys(
+        [pack_pair(query, candidate) for candidate, _ in survivors],
+        [weight for _, weight in survivors],
+    )
     scheduled = len(scheduler)
-    ordered: list[tuple[str, str]] = []
-    weight_of: dict[tuple[str, str], float] = {}
     limit = len(scheduler) if budget is None else max(budget, 0)
+    graph = context.match_graph
+    ordered: list[tuple[int, int]] = []
     skipped = 0
-    match_graph = context.match_graph
     while scheduler and len(ordered) < limit:
-        pair, _priority = scheduler.pop()
-        if pair in match_graph:
+        key, _priority = scheduler.pop_key()
+        if key in graph.rows:
             skipped += 1
             continue
-        ordered.append(pair)
-        weight_of[pair] = scheduler.base_weight(pair[0], pair[1])
-    decisions = matcher.decide_many(ordered)
+        ordered.append(context.oriented(key))
+    # Every pair is decided before any is recorded, as one batch.
+    decisions = [matcher.decide_ids(a, b) for a, b in ordered]
+    uris = context.uris
     matches: list[StreamMatch] = []
-    for decision in decisions:
-        match_graph.record(decision)
-        if decision.is_match:
-            other = (
-                decision.right if decision.left == uri_q else decision.left
-            )
-            matches.append(
-                StreamMatch(
-                    other, decision.similarity, weight_of[decision.pair]
-                )
-            )
+    for (a, b), (score, is_match) in zip(ordered, decisions):
+        graph.record_ids(a, b, score, is_match)
+        if is_match:
+            other = b if a == query else a
+            matches.append(StreamMatch(uris[other], score, weights[other]))
     # Matches decided by earlier queries are still matches: a repeat
     # lookup must report them, not silently skip them as "already
     # decided".  They follow the fresh decisions, sorted by URI.
-    newly_matched = {match.uri for match in matches}
-    for partner in sorted(match_graph.partners(uri_q) - newly_matched):
-        if store.get(partner) is None:
-            continue  # partner retracted since the decision
-        known = match_graph.decision_for(uri_q, partner)
-        assert known is not None
-        matches.append(StreamMatch(partner, known.similarity, weights.get(
-            store.interner.get(partner), 0.0
-        )))
+    fresh = {b if a == query else a for a, b in ordered}
+    earlier = graph.partner_ids.get(query, set()) - fresh
+    for partner in sorted(earlier, key=uris.__getitem__):
+        score = graph.score[graph.rows[pack_pair(query, partner)]]
+        matches.append(StreamMatch(uris[partner], score, weights.get(partner, 0.0)))
     return matches, scheduled, len(ordered), skipped
 
 
@@ -237,31 +230,30 @@ class StreamQueryResult:
 
 
 class _StreamContext(ResolutionContext):
-    """A resolution context registered incrementally, never by scan.
+    """A resolution context over a live store, in the store's id space.
 
-    It follows deletes too: a retracted URI is forgotten (the maps hold
-    live URIs only) and re-homed by its next insert, in whichever source.
+    It follows inserts and deletes: a retracted URI is forgotten — its
+    home, source tag and match decisions — and re-homed by its next
+    insert, in whichever source; every mutation drops the neighbourhood
+    memos.
     """
 
     def __init__(self, store: StreamingEntityStore) -> None:
-        # Deliberately does NOT call super().__init__: the batch context
-        # scans every collection up front, which is exactly the O(corpus)
-        # cost a per-insert path cannot afford.
-        self.collections = store.collections
-        self.match_graph = MatchGraph()
-        self._home = {}
-        self._source = {}
-        store.subscribe(self._register, replay=True)
+        super().__init__(store.collections, store.interner)
+        store.subscribe(self._register)
         store.subscribe_delete(self._forget)
 
     def _register(self, description, source, entity_id, was_present) -> None:
-        self._adopt(description, self.collections[source])
+        self._adopt(entity_id, description.source, self.collections[source])
+        self._neighborhoods.clear()
 
     def _forget(self, uri, source, entity_id) -> None:
         # A delete retracts the URI from every source holding it (one
         # notification per source), so no holder is left to stay home.
-        self._home.pop(uri, None)
-        self._source.pop(uri, None)
+        self._home.pop(entity_id, None)
+        self._source.pop(entity_id, None)
+        self.match_graph.forget(entity_id)
+        self._neighborhoods.clear()
 
 
 class StreamResolver:
@@ -358,7 +350,7 @@ class StreamResolver:
         self.matcher = matcher or ThresholdMatcher(
             self.similarity, threshold=threshold, measure="cosine"
         )
-        self.matcher.bind(self.context)
+        self.matcher.attach(self.context)
         self.benefit = benefit or QuantityBenefit()
         self.max_key_cardinality = max_key_cardinality
         self.key_ratio = key_ratio
@@ -402,8 +394,8 @@ class StreamResolver:
         lists, pair statistics, similarity state and (when active) the
         processed view's survivors — so subsequent queries neither see
         the entity as a candidate nor weigh against its blocks.  Match
-        decisions already recorded against it are suppressed from query
-        results while it is absent (see :meth:`resolve`).
+        decisions recorded against it are dropped: a re-inserted URI is
+        compared afresh.
         """
         if not self.obs.enabled:
             return self.store.delete(uri)
@@ -535,7 +527,6 @@ class StreamResolver:
                 self.context,
                 self.matcher,
                 self.benefit,
-                self.store,
             )
         latency["match_s"] = timer.duration_s
         latency["total_s"] = time.perf_counter() - t_total

@@ -11,10 +11,10 @@ always against the *current* IDF.
 It is measure-compatible with the batch index (``cosine``, ``jaccard``,
 ``weighted_jaccard``, ``__contains__``), so the existing
 :class:`~repro.matching.matcher.ThresholdMatcher` works on it
-unchanged.  There is deliberately no ``cosine_many``: a query scores a
-handful of pairs, and ``decide_many`` falls back to the scalar
-:meth:`~StreamingSimilarityIndex.cosine` — a dict dot product over two
-cached vectors — which costs less than one array round trip.
+unchanged.  There is deliberately no batch path: a query scores a
+handful of pairs with the scalar :meth:`~StreamingSimilarityIndex.cosine`
+— a dict dot product over two cached vectors — which costs less than one
+array round trip.
 """
 
 from __future__ import annotations

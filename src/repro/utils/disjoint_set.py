@@ -1,9 +1,8 @@
 """Disjoint-set forest (union-find) with path compression and union by size.
 
-Used by the match-graph clustering (:mod:`repro.matching.clustering`) to
-derive resolved entities from pairwise match decisions, and by the
-relationship-completeness benefit model (:mod:`repro.core.benefit`) to track
-how many *entity graphs* have been fully resolved.
+Used over hashable items by :func:`repro.matching.clustering.
+connected_components` and by attribute clustering; the match graph keeps
+its own union-find over dense ids (a parent list).
 """
 
 from __future__ import annotations

@@ -54,11 +54,16 @@ def non_match(a: str, b: str) -> MatchDecision:
     return MatchDecision(a, b, 0.0, False)
 
 
+def estimate(model, uri_a: str, uri_b: str, ctx: ResolutionContext) -> float:
+    """The model's estimate of a URI pair (models read context ids)."""
+    return model.estimate(ctx.interner.get(uri_a), ctx.interner.get(uri_b), ctx)
+
+
 class TestQuantity:
     def test_uniform_estimate(self):
         ctx = context()
         model = QuantityBenefit()
-        assert model.estimate("http://a/film", "http://b/film", ctx) == 1.0
+        assert estimate(model, "http://a/film", "http://b/film", ctx) == 1.0
 
     def test_realized_counts_matches_only(self):
         ctx = context()
@@ -73,7 +78,7 @@ class TestAttributeCompleteness:
         model = AttributeCompletenessBenefit()
         # film/film share no property names (proprietary vocabularies):
         # complementarity 1.0; sizes 2 vs 3 give imbalance 1/3.
-        complementary = model.estimate("http://a/film", "http://b/film", ctx)
+        complementary = estimate(model, "http://a/film", "http://b/film", ctx)
         assert complementary == pytest.approx(0.75 + 0.25 + 0.25 / 3)
 
     def test_estimates_stay_in_tiebreaker_range(self):
@@ -81,12 +86,12 @@ class TestAttributeCompleteness:
         model = AttributeCompletenessBenefit()
         for a in ("http://a/film", "http://a/person"):
             for b in ("http://b/film", "http://b/person"):
-                assert 0.75 <= model.estimate(a, b, ctx) <= 1.25
+                assert 0.75 <= estimate(model, a, b, ctx) <= 1.25
 
     def test_unknown_uri_gets_default(self):
         ctx = context()
         model = AttributeCompletenessBenefit()
-        assert model.estimate("ghost", "http://b/film", ctx) == 1.0
+        assert estimate(model, "ghost", "http://b/film", ctx) == 1.0
 
     def test_realized_rewards_new_evidence(self):
         ctx = context()
@@ -105,7 +110,7 @@ class TestEntityCoverage:
     def test_unresolved_pair_estimated_highest(self):
         ctx = context()
         model = EntityCoverageBenefit()
-        assert model.estimate("http://a/film", "http://b/film", ctx) == 1.0
+        assert estimate(model, "http://a/film", "http://b/film", ctx) == 1.0
 
     def test_resolved_pair_estimated_low(self):
         ctx = context()
@@ -113,7 +118,7 @@ class TestEntityCoverage:
         ctx.match_graph.record(match("http://a/person", "http://b/person"))
         model = EntityCoverageBenefit()
         assert (
-            model.estimate("http://a/film", "http://b/person", ctx)
+            estimate(model, "http://a/film", "http://b/person", ctx)
             == model.extension_value
         )
 
@@ -121,7 +126,7 @@ class TestEntityCoverage:
         ctx = context()
         ctx.match_graph.record(match("http://a/film", "http://b/film"))
         model = EntityCoverageBenefit()
-        assert model.estimate("http://a/film", "http://b/person", ctx) == 0.5
+        assert estimate(model, "http://a/film", "http://b/person", ctx) == 0.5
 
     def test_realized_new_entity(self):
         ctx = context()
@@ -145,10 +150,10 @@ class TestRelationshipCompleteness:
     def test_estimate_favours_resolved_neighbourhoods(self):
         ctx = context()
         model = RelationshipCompletenessBenefit()
-        before = model.estimate("http://a/film", "http://b/film", ctx)
+        before = estimate(model, "http://a/film", "http://b/film", ctx)
         # Resolve the directors; the films' neighbourhood is now resolved.
         ctx.match_graph.record(match("http://a/person", "http://b/person"))
-        after = model.estimate("http://a/film", "http://b/film", ctx)
+        after = estimate(model, "http://a/film", "http://b/film", ctx)
         assert after > before
 
     def test_realized_counts_completed_edges(self):
@@ -164,7 +169,7 @@ class TestRelationshipCompleteness:
         ctx = context()
         model = RelationshipCompletenessBenefit()
         assert (
-            model.estimate("http://a/person", "http://b/person", ctx)
+            estimate(model, "http://a/person", "http://b/person", ctx)
             >= model.base_value
         )
 
@@ -190,4 +195,4 @@ class TestRegistry:
     def test_estimates_positive(self, name):
         ctx = context()
         model = make_benefit(name)
-        assert model.estimate("http://a/film", "http://b/film", ctx) > 0
+        assert estimate(model, "http://a/film", "http://b/film", ctx) > 0

@@ -10,6 +10,7 @@ from repro.core.engine import ProgressiveER, ResolutionContext
 from repro.core.updater import NeighborEvidencePropagator
 from repro.datasets.gold import GoldStandard
 from repro.matching.matcher import OracleMatcher
+from repro.matching.similarity import SimilarityIndex
 from repro.metablocking.graph import WeightedEdge
 from repro.model.collection import EntityCollection
 from repro.model.description import EntityDescription
@@ -51,6 +52,25 @@ class TestResolutionContext:
     def test_requires_collections(self):
         with pytest.raises(ValueError):
             ResolutionContext([])
+
+    def test_ids_are_the_similarity_index_rows(self, center_dataset):
+        # First collection wins, in collection order: the rows the index
+        # builds, so a context id and an index row name one description.
+        kb1, kb2 = center_dataset.kb1, center_dataset.kb2
+        shared = next(iter(kb2)).copy()
+        kb1 = EntityCollection([*kb1, shared], name="kb1")
+        context = ResolutionContext([kb1, kb2])
+        index = SimilarityIndex([kb1, kb2])
+        assert context.uris == list(index._rows) == [*kb1.uris(), *kb2.uris()[1:]]
+        assert context.has_shared_descriptions()
+
+    def test_neighborhood_ids_are_the_uri_neighbourhood(self):
+        kb1, kb2, _ = simple_world()
+        context = ResolutionContext([kb1, kb2])
+        for uri in [*kb1.uris(), *kb2.uris(), "ghost"]:
+            ids = context.neighborhood_ids(context.interner.get(uri))
+            assert [context.uris[i] for i in ids] == list(context.neighborhood(uri))
+            assert context.neighborhood_ids(context.interner.get(uri)) is ids
 
     def test_description_lookup(self):
         kb1, kb2, _ = simple_world()

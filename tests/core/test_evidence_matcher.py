@@ -5,11 +5,15 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.engine import ResolutionContext
+from repro.baselines.ordered import run_ordered
+from repro.core.engine import ProgressiveER, ResolutionContext
 from repro.core.evidence_matcher import NeighborAwareMatcher
+from repro.core.updater import NeighborEvidencePropagator
 from repro.matching.matcher import MatchDecision, Matcher
+from repro.metablocking.graph import WeightedEdge
 from repro.model.collection import EntityCollection
 from repro.model.description import EntityDescription
+from repro.stream.resolver import StreamResolver
 
 
 class StubMatcher(Matcher):
@@ -235,3 +239,52 @@ class TestEvidenceIsAFraction:
         forward = matcher.neighbor_evidence("http://h/x", "http://h/y")
         assert 0.0 <= forward <= 1.0
         assert forward == matcher.neighbor_evidence("http://h/y", "http://h/x")
+
+
+class TestThroughTheLoops:
+    """A matcher whose ``bind`` skips ``super`` is still served by the id
+    adapter, alone or as the base of a neighbour-aware matcher."""
+
+    DIRECTORS = ("http://x/a_dir", "http://y/b_dir")
+    FILMS = ("a_film", "b_film")
+
+    def stub(self) -> StubMatcher:
+        return StubMatcher({self.DIRECTORS: 1.0, self.FILMS: 0.1}, threshold=0.3)
+
+    @staticmethod
+    def decisions(result) -> list[tuple[str, str, float, bool]]:
+        return [(d.left, d.right, d.similarity, d.is_match) for d in result.match_graph.decisions()]
+
+    def test_a_bind_overriding_matcher_through_progressive_er(self):
+        stub = self.stub()
+        edges = [WeightedEdge(*self.DIRECTORS, 2.0), WeightedEdge(*self.FILMS, 1.0)]
+        result = ProgressiveER(stub).run(edges, film_context().collections)
+        assert stub.bound_context is not None
+        assert sorted(self.decisions(result)) == [
+            (*self.FILMS, 0.1, False), (*self.DIRECTORS, 1.0, True)
+        ]
+
+    def test_neighbor_aware_over_it_through_progressive_er(self):
+        stub = self.stub()
+        matcher = NeighborAwareMatcher(stub, evidence_weight=0.3)
+        edges = [WeightedEdge(*self.DIRECTORS, 2.0), WeightedEdge(*self.FILMS, 1.0)]
+        result = ProgressiveER(matcher, updater=NeighborEvidencePropagator()).run(
+            edges, film_context().collections
+        )
+        assert stub.bound_context is matcher._context is not None
+        assert result.match_graph.matched_pairs() == {self.DIRECTORS, self.FILMS}
+
+    def test_neighbor_aware_over_it_through_run_ordered(self):
+        matcher = NeighborAwareMatcher(self.stub(), evidence_weight=0.3)
+        result = run_ordered([self.DIRECTORS, self.FILMS], matcher, film_context().collections)
+        assert self.decisions(result) == [
+            (*self.DIRECTORS, 1.0, True), (*self.FILMS, pytest.approx(0.4), True)
+        ]
+
+    def test_a_bind_overriding_matcher_through_the_stream_loop(self):
+        stub = StubMatcher({("http://a/x", "http://b/y"): 0.9})
+        resolver = StreamResolver(clean_clean=True, matcher=stub)
+        resolver.ingest(EntityDescription("http://a/x", {"p": ["alpha beta"]}), 0)
+        result = resolver.resolve(EntityDescription("http://b/y", {"p": ["alpha beta"]}), source=1)
+        assert stub.bound_context is resolver.context
+        assert [(m.uri, m.similarity) for m in result.matches] == [("http://a/x", 0.9)]

@@ -32,6 +32,7 @@ from repro.matching.matcher import MatchDecision, Matcher
 from repro.metablocking.graph import WeightedEdge
 from repro.model.collection import EntityCollection
 from repro.model.description import EntityDescription
+from repro.model.interner import unpack_pair
 
 from .progressive_oracle import CopyingPropagator, PairwiseEvidenceMatcher, SweepSession
 
@@ -120,17 +121,24 @@ def run(session_type, matcher_type, propagator_type, problem, config):
         scheduling_cost_weight=cost_weight,
         refresh_estimates=update_phase,
     )
+    # Both loops pop through ``pop_key`` (the URI ``pop`` of the sweep
+    # wraps it); a pop is observed as its URI-sorted pair and priority.
     pops = []
-    pop = session.scheduler.pop
-    session.scheduler.pop = lambda: pops.append(pop()) or pops[-1]
+    pop_key = session.scheduler.pop_key
+    uris = session.context.uris
+
+    def observed_pop_key():
+        key, priority = pop_key()
+        pops.append((tuple(sorted(map(uris.__getitem__, unpack_pair(key)))), priority))
+        return key, priority
+
+    session.scheduler.pop_key = observed_pop_key
     for instalment in instalments:
         result = session.advance(instalment)
     graph = result.match_graph
     return {
         "pops": pops,
-        "decisions": [
-            (d.pair, d.similarity, d.is_match) for d in graph._decisions.values()
-        ],
+        "decisions": [(d.pair, d.similarity, d.is_match) for d in graph.decisions()],
         "matched_pairs": result.matched_pairs(),
         "comparisons_executed": result.comparisons_executed,
         "scheduling_operations": result.budget.scheduling_operations,

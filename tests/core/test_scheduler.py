@@ -168,5 +168,6 @@ class TestBulkFill:
         scheduler = make_scheduler()
         scheduler.add_edges(self.EDGES)
         assert scheduler.refresh_involving("http://e/0") == 2
-        assert scheduler.count_involving(["http://e/0", "http://e/5", "http://e/9"]) == 4
+        ids = map(scheduler.context.interner.get, ["http://e/0", "http://e/5", "http://e/9"])
+        assert scheduler.count_involving(ids) == 4
         assert scheduler.count_involving([]) == 0

@@ -1,4 +1,4 @@
-"""The scheduler's packed int-id frontier: public behaviour unchanged."""
+"""The scheduler's packed context-id frontier: public behaviour unchanged."""
 
 from __future__ import annotations
 
@@ -38,7 +38,7 @@ class TestPackedFrontier:
         assert scheduler.boost("http://x", "http://y", 1.0) is False
         assert scheduler.refresh("http://x", "http://y") is False
         assert ("http://x", "http://y") not in scheduler
-        assert len(scheduler._interner) == 0
+        assert len(scheduler.context.interner) == 8  # the described URIs
 
     def test_priority_lookup(self):
         scheduler = make_scheduler()

@@ -15,7 +15,6 @@ from repro.core.benefit import BenefitModel, QuantityBenefit
 from repro.core.engine import ResolutionContext
 from repro.core.session import ProgressiveSession
 from repro.core.updater import NeighborEvidencePropagator
-from repro.matching.matcher import MatchDecision
 from repro.model.collection import EntityCollection
 from repro.model.description import EntityDescription
 
@@ -36,9 +35,9 @@ class CountingQuantity(QuantityBenefit):
     def __init__(self) -> None:
         self.estimates = 0
 
-    def estimate(self, uri_a, uri_b, context) -> float:
+    def estimate(self, a, b, context) -> float:
         self.estimates += 1
-        return super().estimate(uri_a, uri_b, context)
+        return super().estimate(a, b, context)
 
 
 def drain(session_type, propagator_type, job, benefit):
@@ -88,22 +87,23 @@ class ThirdPartyCoverage(BenefitModel):
 
     name = "third-party"
 
-    def estimate(self, uri_a, uri_b, context) -> float:
-        graph = context.match_graph
-        around = {uri_a, uri_b, *context.neighbors(uri_a), *context.neighbors(uri_b),
-                  *context.inverse_neighbors(uri_a), *context.inverse_neighbors(uri_b)}
-        return 1.0 + sum(map(graph.is_resolved, around)) / len(around)
+    def estimate(self, a, b, context) -> float:
+        around = {a, b, *context.neighbor_ids(a), *context.neighbor_ids(b),
+                  *context.inverse_neighbor_ids(a), *context.inverse_neighbor_ids(b)}
+        resolved = context.match_graph.partner_ids.__contains__
+        return 1.0 + sum(map(resolved, around)) / len(around)
 
-    def realized(self, decision, context) -> float:
-        return 1.0 if decision.is_match else 0.0
+    def realized_ids(self, a, b, context) -> float:
+        return 1.0
 
 
 def test_model_without_stale_after_is_refreshed_on_the_conservative_set(job):
     collections = job[0]
     context = ResolutionContext(collections)
     some_pair = job[1][0].pair
-    decision = MatchDecision(*some_pair, 1.0, True)
-    assert set(ThirdPartyCoverage().stale_after(decision, context)) == (
+    a, b = map(context.interner.get, some_pair)
+    stale = ThirdPartyCoverage().stale_after(a, b, context)
+    assert {context.uris[entity_id] for entity_id in stale} == (
         set(some_pair)
         | set(context.neighborhood(some_pair[0]))
         | set(context.neighborhood(some_pair[1]))
@@ -111,7 +111,7 @@ def test_model_without_stale_after_is_refreshed_on_the_conservative_set(job):
 
     def pops(session_type, propagator_type):
         session, _ = drain(session_type, propagator_type, job, ThirdPartyCoverage())
-        return [d.pair for d in session.result.match_graph._decisions.values()]
+        return [d.pair for d in session.result.match_graph.decisions()]
 
     delta = pops(ProgressiveSession, NeighborEvidencePropagator)
     assert delta == pops(SweepSession, CopyingPropagator)
@@ -124,7 +124,7 @@ def test_model_without_stale_after_is_refreshed_on_the_conservative_set(job):
         refresh_estimates=False,
     )
     static.advance()
-    assert delta != [d.pair for d in static.result.match_graph._decisions.values()]
+    assert delta != [d.pair for d in static.result.match_graph.decisions()]
 
 
 def test_neighbourhood_read_follows_collection_mutation():

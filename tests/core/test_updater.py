@@ -7,8 +7,10 @@ import pytest
 from repro.core.benefit import QuantityBenefit
 from repro.core.engine import ResolutionContext
 from repro.core.scheduler import ComparisonScheduler
+from repro.core.session import ProgressiveSession
 from repro.core.updater import NeighborEvidencePropagator
-from repro.matching.matcher import MatchDecision
+from repro.matching.matcher import MatchDecision, OracleMatcher
+from repro.metablocking.graph import WeightedEdge
 from repro.model.collection import EntityCollection
 from repro.model.description import EntityDescription
 
@@ -42,8 +44,14 @@ def film_context() -> ResolutionContext:
     return ResolutionContext([kb1, kb2])
 
 
-def director_match() -> MatchDecision:
-    return MatchDecision("http://a/dir", "http://b/dir", 1.0, True)
+def director_match() -> tuple[str, str]:
+    return ("http://a/dir", "http://b/dir")
+
+
+def propagate(propagator, match, scheduler, context) -> int:
+    """Propagate a confirmed match of two URIs (the propagator reads ids)."""
+    left, right = map(context.interner.get, match)
+    return propagator.on_match(left, right, scheduler, context)
 
 
 class TestPropagation:
@@ -53,7 +61,7 @@ class TestPropagation:
         scheduler.schedule("http://a/film1", "http://b/film1", 1.0)
         scheduler.schedule("http://a/film2", "http://b/film2", 1.0)
         propagator = NeighborEvidencePropagator(boost_factor=2.0, discovery_weight=0)
-        operations = propagator.on_match(director_match(), scheduler, context)
+        operations = propagate(propagator, director_match(), scheduler, context)
         # Inverse neighbours of the directors are film1/film2 on each side:
         # 2x2 cross pairs, all eligible.
         assert operations == 4
@@ -64,7 +72,7 @@ class TestPropagation:
         context = film_context()
         scheduler = ComparisonScheduler(QuantityBenefit(), context)
         propagator = NeighborEvidencePropagator(discovery_weight=0.7)
-        propagator.on_match(director_match(), scheduler, context)
+        propagate(propagator, director_match(), scheduler, context)
         assert propagator.discovered == 4
         assert len(scheduler) == 4
         assert scheduler.discovered_pairs == 4
@@ -73,21 +81,33 @@ class TestPropagation:
         context = film_context()
         scheduler = ComparisonScheduler(QuantityBenefit(), context)
         propagator = NeighborEvidencePropagator(discovery_weight=0.0)
-        propagator.on_match(director_match(), scheduler, context)
+        propagate(propagator, director_match(), scheduler, context)
         assert len(scheduler) == 0
 
     def test_non_match_ignored(self):
+        # The loop propagates confirmed matches only.
+        calls = []
+
+        class Recording(NeighborEvidencePropagator):
+            def on_match(self, *args) -> int:
+                calls.append(args)
+                return super().on_match(*args)
+
         context = film_context()
-        scheduler = ComparisonScheduler(QuantityBenefit(), context)
-        propagator = NeighborEvidencePropagator()
-        decision = MatchDecision("http://a/dir", "http://b/dir", 0.1, False)
-        assert propagator.on_match(decision, scheduler, context) == 0
+        session = ProgressiveSession(
+            matcher=OracleMatcher(set()),
+            edges=[WeightedEdge("http://a/dir", "http://b/dir", 1.0)],
+            collections=context.collections,
+            updater=Recording(),
+        )
+        assert session.advance().comparisons_executed == 1
+        assert calls == []
 
     def test_same_source_pairs_skipped(self):
         context = film_context()
         scheduler = ComparisonScheduler(QuantityBenefit(), context)
         propagator = NeighborEvidencePropagator()
-        propagator.on_match(director_match(), scheduler, context)
+        propagate(propagator, director_match(), scheduler, context)
         for pair, _ in scheduler.queued_pairs():
             assert not context.same_source(pair[0], pair[1])
 
@@ -98,22 +118,21 @@ class TestPropagation:
         )
         scheduler = ComparisonScheduler(QuantityBenefit(), context)
         propagator = NeighborEvidencePropagator()
-        propagator.on_match(director_match(), scheduler, context)
+        propagate(propagator, director_match(), scheduler, context)
         assert ("http://a/film1", "http://b/film1") not in scheduler
 
     def test_fanout_cap(self):
         context = film_context()
         scheduler = ComparisonScheduler(QuantityBenefit(), context)
         propagator = NeighborEvidencePropagator(max_neighbor_pairs=1)
-        operations = propagator.on_match(director_match(), scheduler, context)
+        operations = propagate(propagator, director_match(), scheduler, context)
         assert operations <= 1
 
     def test_outgoing_neighbors_used_for_films(self):
         context = film_context()
         scheduler = ComparisonScheduler(QuantityBenefit(), context)
         propagator = NeighborEvidencePropagator(discovery_weight=0.5)
-        film_match = MatchDecision("http://a/film1", "http://b/film1", 1.0, True)
-        propagator.on_match(film_match, scheduler, context)
+        propagate(propagator, ("http://a/film1", "http://b/film1"), scheduler, context)
         # The films' out-neighbours are the directors.
         assert ("http://a/dir", "http://b/dir") in scheduler
 
@@ -121,7 +140,7 @@ class TestPropagation:
         context = film_context()
         scheduler = ComparisonScheduler(QuantityBenefit(), context)
         propagator = NeighborEvidencePropagator(use_inverse_neighbors=False)
-        operations = propagator.on_match(director_match(), scheduler, context)
+        operations = propagate(propagator, director_match(), scheduler, context)
         # Directors have no out-neighbours, so nothing propagates.
         assert operations == 0
 
@@ -135,8 +154,7 @@ class TestPropagation:
         context = ResolutionContext([collection])
         scheduler = ComparisonScheduler(QuantityBenefit(), context)
         propagator = NeighborEvidencePropagator()
-        decision = MatchDecision("http://a/x", "http://b/y", 1.0, True)
-        assert propagator.on_match(decision, scheduler, context) == 0
+        assert propagate(propagator, ("http://a/x", "http://b/y"), scheduler, context) == 0
 
 
 class TestValidation:

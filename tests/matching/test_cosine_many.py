@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.engine import ResolutionContext
 from repro.datasets import load_movies, load_restaurants
 from repro.matching.matcher import ThresholdMatcher
 from repro.matching.similarity import SimilarityIndex
@@ -76,25 +77,53 @@ class TestMatcherBatchPath:
             assert decision.similarity == single.similarity
             assert decision.is_match == single.is_match
 
+    def test_primed_decisions_equal_decide(self, movie_index):
+        index, kb1, kb2 = movie_index
+        matcher = ThresholdMatcher(index, threshold=0.3, measure="cosine")
+        context = ResolutionContext([kb1, kb2])
+        matcher.bind(context)
+        pairs = [tuple(sorted(pair)) for pair in all_cross_pairs(kb1, kb2, limit=120)]
+        matcher.prime(pairs)
+        assert len(matcher._primed) == len(pairs)
+        for pair in pairs:
+            single = matcher.decide(*pair)
+            ids = map(context.interner.id_of, pair)
+            assert matcher.decide_ids(*ids) == (single.similarity, single.is_match)
+
     def test_prime_caches_bit_identical_scores(self, movie_index):
         index, kb1, kb2 = movie_index
         primed = ThresholdMatcher(index, threshold=0.3, measure="cosine")
         plain = ThresholdMatcher(index, threshold=0.3, measure="cosine")
+        for matcher in (primed, plain):
+            matcher.bind(ResolutionContext([kb1, kb2]))
         pairs = all_cross_pairs(kb1, kb2, limit=120)
         primed.prime(pairs)
         assert primed._primed  # the cache actually filled
+        ids = primed._context.interner.ids_of
         for a, b in pairs:
-            assert primed.similarity(a, b) == plain.similarity(a, b)
+            assert primed.decide_ids(*ids((a, b))) == plain.decide_ids(*ids((a, b)))
+
+    def test_rebinding_drops_primed_scores(self, movie_index):
+        # Primed scores are keyed by the bound context's ids.
+        index, kb1, kb2 = movie_index
+        matcher = ThresholdMatcher(index, threshold=0.3, measure="cosine")
+        matcher.bind(ResolutionContext([kb1, kb2]))
+        matcher.prime(all_cross_pairs(kb1, kb2, limit=10))
+        assert matcher._primed
+        matcher.bind(ResolutionContext([kb2, kb1]))
+        assert not matcher._primed
 
     def test_prime_skips_non_cosine_measures(self, movie_index):
         index, kb1, kb2 = movie_index
         matcher = ThresholdMatcher(index, threshold=0.3, measure="jaccard")
+        matcher.bind(ResolutionContext([kb1, kb2]))
         matcher.prime(all_cross_pairs(kb1, kb2, limit=10))
         assert not matcher._primed
 
     def test_prime_skips_unindexed_pairs(self, movie_index):
         index, kb1, _ = movie_index
         matcher = ThresholdMatcher(index, threshold=0.3, measure="cosine")
+        matcher.bind(ResolutionContext([kb1]))
         matcher.prime([(kb1.uris()[0], "http://nope")])
         assert not matcher._primed
 

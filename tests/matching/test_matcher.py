@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.matching.matcher import (
     MatchDecision,
@@ -132,6 +133,73 @@ class TestMatchGraph:
         graph.record(MatchDecision("a", "b", 1.0, True))
         graph.record(MatchDecision("b", "c", 1.0, True))
         assert graph.matched_pairs() == {("a", "b"), ("b", "c")}
+
+    def test_decisions_keep_their_recorded_orientation(self):
+        graph = MatchGraph()
+        graph.record(MatchDecision("y", "x", 0.25, False))
+        graph.record(MatchDecision("a", "b", 1.0, True))
+        assert list(graph.decisions()) == [
+            MatchDecision("y", "x", 0.25, False),
+            MatchDecision("a", "b", 1.0, True),
+        ]
+        assert graph.matched_pairs() == {("a", "b")}
+
+    def test_self_comparison_rejected(self):
+        with pytest.raises(ValueError):
+            MatchGraph().record(MatchDecision("a", "a", 1.0, True))
+
+    def test_forget_drops_decisions_and_reclusters(self):
+        graph = MatchGraph()
+        graph.record(MatchDecision("a", "b", 1.0, True))
+        graph.record(MatchDecision("b", "c", 1.0, True))
+        graph.record(MatchDecision("c", "d", 0.1, False))
+        graph.record(MatchDecision("x", "y", 1.0, True))
+        graph.forget(graph.interner.id_of("b"))
+        assert [d.pair for d in graph.decisions()] == [("c", "d"), ("x", "y")]
+        assert not graph.are_matched("a", "c")
+        assert graph.partners("a") == set() and not graph.is_resolved("c")
+        assert graph.clusters() == [frozenset({"x", "y"})]
+        assert graph.match_count == 1 and ("a", "b") not in graph
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        steps=st.lists(
+            st.one_of(
+                st.tuples(st.integers(0, 7), st.integers(0, 7), st.booleans()).filter(
+                    lambda step: step[0] != step[1]
+                ),
+                st.integers(0, 7),  # forget this node
+            ),
+            max_size=40,
+        )
+    )
+    def test_forget_equals_recording_only_the_survivors(self, steps):
+        graph, survivors = MatchGraph(), []
+        for step in steps:
+            if isinstance(step, int):
+                node = f"n{step}"
+                if graph.interner.get(node) >= 0:
+                    graph.forget(graph.interner.id_of(node))
+                survivors = [d for d in survivors if node not in d.pair]
+            else:
+                decision = MatchDecision(f"n{step[0]}", f"n{step[1]}", 0.5, step[2])
+                if graph.record(decision):
+                    survivors.append(decision)
+        fresh = MatchGraph()
+        for decision in survivors:
+            fresh.record(decision)
+        assert list(graph.decisions()) == survivors
+        assert graph.clusters() == fresh.clusters()
+        assert graph.match_count == fresh.match_count and len(graph) == len(fresh)
+        nodes = [f"n{i}" for i in range(8)]
+        for x in nodes:
+            assert graph.partners(x) == fresh.partners(x)
+            for y in nodes:
+                assert graph.are_matched(x, y) == fresh.are_matched(x, y)
+        # Every live key is indexed under both endpoints and nothing else.
+        assert {key for keys in graph._keys_of.values() for key in keys} == set(graph.rows)
+        assert all(graph._keys_of.values())
+        assert len(graph.a) <= 2 * len(graph.rows)
 
     def test_matches_in_execution_order(self):
         graph = MatchGraph()

@@ -94,9 +94,9 @@ def test_pipeline_never_reads_strings(center_dataset, no_pair_strings, backend):
     assert full.match_quality.f1 > 0
 
 
-#: the batch meta-blocking path; ``stream/`` and ``serving/`` have their
-#: own (delta) pair tables and an unrelated ``view.materialize()``
-SCANNED = ("api", "core", "evaluation", "mapreduce", "metablocking", "sqlbackend")
+#: the batch meta-blocking and matching path; ``stream/`` and ``serving/``
+#: have their own (delta) pair tables and an unrelated ``view.materialize()``
+SCANNED = ("api", "core", "evaluation", "mapreduce", "matching", "metablocking", "sqlbackend")
 
 
 def _per_pair_reads(tree: ast.AST) -> list[int]:

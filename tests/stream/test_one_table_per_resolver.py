@@ -24,6 +24,7 @@ from repro.datasets import load_restaurants
 from repro.metablocking.graph import BlockingGraph
 from repro.metablocking.weighting import make_scheme
 from repro.model.description import EntityDescription
+from repro.model.interner import pack_pair
 from repro.stream import StreamResolver
 from repro.stream import resolver as resolver_module
 from repro.stream.index import DeltaConsumer, IncrementalBlockIndex
@@ -102,20 +103,22 @@ def test_recorded_scores_are_the_scalar_cosine(restaurants, processed_view):
         clean_clean=True, processed_view=processed_view, reconcile_every=7
     )
     fresh = []
-    record = resolver.match_graph.record
+    decide_ids = resolver.matcher.decide_ids
 
-    def recording(decision):
-        fresh.append(decision)
-        return record(decision)
+    def recording(a, b):
+        verdict = decide_ids(a, b)
+        fresh.append((a, b, verdict[0]))
+        return verdict
 
-    resolver.match_graph.record = recording
+    resolver.matcher.decide_ids = recording
+    graph, uris = resolver.match_graph, resolver.context.uris
     scored = 0
     for _event in _resolved_queries(resolver, restaurants, pruner="none"):
-        # Fresh decisions were scored against the corpus as it is now.
-        for decision in fresh:
-            assert decision.similarity == resolver.similarity.cosine(
-                decision.left, decision.right
-            )
+        # Fresh decisions were scored against the corpus as it is now,
+        # and recorded as scored.
+        for a, b, score in fresh:
+            assert score == resolver.similarity.cosine(uris[a], uris[b])
+            assert graph.score[graph.rows[pack_pair(a, b)]] == score
         scored += len(fresh)
         fresh.clear()
     assert scored > 5

@@ -201,7 +201,7 @@ class TestContextFollowsDeletes:
         resolver.ingest(EntityDescription(uri, {"p": ["y z"]}, source="two"), 1)
         assert context.description(uri) is resolver.store.get(uri) is not None
         assert context.source_of(uri) == "two"
-        assert context._home[uri] is resolver.store.collections[1]
+        assert context._home[context.interner.id_of(uri)] is resolver.store.collections[1]
 
     def test_a_uri_held_by_both_sources_is_forgotten_once_retracted(self):
         resolver = StreamResolver(clean_clean=True)
@@ -210,5 +210,50 @@ class TestContextFollowsDeletes:
         resolver.ingest(EntityDescription(uri, {"p": ["x"]}, source="two"), 1)
         assert resolver.context.source_of(uri) == "one"  # first home wins
         resolver.delete(uri)
-        assert uri not in resolver.context._home
-        assert uri not in resolver.context._source
+        entity_id = resolver.store.interner.id_of(uri)
+        assert entity_id not in resolver.context._home
+        assert entity_id not in resolver.context._source
+
+
+class TestMatchGraphFollowsDeletes:
+    """A retracted description takes its match decisions with it."""
+
+    @staticmethod
+    def resolver_with_fillers() -> StreamResolver:
+        resolver = StreamResolver(clean_clean=True, threshold=0.35)
+        for i in range(5):
+            resolver.ingest(EntityDescription(f"http://a/f{i}", {"p": [f"filler{i} one"]}), 0)
+            resolver.ingest(EntityDescription(f"http://b/f{i}", {"p": [f"filler{i} two"]}), 1)
+        return resolver
+
+    def test_a_match_does_not_survive_its_own_delete(self):
+        resolver = self.resolver_with_fillers()
+        resolver.ingest(EntityDescription("http://a/x", {"p": ["alpha beta gamma"]}), 0)
+        query = EntityDescription("http://b/y", {"p": ["alpha beta gamma"]})
+        first = resolver.resolve(query, source=1)
+        assert [m.uri for m in first.matches] == ["http://a/x"]
+        assert first.matches[0].similarity == pytest.approx(1.0)
+
+        assert resolver.delete("http://a/x")
+        resolver.ingest(EntityDescription("http://a/x", {"p": ["zeta eta theta"]}), 0)
+        assert resolver.similarity.cosine("http://a/x", "http://b/y") == 0.0
+        again = resolver.resolve(query, source=1, ingest=False)
+        assert again.matches == []
+        assert resolver.match_graph.partners("http://b/y") == set()
+        assert resolver.match_graph.decision_for("http://a/x", "http://b/y") is None
+
+    def test_insert_query_delete_cycles_leave_the_graph_empty(self):
+        resolver = self.resolver_with_fillers()
+        for i in range(2000):
+            uri = f"http://b/q{i}"
+            description = EntityDescription(uri, {"p": [f"filler{i % 5} one"]})
+            result = resolver.resolve(description, source=1)
+            assert result.comparisons >= 1
+            assert resolver.delete(uri)
+            graph = resolver.match_graph
+            assert len(graph) == graph.match_count == 0
+            assert not graph.rows and not graph.partner_ids
+            # No stale key stays behind on the fillers, no dead row in
+            # the columns.
+            assert not graph._keys_of
+            assert not graph.a and not graph.b and not graph.score and not graph.is_match
