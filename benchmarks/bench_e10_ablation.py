@@ -17,9 +17,9 @@ from __future__ import annotations
 import pytest
 from conftest import report
 
+from repro.api import Pipeline, PipelineSpec
 from repro.core.budget import CostBudget
 from repro.core.engine import ProgressiveER
-from repro.core.pipeline import MinoanER
 from repro.core.updater import NeighborEvidencePropagator
 from repro.evaluation.reporting import format_table
 from repro.matching.matcher import ThresholdMatcher
@@ -31,9 +31,9 @@ WEIGHTS = (0.0, 0.01, 0.05)
 
 @pytest.fixture(scope="module")
 def setup(periphery):
-    platform = MinoanER()
-    _, processed = platform.block(periphery.kb1, periphery.kb2)
-    edges = platform.meta_block(processed)
+    pipeline = Pipeline(PipelineSpec())
+    _, processed = pipeline.block(periphery.kb1, periphery.kb2)
+    edges = pipeline.meta_block(processed)
     index = SimilarityIndex([periphery.kb1, periphery.kb2])
     matcher = ThresholdMatcher(index, threshold=0.12)
     return edges, matcher

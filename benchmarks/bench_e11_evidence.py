@@ -16,10 +16,10 @@ from __future__ import annotations
 import pytest
 from conftest import report
 
+from repro.api import Pipeline, PipelineSpec
 from repro.core.budget import CostBudget
 from repro.core.engine import ProgressiveER
 from repro.core.evidence_matcher import NeighborAwareMatcher
-from repro.core.pipeline import MinoanER
 from repro.core.updater import NeighborEvidencePropagator
 from repro.evaluation.metrics import evaluate_matches
 from repro.evaluation.reporting import format_table
@@ -32,9 +32,9 @@ BUDGET = 1200
 
 @pytest.fixture(scope="module")
 def setup(periphery):
-    platform = MinoanER()
-    _, processed = platform.block(periphery.kb1, periphery.kb2)
-    edges = platform.meta_block(processed)
+    pipeline = Pipeline(PipelineSpec())
+    _, processed = pipeline.block(periphery.kb1, periphery.kb2)
+    edges = pipeline.meta_block(processed)
     index = SimilarityIndex([periphery.kb1, periphery.kb2])
     return edges, index
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import pytest
 from conftest import report
 
+from repro.api import Pipeline, PipelineSpec
 from repro.baselines.altowim import AltowimProgressiveER
 from repro.baselines.ordered import (
     batch_baseline,
@@ -21,7 +22,6 @@ from repro.baselines.ordered import (
     random_order_baseline,
 )
 from repro.core.budget import CostBudget
-from repro.core.pipeline import MinoanER
 from repro.core.strategies import dynamic_strategy, static_strategy
 from repro.evaluation.reporting import format_series, format_table
 from repro.matching.matcher import ThresholdMatcher
@@ -30,9 +30,9 @@ from repro.matching.similarity import SimilarityIndex
 
 @pytest.fixture(scope="module")
 def setup(center):
-    platform = MinoanER()
-    _, processed = platform.block(center.kb1, center.kb2)
-    edges = platform.meta_block(processed)
+    pipeline = Pipeline(PipelineSpec())
+    _, processed = pipeline.block(center.kb1, center.kb2)
+    edges = pipeline.meta_block(processed)
     index = SimilarityIndex([center.kb1, center.kb2])
     matcher = ThresholdMatcher(index, threshold=0.35)
     budget = CostBudget(max(50, len(edges) // 2))

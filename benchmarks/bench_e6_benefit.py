@@ -19,10 +19,9 @@ from __future__ import annotations
 import pytest
 from conftest import report
 
-from repro.api import registry
+from repro.api import Pipeline, PipelineSpec, registry
 from repro.core.budget import CostBudget
 from repro.core.engine import ProgressiveER, ResolutionContext
-from repro.core.pipeline import MinoanER
 from repro.core.updater import NeighborEvidencePropagator
 from repro.evaluation.reporting import format_table
 from repro.matching.matcher import OracleMatcher
@@ -33,9 +32,9 @@ BUDGET = 120
 @pytest.fixture(scope="module")
 def setup(dirty):
     collection, gold = dirty
-    platform = MinoanER()
-    _, processed = platform.block(collection)
-    edges = platform.meta_block(processed)
+    pipeline = Pipeline(PipelineSpec())
+    _, processed = pipeline.block(collection)
+    edges = pipeline.meta_block(processed)
     matcher = OracleMatcher(gold.matches)
     return collection, gold, edges, matcher
 

@@ -10,7 +10,7 @@ evaluation style dirty-ER studies use.
 Run:  python examples/dirty_dedup.py
 """
 
-from repro import MinoanER, CostBudget, SyntheticConfig, format_table, synthesize_dirty
+from repro import Pipeline, PipelineSpec, SyntheticConfig, format_table, synthesize_dirty
 from repro.evaluation import bcubed, evaluate_matches
 from repro.matching import connected_components
 
@@ -25,12 +25,16 @@ def main() -> None:
         f"{len(gold.clusters)} entities have duplicates ({duplicates} descriptions)\n"
     )
 
-    platform = MinoanER(
-        budget=CostBudget(2500),
-        match_threshold=0.45,
-        benefit="entity-coverage",
+    spec = PipelineSpec.from_dict(
+        {
+            "matching": {
+                "budget": 2500,
+                "matcher": {"name": "threshold", "params": {"threshold": 0.45}},
+                "benefit": "entity-coverage",
+            }
+        }
     )
-    result = platform.resolve(collection, gold=gold)
+    result = Pipeline.run(spec, collection, gold=gold)
     print(format_table(
         [dict(stage=k, value=v) for k, v in result.summary().items()],
         title="Pipeline stages",

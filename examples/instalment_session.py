@@ -11,16 +11,16 @@ decision loop a budget-conscious consumer would actually run.
 Run:  python examples/instalment_session.py
 """
 
-from repro import MinoanER, SyntheticConfig, format_table, synthesize_pair
+from repro import Pipeline, PipelineSpec, SyntheticConfig, format_table, synthesize_pair
 from repro.core import ProgressiveSession
 from repro.matching import SimilarityIndex, ThresholdMatcher
 
 
 def main() -> None:
     dataset = synthesize_pair(SyntheticConfig(entities=300, overlap=0.7, seed=17))
-    platform = MinoanER()
-    _, processed = platform.block(dataset.kb1, dataset.kb2)
-    edges = platform.meta_block(processed)
+    pipeline = Pipeline(PipelineSpec())
+    _, processed = pipeline.block(dataset.kb1, dataset.kb2)
+    edges = pipeline.meta_block(processed)
     index = SimilarityIndex([dataset.kb1, dataset.kb2])
 
     session = ProgressiveSession(

@@ -13,7 +13,7 @@ Run:  python examples/mapreduce_scaling.py
 from repro import MapReduceEngine, SyntheticConfig, format_table, synthesize_pair
 from repro.blocking import BlockFiltering, BlockPurging, TokenBlocking
 from repro.mapreduce import parallel_metablocking_ids, parallel_token_blocking
-from repro.metablocking import BlockingGraph, make_pruner, make_scheme
+from repro.metablocking import ARCS, CNP, BlockingGraph
 
 
 def main() -> None:
@@ -24,9 +24,7 @@ def main() -> None:
     # Sequential reference.
     sequential_blocks = TokenBlocking().build(kb1, kb2)
     processed = BlockFiltering().process(BlockPurging().process(sequential_blocks))
-    sequential_edges = make_pruner("CNP").prune(
-        BlockingGraph(processed, make_scheme("ARCS"))
-    )
+    sequential_edges = CNP().prune(BlockingGraph(processed, ARCS()))
 
     rows = []
     base_cost = None
@@ -38,8 +36,8 @@ def main() -> None:
         edges, meta_metrics = parallel_metablocking_ids(
             engine,
             BlockFiltering().process(BlockPurging().process(blocks)),
-            make_scheme("ARCS"),
-            make_pruner("CNP"),
+            ARCS(),
+            CNP(),
         )
         assert [(e.pair, e.weight) for e in edges] == [
             (e.pair, e.weight) for e in sequential_edges

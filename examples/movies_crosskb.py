@@ -15,18 +15,24 @@ matches only the iterative strategy recovers.
 Run:  python examples/movies_crosskb.py
 """
 
-from repro import CostBudget, MinoanER, evaluate_matches, format_table, load_movies
+from repro import Pipeline, PipelineSpec, evaluate_matches, format_table, load_movies
 
 
 def run(update_phase: bool):
     kb_a, kb_b, gold = load_movies()
-    platform = MinoanER(
-        budget=CostBudget(400),
-        match_threshold=0.4,
-        update_phase=update_phase,
-        benefit="relationship-completeness" if update_phase else "quantity",
+    spec = PipelineSpec.from_dict(
+        {
+            "matching": {
+                "budget": 400,
+                "matcher": {"name": "threshold", "params": {"threshold": 0.4}},
+                "update_phase": update_phase,
+                "benefit": (
+                    "relationship-completeness" if update_phase else "quantity"
+                ),
+            }
+        }
     )
-    return platform.resolve(kb_a, kb_b, gold=gold), gold
+    return Pipeline.run(spec, kb_a, kb_b, gold=gold), gold
 
 
 def main() -> None:

@@ -12,8 +12,9 @@ Run:  python examples/periphery_payg.py
 
 from repro import (
     CostBudget,
-    MinoanER,
     PERIPHERY_PROFILE,
+    Pipeline,
+    PipelineSpec,
     SyntheticConfig,
     format_series,
     format_table,
@@ -37,9 +38,9 @@ def main() -> None:
           f"avg {stats.avg_values_per_description:.1f} values/description, "
           f"avg out-degree {stats.avg_out_degree:.2f}\n")
 
-    platform = MinoanER()
-    _, processed = platform.block(dataset.kb1, dataset.kb2)
-    edges = platform.meta_block(processed)
+    pipeline = Pipeline(PipelineSpec())
+    _, processed = pipeline.block(dataset.kb1, dataset.kb2)
+    edges = pipeline.meta_block(processed)
     print(f"Blocking produced {len(processed)} blocks; meta-blocking retained {len(edges)} comparisons\n")
 
     index = SimilarityIndex([dataset.kb1, dataset.kb2])

@@ -9,7 +9,7 @@ evaluates against the gold standard.
 Run:  python examples/quickstart.py
 """
 
-from repro import CostBudget, MinoanER, evaluate_matches, format_table, load_restaurants
+from repro import Pipeline, PipelineSpec, evaluate_matches, format_table, load_restaurants
 
 
 def main() -> None:
@@ -17,12 +17,16 @@ def main() -> None:
     print(f"KB A: {len(kb_a)} descriptions   KB B: {len(kb_b)} descriptions")
     print(f"Gold matches: {len(gold)}\n")
 
-    platform = MinoanER(
-        budget=CostBudget(300),     # pay-as-you-go: at most 300 comparisons
-        match_threshold=0.35,
-        benefit="quantity",
+    spec = PipelineSpec.from_dict(
+        {
+            "matching": {
+                "budget": 300,  # pay-as-you-go: at most 300 comparisons
+                "matcher": {"name": "threshold", "params": {"threshold": 0.35}},
+                "benefit": "quantity",
+            }
+        }
     )
-    result = platform.resolve(kb_a, kb_b, gold=gold)
+    result = Pipeline.run(spec, kb_a, kb_b, gold=gold)
 
     print(format_table(
         [dict(stage=k, value=v) for k, v in result.summary().items()],

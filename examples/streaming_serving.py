@@ -12,7 +12,7 @@ Run:  python examples/streaming_serving.py
 
 from repro import SyntheticConfig, format_table
 from repro.datasets import synthesize_pair
-from repro.metablocking import BlockingGraph, make_pruner, make_scheme
+from repro.metablocking import ARCS, CNP, BlockingGraph
 from repro.stream import StreamResolver, WorkloadDriver, bursty_workload
 
 
@@ -50,9 +50,7 @@ def main() -> None:
     batch_blocks = BlockFiltering().process(
         BlockPurging().process(TokenBlocking().build(dataset.kb1, dataset.kb2))
     )
-    batch_edges = make_pruner("CNP").prune(
-        BlockingGraph(batch_blocks, make_scheme("ARCS"))
-    )
+    batch_edges = CNP().prune(BlockingGraph(batch_blocks, ARCS()))
     streamed_edges = resolver.pruned_edges("ARCS", "CNP")
     assert streamed_edges == batch_edges
     print(

@@ -9,7 +9,7 @@ algorithms, matching, the progressive scheduling/update core with
 quality-aware benefit models, the baselines it is evaluated against, a
 LOD-cloud workload synthesizer and the evaluation harness.
 
-Quickstart (the declarative facade — one spec, any backend)::
+Quickstart — one spec, any backend::
 
     from repro import Pipeline, PipelineSpec, load_movies
 
@@ -20,13 +20,6 @@ Quickstart (the declarative facade — one spec, any backend)::
     })
     report = Pipeline.run(spec, kb_a, kb_b, gold=gold)
     print(report.summary())
-
-The original object-construction path remains supported::
-
-    from repro import MinoanER, CostBudget
-
-    platform = MinoanER(budget=CostBudget(500), benefit="entity-coverage")
-    result = platform.resolve(kb_a, kb_b, gold=gold)
 """
 
 from repro.model import (
@@ -55,7 +48,7 @@ from repro.blocking import (
     CompositeBlocking,
     QGramsBlocking,
 )
-from repro.metablocking import BlockingGraph, make_scheme, make_pruner
+from repro.metablocking import BlockingGraph
 from repro.matching import (
     SimilarityIndex,
     ThresholdMatcher,
@@ -68,8 +61,6 @@ from repro.core import (
     CostBudget,
     ProgressiveER,
     ProgressiveSession,
-    MinoanER,
-    make_benefit,
     NeighborEvidencePropagator,
     NeighborAwareMatcher,
     static_strategy,
@@ -116,7 +107,7 @@ from repro.api import (
     registry,
 )
 
-__version__ = "1.1.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "Pipeline",
@@ -141,8 +132,6 @@ __all__ = [
     "BlockPurging",
     "BlockFiltering",
     "BlockingGraph",
-    "make_scheme",
-    "make_pruner",
     "SimilarityIndex",
     "ThresholdMatcher",
     "MatchGraph",
@@ -153,8 +142,6 @@ __all__ = [
     "StreamingEntityStore",
     "StreamResolver",
     "WorkloadDriver",
-    "MinoanER",
-    "make_benefit",
     "NeighborEvidencePropagator",
     "static_strategy",
     "dynamic_strategy",

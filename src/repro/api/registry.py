@@ -1,10 +1,10 @@
 """The component registry: stable names for every pluggable piece.
 
 One table maps ``(kind, name)`` to a factory with an introspected,
-typed parameter signature.  The CLI, the canned workflows, the
-benchmarks and :class:`~repro.api.spec.PipelineSpec` validation all
-resolve components here — replacing the name→class dicts that used to
-be copy-pasted across ``cli.py``, ``workflows.py`` and ``benchmarks/``.
+typed parameter signature.  The CLI, the benchmarks, the streaming
+resolver's batch bridge and :class:`~repro.api.spec.PipelineSpec`
+validation all resolve components here: it is the one name → component
+lookup.
 
 Kinds registered by default:
 

@@ -1,7 +1,7 @@
 """Spec execution: compile a :class:`PipelineSpec` onto the backbones.
 
-:meth:`Pipeline.run` is the one entry point the CLI, the canned
-workflows and the benchmarks drive: it compiles the spec's components
+:meth:`Pipeline.run` is the one entry point the CLI, the benchmarks
+and the examples drive: it compiles the spec's components
 through the registry, produces the pruned candidate edges on the
 selected backend — sequential :class:`~repro.metablocking.graph.
 BlockingGraph`, parallel MapReduce jobs, the streaming resolver's
@@ -73,7 +73,7 @@ class RunReport:
         return self.progressive.matched_pairs()
 
     def summary(self) -> dict[str, str]:
-        """One-line stage summary (same keys as ``MinoanERResult``)."""
+        """One-line stage summary: backend, block and comparison counts."""
         out = {
             "backend": self.backend.get("kind", "?"),
             "blocks": str(len(self.blocks) if self.blocks is not None else 0),
@@ -196,14 +196,35 @@ class Pipeline:
         kb1: EntityCollection,
         kb2: EntityCollection | None = None,
     ) -> tuple[BlockCollection, BlockCollection]:
-        """Blocking + post-processing; returns ``(raw, processed)``."""
-        blocks = self.blocker.build(kb1, kb2)
+        """Blocking + post-processing; returns ``(raw, processed)``.
+
+        Emits one span per stage — ``pipeline.blocking``, then
+        ``pipeline.purging`` and ``pipeline.filtering`` (a stage with no
+        operator configured is still traced, with ``skipped=True``).
+        """
+        blocks = self._build_blocks(kb1, kb2)
+        return blocks, self._post_process(blocks)
+
+    def _build_blocks(self, kb1, kb2) -> BlockCollection:
+        entities = len(kb1) + (len(kb2) if kb2 is not None else 0)
+        with self.obs.span("pipeline.blocking", entities=entities) as span:
+            blocks = self.blocker.build(kb1, kb2)
+            span.set(blocks=len(blocks))
+        return blocks
+
+    def _post_process(self, blocks: BlockCollection) -> BlockCollection:
+        """Purging then filtering, one span each."""
+        obs = self.obs
         processed = blocks
-        if self.purging is not None:
-            processed = self.purging.process(processed)
-        if self.filtering is not None:
-            processed = self.filtering.process(processed)
-        return blocks, processed
+        with obs.span("pipeline.purging") as span:
+            if self.purging is not None:
+                processed = self.purging.process(processed)
+            span.set(blocks=len(processed), skipped=self.purging is None)
+        with obs.span("pipeline.filtering") as span:
+            if self.filtering is not None:
+                processed = self.filtering.process(processed)
+            span.set(blocks=len(processed), skipped=self.filtering is None)
+        return processed
 
     def meta_block(self, blocks: BlockCollection) -> list[WeightedEdge]:
         """Weight + prune the blocking graph sequentially.
@@ -286,21 +307,7 @@ class Pipeline:
                         reused=True, blocks=len(processed),
                     )
         else:
-            entities = len(kb1) + (len(kb2) if kb2 is not None else 0)
-            with obs.span("pipeline.blocking", entities=entities) as span:
-                blocks = self.blocker.build(kb1, kb2)
-                span.set(blocks=len(blocks))
-            report.blocks = blocks
-            current = blocks
-            with obs.span("pipeline.purging") as span:
-                if self.purging is not None:
-                    current = self.purging.process(current)
-                span.set(blocks=len(current), skipped=self.purging is None)
-            with obs.span("pipeline.filtering") as span:
-                if self.filtering is not None:
-                    current = self.filtering.process(current)
-                span.set(blocks=len(current), skipped=self.filtering is None)
-            report.processed_blocks = current
+            report.blocks, report.processed_blocks = self.block(kb1, kb2)
         report.phase_seconds["block_s"] = time.perf_counter() - t0
 
     def _edges_sequential(
@@ -389,12 +396,8 @@ class Pipeline:
                     mb.filter(None)
                 else:
                     t0 = time.perf_counter()
-                    entities = len(kb1) + (len(kb2) if kb2 is not None else 0)
-                    with obs.span("pipeline.blocking", entities=entities) as span:
-                        blocks = self.blocker.build(kb1, kb2)
-                        span.set(blocks=len(blocks))
-                    report.blocks = blocks
-                    mb.load_blocks(blocks)
+                    report.blocks = self._build_blocks(kb1, kb2)
+                    mb.load_blocks(report.blocks)
                     with obs.span("pipeline.purging") as span:
                         threshold = mb.purge(self.purging)
                         span.set(
@@ -502,19 +505,10 @@ class Pipeline:
             with obs.span("pipeline.blocking", bridge=True) as span:
                 report.blocks = resolver.index.snapshot()
                 span.set(blocks=len(report.blocks))
-            processed = report.blocks
-            with obs.span("pipeline.purging") as span:
-                if self.purging is not None:
-                    processed = self.purging.process(processed)
-                span.set(blocks=len(processed), skipped=self.purging is None)
-            with obs.span("pipeline.filtering") as span:
-                if self.filtering is not None:
-                    processed = self.filtering.process(processed)
-                span.set(blocks=len(processed), skipped=self.filtering is None)
-            report.processed_blocks = processed
+            report.processed_blocks = self._post_process(report.blocks)
             report.phase_seconds["block_s"] = time.perf_counter() - t0
             t0 = time.perf_counter()
-            edges = self.meta_block(processed)
+            edges = self.meta_block(report.processed_blocks)
             report.phase_seconds["metablock_s"] = time.perf_counter() - t0
         report.backend.update(
             {

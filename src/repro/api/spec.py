@@ -24,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 from repro.api.registry import InvalidParamsError, registry
@@ -188,12 +189,29 @@ class MatchingSpec:
     checkpoint_every: int = 10
 
     def validated(self) -> "MatchingSpec":
-        if self.budget is not None and self.budget < 0:
-            raise SpecError(f"matching.budget must be >= 0, got {self.budget}")
-        if self.checkpoint_every < 1:
+        if not isinstance(self.update_phase, bool):
             raise SpecError(
-                f"matching.checkpoint_every must be >= 1, got {self.checkpoint_every}"
+                f"matching.update_phase must be true or false, "
+                f"got {self.update_phase!r}"
             )
+        counts = [] if self.budget is None else [("budget", self.budget, 0)]
+        counts.append(("checkpoint_every", self.checkpoint_every, 1))
+        for name, value, low in counts:
+            if isinstance(value, bool) or not isinstance(value, int) or value < low:
+                raise SpecError(
+                    f"matching.{name} must be an integer >= {low}, got {value!r}"
+                )
+        for name in ("boost_factor", "discovery_weight", "evidence_weight"):
+            value = getattr(self, name)
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, (int, float))
+                or not math.isfinite(value)
+                or value < 0
+            ):
+                raise SpecError(
+                    f"matching.{name} must be a finite number >= 0, got {value!r}"
+                )
         return dataclasses.replace(
             self,
             matcher=self.matcher.validated("matcher"),

@@ -26,7 +26,6 @@ Subcommands::
                                [--reconcile-interval adaptive|K[,K2,...]]
     python -m repro mapreduce  --kb1 A.nt [--kb2 B.nt] [--workers 1 2 4]
                                [--executor serial|process|both]
-    python -m repro workflow   blocking|metablocking|progressive|budgets ...
     python -m repro components [--kind KIND]         # registry listing
     python -m repro synthesize --entities N --profile center|periphery
                                --out-dir DIR
@@ -204,37 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     components.add_argument(
         "--kind", choices=tuple(registry.kinds()) + ("backends",),
         help="restrict to one component kind (or the backends section)",
-    )
-
-    workflow = sub.add_parser(
-        "workflow", help="run a canned experiment workflow on your data"
-    )
-    workflow.add_argument(
-        "name",
-        choices=("blocking", "metablocking", "progressive", "budgets"),
-        help="which workflow to run",
-    )
-    workflow.add_argument("--kb1", required=True)
-    workflow.add_argument("--kb2")
-    workflow.add_argument("--gold", required=True)
-    # Defaults are None so flags given to a workflow that ignores them
-    # are rejected instead of silently dropped (see _WORKFLOW_FLAGS).
-    workflow.add_argument(
-        "--budget", type=int, default=None,
-        help="budget for the progressive workflow (default 1000)",
-    )
-    workflow.add_argument(
-        "--budgets", type=int, nargs="+", default=None,
-        help="budgets for the budget-sweep workflow (default 100 500 1000)",
-    )
-    workflow.add_argument(
-        "--threshold", type=float, default=None,
-        help="match threshold for progressive/budgets (default 0.4, "
-        "matching `repro resolve`)",
-    )
-    workflow.add_argument(
-        "--seed", type=int, default=None,
-        help="random-baseline seed for the progressive workflow (default 7)",
     )
 
     stream = sub.add_parser(
@@ -1226,79 +1194,6 @@ def cmd_obs(args: argparse.Namespace) -> int:
     return 0
 
 
-#: which optional flags each workflow actually consumes — anything else
-#: explicitly supplied is an error, not a silent no-op
-_WORKFLOW_FLAGS = {
-    "blocking": frozenset(),
-    "metablocking": frozenset(),
-    "progressive": frozenset({"budget", "threshold", "seed"}),
-    "budgets": frozenset({"budgets", "threshold"}),
-}
-
-
-def cmd_workflow(args: argparse.Namespace) -> int:
-    from repro.core.evidence_matcher import NeighborAwareMatcher
-    from repro.matching.matcher import ThresholdMatcher
-    from repro.matching.similarity import SimilarityIndex
-    from repro.workflows import (
-        compare_blocking_methods,
-        compare_progressive_strategies,
-        sweep_budgets,
-        sweep_metablocking,
-    )
-
-    used = _WORKFLOW_FLAGS[args.name]
-    for flag in ("budget", "budgets", "threshold", "seed"):
-        if getattr(args, flag) is not None and flag not in used:
-            applies_to = sorted(
-                name for name, flags in _WORKFLOW_FLAGS.items() if flag in flags
-            )
-            hint = f" (it applies to: {', '.join(applies_to)})" if applies_to else ""
-            print(f"--{flag} is not used by the {args.name!r} workflow{hint}")
-            return 2
-    budget = args.budget if args.budget is not None else 1000
-    budgets = args.budgets if args.budgets is not None else [100, 500, 1000]
-    threshold = args.threshold if args.threshold is not None else 0.4
-    seed = args.seed if args.seed is not None else 7
-
-    kb1 = _load(args.kb1)
-    kb2 = _load(args.kb2) if args.kb2 else None
-    gold = load_gold_csv(args.gold)
-    if args.name == "blocking":
-        report = compare_blocking_methods(kb1, kb2, gold)
-        first = "method"
-    elif args.name == "metablocking":
-        report = sweep_metablocking(kb1, kb2, gold)
-        first = "weighting"
-    elif args.name == "progressive":
-        collections = [kb1] if kb2 is None else [kb1, kb2]
-        index = SimilarityIndex(collections)
-        matcher = NeighborAwareMatcher(
-            ThresholdMatcher(index, threshold=threshold)
-        )
-        report = compare_progressive_strategies(
-            kb1, kb2, gold, matcher, budget=budget, seed=seed
-        )
-        first = "strategy"
-    else:
-        report = sweep_budgets(
-            kb1, kb2, gold, budgets=budgets,
-            spec=PipelineSpec.from_dict(
-                {
-                    "matching": {
-                        "matcher": {
-                            "name": "threshold",
-                            "params": {"threshold": threshold},
-                        }
-                    }
-                }
-            ),
-        )
-        first = "budget"
-    print(format_table(report.rows, title=report.title, first_column=first))
-    return 0
-
-
 _COMMANDS = {
     "stats": cmd_stats,
     "block": cmd_block,
@@ -1311,7 +1206,6 @@ _COMMANDS = {
     "mapreduce": cmd_mapreduce,
     "obs": cmd_obs,
     "synthesize": cmd_synthesize,
-    "workflow": cmd_workflow,
 }
 
 

@@ -16,9 +16,10 @@ in a pay-as-you-go fashion until a cost budget is consumed.
 * :mod:`repro.core.updater` — neighbour-evidence propagation;
 * :mod:`repro.core.engine` — the schedule → match → update loop;
 * :mod:`repro.core.strategies` — preconfigured static/dynamic/hybrid
-  scheduling strategies;
-* :mod:`repro.core.pipeline` — the end-to-end MinoanER facade
-  (blocking → meta-blocking → progressive matching).
+  scheduling strategies.
+
+The end-to-end pipeline (blocking → meta-blocking → progressive
+matching) is assembled from a spec by :class:`repro.api.Pipeline`.
 """
 
 from repro.core.budget import CostBudget
@@ -28,7 +29,6 @@ from repro.core.benefit import (
     AttributeCompletenessBenefit,
     EntityCoverageBenefit,
     RelationshipCompletenessBenefit,
-    make_benefit,
     BENEFITS,
 )
 from repro.core.scheduler import ComparisonScheduler
@@ -41,7 +41,6 @@ from repro.core.strategies import (
     dynamic_strategy,
     hybrid_strategy,
 )
-from repro.core.pipeline import MinoanER, MinoanERResult
 
 __all__ = [
     "CostBudget",
@@ -50,7 +49,6 @@ __all__ = [
     "AttributeCompletenessBenefit",
     "EntityCoverageBenefit",
     "RelationshipCompletenessBenefit",
-    "make_benefit",
     "BENEFITS",
     "ComparisonScheduler",
     "NeighborEvidencePropagator",
@@ -62,6 +60,4 @@ __all__ = [
     "static_strategy",
     "dynamic_strategy",
     "hybrid_strategy",
-    "MinoanER",
-    "MinoanERResult",
 ]

@@ -261,7 +261,7 @@ class RelationshipCompletenessBenefit(BenefitModel):
         return stale
 
 
-#: registry used by experiment sweeps
+#: name → class table the component registry (``repro.api``) registers
 BENEFITS: dict[str, type[BenefitModel]] = {
     cls.name: cls
     for cls in (
@@ -271,21 +271,3 @@ BENEFITS: dict[str, type[BenefitModel]] = {
         RelationshipCompletenessBenefit,
     )
 }
-
-
-def make_benefit(name: str) -> BenefitModel:
-    """Instantiate a benefit model by name.
-
-    Soft-deprecated shim: ``repro.api.registry.create("benefit", name)``
-    is the registry-backed path with parameter validation; this helper
-    remains for the callers wired before the registry existed.
-
-    Raises:
-        KeyError: for unknown names.
-    """
-    try:
-        return BENEFITS[name.lower()]()
-    except KeyError:
-        raise KeyError(
-            f"unknown benefit model {name!r}; choose from {sorted(BENEFITS)}"
-        ) from None

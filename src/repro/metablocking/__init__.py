@@ -28,7 +28,6 @@ from repro.metablocking.weighting import (
     EJS,
     ARCS,
     ChiSquare,
-    make_scheme,
     SCHEMES,
 )
 from repro.metablocking.pruning import (
@@ -39,7 +38,6 @@ from repro.metablocking.pruning import (
     CNP,
     ReciprocalWNP,
     ReciprocalCNP,
-    make_pruner,
     PRUNERS,
 )
 
@@ -55,7 +53,6 @@ __all__ = [
     "EJS",
     "ARCS",
     "ChiSquare",
-    "make_scheme",
     "SCHEMES",
     "PruningScheme",
     "WEP",
@@ -64,6 +61,5 @@ __all__ = [
     "CNP",
     "ReciprocalWNP",
     "ReciprocalCNP",
-    "make_pruner",
     "PRUNERS",
 ]

@@ -216,23 +216,7 @@ class ReciprocalCNP(CNP):
     required_votes = 2
 
 
-#: registry used by experiment sweeps
+#: name → class table the component registry (``repro.api``) registers
 PRUNERS: dict[str, type[PruningScheme]] = {
     cls.name: cls for cls in (WEP, CEP, WNP, CNP, ReciprocalWNP, ReciprocalCNP)
 }
-
-
-def make_pruner(name: str) -> PruningScheme:
-    """Instantiate a pruning scheme by table name (e.g. ``"WNP"``).
-
-    Soft-deprecated shim: ``repro.api.registry.create("pruner", name)``
-    is the registry-backed path with parameter validation; this helper
-    remains for the callers wired before the registry existed.
-
-    Raises:
-        KeyError: for unknown scheme names.
-    """
-    for key, cls in PRUNERS.items():
-        if key.lower() == name.lower():
-            return cls()
-    raise KeyError(f"unknown pruning scheme {name!r}; choose from {sorted(PRUNERS)}")

@@ -345,25 +345,7 @@ def weight_pair_table(scheme: WeightingScheme, blocks: BlockCollection, table):
     )
 
 
-#: registry used by experiment sweeps
+#: name → class table the component registry (``repro.api``) registers
 SCHEMES: dict[str, type[WeightingScheme]] = {
     cls.name: cls for cls in (CBS, ECBS, JS, EJS, ARCS, ChiSquare)
 }
-
-
-def make_scheme(name: str) -> WeightingScheme:
-    """Instantiate a weighting scheme by table name (e.g. ``"ARCS"``).
-
-    Soft-deprecated shim: ``repro.api.registry.create("weighting", name)``
-    is the registry-backed path with parameter validation; this helper
-    remains for the callers wired before the registry existed.
-
-    Raises:
-        KeyError: for unknown scheme names.
-    """
-    try:
-        return SCHEMES[name.upper()]()
-    except KeyError:
-        raise KeyError(
-            f"unknown weighting scheme {name!r}; choose from {sorted(SCHEMES)}"
-        ) from None

@@ -607,7 +607,7 @@ class IncrementalBlockIndex(DeltaConsumer):
         Purging and filtering thresholds depend on the *whole* block-size
         distribution, so exact enforcement per insert is impossible; they
         are applied here, on demand, over the raw snapshot — which is
-        precisely what the batch pipeline's ``MinoanER.block()`` does,
+        precisely what the batch pipeline's ``Pipeline.block()`` does,
         keeping the result bit-identical.  Cached until the next insert,
         **per operator parameterization**: the cache is keyed by the
         operators' ``signature()`` tuples, so non-default purging or

@@ -31,8 +31,6 @@ from repro.core.engine import ResolutionContext
 from repro.core.scheduler import ComparisonScheduler
 from repro.matching.matcher import MatchGraph, Matcher, ThresholdMatcher
 from repro.metablocking.graph import BlockingGraph, WeightedEdge
-from repro.metablocking.pruning import make_pruner
-from repro.metablocking.weighting import make_scheme
 from repro.model.description import EntityDescription
 from repro.model.interner import pack_pair
 from repro.obs import DISABLED, Observability
@@ -649,17 +647,23 @@ class StreamResolver:
 
         Built from the (processed) snapshot, so weights, pair table and
         anything derived are bit-identical to the batch pipeline over
-        the same corpus.
+        the same corpus.  *scheme* is a registered weighting name
+        (case-insensitive; unknown names raise a ``KeyError``).
         """
+        from repro.api.registry import registry
+
         blocks = (
             self.index.snapshot_processed(purging, filtering)
             if processed
             else self.index.snapshot()
         )
-        return BlockingGraph(blocks, make_scheme(scheme))
+        return BlockingGraph(blocks, registry.create("weighting", scheme))
 
     def pruned_edges(
         self, scheme: str = "ARCS", pruner: str = "CNP", processed: bool = True
     ) -> list[WeightedEdge]:
         """Batch-identical pruned edge list over the streamed state."""
-        return make_pruner(pruner).prune(self.graph(scheme, processed=processed))
+        from repro.api.registry import registry
+
+        pruning = registry.create("pruner", pruner)
+        return pruning.prune(self.graph(scheme, processed=processed))

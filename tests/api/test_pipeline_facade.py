@@ -1,7 +1,7 @@
 """Pipeline facade: spec-driven runs, cross-backend bit-equivalence.
 
-The facade's contract: a spec-driven run is bit-identical to the direct
-construction path it replaces, and the **same** spec produces
+The facade's contract: a spec-driven run is bit-identical to the same
+stages wired by hand, and the **same** spec produces
 bit-identical pruned edges and match decisions on the sequential,
 mapreduce, stream and sql backends — on all three sample corpora.
 """
@@ -11,8 +11,17 @@ from __future__ import annotations
 import pytest
 
 from repro.api import Pipeline, PipelineSpec, SpecError
-from repro.core.pipeline import MinoanER
+from repro.blocking import BlockFiltering, BlockPurging, TokenBlocking
+from repro.core import (
+    CostBudget,
+    NeighborAwareMatcher,
+    NeighborEvidencePropagator,
+    ProgressiveER,
+    QuantityBenefit,
+)
 from repro.datasets.samples import load_movies, load_people, load_restaurants
+from repro.matching import SimilarityIndex, ThresholdMatcher
+from repro.metablocking import ARCS, CNP, ECBS, WNP, BlockingGraph
 
 THRESHOLD = 0.35
 
@@ -43,19 +52,43 @@ def corpus(request):
     return CORPORA[request.param]()
 
 
+def hand_wired(kb1, kb2, gold):
+    """SPEC's stages built directly from their classes, no registry:
+    ``(pruned edges, progressive result)``."""
+    blocks = BlockFiltering().process(
+        BlockPurging().process(TokenBlocking().build(kb1, kb2))
+    )
+    edges = CNP().prune(BlockingGraph(blocks, ARCS()))
+    collections = [kb1, kb2]
+    matcher = NeighborAwareMatcher(
+        ThresholdMatcher(
+            SimilarityIndex(collections), threshold=THRESHOLD, measure="cosine"
+        ),
+        0.3,
+    )
+    engine = ProgressiveER(
+        matcher=matcher,
+        budget=CostBudget(),
+        benefit=QuantityBenefit(),
+        updater=NeighborEvidencePropagator(boost_factor=1.0, discovery_weight=0.5),
+        checkpoint_every=10,
+    )
+    return edges, engine.run(edges, collections, gold=gold)
+
+
 class TestSpecEqualsDirectConstruction:
-    """The equivalence gate: facade == the constructors it replaces."""
+    """The equivalence gate: facade == the same stages wired by hand."""
 
     @pytest.mark.parametrize("corpus", sorted(CORPORA), indirect=True)
-    def test_sequential_matches_minoaner(self, corpus):
+    def test_sequential_matches_hand_wired(self, corpus):
         kb1, kb2, gold = corpus
         report = Pipeline.run(SPEC, kb1, kb2, gold=gold)
-        direct = MinoanER(match_threshold=THRESHOLD).resolve(kb1, kb2, gold=gold)
-        assert edge_triples(report.edges) == edge_triples(direct.edges)
-        assert report.matched_pairs() == direct.matched_pairs()
+        edges, progressive = hand_wired(kb1, kb2, gold)
+        assert edge_triples(report.edges) == edge_triples(edges)
+        assert report.matched_pairs() == progressive.matched_pairs()
         assert (
             report.progressive.comparisons_executed
-            == direct.progressive.comparisons_executed
+            == progressive.comparisons_executed
         )
 
     def test_component_spec_params_reach_components(self):
@@ -70,12 +103,12 @@ class TestSpecEqualsDirectConstruction:
                 "pruning": "WNP",
             }
         )
-        from repro.blocking import BlockFiltering, BlockPurging, QGramsBlocking
+        from repro.blocking import QGramsBlocking
 
         report = Pipeline(spec).execute(kb1, kb2, match=False)
         blocks = QGramsBlocking(q=3).build(kb1, kb2)
         processed = BlockFiltering(ratio=0.6).process(BlockPurging().process(blocks))
-        direct = MinoanER(weighting="ECBS", pruning="WNP").meta_block(processed)
+        direct = WNP().prune(BlockingGraph(processed, ECBS()))
         assert edge_triples(report.edges) == edge_triples(direct)
 
 

@@ -11,6 +11,14 @@ from repro.api import (
     registry,
 )
 
+#: every (kind, name) the registry bootstraps from the SCHEMES / PRUNERS /
+#: BENEFITS tables
+TABLE_NAMES = [
+    (kind, name)
+    for kind in ("weighting", "pruner", "benefit")
+    for name in registry.names(kind)
+]
+
 
 class TestBuiltinRegistrations:
     """Every component kind the facade promises is populated."""
@@ -77,6 +85,16 @@ class TestLookup:
         message = str(err.value)
         for name in registry.names("weighting"):
             assert name in message
+
+    @pytest.mark.parametrize("kind, name", TABLE_NAMES)
+    def test_every_table_name_creates_case_insensitively(self, kind, name):
+        for spelling in (name, name.lower(), name.upper(), name.swapcase()):
+            assert registry.create(kind, spelling).name == name
+
+    @pytest.mark.parametrize("kind", ["weighting", "pruner", "benefit"])
+    def test_unknown_table_name_is_a_key_error(self, kind):
+        with pytest.raises(KeyError):
+            registry.create(kind, "bogus")
 
     def test_create_instantiates(self):
         scheme = registry.create("weighting", "ARCS")

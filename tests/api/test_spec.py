@@ -189,6 +189,30 @@ class TestValidation:
         with pytest.raises(SpecError):
             PipelineSpec.from_dict({"matching": {"budget": -1}})
 
+    @pytest.mark.parametrize(
+        "knob, value",
+        [
+            ("update_phase", "false"),
+            ("update_phase", 0),
+            ("evidence_weight", -1.0),
+            ("evidence_weight", float("nan")),
+            ("evidence_weight", "0.3"),
+            ("boost_factor", -1),
+            ("boost_factor", float("inf")),
+            ("discovery_weight", -0.5),
+            ("discovery_weight", True),
+            ("budget", 2.5),
+            ("budget", True),
+            ("checkpoint_every", "10"),
+            ("checkpoint_every", 2.0),
+            ("checkpoint_every", True),
+        ],
+    )
+    def test_malformed_matching_knob_rejected(self, knob, value):
+        with pytest.raises(SpecError) as err:
+            PipelineSpec.from_dict({"matching": {knob: value}})
+        assert f"matching.{knob}" in str(err.value)
+
     def test_unknown_sample_corpus(self):
         with pytest.raises(SpecError) as err:
             PipelineSpec.from_dict({"data": {"sample": "enron"}})

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import Pipeline, PipelineSpec, SpecError
+from repro.api import Pipeline, PipelineSpec, SpecError, registry
 from repro.blocking import BlockFiltering, BlockPurging, TokenBlocking
 from repro.datasets.samples import load_movies, load_people, load_restaurants
-from repro.metablocking import BlockingGraph, make_pruner, make_scheme
+from repro.metablocking import BlockingGraph
 from repro.metablocking.pruning import PRUNERS
 from repro.metablocking.weighting import SCHEMES
 from repro.sqlbackend import SqlMetaBlocker, duckdb_available
@@ -57,12 +57,12 @@ def test_full_sweep_bit_identical(corpus_blocks, engine):
     with SqlMetaBlocker(engine=engine) as mb:
         mb.prepare(raw, BlockPurging(), BlockFiltering())
         for scheme_name in sorted(SCHEMES):
-            mb.weight(make_scheme(scheme_name))
+            mb.weight(registry.create("weighting", scheme_name))
             for pruner_name in sorted(PRUNERS):
-                reference = make_pruner(pruner_name).prune(
-                    BlockingGraph(filtered, make_scheme(scheme_name))
+                reference = registry.create("pruner", pruner_name).prune(
+                    BlockingGraph(filtered, registry.create("weighting", scheme_name))
                 )
-                assert triples(mb.prune(make_pruner(pruner_name))) == triples(
+                assert triples(mb.prune(registry.create("pruner", pruner_name))) == triples(
                     reference
                 ), f"{scheme_name}/{pruner_name} diverged"
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import PipelineSpec
 from repro.datasets import (
     SyntheticConfig,
     PERIPHERY_PROFILE,
@@ -44,3 +45,17 @@ def periphery_dataset():
 def dirty_dataset():
     """A small dirty-ER workload: (collection, gold)."""
     return synthesize_dirty(SyntheticConfig(entities=80, seed=5), max_duplicates=3)
+
+
+@pytest.fixture(scope="session")
+def threshold_spec():
+    """Factory: the default :class:`PipelineSpec` with the cosine matcher
+    at *threshold* and any other ``matching`` fields overridden."""
+
+    def build(threshold: float = 0.4, **matching) -> PipelineSpec:
+        return PipelineSpec().with_matching(
+            matcher={"name": "threshold", "params": {"threshold": threshold}},
+            **matching,
+        )
+
+    return build

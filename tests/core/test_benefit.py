@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import registry
 from repro.core.benefit import (
     BENEFITS,
     AttributeCompletenessBenefit,
     EntityCoverageBenefit,
     QuantityBenefit,
     RelationshipCompletenessBenefit,
-    make_benefit,
 )
 from repro.core.engine import ResolutionContext
 from repro.matching.matcher import MatchDecision
@@ -184,15 +184,7 @@ class TestRegistry:
         }
 
     @pytest.mark.parametrize("name", sorted(BENEFITS))
-    def test_make_benefit(self, name):
-        assert make_benefit(name).name == name
-
-    def test_unknown_rejected(self):
-        with pytest.raises(KeyError):
-            make_benefit("bogus")
-
-    @pytest.mark.parametrize("name", sorted(BENEFITS))
     def test_estimates_positive(self, name):
         ctx = context()
-        model = make_benefit(name)
+        model = registry.create("benefit", name)
         assert estimate(model, "http://a/film", "http://b/film", ctx) > 0

@@ -1,100 +1,157 @@
-"""Tests for the MinoanER facade."""
+"""Tests for the spec-built pipeline: its stages and end-to-end resolution."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.blocking.filtering import BlockFiltering
-from repro.blocking.purging import BlockPurging
-from repro.core.budget import CostBudget
-from repro.core.pipeline import MinoanER
-from repro.evaluation.metrics import evaluate_matches
+from repro.api import Pipeline, PipelineSpec, SpecError, registry
+from repro.evaluation.metrics import evaluate_blocks, evaluate_matches
 from repro.matching.matcher import OracleMatcher
 
 
 class TestConfiguration:
     def test_defaults(self):
-        platform = MinoanER()
-        assert platform.weighting.name == "ARCS"
-        assert platform.pruning.name == "CNP"
-        assert platform.updater is not None
+        pipeline = Pipeline(PipelineSpec())
+        assert pipeline.scheme.name == "ARCS"
+        assert pipeline.pruner.name == "CNP"
+        assert pipeline.spec.matching.update_phase is True
 
     def test_scheme_names_resolved(self):
-        platform = MinoanER(weighting="js", pruning="wep", benefit="entity-coverage")
-        assert platform.weighting.name == "JS"
-        assert platform.pruning.name == "WEP"
-        assert platform.benefit.name == "entity-coverage"
+        spec = PipelineSpec.from_dict(
+            {
+                "weighting": "js",
+                "pruning": "wep",
+                "matching": {"benefit": "entity-coverage"},
+            }
+        )
+        pipeline = Pipeline(spec)
+        assert pipeline.scheme.name == "JS"
+        assert pipeline.pruner.name == "WEP"
+        assert pipeline.benefit.name == "entity-coverage"
 
-    def test_unknown_names_rejected(self):
-        with pytest.raises(KeyError):
-            MinoanER(weighting="nope")
-        with pytest.raises(KeyError):
-            MinoanER(pruning="nope")
-        with pytest.raises(KeyError):
-            MinoanER(benefit="nope")
+    @pytest.mark.parametrize(
+        "node",
+        [
+            {"weighting": "nope"},
+            {"pruning": "nope"},
+            {"matching": {"benefit": "nope"}},
+        ],
+    )
+    def test_unknown_names_rejected(self, node):
+        with pytest.raises(SpecError):
+            PipelineSpec.from_dict(node)
 
-    def test_update_phase_toggle(self):
-        assert MinoanER(update_phase=False).updater is None
+    def test_update_phase_toggle(self, movies, threshold_spec):
+        kb_a, kb_b, gold = movies
+        spec = threshold_spec(0.35, update_phase=False)
+        report = Pipeline.run(spec, kb_a, kb_b, gold=gold)
+        assert report.progressive.discovered_pairs == 0
 
 
 class TestStages:
     def test_block_stage(self, movies):
         kb_a, kb_b, _ = movies
-        platform = MinoanER()
-        raw, processed = platform.block(kb_a, kb_b)
+        raw, processed = Pipeline(PipelineSpec()).block(kb_a, kb_b)
         assert len(raw) > 0
         assert processed.total_comparisons() <= raw.total_comparisons()
 
     def test_block_stage_without_postprocessing(self, movies):
         kb_a, kb_b, _ = movies
-        platform = MinoanER()
-        platform.purging = None
-        platform.filtering = None
-        raw, processed = platform.block(kb_a, kb_b)
+        spec = PipelineSpec.from_dict(
+            {"blocking": {"purging": None, "filtering": None}}
+        )
+        raw, processed = Pipeline(spec).block(kb_a, kb_b)
         assert raw is processed
 
     def test_meta_block_stage(self, movies):
         kb_a, kb_b, _ = movies
-        platform = MinoanER()
-        _, processed = platform.block(kb_a, kb_b)
-        edges = platform.meta_block(processed)
+        pipeline = Pipeline(PipelineSpec())
+        _, processed = pipeline.block(kb_a, kb_b)
+        edges = pipeline.meta_block(processed)
         assert edges
         assert len(edges) <= len(processed.distinct_comparisons())
+
+    @pytest.mark.parametrize("blocker", registry.names("blocker"))
+    def test_every_registered_blocker_blocks(self, movies, blocker):
+        kb_a, kb_b, gold = movies
+        spec = PipelineSpec().with_components(blocker=blocker)
+        raw, processed = Pipeline(spec).block(kb_a, kb_b)
+        assert processed.total_comparisons() <= raw.total_comparisons()
+        quality = evaluate_blocks(raw, gold, len(kb_a), len(kb_b))
+        assert 0.0 <= quality.pairs_completeness <= 1.0
+        # Movie URIs share no infix, so only the content-based blockers
+        # are expected to cover gold pairs on this corpus.
+        if blocker != "prefix-infix-suffix":
+            assert quality.pairs_completeness > 0.0
+
+    def test_every_weighting_and_pruner_combination_meta_blocks(self, movies):
+        kb_a, kb_b, _ = movies
+        _, processed = Pipeline(PipelineSpec()).block(kb_a, kb_b)
+        distinct = len(processed.distinct_comparisons())
+        combinations = [
+            (weighting, pruning)
+            for weighting in registry.names("weighting")
+            for pruning in registry.names("pruner")
+        ]
+        assert len(combinations) == 36
+        kept = {}
+        for weighting, pruning in combinations:
+            spec = PipelineSpec().with_components(
+                weighting=weighting, pruning=pruning
+            )
+            kept[weighting, pruning] = len(Pipeline(spec).meta_block(processed))
+        assert all(count <= distinct for count in kept.values()), kept
+        assert kept["ARCS", "CNP"] > 0
 
     def test_default_matcher_built(self, movies):
         from repro.core.evidence_matcher import NeighborAwareMatcher
 
         kb_a, kb_b, _ = movies
-        matcher = MinoanER().build_matcher(kb_a, kb_b)
+        matcher = Pipeline(PipelineSpec()).build_matcher([kb_a, kb_b])
         # Update phase on -> evidence-aware wrapper around the cosine matcher.
         assert isinstance(matcher, NeighborAwareMatcher)
         assert matcher.base.measure_name == "cosine"
 
     def test_default_matcher_without_update_phase(self, movies):
         kb_a, kb_b, _ = movies
-        matcher = MinoanER(update_phase=False).build_matcher(kb_a, kb_b)
+        spec = PipelineSpec().with_matching(update_phase=False)
+        matcher = Pipeline(spec).build_matcher([kb_a, kb_b])
         assert matcher.measure_name == "cosine"
 
-    def test_custom_matcher_respected(self, movies):
+    def test_oracle_matcher_respected(self, movies):
         kb_a, kb_b, gold = movies
-        oracle = OracleMatcher(gold.matches)
-        assert MinoanER(matcher=oracle).build_matcher(kb_a, kb_b) is oracle
+        spec = PipelineSpec().with_matching(matcher="oracle")
+        matcher = Pipeline(spec).build_matcher([kb_a, kb_b], gold)
+        assert isinstance(matcher, OracleMatcher)
+        assert matcher.gold == gold.matches
 
 
 class TestResolve:
     def test_end_to_end_movies(self, movies):
         kb_a, kb_b, gold = movies
-        platform = MinoanER(budget=CostBudget(500))
-        result = platform.resolve(kb_a, kb_b, gold=gold)
-        quality = evaluate_matches(result.matched_pairs(), gold)
+        spec = PipelineSpec().with_matching(budget=500)
+        report = Pipeline.run(spec, kb_a, kb_b, gold=gold)
+        quality = evaluate_matches(report.matched_pairs(), gold)
         assert quality.f1 >= 0.85
-        assert result.progressive.comparisons_executed <= 500
+        assert report.progressive.comparisons_executed <= 500
+
+    def test_recall_monotone_in_budget(self, movies, threshold_spec):
+        kb_a, kb_b, gold = movies
+        recalls = [
+            Pipeline.run(
+                threshold_spec(0.35, budget=budget), kb_a, kb_b, gold=gold
+            ).match_quality.recall
+            for budget in (5, 50, 500)
+        ]
+        assert recalls == sorted(recalls)
+        assert recalls[0] < recalls[-1]
 
     def test_summary_keys(self, movies):
         kb_a, kb_b, gold = movies
-        result = MinoanER(budget=CostBudget(200)).resolve(kb_a, kb_b, gold=gold)
-        summary = result.summary()
+        spec = PipelineSpec().with_matching(budget=200)
+        summary = Pipeline.run(spec, kb_a, kb_b, gold=gold).summary()
         assert set(summary) == {
+            "backend",
             "blocks",
             "after post-processing",
             "scheduled comparisons",
@@ -105,20 +162,28 @@ class TestResolve:
 
     def test_custom_stages(self, restaurants):
         kb_a, kb_b, gold = restaurants
-        platform = MinoanER(
-            purging=BlockPurging(max_cardinality=50),
-            filtering=BlockFiltering(ratio=0.9),
-            weighting="ECBS",
-            pruning="WNP",
-            match_threshold=0.3,
+        spec = PipelineSpec.from_dict(
+            {
+                "blocking": {
+                    "purging": {
+                        "name": "purging", "params": {"max_cardinality": 50}
+                    },
+                    "filtering": {"name": "filtering", "params": {"ratio": 0.9}},
+                },
+                "weighting": "ECBS",
+                "pruning": "WNP",
+                "matching": {
+                    "matcher": {"name": "threshold", "params": {"threshold": 0.3}}
+                },
+            }
         )
-        result = platform.resolve(kb_a, kb_b, gold=gold)
-        quality = evaluate_matches(result.matched_pairs(), gold)
+        report = Pipeline.run(spec, kb_a, kb_b, gold=gold)
+        quality = evaluate_matches(report.matched_pairs(), gold)
         assert quality.recall >= 0.7
 
-    def test_dirty_er(self, dirty_dataset):
+    def test_dirty_er(self, dirty_dataset, threshold_spec):
         collection, gold = dirty_dataset
-        platform = MinoanER(budget=CostBudget(3000), match_threshold=0.55)
-        result = platform.resolve(collection, gold=gold)
-        quality = evaluate_matches(result.matched_pairs(), gold)
+        spec = threshold_spec(0.55, budget=3000)
+        report = Pipeline.run(spec, collection, gold=gold)
+        quality = evaluate_matches(report.matched_pairs(), gold)
         assert quality.recall > 0.4

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.pipeline import MinoanER
+from repro.api import Pipeline
 from repro.datasets.samples import load_people
 from repro.evaluation.metrics import evaluate_matches
 
@@ -53,16 +53,16 @@ class TestShapes:
 
 
 class TestResolution:
-    def test_pipeline_resolves_people(self, people):
+    def test_pipeline_resolves_people(self, people, threshold_spec):
         kb_a, kb_b, gold = people
-        result = MinoanER(match_threshold=0.3).resolve(kb_a, kb_b, gold=gold)
+        result = Pipeline.run(threshold_spec(0.3), kb_a, kb_b, gold=gold)
         quality = evaluate_matches(result.matched_pairs(), gold)
         assert quality.recall >= 0.9
         assert quality.f1 >= 0.8
 
-    def test_abbreviated_name_matched(self, people):
+    def test_abbreviated_name_matched(self, people, threshold_spec):
         kb_a, kb_b, gold = people
-        result = MinoanER(match_threshold=0.3).resolve(kb_a, kb_b, gold=gold)
+        result = Pipeline.run(threshold_spec(0.3), kb_a, kb_b, gold=gold)
         # "E. Marchetti" has weak value evidence; neighbour evidence via
         # the shared institution should still land the match.
         pair = (

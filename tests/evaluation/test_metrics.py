@@ -13,7 +13,7 @@ from repro.evaluation.metrics import (
     evaluate_comparisons,
     evaluate_matches,
 )
-from repro.metablocking import BlockingGraph, make_scheme
+from repro.metablocking import ARCS, BlockingGraph
 
 
 def gold() -> GoldStandard:
@@ -147,7 +147,7 @@ class TestEvaluateBlocksReadsThePairTable:
     def test_after_metablocking_warmed_the_cache(self, center_dataset):
         data = center_dataset
         blocks = TokenBlocking().build(data.kb1, data.kb2)
-        BlockingGraph(blocks, make_scheme("ARCS")).materialize()
+        BlockingGraph(blocks, ARCS()).materialize()
         table = blocks.derived_cache["metablocking.pair_table"]
         quality = evaluate_blocks(blocks, data.gold, len(data.kb1), len(data.kb2))
         assert blocks.derived_cache["metablocking.pair_table"] is table

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import Pipeline, PipelineSpec, registry
 from repro.baselines.ordered import random_order_baseline
 from repro.core.budget import CostBudget
 from repro.core.engine import ProgressiveER
-from repro.core.pipeline import MinoanER
 from repro.core.strategies import dynamic_strategy, static_strategy
 from repro.evaluation.metrics import evaluate_blocks, evaluate_matches
 from repro.matching.matcher import OracleMatcher, ThresholdMatcher
@@ -24,25 +24,23 @@ from repro.matching.similarity import SimilarityIndex
 
 
 class TestSampleCorpora:
-    def test_restaurants_full_resolution(self, restaurants):
+    def test_restaurants_full_resolution(self, restaurants, threshold_spec):
         kb_a, kb_b, gold = restaurants
-        platform = MinoanER(match_threshold=0.35)
-        result = platform.resolve(kb_a, kb_b, gold=gold)
+        result = Pipeline.run(threshold_spec(0.35), kb_a, kb_b, gold=gold)
         quality = evaluate_matches(result.matched_pairs(), gold)
         assert quality.recall >= 0.9
         assert quality.precision >= 0.8
 
-    def test_movies_full_resolution(self, movies):
+    def test_movies_full_resolution(self, movies, threshold_spec):
         kb_a, kb_b, gold = movies
-        platform = MinoanER(match_threshold=0.35)
-        result = platform.resolve(kb_a, kb_b, gold=gold)
+        result = Pipeline.run(threshold_spec(0.35), kb_a, kb_b, gold=gold)
         quality = evaluate_matches(result.matched_pairs(), gold)
         assert quality.f1 >= 0.85
 
-    def test_budget_cuts_work_not_quality_of_found(self, movies):
+    def test_budget_cuts_work_not_quality_of_found(self, movies, threshold_spec):
         kb_a, kb_b, gold = movies
-        tight = MinoanER(budget=CostBudget(20), match_threshold=0.35)
-        result = tight.resolve(kb_a, kb_b, gold=gold)
+        tight = threshold_spec(0.35, budget=20)
+        result = Pipeline.run(tight, kb_a, kb_b, gold=gold)
         assert result.progressive.comparisons_executed <= 20
         quality = evaluate_matches(result.matched_pairs(), gold)
         # What the scheduler did execute should be precise.
@@ -52,9 +50,9 @@ class TestSampleCorpora:
 class TestProgressiveSuperiority:
     def test_scheduler_beats_random_on_synthetic(self, center_dataset):
         dataset = center_dataset
-        platform = MinoanER(update_phase=False)
-        _, processed = platform.block(dataset.kb1, dataset.kb2)
-        edges = platform.meta_block(processed)
+        pipeline = Pipeline(PipelineSpec())
+        _, processed = pipeline.block(dataset.kb1, dataset.kb2)
+        edges = pipeline.meta_block(processed)
         index = SimilarityIndex([dataset.kb1, dataset.kb2])
         matcher = ThresholdMatcher(index, threshold=0.35)
         budget = CostBudget(len(edges) // 2)
@@ -68,9 +66,9 @@ class TestProgressiveSuperiority:
 
     def test_update_phase_recovers_periphery_matches(self, periphery_dataset):
         dataset = periphery_dataset
-        platform = MinoanER()
-        _, processed = platform.block(dataset.kb1, dataset.kb2)
-        edges = platform.meta_block(processed)
+        pipeline = Pipeline(PipelineSpec())
+        _, processed = pipeline.block(dataset.kb1, dataset.kb2)
+        edges = pipeline.meta_block(processed)
         collections = [dataset.kb1, dataset.kb2]
         oracle = OracleMatcher(dataset.gold.matches)
 
@@ -83,8 +81,7 @@ class TestProgressiveSuperiority:
 class TestBlockingQualityRegimes:
     def test_center_blocks_high_pc(self, center_dataset):
         dataset = center_dataset
-        platform = MinoanER()
-        blocks, processed = platform.block(dataset.kb1, dataset.kb2)
+        blocks, processed = Pipeline(PipelineSpec()).block(dataset.kb1, dataset.kb2)
         quality = evaluate_blocks(
             processed, dataset.gold, len(dataset.kb1), len(dataset.kb2)
         )
@@ -92,9 +89,9 @@ class TestBlockingQualityRegimes:
         assert quality.reduction_ratio >= 0.5
 
     def test_periphery_blocks_lose_recall(self, center_dataset, periphery_dataset):
-        platform = MinoanER()
-        center_blocks, _ = platform.block(center_dataset.kb1, center_dataset.kb2)
-        periphery_blocks, _ = platform.block(
+        pipeline = Pipeline(PipelineSpec())
+        center_blocks, _ = pipeline.block(center_dataset.kb1, center_dataset.kb2)
+        periphery_blocks, _ = pipeline.block(
             periphery_dataset.kb1, periphery_dataset.kb2
         )
         center_q = evaluate_blocks(
@@ -121,17 +118,17 @@ class TestMapReduceEndToEnd:
         )
 
         kb_a, kb_b, gold = movies
-        platform = MinoanER()
+        pipeline = Pipeline(PipelineSpec())
 
-        seq_blocks, seq_processed = platform.block(kb_a, kb_b)
-        seq_edges = platform.meta_block(seq_processed)
+        seq_blocks, seq_processed = pipeline.block(kb_a, kb_b)
+        seq_edges = pipeline.meta_block(seq_processed)
 
         engine = MapReduceEngine(workers=4)
         par_blocks, _ = parallel_token_blocking(engine, kb_a, kb_b)
-        par_processed = platform.purging.process(par_blocks)
-        par_processed = platform.filtering.process(par_processed)
+        par_processed = pipeline.purging.process(par_blocks)
+        par_processed = pipeline.filtering.process(par_processed)
         par_edges, _ = parallel_metablocking_ids(
-            engine, par_processed, platform.weighting, platform.pruning
+            engine, par_processed, pipeline.scheme, pipeline.pruner
         )
         assert [(e.pair, e.weight) for e in par_edges] == [
             (e.pair, e.weight) for e in seq_edges
@@ -156,10 +153,10 @@ class TestBenefitSteering:
     @pytest.mark.parametrize(
         "benefit", ["quantity", "entity-coverage", "relationship-completeness"]
     )
-    def test_each_benefit_resolves_movies(self, movies, benefit):
+    def test_each_benefit_resolves_movies(self, movies, threshold_spec, benefit):
         kb_a, kb_b, gold = movies
-        platform = MinoanER(benefit=benefit, match_threshold=0.35)
-        result = platform.resolve(kb_a, kb_b, gold=gold)
+        spec = threshold_spec(0.35, benefit=benefit)
+        result = Pipeline.run(spec, kb_a, kb_b, gold=gold)
         quality = evaluate_matches(result.matched_pairs(), gold)
         assert quality.recall >= 0.8
 
@@ -167,17 +164,17 @@ class TestBenefitSteering:
         """Under a tight budget, entity-coverage scheduling must cover at
         least as many distinct entities as quantity scheduling."""
         dataset = center_dataset
-        platform = MinoanER(update_phase=False)
-        _, processed = platform.block(dataset.kb1, dataset.kb2)
-        edges = platform.meta_block(processed)
+        pipeline = Pipeline(PipelineSpec())
+        _, processed = pipeline.block(dataset.kb1, dataset.kb2)
+        edges = pipeline.meta_block(processed)
         oracle = OracleMatcher(dataset.gold.matches)
         budget = CostBudget(60)
 
         def covered_entities(benefit_name: str) -> int:
-            from repro.core.benefit import make_benefit
-
             engine = ProgressiveER(
-                matcher=oracle, budget=budget, benefit=make_benefit(benefit_name)
+                matcher=oracle,
+                budget=budget,
+                benefit=registry.create("benefit", benefit_name),
             )
             result = engine.run(edges, [dataset.kb1, dataset.kb2])
             return len(result.match_graph.clusters())

@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import Pipeline, PipelineSpec, registry
 from repro.blocking import BlockFiltering, BlockPurging, TokenBlocking
-from repro.core.budget import CostBudget
-from repro.core.pipeline import MinoanER
 from repro.datasets.gold import GoldStandard
 from repro.evaluation.metrics import evaluate_blocks, evaluate_matches
 from repro.matching.matcher import OracleMatcher
 from repro.matching.similarity import SimilarityIndex
-from repro.metablocking import BlockingGraph, make_pruner, make_scheme
+from repro.metablocking import ARCS, CNP, BlockingGraph
 from repro.model.collection import EntityCollection
 from repro.model.description import EntityDescription
 from repro.rdf.ntriples import NTriplesParseError
@@ -34,21 +33,21 @@ class TestEmptyInputs:
     def test_empty_collection_through_pipeline(self):
         empty1 = EntityCollection(name="e1")
         empty2 = EntityCollection(name="e2")
-        result = MinoanER().resolve(empty1, empty2)
+        result = Pipeline.run(PipelineSpec(), empty1, empty2)
         assert result.matched_pairs() == set()
         assert result.progressive.comparisons_executed == 0
 
     def test_one_empty_side(self):
         full = kb("kb1", {"http://a/1": {"name": ["alpha"]}})
-        result = MinoanER().resolve(full, EntityCollection(name="e2"))
+        result = Pipeline.run(PipelineSpec(), full, EntityCollection(name="e2"))
         assert result.matched_pairs() == set()
 
     def test_empty_blocks_through_metablocking(self):
         from repro.blocking.block import BlockCollection
 
-        graph = BlockingGraph(BlockCollection(), make_scheme("ARCS"))
+        graph = BlockingGraph(BlockCollection(), ARCS())
         for pruner in ("WEP", "CEP", "WNP", "CNP"):
-            assert make_pruner(pruner).prune(graph) == []
+            assert registry.create("pruner", pruner).prune(graph) == []
 
     def test_empty_gold_evaluation(self):
         quality = evaluate_matches({("a", "b")}, GoldStandard())
@@ -59,7 +58,7 @@ class TestNoSharedEvidence:
     def test_disjoint_vocabularies_and_tokens(self):
         kb1 = kb("kb1", {"http://a/1": {"p": ["aaa bbb"]}})
         kb2 = kb("kb2", {"http://b/1": {"q": ["ccc ddd"]}})
-        result = MinoanER().resolve(kb1, kb2)
+        result = Pipeline.run(PipelineSpec(), kb1, kb2)
         assert result.matched_pairs() == set()
 
     def test_descriptions_with_no_literals(self):
@@ -73,25 +72,26 @@ class TestDegenerateBudgets:
     def test_zero_budget(self):
         kb1 = kb("kb1", {"http://a/1": {"name": ["alpha"]}})
         kb2 = kb("kb2", {"http://b/1": {"label": ["alpha"]}})
-        result = MinoanER(budget=CostBudget(0)).resolve(kb1, kb2)
+        spec = PipelineSpec().with_matching(budget=0)
+        result = Pipeline.run(spec, kb1, kb2)
         assert result.progressive.comparisons_executed == 0
         assert result.matched_pairs() == set()
 
-    def test_budget_of_one(self):
+    def test_budget_of_one(self, threshold_spec):
         kb1 = kb("kb1", {"http://a/1": {"name": ["alpha"]}, "http://a/2": {"name": ["beta"]}})
         kb2 = kb("kb2", {"http://b/1": {"label": ["alpha"]}, "http://b/2": {"label": ["beta"]}})
-        result = MinoanER(budget=CostBudget(1), match_threshold=0.1).resolve(kb1, kb2)
+        result = Pipeline.run(threshold_spec(0.1, budget=1), kb1, kb2)
         assert result.progressive.comparisons_executed <= 1
 
 
 class TestForeignGold:
-    def test_gold_with_unknown_uris(self):
+    def test_gold_with_unknown_uris(self, threshold_spec):
         kb1 = kb("kb1", {"http://a/1": {"name": ["alpha"]}})
         kb2 = kb("kb2", {"http://b/1": {"label": ["alpha"]}})
         gold = GoldStandard.from_pairs(
             [("http://a/1", "http://b/1"), ("http://ghost/1", "http://ghost/2")]
         )
-        result = MinoanER(match_threshold=0.1).resolve(kb1, kb2, gold=gold)
+        result = Pipeline.run(threshold_spec(0.1), kb1, kb2, gold=gold)
         quality = evaluate_matches(result.matched_pairs(), gold)
         assert quality.recall <= 0.5  # the ghost pair is unreachable
 
@@ -127,11 +127,11 @@ class TestMalformedRdf:
 
 
 class TestUnicode:
-    def test_unicode_values_through_pipeline(self):
+    def test_unicode_values_through_pipeline(self, threshold_spec):
         kb1 = kb("kb1", {"http://a/1": {"name": ["Μίνωας παλάτι Κνωσός"]}})
         kb2 = kb("kb2", {"http://b/1": {"label": ["Μίνωας παλάτι Κνωσός"]}})
         gold = GoldStandard.from_pairs([("http://a/1", "http://b/1")])
-        result = MinoanER(match_threshold=0.3).resolve(kb1, kb2, gold=gold)
+        result = Pipeline.run(threshold_spec(0.3), kb1, kb2, gold=gold)
         assert evaluate_matches(result.matched_pairs(), gold).recall == 1.0
 
     def test_accented_tokens_normalize_together(self):
@@ -163,8 +163,8 @@ class TestPostProcessingDegenerates:
         blocks = TokenBlocking().build(kb1)
         purged = BlockPurging(max_cardinality=1).process(blocks)
         # Every block exceeds cardinality 1: all purged; pipeline survives.
-        graph = BlockingGraph(purged, make_scheme("ARCS"))
-        assert make_pruner("CNP").prune(graph) == []
+        graph = BlockingGraph(purged, ARCS())
+        assert CNP().prune(graph) == []
 
     def test_filtering_on_empty(self):
         from repro.blocking.block import BlockCollection

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import registry
 from repro.blocking.token_blocking import TokenBlocking
 from repro.datasets import load_movies, load_people, load_restaurants
 from repro.mapreduce import (
@@ -20,9 +21,8 @@ from repro.mapreduce import (
     parallel_metablocking_ids,
     parallel_pair_table,
 )
+from repro.metablocking import ARCS, CBS, CNP
 from repro.metablocking.graph import BlockingGraph, pair_table_for
-from repro.metablocking.pruning import make_pruner
-from repro.metablocking.weighting import make_scheme
 
 CORPORA = ("movies", "restaurants", "people")
 SCHEME_NAMES = ("CBS", "ECBS", "JS", "EJS", "ARCS", "X2")
@@ -53,8 +53,8 @@ def sequential_edges(corpus_blocks):
     for corpus, blocks in corpus_blocks.items():
         for scheme_name in SCHEME_NAMES:
             for pruner_name in PRUNER_NAMES:
-                edges = make_pruner(pruner_name).prune(
-                    BlockingGraph(blocks, make_scheme(scheme_name))
+                edges = registry.create("pruner", pruner_name).prune(
+                    BlockingGraph(blocks, registry.create("weighting", scheme_name))
                 )
                 expected[(corpus, scheme_name, pruner_name)] = [
                     (edge.pair, edge.weight) for edge in edges
@@ -126,8 +126,8 @@ class TestSerialExecutorEquivalence:
             parallel, metrics = parallel_metablocking_ids(
                 MapReduceEngine(workers=workers),
                 corpus_blocks[corpus],
-                make_scheme(scheme_name),
-                make_pruner(pruner_name),
+                registry.create("weighting", scheme_name),
+                registry.create("pruner", pruner_name),
             )
             assert _as_pairs(parallel) == expected, (workers, "edges differ")
             assert len(metrics) == 2  # pair statistics + one pruning job
@@ -153,8 +153,8 @@ class TestProcessExecutorEquivalence:
             parallel, _ = parallel_metablocking_ids(
                 engine,
                 corpus_blocks[corpus],
-                make_scheme(scheme_name),
-                make_pruner(pruner_name),
+                registry.create("weighting", scheme_name),
+                registry.create("pruner", pruner_name),
             )
             assert _as_pairs(parallel) == expected, (workers, "edges differ")
 
@@ -167,13 +167,13 @@ class TestReciprocalVariants:
     def test_bit_identical(self, corpus_blocks, corpus, pruner_name):
         blocks = corpus_blocks[corpus]
         expected = _as_pairs(
-            make_pruner(pruner_name).prune(BlockingGraph(blocks, make_scheme("ARCS")))
+            registry.create("pruner", pruner_name).prune(BlockingGraph(blocks, ARCS()))
         )
         parallel, _ = parallel_metablocking_ids(
             MapReduceEngine(workers=3),
             blocks,
-            make_scheme("ARCS"),
-            make_pruner(pruner_name),
+            ARCS(),
+            registry.create("pruner", pruner_name),
         )
         assert _as_pairs(parallel) == expected
 
@@ -190,8 +190,8 @@ class TestShuffleScaling:
             _, metrics = parallel_metablocking_ids(
                 MapReduceEngine(workers=workers),
                 blocks,
-                make_scheme("ARCS"),
-                make_pruner("CNP"),
+                ARCS(),
+                CNP(),
             )
             per_worker.append(sum(m.shuffle_bytes_per_worker for m in metrics))
         assert per_worker[0] > per_worker[1] > per_worker[2] > 0, per_worker
@@ -208,7 +208,7 @@ class TestEdgeCases:
             [],
         )
         edges, _ = parallel_metablocking_ids(
-            MapReduceEngine(workers=4), blocks, make_scheme("ARCS"), make_pruner("CNP")
+            MapReduceEngine(workers=4), blocks, ARCS(), CNP()
         )
         assert edges == []
 
@@ -220,6 +220,6 @@ class TestEdgeCases:
             parallel_metablocking_ids(
                 MapReduceEngine(workers=2),
                 corpus_blocks["movies"],
-                make_scheme("CBS"),
+                CBS(),
                 Bogus(),
             )

@@ -29,6 +29,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.api import registry
 from repro.blocking.block import Block, BlockCollection
 from repro.mapreduce import (
     MapReduceEngine,
@@ -54,9 +55,8 @@ from repro.mapreduce.shm import (
     attach_array,
     shared_memory_available,
 )
+from repro.metablocking import ARCS, CNP
 from repro.metablocking.graph import BlockingGraph
-from repro.metablocking.pruning import make_pruner
-from repro.metablocking.weighting import make_scheme
 from repro.model.interner import EntityInterner
 
 pytestmark = pytest.mark.skipif(
@@ -278,13 +278,13 @@ class TestDifferentialIdentity:
     ):
         blocks = _build_blocks(raw)
         expected = _edges(
-            make_pruner(pruner_name).prune(
-                BlockingGraph(blocks, make_scheme(scheme_name))
+            registry.create("pruner", pruner_name).prune(
+                BlockingGraph(blocks, registry.create("weighting", scheme_name))
             )
         )
         with MapReduceEngine(workers=workers, executor="serial") as engine:
             parallel, _ = parallel_metablocking_ids(
-                engine, blocks, make_scheme(scheme_name), make_pruner(pruner_name)
+                engine, blocks, registry.create("weighting", scheme_name), registry.create("pruner", pruner_name)
             )
         assert _edges(parallel) == expected
         assert leaked_segments() == []
@@ -300,13 +300,13 @@ class TestDifferentialIdentity:
             pytest.skip("fork start method unavailable")
         blocks = _build_blocks(raw)
         expected = _edges(
-            make_pruner(pruner_name).prune(
-                BlockingGraph(blocks, make_scheme(scheme_name))
+            registry.create("pruner", pruner_name).prune(
+                BlockingGraph(blocks, registry.create("weighting", scheme_name))
             )
         )
         for engine in _process_engines():
             parallel, _ = parallel_metablocking_ids(
-                engine, blocks, make_scheme(scheme_name), make_pruner(pruner_name)
+                engine, blocks, registry.create("weighting", scheme_name), registry.create("pruner", pruner_name)
             )
             assert _edges(parallel) == expected, engine.workers
 
@@ -343,7 +343,7 @@ class TestSegmentAccounting:
         blocks = _build_blocks([(["a0", "a1"], ["b0"]), (["a1"], ["b0", "b1"])])
         with MapReduceEngine(workers=3) as engine:
             parallel_metablocking_ids(
-                engine, blocks, make_scheme("ARCS"), make_pruner("CNP")
+                engine, blocks, ARCS(), CNP()
             )
         assert leaked_segments() == []
 
@@ -400,14 +400,13 @@ from repro.mapreduce import (
     MapReduceEngine, leaked_segments, parallel_metablocking_ids,
     parallel_token_blocking,
 )
-from repro.metablocking.pruning import make_pruner
-from repro.metablocking.weighting import make_scheme
+from repro.metablocking import ARCS, CNP
 
 kb1, kb2, _ = load_movies()
 with MapReduceEngine(workers=2, executor="process") as engine:
     blocks, _ = parallel_token_blocking(engine, kb1, kb2)  # forks, no segment yet
     edges, jobs = parallel_metablocking_ids(
-        engine, blocks, make_scheme("ARCS"), make_pruner("CNP")
+        engine, blocks, ARCS(), CNP()
     )
 assert edges and len(jobs) == 2
 assert leaked_segments() == [], leaked_segments()

@@ -143,9 +143,9 @@ class TestMatcherBatchPath:
 
     def test_restaurants_decisions_stable_end_to_end(self):
         # The primed batch path must not flip any pipeline decision.
-        from repro.core.pipeline import MinoanER
+        from repro.api import Pipeline, PipelineSpec
 
         kb1, kb2, gold = load_restaurants()
-        result = MinoanER().resolve(kb1, kb2, gold=gold)
-        rerun = MinoanER().resolve(kb1, kb2, gold=gold)
+        result = Pipeline.run(PipelineSpec(), kb1, kb2, gold=gold)
+        rerun = Pipeline.run(PipelineSpec(), kb1, kb2, gold=gold)
         assert result.matched_pairs() == rerun.matched_pairs()

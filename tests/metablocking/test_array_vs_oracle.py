@@ -22,6 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.api import registry
 from repro.blocking.block import Block, BlockCollection
 from repro.mapreduce import MapReduceEngine, parallel_metablocking_ids
 from repro.metablocking.graph import BlockingGraph
@@ -31,9 +32,8 @@ from repro.metablocking.pruning import (
     PRUNERS,
     WEP,
     ReciprocalCNP,
-    make_pruner,
 )
-from repro.metablocking.weighting import SCHEMES, WeightingScheme, make_scheme
+from repro.metablocking.weighting import ARCS, CBS, SCHEMES, WeightingScheme
 
 from .string_graph_oracle import reference_edges, reference_prune
 
@@ -100,12 +100,12 @@ def _as_pairs(edges):
 
 
 def _assert_all_equal(blocks: BlockCollection, scheme_name: str, pruner, workers: int):
-    expected = _as_pairs(reference_prune(blocks, make_scheme(scheme_name), pruner))
-    graph = BlockingGraph(blocks, make_scheme(scheme_name))
-    assert graph.materialize() == reference_edges(blocks, make_scheme(scheme_name))
+    expected = _as_pairs(reference_prune(blocks, registry.create("weighting", scheme_name), pruner))
+    graph = BlockingGraph(blocks, registry.create("weighting", scheme_name))
+    assert graph.materialize() == reference_edges(blocks, registry.create("weighting", scheme_name))
     assert _as_pairs(pruner.prune(graph)) == expected
     parallel, metrics = parallel_metablocking_ids(
-        MapReduceEngine(workers), blocks, make_scheme(scheme_name), pruner
+        MapReduceEngine(workers), blocks, registry.create("weighting", scheme_name), pruner
     )
     assert _as_pairs(parallel) == expected
     # pair statistics + one pruning job (retention votes fold driver-side)
@@ -125,7 +125,7 @@ def _assert_all_equal(blocks: BlockCollection, scheme_name: str, pruner, workers
 @example(blocks=TIED_BIPARTITE, workers=2)
 @example(blocks=STAR, workers=2)
 def test_oracle_sequential_and_mapreduce_agree(blocks, workers, scheme_name, pruner_name):
-    _assert_all_equal(blocks, scheme_name, make_pruner(pruner_name), workers)
+    _assert_all_equal(blocks, scheme_name, registry.create("pruner", pruner_name), workers)
 
 
 @settings(max_examples=25, deadline=None)
@@ -145,12 +145,12 @@ def test_explicit_budgets_agree(blocks, scheme_name, pruner, workers):
 @pytest.mark.parametrize("scheme_name", sorted(SCHEMES))
 def test_pinned_ties_sit_on_the_thresholds(scheme_name):
     """The tie fixtures are what they claim: one weight, cut mid-run."""
-    edges = reference_edges(TIED, make_scheme(scheme_name))
+    edges = reference_edges(TIED, registry.create("weighting", scheme_name))
     assert len(edges) == 15 and len(set(edges.values())) == 1
     assert CNP().node_budget_from_blocks(TIED) == 1  # of 5 tied neighbours
     assert CEP().budget_from_blocks(TIED) == 6  # of 15 tied edges
-    assert len(reference_prune(TIED, make_scheme(scheme_name), CEP())) == 6
-    assert len(reference_prune(TIED, make_scheme(scheme_name), ReciprocalCNP())) < 15
+    assert len(reference_prune(TIED, registry.create("weighting", scheme_name), CEP())) == 6
+    assert len(reference_prune(TIED, registry.create("weighting", scheme_name), ReciprocalCNP())) < 15
 
 
 # ---------------------------------------------------------------------------
@@ -169,13 +169,13 @@ ASTRAL, HALFWIDTH = "http://e/\U0001f600", "http://e/\uffee"
 
 def _prune_everywhere(blocks, scheme_name, pruner):
     """Sequential and MapReduce survivors, both already held to the oracle."""
-    expected = reference_prune(blocks, make_scheme(scheme_name), pruner)
+    expected = reference_prune(blocks, registry.create("weighting", scheme_name), pruner)
     _assert_all_equal(blocks, scheme_name, pruner, workers=2)
     return expected
 
 
 def test_wep_keeps_the_edges_exactly_at_the_mean():
-    graph = BlockingGraph(CBS_LADDER, make_scheme("CBS"))
+    graph = BlockingGraph(CBS_LADDER, CBS())
     assert graph.average_weight() == 2.0
     kept = _prune_everywhere(CBS_LADDER, "CBS", WEP())
     assert [(edge.pair, edge.weight) for edge in kept] == [
@@ -200,8 +200,8 @@ def test_wep_mean_is_the_python_fold_over_row_order(scheme_name):
     """``np.mean`` sums pairwise and can land one ulp off the reference's
     ``sum(dict.values())``; with every weight tied that ulp decides whether
     WEP keeps all fifteen edges or none."""
-    oracle = reference_edges(TIED, make_scheme(scheme_name))
-    graph = BlockingGraph(TIED, make_scheme(scheme_name))
+    oracle = reference_edges(TIED, registry.create("weighting", scheme_name))
+    graph = BlockingGraph(TIED, registry.create("weighting", scheme_name))
     assert graph.total_weight() == sum(oracle.values())
     assert graph.average_weight() == sum(oracle.values()) / 15
     assert len(_prune_everywhere(TIED, scheme_name, WEP())) in (0, 15)
@@ -213,7 +213,7 @@ def test_astral_uri_ranks_by_code_point():
     for pruner in (CEP(k=1), WEP()):
         kept = _prune_everywhere(blocks, "CBS", pruner)
         assert kept[0].pair == (URIS[0], HALFWIDTH)
-    assert [e.pair for e in BlockingGraph(blocks, make_scheme("CBS")).edges()] == [
+    assert [e.pair for e in BlockingGraph(blocks, CBS()).edges()] == [
         (URIS[0], HALFWIDTH), (URIS[0], ASTRAL),
     ]
 
@@ -221,7 +221,7 @@ def test_astral_uri_ranks_by_code_point():
 @pytest.mark.parametrize("pruner", [WEP(threshold_factor=1e-9), CEP(k=10**6)], ids=["WEP", "CEP"])
 def test_shared_uri_self_pair_is_never_an_edge(pruner):
     kept = _prune_everywhere(SHARED_URI, "ARCS", pruner)
-    assert len(kept) == len(reference_edges(SHARED_URI, make_scheme("ARCS"))) == 8
+    assert len(kept) == len(reference_edges(SHARED_URI, ARCS())) == 8
     assert all(edge.left < edge.right for edge in kept)
 
 
@@ -236,8 +236,8 @@ def test_shared_uri_self_pair_is_never_an_edge(pruner):
 @example(blocks=NON_ASCII, scheme_name="EJS")
 @example(blocks=SHARED_URI, scheme_name="ARCS")
 def test_edge_view_behaves_like_the_oracle_dict(blocks, scheme_name):
-    oracle = reference_edges(blocks, make_scheme(scheme_name))
-    graph = BlockingGraph(blocks, make_scheme(scheme_name))
+    oracle = reference_edges(blocks, registry.create("weighting", scheme_name))
+    graph = BlockingGraph(blocks, registry.create("weighting", scheme_name))
     view = graph.materialize()
     assert len(view) == len(graph) == len(oracle)
     assert list(view) == list(oracle)  # row order == insertion order
@@ -278,7 +278,7 @@ class _StringOnlyScheme(WeightingScheme):
 @pytest.mark.parametrize("pruner_name", sorted(PRUNERS))
 @pytest.mark.parametrize("blocks", [NON_ASCII, SHARED_URI, TIED, EMPTY], ids=["non-ascii", "shared", "tied", "empty"])
 def test_string_only_plugin_scheme_weighs_through_derived_pairs(blocks, pruner_name):
-    pruner = make_pruner(pruner_name)
+    pruner = registry.create("pruner", pruner_name)
     expected = _as_pairs(reference_prune(blocks, _StringOnlyScheme(), pruner))
     graph = BlockingGraph(blocks, _StringOnlyScheme())
     assert graph.materialize() == reference_edges(blocks, _StringOnlyScheme())

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import registry
 from repro.blocking.filtering import BlockFiltering
 from repro.blocking.purging import BlockPurging
 from repro.blocking.token_blocking import TokenBlocking
 from repro.metablocking.graph import BlockingGraph, pair_table_for
-from repro.metablocking.pruning import PRUNERS, make_pruner
-from repro.metablocking.weighting import SCHEMES, make_scheme
+from repro.metablocking.pruning import PRUNERS
+from repro.metablocking.weighting import ARCS, SCHEMES
 
 from .string_graph_oracle import (
     reference_edges,
@@ -45,8 +46,8 @@ def dirty_blocks(dirty_dataset):
 
 def _graph_pair(blocks, scheme_name):
     """The production graph and the oracle's pair → weight map."""
-    fast = BlockingGraph(blocks, make_scheme(scheme_name))
-    slow = reference_edges(blocks, make_scheme(scheme_name))
+    fast = BlockingGraph(blocks, registry.create("weighting", scheme_name))
+    slow = reference_edges(blocks, registry.create("weighting", scheme_name))
     return fast, slow
 
 
@@ -72,17 +73,17 @@ class TestWeightEquivalence:
 @pytest.mark.parametrize("scheme_name", sorted(SCHEMES))
 class TestPruningEquivalence:
     def test_center_pruned_edges_identical(self, center_blocks, scheme_name, pruner_name):
-        fast = BlockingGraph(center_blocks, make_scheme(scheme_name))
-        pruner = make_pruner(pruner_name)
+        fast = BlockingGraph(center_blocks, registry.create("weighting", scheme_name))
+        pruner = registry.create("pruner", pruner_name)
         assert pruner.prune(fast) == reference_prune(
-            center_blocks, make_scheme(scheme_name), pruner
+            center_blocks, registry.create("weighting", scheme_name), pruner
         )
 
     def test_dirty_pruned_edges_identical(self, dirty_blocks, scheme_name, pruner_name):
-        fast = BlockingGraph(dirty_blocks, make_scheme(scheme_name))
-        pruner = make_pruner(pruner_name)
+        fast = BlockingGraph(dirty_blocks, registry.create("weighting", scheme_name))
+        pruner = registry.create("pruner", pruner_name)
         assert pruner.prune(fast) == reference_prune(
-            dirty_blocks, make_scheme(scheme_name), pruner
+            dirty_blocks, registry.create("weighting", scheme_name), pruner
         )
 
 
@@ -102,8 +103,8 @@ class TestStatisticsEquivalence:
         assert table.pairs == list(translated) == list(reference)
 
     def test_top_edges_heap_matches_full_ranking(self, center_blocks):
-        heap_graph = BlockingGraph(center_blocks, make_scheme("ARCS"))
-        sort_graph = BlockingGraph(center_blocks, make_scheme("ARCS"))
+        heap_graph = BlockingGraph(center_blocks, ARCS())
+        sort_graph = BlockingGraph(center_blocks, ARCS())
         for count in (1, 5, 50, 10**6):
             top = heap_graph.top_edges(count)
             assert top == sort_graph.ranked_edges()[:count]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import registry
 from repro.blocking.block import Block, BlockCollection
 from repro.metablocking.graph import BlockingGraph
 from repro.metablocking.pruning import (
@@ -14,7 +15,6 @@ from repro.metablocking.pruning import (
     ReciprocalWNP,
     WEP,
     WNP,
-    make_pruner,
 )
 from repro.metablocking.weighting import CBS
 
@@ -136,24 +136,16 @@ class TestRegistry:
             "ReciprocalCNP",
         }
 
-    @pytest.mark.parametrize("name", ["wep", "CEP", "wnp", "CnP", "reciprocalwnp"])
-    def test_make_pruner_case_insensitive(self, name):
-        assert make_pruner(name).name.lower() == name.lower()
-
-    def test_unknown_pruner_rejected(self):
-        with pytest.raises(KeyError):
-            make_pruner("bogus")
-
     @pytest.mark.parametrize("name", sorted(PRUNERS))
     def test_pruning_reduces_or_preserves_edges(self, name):
         g = graph()
-        survivors = make_pruner(name).prune(g)
+        survivors = registry.create("pruner", name).prune(g)
         assert len(survivors) <= len(g)
 
     @pytest.mark.parametrize("name", sorted(PRUNERS))
     def test_survivors_exist_in_graph(self, name):
         g = graph()
         edges = g.materialize()
-        for edge in make_pruner(name).prune(g):
+        for edge in registry.create("pruner", name).prune(g):
             assert edge.pair in edges
             assert edge.weight == edges[edge.pair]

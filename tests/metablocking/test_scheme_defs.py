@@ -22,9 +22,10 @@ import math
 
 import pytest
 
+from repro.api import registry
 from repro.blocking import BlockFiltering, BlockPurging, TokenBlocking
 from repro.datasets.samples import load_movies, load_restaurants
-from repro.metablocking import BlockingGraph, make_scheme
+from repro.metablocking import BlockingGraph
 from repro.metablocking import scheme_defs
 from repro.metablocking.weighting import SCHEMES
 
@@ -55,7 +56,7 @@ CORPORA = {"movies": load_movies, "restaurants": load_restaurants}
 
 
 def edges_digest(blocks, scheme_name):
-    edges = list(BlockingGraph(blocks, make_scheme(scheme_name)).edges())
+    edges = list(BlockingGraph(blocks, registry.create("weighting", scheme_name)).edges())
     text = ";".join(f"{e.left}|{e.right}|{e.weight!r}" for e in edges)
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 

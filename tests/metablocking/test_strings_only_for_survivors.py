@@ -16,13 +16,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import Pipeline, PipelineSpec
+from repro.api import Pipeline, PipelineSpec, registry
 from repro.blocking.token_blocking import TokenBlocking
 from repro.evaluation.metrics import evaluate_blocks
 from repro.mapreduce import MapReduceEngine, parallel_metablocking_ids
 from repro.metablocking.graph import BlockingGraph, EdgeView, PairTable
-from repro.metablocking.pruning import PRUNERS, make_pruner
-from repro.metablocking.weighting import make_scheme
+from repro.metablocking.pruning import PRUNERS
+from repro.metablocking.weighting import ARCS
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 SPEC = PipelineSpec.from_dict(
@@ -50,7 +50,7 @@ def center_blocks(center_dataset):
 
 
 def test_the_guard_bites(center_blocks, no_pair_strings):
-    graph = BlockingGraph(center_blocks, make_scheme("ARCS"))
+    graph = BlockingGraph(center_blocks, ARCS())
     with pytest.raises(AssertionError, match="per distinct comparison"):
         list(graph.materialize())
     with pytest.raises(AssertionError, match="per distinct comparison"):
@@ -59,13 +59,13 @@ def test_the_guard_bites(center_blocks, no_pair_strings):
 
 @pytest.mark.parametrize("pruner_name", sorted(PRUNERS))
 def test_pruners_never_read_strings(center_blocks, no_pair_strings, pruner_name):
-    graph = BlockingGraph(center_blocks, make_scheme("ARCS"))
+    graph = BlockingGraph(center_blocks, ARCS())
     assert len(graph.materialize()) == len(graph.weights) > 0  # bench's read
-    sequential = make_pruner(pruner_name).prune(graph)
+    sequential = registry.create("pruner", pruner_name).prune(graph)
     assert 0 < len(sequential) < len(graph)
     parallel, jobs = parallel_metablocking_ids(
-        MapReduceEngine(workers=2), center_blocks, make_scheme("ARCS"),
-        make_pruner(pruner_name),
+        MapReduceEngine(workers=2), center_blocks, ARCS(),
+        registry.create("pruner", pruner_name),
     )
     assert parallel == sequential
     assert len(jobs) == 2

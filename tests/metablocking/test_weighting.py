@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from repro.api import registry
 from repro.blocking.block import Block, BlockCollection
 from repro.metablocking.graph import BlockingGraph
 from repro.metablocking.weighting import (
@@ -15,7 +16,6 @@ from repro.metablocking.weighting import (
     EJS,
     JS,
     SCHEMES,
-    make_scheme,
 )
 
 
@@ -111,15 +111,7 @@ class TestRegistry:
     def test_all_schemes_registered(self):
         assert set(SCHEMES) == {"CBS", "ECBS", "JS", "EJS", "ARCS", "X2"}
 
-    @pytest.mark.parametrize("name", ["CBS", "ecbs", "Js", "EJS", "arcs"])
-    def test_make_scheme_case_insensitive(self, name):
-        assert make_scheme(name).name == name.upper()
-
-    def test_unknown_scheme_rejected(self):
-        with pytest.raises(KeyError):
-            make_scheme("bogus")
-
     @pytest.mark.parametrize("name", sorted(SCHEMES))
     def test_weights_non_negative(self, name):
-        weights = weights_for(make_scheme(name))
+        weights = weights_for(registry.create("weighting", name))
         assert all(w >= 0.0 for w in weights.values())

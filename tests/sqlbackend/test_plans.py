@@ -13,11 +13,11 @@ import os
 
 import pytest
 
+from repro.api import registry
 from repro.blocking import BlockFiltering, BlockPurging, TokenBlocking
 from repro.blocking.block import Block, BlockCollection
 from repro.cli import main
 from repro.datasets import SyntheticConfig, synthesize_pair
-from repro.metablocking import make_pruner, make_scheme
 from repro.metablocking.pruning import PRUNERS
 from repro.metablocking.weighting import SCHEMES
 from repro.sqlbackend import SqlMetaBlocker, planlint
@@ -113,9 +113,9 @@ def test_every_staged_join_runs_on_a_key(blocks_200, purging, filtering):
         mb.prepare(blocks_200, purging, filtering)
         mb.processed_collection()
         for scheme in sorted(SCHEMES):
-            mb.weight(make_scheme(scheme))
+            mb.weight(registry.create("weighting", scheme))
             for pruner in sorted(PRUNERS):
-                mb.prune(make_pruner(pruner))
+                mb.prune(registry.create("pruner", pruner))
         plans = mb.plans
     assert set(plans) == {
         "purging", "filtering", "collect", "pairs", "factors", "weighting", "pruning",

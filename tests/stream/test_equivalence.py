@@ -10,14 +10,16 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import registry
 from repro.blocking.filtering import BlockFiltering
 from repro.blocking.purging import BlockPurging
 from repro.blocking.qgrams import QGramsBlocking
 from repro.blocking.token_blocking import TokenBlocking
 from repro.datasets import load_movies, load_people, load_restaurants
+from repro.metablocking import CNP
 from repro.metablocking.graph import BlockingGraph
-from repro.metablocking.pruning import PRUNERS, make_pruner
-from repro.metablocking.weighting import SCHEMES, make_scheme
+from repro.metablocking.pruning import PRUNERS
+from repro.metablocking.weighting import SCHEMES
 from repro.stream import StreamResolver
 
 from metablocking.string_graph_oracle import reference_pair_statistics
@@ -128,7 +130,7 @@ class TestWeightEquivalence:
     def test_per_pair_weights_bit_identical(self, corpus, streamed, scheme_name):
         kb1, kb2 = corpus
         raw = TokenBlocking().build(kb1, kb2)
-        edges = BlockingGraph(raw, make_scheme(scheme_name)).materialize()
+        edges = BlockingGraph(raw, registry.create("weighting", scheme_name)).materialize()
         for (uri_a, uri_b), weight in edges.items():
             assert streamed.pairs.weight(scheme_name, uri_a, uri_b) == weight
 
@@ -138,8 +140,8 @@ class TestWeightEquivalence:
             BlockPurging().process(TokenBlocking().build(kb1, kb2))
         )
         for pruner_name in sorted(PRUNERS):
-            batch = make_pruner(pruner_name).prune(
-                BlockingGraph(processed, make_scheme(scheme_name))
+            batch = registry.create("pruner", pruner_name).prune(
+                BlockingGraph(processed, registry.create("weighting", scheme_name))
             )
             assert streamed.pruned_edges(scheme_name, pruner_name) == batch
 
@@ -153,10 +155,10 @@ class TestDirtyStreaming:
         reference = reference_pair_statistics(raw)
         assert resolver.pairs.as_reference_stats() == reference
         for scheme_name in sorted(SCHEMES):
-            batch = make_pruner("CNP").prune(
+            batch = CNP().prune(
                 BlockingGraph(
                     BlockFiltering().process(BlockPurging().process(raw)),
-                    make_scheme(scheme_name),
+                    registry.create("weighting", scheme_name),
                 )
             )
             assert resolver.pruned_edges(scheme_name, "CNP") == batch

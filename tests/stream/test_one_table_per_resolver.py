@@ -22,7 +22,7 @@ import pytest
 
 from repro.datasets import load_restaurants
 from repro.metablocking.graph import BlockingGraph
-from repro.metablocking.weighting import make_scheme
+from repro.metablocking.weighting import EJS
 from repro.model.description import EntityDescription
 from repro.model.interner import pack_pair
 from repro.stream import StreamResolver
@@ -146,7 +146,7 @@ def test_ejs_queries_under_a_view_equal_the_batch_graph(
         survivors, weights = seen[-1]
         # The view a query leaves behind is the view it read.
         blocks = resolver.view.materialize()
-        graph = BlockingGraph(blocks, make_scheme("EJS"))
+        graph = BlockingGraph(blocks, EJS())
         expected = {}
         for (left, right), weight in graph.materialize().items():
             if uri_q in (left, right):

@@ -26,10 +26,10 @@ from hypothesis.stateful import (
     rule,
 )
 
+from repro.api import registry
 from repro.blocking.filtering import BlockFiltering
 from repro.blocking.purging import BlockPurging
 from repro.metablocking.graph import BlockingGraph
-from repro.metablocking.weighting import make_scheme
 from repro.model.description import EntityDescription
 from repro.stream.index import IncrementalBlockIndex
 from repro.stream.pairs import SCHEME_NAMES
@@ -53,7 +53,7 @@ def assert_matches_batch_graph(view, table) -> None:
     """Every statistic of *table* against a batch graph over the view."""
     blocks = view.materialize()
     interner = view.index.store.interner
-    graphs = {name: BlockingGraph(blocks, make_scheme(name)) for name in SCHEME_NAMES}
+    graphs = {name: BlockingGraph(blocks, registry.create("weighting", name)) for name in SCHEME_NAMES}
     graph = graphs["CBS"]
 
     assert table.edge_count == len(table) == len(graph)

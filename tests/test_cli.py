@@ -430,97 +430,6 @@ class TestComponents:
         assert "qgrams" not in out
 
 
-class TestWorkflow:
-    def test_blocking_workflow(self, capsys, movies_paths):
-        kb_a, kb_b, gold = movies_paths
-        assert (
-            main(["workflow", "blocking", "--kb1", kb_a, "--kb2", kb_b, "--gold", gold])
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "token-blocking" in out and "PC" in out
-
-    def test_progressive_workflow(self, capsys, movies_paths):
-        kb_a, kb_b, gold = movies_paths
-        assert (
-            main(
-                [
-                    "workflow", "progressive",
-                    "--kb1", kb_a, "--kb2", kb_b, "--gold", gold,
-                    "--budget", "60", "--threshold", "0.35",
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "minoan-dynamic" in out and "oracle" in out
-
-    def test_budget_sweep_workflow(self, capsys, movies_paths):
-        kb_a, kb_b, gold = movies_paths
-        assert (
-            main(
-                [
-                    "workflow", "budgets",
-                    "--kb1", kb_a, "--kb2", kb_b, "--gold", gold,
-                    "--budgets", "10", "100",
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "Budget sweep" in out
-
-    def test_gold_required(self, movies_paths):
-        kb_a, _, _ = movies_paths
-        with pytest.raises(SystemExit):
-            main(["workflow", "blocking", "--kb1", kb_a])
-
-    def test_unused_flag_rejected_not_ignored(self, capsys, movies_paths):
-        """Flags a workflow ignores are an error, not a silent no-op."""
-        kb_a, kb_b, gold = movies_paths
-        assert (
-            main(
-                [
-                    "workflow", "blocking",
-                    "--kb1", kb_a, "--kb2", kb_b, "--gold", gold,
-                    "--budget", "50",
-                ]
-            )
-            == 2
-        )
-        out = capsys.readouterr().out
-        assert "--budget is not used" in out
-        assert "progressive" in out
-
-    def test_budgets_flag_rejected_for_progressive(self, capsys, movies_paths):
-        kb_a, kb_b, gold = movies_paths
-        assert (
-            main(
-                [
-                    "workflow", "progressive",
-                    "--kb1", kb_a, "--kb2", kb_b, "--gold", gold,
-                    "--budgets", "10", "20",
-                ]
-            )
-            == 2
-        )
-        assert "--budgets is not used" in capsys.readouterr().out
-
-    def test_seed_accepted_by_progressive(self, capsys, movies_paths):
-        kb_a, kb_b, gold = movies_paths
-        assert (
-            main(
-                [
-                    "workflow", "progressive",
-                    "--kb1", kb_a, "--kb2", kb_b, "--gold", gold,
-                    "--budget", "40", "--seed", "11",
-                ]
-            )
-            == 0
-        )
-        assert "minoan-dynamic" in capsys.readouterr().out
-
-
 class TestMapReduce:
     def test_serial_sweep(self, capsys, movies_paths):
         kb_a, kb_b, _ = movies_paths
@@ -646,6 +555,31 @@ class TestObservability:
         spans, metrics = self._telemetry(mr_dir)
         assert "mapreduce.job" in {s.name for s in spans}
         assert metrics["repro.mapreduce.jobs.count"]["value"] > 0
+
+    def test_mapreduce_traces_its_one_blocking_pass(
+        self, capsys, movies_paths, tmp_path
+    ):
+        """The sweep blocks once, traced; each cell then reuses the blocks."""
+        kb_a, kb_b, _ = movies_paths
+        directory = str(tmp_path / "mr")
+        assert (
+            main(
+                [
+                    "mapreduce", "--kb1", kb_a, "--kb2", kb_b,
+                    "--workers", "1", "2", "--executor", "serial",
+                    "--trace-dir", directory,
+                ]
+            )
+            == 0
+        )
+        capsys.readouterr()
+        spans, _ = self._telemetry(directory)
+        blocking = [s for s in spans if s.name == "pipeline.blocking"]
+        real = [s for s in blocking if not s.attrs.get("reused")]
+        assert len(real) == 1
+        assert real[0].duration_s > 0
+        assert real[0].attrs["blocks"] > 0
+        assert len(blocking) - len(real) == 2
 
     def test_trace_dir_rejected_with_sweep_and_crash_harness(
         self, capsys, movies_paths, tmp_path

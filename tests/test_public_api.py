@@ -66,18 +66,12 @@ class TestSubpackageAll:
 class TestFacadeSignatureStability:
     """The documented keyword surface of the main entry points."""
 
-    def test_minoaner_kwargs(self):
-        from repro import MinoanER
+    def test_matching_spec_fields(self):
+        from repro.api.spec import MatchingSpec
 
-        params = set(inspect.signature(MinoanER).parameters)
+        fields = set(MatchingSpec.__dataclass_fields__)
         expected = {
-            "blocker",
-            "purging",
-            "filtering",
-            "weighting",
-            "pruning",
             "matcher",
-            "match_threshold",
             "budget",
             "benefit",
             "update_phase",
@@ -86,7 +80,14 @@ class TestFacadeSignatureStability:
             "evidence_weight",
             "checkpoint_every",
         }
-        assert expected <= params
+        assert expected <= fields
+
+    @pytest.mark.parametrize("module_name", ["repro.core.pipeline", "repro.workflows"])
+    def test_legacy_construction_modules_are_gone(self, module_name):
+        import importlib
+
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module_name)
 
     def test_synthetic_config_fields(self):
         from repro import SyntheticConfig
