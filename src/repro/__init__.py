@@ -107,7 +107,7 @@ from repro.api import (
     registry,
 )
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "Pipeline",

@@ -288,41 +288,21 @@ class Pipeline:
 
     # -- backend edge production ----------------------------------------------
 
-    def _record_blocks(self, kb1, kb2, report: RunReport, processed) -> None:
-        """Fill the report's block stages, reusing *processed* if given.
-
-        Each block stage gets its own span; a stage that did not run
-        (no operator configured, or pre-built blocks reused) is marked
-        with a zero-duration event so traces always show the full stage
-        sequence.
-        """
-        obs = self.obs
+    def _record_blocks(self, kb1, kb2, report: RunReport) -> None:
+        """Fill the report's block stages (one span each)."""
         t0 = time.perf_counter()
-        if processed is not None:
-            report.blocks = report.processed_blocks = processed
-            if obs.enabled:
-                for stage in ("blocking", "purging", "filtering"):
-                    obs.event(
-                        f"pipeline.{stage}", 0.0,
-                        reused=True, blocks=len(processed),
-                    )
-        else:
-            report.blocks, report.processed_blocks = self.block(kb1, kb2)
+        report.blocks, report.processed_blocks = self.block(kb1, kb2)
         report.phase_seconds["block_s"] = time.perf_counter() - t0
 
-    def _edges_sequential(
-        self, kb1, kb2, report: RunReport, processed=None
-    ) -> list[WeightedEdge]:
-        self._record_blocks(kb1, kb2, report, processed)
+    def _edges_sequential(self, kb1, kb2, report: RunReport) -> list[WeightedEdge]:
+        self._record_blocks(kb1, kb2, report)
         t0 = time.perf_counter()
         edges = self.meta_block(report.processed_blocks)
         report.phase_seconds["metablock_s"] = time.perf_counter() - t0
         report.backend.update({"kind": "sequential"})
         return edges
 
-    def _edges_mapreduce(
-        self, kb1, kb2, report: RunReport, processed=None
-    ) -> list[WeightedEdge]:
+    def _edges_mapreduce(self, kb1, kb2, report: RunReport) -> list[WeightedEdge]:
         from repro.mapreduce import (
             MapReduceEngine,
             ProcessExecutor,
@@ -330,7 +310,7 @@ class Pipeline:
         )
 
         backend = self.spec.backend
-        self._record_blocks(kb1, kb2, report, processed)
+        self._record_blocks(kb1, kb2, report)
 
         executor = backend.executor
         if executor == "process" and not ProcessExecutor.available():
@@ -363,9 +343,7 @@ class Pipeline:
         )
         return edges
 
-    def _edges_sql(
-        self, kb1, kb2, report: RunReport, processed=None
-    ) -> list[WeightedEdge]:
+    def _edges_sql(self, kb1, kb2, report: RunReport) -> list[WeightedEdge]:
         from repro.blocking.filtering import BlockFiltering
         from repro.blocking.purging import BlockPurging
         from repro.sqlbackend import SqlBackendError, SqlMetaBlocker
@@ -389,8 +367,8 @@ class Pipeline:
             raise SpecError(str(exc)) from exc
         try:
             with mb:
-                if processed is not None or not compilable:
-                    self._record_blocks(kb1, kb2, report, processed)
+                if not compilable:
+                    self._record_blocks(kb1, kb2, report)
                     mb.load_blocks(report.processed_blocks)
                     mb.purge(None)
                     mb.filter(None)
@@ -435,9 +413,7 @@ class Pipeline:
             raise SpecError(str(exc)) from exc
         return edges
 
-    def _edges_stream(
-        self, kb1, kb2, report: RunReport, bridge: bool = True
-    ) -> list[WeightedEdge]:
+    def _edges_stream(self, kb1, kb2, report: RunReport) -> list[WeightedEdge]:
         from repro.api.registry import registry
         from repro.stream.resolver import StreamResolver
         from repro.stream.workload import WorkloadDriver
@@ -496,20 +472,6 @@ class Pipeline:
         # recoverable from the durability directory.
         resolver.close()
 
-        edges: list[WeightedEdge] = []
-        if bridge:
-            # The batch bridge: snapshots of the streamed state run
-            # through the exact spec-compiled operators, bit-identical
-            # to the sequential path on the same corpus.
-            t0 = time.perf_counter()
-            with obs.span("pipeline.blocking", bridge=True) as span:
-                report.blocks = resolver.index.snapshot()
-                span.set(blocks=len(report.blocks))
-            report.processed_blocks = self._post_process(report.blocks)
-            report.phase_seconds["block_s"] = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            edges = self.meta_block(report.processed_blocks)
-            report.phase_seconds["metablock_s"] = time.perf_counter() - t0
         report.backend.update(
             {
                 "kind": "stream",
@@ -521,6 +483,22 @@ class Pipeline:
                 "durability_dir": backend.durability_dir,
             }
         )
+        if report.workload.interrupted:
+            # A signal cut the replay short: edges over the prefix would
+            # pass for the corpus's, so the run stops here.
+            return []
+        # The batch bridge: snapshots of the streamed state run through
+        # the exact spec-compiled operators, bit-identical to the
+        # sequential path on the same corpus.
+        t0 = time.perf_counter()
+        with obs.span("pipeline.blocking", bridge=True) as span:
+            report.blocks = resolver.index.snapshot()
+            span.set(blocks=len(report.blocks))
+        report.processed_blocks = self._post_process(report.blocks)
+        report.phase_seconds["block_s"] = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        edges = self.meta_block(report.processed_blocks)
+        report.phase_seconds["metablock_s"] = time.perf_counter() - t0
         return edges
 
     # -- composition ----------------------------------------------------------
@@ -532,8 +510,6 @@ class Pipeline:
         gold: GoldStandard | None = None,
         label: str | None = None,
         match: bool = True,
-        processed_blocks: BlockCollection | None = None,
-        stream_bridge: bool = True,
     ) -> RunReport:
         """Run all stages on the spec's backend; returns the report.
 
@@ -541,27 +517,25 @@ class Pipeline:
             match: with ``False`` the run stops after edge production —
                 the sweeps that only evaluate pruned candidates use
                 this to skip the matching stage.
-            processed_blocks: pre-built post-processed blocks to reuse
-                (sequential/mapreduce backends) — worker sweeps over
-                the same corpus block once instead of per cell.
-            stream_bridge: with ``False`` the stream backend stops at
-                the workload replay (no batch-bridge snapshot, no
-                edges) — replay-only drivers like ``repro stream`` use
-                this; implies no matching stage.
+
+        A stream replay cut short by SIGINT / SIGTERM (see
+        :func:`~repro.stream.workload.graceful_sigterm`) ends the run
+        after the replay: the report carries the partial
+        ``workload`` statistics, no edges and no matching result.
         """
         report = RunReport(spec=self.spec, spec_key=self.spec.cache_key())
         kind = self.spec.backend.kind
         obs = self.obs
         with obs.span("pipeline.run", backend=kind) as root:
             if kind == "sequential":
-                edges = self._edges_sequential(kb1, kb2, report, processed_blocks)
+                edges = self._edges_sequential(kb1, kb2, report)
             elif kind == "mapreduce":
-                edges = self._edges_mapreduce(kb1, kb2, report, processed_blocks)
+                edges = self._edges_mapreduce(kb1, kb2, report)
             elif kind == "sql":
-                edges = self._edges_sql(kb1, kb2, report, processed_blocks)
+                edges = self._edges_sql(kb1, kb2, report)
             else:
-                edges = self._edges_stream(kb1, kb2, report, bridge=stream_bridge)
-                match = match and stream_bridge
+                edges = self._edges_stream(kb1, kb2, report)
+                match = match and not report.workload.interrupted
             report.edges = edges
             root.set(edges=len(edges))
             if not match:

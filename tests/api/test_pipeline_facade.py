@@ -169,25 +169,29 @@ class TestCrossBackendEquivalence:
         assert report.workload.inserts == len(kb1) + len(kb2)
         assert report.workload.queries > 0
 
-    def test_stream_replay_only_skips_bridge_and_matching(self):
-        kb1, kb2, _ = load_movies()
-        spec = SPEC.with_backend(kind="stream")
-        report = Pipeline(spec).execute(kb1, kb2, stream_bridge=False)
-        assert report.workload is not None
-        assert report.edges == []
-        assert report.progressive is None
-        assert report.blocks is None
-        assert "metablock_s" not in report.phase_seconds
+    def test_interrupted_replay_skips_bridge_and_matching(self, monkeypatch):
+        """A replay cut short by a signal ends the run after the replay:
+        edges over the prefix would pass for the corpus's."""
+        from repro.stream.workload import WorkloadDriver
 
-    def test_mapreduce_reuses_prebuilt_blocks(self):
-        kb1, kb2, _ = load_movies()
-        spec = SPEC.with_backend(kind="mapreduce", workers=2)
-        pipeline = Pipeline(spec)
-        _, processed = pipeline.block(kb1, kb2)
-        report = pipeline.execute(kb1, kb2, match=False, processed_blocks=processed)
-        assert report.processed_blocks is processed
-        direct = Pipeline(spec).execute(kb1, kb2, match=False)
-        assert edge_triples(report.edges) == edge_triples(direct.edges)
+        original = WorkloadDriver.run
+
+        def interrupted_run(self, events, **kwargs):
+            def prefix():
+                yield from events[:12]
+                raise KeyboardInterrupt
+
+            return original(self, prefix(), **kwargs)
+
+        monkeypatch.setattr(WorkloadDriver, "run", interrupted_run)
+        kb1, kb2, gold = load_movies()
+        report = Pipeline.run(SPEC.with_backend(kind="stream"), kb1, kb2, gold=gold)
+        assert report.workload.interrupted
+        assert report.workload.events == 12
+        assert report.edges == []
+        assert report.blocks is None
+        assert report.progressive is None and report.match_quality is None
+        assert "metablock_s" not in report.phase_seconds
 
 
 class TestRunReport:

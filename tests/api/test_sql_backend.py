@@ -117,18 +117,6 @@ class TestSpecLevel:
         assert "block_s" in report.phase_seconds
         assert "metablock_s" in report.phase_seconds
 
-    def test_processed_blocks_reused(self):
-        kb1, kb2, gold = load_movies()
-        raw = TokenBlocking().build(kb1, kb2)
-        processed = BlockFiltering().process(BlockPurging().process(raw))
-        spec = PipelineSpec.from_dict({"backend": "sql"})
-        report = Pipeline(spec).execute(
-            kb1, kb2, gold=gold, processed_blocks=processed
-        )
-        baseline = Pipeline(spec).execute(kb1, kb2, gold=gold)
-        assert report.processed_blocks is processed
-        assert triples(report.edges) == triples(baseline.edges)
-
     def test_custom_postprocess_falls_back_to_python(self):
         # a registry operator the compiler cannot express still runs —
         # purging/filtering execute in python, the rest in SQL

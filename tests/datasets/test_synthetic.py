@@ -119,6 +119,51 @@ class TestProfiles:
         assert opaque  # name_bearing_uri < 1 produces some opaque URIs
 
 
+class TestLodRegimes:
+    """The generated workloads show the LOD properties the paper's
+    motivation rests on: proprietary vocabularies, highly similar matches
+    at the centre, low-evidence matches and sparser links at the
+    periphery."""
+
+    @staticmethod
+    def gold_overlaps(dataset) -> tuple[list[float], int]:
+        """Token Jaccard per gold pair, and how many pairs share at most
+        two tokens (the "somehow similar" population)."""
+        index = SimilarityIndex([dataset.kb1, dataset.kb2])
+        pairs = sorted(dataset.gold.matches)
+        low = sum(1 for a, b in pairs if len(index.common_tokens(a, b)) <= 2)
+        return [index.jaccard(a, b) for a, b in pairs], low
+
+    @staticmethod
+    def density(collection) -> float:
+        return collection.statistics().relationship_count / len(collection)
+
+    @pytest.mark.parametrize("regime", ["center_dataset", "periphery_dataset"])
+    def test_vocabularies_are_proprietary(self, request, regime):
+        dataset = request.getfixturevalue(regime)
+        props1 = {p for d in dataset.kb1 for p in d.properties()}
+        props2 = {p for d in dataset.kb2 for p in d.properties()}
+        assert props1 and props2
+        assert props1.isdisjoint(props2)
+
+    def test_center_matches_are_high_evidence(self, center_dataset):
+        overlaps, low = self.gold_overlaps(center_dataset)
+        assert sum(overlaps) / len(overlaps) > 0.5
+        assert low <= 0.05 * len(overlaps)
+
+    def test_periphery_has_low_evidence_matches(self, periphery_dataset):
+        overlaps, low = self.gold_overlaps(periphery_dataset)
+        assert low > 0
+        assert min(overlaps) < 0.5
+
+    def test_periphery_is_less_interlinked(self, center_dataset, periphery_dataset):
+        # relation_keep is lower in the periphery profile.
+        assert self.density(periphery_dataset.kb1) <= self.density(
+            center_dataset.kb1
+        )
+        assert self.density(center_dataset.kb1) > 0
+
+
 class TestDirtyGeneration:
     def test_duplicate_clusters(self):
         collection, gold = synthesize_dirty(

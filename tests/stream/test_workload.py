@@ -132,7 +132,7 @@ class TestDriver:
 
 class TestInterruptedReplay:
     """SIGINT mid-replay: partial stats survive and the run stays
-    recoverable (the `repro stream` Ctrl-C contract)."""
+    recoverable (the `repro run --backend stream` Ctrl-C contract)."""
 
     @staticmethod
     def _interrupt_after(events, count):
@@ -163,7 +163,7 @@ class TestInterruptedReplay:
         )
         stats = WorkloadDriver(resolver).run(self._interrupt_after(events, 20))
         assert stats.interrupted
-        resolver.close()  # what cmd_stream does after the interrupt
+        resolver.close()  # what the runner does after the interrupt
 
         reference = StreamResolver(clean_clean=True)
         WorkloadDriver(reference).run(events[:20])
@@ -175,7 +175,7 @@ class TestInterruptedReplay:
     def test_interrupt_flushes_telemetry_before_wal_close(
         self, corpus, tmp_path, monkeypatch
     ):
-        """The `repro stream` Ctrl-C stat-loss fix: the runner flushes
+        """The Ctrl-C stat-loss fix: the runner flushes
         the metrics/trace snapshot BEFORE closing the WAL, so telemetry
         survives even when the durability shutdown itself fails."""
         from repro.api import Pipeline, PipelineSpec
@@ -210,7 +210,7 @@ class TestInterruptedReplay:
         )
         obs = Observability(directory=str(telemetry_dir))
         with pytest.raises(OSError):
-            Pipeline(spec, obs=obs).execute(kb1, kb2, stream_bridge=False)
+            Pipeline(spec, obs=obs).execute(kb1, kb2)
 
         # The flush ran before the (failing) WAL close: both artifacts
         # are on disk and reflect the executed prefix.

@@ -82,7 +82,9 @@ class TestFacadeSignatureStability:
         }
         assert expected <= fields
 
-    @pytest.mark.parametrize("module_name", ["repro.core.pipeline", "repro.workflows"])
+    @pytest.mark.parametrize(
+        "module_name", ["repro.core.pipeline", "repro.workflows", "repro.analysis"]
+    )
     def test_legacy_construction_modules_are_gone(self, module_name):
         import importlib
 
@@ -100,3 +102,25 @@ class TestFacadeSignatureStability:
 
         params = inspect.signature(ProgressiveSession.advance).parameters
         assert "instalment" in params
+
+    def test_execute_signature(self):
+        from repro.api import Pipeline
+
+        params = inspect.signature(Pipeline.execute).parameters
+        assert list(params) == ["self", "kb1", "kb2", "gold", "label", "match"]
+
+
+class TestCommandLineSurface:
+    def test_subcommand_set(self):
+        import argparse
+
+        from repro.cli import build_parser
+
+        (subcommands,) = [
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        assert set(subcommands.choices) == {
+            "run", "sql", "components", "synthesize", "obs", "serve", "verify",
+        }
