@@ -1,6 +1,7 @@
 """E11 — Evidence-weight ablation for neighbour-aware matching.
 
-DESIGN.md decision: discovered (unblocked) pairs can only match if
+The decision under test: discovered (unblocked) pairs share too few
+tokens for a value matcher to accept, so they can only match if
 neighbour evidence contributes to the match decision
 (:class:`~repro.core.evidence_matcher.NeighborAwareMatcher`).  This
 experiment sweeps the evidence weight on the periphery workload and

@@ -5,8 +5,10 @@ similarity evidence for their neighbor descriptions" to recover matches
 that blocking missed.  On the periphery workload (somehow-similar
 descriptions, sparse evidence), this experiment compares the static
 schedule (update OFF) with dynamic schedules (update ON) across the
-propagation boost factor, and with discovery disabled — the DESIGN.md
-ablation #2.  Shape to check: update ON finds every match static finds
+propagation boost factor, and with discovery disabled — the ablation
+that separates the update phase's two effects: re-ranking pairs blocking
+already produced (boost) and enqueuing neighbour pairs it never produced
+(discovery).  Shape to check: update ON finds every match static finds
 plus discovered ones; discovery is what recovers unblocked pairs; the
 boost factor mainly changes *when* those matches surface.
 """

@@ -28,7 +28,6 @@ from repro.model import (
     EntityInterner,
     EntityIdOverflowError,
     Tokenizer,
-    infer_stop_tokens,
 )
 from repro.rdf import (
     parse_ntriples,
@@ -45,7 +44,6 @@ from repro.blocking import (
     AttributeClusteringBlocking,
     BlockPurging,
     BlockFiltering,
-    CompositeBlocking,
     QGramsBlocking,
 )
 from repro.metablocking import BlockingGraph
@@ -53,7 +51,6 @@ from repro.matching import (
     SimilarityIndex,
     ThresholdMatcher,
     OracleMatcher,
-    EnsembleMatcher,
     MatchGraph,
 )
 from repro.mapreduce import MapReduceEngine, parallel_token_blocking
@@ -65,7 +62,6 @@ from repro.core import (
     NeighborAwareMatcher,
     static_strategy,
     dynamic_strategy,
-    hybrid_strategy,
 )
 from repro.datasets import (
     GoldStandard,
@@ -107,7 +103,7 @@ from repro.api import (
     registry,
 )
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "Pipeline",
@@ -145,7 +141,6 @@ __all__ = [
     "NeighborEvidencePropagator",
     "static_strategy",
     "dynamic_strategy",
-    "hybrid_strategy",
     "GoldStandard",
     "SyntheticConfig",
     "synthesize_pair",
@@ -160,12 +155,9 @@ __all__ = [
     "ProgressiveCurve",
     "ProgressiveSession",
     "OracleMatcher",
-    "EnsembleMatcher",
     "NeighborAwareMatcher",
-    "CompositeBlocking",
     "QGramsBlocking",
     "serialize_turtle",
-    "infer_stop_tokens",
     "format_table",
     "format_series",
     "random_order_baseline",

@@ -428,15 +428,18 @@ class Pipeline:
             durability = Durability(
                 backend.durability_dir, snapshot_every=backend.snapshot_every
             )
-        resolver = StreamResolver(
-            blocker=self.blocker,
-            clean_clean=kb2 is not None,
-            threshold=threshold,
-            processed_view=backend.processed_view,
-            reconcile_every=backend.reconcile_every,
-            durability=durability,
-            obs=self.obs,
-        )
+        try:
+            resolver = StreamResolver(
+                blocker=self.blocker,
+                clean_clean=kb2 is not None,
+                threshold=threshold,
+                processed_view=backend.processed_view,
+                reconcile_every=backend.reconcile_every,
+                durability=durability,
+                obs=self.obs,
+            )
+        except ValueError as exc:  # a durability_dir holding an earlier run
+            raise SpecError(str(exc)) from exc
         generator = registry.factory("scenario", backend.scenario.name)
         events = generator(
             kb1, kb2, seed=backend.seed, **backend.scenario.params

@@ -348,6 +348,11 @@ class BackendSpec:
             raise SpecError(
                 f"backend.snapshot_every must be >= 1, got {self.snapshot_every}"
             )
+        if self.snapshot_every is not None and self.durability_dir is None:
+            raise SpecError(
+                "backend.snapshot_every needs backend.durability_dir "
+                "(snapshots are written there)"
+            )
         if (
             self.query_pruner is not None
             and self.query_pruner.lower() != "none"

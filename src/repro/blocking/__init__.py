@@ -23,7 +23,6 @@ from repro.blocking.prefix_infix_suffix import PrefixInfixSuffixBlocking
 from repro.blocking.attribute_clustering import AttributeClusteringBlocking
 from repro.blocking.purging import BlockPurging
 from repro.blocking.filtering import BlockFiltering
-from repro.blocking.composite import CompositeBlocking
 from repro.blocking.qgrams import QGramsBlocking, qgrams
 
 __all__ = [
@@ -36,7 +35,6 @@ __all__ = [
     "AttributeClusteringBlocking",
     "BlockPurging",
     "BlockFiltering",
-    "CompositeBlocking",
     "QGramsBlocking",
     "qgrams",
 ]

@@ -15,7 +15,7 @@ in a pay-as-you-go fashion until a cost budget is consumed.
 * :mod:`repro.core.scheduler` — the comparison priority queue;
 * :mod:`repro.core.updater` — neighbour-evidence propagation;
 * :mod:`repro.core.engine` — the schedule → match → update loop;
-* :mod:`repro.core.strategies` — preconfigured static/dynamic/hybrid
+* :mod:`repro.core.strategies` — preconfigured static/dynamic
   scheduling strategies.
 
 The end-to-end pipeline (blocking → meta-blocking → progressive
@@ -39,7 +39,6 @@ from repro.core.session import ProgressiveSession
 from repro.core.strategies import (
     static_strategy,
     dynamic_strategy,
-    hybrid_strategy,
 )
 
 __all__ = [
@@ -59,5 +58,4 @@ __all__ = [
     "ProgressiveSession",
     "static_strategy",
     "dynamic_strategy",
-    "hybrid_strategy",
 ]

@@ -30,7 +30,7 @@ Everything is driven by a single integer seed: the same
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.datasets.gold import GoldStandard
 from repro.model.collection import EntityCollection
@@ -493,15 +493,3 @@ def synthesize_dirty(
             entity_graphs.append(cluster_ids)
     gold = GoldStandard(clusters=clusters, entity_graphs=entity_graphs)
     return collection, gold
-
-
-def periphery_config(**overrides) -> SyntheticConfig:
-    """Convenience: a periphery-profile configuration."""
-    base = SyntheticConfig(profile=PERIPHERY_PROFILE)
-    return replace(base, **overrides)
-
-
-def center_config(**overrides) -> SyntheticConfig:
-    """Convenience: a center-profile configuration."""
-    base = SyntheticConfig(profile=CENTER_PROFILE)
-    return replace(base, **overrides)

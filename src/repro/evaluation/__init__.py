@@ -23,7 +23,7 @@ from repro.evaluation.reporting import (
     format_series,
     format_progress_chart,
 )
-from repro.evaluation.clusters import BCubedScore, bcubed, closest_cluster_f1
+from repro.evaluation.clusters import BCubedScore, bcubed
 
 __all__ = [
     "BlockingQuality",
@@ -38,5 +38,4 @@ __all__ = [
     "format_progress_chart",
     "BCubedScore",
     "bcubed",
-    "closest_cluster_f1",
 ]

@@ -1,4 +1,4 @@
-"""Cluster-level evaluation: B-cubed and closest-cluster measures.
+"""Cluster-level evaluation: B-cubed.
 
 Pairwise precision/recall over-weights large clusters (a k-cluster holds
 k·(k−1)/2 pairs), so dirty-ER evaluations also report **B-cubed**
@@ -82,29 +82,3 @@ def bcubed(
         recall_sum += overlap / len(gold_cluster)
     size = len(items)
     return BCubedScore(precision_sum / size, recall_sum / size)
-
-
-def closest_cluster_f1(
-    predicted: list[frozenset[str]],
-    gold: list[frozenset[str]],
-) -> float:
-    """Mean best-match F1: each gold cluster scored against its most
-    similar predicted cluster (greedy, not one-to-one).
-
-    A coarse but interpretable "how many entities came out right" number
-    used alongside B-cubed in ER studies.
-    """
-    if not gold:
-        return 0.0
-    total = 0.0
-    for gold_cluster in gold:
-        best = 0.0
-        for predicted_cluster in predicted:
-            overlap = len(gold_cluster & predicted_cluster)
-            if overlap == 0:
-                continue
-            precision = overlap / len(predicted_cluster)
-            recall = overlap / len(gold_cluster)
-            best = max(best, 2 * precision * recall / (precision + recall))
-        total += best
-    return total / len(gold)

@@ -79,19 +79,6 @@ class ProgressiveCurve:
             self.comparisons, self.series.get(series, []), max_comparisons
         )
 
-    def downsample(self, points: int) -> "ProgressiveCurve":
-        """Evenly thinned copy (always keeps the final checkpoint)."""
-        if points < 2 or len(self) <= points:
-            return self
-        step = (len(self) - 1) / (points - 1)
-        indexes = sorted({round(i * step) for i in range(points)})
-        thinned = ProgressiveCurve(label=self.label)
-        for index in indexes:
-            thinned.comparisons.append(self.comparisons[index])
-        for name, values in self.series.items():
-            thinned.series[name] = [values[i] for i in indexes]
-        return thinned
-
 
 def area_under_curve(
     x: list[int],

@@ -129,15 +129,3 @@ def format_progress_chart(
     )
     lines.append("     " + legend)
     return "\n".join(lines)
-
-
-def format_sparkline(values: list[float], width: int = 40) -> str:
-    """A coarse unicode sparkline of *values* (for quick scans in logs)."""
-    if not values:
-        return ""
-    blocks = " ▁▂▃▄▅▆▇█"
-    if len(values) > width:
-        step = len(values) / width
-        values = [values[int(i * step)] for i in range(width)]
-    top = max(values) or 1.0
-    return "".join(blocks[round(v / top * (len(blocks) - 1))] for v in values)

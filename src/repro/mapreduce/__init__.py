@@ -23,8 +23,11 @@ into ``a << 32 | b``), bit-identical to the sequential graph.
 * :mod:`repro.mapreduce.shm` — the zero-copy shared-memory data plane;
 * :mod:`repro.mapreduce.parallel_blocking` — MapReduce token blocking [5];
 * :mod:`repro.mapreduce.parallel_metablocking_ids` — meta-blocking [4],
-  edge-centric and entity-centric strategies;
-* :mod:`repro.mapreduce.parallel_postprocessing` — purging/filtering jobs.
+  edge-centric and entity-centric strategies.
+
+The ``mapreduce`` backend parallelises meta-blocking only: blocking,
+purging and filtering are linear passes it runs sequentially.  Token
+blocking's job serves the scaling experiment (E8).
 """
 
 from repro.mapreduce.engine import (
@@ -40,10 +43,6 @@ from repro.mapreduce.parallel_blocking import parallel_token_blocking
 from repro.mapreduce.parallel_metablocking_ids import (
     parallel_metablocking_ids,
     parallel_pair_table,
-)
-from repro.mapreduce.parallel_postprocessing import (
-    parallel_block_purging,
-    parallel_block_filtering,
 )
 from repro.mapreduce.shm import (
     ArrayRef,
@@ -64,8 +63,6 @@ __all__ = [
     "parallel_token_blocking",
     "parallel_metablocking_ids",
     "parallel_pair_table",
-    "parallel_block_purging",
-    "parallel_block_filtering",
     "ArrayRef",
     "SharedBlockStore",
     "attach_array",

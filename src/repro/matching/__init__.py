@@ -4,63 +4,39 @@ The matching phase receives candidate pairs (from blocking/meta-blocking,
 ordered by the scheduler) and decides whether each pair co-refers.  The
 package provides:
 
-* :mod:`repro.matching.similarity` — schema-agnostic token and string
-  similarity functions (Jaccard, TF-IDF cosine, dice, overlap,
-  Levenshtein, Jaro-Winkler) plus a corpus-aware :class:`SimilarityIndex`
-  that caches token profiles and IDF statistics;
+* :mod:`repro.matching.similarity` — schema-agnostic token similarity
+  functions (Jaccard, weighted Jaccard, TF-IDF cosine) plus a corpus-aware
+  :class:`SimilarityIndex` that caches token profiles and IDF statistics;
 * :mod:`repro.matching.matcher` — threshold-based pairwise matchers and
   the :class:`MatchGraph` accumulating decisions;
 * :mod:`repro.matching.clustering` — turning pairwise decisions into
-  resolved entities (connected components for dirty ER, unique-mapping
-  greedy clustering for clean-clean ER).
+  resolved entities (connected components for dirty ER).
 """
 
 from repro.matching.similarity import (
     jaccard,
     weighted_jaccard,
-    dice,
-    overlap_coefficient,
     cosine_tfidf,
-    levenshtein,
-    levenshtein_similarity,
-    jaro,
-    jaro_winkler,
     SimilarityIndex,
 )
 from repro.matching.matcher import (
     Matcher,
     ThresholdMatcher,
     OracleMatcher,
-    EnsembleMatcher,
     MatchGraph,
     MatchDecision,
 )
-from repro.matching.clustering import (
-    connected_components,
-    unique_mapping_clustering,
-    center_clustering,
-    merge_center_clustering,
-)
+from repro.matching.clustering import connected_components
 
 __all__ = [
     "jaccard",
     "weighted_jaccard",
-    "dice",
-    "overlap_coefficient",
     "cosine_tfidf",
-    "levenshtein",
-    "levenshtein_similarity",
-    "jaro",
-    "jaro_winkler",
     "SimilarityIndex",
     "Matcher",
     "ThresholdMatcher",
     "MatchGraph",
     "MatchDecision",
     "connected_components",
-    "unique_mapping_clustering",
-    "center_clustering",
-    "merge_center_clustering",
     "OracleMatcher",
-    "EnsembleMatcher",
 ]

@@ -1,17 +1,13 @@
 """From pairwise decisions to resolved entities.
 
 Dirty ER uses the transitive closure (connected components) of the match
-graph.  Clean-clean ER knows each KB is duplicate-free, so a description
-can match at most one description of the other KB; **unique-mapping
-clustering** enforces that by greedily accepting pairs in decreasing
-similarity order, skipping pairs whose endpoint is already mapped.
+graph.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from repro.matching.matcher import MatchDecision
 from repro.utils.disjoint_set import DisjointSet
 
 
@@ -27,110 +23,3 @@ def connected_components(
     for left, right in pairs:
         ds.union(left, right)
     return [c for c in ds.to_clusters() if len(c) > 1]
-
-
-def center_clustering(
-    decisions: Iterable[MatchDecision],
-) -> list[frozenset[str]]:
-    """Center clustering (Haveliwala et al. / Hassanzadeh et al.).
-
-    Edges are scanned in decreasing similarity; the first time a node is
-    seen it becomes a cluster **center**; other nodes attach to the first
-    center they share an edge with.  Center-to-center and
-    member-to-member edges are ignored, which caps cluster diameter at 2
-    and prevents the chaining errors connected components suffer from.
-
-    Returns:
-        Clusters with at least two members, largest first.
-    """
-    candidates = [d for d in decisions if d.is_match]
-    candidates.sort(key=lambda d: (-d.similarity, d.pair))
-    is_center: dict[str, bool] = {}
-    assigned_to: dict[str, str] = {}
-    clusters: dict[str, set[str]] = {}
-    for decision in candidates:
-        left, right = decision.pair
-        left_free = left not in is_center and left not in assigned_to
-        right_free = right not in is_center and right not in assigned_to
-        if left_free and right_free:
-            is_center[left] = True
-            clusters[left] = {left, right}
-            assigned_to[right] = left
-        elif left_free and right in is_center:
-            assigned_to[left] = right
-            clusters[right].add(left)
-        elif right_free and left in is_center:
-            assigned_to[right] = left
-            clusters[left].add(right)
-        # center-center and member-member edges are skipped
-    out = [frozenset(members) for members in clusters.values() if len(members) > 1]
-    out.sort(key=lambda c: (-len(c), sorted(c)))
-    return out
-
-
-def merge_center_clustering(
-    decisions: Iterable[MatchDecision],
-) -> list[frozenset[str]]:
-    """Merge-center clustering: like center clustering, but an edge between
-    a member and another cluster's center merges the two clusters.
-
-    Returns:
-        Clusters with at least two members, largest first.
-    """
-    candidates = [d for d in decisions if d.is_match]
-    candidates.sort(key=lambda d: (-d.similarity, d.pair))
-    centers: set[str] = set()
-    members: set[str] = set()
-    ds = DisjointSet()
-    for decision in candidates:
-        left, right = decision.pair
-        left_free = left not in centers and left not in members
-        right_free = right not in centers and right not in members
-        if left_free and right_free:
-            centers.add(left)
-            members.add(right)
-            ds.union(left, right)
-        elif left_free and right in centers:
-            members.add(left)
-            ds.union(right, left)
-        elif right_free and left in centers:
-            members.add(right)
-            ds.union(left, right)
-        elif left in members and right in centers:
-            ds.union(right, left)
-        elif right in members and left in centers:
-            ds.union(left, right)
-    return [c for c in ds.to_clusters() if len(c) > 1]
-
-
-def unique_mapping_clustering(
-    decisions: Iterable[MatchDecision],
-    sources: dict[str, str] | None = None,
-) -> list[tuple[str, str]]:
-    """Greedy one-to-one assignment for clean-clean ER.
-
-    Args:
-        decisions: positive match decisions (only ``is_match`` ones are
-            considered); processed in decreasing similarity, ties broken by
-            canonical pair for determinism.
-        sources: optional URI → source map; when provided, pairs whose
-            endpoints share a source are rejected (duplicate-free KBs
-            cannot match internally).
-
-    Returns:
-        Accepted pairs, each endpoint appearing at most once.
-    """
-    candidates = [d for d in decisions if d.is_match]
-    candidates.sort(key=lambda d: (-d.similarity, d.pair))
-    taken: set[str] = set()
-    accepted: list[tuple[str, str]] = []
-    for decision in candidates:
-        left, right = decision.pair
-        if left in taken or right in taken:
-            continue
-        if sources is not None and sources.get(left) == sources.get(right):
-            continue
-        taken.add(left)
-        taken.add(right)
-        accepted.append((left, right))
-    return accepted

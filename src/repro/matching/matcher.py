@@ -186,52 +186,6 @@ class ThresholdMatcher(Matcher):
         return score, score >= self.threshold
 
 
-class EnsembleMatcher(Matcher):
-    """Weighted combination of several matchers' similarity scores.
-
-    Heterogeneous Web-of-data descriptions rarely yield to one measure:
-    names favour character similarity, rich profiles favour TF-IDF cosine,
-    sparse ones favour set overlap.  The ensemble scores a pair as the
-    weighted mean of its members' similarities and applies one threshold.
-
-    Args:
-        members: ``(matcher, weight)`` pairs; weights must be positive.
-        threshold: decision threshold on the combined score.
-    """
-
-    def __init__(
-        self,
-        members: list[tuple[Matcher, float]],
-        threshold: float = 0.5,
-    ) -> None:
-        if not members:
-            raise ValueError("ensemble requires at least one member")
-        if any(weight <= 0 for _, weight in members):
-            raise ValueError("member weights must be positive")
-        if not 0.0 <= threshold <= 1.0:
-            raise ValueError("threshold must be in [0, 1]")
-        self.members = list(members)
-        self.threshold = threshold
-        self._total_weight = sum(weight for _, weight in members)
-
-    def bind(self, context) -> None:
-        super().bind(context)
-        for matcher, _weight in self.members:
-            matcher.attach(context)
-
-    def prime(self, pairs: Iterable[tuple[str, str]]) -> None:
-        pair_list = list(pairs)
-        for matcher, _weight in self.members:
-            matcher.prime(pair_list)
-
-    def similarity(self, uri_a: str, uri_b: str) -> float:
-        combined = sum(
-            matcher.similarity(uri_a, uri_b) * weight
-            for matcher, weight in self.members
-        )
-        return combined / self._total_weight
-
-
 class OracleMatcher(Matcher):
     """Ground-truth matcher used by oracle baselines and tests.
 

@@ -1,11 +1,9 @@
 """Similarity functions and the corpus-aware similarity index.
 
-Schema-agnostic ER compares descriptions as bags of tokens: set-based
-measures (Jaccard, dice, overlap) capture "highly similar" descriptions
-with many common tokens, while TF-IDF cosine keeps rare, discriminative
-tokens informative for "somehow similar" descriptions that share only a
-few.  Character-level measures (Levenshtein, Jaro-Winkler) serve the
-value-level comparisons used by some baselines and tests.
+Schema-agnostic ER compares descriptions as bags of tokens: Jaccard
+captures "highly similar" descriptions with many common tokens, while
+TF-IDF cosine keeps rare, discriminative tokens informative for "somehow
+similar" descriptions that share only a few.
 
 :class:`SimilarityIndex` reads the collections' token columns (the copy
 token blocking built) and holds the corpus as CSR rows: token ids in
@@ -36,24 +34,6 @@ def jaccard(a: Iterable[str], b: Iterable[str]) -> float:
         return 0.0
     union = len(set_a | set_b)
     return len(set_a & set_b) / union if union else 0.0
-
-
-def dice(a: Iterable[str], b: Iterable[str]) -> float:
-    """Sørensen–Dice coefficient of two token collections."""
-    set_a, set_b = set(a), set(b)
-    total = len(set_a) + len(set_b)
-    if total == 0:
-        return 0.0
-    return 2 * len(set_a & set_b) / total
-
-
-def overlap_coefficient(a: Iterable[str], b: Iterable[str]) -> float:
-    """Overlap coefficient: intersection over the smaller set."""
-    set_a, set_b = set(a), set(b)
-    smaller = min(len(set_a), len(set_b))
-    if smaller == 0:
-        return 0.0
-    return len(set_a & set_b) / smaller
 
 
 def weighted_jaccard(a: Mapping, b: Mapping) -> float:
@@ -90,90 +70,6 @@ def cosine_tfidf(a: Counter, b: Counter, idf: dict[str, float] | None = None) ->
     if norm_a == 0.0 or norm_b == 0.0:
         return 0.0
     return dot / (norm_a * norm_b)
-
-
-# -- character-based measures ------------------------------------------------------
-
-
-def levenshtein(a: str, b: str) -> int:
-    """Edit distance between two strings (iterative two-row DP)."""
-    if a == b:
-        return 0
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
-    if len(a) < len(b):
-        a, b = b, a
-    previous = list(range(len(b) + 1))
-    for i, ch_a in enumerate(a, start=1):
-        current = [i]
-        for j, ch_b in enumerate(b, start=1):
-            cost = 0 if ch_a == ch_b else 1
-            current.append(
-                min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost)
-            )
-        previous = current
-    return previous[-1]
-
-
-def levenshtein_similarity(a: str, b: str) -> float:
-    """Normalized edit similarity: ``1 − distance / max(len)``."""
-    longest = max(len(a), len(b))
-    if longest == 0:
-        return 1.0
-    return 1.0 - levenshtein(a, b) / longest
-
-
-def jaro(a: str, b: str) -> float:
-    """Jaro similarity of two strings."""
-    if a == b:
-        return 1.0
-    len_a, len_b = len(a), len(b)
-    if len_a == 0 or len_b == 0:
-        return 0.0
-    window = max(len_a, len_b) // 2 - 1
-    window = max(window, 0)
-    matched_a = [False] * len_a
-    matched_b = [False] * len_b
-    matches = 0
-    for i, ch in enumerate(a):
-        start = max(0, i - window)
-        end = min(i + window + 1, len_b)
-        for j in range(start, end):
-            if not matched_b[j] and b[j] == ch:
-                matched_a[i] = True
-                matched_b[j] = True
-                matches += 1
-                break
-    if matches == 0:
-        return 0.0
-    transpositions = 0
-    k = 0
-    for i in range(len_a):
-        if matched_a[i]:
-            while not matched_b[k]:
-                k += 1
-            if a[i] != b[k]:
-                transpositions += 1
-            k += 1
-    transpositions //= 2
-    return (
-        matches / len_a + matches / len_b + (matches - transpositions) / matches
-    ) / 3
-
-
-def jaro_winkler(a: str, b: str, prefix_scale: float = 0.1) -> float:
-    """Jaro–Winkler similarity (common-prefix boost up to 4 characters)."""
-    if not 0.0 <= prefix_scale <= 0.25:
-        raise ValueError("prefix_scale must be in [0, 0.25]")
-    base = jaro(a, b)
-    prefix = 0
-    for ch_a, ch_b in zip(a[:4], b[:4]):
-        if ch_a != ch_b:
-            break
-        prefix += 1
-    return base + prefix * prefix_scale * (1.0 - base)
 
 
 # -- corpus-aware index ----------------------------------------------------------------

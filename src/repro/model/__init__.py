@@ -25,7 +25,7 @@ from repro.model.interner import (
     unpack_pair,
 )
 from repro.model.namespaces import split_uri, uri_infix, uri_local_name
-from repro.model.tokenizer import Tokenizer, infer_stop_tokens
+from repro.model.tokenizer import Tokenizer
 
 __all__ = [
     "EntityDescription",
@@ -39,5 +39,4 @@ __all__ = [
     "uri_infix",
     "uri_local_name",
     "Tokenizer",
-    "infer_stop_tokens",
 ]

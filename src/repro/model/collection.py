@@ -18,7 +18,7 @@ editing a member description in place bypasses both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from repro.model.description import EntityDescription
@@ -37,19 +37,6 @@ class CollectionStatistics:
     relationship_count: int
     avg_out_degree: float
     source_count: int
-
-    def as_rows(self) -> list[tuple[str, str]]:
-        """Human-readable rows for reporting."""
-        return [
-            ("descriptions", str(self.description_count)),
-            ("attribute-value pairs", str(self.triple_count)),
-            ("distinct properties", str(self.property_count)),
-            ("avg properties/description", f"{self.avg_properties_per_description:.2f}"),
-            ("avg values/description", f"{self.avg_values_per_description:.2f}"),
-            ("relationships", str(self.relationship_count)),
-            ("avg out-degree", f"{self.avg_out_degree:.2f}"),
-            ("sources", str(self.source_count)),
-        ]
 
 
 class EntityCollection:
@@ -204,14 +191,6 @@ class EntityCollection:
             seen.update(dict.fromkeys(self._inverse_neighbors.get(uri, ())))
             union = self._all_neighbors[uri] = tuple(seen)
         return union
-
-    def relationship_edges(self) -> Iterator[tuple[str, str]]:
-        """Iterate over directed (subject, object) relationship edges."""
-        self._ensure_graph()
-        assert self._neighbors is not None
-        for subject, objects in self._neighbors.items():
-            for obj in objects:
-                yield subject, obj
 
     def _ensure_graph(self) -> None:
         if self._neighbors is not None:

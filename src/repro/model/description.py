@@ -131,18 +131,6 @@ class EntityDescription:
             clone._attributes[prop] = list(vals)
         return clone
 
-    def merged_with(self, other: "EntityDescription") -> "EntityDescription":
-        """Union of the two descriptions' attributes, keeping this URI.
-
-        Used when consolidating matched descriptions into a resolved entity
-        profile (the attribute-completeness benefit counts how much such
-        merging enriches profiles).
-        """
-        merged = self.copy()
-        for prop, value in other.pairs():
-            merged.add(prop, value)
-        return merged
-
 
 def _looks_like_uri(value: str) -> bool:
     return value.startswith(("http://", "https://", "urn:"))

@@ -6,10 +6,10 @@ description as a bag of normalized tokens drawn from its literal values and
 two stages agree on what a "common token" is — the invariant the
 meta-blocking weighting schemes rely on.
 
-A batch job reads that bag several times (token blocking, stop-token
-inference, the TF-IDF index), so :meth:`Tokenizer.column` tokenises a
-collection once into a :class:`TokenColumn` of CSR token-id rows, memoised
-on the collection until it next mutates.  The per-description calls serve
+A batch job reads that bag twice (token blocking, then the TF-IDF
+index), so :meth:`Tokenizer.column` tokenises a collection once into a
+:class:`TokenColumn` of CSR token-id rows, memoised on the collection
+until it next mutates.  The per-description calls serve
 the streaming path, whose collections change on every event.
 """
 
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import chain
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 import numpy as _np
 
@@ -91,7 +91,6 @@ class Tokenizer:
         include_reference_infixes: also emit tokens from the infixes of
             URI-valued attributes — neighbour names often leak entity
             evidence (e.g. ``dbpedia:Stanley_Kubrick`` as director).
-        stop_tokens: tokens to suppress entirely (high-frequency noise).
     """
 
     def __init__(
@@ -99,14 +98,12 @@ class Tokenizer:
         min_token_length: int = 2,
         include_uri_infix: bool = True,
         include_reference_infixes: bool = False,
-        stop_tokens: frozenset[str] = frozenset(),
     ) -> None:
         if min_token_length < 1:
             raise ValueError("min_token_length must be >= 1")
         self.min_token_length = min_token_length
         self.include_uri_infix = include_uri_infix
         self.include_reference_infixes = include_reference_infixes
-        self.stop_tokens = frozenset(stop_tokens)
 
     def tokens(self, description: EntityDescription) -> list[str]:
         """All tokens of *description*, duplicates preserved."""
@@ -118,8 +115,6 @@ class Tokenizer:
         if self.include_reference_infixes:
             for ref in description.object_references():
                 out.extend(token_split(uri_infix(ref), self.min_token_length))
-        if self.stop_tokens:
-            out = [t for t in out if t not in self.stop_tokens]
         return out
 
     def token_set(self, description: EntityDescription) -> frozenset[str]:
@@ -135,56 +130,7 @@ class Tokenizer:
         description, memoised on the collection per tokenizer signature."""
         memo = collection.token_columns
         signature = (type(self), self.min_token_length, self.include_uri_infix,
-                     self.include_reference_infixes, self.stop_tokens)
+                     self.include_reference_infixes)
         if signature not in memo:
             memo[signature] = TokenColumn(collection, self)
         return memo[signature]
-
-    def with_stop_tokens(self, stop_tokens: Iterable[str]) -> "Tokenizer":
-        """A copy of this tokenizer with *stop_tokens* added."""
-        return Tokenizer(
-            min_token_length=self.min_token_length,
-            include_uri_infix=self.include_uri_infix,
-            include_reference_infixes=self.include_reference_infixes,
-            stop_tokens=self.stop_tokens | frozenset(stop_tokens),
-        )
-
-
-def infer_stop_tokens(
-    collections: Iterable["EntityCollection"],
-    tokenizer: Tokenizer | None = None,
-    max_document_fraction: float = 0.25,
-) -> frozenset[str]:
-    """Corpus-driven stop tokens: tokens present in too many descriptions.
-
-    A token appearing in more than ``max_document_fraction`` of all
-    descriptions discriminates nothing — its block is pure cost.  Purging
-    removes such blocks *after* they are built; suppressing the tokens at
-    the tokenizer keeps them from being built at all, which also keeps
-    them out of similarity vectors.
-
-    Args:
-        collections: the corpora to profile.
-        tokenizer: token extractor (defaults to the blocking tokenizer).
-        max_document_fraction: document-frequency cut-off in (0, 1].
-
-    Raises:
-        ValueError: for an out-of-range fraction.
-    """
-    if not 0.0 < max_document_fraction <= 1.0:
-        raise ValueError("max_document_fraction must be in (0, 1]")
-    tokenizer = tokenizer or Tokenizer()
-    document_frequency: Counter = Counter()
-    total = 0
-    for collection in collections:
-        column = tokenizer.column(collection)
-        total += len(column.uris)
-        # Row tokens are distinct: an id's count is its document frequency.
-        df = _np.bincount(column.ids, minlength=len(column.vocabulary))
-        document_frequency.update(dict(zip(column.vocabulary, df.tolist())))
-    if total == 0:
-        return frozenset()
-    limit = max_document_fraction * total
-    return frozenset(
-        token for token, df in document_frequency.items() if df > limit
-    )

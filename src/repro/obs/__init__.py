@@ -33,7 +33,6 @@ from repro.obs.metrics import (
 from repro.obs.sinks import (
     InMemorySink,
     JsonlSink,
-    RingBufferSink,
     TraceSchemaError,
     load_trace,
     parse_metrics_text,
@@ -57,7 +56,6 @@ __all__ = [
     "global_registry",
     "set_global_registry",
     "InMemorySink",
-    "RingBufferSink",
     "JsonlSink",
     "TraceSchemaError",
     "load_trace",

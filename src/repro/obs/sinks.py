@@ -1,7 +1,7 @@
 """Span sinks and text export formats.
 
-Three sinks (in-memory list, bounded ring buffer, JSON-lines file) plus
-the two text formats the CLI writes:
+Two sinks (in-memory list, JSON-lines file) plus the two text formats
+the CLI writes:
 
 * ``trace.jsonl`` — one JSON document per finished span, schema below;
 * ``metrics.txt`` — Prometheus-style text exposition of the registry.
@@ -23,7 +23,6 @@ lean on.
 from __future__ import annotations
 
 import json
-from collections import deque
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Span
@@ -113,28 +112,6 @@ class InMemorySink:
 
     def clear(self) -> None:
         self.spans.clear()
-
-    def __len__(self) -> int:
-        return len(self.spans)
-
-    def __iter__(self):
-        return iter(self.spans)
-
-
-class RingBufferSink:
-    """Keeps only the newest *capacity* spans; counts what it dropped."""
-
-    def __init__(self, capacity: int = 1024) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self.spans: deque[Span] = deque(maxlen=capacity)
-        self.dropped = 0
-
-    def emit(self, span: Span) -> None:
-        if len(self.spans) == self.capacity:
-            self.dropped += 1
-        self.spans.append(span)
 
     def __len__(self) -> int:
         return len(self.spans)

@@ -798,7 +798,17 @@ class Durability:
         Writes the versioned WAL header on a fresh log.  The store must
         be empty or recovered from this directory — binding a populated
         store to a fresh WAL would leave its history unlogged.
+
+        Raises:
+            ValueError: when the directory already holds a log and the
+                store was not recovered from its tail — appending a
+                second history would corrupt the first.
         """
+        if self.wal.header is not None and store.recovered_lsn != self.wal.last_lsn:
+            raise ValueError(
+                f"durability directory {self.directory!r} already holds a "
+                "write-ahead log; recover from it or use a fresh directory"
+            )
         self._components = (store, index, pairs, view, view_pairs)
         store.durability = self
         if self.wal.header is None:
@@ -1031,6 +1041,7 @@ def recover(
         obs.count("repro.durability.recover.replayed.count", replayed)
         recover_span.set(snapshot_lsn=snapshot_lsn, replayed=replayed)
     wal.close()
+    store.recovered_lsn = wal.last_lsn
     return RecoveryResult(
         store=store,
         index=index,

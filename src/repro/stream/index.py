@@ -3,7 +3,7 @@
 The batch blocker groups a frozen corpus by key in one pass; this index
 maintains the same grouping under inserts.  Each insert computes the
 description's blocking keys (token keys by default; pass a q-grams or
-composite blocker for other key spaces), appends the entity to the
+prefix-infix-suffix blocker for other key spaces), appends the entity to the
 touched posting lists, and emits the **delta** — placements and block
 activations, bracketed by an event-begin / event-end pair — to attached
 consumers (the :class:`~repro.stream.pairs.DeltaPairTable`, the
@@ -121,8 +121,7 @@ class IncrementalBlockIndex(DeltaConsumer):
         blocker: key extractor (default: token blocking, the paper's
             stage-1 choice).  Any :class:`~repro.blocking.base.Blocker`
             whose ``keys_for`` grows monotonically under attribute
-            merges is supported (token, q-grams, prefix-infix-suffix,
-            composites thereof).
+            merges is supported (token, q-grams, prefix-infix-suffix).
     """
 
     def __init__(

@@ -77,6 +77,9 @@ class StreamingEntityStore:
         #: attached durability controller (None = in-memory only); set
         #: via :meth:`repro.stream.durability.Durability.bind`
         self.durability = None
+        #: WAL position :func:`repro.stream.durability.recover` rebuilt
+        #: this store at (None = not recovered)
+        self.recovered_lsn: int | None = None
 
     @property
     def clean_clean(self) -> bool:

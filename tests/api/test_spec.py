@@ -160,6 +160,17 @@ class TestValidation:
                 {"backend": {"kind": "stream", "reconcile_every": 0}}
             )
 
+    def test_snapshot_cadence_needs_a_durability_dir(self):
+        with pytest.raises(SpecError, match="durability_dir"):
+            PipelineSpec.from_dict(
+                {"backend": {"kind": "stream", "snapshot_every": 15}}
+            )
+        spec = PipelineSpec.from_dict(
+            {"backend": {"kind": "stream", "snapshot_every": 15,
+                         "durability_dir": "state"}}
+        )
+        assert spec.backend.snapshot_every == 15
+
     def test_bad_query_pruner(self):
         with pytest.raises(SpecError):
             PipelineSpec.from_dict(

@@ -5,9 +5,7 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.blocking.block import comparison_pair
-from repro.blocking.composite import CompositeBlocking
 from repro.blocking.filtering import BlockFiltering
-from repro.blocking.prefix_infix_suffix import PrefixInfixSuffixBlocking
 from repro.blocking.purging import BlockPurging
 from repro.blocking.token_blocking import TokenBlocking
 from repro.model.collection import EntityCollection
@@ -90,15 +88,3 @@ class TestPostProcessingProperties:
         once = BlockPurging().process(blocks)
         twice = BlockPurging().process(once)
         assert once.keys() == twice.keys()
-
-
-class TestCompositeProperties:
-    @settings(max_examples=30, deadline=None)
-    @given(collections())
-    def test_composite_covers_union_of_members(self, collection):
-        token = TokenBlocking(TOKENIZER)
-        pis = PrefixInfixSuffixBlocking(include_reference_infixes=False)
-        composite = CompositeBlocking([token, pis])
-        composite_pairs = composite.build(collection).distinct_comparisons()
-        for member in (token, pis):
-            assert member.build(collection).distinct_comparisons() <= composite_pairs

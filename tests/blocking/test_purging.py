@@ -5,7 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.blocking.block import Block, BlockCollection
-from repro.blocking.purging import BlockPurging
+from repro.blocking.purging import (
+    BlockPurging,
+    cardinality_histogram,
+    threshold_from_histogram,
+)
 
 
 def skewed_blocks() -> BlockCollection:
@@ -69,3 +73,77 @@ class TestAdaptiveThreshold:
         blocks = TokenBlocking().build(center_dataset.kb1, center_dataset.kb2)
         purged = BlockPurging().process(blocks)
         assert purged.total_comparisons() < blocks.total_comparisons()
+
+
+def corpus_blocks(request, name: str) -> BlockCollection:
+    """Token blocks of one of the shared corpus fixtures."""
+    from repro.blocking.token_blocking import TokenBlocking
+
+    if name == "dirty":
+        collection, _ = request.getfixturevalue("dirty_dataset")
+        return TokenBlocking().build(collection)
+    if name == "center":
+        dataset = request.getfixturevalue("center_dataset")
+        return TokenBlocking().build(dataset.kb1, dataset.kb2)
+    kb_a, kb_b, _ = request.getfixturevalue(name)
+    return TokenBlocking().build(kb_a, kb_b)
+
+
+class TestOnCorpora:
+    @pytest.mark.parametrize("corpus", ["movies", "dirty", "center"])
+    def test_adaptive_cut_splits_at_the_threshold(self, request, corpus):
+        blocks = corpus_blocks(request, corpus)
+        purging = BlockPurging()
+        threshold = purging.adaptive_threshold(blocks)
+        purged = purging.process(blocks)
+        for block in blocks:
+            assert (block.key in purged) == (block.cardinality() <= threshold)
+        for block in purged:
+            assert block.entities1 == blocks[block.key].entities1
+            assert block.entities2 == blocks[block.key].entities2
+
+    @pytest.mark.parametrize("limit", [1, 5, 50])
+    def test_explicit_cut_splits_at_the_limit(self, movies, limit):
+        from repro.blocking.token_blocking import TokenBlocking
+
+        blocks = TokenBlocking().build(*movies[:2])
+        purged = BlockPurging(max_cardinality=limit).process(blocks)
+        kept = {block.key for block in blocks if block.cardinality() <= limit}
+        assert set(purged.keys()) == kept
+
+    def test_explicit_purging_is_idempotent(self, request):
+        blocks = corpus_blocks(request, "center")
+        purging = BlockPurging(max_cardinality=20)
+        once = purging.process(blocks)
+        twice = purging.process(once)
+        assert twice.keys() == once.keys()
+        assert twice.distinct_comparisons() == once.distinct_comparisons()
+
+    def test_larger_smoothing_never_lowers_the_threshold(self, request):
+        blocks = corpus_blocks(request, "center")
+        thresholds = [
+            BlockPurging(smoothing=s).adaptive_threshold(blocks)
+            for s in (1.0, 1.05, 1.1, 1.5, 3.0, 100.0)
+        ]
+        assert thresholds == sorted(thresholds)
+        assert thresholds[-1] == max(block.cardinality() for block in blocks)
+
+
+class TestHistogram:
+    def test_totals_match_the_collection(self, request):
+        blocks = corpus_blocks(request, "movies")
+        histogram = cardinality_histogram(blocks)
+        assert sum(c for c, _ in histogram.values()) == blocks.total_comparisons()
+        assert sum(a for _, a in histogram.values()) == blocks.total_assignments()
+        assert set(histogram) == {block.cardinality() for block in blocks}
+
+    def test_empty_histogram_keeps_everything(self):
+        assert threshold_from_histogram({}, 1.1) == 1
+
+    def test_single_level_survives(self):
+        assert threshold_from_histogram({4: (40, 30)}, 1.0) == 4
+
+    def test_signature_tracks_parameters(self):
+        assert BlockPurging().signature() == BlockPurging().signature()
+        assert BlockPurging(5).signature() != BlockPurging().signature()
+        assert BlockPurging(smoothing=2.0).signature() != BlockPurging().signature()

@@ -1,10 +1,11 @@
-"""Tests for the static/dynamic/hybrid strategies."""
+"""Tests for the static/dynamic strategies."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.strategies import dynamic_strategy, hybrid_strategy, static_strategy
+from repro.core.budget import CostBudget
+from repro.core.strategies import dynamic_strategy, static_strategy
 from repro.datasets.gold import GoldStandard
 from repro.matching.matcher import OracleMatcher
 from repro.metablocking.graph import WeightedEdge
@@ -44,6 +45,21 @@ class TestStatic:
         result = engine.run(edges, [kb1, kb2], gold=gold)
         assert result.match_graph.match_count == 1  # chain not walked
 
+    @pytest.mark.parametrize("length", [2, 4, 10])
+    def test_only_the_blocked_pair_matches(self, length):
+        kb1, kb2, gold, edges = chain_world(length)
+        result = static_strategy(OracleMatcher(gold.matches)).run(
+            edges, [kb1, kb2], gold=gold
+        )
+        assert result.match_graph.matched_pairs() == {("http://a/0", "http://b/0")}
+        assert result.discovered_matches == 0
+
+    def test_knobs_forwarded(self):
+        budget = CostBudget(max_cost=3)
+        engine = static_strategy(OracleMatcher(set()), budget=budget, checkpoint_every=7)
+        assert engine.budget is budget
+        assert engine.checkpoint_every == 7
+
 
 class TestDynamic:
     def test_walks_the_chain(self):
@@ -53,36 +69,25 @@ class TestDynamic:
         assert result.match_graph.match_count == 6
         assert result.discovered_matches == 5
 
+    @pytest.mark.parametrize("length", [1, 2, 4, 10])
+    def test_walks_chains_of_any_length(self, length):
+        kb1, kb2, gold, edges = chain_world(length)
+        result = dynamic_strategy(OracleMatcher(gold.matches)).run(
+            edges, [kb1, kb2], gold=gold
+        )
+        assert result.match_graph.matched_pairs() == gold.matches
+        assert result.discovered_matches == length - 1
+
+    def test_budget_stops_the_walk(self):
+        kb1, kb2, gold, edges = chain_world(10)
+        engine = dynamic_strategy(OracleMatcher(gold.matches), budget=CostBudget(3))
+        result = engine.run(edges, [kb1, kb2], gold=gold)
+        assert result.comparisons_executed == 3
+        assert result.match_graph.match_count == 3
+
     def test_knobs_forwarded(self):
         engine = dynamic_strategy(
             OracleMatcher(set()), boost_factor=2.5, discovery_weight=0.25
         )
         assert engine.updater.boost_factor == 2.5
         assert engine.updater.discovery_weight == 0.25
-
-
-class TestHybrid:
-    def test_batched_propagation_still_walks_chain(self):
-        kb1, kb2, gold, edges = chain_world()
-        engine = hybrid_strategy(OracleMatcher(gold.matches), batch_size=1)
-        result = engine.run(edges, [kb1, kb2], gold=gold)
-        assert result.match_graph.match_count == 6
-
-    def test_large_batch_defers_propagation(self):
-        kb1, kb2, gold, edges = chain_world()
-        engine = hybrid_strategy(OracleMatcher(gold.matches), batch_size=100)
-        result = engine.run(edges, [kb1, kb2], gold=gold)
-        # The batch never fills, so no propagation happens.
-        assert result.match_graph.match_count == 1
-
-    def test_invalid_batch_size(self):
-        with pytest.raises(ValueError):
-            hybrid_strategy(OracleMatcher(set()), batch_size=0)
-
-    def test_intermediate_batch(self):
-        kb1, kb2, gold, edges = chain_world()
-        engine = hybrid_strategy(OracleMatcher(gold.matches), batch_size=2)
-        result = engine.run(edges, [kb1, kb2], gold=gold)
-        # Every second match triggers a flush; the chain advances in steps
-        # but stalls when the last unflushed match is the frontier.
-        assert 1 <= result.match_graph.match_count <= 6

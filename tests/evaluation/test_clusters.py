@@ -1,11 +1,11 @@
-"""Tests for B-cubed and closest-cluster evaluation."""
+"""Tests for B-cubed evaluation."""
 
 from __future__ import annotations
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.evaluation.clusters import bcubed, closest_cluster_f1
+from repro.evaluation.clusters import BCubedScore, bcubed
 
 
 def fs(*items):
@@ -101,26 +101,59 @@ class TestBCubed:
         assert 0.0 <= score.recall <= 1.0
         assert 0.0 <= score.f1 <= 1.0
 
+    def test_no_gold_clusters(self):
+        score = bcubed([fs("a", "b")], [])
+        assert score.precision == pytest.approx(0.5)
+        assert score.recall == 1.0
 
-class TestClosestClusterF1:
-    def test_perfect(self):
-        clusters = [fs("a", "b"), fs("x", "y")]
-        assert closest_cluster_f1(clusters, clusters) == 1.0
+    def test_partial_overlap_value(self):
+        # a, b: p=1, r=2/3; c (unpredicted singleton): p=1, r=1/3.
+        score = bcubed([fs("a", "b")], [fs("a", "b", "c")])
+        assert score.precision == 1.0
+        assert score.recall == pytest.approx(5 / 9)
 
-    def test_empty_gold(self):
-        assert closest_cluster_f1([fs("a", "b")], []) == 0.0
+    def test_superset_cluster_value(self):
+        # a, b, c: p=3/4; d: p=1/4; every recall is 1.
+        score = bcubed([fs("a", "b", "c", "d")], [fs("a", "b", "c")])
+        assert score.precision == pytest.approx(10 / 16)
+        assert score.recall == 1.0
 
-    def test_no_predictions(self):
-        assert closest_cluster_f1([], [fs("a", "b")]) == 0.0
+    def test_universe_restricts_average(self):
+        gold = [fs("a", "b"), fs("x", "y")]
+        predicted = [fs("a", "b", "x", "y")]
+        score = bcubed(predicted, gold, universe=["a", "b"])
+        assert score.precision == pytest.approx(0.5)
+        assert score.recall == 1.0
 
-    def test_partial_overlap(self):
-        gold = [fs("a", "b", "c")]
-        predicted = [fs("a", "b")]
-        # precision 1, recall 2/3 -> F1 = 0.8
-        assert closest_cluster_f1(predicted, gold) == pytest.approx(0.8)
+    @given(
+        st.lists(st.integers(0, 6), min_size=1, max_size=20),
+        st.lists(st.integers(0, 6), min_size=1, max_size=20),
+    )
+    def test_swapping_sides_swaps_precision_and_recall(self, a_labels, b_labels):
+        size = min(len(a_labels), len(b_labels))
 
-    def test_picks_best_candidate(self):
-        gold = [fs("a", "b", "c")]
-        predicted = [fs("a"), fs("a2", "zz"), fs("a", "b", "c", "d")]
-        # best is the 3/4-overlap cluster: p=3/4, r=1 -> 6/7
-        assert closest_cluster_f1(predicted, gold) == pytest.approx(6 / 7)
+        def partition(labels):
+            groups: dict[int, set[str]] = {}
+            for item, label in enumerate(labels[:size]):
+                groups.setdefault(label, set()).add(str(item))
+            return [frozenset(g) for g in groups.values()]
+
+        forward = bcubed(partition(a_labels), partition(b_labels))
+        backward = bcubed(partition(b_labels), partition(a_labels))
+        assert forward.precision == pytest.approx(backward.recall)
+        assert forward.recall == pytest.approx(backward.precision)
+
+
+class TestBCubedScore:
+    def test_f1_is_the_harmonic_mean(self):
+        assert BCubedScore(0.5, 1.0).f1 == pytest.approx(2 / 3)
+
+    def test_f1_of_zero_scores(self):
+        assert BCubedScore(0.0, 0.0).f1 == 0.0
+
+    def test_as_row(self):
+        assert BCubedScore(0.5, 1.0).as_row() == {
+            "B3 precision": "0.500",
+            "B3 recall": "1.000",
+            "B3 F1": "0.667",
+        }

@@ -104,19 +104,3 @@ class TestAuc:
         ys = sorted(p[1] for p in points)  # non-decreasing recall
         auc = area_under_curve(xs, ys)
         assert 0.0 <= auc <= 1.0 + 1e-9
-
-
-class TestDownsample:
-    def test_keeps_endpoints(self):
-        curve = ProgressiveCurve()
-        for i in range(100):
-            curve.record(i, recall=i / 100)
-        thinned = curve.downsample(10)
-        assert thinned.comparisons[0] == 0
-        assert thinned.comparisons[-1] == 99
-        assert len(thinned) <= 11
-
-    def test_short_curve_untouched(self):
-        curve = ProgressiveCurve()
-        curve.record(0, recall=0.0)
-        assert curve.downsample(10) is curve

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.evaluation.progressive import ProgressiveCurve
-from repro.evaluation.reporting import format_series, format_sparkline, format_table
+from repro.evaluation.reporting import format_series, format_table
 
 
 class TestFormatTable:
@@ -57,17 +57,3 @@ class TestFormatSeries:
 
     def test_empty_curve_list(self):
         assert format_series([], title="nothing") == "nothing"
-
-
-class TestSparkline:
-    def test_empty(self):
-        assert format_sparkline([]) == ""
-
-    def test_monotone_shape(self):
-        line = format_sparkline([0.0, 0.5, 1.0])
-        assert len(line) == 3
-        assert line[0] <= line[-1]
-
-    def test_width_cap(self):
-        line = format_sparkline([float(i) for i in range(200)], width=40)
-        assert len(line) == 40

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.blocking.filtering import BlockFiltering
+from repro.blocking.purging import BlockPurging
 from repro.blocking.token_blocking import TokenBlocking
 from repro.mapreduce.engine import MapReduceEngine
 from repro.mapreduce.parallel_blocking import parallel_token_blocking
@@ -62,3 +64,27 @@ class TestEquivalence:
             MapReduceEngine(workers=8), center_dataset.kb1, center_dataset.kb2
         )
         assert_same_blocks(blocks1, blocks8)
+
+
+def purge_then_filter(blocks, ratio: float = 0.8):
+    return BlockFiltering(ratio).process(BlockPurging().process(blocks))
+
+
+class TestPostProcessingOnParallelBlocks:
+    """The ``mapreduce`` backend purges and filters its blocks sequentially;
+    the result must not depend on how many workers built them."""
+
+    @pytest.mark.parametrize("workers", [1, 3, 8])
+    def test_purge_then_filter_matches_sequential(self, center_dataset, workers):
+        kb1, kb2 = center_dataset.kb1, center_dataset.kb2
+        sequential = purge_then_filter(TokenBlocking().build(kb1, kb2))
+        parallel, _ = parallel_token_blocking(MapReduceEngine(workers), kb1, kb2)
+        processed = purge_then_filter(parallel)
+        assert_same_blocks(sequential, processed)
+        assert sequential.distinct_comparisons() == processed.distinct_comparisons()
+
+    def test_dirty_purge_then_filter_matches_sequential(self, dirty_dataset):
+        collection, _ = dirty_dataset
+        sequential = purge_then_filter(TokenBlocking().build(collection), 0.6)
+        parallel, _ = parallel_token_blocking(MapReduceEngine(4), collection)
+        assert_same_blocks(sequential, purge_then_filter(parallel, 0.6))

@@ -102,7 +102,7 @@ tokenizers = st.builds(
     Tokenizer,
     min_token_length=st.integers(1, 3),
     include_uri_infix=st.booleans(),
-    stop_tokens=st.sampled_from([frozenset(), frozenset({"beta", "ab"})]),
+    include_reference_infixes=st.booleans(),
 )
 DEFAULT = Tokenizer(include_uri_infix=True)
 #: adversarial seeds: a tokenless description, repeated tokens, non-ASCII

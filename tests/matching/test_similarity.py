@@ -10,20 +10,14 @@ from hypothesis import given, strategies as st
 from repro.matching.similarity import (
     SimilarityIndex,
     cosine_tfidf,
-    dice,
     jaccard,
-    jaro,
-    jaro_winkler,
-    levenshtein,
-    levenshtein_similarity,
-    overlap_coefficient,
     weighted_jaccard,
 )
 from repro.model.collection import EntityCollection
 from repro.model.description import EntityDescription
 
 tokens = st.lists(st.sampled_from("abcdefgh"), max_size=10)
-words = st.text(alphabet="abcdz", max_size=12)
+counts = st.dictionaries(st.sampled_from("abcde"), st.integers(1, 5), max_size=5)
 
 
 class TestSetMeasures:
@@ -40,31 +34,36 @@ class TestSetMeasures:
         assert jaccard([], []) == 0.0
         assert jaccard(["a"], []) == 0.0
 
-    def test_dice_basic(self):
-        assert dice(["a", "b"], ["b", "c"]) == pytest.approx(0.5)
-
-    def test_overlap_coefficient(self):
-        assert overlap_coefficient(["a", "b", "c"], ["a"]) == 1.0
-        assert overlap_coefficient(["a", "b"], ["b", "c"]) == pytest.approx(0.5)
-
     @given(tokens, tokens)
     def test_symmetry(self, a, b):
-        for measure in (jaccard, dice, overlap_coefficient):
-            assert measure(a, b) == pytest.approx(measure(b, a))
+        assert jaccard(a, b) == pytest.approx(jaccard(b, a))
 
     @given(tokens, tokens)
     def test_bounds(self, a, b):
-        for measure in (jaccard, dice, overlap_coefficient):
-            assert 0.0 <= measure(a, b) <= 1.0
+        assert 0.0 <= jaccard(a, b) <= 1.0
 
     @given(st.lists(st.sampled_from("abcdefgh"), min_size=1, max_size=10))
     def test_self_similarity_is_one(self, a):
-        for measure in (jaccard, dice, overlap_coefficient):
-            assert measure(a, a) == 1.0
+        assert jaccard(a, a) == 1.0
+
+    def test_duplicates_do_not_count(self):
+        assert jaccard(["a", "a", "b"], ["a", "c", "c"]) == pytest.approx(1 / 3)
 
     @given(tokens, tokens)
-    def test_dice_geq_jaccard(self, a, b):
-        assert dice(a, b) >= jaccard(a, b) - 1e-12
+    def test_subset_scores_its_size_ratio(self, a, b):
+        subset, superset = set(a), set(a) | set(b)
+        if superset:
+            assert jaccard(subset, superset) == pytest.approx(
+                len(subset) / len(superset)
+            )
+
+    @given(tokens, tokens, tokens)
+    def test_distance_obeys_the_triangle_inequality(self, a, b, c):
+        def distance(x, y):
+            # Two empty sets are identical: distance 0 (jaccard says 0.0).
+            return 1.0 - jaccard(x, y) if set(x) | set(y) else 0.0
+
+        assert distance(a, c) <= distance(a, b) + distance(b, c) + 1e-12
 
 
 class TestWeightedJaccard:
@@ -75,6 +74,29 @@ class TestWeightedJaccard:
 
     def test_empty(self):
         assert weighted_jaccard(Counter(), Counter()) == 0.0
+
+    def test_one_side_empty(self):
+        assert weighted_jaccard(Counter({"x": 3}), Counter()) == 0.0
+
+    def test_disjoint(self):
+        assert weighted_jaccard(Counter({"x": 1}), Counter({"y": 2})) == 0.0
+
+    @given(counts, counts)
+    def test_symmetry_and_bounds(self, da, db):
+        a, b = Counter(da), Counter(db)
+        value = weighted_jaccard(a, b)
+        assert 0.0 <= value <= 1.0
+        assert value == weighted_jaccard(b, a)
+
+    @given(counts.filter(bool), st.integers(2, 5))
+    def test_scaling_both_sides_changes_nothing(self, da, factor):
+        a = Counter(da)
+        b = Counter({token: count + 1 for token, count in da.items()})
+        scaled_a = Counter({t: c * factor for t, c in a.items()})
+        scaled_b = Counter({t: c * factor for t, c in b.items()})
+        assert weighted_jaccard(scaled_a, scaled_b) == pytest.approx(
+            weighted_jaccard(a, b)
+        )
 
     @given(tokens, tokens)
     def test_matches_jaccard_on_sets(self, a, b):
@@ -103,74 +125,29 @@ class TestCosine:
     def test_empty(self):
         assert cosine_tfidf(Counter(), Counter({"a": 1})) == 0.0
 
-    @given(
-        st.dictionaries(st.sampled_from("abcde"), st.integers(1, 5), max_size=5),
-        st.dictionaries(st.sampled_from("abcde"), st.integers(1, 5), max_size=5),
-    )
+    @given(counts, counts)
     def test_bounds_and_symmetry(self, da, db):
         a, b = Counter(da), Counter(db)
         value = cosine_tfidf(a, b)
         assert 0.0 <= value <= 1.0 + 1e-9
         assert value == pytest.approx(cosine_tfidf(b, a))
 
+    @given(counts, counts, st.integers(2, 5))
+    def test_scale_invariant(self, da, db, factor):
+        a, b = Counter(da), Counter(db)
+        scaled = Counter({t: c * factor for t, c in a.items()})
+        assert cosine_tfidf(scaled, b) == pytest.approx(cosine_tfidf(a, b))
 
-class TestLevenshtein:
-    @pytest.mark.parametrize(
-        "a,b,expected",
-        [
-            ("", "", 0),
-            ("abc", "abc", 0),
-            ("abc", "abd", 1),
-            ("abc", "ab", 1),
-            ("kitten", "sitting", 3),
-            ("", "xyz", 3),
-        ],
-    )
-    def test_known_distances(self, a, b, expected):
-        assert levenshtein(a, b) == expected
+    @given(counts, counts)
+    def test_unit_idf_is_plain_cosine(self, da, db):
+        a, b = Counter(da), Counter(db)
+        ones = dict.fromkeys("abcde", 1.0)
+        assert cosine_tfidf(a, b, ones) == pytest.approx(cosine_tfidf(a, b))
 
-    def test_similarity_normalization(self):
-        assert levenshtein_similarity("abc", "abc") == 1.0
-        assert levenshtein_similarity("", "") == 1.0
-        assert levenshtein_similarity("abc", "xyz") == 0.0
-
-    @given(words, words)
-    def test_symmetry(self, a, b):
-        assert levenshtein(a, b) == levenshtein(b, a)
-
-    @given(words, words, words)
-    def test_triangle_inequality(self, a, b, c):
-        assert levenshtein(a, c) <= levenshtein(a, b) + levenshtein(b, c)
-
-    @given(words, words)
-    def test_bounds(self, a, b):
-        distance = levenshtein(a, b)
-        assert abs(len(a) - len(b)) <= distance <= max(len(a), len(b), 0)
-
-
-class TestJaro:
-    def test_identical(self):
-        assert jaro("martha", "martha") == 1.0
-
-    def test_known_value(self):
-        assert jaro("martha", "marhta") == pytest.approx(0.944, abs=1e-3)
-
-    def test_empty(self):
-        assert jaro("", "abc") == 0.0
-        assert jaro("", "") == 1.0
-
-    def test_winkler_prefix_boost(self):
-        assert jaro_winkler("martha", "marhta") > jaro("martha", "marhta")
-
-    def test_winkler_scale_validated(self):
-        with pytest.raises(ValueError):
-            jaro_winkler("a", "b", prefix_scale=0.5)
-
-    @given(words, words)
-    def test_bounds_and_symmetry(self, a, b):
-        value = jaro_winkler(a, b)
-        assert 0.0 <= value <= 1.0 + 1e-9
-        assert value == pytest.approx(jaro_winkler(b, a))
+    def test_tokens_missing_from_idf_weigh_nothing(self):
+        a = Counter({"known": 1, "unknown": 4})
+        b = Counter({"known": 2})
+        assert cosine_tfidf(a, b, {"known": 1.5}) == pytest.approx(1.0)
 
 
 class TestSimilarityIndex:
@@ -213,3 +190,51 @@ class TestSimilarityIndex:
         index = self.make_index()
         with pytest.raises(KeyError):
             index.jaccard("http://e/a", "http://e/ghost")
+
+    def test_tokens_of(self):
+        index = self.make_index()
+        assert {"alpha", "beta"} <= index.tokens_of("http://e/a")
+        assert "gamma" not in index.tokens_of("http://e/a")
+
+    def test_weighted_jaccard_by_uri(self):
+        index = self.make_index()
+        assert index.weighted_jaccard("http://e/a", "http://e/a") == 1.0
+        assert index.weighted_jaccard("http://e/a", "http://e/c") == 0.0
+        assert 0.0 < index.weighted_jaccard("http://e/a", "http://e/b") < 1.0
+
+    def test_first_collection_describing_a_uri_wins(self):
+        first = EntityCollection(
+            [EntityDescription("http://e/a", {"name": ["alpha"]})], name="one"
+        )
+        second = EntityCollection(
+            [
+                EntityDescription("http://e/a", {"name": ["omega"]}),
+                EntityDescription("http://e/b", {"name": ["alpha"]}),
+            ],
+            name="two",
+        )
+        index = SimilarityIndex([first, second])
+        assert len(index) == 2
+        assert "omega" not in index.tokens_of("http://e/a")
+        assert index.idf("omega") == 0.0
+
+    def test_cosine_many_equals_cosine(self):
+        index = self.make_index()
+        uris = ["http://e/a", "http://e/b", "http://e/c"]
+        left = [u for u in uris for _ in uris]
+        right = uris * len(uris)
+        scores = index.cosine_many(left, right).tolist()
+        assert scores == [index.cosine(a, b) for a, b in zip(left, right)]
+
+    def test_cosine_many_of_no_pairs(self):
+        assert len(self.make_index().cosine_many([], [])) == 0
+
+    def test_cosine_many_rejects_unequal_lengths(self):
+        index = self.make_index()
+        with pytest.raises(ValueError):
+            index.cosine_many(["http://e/a"], [])
+
+    def test_cosine_many_rejects_unindexed_uris(self):
+        index = self.make_index()
+        with pytest.raises(KeyError):
+            index.cosine_many(["http://e/a"], ["http://e/ghost"])

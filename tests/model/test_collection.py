@@ -97,13 +97,6 @@ class TestRelationshipGraph:
         )
         assert collection.neighbors("http://e.org/a") == []
 
-    def test_relationship_edges(self):
-        edges = set(build_collection().relationship_edges())
-        assert edges == {
-            ("http://ex.org/film/F", "http://ex.org/person/D"),
-            ("http://ex.org/person/D", "http://ex.org/person/E"),
-        }
-
     def test_graph_invalidated_on_add(self):
         collection = build_collection()
         assert collection.neighbors("http://ex.org/person/E") == []
@@ -128,10 +121,6 @@ class TestStatistics:
         stats = build_collection().statistics()
         assert stats.avg_values_per_description == pytest.approx(5 / 3)
         assert stats.avg_out_degree == pytest.approx(2 / 3)
-
-    def test_as_rows(self):
-        rows = build_collection().statistics().as_rows()
-        assert ("descriptions", "3") in rows
 
     def test_empty_collection(self):
         stats = EntityCollection(name="empty").statistics()

@@ -36,14 +36,14 @@ class TestGraphInvariants:
     @settings(max_examples=50, deadline=None)
     @given(collections())
     def test_edge_count_matches_statistics(self, collection):
-        edges = list(collection.relationship_edges())
-        assert collection.statistics().relationship_count == len(edges)
+        edges = sum(len(collection.neighbors(uri)) for uri in collection.uris())
+        assert collection.statistics().relationship_count == edges
 
     @settings(max_examples=50, deadline=None)
     @given(collections())
     def test_no_self_loops(self, collection):
-        for subject, obj in collection.relationship_edges():
-            assert subject != obj
+        for uri in collection.uris():
+            assert uri not in collection.neighbors(uri)
 
 
 class TestStatisticsInvariants:

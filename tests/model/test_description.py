@@ -106,15 +106,5 @@ class TestEqualityAndCopy:
         assert original.get("http://ex.org/name") == ["Berlin"]
         assert clone.source == "ex"
 
-    def test_merged_with_unions_attributes(self):
-        a = EntityDescription("u1", {"p": ["v1"]})
-        b = EntityDescription("u2", {"p": ["v2"], "q": ["w"]})
-        merged = a.merged_with(b)
-        assert merged.uri == "u1"
-        assert merged.get("p") == ["v1", "v2"]
-        assert merged.get("q") == ["w"]
-        # Inputs untouched.
-        assert a.get("p") == ["v1"]
-
     def test_repr_mentions_uri(self):
         assert "Berlin" in repr(make_description())

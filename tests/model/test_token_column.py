@@ -84,7 +84,7 @@ def test_the_memo_is_per_signature_and_per_collection():
     column = tokenizer.column(kb1)
     assert Tokenizer(include_uri_infix=True).column(kb1) is column
     assert tokenizer.column(kb2) is not column
-    other = Tokenizer(include_uri_infix=True, stop_tokens=frozenset({"cafe"}))
+    other = Tokenizer(include_uri_infix=True, min_token_length=3)
     assert other.column(kb1) is not column
     assert len(kb1.token_columns) == 2
     # Rows follow collection order; row tokens are first-occurrence ordered.

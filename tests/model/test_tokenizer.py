@@ -52,14 +52,6 @@ class TestTokens:
         with pytest.raises(ValueError):
             Tokenizer(min_token_length=0)
 
-    def test_stop_tokens_suppressed(self):
-        tokenizer = Tokenizer(
-            include_uri_infix=False, stop_tokens=frozenset({"stanley"})
-        )
-        tokens = tokenizer.token_set(description())
-        assert "stanley" not in tokens
-        assert "kubrick" in tokens
-
     def test_token_set_is_frozenset(self):
         assert isinstance(Tokenizer().token_set(description()), frozenset)
 
@@ -72,3 +64,55 @@ class TestTokens:
         desc = EntityDescription("http://ex.org/x", {})
         tokenizer = Tokenizer(include_uri_infix=False)
         assert tokenizer.tokens(desc) == []
+
+    def test_a_token_in_every_description_is_kept(self):
+        # No frequency-based suppression: blocking decides what a
+        # ubiquitous token is worth (purging), not the tokenizer.
+        tokenizer = Tokenizer(include_uri_infix=False)
+        descriptions = [
+            EntityDescription(f"http://e/{i}", {"p": [f"restaurant unique{i}"]})
+            for i in range(10)
+        ]
+        assert all("restaurant" in tokenizer.token_set(d) for d in descriptions)
+
+    @pytest.mark.parametrize("length", [1, 3, 5])
+    def test_no_token_is_shorter_than_the_minimum(self, length):
+        tokenizer = Tokenizer(min_token_length=length, include_reference_infixes=True)
+        tokens = tokenizer.tokens(description())
+        assert tokens
+        assert all(len(token) >= length for token in tokens)
+
+    def test_counts_cover_every_token(self):
+        tokenizer = Tokenizer(include_reference_infixes=True)
+        counts = tokenizer.token_counts(description())
+        assert sum(counts.values()) == len(tokenizer.tokens(description()))
+        assert set(counts) == tokenizer.token_set(description())
+
+
+class TestColumn:
+    @pytest.mark.parametrize(
+        "options",
+        [{}, {"include_uri_infix": False}, {"include_reference_infixes": True}],
+    )
+    def test_rows_hold_each_descriptions_token_counts(self, movies, options):
+        tokenizer = Tokenizer(**options)
+        collection = movies[0]
+        column = tokenizer.column(collection)
+        assert column.uris == collection.uris()
+        for row, description in enumerate(collection):
+            span = slice(column.indptr[row], column.indptr[row + 1])
+            tokens = [column.vocabulary[i] for i in column.ids[span].tolist()]
+            assert dict(zip(tokens, column.counts[span].tolist())) == dict(
+                tokenizer.token_counts(description)
+            )
+            # Row order is first-occurrence order.
+            assert tokens == list(dict.fromkeys(tokenizer.tokens(description)))
+
+    def test_postings_invert_the_token_sets(self, movies):
+        tokenizer = Tokenizer()
+        collection = movies[1]
+        expected: dict[str, list[str]] = {}
+        for description in collection:
+            for token in dict.fromkeys(tokenizer.tokens(description)):
+                expected.setdefault(token, []).append(description.uri)
+        assert tokenizer.column(collection).postings() == expected

@@ -11,7 +11,6 @@ from repro.obs import (
     JsonlSink,
     ManualClock,
     MetricsRegistry,
-    RingBufferSink,
     Span,
     TraceSchemaError,
     Tracer,
@@ -110,15 +109,28 @@ class TestMemorySinks:
         sink.clear()
         assert list(sink) == []
 
-    def test_ring_buffer_keeps_newest_and_counts_drops(self):
-        sink = RingBufferSink(capacity=2)
-        for span_id in (1, 2, 3):
-            sink.emit(_sample_span(span_id=span_id, parent_id=None))
-        assert [span.span_id for span in sink] == [2, 3]
-        assert sink.dropped == 1
-        with pytest.raises(ValueError):
-            RingBufferSink(capacity=0)
+    def test_in_memory_keeps_emission_order(self):
+        sink = InMemorySink()
+        spans = [_sample_span(span_id=i, name=f"s{i}") for i in range(5)]
+        for span in spans:
+            sink.emit(span)
+        assert list(sink) == spans
 
+    def test_jsonl_flush_makes_spans_readable_before_close(self, tmp_path):
+        path = str(tmp_path / "trace.jsonl")
+        sink = JsonlSink(path)
+        sink.emit(_sample_span())
+        sink.flush()
+        assert load_trace(path) == [_sample_span()]
+        sink.close()
+
+    def test_jsonl_close_is_idempotent(self, tmp_path):
+        path = str(tmp_path / "trace.jsonl")
+        sink = JsonlSink(path)
+        sink.close()
+        sink.close()
+        sink.flush()
+        assert load_trace(path) == []
 
 class TestExposition:
     def test_prometheus_text_parse_round_trip_is_exact(self):

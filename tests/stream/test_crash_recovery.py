@@ -563,6 +563,29 @@ def test_resume_after_recovery_continues_the_log(tmp_path):
     assert final.store.get(extra.description.uri) is not None
 
 
+
+@pytest.mark.parametrize("reuse", ["controller", "path"])
+def test_a_directory_holding_a_log_refuses_a_fresh_store(tmp_path, reuse):
+    """A second run into a used directory would append a second history
+    to the first run's log; the bind refuses, and the log is untouched."""
+    events = _events("restaurants", "uniform", limit=30)
+    directory = str(tmp_path / "used")
+    first = _replay(events, durability=Durability(directory, snapshot_every=10))
+    first.close()
+    expected = _capture(first)
+    wal_path = os.path.join(directory, "wal.log")
+    with open(wal_path, "rb") as handle:
+        log = handle.read()
+
+    durability = Durability(directory) if reuse == "controller" else directory
+    with pytest.raises(ValueError, match="already holds a write-ahead log"):
+        StreamResolver(clean_clean=True, durability=durability)
+    with open(wal_path, "rb") as handle:
+        assert handle.read() == log
+    assert _capture(recover(directory)) == expected
+    assert _capture(recover(directory, from_scratch=True)) == expected
+
+
 # -- snapshot format upgrade --------------------------------------------------
 
 #: a durability directory written by the last build whose snapshots were

@@ -168,6 +168,26 @@ class TestStreamDurability:
         assert "pairs tracked" in out and "view threshold" in out
         assert "replay equivalence: OK" in out
 
+    def test_second_run_into_a_used_directory_is_refused(
+        self, capsys, tmp_path, movies_paths
+    ):
+        """Re-running into a directory that holds a WAL would append a
+        second history; the run exits 2 and the first run still verifies."""
+        kb_a, kb_b, _ = movies_paths
+        directory = str(tmp_path / "state")
+        spec = _stream_spec(
+            tmp_path, scenario="churn", durability_dir=directory,
+            snapshot_every=15,
+        )
+        args = ["run", "--spec", spec, "--kb1", kb_a, "--kb2", kb_b]
+        assert main(args) == 0
+        capsys.readouterr()
+        assert main(args) == 2
+        out = capsys.readouterr().out
+        assert "cannot run spec" in out and directory in out
+        assert main(["verify", directory]) == 0
+        assert "replay equivalence: OK" in capsys.readouterr().out
+
     def test_verify_without_state_fails(self, capsys, tmp_path):
         assert main(["verify", str(tmp_path)]) == 1
         assert "no usable write-ahead log" in capsys.readouterr().out

@@ -83,13 +83,82 @@ class TestFacadeSignatureStability:
         assert expected <= fields
 
     @pytest.mark.parametrize(
-        "module_name", ["repro.core.pipeline", "repro.workflows", "repro.analysis"]
+        "module_name",
+        [
+            "repro.core.pipeline",
+            "repro.workflows",
+            "repro.analysis",
+            "repro.mapreduce.parallel_postprocessing",
+            "repro.blocking.composite",
+        ],
     )
     def test_legacy_construction_modules_are_gone(self, module_name):
         import importlib
 
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module(module_name)
+
+    @pytest.mark.parametrize(
+        "module_name, name",
+        [
+            ("repro.blocking", "CompositeBlocking"),
+            ("repro.mapreduce", "parallel_block_purging"),
+            ("repro.mapreduce", "parallel_block_filtering"),
+            ("repro.matching.clustering", "center_clustering"),
+            ("repro.matching.clustering", "merge_center_clustering"),
+            ("repro.matching.clustering", "unique_mapping_clustering"),
+            ("repro.matching.matcher", "EnsembleMatcher"),
+            ("repro.matching.similarity", "dice"),
+            ("repro.matching.similarity", "overlap_coefficient"),
+            ("repro.matching.similarity", "levenshtein"),
+            ("repro.matching.similarity", "levenshtein_similarity"),
+            ("repro.matching.similarity", "jaro"),
+            ("repro.matching.similarity", "jaro_winkler"),
+            ("repro.core.strategies", "hybrid_strategy"),
+            ("repro.model.tokenizer", "infer_stop_tokens"),
+            ("repro.evaluation.clusters", "closest_cluster_f1"),
+            ("repro.evaluation.reporting", "format_sparkline"),
+            ("repro.obs.sinks", "RingBufferSink"),
+            ("repro.datasets.synthetic", "center_config"),
+            ("repro.datasets.synthetic", "periphery_config"),
+        ],
+    )
+    def test_removed_names_are_not_exported(self, module_name, name):
+        """Names no spec, workload or paper experiment reaches are gone
+        from their module, their subpackage and the top level."""
+        import importlib
+
+        module = importlib.import_module(module_name)
+        package = importlib.import_module(".".join(module_name.split(".")[:2]))
+        assert not hasattr(module, name)
+        assert name not in getattr(package, "__all__", [])
+        assert not hasattr(package, name)
+        assert name not in repro.__all__
+
+    @pytest.mark.parametrize(
+        "owner, attribute",
+        [
+            ("repro.model.Tokenizer", "with_stop_tokens"),
+            ("repro.evaluation.ProgressiveCurve", "downsample"),
+            ("repro.model.collection.CollectionStatistics", "as_rows"),
+            ("repro.model.EntityCollection", "relationship_edges"),
+            ("repro.model.EntityDescription", "merged_with"),
+        ],
+    )
+    def test_removed_methods_are_gone(self, owner, attribute):
+        import importlib
+
+        module_name, _, class_name = owner.rpartition(".")
+        cls = getattr(importlib.import_module(module_name), class_name)
+        assert not hasattr(cls, attribute)
+
+    def test_tokenizer_options(self):
+        from repro.model import Tokenizer
+
+        params = inspect.signature(Tokenizer).parameters
+        assert list(params) == [
+            "min_token_length", "include_uri_infix", "include_reference_infixes",
+        ]
 
     def test_synthetic_config_fields(self):
         from repro import SyntheticConfig
