@@ -13,7 +13,9 @@ from __future__ import annotations
 
 from typing import Callable, Iterable
 
-from repro.blocking.block import Block, BlockCollection
+import numpy as _np
+
+from repro.blocking.block import BlockCollection, span_owners
 
 
 def retention_limit(key_count: int, ratio: float) -> int:
@@ -68,23 +70,35 @@ class BlockFiltering:
         return (type(self).__qualname__, self.ratio)
 
     def process(self, blocks: BlockCollection) -> BlockCollection:
-        """Return a new collection with entities removed from their largest blocks."""
-        cardinality: dict[str, int] = {
-            block.key: block.cardinality() for block in blocks
-        }
-        keep: dict[str, set[str]] = {}
-        for uri, keys in blocks.entity_index().items():
-            keep[uri] = set(retained_keys(keys, cardinality.__getitem__, self.ratio))
+        """Return a new collection with entities removed from their largest blocks.
 
-        filtered: list[Block] = []
-        for block in blocks:
-            entities1 = [u for u in block.entities1 if block.key in keep.get(u, ())]
-            if block.is_bipartite:
-                assert block.entities2 is not None
-                entities2 = [u for u in block.entities2 if block.key in keep.get(u, ())]
-                if entities1 and entities2:
-                    filtered.append(Block(block.key, entities1, entities2))
-            else:
-                if len(entities1) >= 2:
-                    filtered.append(Block(block.key, entities1))
-        return BlockCollection(filtered, name=f"filtered({blocks.name})")
+        One pass over every placement: a ``lexsort`` on (entity, block
+        cardinality, key) ranks each entity's blocks as
+        :func:`retained_keys` does, and the leading
+        :func:`retention_limit` placements of each entity stay.
+        """
+        arrays = blocks.id_arrays()
+        keys = blocks.keys()
+        key_rank = _np.empty(len(keys), dtype=_np.int64)
+        key_rank[sorted(range(len(keys)), key=keys.__getitem__)] = _np.arange(len(keys))
+        owners1, owners2 = span_owners(arrays.offsets1), span_owners(arrays.offsets2)
+        owners = _np.concatenate([owners1, owners2])
+        order = _np.lexsort((key_rank[owners], arrays.cardinality[owners], arrays.sides))
+        ranked = arrays.sides[order]
+        counts = _np.bincount(arrays.sides)
+        rank = _np.arange(len(order)) - (_np.cumsum(counts) - counts)[ranked]
+        # retention_limit per entity
+        limit = _np.maximum(1, (self.ratio * counts + 0.5).astype(_np.int64))
+        kept = rank < limit[ranked]
+        # A member of both sides of a block holds two adjacent placements
+        # there; the block is retained for it when the first one is.
+        ranked_owners = owners[order]
+        twin = (ranked[1:] == ranked[:-1]) & (ranked_owners[1:] == ranked_owners[:-1])
+        kept[1:] |= twin & kept[:-1]
+        keep = _np.empty(len(order), dtype=bool)
+        keep[order] = kept
+        keep1, keep2 = keep[: len(owners1)], keep[len(owners1) :]
+        sizes1 = _np.bincount(owners1[keep1], minlength=len(keys))
+        sizes2 = _np.bincount(owners2[keep2], minlength=len(keys))
+        survives = _np.where(arrays.bipartite, (sizes1 > 0) & (sizes2 > 0), sizes1 >= 2)
+        return blocks.select(survives, keep1, keep2, name=f"filtered({blocks.name})")

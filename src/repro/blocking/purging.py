@@ -19,6 +19,8 @@ Two policies are provided:
 
 from __future__ import annotations
 
+import numpy as _np
+
 from repro.blocking.block import BlockCollection
 
 
@@ -33,15 +35,13 @@ def cardinality_histogram(blocks: BlockCollection) -> dict[int, tuple[int, int]]
     :func:`threshold_from_histogram`, so batch and streaming purge from
     the identical distribution.
     """
-    by_cardinality: dict[int, tuple[int, int]] = {}
-    for block in blocks:
-        cardinality = block.cardinality()
-        comps, assigns = by_cardinality.get(cardinality, (0, 0))
-        by_cardinality[cardinality] = (
-            comps + cardinality,
-            assigns + len(block),
-        )
-    return by_cardinality
+    arrays = blocks.id_arrays()
+    levels, level_of = _np.unique(arrays.cardinality, return_inverse=True)
+    blocks_at = _np.bincount(level_of, minlength=len(levels))
+    sizes = _np.diff(arrays.offsets1) + _np.diff(arrays.offsets2)
+    assignments = _np.bincount(level_of, weights=sizes, minlength=len(levels))
+    totals = zip((levels * blocks_at).tolist(), assignments.astype(_np.int64).tolist())
+    return dict(zip(levels.tolist(), totals))
 
 
 def threshold_from_histogram(
@@ -118,8 +118,8 @@ class BlockPurging:
             if self.max_cardinality is not None
             else self.adaptive_threshold(blocks)
         )
-        kept = [block for block in blocks if block.cardinality() <= threshold]
-        return BlockCollection(kept, name=f"purged({blocks.name})")
+        keep = blocks.id_arrays().cardinality <= threshold
+        return blocks.select(keep, name=f"purged({blocks.name})")
 
     def adaptive_threshold(self, blocks: BlockCollection) -> int:
         """Compute the adaptive cardinality cutoff for *blocks*.

@@ -8,14 +8,16 @@ guaranteed to co-occur in at least one block, which gives token blocking
 its high recall (and its enormous number of repeated comparisons, which
 meta-blocking then prunes).
 
-A batch build groups placements from the collection's token column, the
-copy the TF-IDF index reads too; :meth:`TokenBlocking.keys_for` serves the
-streaming index's per-insert path.
+A batch build joins the two collections' token columns (the copy the
+TF-IDF index reads too) on their vocabularies and gathers each shared
+token's postings straight into the block columns — no URI list is built;
+:meth:`TokenBlocking.keys_for` serves the streaming index's per-insert
+path.
 """
 
 from __future__ import annotations
 
-from repro.blocking.base import Blocker
+from repro.blocking.base import Blocker, Groups
 from repro.model.collection import EntityCollection
 from repro.model.description import EntityDescription
 from repro.model.tokenizer import Tokenizer
@@ -38,5 +40,6 @@ class TokenBlocking(Blocker):
     def keys_for(self, description: EntityDescription) -> set[str]:
         return set(self.tokenizer.token_set(description))
 
-    def groups(self, collection: EntityCollection) -> dict[str, list[str]]:
-        return self.tokenizer.column(collection).postings()
+    def groups(self, collection: EntityCollection) -> Groups:
+        column = self.tokenizer.column(collection)
+        return dict(zip(column.vocabulary, range(len(column.vocabulary)))), *column.postings()

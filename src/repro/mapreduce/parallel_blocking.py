@@ -7,16 +7,16 @@ The parallel formulation of token blocking is the canonical one:
   side, URI — parallel numpy arrays), routed by the token's stable
   string hash;
 * **reduce** — each partition sorts its rows by token (stable, so
-  members keep collection order) and every token group becomes a block;
-  singleton and one-sided groups are discarded exactly as in the
-  sequential algorithm.
+  members keep collection order) and every token group becomes a block
+  of the partition's block columns; singleton and one-sided groups are
+  discarded exactly as in the sequential algorithm.
 
 This used to ship one Python ``(token, (side, uri))`` tuple per
 assignment through the shuffle; the columnar rewrite moves whole
 ``U``-dtype arrays instead, so the process executor pickles a handful of
 buffers per task rather than hundreds of thousands of objects.  The
 output is byte-for-byte equivalent (same blocks, same member order, same
-primed id views) to :class:`repro.blocking.TokenBlocking` — asserted by
+interner) to :class:`repro.blocking.TokenBlocking` — asserted by
 the integration tests — while the engine's metrics expose the shuffle
 volume and per-worker skew the paper reports.  Mapper and reducer are
 module-level functions over picklable chunks, so the job runs on the
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.blocking.block import Block, BlockCollection
+from repro.blocking.block import BlockCollection, csr_offsets
 from repro.mapreduce.engine import ArrayMapReduceJob, JobMetrics, MapReduceEngine
 from repro.mapreduce.records import (
     concat_batches,
@@ -35,8 +35,7 @@ from repro.mapreduce.records import (
     stable_hash_str_array,
 )
 from repro.model.collection import EntityCollection
-from repro.model.interner import EntityInterner
-from repro.model.tokenizer import Tokenizer
+from repro.model.tokenizer import Tokenizer, row_positions
 
 
 def split_records(records: list, workers: int) -> list[list]:
@@ -80,41 +79,38 @@ def _map_tokenize(chunk, partitions: int, params: dict):
 
 
 def _reduce_token_groups(batches: list, params: dict):
-    """Group one partition's assignment rows into (token, members) blocks.
+    """Group one partition's assignment rows into token-sorted block columns.
 
-    The stable sort by token preserves row arrival order inside each
-    group — task order is split order, so members come out in collection
-    order, exactly like the sequential per-token append loop.
+    Returns ``(keys, sizes1, sizes2, uris1, uris2)``: the kept tokens in
+    order, each block's member count per side, and the side-1 / side-2
+    member URIs block after block.  The stable sort by token preserves
+    row arrival order inside each group — task order is split order, so
+    members come out in collection order, exactly like the sequential
+    builder's postings.
     """
     tokens, sides, uris = concat_batches(batches, 3)
     if not len(tokens):
         return [], 0
     order = np.argsort(tokens, kind="stable")
-    tokens_s = tokens[order]
-    sides_s = sides[order]
-    uris_s = uris[order]
-    boundary = np.concatenate(([True], tokens_s[1:] != tokens_s[:-1]))
-    starts = np.flatnonzero(boundary)
-    ends = np.append(starts[1:], len(tokens_s))
-    clean_clean = params["clean_clean"]
-    drop_singletons = params["drop_singletons"]
-    blocks: list[tuple[str, list[str], list[str] | None]] = []
-    for start, end in zip(starts.tolist(), ends.tolist()):
-        side = sides_s[start:end]
-        uri = uris_s[start:end]
-        side1 = uri[side == 1].tolist()
-        if clean_clean:
-            side2 = uri[side == 2].tolist()
-            if drop_singletons and (not side1 or not side2):
-                continue
-            blocks.append((str(tokens_s[start]), side1, side2))
-        else:
-            if drop_singletons and len(side1) < 2:
-                continue
-            blocks.append((str(tokens_s[start]), side1, None))
-    return blocks, len(blocks)
-
-
+    tokens, sides, uris = tokens[order], sides[order], uris[order]
+    boundary = np.concatenate(([True], tokens[1:] != tokens[:-1]))
+    group = np.cumsum(boundary) - 1
+    groups = int(group[-1]) + 1
+    on1 = sides == 1
+    sizes1 = np.bincount(group[on1], minlength=groups)
+    sizes2 = np.bincount(group[~on1], minlength=groups)
+    keep = np.ones(groups, dtype=bool)
+    if params["drop_singletons"]:
+        keep = (sizes1 > 0) & (sizes2 > 0) if params["clean_clean"] else sizes1 >= 2
+    kept = keep[group]
+    columns = (
+        tokens[boundary][keep].tolist(),
+        sizes1[keep],
+        sizes2[keep],
+        uris[on1 & kept],
+        uris[~on1 & kept],
+    )
+    return columns, int(keep.sum())
 def parallel_token_blocking(
     engine: MapReduceEngine,
     collection1: EntityCollection,
@@ -151,27 +147,21 @@ def parallel_token_blocking(
     outputs, metrics = engine.run_array(job, split_records(records, engine.workers))
 
     names = collection1.name if collection2 is None else f"{collection1.name},{collection2.name}"
-    blocks = BlockCollection(name=f"mr-token-blocking({names})")
-    # Reduce partitions arrive in partition order; normalize to sorted key
-    # order so the result is identical to the sequential builder — and
-    # prime the id views in the same pass, exactly as Blocker.build does,
-    # so int-ID meta-blocking starts warm on MapReduce-built blocks too.
-    merged = [entry for output in outputs for entry in output]
-    merged.sort(key=lambda entry: entry[0])
-    interner = EntityInterner()
-    intern = interner.intern
-    id_blocks: list[tuple[list[int], list[int] | None, int]] = []
-    for token, side1, side2 in merged:
-        block = Block(token, side1, side2) if side2 is not None else Block(token, side1)
-        blocks.add(block)
-        id_blocks.append(
-            (
-                list(map(intern, block.entities1)),
-                list(map(intern, block.entities2))
-                if block.entities2 is not None
-                else None,
-                block.cardinality(),
-            )
-        )
-    blocks.prime_id_views(interner, id_blocks)
+    # Reduce partitions arrive in partition order, each sorted by token;
+    # one sort of all kept tokens restores the sequential builder's order.
+    parts = [output for output in outputs if output]
+    keys = [key for part in parts for key in part[0]]
+    order = np.array(sorted(range(len(keys)), key=keys.__getitem__), dtype=np.int64)
+    # Every member URI is its own id here; from_members folds equal URIs.
+    uris: list[str] = []
+    columns = []
+    for side in (1, 2):
+        sizes = np.concatenate([np.zeros(0, np.int64), *(part[side] for part in parts)])
+        positions, kept = row_positions(csr_offsets(sizes), order)
+        columns += [positions + len(uris), csr_offsets(kept)]
+        uris += [uri for part in parts for uri in part[side + 2].tolist()]
+    blocks = BlockCollection.from_members(
+        f"mr-token-blocking({names})", [keys[i] for i in order.tolist()], uris,
+        *columns, collection2 is not None,
+    )
     return blocks, metrics

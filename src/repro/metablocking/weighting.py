@@ -107,6 +107,12 @@ def _placement_counts_array(blocks: BlockCollection):
     return _np.bincount(blocks.id_arrays().sides, minlength=len(blocks.interner()))
 
 
+def _placement_counts(blocks: BlockCollection) -> dict[str, int]:
+    """URI → placement count, for the string-API ``prepare``."""
+    counts = _placement_counts_array(blocks).tolist()
+    return dict(zip(blocks.interner().uri_table(), counts))
+
+
 class CBS(WeightingScheme):
     """Common Blocks Scheme: ``w = |common blocks|``."""
 
@@ -139,9 +145,7 @@ class ECBS(WeightingScheme):
 
     def prepare(self, blocks, pair_stats) -> None:
         self._total_blocks = max(len(blocks), 1)
-        self._blocks_per_entity = {
-            uri: len(keys) for uri, keys in blocks.entity_index().items()
-        }
+        self._blocks_per_entity = _placement_counts(blocks)
 
     def prepare_arrays(self, blocks, ids_a, ids_b, common) -> bool:
         total = max(len(blocks), 1)
@@ -177,9 +181,7 @@ class JS(WeightingScheme):
         self._block_counts_array = None
 
     def prepare(self, blocks, pair_stats) -> None:
-        self._blocks_per_entity = {
-            uri: len(keys) for uri, keys in blocks.entity_index().items()
-        }
+        self._blocks_per_entity = _placement_counts(blocks)
 
     def prepare_arrays(self, blocks, ids_a, ids_b, common) -> bool:
         self._block_counts_array = _placement_counts_array(blocks)
@@ -290,9 +292,7 @@ class ChiSquare(WeightingScheme):
 
     def prepare(self, blocks, pair_stats) -> None:
         self._total_blocks = max(len(blocks), 1)
-        self._blocks_per_entity = {
-            uri: len(keys) for uri, keys in blocks.entity_index().items()
-        }
+        self._blocks_per_entity = _placement_counts(blocks)
 
     def prepare_arrays(self, blocks, ids_a, ids_b, common) -> bool:
         self._total_blocks = max(len(blocks), 1)

@@ -60,15 +60,13 @@ class TokenColumn:
         sizes = _np.bincount(keys // width, minlength=len(bags))
         _np.cumsum(sizes, out=self.indptr[1:])
 
-    def postings(self) -> dict[str, list[str]]:
-        """Token → URIs of the rows holding it, in row order."""
+    def postings(self) -> tuple[_np.ndarray, _np.ndarray]:
+        """``(indptr, rows)``: the rows holding token *i* are
+        ``rows[indptr[i]:indptr[i + 1]]``, ascending."""
         rows = _np.repeat(_np.arange(len(self.uris)), _np.diff(self.indptr))
-        order = _np.argsort(self.ids, kind="stable")
-        members = list(map(self.uris.__getitem__, rows[order].tolist()))
-        sizes = _np.bincount(self.ids, minlength=len(self.vocabulary))
-        bounds = [0, *_np.cumsum(sizes).tolist()]
-        spans = map(slice, bounds, bounds[1:])
-        return dict(zip(self.vocabulary, map(members.__getitem__, spans)))
+        indptr = _np.zeros(len(self.vocabulary) + 1, dtype=_np.int64)
+        _np.cumsum(_np.bincount(self.ids, minlength=len(self.vocabulary)), out=indptr[1:])
+        return indptr, rows[_np.argsort(self.ids, kind="stable")]
 
 
 def row_positions(indptr: _np.ndarray, rows: _np.ndarray) -> tuple:

@@ -18,7 +18,9 @@ import math
 from itertools import groupby
 from operator import itemgetter
 
-from repro.blocking.block import Block, BlockCollection
+import numpy as np
+
+from repro.blocking.block import BlockCollection, csr_offsets
 from repro.blocking.filtering import BlockFiltering
 from repro.blocking.purging import BlockPurging
 from repro.metablocking import pruning as _pruning
@@ -383,26 +385,31 @@ class SqlMetaBlocker:
         """The purged+filtered blocks as a python :class:`BlockCollection`.
 
         Blocks come back in insertion order with members in their
-        original within-block order, so the rebuilt collection is
-        structurally identical to the python operators' output (gated
-        in ``tests/sqlbackend/``).
+        original within-block order, laid out as columns straight from
+        the placement rows, so the rebuilt collection is structurally
+        identical to the python operators' output (gated in
+        ``tests/sqlbackend/``).
         """
         session = self.session
-        members: dict[int, tuple[list[str], list[str]]] = {}
-        for bord, side, uri in session.stream(
-            """
-            SELECT p.bord, p.side, e.uri
-            FROM fplacements p JOIN entities e ON e.id = p.entity
-            ORDER BY p.bord, p.side, p.pos
-            """,
-            stage="collect",
-        ):
-            sides = members.setdefault(bord, ([], []))
-            sides[side].append(uri)
-        rebuilt = []
-        for bord, bkey, bipartite in session.stream(
-            "SELECT bord, bkey, bipartite FROM fblocks ORDER BY bord"
-        ):
-            side1, side2 = members.get(bord, ([], []))
-            rebuilt.append(Block(bkey, side1, side2 if bipartite else None))
-        return BlockCollection(rebuilt, name=self._processed_name)
+        bords, sides, entities = np.array(
+            session.fetchall(
+                """
+                SELECT p.bord, p.side, p.entity
+                FROM fplacements p JOIN fblocks b ON b.bord = p.bord
+                ORDER BY p.bord, p.side, p.pos
+                """,
+                stage="collect",
+            ),
+            dtype=np.int64,
+        ).reshape(-1, 3).T
+        blocks = session.fetchall("SELECT bord, bkey, bipartite FROM fblocks ORDER BY bord")
+        ordinals = np.array([bord for bord, _, _ in blocks], dtype=np.int64)
+        owners = np.searchsorted(ordinals, bords)
+        on1 = sides == 0
+        uris = [uri for (uri,) in session.fetchall("SELECT uri FROM entities ORDER BY id")]
+        return BlockCollection.from_members(
+            self._processed_name, [key for _, key, _ in blocks], uris,
+            entities[on1], csr_offsets(np.bincount(owners[on1], minlength=len(blocks))),
+            entities[~on1], csr_offsets(np.bincount(owners[~on1], minlength=len(blocks))),
+            [bool(bipartite) for _, _, bipartite in blocks],
+        )

@@ -113,6 +113,14 @@ class OsFiles:
     def fsync(self, handle) -> None:
         os.fsync(handle.fileno())
 
+    def fsync_dir(self, path: str) -> None:
+        """Make *path*'s entries durable: a file created or renamed there."""
+        descriptor = os.open(path, os.O_RDONLY)
+        try:
+            os.fsync(descriptor)
+        finally:
+            os.close(descriptor)
+
 
 class _CrashyHandle:
     """Append-handle proxy that tears the write exceeding the budget."""
@@ -162,6 +170,8 @@ class CrashyFiles(OsFiles):
         self.budget = budget
         #: appended path → bytes known to be on stable storage
         self._synced: dict[str, int] = {}
+        #: directories ``fsync_dir`` was called on (never really synced)
+        self.synced_dirs: list[str] = []
 
     def consume(self, payload: bytes) -> bytes:
         if self.budget < 0:
@@ -192,6 +202,9 @@ class CrashyFiles(OsFiles):
         # unbuffered writes are in the file, so its size is what a real
         # one would have made durable.
         self._synced[handle.path] = os.path.getsize(handle.path)
+
+    def fsync_dir(self, path: str) -> None:
+        self.synced_dirs.append(path)
 
     def power_loss(self) -> None:
         """Kill the process and drop every appended byte never fsynced."""
@@ -361,7 +374,8 @@ class WriteAheadLog:
         self._unsynced = True
         self.header = payload
         self._next_lsn = 1
-        self.sync()
+        self.sync()  # and the log's directory entry, or power loss can drop the file
+        self.files.fsync_dir(os.path.dirname(os.path.abspath(self.path)))
 
     def append(self, kind: str, payload, acknowledged: bool = True) -> int:
         """Append one event record; returns its LSN.
@@ -676,6 +690,7 @@ def write_snapshot(
     temp = path + ".tmp"
     files.write_bytes(temp, payload)
     files.replace(temp, path)
+    files.fsync_dir(directory)
     return path
 
 

@@ -29,7 +29,7 @@ Global concerns are deferred, not dropped:
 :meth:`snapshot` materializes a
 :class:`~repro.blocking.block.BlockCollection` **bit-identical** to
 ``blocker.build(...)`` over the store's final collections — same keys,
-same member order, same primed id views.
+same member order, same interner.
 """
 
 from __future__ import annotations
@@ -38,12 +38,11 @@ from array import array
 from typing import Iterator
 
 from repro.blocking.base import Blocker
-from repro.blocking.block import Block, BlockCollection
+from repro.blocking.block import BlockCollection, csr_from_lists
 from repro.blocking.filtering import BlockFiltering
 from repro.blocking.purging import BlockPurging
 from repro.blocking.token_blocking import TokenBlocking
 from repro.model.description import EntityDescription
-from repro.model.interner import EntityInterner
 from repro.stream.store import StreamingEntityStore
 
 
@@ -152,11 +151,6 @@ class IncrementalBlockIndex(DeltaConsumer):
         #: snapshot cache: "raw" or ("processed", purge sig, filter sig)
         #: → (store version, collection); cleared on every insert
         self._snapshots: dict[object, tuple[int, BlockCollection]] = {}
-        #: key → (Block, side-0 store ids, side-1 store ids | None,
-        #: cardinality) reused across snapshots until the key is touched
-        self._block_cache: dict[
-            str, tuple[Block, list[int], list[int] | None, int]
-        ] = {}
         store.subscribe(self._on_insert)
         store.subscribe_delete(self._on_delete)
 
@@ -211,7 +205,6 @@ class IncrementalBlockIndex(DeltaConsumer):
         for consumer in consumers:
             consumer.on_event_begin(entity_id)
         for key in new_keys:
-            self._block_cache.pop(key, None)
             sides = self._postings.get(key)
             if sides is None:
                 sides = _posting_pair()
@@ -285,7 +278,6 @@ class IncrementalBlockIndex(DeltaConsumer):
         for consumer in consumers:
             consumer.on_event_begin(entity_id)
         for key in touched:
-            self._block_cache.pop(key, None)
             sides = self._postings[key]
             side = sides[source]
             remaining_mask = mask[key] & ~bit
@@ -505,7 +497,6 @@ class IncrementalBlockIndex(DeltaConsumer):
             sides = self._postings.get(key)
             if sides is None:
                 continue
-            self._block_cache.pop(key, None)
             for source, seq in enumerate(self._side_seq):
                 if not stale & (1 << source):
                     continue
@@ -516,83 +507,35 @@ class IncrementalBlockIndex(DeltaConsumer):
                 self.resort_count += 1
         self._unsorted.clear()
 
-    def _block_for(
-        self, key: str, sides: tuple[array, array], uris: list[str]
-    ) -> tuple[Block, list[int], list[int] | None, int]:
-        """The key's (block, store ids, cardinality) entry, cache-reused.
-
-        Untouched keys keep their entry across snapshots — URI
-        translation and cardinality run again only for keys that gained
-        members (or were re-sorted) since the last snapshot.
-        """
-        entry = self._block_cache.get(key)
-        if entry is None:
-            ids1 = sides[0].tolist()
-            if self.two_sided:
-                ids2 = sides[1].tolist()
-                block = Block(key, [uris[i] for i in ids1], [uris[i] for i in ids2])
-            else:
-                ids2 = None
-                block = Block(key, [uris[i] for i in ids1])
-            entry = (block, ids1, ids2, block.cardinality())
-            self._block_cache[key] = entry
-        return entry
-
     def snapshot(self) -> BlockCollection:
         """The current blocks as a batch-identical ``BlockCollection``.
 
         Bit-identical to ``self.blocker.build(*store.collections)`` over
         the store's present state: sorted keys, members in per-source
-        arrival order, singletons dropped, id views primed in
-        first-placement order.  Cached until the next insert; per-key
-        blocks survive across snapshots until their key is touched, and
-        the primed id views are remapped with integer lookups instead of
-        re-interning a URI per placement.
+        arrival order, singletons dropped, ids in first-placement order.
+        The posting lists are laid out as the block columns directly,
+        over store ids, without translating a URI per placement.  Cached
+        until the next insert.
         """
         cached = self._snapshots.get("raw")
         if cached is not None and cached[0] == self.store.version:
             return cached[1]
         self._resort_lazy()
-        uris = self.store.interner.uri_table()
         names = [collection.name for collection in self.store.collections]
         if self.two_sided:
             name = f"{self.blocker.name}({names[0]},{names[1]})"
+            keys = [k for k, (one, two) in self._postings.items() if one and two]
         else:
             name = f"{self.blocker.name}({names[0]})"
-        blocks = BlockCollection(name=name)
-        # Store id → snapshot id, assigned in first-placement order over
-        # the key-sorted traversal — the same dense ids the batch blocker
-        # primes, recovered without hashing a URI string per placement.
-        snap_ids: dict[int, int] = {}
-        ordered_uris: list[str] = []
-
-        def remap(store_ids: list[int]) -> list[int]:
-            out = []
-            for store_id in store_ids:
-                snapped = snap_ids.get(store_id)
-                if snapped is None:
-                    snapped = len(ordered_uris)
-                    snap_ids[store_id] = snapped
-                    ordered_uris.append(uris[store_id])
-                out.append(snapped)
-            return out
-
-        id_blocks: list[tuple[list[int], list[int] | None, int]] = []
-        for key in sorted(self._postings):
-            sides = self._postings[key]
-            if self.two_sided:
-                if not sides[0] or not sides[1]:
-                    continue
-            elif len(sides[0]) < 2:
-                continue
-            block, ids1, ids2, cardinality = self._block_for(key, sides, uris)
-            blocks.add(block)
-            # Side 1 before side 2 — first-placement id order, matching
-            # what the batch blocker primes.
-            id_blocks.append(
-                (remap(ids1), remap(ids2) if ids2 is not None else None, cardinality)
-            )
-        blocks.prime_id_views(EntityInterner(ordered_uris), id_blocks)
+            keys = [k for k, (one, _) in self._postings.items() if len(one) >= 2]
+        keys.sort()
+        postings = list(map(self._postings.__getitem__, keys))
+        blocks = BlockCollection.from_members(
+            name, keys, self.store.interner.uri_table(),
+            *csr_from_lists([sides[0] for sides in postings]),
+            *csr_from_lists([sides[1] if self.two_sided else () for sides in postings]),
+            self.two_sided,
+        )
         self._snapshots["raw"] = (self.store.version, blocks)
         return blocks
 

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.blocking.block import Block, BlockCollection
+from repro.blocking.block import BlockCollection, csr_from_lists
 from repro.blocking.filtering import BlockFiltering, retained_keys
 from repro.blocking.purging import BlockPurging, threshold_from_histogram
 from repro.obs import DISABLED
@@ -657,23 +657,25 @@ class IncrementalProcessedView(DeltaConsumer):
     def _build_collection(self) -> BlockCollection:
         """Materialize the survivor state (batch-identical shape/order)."""
         index = self.index
-        uris = index.store.interner.uri_table()
         names = [collection.name for collection in index.store.collections]
         if index.two_sided:
             raw_name = f"{index.blocker.name}({names[0]},{names[1]})"
         else:
             raw_name = f"{index.blocker.name}({names[0]})"
-        out = BlockCollection(name=f"filtered(purged({raw_name}))")
-        for key in sorted(self._present):
-            sides = self._members[key]
-            ids1 = sorted(sides[0], key=lambda e: index.arrival_rank(e, 0))
-            entities1 = [uris[e] for e in ids1]
-            if index.two_sided:
-                ids2 = sorted(sides[1], key=lambda e: index.arrival_rank(e, 1))
-                out.add(Block(key, entities1, [uris[e] for e in ids2]))
-            else:
-                out.add(Block(key, entities1))
-        return out
+        keys = sorted(self._present)
+        sides = [
+            [
+                sorted(self._members[key][source], key=lambda e: index.arrival_rank(e, source))
+                if source == 0 or index.two_sided
+                else ()
+                for key in keys
+            ]
+            for source in (0, 1)
+        ]
+        return BlockCollection.from_members(
+            f"filtered(purged({raw_name}))", keys, index.store.interner.uri_table(),
+            *csr_from_lists(sides[0]), *csr_from_lists(sides[1]), index.two_sided,
+        )
 
     # -- reconciliation ------------------------------------------------------
 

@@ -44,10 +44,10 @@ class TestDirtyBlock:
         assert block.cardinality() == 0
         assert list(block.comparisons()) == []
 
-    def test_contains_pair(self):
-        block = Block("k", ["a", "b", "c"])
-        assert block.contains_pair("a", "c")
-        assert not block.contains_pair("a", "x")
+    def test_implies_pair(self):
+        pairs = set(Block("k", ["a", "b", "c"]).comparisons())
+        assert ("a", "c") in pairs
+        assert not any("x" in pair for pair in pairs)
 
 
 class TestBipartiteBlock:
@@ -70,10 +70,9 @@ class TestBipartiteBlock:
         block = Block("k", ["a"], ["x"])
         assert block.entities() == ["a", "x"]
 
-    def test_contains_pair_cross(self):
-        block = Block("k", ["a"], ["x"])
-        assert block.contains_pair("x", "a")
-        assert not block.contains_pair("a", "a2")
+    def test_implies_cross_pair(self):
+        pairs = set(Block("k", ["a"], ["x"]).comparisons())
+        assert pairs == {("a", "x")}
 
     def test_cardinality_subtracts_side_overlap(self):
         # 'b' sits on both sides; comparisons() skips the (b, b) pair, so
@@ -134,22 +133,22 @@ class TestBlockCollection:
 
     def test_entity_index(self):
         blocks = self.collection()
-        assert blocks.blocks_of("b") == ["k1", "k2", "k3"]
-        assert blocks.blocks_of("ghost") == []
+        assert blocks.entity_index()["b"] == ["k1", "k2", "k3"]
+        assert "ghost" not in blocks.entity_index()
 
-    def test_comparisons_in_common(self):
-        blocks = self.collection()
-        assert blocks.comparisons_in_common("a", "b") == 2
-        assert blocks.comparisons_in_common("a", "d") == 0
+    def test_blocks_in_common(self):
+        index = self.collection().entity_index()
+        assert set(index["a"]) & set(index["b"]) == {"k1", "k3"}
+        assert not set(index["a"]) & set(index["d"])
 
     def test_index_invalidated_after_mutation(self):
         blocks = self.collection()
-        assert blocks.comparisons_in_common("a", "b") == 2
+        assert "k3" in blocks.entity_index()["a"]
         blocks.remove("k3")
-        assert blocks.comparisons_in_common("a", "b") == 1
+        assert blocks.entity_index()["a"] == ["k1"]
 
-    def test_iter_comparisons_with_repetitions(self):
-        pairs = list(self.collection().iter_comparisons_with_repetitions())
+    def test_comparisons_with_repetitions(self):
+        pairs = [(b.key, pair) for b in self.collection() for pair in b.comparisons()]
         assert ("k1", ("a", "b")) in pairs
         assert ("k3", ("a", "b")) in pairs
         assert len(pairs) == 5

@@ -202,11 +202,6 @@ class TestEdgeCases:
         from repro.blocking.block import BlockCollection
 
         blocks = BlockCollection(name="empty")
-        blocks.prime_id_views(
-            __import__("repro.model.interner", fromlist=["EntityInterner"])
-            .EntityInterner(),
-            [],
-        )
         edges, _ = parallel_metablocking_ids(
             MapReduceEngine(workers=4), blocks, ARCS(), CNP()
         )

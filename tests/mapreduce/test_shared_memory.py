@@ -57,7 +57,6 @@ from repro.mapreduce.shm import (
 )
 from repro.metablocking import ARCS, CNP
 from repro.metablocking.graph import BlockingGraph
-from repro.model.interner import EntityInterner
 
 pytestmark = pytest.mark.skipif(
     not shared_memory_available(), reason="shared memory unavailable"
@@ -243,22 +242,11 @@ _block_collections = st.lists(
 
 
 def _build_blocks(raw: list[tuple[list[str], list[str]]]) -> BlockCollection:
-    """A primed bipartite block collection from generated member lists."""
-    blocks = BlockCollection(name="generated")
-    interner = EntityInterner()
-    id_blocks = []
-    for index, (side1, side2) in enumerate(raw):
-        block = Block(f"k{index}", side1, side2)
-        blocks.add(block)
-        id_blocks.append(
-            (
-                [interner.intern(u) for u in side1],
-                [interner.intern(u) for u in side2],
-                block.cardinality(),
-            )
-        )
-    blocks.prime_id_views(interner, id_blocks)
-    return blocks
+    """A bipartite block collection from generated member lists."""
+    return BlockCollection(
+        [Block(f"k{index}", side1, side2) for index, (side1, side2) in enumerate(raw)],
+        name="generated",
+    )
 
 
 def _edges(edge_list):

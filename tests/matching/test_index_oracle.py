@@ -183,10 +183,8 @@ def test_token_blocking_equals_the_keys_for_grouping(corpus, tokenizer, drop_sin
     )
     assert built.name == reference.name
     assert block_rows(built) == block_rows(reference)
-    interner, id_blocks = built._id_views
-    reference_interner, reference_id_blocks = reference._id_views
-    assert interner.uris() == reference_interner.uris()
-    assert id_blocks == reference_id_blocks
+    assert built.interner().uris() == reference.interner().uris()
+    assert built.id_blocks() == reference.id_blocks()
 
 
 @pytest.mark.parametrize("drop_singletons", [True, False])
@@ -195,4 +193,4 @@ def test_token_blocking_on_the_shared_uri_corpus(drop_singletons):
     built = TokenBlocking().build(kb1, kb2, drop_singletons=drop_singletons)
     reference = KeysForTokenBlocking().build(kb1, kb2, drop_singletons=drop_singletons)
     assert block_rows(built) == block_rows(reference)
-    assert built._id_views[1] == reference._id_views[1]
+    assert built.id_blocks() == reference.id_blocks()

@@ -115,4 +115,10 @@ class TestColumn:
         for description in collection:
             for token in dict.fromkeys(tokenizer.tokens(description)):
                 expected.setdefault(token, []).append(description.uri)
-        assert tokenizer.column(collection).postings() == expected
+        column = tokenizer.column(collection)
+        indptr, rows = column.postings()
+        postings = {
+            token: [column.uris[row] for row in rows[indptr[i] : indptr[i + 1]].tolist()]
+            for i, token in enumerate(column.vocabulary)
+        }
+        assert postings == expected

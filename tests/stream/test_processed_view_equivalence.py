@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.blocking.block import Block, BlockCollection
 from repro.blocking.filtering import BlockFiltering
 from repro.blocking.purging import BlockPurging
 from repro.blocking.token_blocking import TokenBlocking
 from repro.datasets import load_movies, load_people, load_restaurants
 from repro.model.collection import EntityCollection
 from repro.stream import StreamResolver, WorkloadDriver
-from repro.stream import index as index_module
-from repro.stream import processed_view as processed_view_module
 from repro.stream.workload import SCENARIOS
 
 from metablocking.string_graph_oracle import reference_pair_statistics
@@ -98,8 +97,8 @@ def test_reconcile_leaves_state_not_a_collection(replayed, monkeypatch, full):
         raise AssertionError("reconcile() built a collection")
 
     with monkeypatch.context() as patched:
-        patched.setattr(processed_view_module, "Block", forbidden)
-        patched.setattr(index_module, "Block", forbidden)
+        patched.setattr(Block, "__init__", forbidden)
+        patched.setattr(BlockCollection, "from_members", forbidden)
         patched.setattr(type(index), "snapshot_processed", forbidden)
         patched.setattr(type(view), "_build_collection", forbidden)
         lazy_sorts = dict(index._unsorted), index.resort_count
