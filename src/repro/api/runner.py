@@ -444,13 +444,11 @@ class Pipeline:
         events = generator(
             kb1, kb2, seed=backend.seed, **backend.scenario.params
         )
-        # The streaming resolver prunes each query's neighbourhood
-        # node-centrically; reciprocal variants degrade to their base
-        # algorithm at query time (the bridge edges below still honour
-        # the exact pruner).
+        # The streaming resolver prunes each query's neighbourhood with
+        # the pruner's node rule — a star has one node, so a reciprocal
+        # variant keeps what its base algorithm keeps (the bridge edges
+        # below honour the exact pruner).
         query_pruner = backend.query_pruner or self.spec.pruning.name
-        if query_pruner.lower().startswith("reciprocal"):
-            query_pruner = query_pruner[len("Reciprocal"):]
         obs = self.obs
         t0 = time.perf_counter()
         with obs.span("stream.replay", scenario=backend.scenario.name) as span:

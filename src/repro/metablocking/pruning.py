@@ -38,6 +38,17 @@ import numpy as _np
 from repro.metablocking.graph import BlockingGraph, WeightedEdge, mean_weight
 
 
+def node_budget(total_assignments: int, entities: int) -> int:
+    """CNP's per-node ``k``: average placements per entity, rounded up,
+    minus one, floored at 1.
+
+    The one derivation of ``k``: batch CNP reads the counts from the
+    block collection, a stream query from its pair table's maintained
+    aggregates.
+    """
+    return max(1, math.ceil(total_assignments / max(entities, 1)) - 1)
+
+
 def retention_votes(ids_a, ids_b, weights, uri_rank, directed, k: int | None = None):
     """The node-local retention rule (WNP's mean, CNP's top-*k*) as votes.
 
@@ -201,9 +212,7 @@ class CNP(PruningScheme):
         """The per-node k derived from a block collection's statistics."""
         if self.k is not None:
             return self.k
-        entities = max(blocks.entity_count(), 1)
-        avg_assignments = blocks.total_assignments() / entities
-        return max(1, math.ceil(avg_assignments) - 1)
+        return node_budget(blocks.total_assignments(), blocks.entity_count())
 
     def prune(self, graph: BlockingGraph) -> list[WeightedEdge]:
         return _prune_by_votes(graph, self.required_votes, self.node_budget(graph))

@@ -2,11 +2,12 @@
 
 Every execution surface — the array kernels and the string plugin API of
 :mod:`repro.metablocking.weighting` (which the sequential and MapReduce
-backends flow through), the streaming backend's per-pair weights
-(:mod:`repro.stream.pairs`) and the relational backend's SQL compiler
-(:mod:`repro.sqlbackend.compile`) — consumes the definitions in this
-module, so a formula lives in one place and the cross-backend
-bit-identity contract has a single source of truth.
+backends flow through, and which a stream query calls over its star of
+candidates, :meth:`~repro.stream.pairs.PairStatsView.weigh`) and the
+relational backend's SQL compiler (:mod:`repro.sqlbackend.compile`) —
+consumes the definitions in this module, so a formula lives in one
+place and the cross-backend bit-identity contract has a single source
+of truth.
 
 Three kinds of definition per scheme:
 
@@ -46,8 +47,10 @@ def ecbs_log_factor(total_blocks: int, count: int) -> float:
 
     The +1 smoothing keeps entities present in *every* block from
     zeroing the weight outright while preserving the discount ordering.
+    An unplaced entity (count 0) falls back to one placement, matching
+    the scalar path's ``.get(uri, 1)`` smoothing.
     """
-    return math.log((total_blocks + 1) / count)
+    return math.log((total_blocks + 1) / (count if count else 1))
 
 
 def ecbs_log_factors(total_blocks: int, placement_counts) -> list[float]:

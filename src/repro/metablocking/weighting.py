@@ -19,11 +19,13 @@ parallel meta-blocking paper [4]) are implemented:
 ==========  ==================================================================
 
 Every built-in scheme is evaluated as array expressions over a pair
-table's columns: :meth:`~WeightingScheme.prepare_arrays` once
-(precomputing per-entity factors — block counts, degrees and their log
-discounts — indexed by dense entity id, one log per entity instead of one
-per edge endpoint visit), then :meth:`~WeightingScheme.weight_array` over
-all edges.  The string API — :meth:`~WeightingScheme.prepare` once, then
+table's columns: :meth:`~WeightingScheme.prepare_arrays` once with the
+global factors (precomputing the log discounts, one log per entity
+instead of one per edge endpoint visit), then
+:meth:`~WeightingScheme.weight_array` over all edges.  A batch graph
+passes its whole pair table (:func:`weight_pair_table`), a stream query
+its star of candidates (:meth:`~repro.stream.pairs.PairStatsView.weigh`).
+The string API — :meth:`~WeightingScheme.prepare` once, then
 :meth:`~WeightingScheme.weight` per URI pair — is the registry's plugin
 contract (a scheme that implements only it is weighted row by row) and
 the input of the test oracle, with bit-identical results.
@@ -66,14 +68,17 @@ class WeightingScheme(ABC):
     ) -> None:
         """Hook for global precomputation (default: none)."""
 
-    def prepare_arrays(self, blocks: BlockCollection, ids_a, ids_b, common) -> bool:
-        """Prepare the vectorized path from distinct-edge endpoint arrays.
+    def prepare_arrays(
+        self, placements, degrees, total_blocks: int, edge_count: int
+    ) -> bool:
+        """Prepare the vectorized path from the global factors.
 
         Args:
-            blocks: the block collection (for its id views).
-            ids_a / ids_b: per-edge endpoint ids (``ids_a`` holding the
-                lexicographically smaller URI of each pair).
-            common: per-edge common-block counts.
+            placements / degrees: per-entity block placements and
+                distinct comparison partners, int arrays indexed by the
+                ids :meth:`weight_array` receives.
+            total_blocks: number of blocks of the collection.
+            edge_count: number of distinct pairs of the blocking graph.
 
         Returns:
             True when the scheme supports :meth:`weight_array`; the
@@ -85,10 +90,11 @@ class WeightingScheme(ABC):
     def weight_array(self, ids_a, ids_b, common, arcs):
         """Vectorized weights for all edges; requires :meth:`prepare_arrays`.
 
-        Arguments are parallel numpy arrays as in :meth:`prepare_arrays`
-        plus per-edge ARCS sums; returns a float64 array.  Expression
-        structure mirrors :meth:`weight` exactly, keeping results
-        bit-identical elementwise.
+        Arguments are parallel numpy arrays: per-edge endpoint ids
+        (``ids_a`` holding the lexicographically smaller URI of each
+        pair), common-block counts and ARCS sums; returns a float64
+        array.  Expression structure mirrors :meth:`weight` exactly,
+        keeping results bit-identical elementwise.
         """
         raise NotImplementedError(f"{self.name} has no array fast path")
 
@@ -118,7 +124,7 @@ class CBS(WeightingScheme):
 
     name = "CBS"
 
-    def prepare_arrays(self, blocks, ids_a, ids_b, common) -> bool:
+    def prepare_arrays(self, placements, degrees, total_blocks, edge_count) -> bool:
         return True
 
     def weight_array(self, ids_a, ids_b, common, arcs):
@@ -147,15 +153,14 @@ class ECBS(WeightingScheme):
         self._total_blocks = max(len(blocks), 1)
         self._blocks_per_entity = _placement_counts(blocks)
 
-    def prepare_arrays(self, blocks, ids_a, ids_b, common) -> bool:
-        total = max(len(blocks), 1)
+    def prepare_arrays(self, placements, degrees, total_blocks, edge_count) -> bool:
+        total = max(total_blocks, 1)
         self._total_blocks = total
-        counts = _placement_counts_array(blocks)
         # math.log per entity (not np.log: it can differ in the last ulp
         # from the reference's math.log) — still once per entity, not per
         # edge endpoint.
         self._log_factor_array = _np.array(
-            scheme_defs.ecbs_log_factors(total, counts.tolist())
+            scheme_defs.ecbs_log_factors(total, placements.tolist())
         )
         return True
 
@@ -183,8 +188,8 @@ class JS(WeightingScheme):
     def prepare(self, blocks, pair_stats) -> None:
         self._blocks_per_entity = _placement_counts(blocks)
 
-    def prepare_arrays(self, blocks, ids_a, ids_b, common) -> bool:
-        self._block_counts_array = _placement_counts_array(blocks)
+    def prepare_arrays(self, placements, degrees, total_blocks, edge_count) -> bool:
+        self._block_counts_array = placements
         return True
 
     def weight_array(self, ids_a, ids_b, common, arcs):
@@ -226,13 +231,9 @@ class EJS(WeightingScheme):
             degrees[right] = degrees.get(right, 0) + 1
         self._degrees = degrees
 
-    def prepare_arrays(self, blocks, ids_a, ids_b, common) -> bool:
-        self._js.prepare_arrays(blocks, ids_a, ids_b, common)
-        entities = len(blocks.interner())
-        degrees = _np.bincount(ids_a, minlength=entities) + _np.bincount(
-            ids_b, minlength=entities
-        )
-        self._edge_count = max(len(common), 1)
+    def prepare_arrays(self, placements, degrees, total_blocks, edge_count) -> bool:
+        self._js.prepare_arrays(placements, degrees, total_blocks, edge_count)
+        self._edge_count = max(edge_count, 1)
         self._log_factor_array = _np.array(
             scheme_defs.ejs_log_factors(self._edge_count, degrees.tolist())
         )
@@ -260,7 +261,7 @@ class ARCS(WeightingScheme):
 
     name = "ARCS"
 
-    def prepare_arrays(self, blocks, ids_a, ids_b, common) -> bool:
+    def prepare_arrays(self, placements, degrees, total_blocks, edge_count) -> bool:
         return True
 
     def weight_array(self, ids_a, ids_b, common, arcs):
@@ -294,9 +295,9 @@ class ChiSquare(WeightingScheme):
         self._total_blocks = max(len(blocks), 1)
         self._blocks_per_entity = _placement_counts(blocks)
 
-    def prepare_arrays(self, blocks, ids_a, ids_b, common) -> bool:
-        self._total_blocks = max(len(blocks), 1)
-        self._block_counts_array = _placement_counts_array(blocks)
+    def prepare_arrays(self, placements, degrees, total_blocks, edge_count) -> bool:
+        self._total_blocks = max(total_blocks, 1)
+        self._block_counts_array = placements
         return True
 
     def weight_array(self, ids_a, ids_b, common, arcs):
@@ -323,11 +324,18 @@ def weight_pair_table(scheme: WeightingScheme, blocks: BlockCollection, table):
     derived ``pairs`` on any backend.  Shared by the sequential
     :meth:`~repro.metablocking.graph.BlockingGraph.materialize` and the
     MapReduce jobs, which guarantees both produce bit-identical weights
-    from identical statistics.
+    from identical statistics.  The global factors come from *blocks*
+    (placements, block count) and from *table* (degrees, edge count).
     """
     if not len(table):
         return _np.empty(0, dtype=_np.float64)
-    if scheme.prepare_arrays(blocks, table.ids_a, table.ids_b, table.common):
+    entities = len(blocks.interner())
+    degrees = _np.bincount(table.ids_a, minlength=entities) + _np.bincount(
+        table.ids_b, minlength=entities
+    )
+    if scheme.prepare_arrays(
+        _placement_counts_array(blocks), degrees, len(blocks), len(table)
+    ):
         return scheme.weight_array(table.ids_a, table.ids_b, table.common, table.arcs)
     stats = {
         pair: (count, arc)

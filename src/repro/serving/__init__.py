@@ -10,10 +10,13 @@ shard, fans each query's weigh phase out across the shards, and merges
 the per-partition candidate weights into results **bit-identical** to
 the single-store :class:`~repro.stream.resolver.StreamResolver` — by
 construction, because shards and router execute the same extracted
-phase functions (:func:`~repro.stream.resolver.weigh_candidates`,
-:func:`~repro.stream.resolver.prune_neighbourhood`,
-:func:`~repro.stream.resolver.run_match_phase`) over replicas built
-from the same event sequence.
+phase functions (:meth:`~repro.stream.pairs.PairStatsView.weigh`, which
+runs the registry scheme's batch array kernels over a candidate slice,
+:func:`~repro.stream.resolver.prune_neighbourhood`, which applies the
+registry pruner's node rule over the merged neighbourhood in ascending
+entity-id order, and :func:`~repro.stream.resolver.run_match_phase`)
+over replicas built from the same event sequence.  The merge order of
+the per-partition answers therefore never reaches a result.
 
 Failure is a first-class input: a :class:`~repro.serving.supervisor.
 Supervisor` heartbeat-monitors the shards, retries timed-out requests

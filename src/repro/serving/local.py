@@ -28,10 +28,9 @@ from repro.stream.index import IncrementalBlockIndex
 from repro.stream.pairs import DeltaPairTable
 from repro.stream.resolver import (
     _StreamContext,
-    check_query_names,
     prune_neighbourhood,
+    query_components,
     run_match_phase,
-    weigh_candidates,
 )
 from repro.stream.similarity import StreamingSimilarityIndex
 from repro.stream.store import StreamingEntityStore
@@ -104,14 +103,13 @@ class LocalTier:
         scheme = scheme if scheme is not None else self.scheme
         pruner = pruner if pruner is not None else self.pruner
         budget = budget if budget is not None else self.budget
-        check_query_names(scheme, pruner)
+        weighting, pruning = query_components(scheme, pruner)
         if ingest:
             self.ingest(description, source)
         uri = description.uri
         entity_id = self.store.interner.get(uri, -1)
-        uris = self.store.interner.uri_table()
         candidates = (
-            self.index.partners_of(entity_id) if entity_id >= 0 else []
+            self.index.neighbours_of(entity_id) if entity_id >= 0 else []
         )
         split = split_by_owner(candidates, self.n_partitions)
 
@@ -123,14 +121,10 @@ class LocalTier:
         for partition in merge_order:
             if partition in missing:
                 continue
-            weights.update(
-                weigh_candidates(
-                    self.pairs, uris, uri, entity_id, split[partition], scheme
-                )
-            )
+            weights.update(self.pairs.weigh(weighting, entity_id, split[partition]))
 
         survivors = prune_neighbourhood(
-            weights, pruner, uris,
+            weights, pruning, self.store.interner.uri_table(),
             self.pairs.entities_placed, self.pairs.total_assignments,
         )
         matches, scheduled, comparisons, skipped = run_match_phase(

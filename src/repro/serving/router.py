@@ -61,10 +61,9 @@ from repro.stream.pairs import DeltaPairTable
 from repro.stream.resolver import (
     StreamMatch,
     _StreamContext,
-    check_query_names,
     prune_neighbourhood,
+    query_components,
     run_match_phase,
-    weigh_candidates,
 )
 from repro.stream.similarity import StreamingSimilarityIndex
 from repro.stream.store import StreamingEntityStore
@@ -528,10 +527,11 @@ class Router:
         scheme = scheme if scheme is not None else self.scheme
         pruner = pruner if pruner is not None else self.pruner
         budget = budget if budget is not None else self.budget
-        check_query_names(scheme, pruner)  # before any shard sees a Query
+        # Names resolve before any shard sees a Query.
+        _weighting, pruning = query_components(scheme, pruner)
         with self.obs.span("serving.query", source=source) as span:
             result = self._resolve(
-                description, source, scheme, pruner, budget, ingest,
+                description, source, scheme, pruning, budget, ingest,
                 _context or self.context, _matcher or self.matcher,
             )
             span.set(
@@ -542,7 +542,7 @@ class Router:
         return result
 
     def _resolve(
-        self, description, source, scheme, pruner, budget, ingest,
+        self, description, source, scheme, pruning, budget, ingest,
         context, matcher,
     ) -> RoutedQueryResult:
         t_total = time.perf_counter()
@@ -584,7 +584,7 @@ class Router:
         t0 = time.perf_counter()
         uris = self.store.interner.uri_table()
         survivors = prune_neighbourhood(
-            weights, pruner, uris, entities_placed, total_assignments
+            weights, pruning, uris, entities_placed, total_assignments
         )
         matches, scheduled, comparisons, skipped = run_match_phase(
             uri, survivors, weights, budget, context, matcher, self.benefit
@@ -842,6 +842,7 @@ def verify_equivalence(
     scheme = scheme if scheme is not None else router.scheme
     pruner = pruner if pruner is not None else router.pruner
     budget = budget if budget is not None else router.budget
+    weighting, pruning = query_components(scheme, pruner)
     if not router.sync(timeout_s=sync_timeout_s):
         return VerificationReport(
             ok=False, checked=0,
@@ -859,7 +860,6 @@ def verify_equivalence(
 
     tier_plane = router.fresh_match_plane(router.store)
     oracle_plane = router.fresh_match_plane(oracle_store)
-    oracle_uris = oracle_store.interner.uri_table()
 
     mismatches: list[str] = []
     for description, source in queries:
@@ -877,16 +877,14 @@ def verify_equivalence(
 
         entity_id = oracle_store.interner.get(uri, -1)
         candidate_ids = (
-            oracle_index.partners_of(entity_id) if entity_id >= 0 else []
+            oracle_index.neighbours_of(entity_id) if entity_id >= 0 else []
         )
-        oracle_weights = weigh_candidates(
-            oracle_pairs, oracle_uris, uri, entity_id, candidate_ids, scheme
-        )
+        oracle_weights = oracle_pairs.weigh(weighting, entity_id, candidate_ids)
         if result.weights != oracle_weights:
             mismatches.append(f"{uri}: merged weights diverge from oracle")
             continue
         oracle_survivors = prune_neighbourhood(
-            oracle_weights, pruner, oracle_uris,
+            oracle_weights, pruning, oracle_store.interner.uri_table(),
             oracle_pairs.entities_placed, oracle_pairs.total_assignments,
         )
         oracle_matches, _, oracle_comparisons, _ = run_match_phase(

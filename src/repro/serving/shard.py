@@ -24,6 +24,7 @@ import time
 from dataclasses import dataclass
 from multiprocessing.connection import Connection
 
+from repro.api.registry import registry
 from repro.blocking.base import Blocker
 from repro.serving import messages
 from repro.serving.channel import FrameReader, FrameWriter, encode, wait_ready
@@ -35,7 +36,6 @@ from repro.stream.durability import (
 )
 from repro.stream.index import IncrementalBlockIndex
 from repro.stream.pairs import DeltaPairTable
-from repro.stream.resolver import weigh_candidates
 from repro.stream.store import StreamingEntityStore
 from repro.utils.rng import stable_hash_int
 
@@ -192,17 +192,15 @@ def _answer(
 ) -> messages.Answer:
     """Weigh the query's candidates owned by the requested partitions."""
     entity_id = store.interner.get(query.uri, -1)
-    uris = store.interner.uri_table()
     wanted = set(query.partitions)
     if entity_id >= 0:
         owned = [
             candidate_id
-            for candidate_id in index.partners_of(entity_id)
+            for candidate_id in index.neighbours_of(entity_id)
             if stable_hash_int(candidate_id, config.n_partitions) in wanted
         ]
-        weights = weigh_candidates(
-            pairs, uris, query.uri, entity_id, owned, query.scheme
-        )
+        weighting = registry.create("weighting", query.scheme)
+        weights = pairs.weigh(weighting, entity_id, owned)
     else:
         weights = {}
     return messages.Answer(

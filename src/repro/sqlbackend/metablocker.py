@@ -14,7 +14,6 @@ accumulation order is part of the cross-backend contract.
 
 from __future__ import annotations
 
-import math
 from itertools import groupby
 from operator import itemgetter
 
@@ -352,12 +351,11 @@ class SqlMetaBlocker:
         )
 
     def _cnp(self, pruner: _pruning.CNP) -> list[WeightedEdge]:
-        if pruner.k is not None:
-            k = pruner.k
-        else:
-            entities = max(self.stats["entity_count"], 1)
-            avg_assignments = self.stats["total_assignments"] / entities
-            k = max(1, math.ceil(avg_assignments) - 1)
+        k = pruner.k
+        if k is None:
+            k = _pruning.node_budget(
+                self.stats["total_assignments"], self.stats["entity_count"]
+            )
         return self._survivors(
             _compile.CNP_SQL, {"k": k, "votes": pruner.required_votes}
         )

@@ -13,8 +13,9 @@ structures *maintainable under inserts*:
   instead of re-running the blocker;
 * :class:`~repro.stream.pairs.DeltaPairTable` — the pair table as a
   lazy view over the postings: ``(common, arcs)`` are read per pair at
-  query time and only the global scheme factors are maintained, keeping
-  all six weighting schemes evaluable per pair without a global rebuild;
+  query time and only the global scheme factors are maintained, so a
+  query's star is weighed by the batch schemes' array kernels without a
+  global rebuild;
 * :class:`~repro.stream.processed_view.IncrementalProcessedView` — the
   purge/filter-surviving block set maintained under inserts (exact
   histogram-derived purging threshold, per-touched-entity filtering,

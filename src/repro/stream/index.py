@@ -23,8 +23,8 @@ Global concerns are deferred, not dropped:
   the touched key**, on the next snapshot;
 * purging/filtering thresholds are global functions of the whole
   collection, so they are enforced lazily at :meth:`snapshot_processed`
-  time (and, per-query, via the resolver's selectivity caps) rather
-  than on every insert.
+  time (and incrementally by the processed view) rather than on every
+  insert.
 
 :meth:`snapshot` materializes a
 :class:`~repro.blocking.block.BlockCollection` **bit-identical** to
@@ -35,7 +35,6 @@ same member order, same interner.
 from __future__ import annotations
 
 from array import array
-from typing import Iterator
 
 from repro.blocking.base import Blocker
 from repro.blocking.block import BlockCollection, csr_from_lists
@@ -414,8 +413,9 @@ class IncrementalBlockIndex(DeltaConsumer):
         """Every entity sharing a comparison cell with *entity_id*.
 
         The union of the entity's opposite-side postings (its own side
-        in a dirty store) over all its keys, uncapped — the pair table's
-        edge set around one node, read straight from the postings.
+        in a dirty store) over all its keys — the pair table's edge set
+        around one node, read straight from the postings, and a raw
+        query's candidates.
         """
         found: set[int] = set()
         postings = self._postings
@@ -431,55 +431,6 @@ class IncrementalBlockIndex(DeltaConsumer):
                 found.update(postings[key][0])
         found.discard(entity_id)
         return found
-
-    def partners_of(
-        self,
-        entity_id: int,
-        max_key_cardinality: int | None = None,
-        key_ratio: float | None = None,
-    ) -> list[int]:
-        """Candidate co-occurring entities of *entity_id*, id-deduplicated.
-
-        The lazy per-query counterparts of block post-processing bound
-        the work: *max_key_cardinality* skips oversized (stop-token-like)
-        blocks the way purging would, and *key_ratio* keeps only that
-        fraction of the entity's most selective keys the way filtering
-        keeps an entity's smallest blocks.  Both default to off.
-        """
-        keys = self._key_mask.get(entity_id, {})
-        selected: Iterator[str] | list[str] = list(keys)
-        if key_ratio is not None:
-            limit = max(1, int(key_ratio * len(keys) + 0.5))
-            selected = sorted(
-                selected, key=lambda key: (self.cardinality_of(key), key)
-            )[:limit]
-        seen: dict[int, None] = {}
-        for key in selected:
-            if not self.is_active(key):
-                continue
-            if (
-                max_key_cardinality is not None
-                and self.cardinality_of(key) > max_key_cardinality
-            ):
-                continue
-            mask = keys[key]
-            sides = self._postings[key]
-            if not self.two_sided:
-                for member in sides[0]:
-                    if member != entity_id:
-                        seen.setdefault(member)
-            else:
-                # Valid partners sit on the opposite side of any side the
-                # entity occupies.
-                if mask & 1:
-                    for member in sides[1]:
-                        if member != entity_id:
-                            seen.setdefault(member)
-                if mask & 2:
-                    for member in sides[0]:
-                        if member != entity_id:
-                            seen.setdefault(member)
-        return list(seen)
 
     # -- snapshots -----------------------------------------------------------
 

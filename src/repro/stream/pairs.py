@@ -23,44 +23,45 @@ A resolver keeps **one** table, the one its queries read — the raw one
 over the index or the survivor one over a processed view, never both —
 so nothing folds neighbour sets into statistics no query consults.
 
-All six schemes are therefore evaluable for any single pair in
-O(keys-of-the-smaller-endpoint), with **no global rebuild**: exactly
-what query-time resolution needs.
+A query is weighed with the batch definitions themselves:
+:meth:`PairStatsView.weigh` lays the query's star out as pair-table
+columns — one ``(common, arcs)`` pass per candidate, in
+O(keys-of-the-smaller-endpoint), with **no global rebuild** — gathers
+the global factors of the query and its candidates, and hands both to
+the registry scheme's
+:meth:`~repro.metablocking.weighting.WeightingScheme.weight_array`.
 """
 
 from __future__ import annotations
 
-from repro.metablocking import scheme_defs
+import numpy as _np
+
 from repro.model.interner import PAIR_MASK, PAIR_SHIFT, pack_pair
 from repro.stream.index import DeltaConsumer, IncrementalBlockIndex
 
-#: the weighting-scheme names the table can evaluate
-SCHEME_NAMES = scheme_defs.SCHEME_NAMES
-
 
 class PairStatsView:
-    """Scheme evaluation over maintained per-pair + global statistics.
+    """Per-pair statistics + global factors, weighed as batch columns.
 
-    The six weighting schemes are pure functions of ``(common, arcs)``
-    plus a handful of global factors; this mixin holds those expressions
-    once so every incrementally-maintained statistics table — the raw
+    The weighting schemes are functions of a pair's ``(common, arcs)``
+    plus a handful of global factors; this mixin reads the first and
+    lays both out the way the batch
+    :func:`~repro.metablocking.weighting.weight_pair_table` does, so
+    every incrementally-maintained statistics table — the raw
     :class:`DeltaPairTable` and the processed-view
-    :class:`~repro.stream.processed_view.SurvivorPairTable` — evaluates
-    them identically.  Subclasses provide:
+    :class:`~repro.stream.processed_view.SurvivorPairTable` — is weighed
+    by the same array kernels as the batch graph.  Subclasses provide:
 
     * :meth:`block_source` — the structure the per-pair statistics
-      (:meth:`common_of` / :meth:`arcs_of`) are read from;
+      (:meth:`pair_stats`) are read from;
     * ``placements`` (entity id → block placements), ``degrees``
       (entity id → distinct partners), ``active_blocks`` and
       ``edge_count`` — the global factors;
-    * :meth:`interner` — the URI ↔ id mapping behind :meth:`weight`.
+    * :meth:`interner` — the URI ↔ id mapping.
 
-    The expressions mirror the reference
-    :meth:`~repro.metablocking.weighting.WeightingScheme.weight`
-    implementations term for term (float products associate
-    left-to-right with the lexicographically smaller URI first), so the
-    results equal what a freshly built batch graph over the subclass's
-    block universe would assign.
+    Columns keep the batch argument order (the lexicographically
+    smaller URI first), so the weights equal what a freshly built batch
+    graph over the subclass's block universe would assign.
     """
 
     __slots__ = ()
@@ -78,94 +79,84 @@ class PairStatsView:
         and the processed view both do)."""
         raise NotImplementedError
 
-    def _shared_cells(self, id_a: int, id_b: int):
-        """``(cells, cardinality)`` per block holding the (distinct)
-        pair, in sorted-key order — the batch enumeration's order."""
+    def interner(self):
+        """The URI ↔ dense-id mapping of the underlying store."""
+        raise NotImplementedError
+
+    def _pair_keys(self):
+        """Iterate the packed pairs of the table's edges."""
+        raise NotImplementedError
+
+    # -- statistics ----------------------------------------------------------
+
+    def pair_stats(self, id_a: int, id_b: int) -> tuple[int, float]:
+        """``(common, arcs)`` of the pair, bit-identical to the batch path
+        (``(0, 0.0)`` when never co-blocked).
+
+        The batch reference walks blocks in sorted-key order, counting
+        each comparison cell and adding ``1 / cardinality`` once per
+        cell; this walks the pair's shared keys in the same order,
+        reading each block's *current* cardinality — identical terms,
+        identical order, identical floats.
+        """
         source = self.block_source()
         shared = source.keys_of(id_a).keys() & source.keys_of(id_b).keys()
+        common = 0
+        arcs = 0.0
         for key in sorted(shared):
             cells = source.cells_between(key, id_a, id_b)
-            if cells:
-                yield cells, source.cardinality_of(key)
-
-    def common_of(self, id_a: int, id_b: int) -> int:
-        """Common-block count of the pair (0 when never co-blocked)."""
-        return sum(cells for cells, _ in self._shared_cells(id_a, id_b))
-
-    def arcs_of(self, id_a: int, id_b: int) -> float:
-        """Lazy ARCS sum of the pair, bit-identical to the batch path.
-
-        The batch reference walks blocks in sorted-key order and adds
-        ``1 / cardinality`` once per comparison cell; this walks the
-        pair's shared keys in the same order, reading each block's
-        *current* cardinality — identical terms, identical order,
-        identical floats.
-        """
-        arcs = 0.0
-        for cells, cardinality in self._shared_cells(id_a, id_b):
+            if not cells:
+                continue
+            common += cells
+            cardinality = source.cardinality_of(key)
             if not cardinality:
                 continue
             contribution = 1.0 / cardinality
             for _ in range(cells):
                 arcs += contribution
-        return arcs
+        return common, arcs
 
-    def interner(self):
-        """The URI ↔ dense-id mapping of the underlying store."""
-        raise NotImplementedError
+    def weigh(self, scheme, entity_id: int, candidate_ids) -> dict[int, float]:
+        """Weights of the (query, candidate) pairs under *scheme*, a
+        registry :class:`~repro.metablocking.weighting.WeightingScheme`.
 
-    # -- scheme evaluation ---------------------------------------------------
-
-    def stats_of(self, id_a: int, id_b: int) -> tuple[int, float]:
-        """(common, arcs) of the pair — the weighting schemes' inputs."""
-        return self.common_of(id_a, id_b), self.arcs_of(id_a, id_b)
-
-    def weight(self, scheme_name: str, uri_a: str, uri_b: str) -> float:
-        """Edge weight of a pair under *scheme_name*, batch-identical.
+        The query's star becomes pair-table columns under local ids — 0
+        for the query, ``1..n`` for the candidates in ascending entity-id
+        order, the one order a neighbourhood is held in — and *scheme*
+        weighs them with the global factors gathered per local id.
 
         Raises:
-            KeyError: for unknown scheme or unknown URIs.
+            KeyError: when *scheme* has no array path.
         """
-        interner = self.interner()
-        if uri_b < uri_a:
-            uri_a, uri_b = uri_b, uri_a
-        return self.weight_ids(
-            scheme_name, interner.id_of(uri_a), interner.id_of(uri_b)
+        candidates = sorted(candidate_ids)
+        if not candidates:
+            return {}
+        uris = self.interner().uri_table()
+        uri_q = uris[entity_id]
+        ids_a, ids_b, common, arcs = [], [], [], []
+        for local, candidate in enumerate(candidates, 1):
+            pair_common, pair_arcs = self.pair_stats(entity_id, candidate)
+            common.append(pair_common)
+            arcs.append(pair_arcs)
+            if uris[candidate] < uri_q:
+                ids_a.append(local)
+                ids_b.append(0)
+            else:
+                ids_a.append(0)
+                ids_b.append(local)
+        star = [entity_id, *candidates]
+        placements, degrees = self.placements, self.degrees
+        if not scheme.prepare_arrays(
+            _np.array([placements.get(member, 0) for member in star]),
+            _np.array([degrees.get(member, 0) for member in star]),
+            self.active_blocks,
+            self.edge_count,
+        ):
+            raise KeyError(f"weighting scheme {scheme.name!r} has no array path")
+        weights = scheme.weight_array(
+            _np.array(ids_a), _np.array(ids_b), _np.array(common), _np.array(arcs)
         )
-
-    def weight_ids(self, scheme_name: str, id_a: int, id_b: int) -> float:
-        """Like :meth:`weight` over ids; ``id_a`` must be the endpoint
-        whose URI sorts first (the bit-identity argument order)."""
-        name = scheme_name.upper()
-        if name == "ARCS":
-            return self.arcs_of(id_a, id_b)
-        common = self.common_of(id_a, id_b)
-        if name == "CBS":
-            return scheme_defs.cbs_weight(common)
-        placements = self.placements
-        total = max(self.active_blocks, 1)
-        if name == "ECBS":
-            idf_a = scheme_defs.ecbs_log_factor(total, placements.get(id_a, 1))
-            idf_b = scheme_defs.ecbs_log_factor(total, placements.get(id_b, 1))
-            return scheme_defs.factor_product(common, idf_a, idf_b)
-        in_a = placements.get(id_a, 0)
-        in_b = placements.get(id_b, 0)
-        if name in ("JS", "EJS"):
-            js = scheme_defs.js_weight(
-                common, scheme_defs.js_union(in_a, in_b, common)
-            )
-            if name == "JS":
-                return js
-            edge_count = max(self.edge_count, 1)
-            degrees = self.degrees
-            idf_a = scheme_defs.ejs_log_factor(edge_count, degrees.get(id_a, 0))
-            idf_b = scheme_defs.ejs_log_factor(edge_count, degrees.get(id_b, 0))
-            return scheme_defs.factor_product(js, idf_a, idf_b)
-        if name == "X2":
-            return scheme_defs.chi_square_statistic(common, in_a, in_b, total)
-        raise KeyError(
-            f"unknown weighting scheme {scheme_name!r}; choose from {SCHEME_NAMES}"
-        )
+        return dict(zip(candidates, weights.tolist()))
 
     def as_reference_stats(self) -> dict[tuple[str, str], tuple[int, float]]:
         """URI-keyed (common, arcs) map, comparable to the batch oracle.
@@ -177,17 +168,13 @@ class PairStatsView:
         """
         uris = self.interner().uri_table()
         out: dict[tuple[str, str], tuple[int, float]] = {}
-        for key, count in self._common_items():
+        for key in self._pair_keys():
             id_a, id_b = key >> PAIR_SHIFT, key & PAIR_MASK
             uri_a, uri_b = uris[id_a], uris[id_b]
             if uri_b < uri_a:
                 uri_a, uri_b = uri_b, uri_a
-            out[(uri_a, uri_b)] = (count, self.arcs_of(id_a, id_b))
+            out[(uri_a, uri_b)] = self.pair_stats(id_a, id_b)
         return out
-
-    def _common_items(self):
-        """Iterate ``(packed pair, common)`` entries with ``common > 0``."""
-        raise NotImplementedError
 
 
 class DeltaPairTable(PairStatsView, DeltaConsumer):
@@ -317,9 +304,9 @@ class DeltaPairTable(PairStatsView, DeltaConsumer):
     def block_source(self):
         return self.source
 
-    def _common_items(self):
+    def _pair_keys(self):
         source = self.source
         for id_a in source.entity_ids():
             for id_b in source.neighbours_of(id_a):
                 if id_a < id_b:
-                    yield pack_pair(id_a, id_b), self.common_of(id_a, id_b)
+                    yield pack_pair(id_a, id_b)

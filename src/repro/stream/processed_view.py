@@ -578,7 +578,8 @@ class IncrementalProcessedView(DeltaConsumer):
 
     def neighbours_of(self, entity_id: int) -> set[int]:
         """Every entity sharing a surviving comparison cell with the
-        entity — the survivor graph's edge set around one node."""
+        entity — the survivor graph's edge set around one node, and a
+        query's candidates under the view."""
         self._apply_pending()
         return self._neighbours(entity_id)
 
@@ -605,38 +606,6 @@ class IncrementalProcessedView(DeltaConsumer):
         return int(bool(mask_a & 1) and bool(mask_b & 2)) + int(
             bool(mask_b & 1) and bool(mask_a & 2)
         )
-
-    def partners_of(self, entity_id: int) -> list[int]:
-        """Candidate partners of the entity through surviving blocks only.
-
-        The processed-view counterpart of
-        :meth:`~repro.stream.index.IncrementalBlockIndex.partners_of`:
-        purging and filtering are already enforced (approximately,
-        between reconciliations), so no per-query caps are needed.
-        """
-        self._apply_pending()
-        keys = self._entity_keys.get(entity_id)
-        if not keys:
-            return []
-        seen: dict[int, None] = {}
-        two_sided = self.index.two_sided
-        for key in sorted(keys):
-            mask = keys[key]
-            sides = self._members[key]
-            if not two_sided:
-                for member in sorted(sides[0]):
-                    if member != entity_id:
-                        seen.setdefault(member)
-            else:
-                if mask & 1:
-                    for member in sorted(sides[1]):
-                        if member != entity_id:
-                            seen.setdefault(member)
-                if mask & 2:
-                    for member in sorted(sides[0]):
-                        if member != entity_id:
-                            seen.setdefault(member)
-        return list(seen)
 
     # -- materialization -----------------------------------------------------
 

@@ -4,7 +4,8 @@
 at a time or in micro-batches) and queries resolve an incoming
 description against everything ingested so far — candidate generation
 from the incremental block index, meta-blocking weights from the delta
-pair table, prioritization through the existing
+pair table under the batch weighting scheme, node-centric pruning under
+the batch pruner's rule, prioritization through the existing
 :class:`~repro.core.scheduler.ComparisonScheduler`, and decisions from
 the existing :class:`~repro.matching.matcher.ThresholdMatcher` over the
 streaming similarity index.  Every query returns per-phase latency so
@@ -19,7 +20,6 @@ batch pipeline on the same corpus.
 from __future__ import annotations
 
 import heapq
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -31,6 +31,8 @@ from repro.core.engine import ResolutionContext
 from repro.core.scheduler import ComparisonScheduler
 from repro.matching.matcher import MatchGraph, Matcher, ThresholdMatcher
 from repro.metablocking.graph import BlockingGraph, WeightedEdge
+from repro.metablocking.pruning import CEP, CNP, WEP, WNP, PruningScheme, node_budget
+from repro.metablocking.weighting import WeightingScheme
 from repro.model.description import EntityDescription
 from repro.model.interner import pack_pair
 from repro.obs import DISABLED, Observability
@@ -41,7 +43,7 @@ from repro.stream.durability import (
     recover as recover_state,
 )
 from repro.stream.index import IncrementalBlockIndex
-from repro.stream.pairs import SCHEME_NAMES, DeltaPairTable
+from repro.stream.pairs import DeltaPairTable
 from repro.stream.processed_view import IncrementalProcessedView, SurvivorPairTable
 from repro.stream.similarity import StreamingSimilarityIndex
 from repro.stream.store import StreamingEntityStore
@@ -61,98 +63,72 @@ class StreamMatch:
 #
 # The sharded serving tier (:mod:`repro.serving`) executes the same
 # query pipeline with the phases split across processes: shards weigh
-# their owned candidates, the router prunes the merged neighbourhood
-# and runs the match phase.  Sharing these functions — not copies of
-# them — is what makes the merged results bit-identical to this
-# resolver by construction.
+# their owned candidates (:meth:`~repro.stream.pairs.PairStatsView.weigh`),
+# the router prunes the merged neighbourhood and runs the match phase.
+# Sharing these functions — not copies of them — is what makes the
+# merged results bit-identical to this resolver by construction.
 # ---------------------------------------------------------------------------
 
 
-#: the pruner names :func:`prune_neighbourhood` accepts, by behaviour
-#: (matched case-insensitively)
-_KEEP_ALL = ("none", "all", "")
-_ABOVE_MEAN = ("wnp", "wep")
-_TOP_K = ("cnp", "cep")
+def query_components(
+    scheme: str, pruner: str
+) -> tuple[WeightingScheme, PruningScheme | None]:
+    """Resolve a query's scheme and pruner names through the registry.
 
-
-def check_query_names(scheme: str, pruner: str) -> None:
-    """Reject an unknown scheme or pruner before a query touches state.
-
-    Without this a bad name only surfaces once a candidate exists to be
-    weighed or pruned, so the same call would succeed on an empty store
-    and fail on a full one.
+    Called before a query touches state: without it a bad name would
+    only surface once a candidate exists to be weighed or pruned, so
+    the same call would succeed on an empty store and fail on a full
+    one.  ``"none"`` (any case) keeps every candidate and resolves to
+    ``None``.
 
     Raises:
-        KeyError: naming the choices.
+        KeyError: for an unregistered name, naming the registered
+            ones, or a pruner with no node-centric rule.
     """
-    if scheme.upper() not in SCHEME_NAMES:
-        raise KeyError(
-            f"unknown weighting scheme {scheme!r}; choose from {SCHEME_NAMES}"
-        )
-    if pruner.lower() not in _KEEP_ALL + _ABOVE_MEAN + _TOP_K:
-        raise KeyError(
-            f"unknown stream pruner {pruner!r}; choose CNP, WNP or none"
-        )
+    from repro.api.registry import registry
 
-
-def weigh_candidates(
-    pair_table,
-    uris: list[str],
-    uri_q: str,
-    entity_id: int,
-    candidate_ids,
-    scheme: str,
-) -> dict[int, float]:
-    """Scheme weights of the (query, candidate) pairs, batch-ordered.
-
-    The pair's endpoints are ordered by URI (lexicographically smaller
-    first) before :meth:`~repro.stream.pairs.PairStatsView.weight_ids`,
-    the float-association order the batch graph uses.
-    """
-    weights: dict[int, float] = {}
-    for candidate_id in candidate_ids:
-        uri_c = uris[candidate_id]
-        if uri_c < uri_q:
-            weight = pair_table.weight_ids(scheme, candidate_id, entity_id)
-        else:
-            weight = pair_table.weight_ids(scheme, entity_id, candidate_id)
-        weights[candidate_id] = weight
-    return weights
+    weighting = registry.create("weighting", scheme)
+    if pruner.lower() == "none":
+        return weighting, None
+    pruning = registry.create("pruner", pruner)
+    if not isinstance(pruning, (WNP, WEP, CNP, CEP)):
+        raise KeyError(f"pruner {pruner!r} has no node-centric query rule")
+    return weighting, pruning
 
 
 def prune_neighbourhood(
     weights: dict[int, float],
-    pruner: str,
+    pruning: PruningScheme | None,
     uris: list[str],
     entities_placed: int,
     total_assignments: int,
 ) -> list[tuple[int, float]]:
     """Node-centric pruning of one query neighbourhood.
 
-    Deterministic order everywhere: weight descending, partner URI
-    ascending — the ordering the batch pruners use.  The CNP budget
-    derives from *entities_placed* / *total_assignments* (the pair
-    table's global placement aggregates), matching batch CNP whose k
-    comes from the processed collection.
+    The batch pruner's node rule applied to the query's star: the WNP
+    family (and WEP) keeps the candidates at or above the neighbourhood
+    mean, the CNP family (and CEP) the top ``k`` —
+    :func:`~repro.metablocking.pruning.node_budget` of the pair table's
+    placement aggregates, as batch CNP derives it from the processed
+    collection — and ``None`` keeps every candidate.  The neighbourhood
+    is folded in ascending entity-id order, so the mean does not depend
+    on the order *weights* was filled in.  Survivors come weight
+    descending, partner URI ascending — the batch pruners' order.
     """
     if not weights:
         return []
-    items = list(weights.items())
-    name = pruner.lower()
-    if name in _KEEP_ALL:
-        return sorted(items, key=lambda iw: (-iw[1], uris[iw[0]]))
-    if name in _ABOVE_MEAN:
-        mean = sum(weights.values()) / len(weights)
-        kept = [iw for iw in items if iw[1] >= mean]
-        return sorted(kept, key=lambda iw: (-iw[1], uris[iw[0]]))
-    if name in _TOP_K:
-        entities = max(entities_placed, 1)
-        average = total_assignments / entities
-        k = max(1, math.ceil(average) - 1)
-        return heapq.nsmallest(k, items, key=lambda iw: (-iw[1], uris[iw[0]]))
-    raise KeyError(
-        f"unknown stream pruner {pruner!r}; choose CNP, WNP or none"
-    )
+
+    def rank(item):
+        return -item[1], uris[item[0]]
+
+    items = weights.items()
+    if isinstance(pruning, (CNP, CEP)):
+        k = node_budget(total_assignments, entities_placed)
+        return heapq.nsmallest(k, items, key=rank)
+    if pruning is not None:
+        mean = sum(weights[partner] for partner in sorted(weights)) / len(weights)
+        items = [item for item in items if item[1] >= mean]
+    return sorted(items, key=rank)
 
 
 def run_match_phase(
@@ -266,15 +242,10 @@ class StreamResolver:
         matcher: override the decision matcher (must handle the
             streaming similarity index's URIs).
         benefit: scheduler benefit model (default: quantity).
-        max_key_cardinality: per-query purging stand-in — candidate keys
-            whose current block implies more comparisons are skipped.
-        key_ratio: per-query filtering stand-in — only this fraction of
-            the query entity's most selective keys generate candidates.
         processed_view: serve candidates and weights from an
             :class:`~repro.stream.processed_view.IncrementalProcessedView`
             — the incrementally-maintained purge/filter survivors —
-            instead of the raw index (the per-query stand-in caps above
-            are then ignored).  Queries auto-reconcile the view when its
+            instead of the raw index.  Queries auto-reconcile the view when its
             staleness bound is reached, with the reconcile time reported
             separately from serve time in the latency split.  The
             resolver maintains the one statistics table its queries
@@ -305,8 +276,6 @@ class StreamResolver:
         threshold: float = 0.4,
         matcher: Matcher | None = None,
         benefit: BenefitModel | None = None,
-        max_key_cardinality: int | None = None,
-        key_ratio: float | None = None,
         processed_view: bool = False,
         purging: BlockPurging | None = None,
         filtering: BlockFiltering | None = None,
@@ -350,8 +319,6 @@ class StreamResolver:
         )
         self.matcher.attach(self.context)
         self.benefit = benefit or QuantityBenefit()
-        self.max_key_cardinality = max_key_cardinality
-        self.key_ratio = key_ratio
         #: how the state was rebuilt, when this resolver came from
         #: :meth:`recover` (None for a fresh resolver)
         self.recovery: RecoveryReport | None = None
@@ -424,11 +391,12 @@ class StreamResolver:
             description: the incoming entity.
             source: its KB ordinal (clean-clean stores compare only
                 across sources).
-            scheme: weighting scheme scoring the candidate pairs (any of
-                the six batch schemes).
-            pruner: local pruning of the candidate neighbourhood —
-                ``"CNP"`` (top-k, k derived like batch CNP), ``"WNP"``
-                (neighbourhood-mean threshold, like batch WNP/WEP) or
+            scheme: registered weighting scheme scoring the candidate
+                pairs.
+            pruner: local pruning of the candidate neighbourhood — a
+                registered pruner (the CNP family and CEP keep the
+                top-k, k derived like batch CNP; the WNP family and WEP
+                the candidates at or above the neighbourhood mean) or
                 ``"none"``.
             budget: cap on comparisons actually executed (None: all
                 survivors).
@@ -463,7 +431,7 @@ class StreamResolver:
         budget: int | None,
         ingest: bool,
     ) -> StreamQueryResult:
-        check_query_names(scheme, pruner)
+        weighting, pruning = query_components(scheme, pruner)
         obs = self.obs
         t_total = time.perf_counter()
         latency: dict[str, float] = {}
@@ -490,28 +458,30 @@ class StreamResolver:
                     self.durability.maybe_snapshot()
             latency["reconcile_s"] = timer.duration_s
 
+        # Candidates, weights and the CNP budget all come from the one
+        # table queries read: under a view, the survivors' — matching
+        # batch CNP, whose k comes from the processed collection.
+        table = self._query_table
         with obs.timed(
             "stream.query.candidates",
             metric="repro.stream.query.candidates.seconds",
         ) as timer:
-            if self.view is not None:
-                candidate_ids = self.view.partners_of(entity_id)
-            else:
-                candidate_ids = self.index.partners_of(
-                    entity_id, self.max_key_cardinality, self.key_ratio
-                )
+            candidate_ids = table.source.neighbours_of(entity_id)
         latency["candidates_s"] = timer.duration_s
 
-        uris = self.store.interner.uri_table()
         uri_q = description.uri
 
         with obs.timed(
             "stream.query.weigh", metric="repro.stream.query.weigh.seconds"
         ) as timer:
-            weights = weigh_candidates(
-                self._query_table, uris, uri_q, entity_id, candidate_ids, scheme
+            weights = table.weigh(weighting, entity_id, candidate_ids)
+            survivors = prune_neighbourhood(
+                weights,
+                pruning,
+                self.store.interner.uri_table(),
+                table.entities_placed,
+                table.total_assignments,
             )
-            survivors = self._prune_local(weights, pruner, uris)
         latency["weigh_s"] = timer.duration_s
 
         with obs.timed(
@@ -538,20 +508,6 @@ class StreamResolver:
             comparisons=comparisons,
             skipped_decided=skipped,
             latency=latency,
-        )
-
-    def _prune_local(
-        self, weights: dict[int, float], pruner: str, uris: list[str]
-    ) -> list[tuple[int, float]]:
-        """Node-centric pruning of the query neighbourhood.
-
-        With the processed view active, the CNP budget derives from
-        the survivor placements — matching batch CNP, whose k comes
-        from the processed collection.
-        """
-        table = self._query_table
-        return prune_neighbourhood(
-            weights, pruner, uris, table.entities_placed, table.total_assignments
         )
 
     # -- durability ----------------------------------------------------------

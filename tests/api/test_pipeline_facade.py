@@ -194,6 +194,53 @@ class TestCrossBackendEquivalence:
         assert "metablock_s" not in report.phase_seconds
 
 
+class TestStreamQueryPruner:
+    """``backend.query_pruner`` reaches every query of a stream replay."""
+
+    @staticmethod
+    def replay_results(monkeypatch, **backend):
+        """Run the spec on the stream backend; every query's result."""
+        from repro.stream.resolver import StreamResolver
+
+        results = []
+        original = StreamResolver.resolve
+
+        def recording(self, *args, **kwargs):
+            result = original(self, *args, **kwargs)
+            results.append(result)
+            return result
+
+        kb1, kb2, gold = load_restaurants()
+        with monkeypatch.context() as patch:
+            patch.setattr(StreamResolver, "resolve", recording)
+            Pipeline.run(
+                SPEC.with_backend(kind="stream", **backend), kb1, kb2, gold=gold
+            )
+        return [
+            (r.uri, r.candidates, r.scheduled, r.comparisons, r.matches)
+            for r in results
+        ]
+
+    def test_reciprocal_cnp_answers_as_cnp(self, monkeypatch):
+        cnp = self.replay_results(monkeypatch, query_pruner="CNP")
+        reciprocal = self.replay_results(monkeypatch, query_pruner="ReciprocalCNP")
+        assert cnp and reciprocal == cnp
+
+    def test_none_schedules_every_candidate(self, monkeypatch):
+        kept = self.replay_results(monkeypatch, query_pruner="none")
+        assert kept and all(scheduled == n for _, n, scheduled, _, _ in kept)
+        pruned = self.replay_results(monkeypatch, query_pruner="CNP")
+        assert any(scheduled < n for _, n, scheduled, _, _ in pruned)
+
+    def test_unknown_query_pruner_is_a_spec_error(self):
+        kb1, kb2, gold = load_restaurants()
+        with pytest.raises(SpecError, match="nope"):
+            Pipeline.run(
+                SPEC.with_backend(kind="stream", query_pruner="nope"),
+                kb1, kb2, gold=gold,
+            )
+
+
 class TestRunReport:
     def test_report_fields(self):
         kb1, kb2, gold = load_restaurants()

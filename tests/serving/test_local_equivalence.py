@@ -3,8 +3,8 @@
 :class:`~repro.serving.local.LocalTier` executes the router's exact
 query plan — split candidates by partition owner, weigh per partition,
 merge, prune, match — over one in-process replica.  Hypothesis drives
-shard counts (1–8), merge interleavings and weighting schemes through
-it and demands byte-equality with a plain single-store
+shard counts (1–8), merge interleavings, weighting schemes and pruners
+through it and demands byte-equality with a plain single-store
 :class:`~repro.stream.resolver.StreamResolver` on the same events; a
 separate case pins the degradation contract (down partitions drop their
 candidates, coverage is accounted, nothing is silent).
@@ -22,6 +22,7 @@ from repro.stream import StreamResolver
 from repro.stream.store import StreamingEntityStore
 
 SCHEMES = ["CBS", "ECBS", "JS", "EJS", "ARCS", "X2"]
+PRUNERS = ["CNP", "WNP", "none"]
 TOKENS = ["alpha", "beta", "gamma", "delta", "kappa", "sigma"]
 
 
@@ -35,12 +36,14 @@ descriptions = st.builds(
 )
 
 
-def _resolve_both(tier, resolver, arrivals, scheme, orders):
+def _resolve_both(tier, resolver, arrivals, scheme, pruner, orders):
     """Resolve every arrival on both sides, asserting bit-identity."""
     for position, description in enumerate(arrivals):
         order = orders[position % len(orders)] if orders else None
-        got = tier.resolve(description.copy(), scheme=scheme, order=order)
-        want = resolver.resolve(description.copy(), scheme=scheme)
+        got = tier.resolve(
+            description.copy(), scheme=scheme, pruner=pruner, order=order
+        )
+        want = resolver.resolve(description.copy(), scheme=scheme, pruner=pruner)
         assert got.matches == want.matches
         assert got.candidates == want.candidates
         assert got.scheduled == want.scheduled
@@ -55,10 +58,11 @@ def _resolve_both(tier, resolver, arrivals, scheme, orders):
     arrivals=st.lists(descriptions, min_size=1, max_size=12),
     n_partitions=st.integers(1, 8),
     scheme=st.sampled_from(SCHEMES),
+    pruner=st.sampled_from(PRUNERS),
     data=st.data(),
 )
 def test_merge_is_bit_identical_for_any_interleaving(
-    arrivals, n_partitions, scheme, data
+    arrivals, n_partitions, scheme, pruner, data
 ):
     tier = LocalTier(n_partitions, clean_clean=False)
     resolver = StreamResolver(StreamingEntityStore(sources=("stream",)))
@@ -66,7 +70,24 @@ def test_merge_is_bit_identical_for_any_interleaving(
         data.draw(st.permutations(range(n_partitions)))
         for _ in range(min(3, len(arrivals)))
     ]
-    _resolve_both(tier, resolver, arrivals, scheme, orders)
+    _resolve_both(tier, resolver, arrivals, scheme, pruner, orders)
+
+
+def test_wnp_mean_does_not_follow_the_merge_order():
+    """A star whose χ² neighbourhood mean, folded in partition order
+    instead of entity-id order, lands on the other side of a weight."""
+    arrivals = [
+        EntityDescription(f"http://e/{i}", {"p": [tokens]})
+        for i, tokens in (
+            (2, "alpha beta delta sigma"),
+            (0, "alpha"),
+            (1, "alpha delta gamma sigma"),
+            (10, "alpha beta gamma"),
+        )
+    ]
+    tier = LocalTier(4, clean_clean=False)
+    resolver = StreamResolver(StreamingEntityStore(sources=("stream",)))
+    _resolve_both(tier, resolver, arrivals, "X2", "WNP", [])
 
 
 @settings(max_examples=25, deadline=None)

@@ -131,8 +131,11 @@ class TestHealthyTier:
         with Router(3, query_timeout_s=10.0) as router:
             drive(router, events[:40])
             report = verify_equivalence(router, queries_of(events[:40]))
+            wnp = verify_equivalence(router, queries_of(events[:40]), pruner="WNP")
         assert report.ok, report.mismatches
         assert report.checked == len(queries_of(events[:40]))
+        assert wnp.ok, wnp.mismatches
+        assert wnp.checked == report.checked
 
     def test_bad_source_and_bad_names_never_reach_a_shard(self, events):
         description = events[0].description

@@ -110,17 +110,13 @@ class EagerPairTable(PairStatsView, DeltaConsumer):
     def interner(self):
         return self.index.store.interner
 
-    def _common_items(self):
-        return self.common.items()
+    def _pair_keys(self):
+        return iter(self.common)
 
-    def common_of(self, id_a: int, id_b: int) -> int:
+    def pair_stats(self, id_a: int, id_b: int) -> tuple[int, float]:
         if id_a == id_b:
-            return 0
-        return self.common.get(pack_pair(id_a, id_b), 0)
-
-    def arcs_of(self, id_a: int, id_b: int) -> float:
-        if id_a == id_b:
-            return 0.0
+            return 0, 0.0
+        common = self.common.get(pack_pair(id_a, id_b), 0)
         index = self.index
         keys_a = index.keys_of(id_a)
         keys_b = index.keys_of(id_b)
@@ -128,7 +124,7 @@ class EagerPairTable(PairStatsView, DeltaConsumer):
             keys_a, keys_b = keys_b, keys_a
         shared = [key for key in keys_a if key in keys_b]
         if not shared:
-            return 0.0
+            return common, 0.0
         shared.sort()
         arcs = 0.0
         for key in shared:
@@ -141,4 +137,4 @@ class EagerPairTable(PairStatsView, DeltaConsumer):
             contribution = 1.0 / cardinality
             for _ in range(cells):
                 arcs += contribution
-        return arcs
+        return common, arcs

@@ -24,6 +24,8 @@ from repro.stream import StreamResolver
 
 from metablocking.string_graph_oracle import reference_pair_statistics
 
+from .star_weights import assert_stars_match
+
 CORPORA = {
     "restaurants": load_restaurants,
     "movies": load_movies,
@@ -131,8 +133,7 @@ class TestWeightEquivalence:
         kb1, kb2 = corpus
         raw = TokenBlocking().build(kb1, kb2)
         edges = BlockingGraph(raw, registry.create("weighting", scheme_name)).materialize()
-        for (uri_a, uri_b), weight in edges.items():
-            assert streamed.pairs.weight(scheme_name, uri_a, uri_b) == weight
+        assert_stars_match(streamed.pairs, scheme_name, dict(edges.items()))
 
     def test_pruned_edges_bit_identical(self, corpus, streamed, scheme_name):
         kb1, kb2 = corpus

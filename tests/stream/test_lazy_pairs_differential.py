@@ -6,8 +6,9 @@ set difference per event.  :class:`EagerPairTable` is the previous
 implementation — one callback per comparison cell — fed by its own
 enumeration of the postings.  Both hang off the same index while a
 state machine inserts, merges late keys in, deletes and re-inserts; they
-must agree after every step on every global factor, on ``common_of``
-and, float for float, on all six weighting schemes.
+must agree after every step on every global factor, on every pair's
+``(common, arcs)`` and, float for float, on every entity's star weighed
+under all six weighting schemes.
 """
 
 from __future__ import annotations
@@ -24,10 +25,12 @@ from hypothesis.stateful import (
     rule,
 )
 
+from repro.api import registry
+from repro.metablocking.scheme_defs import SCHEME_NAMES
 from repro.model.description import EntityDescription
 from repro.stream.durability import capture_state, restore_components
 from repro.stream.index import DeltaConsumer, IncrementalBlockIndex
-from repro.stream.pairs import SCHEME_NAMES, DeltaPairTable
+from repro.stream.pairs import DeltaPairTable
 from repro.stream.store import StreamingEntityStore
 
 from .eager_pairs_oracle import EagerPairTable
@@ -103,13 +106,15 @@ class TwoPairTables(RuleBasedStateMachine):
         assert lazy.active_blocks == eager.active_blocks
         ids = range(len(self.store.interner))
         for id_a, id_b in itertools.combinations(ids, 2):
-            assert lazy.common_of(id_a, id_b) == eager.common_of(id_a, id_b)
-            assert lazy.common_of(id_b, id_a) == eager.common_of(id_a, id_b)
-            assert lazy.stats_of(id_a, id_b) == eager.stats_of(id_a, id_b)
-            for scheme in SCHEME_NAMES:
-                ours = lazy.weight_ids(scheme, id_a, id_b)
-                theirs = eager.weight_ids(scheme, id_a, id_b)
-                assert ours == theirs, (scheme, id_a, id_b)
+            assert lazy.pair_stats(id_a, id_b) == eager.pair_stats(id_a, id_b)
+            assert lazy.pair_stats(id_b, id_a) == eager.pair_stats(id_a, id_b)
+        for scheme in SCHEME_NAMES:
+            weighting = registry.create("weighting", scheme)
+            for center in ids:
+                others = [other for other in ids if other != center]
+                ours = lazy.weigh(weighting, center, others)
+                theirs = eager.weigh(weighting, center, others)
+                assert ours == theirs, (scheme, center)
         assert lazy.as_reference_stats() == eager.as_reference_stats()
 
     @invariant()
@@ -136,7 +141,7 @@ def test_shared_uri_yields_two_cells_in_one_block():
         for source in (0, 1):
             store.insert(_description(uri, {"alpha"}), source)
     assert index.cells_between("alpha", 0, 1) == 2
-    assert lazy.common_of(0, 1) == eager.common_of(0, 1) == 2
+    assert lazy.pair_stats(0, 1)[0] == eager.pair_stats(0, 1)[0] == 2
     assert lazy.edge_count == eager.edge_count == 1
     assert lazy.degrees == eager.degrees == {0: 1, 1: 1}
     store.delete("http://e/x")

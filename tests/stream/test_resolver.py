@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.datasets import load_movies, load_restaurants
+from repro.datasets import load_restaurants
+from repro.metablocking.pruning import node_budget
+from repro.metablocking.weighting import WeightingScheme
 from repro.model.description import EntityDescription
 from repro.stream import StreamResolver
 from repro.stream.durability import capture_state
+from repro.stream.resolver import prune_neighbourhood, query_components
 
 
 @pytest.fixture()
@@ -122,17 +125,61 @@ class TestResolve:
                 EntityDescription("http://e/unknown", {"p": ["v"]}), ingest=False
             )
 
-    def test_selectivity_caps_bound_candidates(self):
-        kb1, kb2, _ = load_movies()
-        capped = StreamResolver(clean_clean=True, max_key_cardinality=2, key_ratio=0.5)
-        full = StreamResolver(clean_clean=True)
-        for source, kb in enumerate((kb1, kb2)):
-            capped.ingest_batch([d.copy() for d in kb], source)
-            full.ingest_batch([d.copy() for d in kb], source)
-        description = next(iter(kb1)).copy()
-        capped_result = capped.resolve(description, source=0, pruner="none")
-        full_result = full.resolve(description, source=0, pruner="none")
-        assert capped_result.candidates <= full_result.candidates
+
+class TestPruneNeighbourhood:
+    URIS = [f"http://e/{i}" for i in range(8)]
+
+    @staticmethod
+    def prune(weights, pruner, entities_placed=1, total_assignments=0):
+        _weighting, pruning = query_components("ARCS", pruner)
+        return prune_neighbourhood(
+            weights, pruning, TestPruneNeighbourhood.URIS,
+            entities_placed, total_assignments,
+        )
+
+    @pytest.mark.parametrize("pruner", ["WNP", "ReciprocalWNP", "WEP"])
+    def test_mean_does_not_depend_on_insertion_order(self, pruner):
+        # (.1 + .2 + .3) / 3 lands above .2; (.3 + .2 + .1) / 3 below it.
+        forward = {1: 0.1, 2: 0.2, 3: 0.3}
+        backward = dict(reversed(forward.items()))
+        assert self.prune(forward, pruner) == [(3, 0.3)]
+        assert self.prune(backward, pruner) == [(3, 0.3)]
+
+    @pytest.mark.parametrize("pruner", ["CNP", "ReciprocalCNP", "CEP"])
+    def test_top_k_uses_the_batch_node_budget(self, pruner):
+        weights = {5: 0.5, 1: 0.9, 3: 0.5, 7: 0.1}
+        # 9 placements over 3 entities: k = ceil(3) - 1 = 2.
+        assert node_budget(9, 3) == 2
+        assert self.prune(weights, pruner, 3, 9) == [(1, 0.9), (3, 0.5)]
+
+    def test_none_keeps_every_candidate_ranked(self):
+        weights = {5: 0.5, 1: 0.9, 3: 0.5, 7: 0.1}
+        assert self.prune(weights, "none") == [(1, 0.9), (3, 0.5), (5, 0.5), (7, 0.1)]
+        assert self.prune(weights, "NONE") == self.prune(weights, "none")
+
+    @pytest.mark.parametrize("pruner", ["all", ""])
+    def test_keep_all_aliases_are_gone(self, pruner):
+        with pytest.raises(KeyError):
+            query_components("ARCS", pruner)
+
+
+def test_a_scheme_without_an_array_path_cannot_weigh_a_star(restaurant_resolver):
+    """Stream stars are weighed by ``weight_array`` alone: a plugin on
+    the string API fails loudly instead of weighing row by row."""
+
+    class StringOnly(WeightingScheme):
+        name = "STRING-ONLY"
+
+        def weight(self, uri_a, uri_b, common_blocks, arcs):
+            return float(common_blocks)
+
+    resolver = restaurant_resolver[0]
+    entity_id = next(
+        e for e in range(len(resolver.store)) if resolver.index.neighbours_of(e)
+    )
+    candidates = resolver.index.neighbours_of(entity_id)
+    with pytest.raises(KeyError, match="STRING-ONLY"):
+        resolver.pairs.weigh(StringOnly(), entity_id, candidates)
 
 
 class TestIngestion:

@@ -30,11 +30,13 @@ from repro.api import registry
 from repro.blocking.filtering import BlockFiltering
 from repro.blocking.purging import BlockPurging
 from repro.metablocking.graph import BlockingGraph
+from repro.metablocking.scheme_defs import SCHEME_NAMES
 from repro.model.description import EntityDescription
 from repro.stream.index import IncrementalBlockIndex
-from repro.stream.pairs import SCHEME_NAMES
 from repro.stream.processed_view import IncrementalProcessedView, SurvivorPairTable
 from repro.stream.store import StreamingEntityStore
+
+from .star_weights import assert_stars_match
 
 TOKENS = ["alpha", "beta", "gamma", "delta", "kappa", "sigma", "omega"]
 #: these live in both KBs of the clean-clean store — between them one
@@ -75,8 +77,7 @@ def assert_matches_batch_graph(view, table) -> None:
         )
     )
     for name, weighted in graphs.items():
-        for (uri_a, uri_b), weight in weighted.materialize().items():
-            assert table.weight(name, uri_a, uri_b) == weight, (name, uri_a, uri_b)
+        assert_stars_match(table, name, dict(weighted.materialize().items()))
 
 
 class SurvivorsAgainstBatchGraph(RuleBasedStateMachine):
@@ -137,7 +138,7 @@ class SurvivorsAgainstBatchGraph(RuleBasedStateMachine):
     def query(self, data):
         """A read: drains whatever the events before it buffered."""
         uri = data.draw(st.sampled_from(sorted(self._live())))
-        self.view.partners_of(self.store.interner.id_of(uri))
+        self.view.neighbours_of(self.store.interner.id_of(uri))
 
     @rule(full=st.booleans())
     def reconcile(self, full):
