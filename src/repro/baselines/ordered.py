@@ -42,10 +42,9 @@ def run_ordered(
     # Pre-score only what the budget can reach: a tightly budgeted run
     # must not pay for vectorized scoring of comparisons it will never
     # execute (pairs past the prefix simply fall back to scalar scoring).
-    if budget.max_cost is None:
-        matcher.prime(pairs)
-    else:
-        matcher.prime(pairs[: int(budget.remaining) + 1])
+    reachable = pairs if budget.max_cost is None else pairs[: int(budget.remaining) + 1]
+    oriented = [context.oriented(context.key(*pair)) for pair in reachable]
+    matcher.prime([a for a, _ in oriented], [b for _, b in oriented])
     curve = ProgressiveCurve(label=label)
     result = ProgressiveResult(
         match_graph=context.match_graph, curve=curve, budget=budget

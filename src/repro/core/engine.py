@@ -19,9 +19,12 @@ from repro.datasets.gold import GoldStandard
 from repro.evaluation.progressive import ProgressiveCurve
 from repro.matching.matcher import Matcher, MatchGraph
 from repro.metablocking.graph import WeightedEdge
-from repro.model.collection import EntityCollection
+from repro.model.collection import EntityCollection, neighbourhood
 from repro.model.description import EntityDescription
 from repro.model.interner import PAIR_MASK, PAIR_SHIFT, EntityInterner, pack_pair
+
+
+_NO_LINKS: tuple[tuple[int, ...], ...] = ((), (), ())
 
 
 class ResolutionContext:
@@ -32,9 +35,11 @@ class ResolutionContext:
     collections describe is interned once, first collection wins, in
     collection order — the rows :class:`~repro.matching.similarity.
     SimilarityIndex` builds over the same collections.  Per id the context
-    holds the home collection, the source tag and the neighbourhood as a
-    tuple of ids, memoised on first read (so the collections must not
-    change during resolution).  The progressive loop speaks ids only; the
+    holds the home collection, the source tag and the out-, in- and
+    out-then-in neighbours as tuples of ids, derived on the first read of
+    a neighbourhood homed in a collection by one id pass over that
+    collection and memoised (so the collections must not change during
+    resolution).  The progressive loop speaks ids only; the
     URI methods are the boundary and read the collections live.
 
     Args:
@@ -56,7 +61,9 @@ class ResolutionContext:
         self.match_graph = MatchGraph(self.interner)
         self._home: dict[int, EntityCollection] = {}
         self._source: dict[int, str] = {}
-        self._neighborhoods: dict[int, tuple[int, ...]] = {}
+        #: id → (out-, in-, out-then-in neighbour ids), for every id homed
+        #: in a collection :meth:`_link` has passed over
+        self._links: dict[int, tuple[tuple[int, ...], ...]] = {}
         intern = self.interner.intern
         for collection in collections:
             for description in collection:
@@ -108,23 +115,37 @@ class ResolutionContext:
 
     def neighbor_ids(self, entity_id: int) -> tuple[int, ...]:
         """Out-neighbours of *entity_id* in its home collection."""
-        return self._link_ids(entity_id, EntityCollection.neighbors)
+        return (self._links.get(entity_id) or self._link(entity_id))[0]
 
     def inverse_neighbor_ids(self, entity_id: int) -> tuple[int, ...]:
         """In-neighbours of *entity_id* in its home collection."""
-        return self._link_ids(entity_id, EntityCollection.inverse_neighbors)
+        return (self._links.get(entity_id) or self._link(entity_id))[1]
 
     def neighborhood_ids(self, entity_id: int) -> tuple[int, ...]:
-        """Out- then in-neighbours of *entity_id*, deduplicated (memoised)."""
-        ids = self._neighborhoods.get(entity_id)
-        if ids is None:
-            ids = self._link_ids(entity_id, EntityCollection.all_neighbors)
-            self._neighborhoods[entity_id] = ids
-        return ids
+        """Out- then in-neighbours of *entity_id*, deduplicated."""
+        return (self._links.get(entity_id) or self._link(entity_id))[2]
 
-    def _link_ids(self, entity_id: int, links) -> tuple[int, ...]:
-        uris = self._from_home(self.uris[entity_id], links) if entity_id >= 0 else ()
-        return tuple(self.interner.ids_of(uris))
+    def _link(self, entity_id: int) -> tuple[tuple[int, ...], ...]:
+        """Derive the links of the ids :meth:`_link_scope` names, homed where
+        *entity_id* is, in one id pass over that collection's memoised
+        :meth:`~repro.model.collection.EntityCollection.graph`."""
+        collection = self._home.get(entity_id)
+        if collection is None:
+            return _NO_LINKS
+        out, inverse = collection.graph()
+        ids_of, home, links = self.interner.ids_of, self._home, self._links
+        uris = self._link_scope(entity_id, collection)
+        for uri, i in zip(uris, ids_of(uris)):
+            if home.get(i) is collection:
+                ids_out = tuple(ids_of(out.get(uri, ())))
+                ids_in = tuple(ids_of(inverse.get(uri, ())))
+                links[i] = ids_out, ids_in, neighbourhood(ids_out, ids_in)
+        return links.get(entity_id, _NO_LINKS)
+
+    def _link_scope(self, entity_id: int, collection: EntityCollection) -> list[str]:
+        """The URIs one :meth:`_link` derives: all of the home collection's,
+        since the collections do not change during resolution."""
+        return collection.uris()
 
     def vicinity_ids(self, a: int, b: int) -> set[int]:
         """Both ids and their neighbourhoods — every description whose

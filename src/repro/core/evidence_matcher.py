@@ -82,10 +82,10 @@ class NeighborAwareMatcher(Matcher):
         super().bind(context)
         self.base.attach(context)
 
-    def prime(self, pairs) -> None:
+    def prime(self, ids_a, ids_b) -> None:
         """Forward batch pre-scoring to the value matcher (evidence is
         state-dependent and never cacheable)."""
-        self.base.prime(pairs)
+        self.base.prime(ids_a, ids_b)
 
     def evidence_ids(self, a: int, b: int) -> float:
         """Matched-neighbour fraction of two context ids, in [0, 1] (0

@@ -103,10 +103,14 @@ class ComparisonScheduler:
         self._base_weight.update(fresh)
         self._boost.update(dict.fromkeys(fresh, 0.0))
         by_id = self._by_id
-        for key in fresh:
-            by_id[key >> PAIR_SHIFT].add(key)
-            by_id[key & PAIR_MASK].add(key)
-        self._heap.push_many(zip(fresh, map(self._priority, fresh)))
+        estimate, context = self.benefit.estimate, self.context
+        priorities = []
+        for key, weight in fresh.items():
+            a, b = key >> PAIR_SHIFT, key & PAIR_MASK
+            by_id[a].add(key)
+            by_id[b].add(key)
+            priorities.append(_scaled(weight, estimate(a, b, context)))  # no boost yet
+        self._heap.push_many(zip(fresh, priorities))
         return len(fresh)
 
     def _schedule(self, key: int, weight: float) -> bool:
@@ -154,7 +158,7 @@ class ComparisonScheduler:
 
     def _priority(self, key: int) -> float:
         estimate = self.benefit.estimate(key >> PAIR_SHIFT, key & PAIR_MASK, self.context)
-        return (self._base_weight[key] + self._boost[key]) * max(estimate, 1e-9)
+        return _scaled(self._base_weight[key] + self._boost[key], estimate)
 
     def _reprioritize(self, key: int) -> None:
         self._heap.update(key, self._priority(key))
@@ -258,3 +262,8 @@ class ComparisonScheduler:
     def base_weight(self, uri_a: str, uri_b: str) -> float:
         """Current base weight of a pair (0.0 if never scheduled)."""
         return self._base_weight.get(self.context.key_of(uri_a, uri_b), 0.0)
+
+
+def _scaled(weight: float, estimate: float) -> float:
+    """Queue priority: (boosted) weight times a benefit estimate floored above 0."""
+    return weight * max(estimate, 1e-9)

@@ -25,6 +25,8 @@ endpoints or their neighbours.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.benefit import BenefitModel, QuantityBenefit
 from repro.core.budget import CostBudget
 from repro.core.engine import ProgressiveResult, ResolutionContext
@@ -33,7 +35,7 @@ from repro.core.updater import NeighborEvidencePropagator
 from repro.datasets.gold import GoldStandard
 from repro.evaluation.progressive import ProgressiveCurve
 from repro.matching.matcher import Matcher
-from repro.metablocking.graph import WeightedEdge
+from repro.metablocking.graph import WeightedEdge, pack_pair_arrays
 from repro.model.collection import EntityCollection
 
 
@@ -83,12 +85,23 @@ class ProgressiveSession:
 
         self.context = context = ResolutionContext(collections)
         self.matcher.attach(context)
-        key = context.key
-        keys = [key(edge.left, edge.right) for edge in edges]
+        # The edges become two id columns once; the keys pack from them.
+        sides = [edge.left for edge in edges], [edge.right for edge in edges]
+        try:
+            columns = list(map(context.interner.ids_of, sides))
+        except KeyError:  # a URI no collection describes: intern it as key() does
+            for left, right in zip(*sides):
+                context.key(left, right)
+            columns = list(map(context.interner.ids_of, sides))
+        ids_a, ids_b = (np.array(ids, dtype=np.int64) for ids in columns)
+        same = np.flatnonzero(ids_a == ids_b)
+        if len(same):
+            raise ValueError(f"self-comparison: {sides[0][same[0]]!r}")
+        keys = pack_pair_arrays(ids_a, ids_b).tolist()
         # Batch pre-scoring: the candidate set is known up front, so
         # matchers with a vectorized path (TF-IDF cosine) score every
         # pair at once; bit-identical to scoring inside the loop.
-        self.matcher.prime([edge.pair for edge in edges])
+        self.matcher.prime(ids_a, ids_b)
         self.scheduler = ComparisonScheduler(self.benefit, context)
         self.scheduler.add_keys(keys, [edge.weight for edge in edges])
         self.budget = CostBudget(0, scheduling_cost_weight=scheduling_cost_weight)

@@ -15,12 +15,13 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as _np
 
 from repro.blocking.block import comparison_pair
 from repro.matching.similarity import SimilarityIndex
+from repro.metablocking.graph import pack_pair_arrays
 from repro.model.interner import PAIR_SHIFT, EntityInterner, pack_pair
 
 
@@ -70,15 +71,16 @@ class Matcher(ABC):
         """
         self._context = context
 
-    def prime(self, pairs: Iterable[tuple[str, str]]) -> None:
+    def prime(self, ids_a: Sequence[int], ids_b: Sequence[int]) -> None:
         """Hook: pre-score a known candidate set in one batch.
 
-        Engines call this with the full pruned-edge pair list before the
-        progressive loop starts; matchers with a vectorized scoring path
-        (TF-IDF cosine) cache the batch scores so the per-pair calls
-        inside the loop become lookups.  Scores must be bit-identical to
-        the scalar path — priming may never change a decision.  The
-        default is a no-op.
+        Engines call this with the full pruned-edge list as two columns of
+        ids of the bound context, in the orientation each pair will be
+        decided in, before the progressive loop starts; matchers with a
+        vectorized scoring path (TF-IDF cosine) cache the batch scores so
+        the per-pair calls inside the loop become lookups.  Scores must be
+        bit-identical to the scalar path — priming may never change a
+        decision.  The default is a no-op.
         """
 
     @abstractmethod
@@ -155,23 +157,21 @@ class ThresholdMatcher(Matcher):
         super().bind(context)
         self._primed.clear()  # keyed by the previous context's ids
 
-    def prime(self, pairs: Iterable[tuple[str, str]]) -> None:
-        # One vectorized pass, once bound and when every URI is indexed.
-        # Each pair is scored in the orientation given (the cosine's dot
-        # runs over the left row): engines prime the URI-sorted pairs they
-        # decide in.
-        pairs = list(pairs)
+    def prime(self, ids_a: Sequence[int], ids_b: Sequence[int]) -> None:
+        # One vectorized pass, in the orientation given (the cosine's dot
+        # runs over the left row).  The context ids are the index's rows
+        # when both were built over the same collections; otherwise, or
+        # for an id past the index, the loop scores every pair itself.
         index, context = self.index, self._context
-        batch_path = self.measure_name == "cosine" and hasattr(index, "cosine_many")
-        if not (pairs and batch_path and context is not None):
+        batch_path = self.measure_name == "cosine" and hasattr(index, "cosine_rows")
+        if not (len(ids_a) and batch_path and context is not None):
             return
-        lefts, rights = zip(*pairs)
-        try:
-            scores = index.cosine_many(lefts, rights)
-            ids_a, ids_b = (_np.array(context.interner.ids_of(side)) for side in (lefts, rights))
-        except KeyError:
-            return  # an unindexed or unknown URI: the loop scores it
-        keys = _np.minimum(ids_a, ids_b) << PAIR_SHIFT | _np.maximum(ids_a, ids_b)
+        rows = len(index)
+        ids_a, ids_b = (_np.asarray(ids, dtype=_np.int64) for ids in (ids_a, ids_b))
+        if max(ids_a.max(), ids_b.max()) >= rows or context.uris[:rows] != index.uris():
+            return
+        scores = index.cosine_rows(ids_a, ids_b)
+        keys = pack_pair_arrays(ids_a, ids_b)
         self._primed.update(zip(keys.tolist(), scores.tolist()))
 
     def similarity(self, uri_a: str, uri_b: str) -> float:
@@ -229,8 +229,9 @@ class MatchGraph:
         #: number of positive decisions recorded
         self.match_count = 0
         self._parent: list[int] = []
-        #: id → packed pairs of its live decisions, for :meth:`forget`
-        self._keys_of: defaultdict[int, set[int]] = defaultdict(set)
+        #: id → packed pairs of its live decisions, built by the first
+        #: :meth:`forget` (a batch run never forgets) and kept from then on
+        self._keys_of: defaultdict[int, set[int]] | None = None
 
     def __len__(self) -> int:
         """Number of comparisons executed."""
@@ -251,8 +252,9 @@ class MatchGraph:
         if key in rows:
             return False
         rows[key] = len(self.a)
-        self._keys_of[a].add(key)
-        self._keys_of[b].add(key)
+        if self._keys_of is not None:
+            self._keys_of[a].add(key)
+            self._keys_of[b].add(key)
         self.a.append(a)
         self.b.append(b)
         self.score.append(score)
@@ -282,6 +284,11 @@ class MatchGraph:
         """Drop every decision involving *entity_id* (a retracted
         description) and its partners, re-clustering its component."""
         rows, keys_of, a, b = self.rows, self._keys_of, self.a, self.b
+        if keys_of is None:
+            keys_of = self._keys_of = defaultdict(set)
+            for key, row in rows.items():
+                keys_of[a[row]].add(key)
+                keys_of[b[row]].add(key)
         for key in keys_of.pop(entity_id, ()):
             row = rows.pop(key)
             self.match_count -= self.is_match[row]

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as _np
 
@@ -141,6 +141,10 @@ class SimilarityIndex:
     def __len__(self) -> int:
         return len(self._rows)
 
+    def uris(self) -> list[str]:
+        """Indexed URIs, in row order."""
+        return list(self._rows)
+
     def _row(self, uri: str, values: _np.ndarray) -> list:
         row = self._rows[uri]
         return values[self._bounds[row] : self._bounds[row + 1]].tolist()
@@ -195,8 +199,9 @@ class SimilarityIndex:
 
     # -- batch scoring -------------------------------------------------------
 
-    def cosine_many(self, left: Sequence[str], right: Sequence[str]):
-        """TF-IDF cosine of ``zip(left, right)`` pairs in one vectorized pass.
+    def cosine_rows(self, left, right):
+        """TF-IDF cosine of ``zip(left, right)`` row pairs (int arrays of
+        equal length, rows as in :meth:`uris`) in one vectorized pass.
 
         Both sides' rows are gathered from the CSR arrays and joined on
         (pair, token) keys by one searchsorted; ``bincount`` adds the matched
@@ -205,7 +210,7 @@ class SimilarityIndex:
 
         Raises:
             ValueError: when the two sequences differ in length.
-            KeyError: for unindexed URIs.
+            IndexError: for a row past the index.
         """
         if len(left) != len(right):
             raise ValueError("left and right must have equal length")
@@ -213,8 +218,7 @@ class SimilarityIndex:
         count = len(left)
         width = max(len(self._tokens), 1)
         sides = []
-        for uris in (left, right):
-            rows = np.fromiter(map(self._rows.__getitem__, uris), np.int64, count)
+        for rows in (left, right):
             positions, sizes = row_positions(self._indptr, rows)
             pair = np.repeat(np.arange(count), sizes)
             sides.append((rows, pair, pair * width + self._ids[positions], positions))

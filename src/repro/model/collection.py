@@ -10,16 +10,17 @@ platform needs:
   paper's motivation section quotes (property diversity, vocabulary reuse,
   linkage density).
 
-The neighbourhoods of :meth:`~EntityCollection.all_neighbors` and the token
-columns of :meth:`repro.model.tokenizer.Tokenizer.column` are memoised until
-the next :meth:`~EntityCollection.add` / :meth:`~EntityCollection.remove`;
-editing a member description in place bypasses both.
+The relationship graph, the neighbourhoods of
+:meth:`~EntityCollection.all_neighbors` and the token columns of
+:meth:`repro.model.tokenizer.Tokenizer.column` are memoised until the next
+:meth:`~EntityCollection.add` / :meth:`~EntityCollection.remove`; editing a
+member description in place bypasses them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from repro.model.description import EntityDescription
 from repro.model.interner import EntityInterner
@@ -58,8 +59,7 @@ class EntityCollection:
         self.name = name
         self._by_uri: dict[str, EntityDescription] = {}
         self._interner = EntityInterner()
-        self._neighbors: dict[str, list[str]] | None = None
-        self._inverse_neighbors: dict[str, list[str]] | None = None
+        self._graph: tuple[dict[str, list[str]], dict[str, list[str]]] | None = None
         self._all_neighbors: dict[str, tuple[str, ...]] = {}
         #: tokenizer signature → TokenColumn (``Tokenizer.column``'s memo)
         self.token_columns: dict = {}
@@ -150,8 +150,7 @@ class EntityCollection:
         return merged
 
     def _invalidate(self) -> None:
-        self._neighbors = None
-        self._inverse_neighbors = None
+        self._graph = None
         self._all_neighbors.clear()
         self.token_columns.clear()
 
@@ -164,15 +163,11 @@ class EntityCollection:
         collection count — dangling URIs are external and carry no
         resolvable evidence.
         """
-        self._ensure_graph()
-        assert self._neighbors is not None
-        return list(self._neighbors.get(uri, ()))
+        return list(self.graph()[0].get(uri, ()))
 
     def inverse_neighbors(self, uri: str) -> list[str]:
         """In-neighbours of *uri*: descriptions that reference it."""
-        self._ensure_graph()
-        assert self._inverse_neighbors is not None
-        return list(self._inverse_neighbors.get(uri, ()))
+        return list(self.graph()[1].get(uri, ()))
 
     def all_neighbors(self, uri: str) -> tuple[str, ...]:
         """Union of out- and in-neighbours, deduplicated, order-stable.
@@ -184,17 +179,17 @@ class EntityCollection:
         """
         union = self._all_neighbors.get(uri)
         if union is None:
-            self._ensure_graph()
-            assert self._neighbors is not None
-            assert self._inverse_neighbors is not None
-            seen = dict.fromkeys(self._neighbors.get(uri, ()))
-            seen.update(dict.fromkeys(self._inverse_neighbors.get(uri, ())))
-            union = self._all_neighbors[uri] = tuple(seen)
+            neighbors, inverse = self.graph()
+            union = neighbourhood(neighbors.get(uri, ()), inverse.get(uri, ()))
+            self._all_neighbors[uri] = union
         return union
 
-    def _ensure_graph(self) -> None:
-        if self._neighbors is not None:
-            return
+    def graph(self) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
+        """The relationship graph as two maps, URI → out-neighbours and
+        URI → in-neighbours, each in description order (memoised; read-only).
+        A URI without neighbours on a side is absent from that map."""
+        if self._graph is not None:
+            return self._graph
         neighbors: dict[str, list[str]] = {}
         inverse: dict[str, list[str]] = {}
         for description in self:
@@ -205,15 +200,14 @@ class EntityCollection:
                     inverse.setdefault(ref, []).append(description.uri)
             if targets:
                 neighbors[description.uri] = targets
-        self._neighbors = neighbors
-        self._inverse_neighbors = inverse
+        self._graph = neighbors, inverse
+        return self._graph
 
     # -- statistics ----------------------------------------------------------------
 
     def statistics(self) -> CollectionStatistics:
         """Compute shape statistics (see :class:`CollectionStatistics`)."""
-        self._ensure_graph()
-        assert self._neighbors is not None
+        neighbors, _ = self.graph()
         properties: set[str] = set()
         triple_count = 0
         prop_occurrences = 0
@@ -225,7 +219,7 @@ class EntityCollection:
             triple_count += len(description)
             sources.add(description.source)
         n = len(self) or 1
-        relationship_count = sum(len(v) for v in self._neighbors.values())
+        relationship_count = sum(len(v) for v in neighbors.values())
         return CollectionStatistics(
             description_count=len(self),
             triple_count=triple_count,
@@ -236,3 +230,9 @@ class EntityCollection:
             avg_out_degree=relationship_count / n,
             source_count=len(sources),
         )
+
+
+def neighbourhood(out: Sequence, inverse: Sequence) -> tuple:
+    """Out-neighbours, then the in-neighbours not already seen: the order of
+    :meth:`EntityCollection.all_neighbors`, over URIs or over ids."""
+    return tuple(dict.fromkeys((*out, *inverse)))

@@ -81,7 +81,8 @@ class EntityDescription:
         return list(self._attributes)
 
     def attributes(self) -> dict[str, list[str]]:
-        """The property → values mapping itself (live; do not mutate)."""
+        """The property → values mapping itself (live; only a loader
+        filling a fresh description may mutate it)."""
         return self._attributes
 
     def get(self, prop: str) -> list[str]:

@@ -36,7 +36,8 @@ class NTriplesParseError(ValueError):
         if line_number:
             detail = f"line {line_number}: {message}"
         if line:
-            detail = f"{detail}: {line.strip()!r}"
+            line = line.rstrip("\r\n")  # the line as read, without its terminator
+            detail = f"{detail}: {line!r}"
         super().__init__(detail)
         self.line_number = line_number
 
@@ -106,21 +107,30 @@ def parse_ntriples(text: str | Iterable[str]) -> Iterator[Triple]:
     # which are legal *inside* literals and must not terminate statements.
     lines = text.split("\n") if isinstance(text, str) else text
     for number, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        yield parse_ntriples_line(stripped, line_number=number)
+        triple = _read_line(line, number)
+        if triple is not None:
+            yield triple
+
+
+def _read_line(line: str, line_number: int) -> Triple | None:
+    """One line of a document as read: None for a blank or comment line,
+    else its statement."""
+    rest = line.lstrip()
+    return None if not rest or rest[0] == "#" else parse_ntriples_line(line, line_number)
 
 
 def parse_ntriples_line(line: str, line_number: int = 0) -> Triple:
-    """Parse a single N-Triples statement.
+    """Parse a single N-Triples statement.  Surrounding whitespace is
+    skipped in place, so an error names a column of *line* as given.
 
     Raises:
         NTriplesParseError: if the statement is malformed.
     """
-    match = _STATEMENT.fullmatch(line)
+    end = len(line.rstrip())
+    start = len(line) - len(line.lstrip())
+    match = _STATEMENT.fullmatch(line, start, end)
     if match is None:
-        raise NTriplesParseError(_diagnose(line), line_number, line)
+        raise NTriplesParseError(_diagnose(line, start, end), line_number, line)
     s_iri, s_bnode, predicate, o_iri, o_bnode, literal, language, datatype = match.groups()
     subject = s_iri or s_bnode
     obj = o_iri or o_bnode
@@ -154,15 +164,16 @@ def _decode_escape(match: re.Match) -> str:
     return chr(code)
 
 
-def _diagnose(line: str) -> str:
-    """Say which term of a statement the pattern rejected."""
-    position = 0
+def _diagnose(line: str, start: int, end: int) -> str:
+    """Say which term of the statement in ``line[start:end]`` the pattern
+    rejected, at its 1-based column in *line*."""
+    position = start
     for name, pattern in (
         ("subject (an IRI or blank node, then whitespace)", _SUBJECT),
         ("predicate (an IRI, then whitespace)", _PREDICATE),
         ("object (an IRI, blank node or literal)", _OBJECT),
     ):
-        match = re.compile(pattern).match(line, position)
+        match = re.compile(pattern).match(line, position, end)
         if match is None:
             return f"malformed {name} at column {position + 1}"
         position = match.end()

@@ -208,8 +208,7 @@ class _StreamContext(ResolutionContext):
 
     It follows inserts and deletes: a retracted URI is forgotten — its
     home, source tag and match decisions — and re-homed by its next
-    insert, in whichever source; every mutation drops the neighbourhood
-    memos.
+    insert, in whichever source; every mutation drops the derived links.
     """
 
     def __init__(self, store: StreamingEntityStore) -> None:
@@ -219,7 +218,7 @@ class _StreamContext(ResolutionContext):
 
     def _register(self, description, source, entity_id, was_present) -> None:
         self._adopt(entity_id, description.source, self.collections[source])
-        self._neighborhoods.clear()
+        self._links.clear()
 
     def _forget(self, uri, source, entity_id) -> None:
         # A delete retracts the URI from every source holding it (one
@@ -227,7 +226,12 @@ class _StreamContext(ResolutionContext):
         self._home.pop(entity_id, None)
         self._source.pop(entity_id, None)
         self.match_graph.forget(entity_id)
-        self._neighborhoods.clear()
+        self._links.clear()
+
+    def _link_scope(self, entity_id, collection) -> list[str]:
+        # Every event drops the links, so a pass over the whole collection
+        # would be redone per event: derive the one id read.
+        return [self.uris[entity_id]]
 
 
 class StreamResolver:

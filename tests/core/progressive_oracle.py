@@ -158,7 +158,6 @@ class SweepSession(ProgressiveSession):
 
         self.context = ResolutionContext(collections)
         self.matcher.bind(self.context)
-        self.matcher.prime([edge.pair for edge in edges])
         self.scheduler = SweepScheduler(self.benefit, self.context)
         self.scheduler.add_edges(edges)
         self.budget = CostBudget(0, scheduling_cost_weight=scheduling_cost_weight)

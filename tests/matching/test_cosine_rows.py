@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.engine import ResolutionContext
@@ -23,36 +24,49 @@ def all_cross_pairs(kb1, kb2, limit=300):
     return pairs[:limit]
 
 
-class TestCosineMany:
+def rows(index, uris):
+    """The index rows of *uris*, as :meth:`SimilarityIndex.cosine_rows` takes them."""
+    row_of = {uri: row for row, uri in enumerate(index.uris())}
+    return np.array([row_of[uri] for uri in uris], dtype=np.int64)
+
+
+def id_columns(context, pairs):
+    """The left and right context ids of *pairs*: what engines prime."""
+    ids_of = context.interner.ids_of
+    return ids_of(a for a, _ in pairs), ids_of(b for _, b in pairs)
+
+
+class TestCosineRows:
     def test_bit_identical_to_scalar(self, movie_index):
         index, kb1, kb2 = movie_index
         pairs = all_cross_pairs(kb1, kb2)
-        scores = index.cosine_many([a for a, _ in pairs], [b for _, b in pairs])
+        scores = index.cosine_rows(rows(index, (a for a, _ in pairs)), rows(index, (b for _, b in pairs)))
         for (a, b), score in zip(pairs, scores):
             assert float(score) == index.cosine(a, b)
 
     def test_symmetric_and_order_preserving(self, movie_index):
         index, kb1, kb2 = movie_index
         pairs = all_cross_pairs(kb1, kb2, limit=50)
-        forward = index.cosine_many([a for a, _ in pairs], [b for _, b in pairs])
-        backward = index.cosine_many([b for _, b in pairs], [a for a, _ in pairs])
+        lefts, rights = rows(index, (a for a, _ in pairs)), rows(index, (b for _, b in pairs))
+        forward = index.cosine_rows(lefts, rights)
+        backward = index.cosine_rows(rights, lefts)
         assert [float(s) for s in forward] == pytest.approx(
             [float(s) for s in backward]
         )
 
     def test_empty_input(self, movie_index):
         index, _, _ = movie_index
-        assert len(index.cosine_many([], [])) == 0
+        assert len(index.cosine_rows(rows(index, []), rows(index, []))) == 0
 
     def test_length_mismatch_rejected(self, movie_index):
         index, kb1, _ = movie_index
         with pytest.raises(ValueError):
-            index.cosine_many(kb1.uris()[:2], kb1.uris()[:1])
+            index.cosine_rows(rows(index, kb1.uris()[:2]), rows(index, kb1.uris()[:1]))
 
-    def test_unknown_uri_raises(self, movie_index):
+    def test_row_past_the_index_raises(self, movie_index):
         index, kb1, _ = movie_index
-        with pytest.raises(KeyError):
-            index.cosine_many([kb1.uris()[0]], ["http://nope"])
+        with pytest.raises(IndexError):
+            index.cosine_rows(rows(index, [kb1.uris()[0]]), np.array([len(index)]))
 
     def test_tokenless_description_scores_zero(self):
         collection = EntityCollection(
@@ -62,7 +76,7 @@ class TestCosineMany:
             ]
         )
         index = SimilarityIndex([collection])
-        scores = index.cosine_many(["http://e/a"], ["http://e/b"])
+        scores = index.cosine_rows(rows(index, ["http://e/a"]), rows(index, ["http://e/b"]))
         assert float(scores[0]) == 0.0 == index.cosine("http://e/a", "http://e/b")
 
 
@@ -83,7 +97,7 @@ class TestMatcherBatchPath:
         context = ResolutionContext([kb1, kb2])
         matcher.bind(context)
         pairs = [tuple(sorted(pair)) for pair in all_cross_pairs(kb1, kb2, limit=120)]
-        matcher.prime(pairs)
+        matcher.prime(*id_columns(context, pairs))
         assert len(matcher._primed) == len(pairs)
         for pair in pairs:
             single = matcher.decide(*pair)
@@ -97,7 +111,7 @@ class TestMatcherBatchPath:
         for matcher in (primed, plain):
             matcher.bind(ResolutionContext([kb1, kb2]))
         pairs = all_cross_pairs(kb1, kb2, limit=120)
-        primed.prime(pairs)
+        primed.prime(*id_columns(primed._context, pairs))
         assert primed._primed  # the cache actually filled
         ids = primed._context.interner.ids_of
         for a, b in pairs:
@@ -107,8 +121,9 @@ class TestMatcherBatchPath:
         # Primed scores are keyed by the bound context's ids.
         index, kb1, kb2 = movie_index
         matcher = ThresholdMatcher(index, threshold=0.3, measure="cosine")
-        matcher.bind(ResolutionContext([kb1, kb2]))
-        matcher.prime(all_cross_pairs(kb1, kb2, limit=10))
+        context = ResolutionContext([kb1, kb2])
+        matcher.bind(context)
+        matcher.prime(*id_columns(context, all_cross_pairs(kb1, kb2, limit=10)))
         assert matcher._primed
         matcher.bind(ResolutionContext([kb2, kb1]))
         assert not matcher._primed
@@ -116,16 +131,33 @@ class TestMatcherBatchPath:
     def test_prime_skips_non_cosine_measures(self, movie_index):
         index, kb1, kb2 = movie_index
         matcher = ThresholdMatcher(index, threshold=0.3, measure="jaccard")
-        matcher.bind(ResolutionContext([kb1, kb2]))
-        matcher.prime(all_cross_pairs(kb1, kb2, limit=10))
+        context = ResolutionContext([kb1, kb2])
+        matcher.bind(context)
+        matcher.prime(*id_columns(context, all_cross_pairs(kb1, kb2, limit=10)))
         assert not matcher._primed
 
     def test_prime_skips_unindexed_pairs(self, movie_index):
         index, kb1, _ = movie_index
         matcher = ThresholdMatcher(index, threshold=0.3, measure="cosine")
-        matcher.bind(ResolutionContext([kb1]))
-        matcher.prime([(kb1.uris()[0], "http://nope")])
+        context = ResolutionContext([kb1])
+        matcher.bind(context)
+        context.key(kb1.uris()[0], "http://nope")  # an id past the index
+        matcher.prime(*id_columns(context, [(kb1.uris()[0], "http://nope")]))
         assert not matcher._primed
+
+    def test_prime_skips_ids_that_are_not_index_rows(self, movie_index):
+        # The context ids are the index rows only over the same collections,
+        # in the same order; otherwise the loop scores every pair itself.
+        index, kb1, kb2 = movie_index
+        matcher = ThresholdMatcher(index, threshold=0.3, measure="cosine")
+        context = ResolutionContext([kb2, kb1])
+        matcher.bind(context)
+        pairs = all_cross_pairs(kb1, kb2, limit=10)
+        matcher.prime(*id_columns(context, pairs))
+        assert not matcher._primed
+        for a, b in pairs:
+            score = matcher.decide_ids(*context.interner.ids_of((a, b)))[0]
+            assert score == index.cosine(a, b)
 
     def test_primed_cache_invalidated_when_index_drifts(self):
         from repro.model.description import EntityDescription
@@ -136,7 +168,7 @@ class TestMatcherBatchPath:
         resolver.ingest(EntityDescription("http://e/y", {"p": ["kappa tau"]}))
         matcher = ThresholdMatcher(resolver.similarity, threshold=0.1, measure="cosine")
         pair = ("http://e/x", "http://e/y")
-        matcher.prime([pair])
+        matcher.prime([0], [1])
         # A later insert shifts IDF; the primed score must not survive it.
         resolver.ingest(EntityDescription("http://e/z", {"p": ["kappa omega"]}))
         assert matcher.similarity(*pair) == resolver.similarity.cosine(*pair)

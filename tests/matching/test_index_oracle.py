@@ -4,7 +4,7 @@ Both read a collection's token column.  The oracles here never do: the
 index is held to the module's scalar ``cosine_tfidf`` / ``jaccard`` /
 ``weighted_jaccard`` over ``Tokenizer.token_counts`` with IDF taken by the
 documented formula, and token blocking to the base class's
-``keys_for`` grouping.  ``test_cosine_many.py`` compares ``cosine_many``
+``keys_for`` grouping.  ``test_cosine_rows.py`` compares ``cosine_rows``
 with ``cosine``, which would not catch both drifting together.
 
 One rule is pinned alongside: a URI is one document, described as
@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -147,7 +148,10 @@ def test_index_equals_the_scalar_formulas_over_token_counts(corpus, tokenizer):
     pairs = [(a, b) for a in uris for b in uris]
     expected = [cosine_tfidf(documents[a], documents[b], idf) for a, b in pairs]
     assert [index.cosine(a, b) for a, b in pairs] == expected
-    batch = index.cosine_many([a for a, _ in pairs], [b for _, b in pairs])
+    row_of = {uri: row for row, uri in enumerate(index.uris())}
+    batch = index.cosine_rows(
+        *(np.array([row_of[pair[side]] for pair in pairs], np.int64) for side in (0, 1))
+    )
     assert [float(score) for score in batch] == expected
     for a, b in pairs:
         assert index.jaccard(a, b) == jaccard(documents[a], documents[b])

@@ -196,10 +196,26 @@ class TestMatchGraph:
             assert graph.partners(x) == fresh.partners(x)
             for y in nodes:
                 assert graph.are_matched(x, y) == fresh.are_matched(x, y)
-        # Every live key is indexed under both endpoints and nothing else.
-        assert {key for keys in graph._keys_of.values() for key in keys} == set(graph.rows)
-        assert all(graph._keys_of.values())
+        # The rows and the decision columns hold the survivors, in order.
+        uris = graph.uris
+        assert [
+            (uris[graph.a[row]], uris[graph.b[row]], graph.score[row], graph.is_match[row])
+            for row in graph.rows.values()
+        ] == [(d.left, d.right, d.similarity, d.is_match) for d in survivors]
         assert len(graph.a) <= 2 * len(graph.rows)
+        # Forgetting any node drops exactly its decisions: recording the
+        # survivors again adds just those, after the rest.
+        for node in nodes:
+            if graph.interner.get(node) < 0:
+                continue
+            graph.forget(graph.interner.id_of(node))
+            kept = [d for d in survivors if node not in d.pair]
+            assert list(graph.decisions()) == kept
+            assert [graph.record(d) for d in survivors] == [node in d.pair for d in survivors]
+            survivors = kept + [d for d in survivors if node in d.pair]
+            assert list(graph.decisions()) == survivors
+            assert graph.match_count == sum(d.is_match for d in survivors)
+        assert graph.clusters() == fresh.clusters()
 
     def test_matches_in_execution_order(self):
         graph = MatchGraph()

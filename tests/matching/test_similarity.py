@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -218,23 +219,28 @@ class TestSimilarityIndex:
         assert "omega" not in index.tokens_of("http://e/a")
         assert index.idf("omega") == 0.0
 
-    def test_cosine_many_equals_cosine(self):
+    def test_cosine_rows_equals_cosine(self):
         index = self.make_index()
         uris = ["http://e/a", "http://e/b", "http://e/c"]
         left = [u for u in uris for _ in uris]
         right = uris * len(uris)
-        scores = index.cosine_many(left, right).tolist()
+        assert index.uris() == uris  # rows in collection order
+        row_of = {uri: row for row, uri in enumerate(uris)}
+        scores = index.cosine_rows(
+            np.array([row_of[u] for u in left]), np.array([row_of[u] for u in right])
+        ).tolist()
         assert scores == [index.cosine(a, b) for a, b in zip(left, right)]
 
-    def test_cosine_many_of_no_pairs(self):
-        assert len(self.make_index().cosine_many([], [])) == 0
+    def test_cosine_rows_of_no_pairs(self):
+        empty = np.array([], dtype=np.int64)
+        assert len(self.make_index().cosine_rows(empty, empty)) == 0
 
-    def test_cosine_many_rejects_unequal_lengths(self):
+    def test_cosine_rows_rejects_unequal_lengths(self):
         index = self.make_index()
         with pytest.raises(ValueError):
-            index.cosine_many(["http://e/a"], [])
+            index.cosine_rows(np.array([0]), np.array([], dtype=np.int64))
 
-    def test_cosine_many_rejects_unindexed_uris(self):
+    def test_cosine_rows_rejects_rows_past_the_index(self):
         index = self.make_index()
-        with pytest.raises(KeyError):
-            index.cosine_many(["http://e/a"], ["http://e/ghost"])
+        with pytest.raises(IndexError):
+            index.cosine_rows(np.array([0]), np.array([len(index)]))

@@ -100,7 +100,10 @@ def blocks_and_scores(kb1, kb2):
     blocks = TokenBlocking().build(kb1, kb2)
     index = SimilarityIndex([kb1, kb2])
     pairs = sorted({pair for block in blocks for pair in block.comparisons()})
-    scores = index.cosine_many([a for a, _ in pairs], [b for _, b in pairs])
+    row_of = {uri: row for row, uri in enumerate(index.uris())}
+    scores = index.cosine_rows(
+        *(np.array([row_of[pair[side]] for pair in pairs], np.int64) for side in (0, 1))
+    )
     return [(b.key, b.entities1, b.entities2) for b in blocks], pairs, scores.tolist()
 
 

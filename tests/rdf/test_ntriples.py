@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.rdf.loader import load_collection
 from repro.rdf.ntriples import (
     NTriplesParseError,
     Triple,
@@ -139,6 +140,27 @@ class TestParseErrors:
     def test_error_names_the_malformed_term(self, line, term):
         with pytest.raises(NTriplesParseError, match=term):
             parse_ntriples_line(line)
+
+    @pytest.mark.parametrize(
+        "line, column",
+        [
+            ("    <http://a> <http://p> oops .", 27),  # the object, after the indent
+            ("\t<http://a> <http://p> <http://b> x .", 34),  # after a tab indent
+            ("<http://a> <http://p> oops .  \r", 23),  # trailing blanks change nothing
+        ],
+    )
+    def test_error_columns_are_columns_of_the_line_as_read(self, tmp_path, line, column):
+        # The column and the echo are the file's, not those of the
+        # stripped line; the echo drops only the line terminator.
+        text = "<http://a> <http://p> <http://b> .\n" + line + "\n"
+        path = tmp_path / "kb.nt"
+        path.write_bytes(text.encode())
+        for parse in (lambda: list(parse_ntriples(text)), lambda: load_collection(str(path))):
+            with pytest.raises(NTriplesParseError) as excinfo:
+                parse()
+            assert excinfo.value.line_number == 2
+            assert f"at column {column}: " in str(excinfo.value)
+            assert str(excinfo.value).endswith(": " + repr(line.rstrip("\r")))
 
 
 class TestParseDocument:

@@ -7,7 +7,7 @@
   view an insert into (or a delete from) a 5 000-member stop-word block
   makes **zero** ``neighbours_of`` calls;
 * query-size batches are scored by the scalar ``cosine`` — the
-  streaming similarity index has no ``cosine_many`` — and every score a
+  streaming similarity index has no ``cosine_rows`` — and every score a
   query records is that function's value, float for float;
 * EJS (the scheme that reads the survivor table's ``degrees`` /
   ``edge_count``) under WNP / CNP stays equal to the batch graph over
@@ -97,7 +97,7 @@ def _resolved_queries(resolver, corpus, **query):
 
 @pytest.mark.parametrize("processed_view", [True, False], ids=["view", "raw"])
 def test_recorded_scores_are_the_scalar_cosine(restaurants, processed_view):
-    assert not hasattr(StreamingSimilarityIndex, "cosine_many")
+    assert not hasattr(StreamingSimilarityIndex, "cosine_rows")
     assert not hasattr(StreamingSimilarityIndex(StreamResolver().store), "_token_ids")
     resolver = StreamResolver(
         clean_clean=True, processed_view=processed_view, reconcile_every=7
