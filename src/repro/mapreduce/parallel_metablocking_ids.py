@@ -44,10 +44,10 @@ and either executor.  Floating-point addition is not associative, so
 this needs care at two points:
 
 * **ARCS sums** — every comparison cell ships with its global cell
-  index; the reducer orders each pair's cells by that index
-  (``lexsort`` keyed on pair then cell) before the sequential
-  ``bincount`` fold, reproducing the sequential enumeration's value
-  sequence exactly;
+  index; the reducer puts its cells back in that order and runs the
+  sequential graph's own fold
+  (:func:`~repro.metablocking.graph.fold_cells`), reproducing the
+  sequential enumeration's value sequence exactly;
 * **global/neighbourhood means** — the WEP threshold is folded
   driver-side in pair-table row order (first-seen order, recovered from
   the shuffled statistics via the carried first-cell indices), and the
@@ -83,6 +83,7 @@ from repro.metablocking.graph import (
     WeightedEdge,
     expand_comparison_cells,
     finish_pair_table,
+    fold_cells,
     pack_pair_arrays,
 )
 from repro.metablocking.pruning import (
@@ -193,32 +194,28 @@ def _map_pair_cells(chunk, partitions: int, params: dict):
 def _reduce_pair_stats(batches: list[DescriptorBatch], params: dict, arena):
     """Fold one partition's cells into exact per-pair statistics.
 
-    Cells are sorted by (pair, global cell index), so the bincount
-    accumulates every pair's ARCS terms in the sequential enumeration
-    order — bit-identical floats.  Output columns (key, common, arcs,
+    Cells arrive in shuffle order; put back in global cell-index order,
+    they are the sequential enumeration restricted to this partition's
+    pairs, so the shared :func:`~repro.metablocking.graph.fold_cells`
+    accumulates every pair's ARCS terms in the sequential order —
+    bit-identical floats.  Output columns (key, common, arcs,
     first-cell) go into the partition's reduce arena; only descriptors
     travel back to the driver.
     """
     if not batches:
         return None, 0
     keys, cell_index, contribution = concat_batches(batches, 3)
-    order = np.lexsort((cell_index, keys))
-    keys_s = keys[order]
-    contrib_s = contribution[order]
-    new_pair = np.concatenate(([True], keys_s[1:] != keys_s[:-1]))
-    group = np.cumsum(new_pair) - 1
-    groups = int(group[-1]) + 1
-    starts = np.flatnonzero(new_pair)
-    arcs = np.bincount(group, weights=contrib_s, minlength=groups)
-    common = np.diff(np.append(starts, len(keys_s))).astype(np.int64)
+    order = np.argsort(cell_index)
+    keys, cell_index = keys[order], cell_index[order]
+    first, common, arcs = fold_cells(keys, contribution[order])
     writer = ArenaWriter(arena)
     refs = (
-        writer.write(keys_s[starts]),
+        writer.write(keys[first]),
         writer.write(common),
         writer.write(arcs),
-        writer.write(cell_index[order][starts]),
+        writer.write(cell_index[first]),
     )
-    return DescriptorBatch(refs, groups), groups
+    return DescriptorBatch(refs, len(first)), len(first)
 
 
 @contextmanager
@@ -264,8 +261,7 @@ def _pair_statistics(
         empty = np.empty(0, dtype=np.int64)
         parts = [[empty, empty, empty.astype(np.float64), empty]]
     keys, common, arcs, first_seen = (np.concatenate(column) for column in zip(*parts))
-    order = np.argsort(first_seen, kind="stable")
-    return finish_pair_table(blocks, keys[order], common[order], arcs[order]), metrics
+    return finish_pair_table(blocks, keys, common, arcs, first_seen), metrics
 
 
 def parallel_pair_table(

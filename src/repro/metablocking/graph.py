@@ -9,7 +9,8 @@ co-occurrence statistics.  The graph is materialized lazily from a
 The graph is columns end to end: all implied comparisons are expanded
 from the collection's CSR id views into flat arrays, each pair is packed
 into a single ``a << 32 | b`` integer, and the ``(common, arcs)``
-statistics are aggregated with one sort plus bincounts into a
+statistics are aggregated by :func:`fold_cells` — one sort plus a
+bincount, the group-by the MapReduce reducers run too — into a
 scheme-independent :class:`PairTable` cached on the collection.  Weights
 are one float64 array over its rows, pruning selects row indices, and
 URIs are resolved for the survivors alone (:meth:`PairTable.ranked`):
@@ -191,42 +192,22 @@ def pack_pair_arrays(left, right):
     )
 
 
-def finish_pair_table(blocks: BlockCollection, unique_keys, common, arcs) -> PairTable:
-    """Assemble a :class:`PairTable` from aggregated per-pair statistics.
+def fold_cells(keys, contribution):
+    """Fold comparison cells, given in enumeration order, per packed pair.
 
-    *unique_keys* must already be in first-seen enumeration order (the
-    reference dict's insertion order); this orients every packed key in
-    canonical string order via integer ranks — one O(n log n) sort over
-    the n entities instead of a string compare per edge.  Shared by the
-    sequential graph and the MapReduce jobs, which reassemble the same
-    inputs from reducer output.
+    The one ``(common, arcs)`` group-by of every backend: a stable sort
+    on the packed key finds each pair's group, ``common`` is the group's
+    size and ``arcs`` a ``bincount`` of the contributions in input order
+    — the running sum of the string oracle, bit for bit
+    (``np.add.reduceat`` would be faster but sums pairwise, which is
+    not).  Returns ``(first, common, arcs)``, one row per distinct key in
+    ascending key order, ``first`` being the input row of each group's
+    first cell.
     """
     np = _np
-    uris = np.array(blocks.interner().uri_table(), dtype=object)
-    rank = np.empty(len(uris), dtype=np.int64)
-    rank[np.argsort(uris)] = np.arange(len(uris))
-    ids_a = unique_keys >> PAIR_SHIFT
-    ids_b = unique_keys & PAIR_MASK
-    swap = rank[ids_a] > rank[ids_b]
-    if swap.any():
-        ids_a, ids_b = np.where(swap, ids_b, ids_a), np.where(swap, ids_a, ids_b)
-    return PairTable(ids_a, ids_b, common, arcs, rank, uris)
-
-
-def _build_pair_table(blocks: BlockCollection) -> PairTable:
-    np = _np
-    left, right, contribution = expand_comparison_cells(blocks.id_arrays())
-    keys = pack_pair_arrays(left, right)
-    if not len(keys):
-        return finish_pair_table(blocks, keys, keys, contribution)
-    # Stable sort -> group boundaries; per-group accumulation via bincount
-    # adds weights in input (= enumeration) order, bit-identical to the
-    # reference's running sums.  np.add.reduceat would be faster but sums
-    # pairwise, which is NOT bit-identical.
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
-    new_group = np.empty(len(sorted_keys), dtype=bool)
-    new_group[0] = True
+    new_group = np.ones(len(sorted_keys), dtype=bool)
     np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new_group[1:])
     starts = np.flatnonzero(new_group)
     group_of_sorted = np.cumsum(new_group) - 1
@@ -234,14 +215,40 @@ def _build_pair_table(blocks: BlockCollection) -> PairTable:
     inverse = np.empty(len(keys), dtype=np.int64)
     inverse[order] = group_of_sorted
     arcs = np.bincount(inverse, weights=contribution, minlength=len(starts))
-    # Reorder groups to first-seen order so downstream iteration (and any
-    # float sums over it) matches the reference exactly.
-    first_index = order[starts]
-    seen_order = np.argsort(first_index)
-    unique_keys = sorted_keys[starts][seen_order]
-    common = common[seen_order]
-    arcs = arcs[seen_order]
-    return finish_pair_table(blocks, unique_keys, common, arcs)
+    return order[starts], common, arcs
+
+
+def finish_pair_table(
+    blocks: BlockCollection, keys, common, arcs, first_seen
+) -> PairTable:
+    """Assemble a :class:`PairTable` from aggregated per-pair statistics.
+
+    Rows are put in first-seen enumeration order (the reference dict's
+    insertion order) by *first_seen*, each pair's first cell position;
+    every packed key is then oriented in canonical string order via
+    integer ranks — one O(n log n) sort over the n entities instead of a
+    string compare per edge.  Shared by the sequential graph and the
+    MapReduce jobs, which reassemble the same inputs from reducer output.
+    """
+    np = _np
+    seen = np.argsort(first_seen)
+    keys, common, arcs = keys[seen], common[seen], arcs[seen]
+    uris = np.array(blocks.interner().uri_table(), dtype=object)
+    rank = np.empty(len(uris), dtype=np.int64)
+    rank[np.argsort(uris)] = np.arange(len(uris))
+    ids_a = keys >> PAIR_SHIFT
+    ids_b = keys & PAIR_MASK
+    swap = rank[ids_a] > rank[ids_b]
+    if swap.any():
+        ids_a, ids_b = np.where(swap, ids_b, ids_a), np.where(swap, ids_a, ids_b)
+    return PairTable(ids_a, ids_b, common, arcs, rank, uris)
+
+
+def _build_pair_table(blocks: BlockCollection) -> PairTable:
+    left, right, contribution = expand_comparison_cells(blocks.id_arrays())
+    keys = pack_pair_arrays(left, right)
+    first, common, arcs = fold_cells(keys, contribution)
+    return finish_pair_table(blocks, keys[first], common, arcs, first)
 
 
 def pair_table_for(blocks: BlockCollection) -> PairTable:

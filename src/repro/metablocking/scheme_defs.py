@@ -3,7 +3,7 @@
 Every execution surface — the array kernels and the string plugin API of
 :mod:`repro.metablocking.weighting` (which the sequential and MapReduce
 backends flow through, and which a stream query calls over its star of
-candidates, :meth:`~repro.stream.pairs.PairStatsView.weigh`) and the
+candidates, :meth:`~repro.stream.pairs.DeltaPairTable.weigh`) and the
 relational backend's SQL compiler (:mod:`repro.sqlbackend.compile`) —
 consumes the definitions in this module, so a formula lives in one
 place and the cross-backend bit-identity contract has a single source

@@ -24,7 +24,7 @@ global factors (precomputing the log discounts, one log per entity
 instead of one per edge endpoint visit), then
 :meth:`~WeightingScheme.weight_array` over all edges.  A batch graph
 passes its whole pair table (:func:`weight_pair_table`), a stream query
-its star of candidates (:meth:`~repro.stream.pairs.PairStatsView.weigh`).
+its star of candidates (:meth:`~repro.stream.pairs.DeltaPairTable.weigh`).
 The string API — :meth:`~WeightingScheme.prepare` once, then
 :meth:`~WeightingScheme.weight` per URI pair — is the registry's plugin
 contract (a scheme that implements only it is weighted row by row) and

@@ -116,18 +116,25 @@ def _read_line(line: str, line_number: int) -> Triple | None:
     """One line of a document as read: None for a blank or comment line,
     else its statement."""
     rest = line.lstrip()
-    return None if not rest or rest[0] == "#" else parse_ntriples_line(line, line_number)
+    if not rest or rest[0] == "#":
+        return None
+    # The indent and the line terminator are skipped in place, so an
+    # error names a column of the line as read.
+    return _parse_statement(line, line_number, len(line) - len(rest), len(line.rstrip()))
 
 
 def parse_ntriples_line(line: str, line_number: int = 0) -> Triple:
-    """Parse a single N-Triples statement.  Surrounding whitespace is
-    skipped in place, so an error names a column of *line* as given.
+    """Parse a single N-Triples statement: the statement must start the
+    line; blanks may follow its final ``.``.
 
     Raises:
         NTriplesParseError: if the statement is malformed.
     """
-    end = len(line.rstrip())
-    start = len(line) - len(line.lstrip())
+    return _parse_statement(line, line_number, 0, len(line))
+
+
+def _parse_statement(line: str, line_number: int, start: int, end: int) -> Triple:
+    """The statement that is exactly ``line[start:end]``."""
     match = _STATEMENT.fullmatch(line, start, end)
     if match is None:
         raise NTriplesParseError(_diagnose(line, start, end), line_number, line)

@@ -10,7 +10,7 @@ shard, fans each query's weigh phase out across the shards, and merges
 the per-partition candidate weights into results **bit-identical** to
 the single-store :class:`~repro.stream.resolver.StreamResolver` — by
 construction, because shards and router execute the same extracted
-phase functions (:meth:`~repro.stream.pairs.PairStatsView.weigh`, which
+phase functions (:meth:`~repro.stream.pairs.DeltaPairTable.weigh`, which
 runs the registry scheme's batch array kernels over a candidate slice,
 :func:`~repro.stream.resolver.prune_neighbourhood`, which applies the
 registry pruner's node rule over the merged neighbourhood in ascending

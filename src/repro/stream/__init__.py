@@ -12,15 +12,14 @@ structures *maintainable under inserts*:
   inverted blocking index whose posting lists are updated per insert
   instead of re-running the blocker;
 * :class:`~repro.stream.pairs.DeltaPairTable` — the pair table as a
-  lazy view over the postings: ``(common, arcs)`` are read per pair at
-  query time and only the global scheme factors are maintained, so a
-  query's star is weighed by the batch schemes' array kernels without a
-  global rebuild;
+  lazy view over the postings: a query's ``(common, arcs)`` are read in
+  one pass over its star at query time and only the global scheme
+  factors are maintained, so the star is weighed by the batch schemes'
+  array kernels without a global rebuild;
 * :class:`~repro.stream.processed_view.IncrementalProcessedView` — the
   purge/filter-surviving block set maintained under inserts (exact
   histogram-derived purging threshold, per-touched-entity filtering,
-  periodic exact reconciliation), with
-  :class:`~repro.stream.processed_view.SurvivorPairTable` keeping pair
+  periodic exact reconciliation); ``DeltaPairTable(view)`` keeps pair
   statistics aligned with the survivors;
 * :class:`~repro.stream.resolver.StreamResolver` — query-time
   resolution of one incoming description against the live index, with
@@ -61,7 +60,6 @@ from repro.stream.pairs import DeltaPairTable
 from repro.stream.processed_view import (
     IncrementalProcessedView,
     ReconcileReport,
-    SurvivorPairTable,
 )
 from repro.stream.resolver import StreamMatch, StreamQueryResult, StreamResolver
 from repro.stream.similarity import StreamingSimilarityIndex
@@ -88,7 +86,6 @@ __all__ = [
     "ReconcileReport",
     "RecoveryReport",
     "RecoveryResult",
-    "SurvivorPairTable",
     "StreamMatch",
     "StreamQueryResult",
     "StreamResolver",

@@ -72,7 +72,7 @@ from repro.model.description import EntityDescription
 from repro.obs import DISABLED, Observability
 from repro.stream.index import _POSTING_TYPECODE, IncrementalBlockIndex
 from repro.stream.pairs import DeltaPairTable
-from repro.stream.processed_view import IncrementalProcessedView, SurvivorPairTable
+from repro.stream.processed_view import IncrementalProcessedView
 from repro.stream.store import StreamingEntityStore
 
 WAL_FORMAT = "repro-wal"
@@ -464,7 +464,7 @@ def capture_state(
     index: IncrementalBlockIndex,
     pairs: DeltaPairTable | None,
     view: IncrementalProcessedView | None = None,
-    view_pairs: SurvivorPairTable | None = None,
+    view_pairs: DeltaPairTable | None = None,
 ) -> dict:
     """The full serializable state of the streaming component stack.
 
@@ -559,7 +559,7 @@ def restore_components(
     IncrementalBlockIndex,
     DeltaPairTable | None,
     IncrementalProcessedView | None,
-    SurvivorPairTable | None,
+    DeltaPairTable | None,
 ]:
     """Rebuild the component stack from a :func:`capture_state` dict.
 
@@ -647,7 +647,7 @@ def restore_components(
         }
         view._reconciled_version = v["reconciled_version"]
         if state.get("view_pairs") is not None:
-            view_pairs = SurvivorPairTable(view)
+            view_pairs = DeltaPairTable(view)
             _restore_factors(view_pairs, state["view_pairs"])
     return store, index, pairs, view, view_pairs
 
@@ -806,7 +806,7 @@ class Durability:
         index: IncrementalBlockIndex | None = None,
         pairs: DeltaPairTable | None = None,
         view: IncrementalProcessedView | None = None,
-        view_pairs: SurvivorPairTable | None = None,
+        view_pairs: DeltaPairTable | None = None,
     ) -> None:
         """Wire the controller to a live stack and claim the store.
 
@@ -963,7 +963,7 @@ class RecoveryResult:
     #: ``view_pairs`` with one (the other is None)
     pairs: DeltaPairTable | None
     view: IncrementalProcessedView | None
-    view_pairs: SurvivorPairTable | None
+    view_pairs: DeltaPairTable | None
     report: RecoveryReport
 
 
@@ -989,7 +989,7 @@ def _fresh_components(config: dict, blocker: Blocker | None):
             BlockFiltering(ratio=view_config["ratio"]),
             reconcile_every=view_config["reconcile_every"],
         )
-        view_pairs = SurvivorPairTable(view)
+        view_pairs = DeltaPairTable(view)
     return store, index, pairs, view, view_pairs
 
 

@@ -10,8 +10,9 @@ consumers (the :class:`~repro.stream.pairs.DeltaPairTable`, the
 :class:`~repro.stream.processed_view.IncrementalProcessedView`).
 
 Comparison cells are never enumerated: the postings *are* the pair
-table, read back per pair at query time.  Per-insert Python work in the
-index is O(keys) — one hook per posted key.  The index takes no
+table, read back one query star at a time
+(:meth:`~IncrementalBlockIndex.postings`).  Per-insert Python work in
+the index is O(keys) — one hook per posted key.  The index takes no
 neighbour union on anyone's behalf: a consumer that maintains pair
 counts (the raw ``DeltaPairTable``) reads
 :meth:`~IncrementalBlockIndex.neighbours_of` itself inside the event
@@ -58,6 +59,32 @@ def _posting_pair() -> tuple[array, array]:
     stores use side 0 only.
     """
     return (array(_POSTING_TYPECODE), array(_POSTING_TYPECODE))
+
+
+def neighbours(
+    entity_id: int, key_masks: dict, members: dict, two_sided: bool
+) -> set[int]:
+    """Every entity sharing a comparison cell with *entity_id*.
+
+    *key_masks* maps the entity's keys to the sides it holds them on,
+    *members* a key to its per-side members; the result is the union of
+    the entity's opposite-side members (its own side in a dirty store)
+    over all its keys.  The one neighbour loop of the raw index (over
+    its postings) and of the processed view (over its member sets).
+    """
+    found: set[int] = set()
+    if two_sided:
+        for key, mask in key_masks.items():
+            sides = members[key]
+            if mask & 1:
+                found.update(sides[1])
+            if mask & 2:
+                found.update(sides[0])
+    else:
+        for key in key_masks:
+            found.update(members[key][0])
+    found.discard(entity_id)
+    return found
 
 
 class DeltaConsumer:
@@ -390,47 +417,13 @@ class IncrementalBlockIndex(DeltaConsumer):
         n = len(sides[0])
         return n * (n - 1) // 2 if n >= 2 else 0
 
-    def cells_between(self, key: str, id_a: int, id_b: int) -> int:
-        """Comparison cells of the (distinct) pair inside *key*'s block.
-
-        0, 1 — or 2 for bipartite blocks holding both entities on both
-        sides, matching the repetition count the batch enumeration
-        yields.
-        """
-        if id_a == id_b:
-            return 0
-        mask_a = self._key_mask.get(id_a, {}).get(key, 0)
-        mask_b = self._key_mask.get(id_b, {}).get(key, 0)
-        if not mask_a or not mask_b:
-            return 0
-        if not self.two_sided:
-            return 1
-        return int(bool(mask_a & 1) and bool(mask_b & 2)) + int(
-            bool(mask_b & 1) and bool(mask_a & 2)
-        )
-
     def neighbours_of(self, entity_id: int) -> set[int]:
-        """Every entity sharing a comparison cell with *entity_id*.
-
-        The union of the entity's opposite-side postings (its own side
-        in a dirty store) over all its keys — the pair table's edge set
-        around one node, read straight from the postings, and a raw
-        query's candidates.
-        """
-        found: set[int] = set()
-        postings = self._postings
-        if self.two_sided:
-            for key, mask in self._key_mask.get(entity_id, {}).items():
-                sides = postings[key]
-                if mask & 1:
-                    found.update(sides[1])
-                if mask & 2:
-                    found.update(sides[0])
-        else:
-            for key in self._key_mask.get(entity_id, ()):
-                found.update(postings[key][0])
-        found.discard(entity_id)
-        return found
+        """Every entity sharing a comparison cell with *entity_id*: the
+        pair table's edge set around one node, read straight from the
+        postings, and a raw query's candidates."""
+        return neighbours(
+            entity_id, self._key_mask.get(entity_id, {}), self._postings, self.two_sided
+        )
 
     # -- snapshots -----------------------------------------------------------
 

@@ -27,12 +27,13 @@ module maintains the surviving block set **under inserts** instead:
 
 A drain costs what it changes: presence is decided from the side sizes
 plus the key's membership delta, a key that stays exposed moves only
-its delta placements, and only a presence flip walks a block.  The
-attached :class:`SurvivorPairTable` receives one hook per moved
-placement and one before/after neighbour-set difference per batch of
-transitions, so pair statistics follow the processed view the way
-:class:`~repro.stream.pairs.DeltaPairTable`'s global factors follow the
-raw index — no comparison cell is ever enumerated.
+its delta placements, and only a presence flip walks a block.  An
+attached :class:`~repro.stream.pairs.DeltaPairTable` receives one hook
+per moved placement and one before/after neighbour-set difference per
+batch of transitions, so its global factors follow the processed view
+the way they follow the raw index, and a query's star reads the
+exposed member sets (:meth:`~IncrementalProcessedView.postings`) — no
+comparison cell is ever enumerated.
 
 **Contract:** immediately after :meth:`reconcile`, the view
 materializes equal to ``snapshot_processed(purging, filtering)`` — same
@@ -48,8 +49,7 @@ from repro.blocking.block import BlockCollection, csr_from_lists
 from repro.blocking.filtering import BlockFiltering, retained_keys
 from repro.blocking.purging import BlockPurging, threshold_from_histogram
 from repro.obs import DISABLED
-from repro.stream.index import DeltaConsumer, IncrementalBlockIndex
-from repro.stream.pairs import DeltaPairTable
+from repro.stream.index import DeltaConsumer, IncrementalBlockIndex, neighbours
 
 
 @dataclass(frozen=True)
@@ -153,7 +153,8 @@ class IncrementalProcessedView(DeltaConsumer):
         #: the first reconcile must be full — before it, untouched
         #: entities have never had their retained sets computed at all
         self._reconciled_once = False
-        self._consumers: list[DeltaPairTable] = []
+        #: attached statistics tables (``DeltaPairTable(view)``)
+        self._consumers: list[DeltaConsumer] = []
         #: notified when a non-empty pending buffer is about to drain
         #: (the durability layer's write-ahead hook)
         self._apply_listeners: list = []
@@ -164,8 +165,10 @@ class IncrementalProcessedView(DeltaConsumer):
 
     # -- wiring --------------------------------------------------------------
 
-    def attach(self, consumer: DeltaPairTable) -> None:
-        """Attach a statistics table (attach before inserting).
+    def attach(self, consumer: DeltaConsumer) -> None:
+        """Attach a statistics table, a
+        :class:`~repro.stream.pairs.DeltaPairTable` (attach before
+        inserting).
 
         It gets the index's placement and block hooks, for *exposed*
         placements and blocks, and one ``fold_neighbours(before,
@@ -547,22 +550,14 @@ class IncrementalProcessedView(DeltaConsumer):
                 consumer.on_placement_removed(entity_id)
 
     def _neighbours(self, entity_id: int) -> set[int]:
-        """Entities sharing an exposed comparison cell with *entity_id*."""
-        found: set[int] = set()
-        members = self._members
-        keys = self._entity_keys.get(entity_id, {})
-        if self.index.two_sided:
-            for key, mask in keys.items():
-                sides = members[key]
-                if mask & 1:
-                    found.update(sides[1])
-                if mask & 2:
-                    found.update(sides[0])
-        else:
-            for key in keys:
-                found.update(members[key][0])
-        found.discard(entity_id)
-        return found
+        """Entities sharing an exposed comparison cell with *entity_id*
+        (the survivor state as it stands: no drain)."""
+        return neighbours(
+            entity_id,
+            self._entity_keys.get(entity_id, {}),
+            self._members,
+            self.index.two_sided,
+        )
 
     # -- serving -------------------------------------------------------------
 
@@ -593,19 +588,11 @@ class IncrementalProcessedView(DeltaConsumer):
         count = len(sides[0])
         return count * (count - 1) // 2
 
-    def cells_between(self, key: str, id_a: int, id_b: int) -> int:
-        """Comparison cells of the pair inside the view's *key* block."""
-        if id_a == id_b:
-            return 0
-        mask_a = self._entity_keys.get(id_a, {}).get(key, 0)
-        mask_b = self._entity_keys.get(id_b, {}).get(key, 0)
-        if not mask_a or not mask_b:
-            return 0
-        if not self.index.two_sided:
-            return 1
-        return int(bool(mask_a & 1) and bool(mask_b & 2)) + int(
-            bool(mask_b & 1) and bool(mask_a & 2)
-        )
+    def postings(self, key: str) -> tuple[set[int], set[int]]:
+        """The per-side member sets of an exposed *key* (live; do not
+        mutate): the view's counterpart of the index's posting lists,
+        what a query star reads its partners from."""
+        return self._members[key]
 
     # -- materialization -----------------------------------------------------
 
@@ -727,22 +714,3 @@ class IncrementalProcessedView(DeltaConsumer):
         )
         self.last_report = report
         return report
-
-
-class SurvivorPairTable(DeltaPairTable):
-    """Pair statistics over the processed view's surviving blocks.
-
-    :class:`~repro.stream.pairs.DeltaPairTable` with the view as its
-    source: a pair's ``common`` / ``arcs`` are read from the *exposed*
-    blocks when asked — the same terms, in the same order, as a batch
-    graph over the processed collection — and the global factors follow
-    the survivors as purging / filtering decisions shift, so query-time
-    weighting matches that graph (exactly so right after a
-    reconciliation).
-
-    Args:
-        source: the processed view to attach to.  Attach before the
-            first insert — view deltas are not replayed.
-    """
-
-    __slots__ = ()

@@ -44,7 +44,7 @@ from repro.stream.durability import (
 )
 from repro.stream.index import IncrementalBlockIndex
 from repro.stream.pairs import DeltaPairTable
-from repro.stream.processed_view import IncrementalProcessedView, SurvivorPairTable
+from repro.stream.processed_view import IncrementalProcessedView
 from repro.stream.similarity import StreamingSimilarityIndex
 from repro.stream.store import StreamingEntityStore
 
@@ -63,7 +63,7 @@ class StreamMatch:
 #
 # The sharded serving tier (:mod:`repro.serving`) executes the same
 # query pipeline with the phases split across processes: shards weigh
-# their owned candidates (:meth:`~repro.stream.pairs.PairStatsView.weigh`),
+# their owned candidates (:meth:`~repro.stream.pairs.DeltaPairTable.weigh`),
 # the router prunes the merged neighbourhood and runs the match phase.
 # Sharing these functions — not copies of them — is what makes the
 # merged results bit-identical to this resolver by construction.
@@ -307,7 +307,7 @@ class StreamResolver:
                     self.index, purging, filtering, reconcile_every=reconcile_every
                 )
                 self.view.obs = self.obs
-                self.view_pairs = SurvivorPairTable(self.view)
+                self.view_pairs = DeltaPairTable(self.view)
             else:
                 self.pairs = DeltaPairTable(self.index)
             # A pre-populated store is replayed into every derived

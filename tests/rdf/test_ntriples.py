@@ -110,6 +110,7 @@ class TestParseErrors:
             r'<http://a> <http://p> "\u1_23" .',  # int() would take the underscore
             r'<http://a> <http://p> "\u+123" .',  # ... and the sign
             "<http://a> <http://p> <http://b> . # c\n<x>",  # comment ends the line
+            " <http://a> <http://p> <http://b> .",  # a statement starts its line
         ],
     )
     def test_malformed_rejected(self, line):

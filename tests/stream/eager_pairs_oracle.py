@@ -10,21 +10,47 @@ table against.
 The index no longer enumerates cells, so the oracle does it itself:
 ``on_key_update`` tells it which (key, entity, side) posting changed,
 and it walks that block's opposite-side postings (the same side, in a
-dirty store) exactly as ``_on_insert`` / ``_on_delete`` used to.
+dirty store) exactly as ``_on_insert`` / ``_on_delete`` used to.  Its
+``(common, arcs)`` are read one pair at a time — the shared keys in
+sorted order, :func:`cells_between` cells each — the way the lazy table
+read them before it folded whole stars; its :meth:`star` assembles
+those pairs, and :meth:`weigh` is the lazy table's own, so the two
+weigh identical columns exactly when their stars agree.
 """
 
 from __future__ import annotations
 
-from repro.model.interner import pack_pair
+from repro.model.interner import pack_pair, unpack_pair
 from repro.stream.index import DeltaConsumer, IncrementalBlockIndex
-from repro.stream.pairs import PairStatsView
+from repro.stream.pairs import DeltaPairTable
 
 
-class EagerPairTable(PairStatsView, DeltaConsumer):
+def cells_between(index: IncrementalBlockIndex, key: str, id_a: int, id_b: int) -> int:
+    """Comparison cells of the (distinct) pair inside *key*'s block.
+
+    0, 1 — or 2 for bipartite blocks holding both entities on both
+    sides, matching the repetition count the batch enumeration yields.
+    """
+    if id_a == id_b:
+        return 0
+    mask_a = index.keys_of(id_a).get(key, 0)
+    mask_b = index.keys_of(id_b).get(key, 0)
+    if not mask_a or not mask_b:
+        return 0
+    if not index.two_sided:
+        return 1
+    return int(bool(mask_a & 1) and bool(mask_b & 2)) + int(
+        bool(mask_b & 1) and bool(mask_a & 2)
+    )
+
+
+class EagerPairTable(DeltaConsumer):
     """Packed-pair statistics folded in one comparison cell at a time."""
 
+    weigh = DeltaPairTable.weigh
+
     def __init__(self, index: IncrementalBlockIndex) -> None:
-        self.index = index
+        self.index = self.source = index
         #: packed pair → number of common blocks (counting repeated cells)
         self.common: dict[int, int] = {}
         self.placements: dict[int, int] = {}
@@ -107,11 +133,13 @@ class EagerPairTable(PairStatsView, DeltaConsumer):
     def __len__(self) -> int:
         return len(self.common)
 
-    def interner(self):
-        return self.index.store.interner
-
-    def _pair_keys(self):
-        return iter(self.common)
+    def partners(self, entity_id: int) -> list[int]:
+        """Every entity sharing a comparison cell with *entity_id*."""
+        return sorted(
+            id_b if id_a == entity_id else id_a
+            for id_a, id_b in map(unpack_pair, self.common)
+            if entity_id in (id_a, id_b)
+        )
 
     def pair_stats(self, id_a: int, id_b: int) -> tuple[int, float]:
         if id_a == id_b:
@@ -128,7 +156,7 @@ class EagerPairTable(PairStatsView, DeltaConsumer):
         shared.sort()
         arcs = 0.0
         for key in shared:
-            cells = index.cells_between(key, id_a, id_b)
+            cells = cells_between(index, key, id_a, id_b)
             if not cells:
                 continue
             cardinality = index.cardinality_of(key)
@@ -138,3 +166,22 @@ class EagerPairTable(PairStatsView, DeltaConsumer):
             for _ in range(cells):
                 arcs += contribution
         return common, arcs
+
+    def star(self, entity_id: int) -> tuple[dict[int, int], dict[int, float]]:
+        """:meth:`pair_stats` of every partner, in the lazy table's shape."""
+        stats = {
+            partner: self.pair_stats(entity_id, partner)
+            for partner in self.partners(entity_id)
+        }
+        return (
+            {partner: common for partner, (common, _) in stats.items()},
+            {partner: arcs for partner, (_, arcs) in stats.items()},
+        )
+
+    def as_reference_stats(self) -> dict[tuple[str, str], tuple[int, float]]:
+        """URI-keyed (common, arcs) of every pair, one pair at a time."""
+        uris = self.index.store.interner.uri_table()
+        return {
+            tuple(sorted((uris[id_a], uris[id_b]))): self.pair_stats(id_a, id_b)
+            for id_a, id_b in map(unpack_pair, self.common)
+        }

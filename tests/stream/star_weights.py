@@ -1,7 +1,7 @@
 """Batch edge weights read back through stream query stars.
 
 A stream query weighs its star — the query and its candidates — with
-:meth:`~repro.stream.pairs.PairStatsView.weigh`.  Weighing the star of
+:meth:`~repro.stream.pairs.DeltaPairTable.weigh`.  Weighing the star of
 *each* endpoint of every pair covers both column orientations (the query
 as the lexicographically smaller URI, and as the larger one), so a table
 whose stars reproduce a batch graph's weights float for float from both
@@ -18,7 +18,7 @@ from repro.api import registry
 def assert_stars_match(table, scheme_name: str, edges) -> None:
     """Every pair of *edges* (``(uri_a, uri_b) → weight``) weighed from
     both endpoints' stars equals the batch weight, bit for bit."""
-    interner = table.interner()
+    interner = table.source.store.interner
     stars: dict[str, list[int]] = defaultdict(list)
     for uri_a, uri_b in edges:
         stars[uri_a].append(interner.id_of(uri_b))

@@ -7,13 +7,13 @@ implementation — one callback per comparison cell — fed by its own
 enumeration of the postings.  Both hang off the same index while a
 state machine inserts, merges late keys in, deletes and re-inserts; they
 must agree after every step on every global factor, on every pair's
-``(common, arcs)`` and, float for float, on every entity's star weighed
-under all six weighting schemes.
+``(common, arcs)`` — the lazy table's one pass over each entity's star
+against the oracle's pair-at-a-time walk of the shared keys, from both
+endpoints — and, float for float, on every entity's star weighed under
+all six weighting schemes.
 """
 
 from __future__ import annotations
-
-import itertools
 
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -33,11 +33,11 @@ from repro.stream.index import DeltaConsumer, IncrementalBlockIndex
 from repro.stream.pairs import DeltaPairTable
 from repro.stream.store import StreamingEntityStore
 
-from .eager_pairs_oracle import EagerPairTable
+from .eager_pairs_oracle import EagerPairTable, cells_between
 
 TOKENS = ["alpha", "beta", "gamma", "delta", "kappa", "sigma", "omega"]
 #: the first two live in both KBs of the clean-clean store — between
-#: them one bipartite block holds a pair twice (``cells_between`` == 2)
+#: them one bipartite block holds a pair twice (two cells in one block)
 SHARED = ["http://e/both", "http://e/either"]
 URIS = [f"http://e/{name}" for name in "bcdefg"]
 
@@ -105,9 +105,12 @@ class TwoPairTables(RuleBasedStateMachine):
         assert lazy.total_assignments == eager.total_assignments
         assert lazy.active_blocks == eager.active_blocks
         ids = range(len(self.store.interner))
-        for id_a, id_b in itertools.combinations(ids, 2):
-            assert lazy.pair_stats(id_a, id_b) == eager.pair_stats(id_a, id_b)
-            assert lazy.pair_stats(id_b, id_a) == eager.pair_stats(id_a, id_b)
+        for center in ids:
+            common, arcs = lazy.star(center)
+            assert sorted(common) == eager.partners(center)
+            for partner, count in common.items():
+                pair = sorted((center, partner))
+                assert (count, arcs[partner]) == eager.pair_stats(*pair)
         for scheme in SCHEME_NAMES:
             weighting = registry.create("weighting", scheme)
             for center in ids:
@@ -140,8 +143,9 @@ def test_shared_uri_yields_two_cells_in_one_block():
     for uri in ("http://e/x", "http://e/y"):
         for source in (0, 1):
             store.insert(_description(uri, {"alpha"}), source)
-    assert index.cells_between("alpha", 0, 1) == 2
-    assert lazy.pair_stats(0, 1)[0] == eager.pair_stats(0, 1)[0] == 2
+    assert cells_between(index, "alpha", 0, 1) == 2
+    assert lazy.star(0)[0] == {1: 2} and lazy.star(1)[0] == {0: 2}
+    assert eager.pair_stats(0, 1)[0] == 2
     assert lazy.edge_count == eager.edge_count == 1
     assert lazy.degrees == eager.degrees == {0: 1, 1: 1}
     store.delete("http://e/x")

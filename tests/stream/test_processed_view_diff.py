@@ -31,11 +31,11 @@ from repro.blocking.purging import BlockPurging, cardinality_histogram
 from repro.datasets import load_movies, load_people, load_restaurants
 from repro.model.description import EntityDescription
 from repro.stream import (
+    DeltaPairTable,
     IncrementalBlockIndex,
     IncrementalProcessedView,
     StreamingEntityStore,
     StreamResolver,
-    SurvivorPairTable,
 )
 
 _LOADERS = {
@@ -179,7 +179,7 @@ def test_reconcile_restores_exactness_under_any_interleaving(data):
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
 def test_survivor_stats_follow_reconciled_view(data):
-    """SurvivorPairTable == batch graph over the processed collection."""
+    """DeltaPairTable(view) == batch graph over the processed collection."""
     from metablocking.string_graph_oracle import reference_pair_statistics
 
     _name, two_sources, arrivals = _draw_arrivals(data)
@@ -187,7 +187,7 @@ def test_survivor_stats_follow_reconciled_view(data):
     store = StreamingEntityStore(sources=sources)
     index = IncrementalBlockIndex(store)
     view = IncrementalProcessedView(index, reconcile_every=5)
-    table = SurvivorPairTable(view)
+    table = DeltaPairTable(view)
     for position, (description, source) in enumerate(arrivals):
         store.insert(description.copy(), source)
         if view.due:

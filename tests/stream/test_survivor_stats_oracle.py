@@ -1,7 +1,7 @@
 """Survivor statistics against the batch graph, step by step.
 
-:class:`~repro.stream.processed_view.SurvivorPairTable` keeps no pair:
-``common`` / ``arcs`` are read from the view's exposed blocks and the
+``DeltaPairTable(view)`` keeps no pair: ``common`` / ``arcs`` are read
+from the view's exposed blocks, one query star at a time, and the
 global factors are folded from placement hooks and one neighbour-set
 difference per batch of transitions.  The oracle is independent of all
 of it: a batch :class:`~repro.metablocking.graph.BlockingGraph` built
@@ -33,14 +33,15 @@ from repro.metablocking.graph import BlockingGraph
 from repro.metablocking.scheme_defs import SCHEME_NAMES
 from repro.model.description import EntityDescription
 from repro.stream.index import IncrementalBlockIndex
-from repro.stream.processed_view import IncrementalProcessedView, SurvivorPairTable
+from repro.stream.pairs import DeltaPairTable
+from repro.stream.processed_view import IncrementalProcessedView
 from repro.stream.store import StreamingEntityStore
 
 from .star_weights import assert_stars_match
 
 TOKENS = ["alpha", "beta", "gamma", "delta", "kappa", "sigma", "omega"]
 #: these live in both KBs of the clean-clean store — between them one
-#: bipartite block holds a pair twice (``cells_between`` == 2)
+#: bipartite block holds a pair twice (two cells in one block)
 SHARED = ["http://e/both", "http://e/either"]
 URIS = [f"http://e/{name}" for name in "bcdefghij"]
 
@@ -97,7 +98,7 @@ class SurvivorsAgainstBatchGraph(RuleBasedStateMachine):
             BlockPurging(max_cardinality=max_cardinality),
             BlockFiltering(ratio=ratio),
         )
-        self.table = SurvivorPairTable(self.view)
+        self.table = DeltaPairTable(self.view)
         self.sides = len(sources)
         #: uri → the sources it was last inserted into (kept across
         #: deletes, so a retracted URI can come back where it was)
@@ -165,7 +166,7 @@ def test_block_crossing_the_purging_threshold_in_both_directions():
     view = IncrementalProcessedView(
         index, BlockPurging(max_cardinality=3), BlockFiltering(ratio=1.0)
     )
-    table = SurvivorPairTable(view)
+    table = DeltaPairTable(view)
     for name in "abc":
         store.insert(_description(f"http://e/{name}", {"crowd", f"own{name}"}))
     assert_matches_batch_graph(view, table)  # reads the view: drains
@@ -205,15 +206,15 @@ class _CountingTable:
 def test_view_hook_calls_do_not_grow_with_the_block():
     """Joining an exposed 5 000-member block costs hooks per key, not
     per member (and certainly not per comparison cell)."""
-    assert not hasattr(SurvivorPairTable, "on_view_cell")
-    assert not hasattr(SurvivorPairTable, "on_cell")
-    assert not hasattr(SurvivorPairTable, "common")
+    assert not hasattr(DeltaPairTable, "on_view_cell")
+    assert not hasattr(DeltaPairTable, "on_cell")
+    assert not hasattr(DeltaPairTable, "common")
     store = StreamingEntityStore()
     index = IncrementalBlockIndex(store)
     view = IncrementalProcessedView(
         index, BlockPurging(max_cardinality=10**9), BlockFiltering(ratio=1.0)
     )
-    table = SurvivorPairTable(view)
+    table = DeltaPairTable(view)
     for i in range(5000):
         entity_id = store.insert(_description(f"http://e/{i}", {"stop"}))
         view.keys_of(entity_id)  # a read per insert: every drain is a join
