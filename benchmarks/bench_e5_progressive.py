@@ -3,10 +3,13 @@
 The headline progressive-ER comparison: MinoanER's benefit-aware scheduler
 (static and dynamic variants) against the random-order lower bound, the
 blocking-native batch order, the Altowim-style progressive relational ER
-baseline [1], and the oracle upper bound — on the center workload with a
-real (threshold) matcher.  Shape to check: oracle ≥ dynamic ≥ static >
-altowim > batch ≈ random at every budget, with the gap widest at small
-budgets (that is what "progressive" buys).
+baseline [1], and the gold-first "oracle" order — on the center workload
+with a real (threshold) matcher.  The oracle orders gold pairs first but
+the matcher still decides them, so it is no upper bound on progressive
+recall: on periphery a dynamic schedule beats it.  Shape to check on
+center: oracle ≥ dynamic ≥ static > altowim > batch ≈ random at every
+budget, with the gap widest at small budgets (that is what "progressive"
+buys).
 """
 
 from __future__ import annotations

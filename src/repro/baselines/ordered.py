@@ -107,10 +107,12 @@ def oracle_order_baseline(
     budget: CostBudget | None = None,
     checkpoint_every: int = 10,
 ) -> ProgressiveResult:
-    """Gold matches first — the upper bound on progressive recall.
+    """Gold matches first: the gold-first order.
 
     Only the *ordering* consults the gold standard; decisions still come
-    from the matcher.
+    from the matcher, so this is no upper bound on progressive recall (on
+    periphery at threshold 0.35 it reached 0.309 recall AUC at a quarter
+    of the edges, dynamic scheduling 0.369).
     """
     matches = [e.pair for e in edges if e.pair in gold.matches]
     rest = [e.pair for e in edges if e.pair not in gold.matches]

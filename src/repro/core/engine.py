@@ -9,7 +9,10 @@ progressive curve); resolution decisions never see it.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
+from itertools import compress, repeat
+from operator import is_
 from typing import Sequence
 
 from repro.core.benefit import BenefitModel, QuantityBenefit
@@ -19,12 +22,26 @@ from repro.datasets.gold import GoldStandard
 from repro.evaluation.progressive import ProgressiveCurve
 from repro.matching.matcher import Matcher, MatchGraph
 from repro.metablocking.graph import WeightedEdge
-from repro.model.collection import EntityCollection, neighbourhood
+from repro.model.collection import EntityCollection, adjacency
 from repro.model.description import EntityDescription
 from repro.model.interner import PAIR_MASK, PAIR_SHIFT, EntityInterner, pack_pair
 
 
 _NO_LINKS: tuple[tuple[int, ...], ...] = ((), (), ())
+
+
+class _Links(dict):
+    """id → (out-, in-, out-then-in neighbour ids); reading a missing id
+    derives it through the context, held weakly: the context holds the
+    map, and a cycle would keep both (and the collections) alive until
+    the cyclic collector runs."""
+
+    def __init__(self, context: "ResolutionContext") -> None:
+        super().__init__()
+        self.context = weakref.ref(context)
+
+    def __missing__(self, entity_id: int) -> tuple[tuple[int, ...], ...]:
+        return self.context()._link(entity_id)
 
 
 class ResolutionContext:
@@ -35,11 +52,12 @@ class ResolutionContext:
     collections describe is interned once, first collection wins, in
     collection order — the rows :class:`~repro.matching.similarity.
     SimilarityIndex` builds over the same collections.  Per id the context
-    holds the home collection, the source tag and the out-, in- and
-    out-then-in neighbours as tuples of ids, derived on the first read of
-    a neighbourhood homed in a collection by one id pass over that
-    collection and memoised (so the collections must not change during
-    resolution).  The progressive loop speaks ids only; the
+    holds the home collection, the source tag and, in :attr:`links`, the
+    out-, in- and out-then-in neighbours as tuples of ids: the first read
+    of an id homed in a collection derives every id homed there from one
+    id pass over the collection's :meth:`~repro.model.collection.
+    EntityCollection.references`, memoised (so the collections must not
+    change during resolution).  The progressive loop speaks ids only; the
     URI methods are the boundary and read the collections live.
 
     Args:
@@ -61,9 +79,8 @@ class ResolutionContext:
         self.match_graph = MatchGraph(self.interner)
         self._home: dict[int, EntityCollection] = {}
         self._source: dict[int, str] = {}
-        #: id → (out-, in-, out-then-in neighbour ids), for every id homed
-        #: in a collection :meth:`_link` has passed over
-        self._links: dict[int, tuple[tuple[int, ...], ...]] = {}
+        #: id → (out-, in-, out-then-in neighbour ids), derived on a miss
+        self.links = _Links(self)
         intern = self.interner.intern
         for collection in collections:
             for description in collection:
@@ -115,42 +132,39 @@ class ResolutionContext:
 
     def neighbor_ids(self, entity_id: int) -> tuple[int, ...]:
         """Out-neighbours of *entity_id* in its home collection."""
-        return (self._links.get(entity_id) or self._link(entity_id))[0]
+        return self.links[entity_id][0]
 
     def inverse_neighbor_ids(self, entity_id: int) -> tuple[int, ...]:
         """In-neighbours of *entity_id* in its home collection."""
-        return (self._links.get(entity_id) or self._link(entity_id))[1]
+        return self.links[entity_id][1]
 
     def neighborhood_ids(self, entity_id: int) -> tuple[int, ...]:
         """Out- then in-neighbours of *entity_id*, deduplicated."""
-        return (self._links.get(entity_id) or self._link(entity_id))[2]
+        return self.links[entity_id][2]
 
     def _link(self, entity_id: int) -> tuple[tuple[int, ...], ...]:
-        """Derive the links of the ids :meth:`_link_scope` names, homed where
-        *entity_id* is, in one id pass over that collection's memoised
-        :meth:`~repro.model.collection.EntityCollection.graph`."""
+        """Derive the links of every id homed where *entity_id* is, from
+        one id pass over that collection's reference columns."""
         collection = self._home.get(entity_id)
         if collection is None:
             return _NO_LINKS
-        out, inverse = collection.graph()
-        ids_of, home, links = self.interner.ids_of, self._home, self._links
-        uris = self._link_scope(entity_id, collection)
-        for uri, i in zip(uris, ids_of(uris)):
+        home, links = self._home, self.links
+        out, inverse = adjacency(*map(self.interner.ids_of, collection.references()))
+        ids = self.interner.ids_of(collection.uris())
+        homed = compress(ids, map(is_, map(home.get, ids), repeat(collection)))
+        links.update(dict.fromkeys(homed, _NO_LINKS))  # most ids have no links
+        for i in out.keys() | inverse.keys():
             if home.get(i) is collection:
-                ids_out = tuple(ids_of(out.get(uri, ())))
-                ids_in = tuple(ids_of(inverse.get(uri, ())))
-                links[i] = ids_out, ids_in, neighbourhood(ids_out, ids_in)
+                ids_out, ids_in = tuple(out.get(i, ())), tuple(inverse.get(i, ()))
+                # neighbourhood(ids_out, ids_in), inlined
+                links[i] = ids_out, ids_in, tuple(dict.fromkeys(ids_out + ids_in))
         return links.get(entity_id, _NO_LINKS)
-
-    def _link_scope(self, entity_id: int, collection: EntityCollection) -> list[str]:
-        """The URIs one :meth:`_link` derives: all of the home collection's,
-        since the collections do not change during resolution."""
-        return collection.uris()
 
     def vicinity_ids(self, a: int, b: int) -> set[int]:
         """Both ids and their neighbourhoods — every description whose
         queued comparisons a match of the pair touches."""
-        return {a, b, *self.neighborhood_ids(a), *self.neighborhood_ids(b)}
+        links = self.links
+        return {a, b, *links[a][2], *links[b][2]}
 
     def has_shared_descriptions(self) -> bool:
         """True when some URI is described by more than one collection.

@@ -32,6 +32,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.matching.matcher import Matcher
+from repro.model.interner import PAIR_SHIFT
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.engine import ResolutionContext
@@ -77,10 +78,13 @@ class NeighborAwareMatcher(Matcher):
             else getattr(base, "threshold", 0.5)
         )
         self.min_value_similarity = min_value_similarity
+        #: the value matcher's primed scores (see :meth:`Matcher.primed_scores`)
+        self._values: dict[int, float] = {}
 
     def bind(self, context: "ResolutionContext") -> None:
         super().bind(context)
         self.base.attach(context)
+        self._values = self.base.primed_scores()
 
     def prime(self, ids_a, ids_b) -> None:
         """Forward batch pre-scoring to the value matcher (evidence is
@@ -101,8 +105,8 @@ class NeighborAwareMatcher(Matcher):
         graph = context.match_graph
         if not graph.match_count:
             return 0.0
-        neighbors_a = context.neighborhood_ids(a)
-        neighbors_b = context.neighborhood_ids(b)
+        neighbors_a = context.links[a][2]
+        neighbors_b = context.links[b][2]
         if not neighbors_a or not neighbors_b:
             return 0.0
         roots_a = graph.roots(neighbors_a)
@@ -132,6 +136,14 @@ class NeighborAwareMatcher(Matcher):
         return score, score >= self.threshold and value >= self.min_value_similarity
 
     def decide_ids(self, a: int, b: int) -> tuple[float, bool]:
-        value = self.base.decide_ids(a, b)[0]
-        score = value + self.evidence_weight * self.evidence_ids(a, b)
+        # pack_pair, inlined: a primed value score costs no call
+        value = self._values.get(a << PAIR_SHIFT | b if a < b else b << PAIR_SHIFT | a)
+        if value is None:
+            value = self.base.decide_ids(a, b)[0]
+        score, context = value, self._context
+        # Without a match, or a neighbourhood on either side, evidence is 0.
+        if context is not None and context.match_graph.match_count:
+            links = context.links
+            if links[a][2] and links[b][2]:
+                score = value + self.evidence_weight * self.evidence_ids(a, b)
         return score, score >= self.threshold and value >= self.min_value_similarity

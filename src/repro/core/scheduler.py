@@ -14,7 +14,7 @@ queued pairs in O(log n) and can inject brand-new pairs that blocking never
 proposed (the "discover new candidate description pairs" capability).
 
 The frontier speaks its resolution context's ids: every dict and heap
-key is a packed ``a << 32 | b`` pair of context ids, :meth:`pop_key`
+key is a packed ``a << 32 | b`` pair of context ids, :attr:`pop_key`
 hands that key back, and the update phase boosts and discovers by id.
 The URI methods are the boundary, interning through the context.  Ties
 break by insertion order, never by id, so scheduling does not depend on
@@ -24,6 +24,7 @@ how ids were assigned.
 from __future__ import annotations
 
 from collections import defaultdict
+from itertools import chain, repeat
 from typing import Iterable, TYPE_CHECKING
 
 from repro.metablocking.graph import WeightedEdge
@@ -48,11 +49,15 @@ class ComparisonScheduler:
         self.benefit = benefit
         self.context = context
         self._heap: AddressableMaxHeap[int] = AddressableMaxHeap()
+        #: ``pop_key()``: remove and return ``(packed key, priority)`` of the
+        #: best comparison (IndexError when empty) — the heap's own pop
+        self.pop_key = self._heap.pop
+        #: every pair ever scheduled → base weight (no decided pair re-queues)
         self._base_weight: dict[int, float] = {}
-        self._boost: dict[int, float] = {}
-        self._by_id: defaultdict[int, set[int]] = defaultdict(set)
-        #: pairs ever scheduled (so re-discovery does not re-queue decided pairs)
-        self._seen: set[int] = set()
+        self._boost: dict[int, float] = {}  # boosted pairs only
+        #: id → every pair ever queued touching it, popped ones included
+        #: (readers ask the heap); built on the first read after a fill
+        self._by_id: defaultdict[int, list[int]] | None = None
         #: number of pairs injected by the update phase, for diagnostics
         self.discovered_pairs = 0
 
@@ -92,25 +97,20 @@ class ComparisonScheduler:
             Number of pairs queued (duplicates are merged, keeping the
             maximum base weight).
         """
-        seen = self._seen
-        fresh: dict[int, float] = {}
-        for key, weight in zip(keys, weights):
-            if key in seen:
-                self._schedule(key, weight)
-            elif key not in fresh or weight > fresh[key]:
-                fresh[key] = weight
-        seen.update(fresh)
+        fresh = dict(zip(keys, weights))
+        if len(fresh) < len(keys):  # a repeated pair keeps its largest weight
+            for key, weight in zip(keys, weights):
+                if weight > fresh[key]:
+                    fresh[key] = weight
+        for key in self._base_weight.keys() & fresh.keys():
+            self._schedule(key, fresh.pop(key))
         self._base_weight.update(fresh)
-        self._boost.update(dict.fromkeys(fresh, 0.0))
-        by_id = self._by_id
+        self._by_id = None
         estimate, context = self.benefit.estimate, self.context
-        priorities = []
-        for key, weight in fresh.items():
-            a, b = key >> PAIR_SHIFT, key & PAIR_MASK
-            by_id[a].add(key)
-            by_id[b].add(key)
-            priorities.append(_scaled(weight, estimate(a, b, context)))  # no boost yet
-        self._heap.push_many(zip(fresh, priorities))
+        self._heap.push_many(fresh, [  # _priority, inlined; no boost yet
+            weight * max(estimate(key >> PAIR_SHIFT, key & PAIR_MASK, context), 1e-9)
+            for key, weight in fresh.items()
+        ])
         return len(fresh)
 
     def _schedule(self, key: int, weight: float) -> bool:
@@ -119,13 +119,12 @@ class ComparisonScheduler:
                 self._base_weight[key] = weight
                 self._reprioritize(key)
             return False
-        if key in self._seen:
+        if key in self._base_weight:
             return False  # already popped/decided; do not resurrect
-        self._seen.add(key)
         self._base_weight[key] = weight
-        self._boost[key] = 0.0
-        self._by_id[key >> PAIR_SHIFT].add(key)
-        self._by_id[key & PAIR_MASK].add(key)
+        if self._by_id is not None:
+            self._by_id[key >> PAIR_SHIFT].append(key)
+            self._by_id[key & PAIR_MASK].append(key)
         self._heap.push(key, self._priority(key))
         return True
 
@@ -157,8 +156,9 @@ class ComparisonScheduler:
     # -- prioritization --------------------------------------------------------
 
     def _priority(self, key: int) -> float:
+        # Queue priority: (boosted) weight times a benefit estimate floored above 0.
         estimate = self.benefit.estimate(key >> PAIR_SHIFT, key & PAIR_MASK, self.context)
-        return _scaled(self._base_weight[key] + self._boost[key], estimate)
+        return (self._base_weight[key] + self._boost.get(key, 0.0)) * max(estimate, 1e-9)
 
     def _reprioritize(self, key: int) -> None:
         self._heap.update(key, self._priority(key))
@@ -180,7 +180,7 @@ class ComparisonScheduler:
         key = pack_pair(a, b)
         if key not in self._heap:
             return False
-        self._boost[key] += delta
+        self._boost[key] = self._boost.get(key, 0.0) + delta
         self._reprioritize(key)
         return True
 
@@ -209,13 +209,10 @@ class ComparisonScheduler:
         model declares stale, so queued priorities track reality.  Returns
         the number of re-prioritizations.
         """
-        refreshed = 0
-        for entity_id in ids:
-            keys = self._by_id.get(entity_id, ())
-            for key in keys:
-                self._reprioritize(key)
-            refreshed += len(keys)
-        return refreshed
+        keys = self._queued_involving(ids)
+        for key in keys:
+            self._reprioritize(key)
+        return len(keys)
 
     def refresh_involving(self, uri: str) -> int:
         """:meth:`refresh_involving_ids` of one URI."""
@@ -225,29 +222,23 @@ class ComparisonScheduler:
         """Queued pairs touching each of *ids*, summed — a pair with both
         endpoints among them counts twice, as one refresh per id would
         count it."""
-        buckets = self._by_id
-        return sum(len(buckets.get(entity_id, ())) for entity_id in ids)
+        return len(self._queued_involving(ids))
+
+    def _queued_involving(self, ids: Iterable[int]) -> list[int]:
+        """Queued pairs touching each of *ids*, once per id they touch."""
+        by_id = self._by_id
+        if by_id is None:
+            by_id = self._by_id = defaultdict(list)
+            for key in self._base_weight:
+                by_id[key >> PAIR_SHIFT].append(key)
+                by_id[key & PAIR_MASK].append(key)
+        return list(self._heap.queued(chain.from_iterable(map(by_id.get, ids, repeat(())))))
 
     def queued_pairs(self) -> Iterable[tuple[tuple[str, str], float]]:
         """Iterate over ``(pair, priority)`` of queued comparisons
         (arbitrary heap order)."""
         for key, priority in self._heap.items():
             yield self._pair(key), priority
-
-    def pop_key(self) -> tuple[int, float]:
-        """Remove and return ``(packed key, priority)`` of the best comparison.
-
-        Raises:
-            IndexError: when the queue is empty.
-        """
-        key, priority = self._heap.pop()
-        by_id = self._by_id
-        for entity_id in (key >> PAIR_SHIFT, key & PAIR_MASK):
-            bucket = by_id[entity_id]
-            bucket.remove(key)
-            if not bucket:
-                del by_id[entity_id]
-        return key, priority
 
     def pop(self) -> tuple[tuple[str, str], float]:
         """:meth:`pop_key` with the URI-sorted pair instead of the key."""
@@ -262,8 +253,3 @@ class ComparisonScheduler:
     def base_weight(self, uri_a: str, uri_b: str) -> float:
         """Current base weight of a pair (0.0 if never scheduled)."""
         return self._base_weight.get(self.context.key_of(uri_a, uri_b), 0.0)
-
-
-def _scaled(weight: float, estimate: float) -> float:
-    """Queue priority: (boosted) weight times a benefit estimate floored above 0."""
-    return weight * max(estimate, 1e-9)

@@ -9,11 +9,11 @@ consumes an *instalment* of comparisons and returns, so the caller can
 inspect intermediate quality, change their mind, or grant more budget
 later.  ``ProgressiveER.run`` is a session drained in one instalment.
 
-The loop speaks context ids end to end: edges and gold pairs are interned
-once, the scheduler pops packed id pairs, the matcher decides them in URI
+The loop speaks context ids end to end: edges are interned once, the
+scheduler pops packed id pairs, the matcher decides them in URI
 orientation (:meth:`~repro.matching.matcher.Matcher.decide_ids`) and the
-match graph records columns; URIs and ``MatchDecision`` objects are
-derived from it only for the report.
+match graph records columns — one call each per comparison; URIs and
+``MatchDecision`` objects are derived from it only for the report.
 
 The update phase after a confirmed match is a delta: the propagator
 boosts or discovers the neighbour pairs, and only the queued pairs the
@@ -24,6 +24,8 @@ endpoints or their neighbours.
 """
 
 from __future__ import annotations
+
+from operator import attrgetter
 
 import numpy as np
 
@@ -37,6 +39,9 @@ from repro.evaluation.progressive import ProgressiveCurve
 from repro.matching.matcher import Matcher
 from repro.metablocking.graph import WeightedEdge, pack_pair_arrays
 from repro.model.collection import EntityCollection
+from repro.model.interner import PAIR_MASK, PAIR_SHIFT
+
+_LEFT, _RIGHT, _WEIGHT = map(attrgetter, ("left", "right", "weight"))
 
 
 class ProgressiveSession:
@@ -86,7 +91,7 @@ class ProgressiveSession:
         self.context = context = ResolutionContext(collections)
         self.matcher.attach(context)
         # The edges become two id columns once; the keys pack from them.
-        sides = [edge.left for edge in edges], [edge.right for edge in edges]
+        sides = list(map(_LEFT, edges)), list(map(_RIGHT, edges))
         try:
             columns = list(map(context.interner.ids_of, sides))
         except KeyError:  # a URI no collection describes: intern it as key() does
@@ -103,12 +108,12 @@ class ProgressiveSession:
         # pair at once; bit-identical to scoring inside the loop.
         self.matcher.prime(ids_a, ids_b)
         self.scheduler = ComparisonScheduler(self.benefit, context)
-        self.scheduler.add_keys(keys, [edge.weight for edge in edges])
+        self.scheduler.add_keys(keys, list(map(_WEIGHT, edges)))
         self.budget = CostBudget(0, scheduling_cost_weight=scheduling_cost_weight)
 
         self._blocked_keys = set(keys)
-        matches = gold.matches if gold is not None else ()
-        self._gold_keys = {context.key_of(a, b) for a, b in matches} - {None}
+        #: canonical gold pairs: a match is looked up as its URI-ordered pair
+        self._gold_pairs = matches = gold.matches if gold is not None else frozenset()
         self._found_gold = 0
         self._gold_total = len(matches)
         curve = ProgressiveCurve(label=label or self.benefit.name)
@@ -163,36 +168,48 @@ class ProgressiveSession:
         scheduler = self.scheduler
         budget = self.budget
         context = self.context
+        uris = context.uris
         graph = context.match_graph
-        decided = graph.rows
-        decide = self.matcher.decide_ids
+        decided, record = graph.rows, graph.record_ids
+        pop_key, decide = scheduler.pop_key, self.matcher.decide_ids
         benefit = self.benefit
         result = self.result
-        while scheduler and not budget.exhausted:
-            key, _priority = scheduler.pop_key()
+        # A comparison is three calls: pop, decide, record.  The budget
+        # test, the orientation and the checkpoint test are inline.
+        unlimited = budget.max_cost is None
+        while unlimited or not budget.exhausted:
+            try:
+                key, _priority = pop_key()
+            except IndexError:  # the frontier is empty
+                break
             if key in decided:
                 result.skipped_decided += 1
                 continue
-            a, b = context.oriented(key)
+            a, b = key >> PAIR_SHIFT, key & PAIR_MASK
+            if uris[b] < uris[a]:  # scored and reported in URI order
+                a, b = b, a
             score, is_match = decide(a, b)
-            budget.charge_comparison()
-            graph.record_ids(a, b, score, is_match)
+            budget.comparisons_executed += 1  # charge_comparison: not exhausted
+            record(a, b, score, is_match)
             if is_match:
                 result.benefit_total += benefit.realized_ids(a, b, context)
-                if key in self._gold_keys:
+                if (uris[a], uris[b]) in self._gold_pairs:
                     self._found_gold += 1
                 if key not in self._blocked_keys:
                     result.discovered_matches += 1
-                if self.updater is not None:
-                    operations = self.updater.on_match(a, b, scheduler, context)
-                    budget.charge_scheduling(operations)
+                if self.updater is not None:  # charge_scheduling, inlined
+                    budget.scheduling_operations += self.updater.on_match(
+                        a, b, scheduler, context
+                    )
                 if self.refresh_estimates:
                     # The charge is the match's queued vicinity whatever
                     # the model; only what it declares stale is re-estimated.
-                    budget.charge_scheduling(
-                        scheduler.count_involving(context.vicinity_ids(a, b))
+                    budget.scheduling_operations += scheduler.count_involving(
+                        context.vicinity_ids(a, b)
                     )
-                    scheduler.refresh_involving_ids(set(benefit.stale_after(a, b, context)))
+                    stale = set(benefit.stale_after(a, b, context))
+                    if stale:
+                        scheduler.refresh_involving_ids(stale)
             if budget.comparisons_executed % self.checkpoint_every == 0:
                 self._checkpoint()
         self._checkpoint()

@@ -83,6 +83,12 @@ class Matcher(ABC):
         decision.  The default is a no-op.
         """
 
+    def primed_scores(self) -> dict[int, float]:
+        """The scores :meth:`prime` cached, packed pair of context ids →
+        score, live across later :meth:`prime` calls: a wrapping matcher
+        reads them without a call per pair.  The default caches none."""
+        return {}
+
     @abstractmethod
     def similarity(self, uri_a: str, uri_b: str) -> float:
         """Similarity score in [0, 1] (best effort) for the pair."""
@@ -174,6 +180,9 @@ class ThresholdMatcher(Matcher):
         keys = pack_pair_arrays(ids_a, ids_b)
         self._primed.update(zip(keys.tolist(), scores.tolist()))
 
+    def primed_scores(self) -> dict[int, float]:
+        return self._primed
+
     def similarity(self, uri_a: str, uri_b: str) -> float:
         return self._measure(uri_a, uri_b)
 
@@ -210,8 +219,9 @@ class MatchGraph:
     ``is_match`` in execution order, ``rows`` maps the packed pair of each
     live decision to its row (a forgotten decision leaves ``rows`` at
     once and the columns at the next compaction), ``partner_ids`` holds
-    the direct partners of every matched id, and a parent list is the
-    union-find over matched ids.
+    the direct partners of every matched id, and the clusters are
+    kept flat: a root list gives every matched id its cluster's
+    representative in one read, and a union relabels the smaller cluster.
     URIs and :class:`MatchDecision` objects exist only at the boundary:
     :meth:`record` interns a decision on the way in, and the report
     accessors derive them on the way out.
@@ -228,7 +238,10 @@ class MatchGraph:
         self.partner_ids: dict[int, set[int]] = {}
         #: number of positive decisions recorded
         self.match_count = 0
-        self._parent: list[int] = []
+        #: id → its cluster's representative (an id is its own until matched)
+        self._root: list[int] = []
+        #: representative → the members of its cluster, for clusters of two or more
+        self._members: dict[int, list[int]] = {}
         #: id → packed pairs of its live decisions, built by the first
         #: :meth:`forget` (a batch run never forgets) and kept from then on
         self._keys_of: defaultdict[int, set[int]] | None = None
@@ -305,48 +318,41 @@ class MatchGraph:
         partners = self.partner_ids
         if entity_id not in partners:
             return
-        # Its cluster may split: re-link that component only.
-        component, stack = {entity_id}, [entity_id]
-        while stack:
-            for other in partners[stack.pop()]:
-                if other not in component:
-                    component.add(other)
-                    stack.append(other)
+        # Its cluster may split: re-link that cluster only.
+        root = self._root
+        component = self._members.pop(root[entity_id])
         for other in partners.pop(entity_id):
             partners[other].discard(entity_id)
             if not partners[other]:
                 del partners[other]
-        parent = self._parent
         for member in component:
-            parent[member] = member
+            root[member] = member
         for member in component:
             for other in partners.get(member, ()):
                 self._union(member, other)
 
-    def _find(self, entity_id: int) -> int:
-        parent = self._parent
-        root = entity_id
-        while parent[root] != root:
-            root = parent[root]
-        while parent[entity_id] != root:  # path compression
-            parent[entity_id], entity_id = root, parent[entity_id]
-        return root
-
     def _union(self, a: int, b: int) -> None:
-        parent = self._parent
-        parent.extend(range(len(parent), max(a, b) + 1))
-        parent[self._find(b)] = self._find(a)
+        root, members = self._root, self._members
+        root.extend(range(len(root), max(a, b) + 1))
+        keep, gone = root[a], root[b]
+        if keep == gone:
+            return
+        if len(members.get(keep, ())) < len(members.get(gone, ())):
+            keep, gone = gone, keep  # relabel the smaller cluster
+        moved = members.pop(gone, [gone])
+        members.setdefault(keep, [keep]).extend(moved)
+        for member in moved:
+            root[member] = keep
 
     def are_matched_ids(self, a: int, b: int) -> bool:
         """True if the two ids are in the same resolved cluster."""
         partners = self.partner_ids
-        return a in partners and b in partners and self._find(a) == self._find(b)
+        return a in partners and b in partners and self._root[a] == self._root[b]
 
     def roots(self, ids: Iterable[int]) -> list[int]:
         """Cluster representative of each resolved member of *ids*
         (unresolved members are skipped)."""
-        partners = self.partner_ids
-        return [self._find(entity_id) for entity_id in ids if entity_id in partners]
+        return list(map(self._root.__getitem__, filter(self.partner_ids.__contains__, ids)))
 
     # -- the report: URIs and decisions, derived on demand ---------------------
 
@@ -399,7 +405,7 @@ class MatchGraph:
         """All non-singleton resolved clusters, largest first, deterministic order."""
         groups: dict[int, set[str]] = {}
         for entity_id in self.partner_ids:
-            groups.setdefault(self._find(entity_id), set()).add(self.uris[entity_id])
+            groups.setdefault(self._root[entity_id], set()).add(self.uris[entity_id])
         clusters = map(frozenset, groups.values())
         return sorted(clusters, key=lambda c: (-len(c), sorted(map(repr, c))))
 

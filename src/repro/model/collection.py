@@ -20,10 +20,14 @@ member description in place bypasses them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from operator import is_not
 from typing import Iterable, Iterator, Sequence
 
-from repro.model.description import EntityDescription
+from repro.model.description import URI_PREFIXES, EntityDescription
 from repro.model.interner import EntityInterner
+
+_is_description = partial(is_not, None)
 
 
 @dataclass(frozen=True)
@@ -59,6 +63,7 @@ class EntityCollection:
         self.name = name
         self._by_uri: dict[str, EntityDescription] = {}
         self._interner = EntityInterner()
+        self._references: tuple[list[str], list[str]] | None = None
         self._graph: tuple[dict[str, list[str]], dict[str, list[str]]] | None = None
         self._all_neighbors: dict[str, tuple[str, ...]] = {}
         #: tokenizer signature → TokenColumn (``Tokenizer.column``'s memo)
@@ -72,11 +77,8 @@ class EntityCollection:
         return len(self._by_uri)
 
     def __iter__(self) -> Iterator[EntityDescription]:
-        by_uri = self._by_uri
-        for uri in self._interner:
-            description = by_uri.get(uri)
-            if description is not None:
-                yield description
+        # Insertion order, removed URIs skipped: no Python frame per item.
+        return filter(_is_description, map(self._by_uri.get, self._interner))
 
     def __contains__(self, uri: str) -> bool:
         return uri in self._by_uri
@@ -121,7 +123,7 @@ class EntityCollection:
 
     def uris(self) -> list[str]:
         """Live URIs in insertion order (removed URIs are skipped)."""
-        return [uri for uri in self._interner if uri in self._by_uri]
+        return list(filter(self._by_uri.__contains__, self._interner))
 
     def index_of(self, uri: str) -> int:
         """Stable integer id of *uri* (insertion rank).
@@ -150,7 +152,7 @@ class EntityCollection:
         return merged
 
     def _invalidate(self) -> None:
-        self._graph = None
+        self._references = self._graph = None
         self._all_neighbors.clear()
         self.token_columns.clear()
 
@@ -188,20 +190,26 @@ class EntityCollection:
         """The relationship graph as two maps, URI → out-neighbours and
         URI → in-neighbours, each in description order (memoised; read-only).
         A URI without neighbours on a side is absent from that map."""
-        if self._graph is not None:
-            return self._graph
-        neighbors: dict[str, list[str]] = {}
-        inverse: dict[str, list[str]] = {}
-        for description in self:
-            targets: list[str] = []
-            for ref in description.object_references():
-                if ref in self._by_uri and ref != description.uri:
-                    targets.append(ref)
-                    inverse.setdefault(ref, []).append(description.uri)
-            if targets:
-                neighbors[description.uri] = targets
-        self._graph = neighbors, inverse
+        if self._graph is None:
+            self._graph = adjacency(*self.references())
         return self._graph
+
+    def references(self) -> tuple[list[str], list[str]]:
+        """The relationship graph's edges as two columns, referencing and
+        referenced URI, in description-then-value order (memoised;
+        read-only): one flat pass keeps each value that looks like a URI
+        and names another description of this collection."""
+        if self._references is None:
+            by_uri = self._by_uri
+            edges = [
+                (description.uri, value)
+                for description in self
+                for values in description.attributes().values()
+                for value in values
+                if value in by_uri and value != description.uri and value.startswith(URI_PREFIXES)
+            ]
+            self._references = [owner for owner, _ in edges], [target for _, target in edges]
+        return self._references
 
     # -- statistics ----------------------------------------------------------------
 
@@ -230,6 +238,18 @@ class EntityCollection:
             avg_out_degree=relationship_count / n,
             source_count=len(sources),
         )
+
+
+def adjacency(owners: Sequence, targets: Sequence) -> tuple[dict, dict]:
+    """Out- and in-neighbour lists of every node of the edges
+    ``owners[i] → targets[i]``, in edge order, over URIs or over ids; a
+    node without neighbours on a side is absent from that map."""
+    out: dict = {}
+    inverse: dict = {}
+    for owner, target in zip(owners, targets):
+        out.setdefault(owner, []).append(target)
+        inverse.setdefault(target, []).append(owner)
+    return out, inverse
 
 
 def neighbourhood(out: Sequence, inverse: Sequence) -> tuple:

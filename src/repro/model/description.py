@@ -133,5 +133,8 @@ class EntityDescription:
         return clone
 
 
+URI_PREFIXES = ("http://", "https://", "urn:")  #: a value so prefixed names a resource
+
+
 def _looks_like_uri(value: str) -> bool:
-    return value.startswith(("http://", "https://", "urn:"))
+    return value.startswith(URI_PREFIXES)

@@ -1,13 +1,14 @@
 """An in-process model of the sharded tier (no processes, no queues).
 
-:class:`LocalTier` performs exactly the router's query plan — split the
-candidate neighbourhood by partition owner, weigh each partition
-separately, merge the disjoint weight maps, prune, match — over a
-single in-process replica.  Because every real shard replicates the
-same state, one replica models them all; what is left to test is the
-*plan*: that per-partition weighing + merge is bit-identical to the
-single-store resolver for any shard count, any merge interleaving, and
-any subset of partitions marked down (degraded coverage accounting).
+:class:`LocalTier` performs the router's query plan — split the
+candidate neighbourhood by partition owner, weigh the live partitions'
+candidates (together: one pass over the query's star, where the router
+merges one weight map per shard), prune, match — over a single
+in-process replica.  Because every real shard replicates the same
+state, one replica models them all; what is left to test is the
+*plan*: that it is bit-identical to the single-store resolver for any
+shard count, any merge interleaving, and any subset of partitions
+marked down (degraded coverage accounting).
 
 That makes this the property-test surface: hypothesis can drive shard
 counts, interleavings and failure subsets through thousands of cases in
@@ -16,6 +17,7 @@ seconds, which the multiprocessing tier could never afford.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Sequence
 
 from repro.blocking.base import Blocker
@@ -96,9 +98,10 @@ class LocalTier:
         """Resolve through the partition-split-and-merge plan.
 
         ``order`` is the merge interleaving — the sequence in which the
-        per-partition answers are folded into the merged weight map
-        (default: partition order).  Results must not depend on it; the
-        property tests drive random permutations to prove that.
+        per-partition candidates are gathered for the one weighing of the
+        live partitions (default: partition order).  Results must not
+        depend on it; the property tests drive random permutations to
+        prove that.
         """
         scheme = scheme if scheme is not None else self.scheme
         pruner = pruner if pruner is not None else self.pruner
@@ -117,11 +120,8 @@ class LocalTier:
         if sorted(merge_order) != list(range(self.n_partitions)):
             raise ValueError("order must be a permutation of the partitions")
         missing = {p for p in self.down if 0 <= p < self.n_partitions}
-        weights: dict[int, float] = {}
-        for partition in merge_order:
-            if partition in missing:
-                continue
-            weights.update(self.pairs.weigh(weighting, entity_id, split[partition]))
+        live = (split[partition] for partition in merge_order if partition not in missing)
+        weights = self.pairs.weigh(weighting, entity_id, chain.from_iterable(live))
 
         survivors = prune_neighbourhood(
             weights, pruning, self.store.interner.uri_table(),

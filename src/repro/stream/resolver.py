@@ -33,6 +33,7 @@ from repro.matching.matcher import MatchGraph, Matcher, ThresholdMatcher
 from repro.metablocking.graph import BlockingGraph, WeightedEdge
 from repro.metablocking.pruning import CEP, CNP, WEP, WNP, PruningScheme, node_budget
 from repro.metablocking.weighting import WeightingScheme
+from repro.model.collection import neighbourhood
 from repro.model.description import EntityDescription
 from repro.model.interner import pack_pair
 from repro.obs import DISABLED, Observability
@@ -218,7 +219,7 @@ class _StreamContext(ResolutionContext):
 
     def _register(self, description, source, entity_id, was_present) -> None:
         self._adopt(entity_id, description.source, self.collections[source])
-        self._links.clear()
+        self.links.clear()
 
     def _forget(self, uri, source, entity_id) -> None:
         # A delete retracts the URI from every source holding it (one
@@ -226,12 +227,20 @@ class _StreamContext(ResolutionContext):
         self._home.pop(entity_id, None)
         self._source.pop(entity_id, None)
         self.match_graph.forget(entity_id)
-        self._links.clear()
+        self.links.clear()
 
-    def _link_scope(self, entity_id, collection) -> list[str]:
+    def _link(self, entity_id: int) -> tuple[tuple[int, ...], ...]:
         # Every event drops the links, so a pass over the whole collection
-        # would be redone per event: derive the one id read.
-        return [self.uris[entity_id]]
+        # would be redone per event: derive the one id read, from its
+        # home's URI graph.
+        collection = self._home.get(entity_id)
+        if collection is None:
+            return ((), (), ())
+        uri, ids_of = self.uris[entity_id], self.interner.ids_of
+        out, inverse = collection.graph()
+        ids_out, ids_in = tuple(ids_of(out.get(uri, ()))), tuple(ids_of(inverse.get(uri, ())))
+        links = self.links[entity_id] = ids_out, ids_in, neighbourhood(ids_out, ids_in)
+        return links
 
 
 class StreamResolver:

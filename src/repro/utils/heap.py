@@ -21,6 +21,8 @@ order is a function of the operations alone, never of the array layout.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
+from itertools import count
+from operator import itemgetter, neg
 from typing import Generic, Hashable, Iterable, Iterator, TypeVar
 
 T = TypeVar("T", bound=Hashable)
@@ -79,8 +81,9 @@ class AddressableMaxHeap(Generic[T]):
         self._live[item] = entry
         heappush(self._entries, entry)
 
-    def push_many(self, items: Iterable[tuple[T, float]]) -> None:
-        """Insert every ``(item, priority)`` of *items* with one heapify.
+    def push_many(self, items: Iterable[T], priorities: Iterable[float]) -> None:
+        """Insert each of *items* with the matching one of *priorities*,
+        with one heapify.
 
         Pops exactly like one :meth:`push` per pair in the same order
         (the order is total), in O(n) instead of O(n log n).
@@ -89,17 +92,13 @@ class AddressableMaxHeap(Generic[T]):
             ValueError: if an item is already queued or repeated; the
                 heap is then left unchanged.
         """
-        live = self._live
-        fresh: dict[T, tuple] = {}
-        counter = self._counter
-        for item, priority in items:
-            if item in live or item in fresh:
-                raise ValueError(f"item already queued: {item!r}")
-            fresh[item] = (-priority, counter, item)
-            counter += 1
-        self._counter = counter
-        live.update(fresh)
-        self._entries.extend(fresh.values())
+        entries = list(zip(map(neg, priorities), count(self._counter), items))
+        fresh = dict(zip(map(itemgetter(2), entries), entries))
+        if len(fresh) < len(entries) or not self._live.keys().isdisjoint(fresh):
+            raise ValueError("push_many: an item is already queued or repeated")
+        self._counter += len(entries)
+        self._live.update(fresh)
+        self._entries.extend(entries)
         heapify(self._entries)
 
     def push_or_update(self, item: T, priority: float) -> None:
@@ -171,7 +170,8 @@ class AddressableMaxHeap(Generic[T]):
             item = entry[2]
             if live.get(item) is entry:
                 del live[item]
-                self._compact_if_mostly_stale()
+                if len(entries) > 2 * len(live):  # the compaction test, inlined
+                    self._compact_if_mostly_stale()
                 return item, -entry[0]
 
     def remove(self, item: T) -> float:
@@ -190,6 +190,10 @@ class AddressableMaxHeap(Generic[T]):
             return False
         self.remove(item)
         return True
+
+    def queued(self, items: Iterable[T]) -> Iterator[T]:
+        """The members of *items* that are queued, lazily and in order."""
+        return filter(self._live.__contains__, items)
 
     def items(self) -> Iterator[tuple[T, float]]:
         """Iterate over ``(item, priority)`` pairs in arbitrary order."""

@@ -172,12 +172,15 @@ def test_delta_loop_equals_sweep_loop(problem, config):
         assert new[key] == old[key], key
 
 
+@pytest.mark.parametrize("dataset", ["center_dataset", "periphery_dataset"])
 @pytest.mark.parametrize("benefit", sorted(BENEFITS))
-def test_every_benefit_model_on_a_bench_sized_corpus(benefit, center_dataset):
-    """The generated corpora are tiny; this one has hubs and 120 entities."""
+def test_every_benefit_model_on_a_bench_sized_corpus(benefit, dataset, request):
+    """The generated corpora are tiny; these have hubs and 120 entities.
+    The periphery corpus is where evidence, boosts and discovered
+    (unblocked) pairs are densest."""
     from repro.api import Pipeline, PipelineSpec
 
-    data = center_dataset
+    data = request.getfixturevalue(dataset)
     edges = Pipeline(PipelineSpec()).execute(data.kb1, data.kb2, match=False).edges
     scores = {edge.pair: min(1.0, edge.weight / 4) for edge in edges}
     problem = ([data.kb1, data.kb2], scores, edges, data.gold)

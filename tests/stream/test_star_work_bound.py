@@ -4,7 +4,8 @@
 once and each key's cardinality at most once, however many candidates
 the star holds — over the raw index and over the processed view alike.
 Reading the statistics a pair at a time costs two ``keys_of`` calls per
-candidate instead.
+candidate instead, and weighing each partition of a sharded query apart
+one pass per partition.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from repro.api import registry
 from repro.blocking.filtering import BlockFiltering
 from repro.blocking.purging import BlockPurging
 from repro.model.description import EntityDescription
+from repro.serving import LocalTier, owner_of
 from repro.stream.index import IncrementalBlockIndex
 from repro.stream.pairs import DeltaPairTable
 from repro.stream.processed_view import IncrementalProcessedView
@@ -63,6 +65,31 @@ def test_weigh_reads_each_query_key_once(over_view, candidates, monkeypatch):
     assert sorted(weights) == sorted(ids)
     assert calls["keys_of"] == 1
     assert 0 < calls["cardinality_of"] <= keys
+
+
+@pytest.mark.parametrize("n_partitions", [1, 4, 8])
+def test_local_tier_weighs_a_query_in_one_star_pass(n_partitions, monkeypatch):
+    """The live partitions are weighed together, so a resolve reads the
+    query's keys once whatever the partition count."""
+    tier = LocalTier(n_partitions)
+    for i in range(32):
+        tier.ingest(EntityDescription(f"http://e/c{i}", {"p": ["shared common"]}), 1)
+    query = EntityDescription("http://e/q", {"p": ["shared common rare"]})
+    tier.ingest(query, 0)
+    candidates = tier.index.neighbours_of(tier.store.interner.id_of(query.uri))
+    # every partition holds candidates
+    assert {owner_of(c, n_partitions) for c in candidates} == set(range(n_partitions))
+    calls: Counter[str] = Counter()
+    original = IncrementalBlockIndex.keys_of
+
+    def counting(self, entity_id):
+        calls["keys_of"] += 1
+        return original(self, entity_id)
+
+    monkeypatch.setattr(IncrementalBlockIndex, "keys_of", counting)
+    result = tier.resolve(query, ingest=False)
+    assert result.candidates == 32
+    assert calls["keys_of"] == 1
 
 
 def test_pair_table_annotations_resolve():

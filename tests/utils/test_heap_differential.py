@@ -56,7 +56,7 @@ class TwoHeaps(RuleBasedStateMachine):
     def push_many(self, batch):
         """One bulk fill on the new heap, one push per pair on the old."""
         fresh = [(item, priority) for item, priority in batch if item not in self.old]
-        self.new.push_many(fresh)
+        self.new.push_many([item for item, _ in fresh], [priority for _, priority in fresh])
         for item, priority in fresh:
             self.old.push(item, priority)
 
@@ -145,7 +145,7 @@ def test_push_many_pops_like_one_push_per_item(size):
     """Tied priorities included: insertion order breaks them either way."""
     pairs = [(item, float((item * 7) % 5)) for item in range(size)]
     bulk, single = AddressableMaxHeap(), AddressableMaxHeap()
-    bulk.push_many(iter(pairs))
+    bulk.push_many(iter(range(size)), (priority for _, priority in pairs))
     for item, priority in pairs:
         single.push(item, priority)
     # Later single pushes tie-break after everything filled in bulk.
@@ -163,7 +163,7 @@ def test_push_many_rejects_queued_and_repeated_items_atomically():
     heap.push("a", 1.0)
     for batch in ([("b", 2.0), ("a", 3.0)], [("b", 2.0), ("c", 1.0), ("b", 0.0)]):
         with pytest.raises(ValueError):
-            heap.push_many(batch)
+            heap.push_many(*zip(*batch))
         assert dict(heap.items()) == {"a": 1.0}
     heap.push("b", 2.0)  # the rejected batch consumed no insertion rank
     heap.push("c", 2.0)
