@@ -24,8 +24,7 @@ Each model supplies three functions over ids of the resolution context:
 :meth:`~BenefitModel.estimate`, a cheap pre-comparison proxy the scheduler
 multiplies into comparison priorities; :meth:`~BenefitModel.realized_ids`,
 the actual benefit recorded after a match is confirmed (used for the
-benefit@budget curves of E6; :meth:`~BenefitModel.realized` is its
-boundary over a :class:`~repro.matching.matcher.MatchDecision`); and
+benefit@budget curves of E6); and
 :meth:`~BenefitModel.stale_after`, the descriptions whose queued pairs'
 estimates a confirmed match can have changed — the update phase
 re-estimates those and nothing else.  None touches the ground truth —
@@ -39,7 +38,6 @@ from typing import Iterable, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.engine import ResolutionContext
-    from repro.matching.matcher import MatchDecision
 
 
 class BenefitModel(ABC):
@@ -65,13 +63,6 @@ class BenefitModel(ABC):
 
         Called *after* the match is recorded in the context's match graph.
         """
-
-    def realized(self, decision: "MatchDecision", context: "ResolutionContext") -> float:
-        """Actual benefit of an executed comparison (0 for non-matches)."""
-        if not decision.is_match:
-            return 0.0
-        get = context.interner.get
-        return self.realized_ids(get(decision.left), get(decision.right), context)
 
     def stale_after(self, a: int, b: int, context: "ResolutionContext") -> Iterable[int]:
         """Ids whose queued pairs the match of *a* and *b* may have re-valued.

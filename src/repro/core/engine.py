@@ -13,7 +13,6 @@ import weakref
 from dataclasses import dataclass, field
 from itertools import compress, repeat
 from operator import is_
-from typing import Sequence
 
 from repro.core.benefit import BenefitModel, QuantityBenefit
 from repro.core.budget import CostBudget
@@ -57,8 +56,8 @@ class ResolutionContext:
     of an id homed in a collection derives every id homed there from one
     id pass over the collection's :meth:`~repro.model.collection.
     EntityCollection.references`, memoised (so the collections must not
-    change during resolution).  The progressive loop speaks ids only; the
-    URI methods are the boundary and read the collections live.
+    change during resolution).  The context speaks ids only; :meth:`key`
+    interns two URIs on the way in.
 
     Args:
         collections: the input KBs.
@@ -105,14 +104,6 @@ class ResolutionContext:
         intern = self.interner.intern
         return pack_pair(intern(uri_a), intern(uri_b))
 
-    def key_of(self, uri_a: str, uri_b: str) -> int | None:
-        """Packed id pair of two URIs, or None when either is unknown."""
-        get = self.interner.get
-        id_a, id_b = get(uri_a), get(uri_b)
-        if id_a < 0 or id_b < 0 or id_a == id_b:
-            return None
-        return pack_pair(id_a, id_b)
-
     def oriented(self, key: int) -> tuple[int, int]:
         """The ids of a packed pair in URI order: the orientation every
         pair is scored and reported in."""
@@ -122,7 +113,12 @@ class ResolutionContext:
 
     def description_of_id(self, entity_id: int) -> EntityDescription | None:
         """The description of *entity_id*, or None if unknown."""
-        return self.description(self.uris[entity_id]) if entity_id >= 0 else None
+        home = self._home.get(entity_id)
+        return home.get(self.uris[entity_id]) if home is not None else None
+
+    def description(self, uri: str) -> EntityDescription | None:
+        """The description with *uri*, or None if unknown."""
+        return self.description_of_id(self.interner.get(uri))
 
     def same_source_ids(self, a: int, b: int) -> bool:
         """True if both descriptions come from the same KB (clean-clean
@@ -156,7 +152,7 @@ class ResolutionContext:
         for i in out.keys() | inverse.keys():
             if home.get(i) is collection:
                 ids_out, ids_in = tuple(out.get(i, ())), tuple(inverse.get(i, ()))
-                # neighbourhood(ids_out, ids_in), inlined
+                # the neighbourhood: out-neighbours, then the unseen in-neighbours
                 links[i] = ids_out, ids_in, tuple(dict.fromkeys(ids_out + ids_in))
         return links.get(entity_id, _NO_LINKS)
 
@@ -174,38 +170,6 @@ class ResolutionContext:
         neighbourhoods are then not symmetric.
         """
         return len(self._home) < sum(len(c) for c in self.collections)
-
-    # -- URIs ------------------------------------------------------------------
-
-    def _from_home(self, uri: str, read, default=()):
-        home = self._home.get(self.interner.get(uri))
-        return read(home, uri) if home is not None else default
-
-    def description(self, uri: str) -> EntityDescription | None:
-        """The description with *uri*, or None if unknown."""
-        return self._from_home(uri, EntityCollection.get, None)
-
-    def source_of(self, uri: str) -> str:
-        """Source tag of the description (empty for unknown URIs)."""
-        return self._source.get(self.interner.get(uri), "")
-
-    def same_source(self, uri_a: str, uri_b: str) -> bool:
-        """:meth:`same_source_ids` of two URIs."""
-        return self.same_source_ids(self.interner.get(uri_a), self.interner.get(uri_b))
-
-    def neighbors(self, uri: str) -> list[str]:
-        """Out-neighbours of *uri* in its home collection."""
-        return self._from_home(uri, EntityCollection.neighbors, [])
-
-    def inverse_neighbors(self, uri: str) -> list[str]:
-        """In-neighbours of *uri* in its home collection."""
-        return self._from_home(uri, EntityCollection.inverse_neighbors, [])
-
-    def neighborhood(self, uri: str) -> Sequence[str]:
-        """Out- then in-neighbours of *uri*, deduplicated: the collection's
-        memoised :meth:`~repro.model.collection.EntityCollection.all_neighbors`
-        (read-only; empty for unknown URIs)."""
-        return self._from_home(uri, EntityCollection.all_neighbors)
 
 
 @dataclass

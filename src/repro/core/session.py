@@ -141,10 +141,6 @@ class ProgressiveSession:
             return 0.0
         return self._found_gold / self._gold_total
 
-    def matched_pairs(self) -> set[tuple[str, str]]:
-        """Pairs matched so far."""
-        return self.context.match_graph.matched_pairs()
-
     # -- execution -------------------------------------------------------------
 
     def advance(self, instalment: int | None = None) -> ProgressiveResult:

@@ -6,8 +6,7 @@ is_match)`` on ids of their resolution context, and the URI-level
 :meth:`Matcher.decide` returns a :class:`MatchDecision`.  The
 :class:`MatchGraph` accumulates verdicts by id as matching progresses,
 maintaining the transitive clustering the benefit models and the update
-phase read; URIs and :class:`MatchDecision` objects are derived from its
-columns only for the report.
+phase read; URIs are derived from its columns only for the report.
 """
 
 from __future__ import annotations
@@ -15,14 +14,14 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as _np
 
 from repro.blocking.block import comparison_pair
 from repro.matching.similarity import SimilarityIndex
 from repro.metablocking.graph import pack_pair_arrays
-from repro.model.interner import PAIR_SHIFT, EntityInterner, pack_pair
+from repro.model.interner import PAIR_SHIFT, EntityInterner
 
 
 @dataclass(frozen=True)
@@ -33,11 +32,6 @@ class MatchDecision:
     right: str
     similarity: float
     is_match: bool
-
-    @property
-    def pair(self) -> tuple[str, str]:
-        """Canonical pair identity."""
-        return comparison_pair(self.left, self.right)
 
 
 class Matcher(ABC):
@@ -222,9 +216,8 @@ class MatchGraph:
     the direct partners of every matched id, and the clusters are
     kept flat: a root list gives every matched id its cluster's
     representative in one read, and a union relabels the smaller cluster.
-    URIs and :class:`MatchDecision` objects exist only at the boundary:
-    :meth:`record` interns a decision on the way in, and the report
-    accessors derive them on the way out.
+    Decisions come in as ids (:meth:`record_ids`); URIs exist only in the
+    report, :meth:`matched_pairs`.
     """
 
     def __init__(self, interner: EntityInterner | None = None) -> None:
@@ -245,18 +238,6 @@ class MatchGraph:
         #: id → packed pairs of its live decisions, built by the first
         #: :meth:`forget` (a batch run never forgets) and kept from then on
         self._keys_of: defaultdict[int, set[int]] | None = None
-
-    def __len__(self) -> int:
-        """Number of comparisons executed."""
-        return len(self.rows)
-
-    def __contains__(self, pair: tuple[str, str]) -> bool:
-        return self._row(*pair) is not None
-
-    def _row(self, uri_a: str, uri_b: str) -> int | None:
-        get = self.interner.get
-        a, b = get(uri_a), get(uri_b)
-        return self.rows.get(pack_pair(a, b)) if a >= 0 and b >= 0 else None
 
     def record_ids(self, a: int, b: int, score: float, is_match: bool) -> bool:
         """Store a decision on ids; False if the pair was already decided."""
@@ -279,19 +260,6 @@ class MatchGraph:
             partners.setdefault(a, set()).add(b)
             partners.setdefault(b, set()).add(a)
         return True
-
-    def record(self, decision: MatchDecision) -> bool:
-        """Store *decision*; returns False if the pair was already decided.
-
-        Raises:
-            ValueError: for a self-comparison.
-        """
-        if decision.left == decision.right:
-            raise ValueError(f"self-comparison: {decision.left!r}")
-        intern = self.interner.intern
-        return self.record_ids(
-            intern(decision.left), intern(decision.right), decision.similarity, decision.is_match
-        )
 
     def forget(self, entity_id: int) -> None:
         """Drop every decision involving *entity_id* (a retracted
@@ -354,67 +322,9 @@ class MatchGraph:
         (unresolved members are skipped)."""
         return list(map(self._root.__getitem__, filter(self.partner_ids.__contains__, ids)))
 
-    # -- the report: URIs and decisions, derived on demand ---------------------
-
-    def _decision(self, row: int) -> MatchDecision:
-        uris = self.uris
-        return MatchDecision(
-            uris[self.a[row]], uris[self.b[row]], self.score[row], self.is_match[row]
-        )
-
-    def decisions(self) -> Iterator[MatchDecision]:
-        """Every decision in execution order."""
-        return map(self._decision, self.rows.values())
-
-    def decision_for(self, uri_a: str, uri_b: str) -> MatchDecision | None:
-        """Previously recorded decision for the pair, if any."""
-        row = self._row(uri_a, uri_b)
-        return None if row is None else self._decision(row)
-
-    def matches(self) -> Iterator[MatchDecision]:
-        """Positive decisions in execution order."""
-        return map(self._decision, self._matched_rows())
-
-    def _matched_rows(self) -> list[int]:
-        is_match = self.is_match
-        return [row for row in self.rows.values() if is_match[row]]
-
     def matched_pairs(self) -> set[tuple[str, str]]:
-        """Canonical pairs decided as matches (directly, not transitively)."""
-        uris, a, b = self.uris, self.a, self.b
-        pairs = ((uris[a[row]], uris[b[row]]) for row in self._matched_rows())
+        """Canonical pairs decided as matches (directly, not transitively):
+        the report, the one place the graph resolves URIs."""
+        uris, a, b, is_match = self.uris, self.a, self.b, self.is_match
+        pairs = ((uris[a[row]], uris[b[row]]) for row in self.rows.values() if is_match[row])
         return {(x, y) if x < y else (y, x) for x, y in pairs}
-
-    def is_resolved(self, uri: str) -> bool:
-        """True if *uri* has been directly matched with some description."""
-        return self.interner.get(uri) in self.partner_ids
-
-    def partners(self, uri: str) -> set[str]:
-        """Descriptions directly matched with *uri* (not transitive)."""
-        return {self.uris[i] for i in self.partner_ids.get(self.interner.get(uri), ())}
-
-    def are_matched(self, uri_a: str, uri_b: str) -> bool:
-        """True if the two descriptions are in the same resolved cluster."""
-        return self.are_matched_ids(self.interner.get(uri_a), self.interner.get(uri_b))
-
-    def cluster_of(self, uri: str) -> frozenset[str]:
-        """Members of the resolved cluster containing *uri* (singleton if unmatched)."""
-        return next((c for c in self.clusters() if uri in c), frozenset((uri,)))
-
-    def clusters(self) -> list[frozenset[str]]:
-        """All non-singleton resolved clusters, largest first, deterministic order."""
-        groups: dict[int, set[str]] = {}
-        for entity_id in self.partner_ids:
-            groups.setdefault(self._root[entity_id], set()).add(self.uris[entity_id])
-        clusters = map(frozenset, groups.values())
-        return sorted(clusters, key=lambda c: (-len(c), sorted(map(repr, c))))
-
-    def transitive_pairs(self) -> set[tuple[str, str]]:
-        """All pairs implied by the clustering (transitive closure)."""
-        out: set[tuple[str, str]] = set()
-        for cluster in self.clusters():
-            members = sorted(cluster)
-            for i in range(len(members)):
-                for j in range(i + 1, len(members)):
-                    out.add((members[i], members[j]))
-        return out

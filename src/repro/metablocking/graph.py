@@ -15,8 +15,8 @@ scheme-independent :class:`PairTable` cached on the collection.  Weights
 are one float64 array over its rows, pruning selects row indices, and
 URIs are resolved for the survivors alone (:meth:`PairTable.ranked`):
 no string, tuple or dict entry exists per comparison.
-:meth:`BlockingGraph.materialize` returns a read-only :class:`EdgeView`
-mapping over the columns for callers that want ``pair → weight``.
+:meth:`BlockingGraph.materialize` weighs the table once and returns the
+weight column.
 
 Blocks and intra-block pairs are visited in the order of the hand-written
 string-tuple loop kept as the test oracle
@@ -27,13 +27,11 @@ bit-identical to it.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as _np
 
-from repro.blocking.block import BlockCollection, BlockIdArrays, comparison_pair
+from repro.blocking.block import BlockCollection, BlockIdArrays
 from repro.metablocking.weighting import WeightingScheme, weight_pair_table
 from repro.model.interner import PAIR_MASK, PAIR_SHIFT, pack_pair
 
@@ -289,39 +287,6 @@ def mean_weight(weights) -> float:
     return sum(weights.tolist()) / len(weights) if len(weights) else 0.0
 
 
-class EdgeView(Mapping):
-    """Read-only ``(left, right) → weight`` mapping over a graph's columns.
-
-    What :meth:`BlockingGraph.materialize` returns in place of a dict:
-    ``len`` is O(1), a lookup goes through the packed id key
-    (:meth:`PairTable.rows_of`), and only iteration — row order, the
-    reference dict's insertion order — derives the table's strings.
-    """
-
-    def __init__(self, table: PairTable, weights, interner) -> None:
-        self.table = table
-        self.weights = weights
-        self._interner = interner
-
-    def __len__(self) -> int:
-        return len(self.weights)
-
-    def __iter__(self) -> Iterator[tuple[str, str]]:
-        return iter(self.table.pairs)
-
-    def __getitem__(self, pair: tuple[str, str]) -> float:
-        row = self.table.rows_of(self._interner, (pair,))[0]
-        if row < 0:
-            raise KeyError(pair)
-        return self.weights[row].item()
-
-    def values(self):
-        return self.weights.tolist()
-
-    def items(self):
-        return dict(zip(self.table.pairs, self.values())).items()
-
-
 class BlockingGraph:
     """Weighted co-occurrence graph over a block collection.
 
@@ -339,96 +304,37 @@ class BlockingGraph:
     def __init__(self, blocks: BlockCollection, scheme: WeightingScheme) -> None:
         self.blocks = blocks
         self.scheme = scheme
-        self._view: EdgeView | None = None
-        self._adjacency: dict[str, list[tuple[str, float]]] | None = None
-        self._sorted_edges: list[WeightedEdge] | None = None
-        self._ranked_edges: list[WeightedEdge] | None = None
+        self._table: PairTable | None = None
+        self._weights = None
 
     # -- construction ------------------------------------------------------
 
-    def materialize(self) -> EdgeView:
-        """Weigh the pair table (once); return the pair → weight view."""
-        if self._view is None:
-            table = pair_table_for(self.blocks)
-            weights = weight_pair_table(self.scheme, self.blocks, table)
-            self._view = EdgeView(table, weights, self.blocks.interner())
-        return self._view
+    def materialize(self):
+        """Weigh the pair table (once); return the float64 weight of every
+        row of :meth:`pair_table`, so ``len`` is the number of distinct
+        comparisons.  No string exists per row (:meth:`PairTable.ranked`
+        resolves the survivors' URIs)."""
+        if self._weights is None:
+            self._table = pair_table_for(self.blocks)
+            self._weights = weight_pair_table(self.scheme, self.blocks, self._table)
+        return self._weights
 
     @property
     def weights(self):
         """Per-row weights (float64), aligned with :meth:`pair_table`."""
-        return self.materialize().weights
+        return self.materialize()
 
     def pair_table(self) -> PairTable:
         """The pair table whose rows the weights (and pruners) run over."""
-        return self.materialize().table
-
-    # -- access -------------------------------------------------------------
-
-    def __len__(self) -> int:
-        """Number of distinct edges (comparisons)."""
-        return len(self.materialize())
-
-    def edges(self) -> Iterator[WeightedEdge]:
-        """Iterate over weighted edges in deterministic (pair-sorted) order.
-
-        The sorted view is computed once and cached; repeated calls
-        iterate the cache.
-        """
-        if self._sorted_edges is None:
-            table = self.pair_table()
-            rank = table.uri_rank
-            order = _np.lexsort((rank[table.ids_b], rank[table.ids_a]))
-            self._sorted_edges = table.edges(self.weights, order)
-        return iter(self._sorted_edges)
-
-    def weight_of(self, uri_a: str, uri_b: str) -> float:
-        """Weight of the edge between the two URIs (0.0 when absent)."""
-        return self.materialize().get(comparison_pair(uri_a, uri_b), 0.0)
-
-    def nodes(self) -> list[str]:
-        """All node URIs, sorted."""
-        table = self.pair_table()
-        ids = _np.unique(_np.concatenate((table.ids_a, table.ids_b)))
-        return sorted(table.uris[ids].tolist())
-
-    def adjacency(self) -> dict[str, list[tuple[str, float]]]:
-        """Node → list of (neighbour, weight), each edge listed on both ends."""
-        if self._adjacency is None:
-            adjacency: dict[str, list[tuple[str, float]]] = {}
-            for (left, right), weight in self.materialize().items():
-                adjacency.setdefault(left, []).append((right, weight))
-                adjacency.setdefault(right, []).append((left, weight))
-            self._adjacency = adjacency
-        return self._adjacency
-
-    def neighbors(self, uri: str) -> list[tuple[str, float]]:
-        """Weighted neighbours of *uri* (empty when isolated/unknown)."""
-        return list(self.adjacency().get(uri, ()))
-
-    def average_weight(self) -> float:
-        """Mean edge weight (0.0 for an empty graph)."""
-        return mean_weight(self.weights)
-
-    def total_weight(self) -> float:
-        """Sum of edge weights."""
-        return sum(self.weights.tolist())
-
-    def ranked_edges(self) -> list[WeightedEdge]:
-        """All edges ranked (weight desc, pair asc); computed once, cached."""
-        if self._ranked_edges is None:
-            self._ranked_edges = self.top_edges(len(self))
-        return self._ranked_edges
+        self.materialize()
+        return self._table
 
     def top_edges(self, count: int) -> list[WeightedEdge]:
         """The *count* highest-weight edges (weight desc, pair asc).
 
-        Served from the cached full ranking when available; otherwise
-        only the rows at or above the *count*-th largest weight (ties
+        Only the rows at or above the *count*-th largest weight (ties
         included) are ranked, not the whole edge set.
         """
-        if self._ranked_edges is not None:
-            return self._ranked_edges[:count]
         weights = self.weights
         rows = _np.arange(len(weights))
         if 0 < count < len(weights):

@@ -22,7 +22,6 @@ from repro.model.interner import (
     EntityIdOverflowError,
     EntityInterner,
     pack_pair,
-    unpack_pair,
 )
 from repro.model.namespaces import split_uri, uri_infix, uri_local_name
 from repro.model.tokenizer import Tokenizer
@@ -34,7 +33,6 @@ __all__ = [
     "EntityInterner",
     "EntityIdOverflowError",
     "pack_pair",
-    "unpack_pair",
     "split_uri",
     "uri_infix",
     "uri_local_name",

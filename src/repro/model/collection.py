@@ -10,8 +10,7 @@ platform needs:
   paper's motivation section quotes (property diversity, vocabulary reuse,
   linkage density).
 
-The relationship graph, the neighbourhoods of
-:meth:`~EntityCollection.all_neighbors` and the token columns of
+The relationship graph and the token columns of
 :meth:`repro.model.tokenizer.Tokenizer.column` are memoised until the next
 :meth:`~EntityCollection.add` / :meth:`~EntityCollection.remove`; editing a
 member description in place bypasses them.
@@ -52,7 +51,7 @@ class EntityCollection:
         name: label used in reports (e.g. ``"dbpedia-sample"``).
 
     The collection preserves insertion order, so iteration and the integer
-    ids assigned by :meth:`index_of` are deterministic.
+    ids of :attr:`interner` are deterministic.
     """
 
     def __init__(
@@ -65,7 +64,6 @@ class EntityCollection:
         self._interner = EntityInterner()
         self._references: tuple[list[str], list[str]] | None = None
         self._graph: tuple[dict[str, list[str]], dict[str, list[str]]] | None = None
-        self._all_neighbors: dict[str, tuple[str, ...]] = {}
         #: tokenizer signature → TokenColumn (``Tokenizer.column``'s memo)
         self.token_columns: dict = {}
         for description in descriptions:
@@ -85,9 +83,6 @@ class EntityCollection:
 
     def __getitem__(self, uri: str) -> EntityDescription:
         return self._by_uri[uri]
-
-    def __repr__(self) -> str:
-        return f"EntityCollection({self.name!r}, {len(self)} descriptions)"
 
     # -- construction ----------------------------------------------------------
 
@@ -125,66 +120,20 @@ class EntityCollection:
         """Live URIs in insertion order (removed URIs are skipped)."""
         return list(filter(self._by_uri.__contains__, self._interner))
 
-    def index_of(self, uri: str) -> int:
-        """Stable integer id of *uri* (insertion rank).
-
-        Raises:
-            KeyError: if the URI is not in the collection.
-        """
-        return self._interner.id_of(uri)
-
     @property
     def interner(self) -> EntityInterner:
-        """The URI ↔ dense-id bijection backing :meth:`index_of`.
+        """The URI ↔ dense-id bijection of the collection (insertion rank).
 
         The interner is live (not a copy): ids stay stable as long as the
         collection only grows.
         """
         return self._interner
 
-    def union(self, other: "EntityCollection", name: str | None = None) -> "EntityCollection":
-        """New collection containing both inputs' descriptions (dirty ER)."""
-        merged = EntityCollection(name=name or f"{self.name}+{other.name}")
-        for description in self:
-            merged.add(description.copy())
-        for description in other:
-            merged.add(description.copy())
-        return merged
-
     def _invalidate(self) -> None:
         self._references = self._graph = None
-        self._all_neighbors.clear()
         self.token_columns.clear()
 
     # -- relationship graph -----------------------------------------------------
-
-    def neighbors(self, uri: str) -> list[str]:
-        """Out-neighbours of *uri*: descriptions it references.
-
-        Only references that resolve to a description inside this
-        collection count — dangling URIs are external and carry no
-        resolvable evidence.
-        """
-        return list(self.graph()[0].get(uri, ()))
-
-    def inverse_neighbors(self, uri: str) -> list[str]:
-        """In-neighbours of *uri*: descriptions that reference it."""
-        return list(self.graph()[1].get(uri, ()))
-
-    def all_neighbors(self, uri: str) -> tuple[str, ...]:
-        """Union of out- and in-neighbours, deduplicated, order-stable.
-
-        Out-neighbours come first, then the in-neighbours not already
-        seen.  The tuple is memoised per URI until the collection next
-        mutates, so the progressive loop reads a neighbourhood without
-        copying it.
-        """
-        union = self._all_neighbors.get(uri)
-        if union is None:
-            neighbors, inverse = self.graph()
-            union = neighbourhood(neighbors.get(uri, ()), inverse.get(uri, ()))
-            self._all_neighbors[uri] = union
-        return union
 
     def graph(self) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
         """The relationship graph as two maps, URI → out-neighbours and
@@ -251,8 +200,3 @@ def adjacency(owners: Sequence, targets: Sequence) -> tuple[dict, dict]:
         inverse.setdefault(target, []).append(owner)
     return out, inverse
 
-
-def neighbourhood(out: Sequence, inverse: Sequence) -> tuple:
-    """Out-neighbours, then the in-neighbours not already seen: the order of
-    :meth:`EntityCollection.all_neighbors`, over URIs or over ids."""
-    return tuple(dict.fromkeys((*out, *inverse)))

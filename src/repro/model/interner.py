@@ -48,17 +48,10 @@ def pack_pair(id_a: int, id_b: int) -> int:
 
     >>> pack_pair(3, 1) == pack_pair(1, 3)
     True
-    >>> unpack_pair(pack_pair(1, 3))
-    (1, 3)
     """
     if id_a < id_b:
         return (id_a << PAIR_SHIFT) | id_b
     return (id_b << PAIR_SHIFT) | id_a
-
-
-def unpack_pair(key: int) -> tuple[int, int]:
-    """Invert :func:`pack_pair` into the ``(min_id, max_id)`` tuple."""
-    return key >> PAIR_SHIFT, key & PAIR_MASK
 
 
 class EntityInterner:
@@ -73,8 +66,6 @@ class EntityInterner:
     0
     >>> interner.intern("c")
     2
-    >>> interner.uri_of(1)
-    'b'
     """
 
     __slots__ = ("_ids", "_uris")
@@ -91,14 +82,8 @@ class EntityInterner:
     def __len__(self) -> int:
         return len(self._uris)
 
-    def __contains__(self, uri: str) -> bool:
-        return uri in self._ids
-
     def __iter__(self) -> Iterator[str]:
         return iter(self._uris)
-
-    def __repr__(self) -> str:
-        return f"EntityInterner({len(self)} entities)"
 
     def intern(self, uri: str) -> int:
         """Id of *uri*, assigning the next dense id on first sight.
@@ -135,14 +120,6 @@ class EntityInterner:
     def get(self, uri: str, default: int = -1) -> int:
         """Id of *uri*, or *default* when unknown."""
         return self._ids.get(uri, default)
-
-    def uri_of(self, entity_id: int) -> str:
-        """URI of *entity_id*.
-
-        Raises:
-            IndexError: for ids never assigned.
-        """
-        return self._uris[entity_id]
 
     def uris(self) -> list[str]:
         """All URIs, indexed by id (the returned list is a copy)."""

@@ -33,7 +33,6 @@ from repro.matching.matcher import MatchGraph, Matcher, ThresholdMatcher
 from repro.metablocking.graph import BlockingGraph, WeightedEdge
 from repro.metablocking.pruning import CEP, CNP, WEP, WNP, PruningScheme, node_budget
 from repro.metablocking.weighting import WeightingScheme
-from repro.model.collection import neighbourhood
 from repro.model.description import EntityDescription
 from repro.model.interner import pack_pair
 from repro.obs import DISABLED, Observability
@@ -239,7 +238,7 @@ class _StreamContext(ResolutionContext):
         uri, ids_of = self.uris[entity_id], self.interner.ids_of
         out, inverse = collection.graph()
         ids_out, ids_in = tuple(ids_of(out.get(uri, ()))), tuple(ids_of(inverse.get(uri, ())))
-        links = self.links[entity_id] = ids_out, ids_in, neighbourhood(ids_out, ids_in)
+        links = self.links[entity_id] = ids_out, ids_in, tuple(dict.fromkeys(ids_out + ids_in))
         return links
 
 

@@ -3,15 +3,15 @@
 The progressive scheduler (:mod:`repro.core.scheduler`) keeps every candidate
 comparison in a priority queue keyed by its current utility.  The *update*
 phase of MinoanER re-weights comparisons whose neighbourhood was touched by a
-new match, which requires *increase-key* / *decrease-key* / *remove*.
-:mod:`heapq` has none of them, but it sifts in C, so this module gets them
+new match, which requires *increase-key* / *decrease-key*.
+:mod:`heapq` has neither, but it sifts in C, so this module gets them
 by **lazy invalidation**: a priority change pushes a fresh
 ``(-priority, seq, item)`` entry and leaves the old one in the array as a
 stale entry, recognised (and skipped) at pop time because the
 ``item → entry`` dict no longer points at it.  Stale entries are compacted
 away as soon as they outnumber the live ones, so the array never holds more
 than ``2 × len(heap)`` entries and every operation stays amortised
-O(log n), with O(1) priority lookup by item.
+O(log n).
 
 Items must be hashable.  The order is total — priority descending, then
 insertion order (``seq``, which an item keeps across updates) — so pop
@@ -59,14 +59,6 @@ class AddressableMaxHeap(Generic[T]):
 
     def __contains__(self, item: T) -> bool:
         return item in self._live
-
-    def priority(self, item: T) -> float:
-        """Return the current priority of *item*.
-
-        Raises:
-            KeyError: if *item* is not queued.
-        """
-        return -self._live[item][0]
 
     def push(self, item: T, priority: float) -> None:
         """Insert *item* with *priority*.
@@ -122,40 +114,6 @@ class AddressableMaxHeap(Generic[T]):
         heappush(self._entries, entry)
         self._compact_if_mostly_stale()
 
-    def increase_if_higher(self, item: T, priority: float) -> bool:
-        """Raise the priority of *item* to *priority* if that is higher.
-
-        Returns:
-            True if the priority changed.
-        """
-        if priority <= -self._live[item][0]:
-            return False
-        self.update(item, priority)
-        return True
-
-    def add_to_priority(self, item: T, delta: float) -> float:
-        """Add *delta* to the priority of a queued *item*.
-
-        Returns:
-            The new priority.
-        """
-        new = -self._live[item][0] + delta
-        self.update(item, new)
-        return new
-
-    def peek(self) -> tuple[T, float]:
-        """Return ``(item, priority)`` of the maximum without removing it.
-
-        Raises:
-            IndexError: if the heap is empty.
-        """
-        if not self._live:
-            raise IndexError("peek from an empty heap")
-        entries, live = self._entries, self._live
-        while live.get(entries[0][2]) is not entries[0]:
-            heappop(entries)
-        return entries[0][2], -entries[0][0]
-
     def pop(self) -> tuple[T, float]:
         """Remove and return ``(item, priority)`` of the maximum.
 
@@ -174,36 +132,9 @@ class AddressableMaxHeap(Generic[T]):
                     self._compact_if_mostly_stale()
                 return item, -entry[0]
 
-    def remove(self, item: T) -> float:
-        """Remove *item* from the heap and return its priority.
-
-        Raises:
-            KeyError: if *item* is not queued.
-        """
-        entry = self._live.pop(item)
-        self._compact_if_mostly_stale()
-        return -entry[0]
-
-    def discard(self, item: T) -> bool:
-        """Remove *item* if queued.  Returns True if it was present."""
-        if item not in self._live:
-            return False
-        self.remove(item)
-        return True
-
     def queued(self, items: Iterable[T]) -> Iterator[T]:
         """The members of *items* that are queued, lazily and in order."""
         return filter(self._live.__contains__, items)
-
-    def items(self) -> Iterator[tuple[T, float]]:
-        """Iterate over ``(item, priority)`` pairs in arbitrary order."""
-        for neg_priority, _seq, item in self._live.values():
-            yield item, -neg_priority
-
-    def clear(self) -> None:
-        """Drop every queued item."""
-        self._entries.clear()
-        self._live.clear()
 
     def _compact_if_mostly_stale(self) -> None:
         # Rebuilding costs O(live) and is reached only after more than

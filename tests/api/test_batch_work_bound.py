@@ -64,7 +64,7 @@ def test_a_run_reads_no_uri_neighbourhood_and_fills_without_priority_calls(
         }
     )
     counts: dict = {}
-    for name in ("all_neighbors", "neighbors", "inverse_neighbors", "graph", "references"):
+    for name in ("graph", "references"):
         count_calls(monkeypatch, EntityCollection, name, counts)
     count_calls(monkeypatch, ResolutionContext, "neighborhood_ids", counts)
     add_keys, priority = ComparisonScheduler.add_keys, ComparisonScheduler._priority
@@ -90,13 +90,7 @@ def test_a_run_reads_no_uri_neighbourhood_and_fills_without_priority_calls(
     assert counts.pop("bulk fills") == 1
     assert counts.pop("neighborhood_ids") > 0  # neighbourhoods were read
     assert counts.pop("references") == 2  # one id pass per collection
-    assert counts == {
-        "all_neighbors": 0,
-        "neighbors": 0,
-        "inverse_neighbors": 0,
-        "graph": 0,
-        "_priority during the bulk fill": 0,
-    }
+    assert counts == {"graph": 0, "_priority during the bulk fill": 0}
 
 
 def test_the_match_stage_walks_no_description_and_weighs_evidence_only_where_it_can_count(

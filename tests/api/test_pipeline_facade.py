@@ -23,6 +23,9 @@ from repro.datasets.samples import load_movies, load_people, load_restaurants
 from repro.matching import SimilarityIndex, ThresholdMatcher
 from repro.metablocking import ARCS, CNP, ECBS, WNP, BlockingGraph
 
+from core.id_views import match_scores
+
+
 THRESHOLD = 0.35
 
 SPEC = PipelineSpec.from_dict(
@@ -142,12 +145,8 @@ class TestCrossBackendEquivalence:
             == sql.matched_pairs()
         )
         # Decisions, not just matched pairs: similarity values align too.
-        seq_decisions = {
-            d.pair: d.similarity for d in sequential.progressive.match_graph.matches()
-        }
-        stream_decisions = {
-            d.pair: d.similarity for d in stream.progressive.match_graph.matches()
-        }
+        seq_decisions = match_scores(sequential.progressive.match_graph)
+        stream_decisions = match_scores(stream.progressive.match_graph)
         assert seq_decisions == stream_decisions
 
     def test_backend_provenance_recorded(self):

@@ -20,6 +20,9 @@ from repro.metablocking.pruning import PRUNERS
 from repro.metablocking.weighting import SCHEMES
 from repro.sqlbackend import SqlMetaBlocker, duckdb_available
 
+from core.id_views import match_scores
+
+
 CORPORA = {
     "movies": load_movies,
     "restaurants": load_restaurants,
@@ -93,13 +96,8 @@ class TestSpecLevel:
         sql = Pipeline.run(spec, kb1, kb2, gold=gold)
         assert triples(sql.edges) == triples(sequential.edges)
         assert sql.matched_pairs() == sequential.matched_pairs()
-        seq_decisions = {
-            d.pair: d.similarity
-            for d in sequential.progressive.match_graph.matches()
-        }
-        sql_decisions = {
-            d.pair: d.similarity for d in sql.progressive.match_graph.matches()
-        }
+        seq_decisions = match_scores(sequential.progressive.match_graph)
+        sql_decisions = match_scores(sql.progressive.match_graph)
         assert sql_decisions == seq_decisions
         # processed blocks are rebuilt from SQL, identical to python's
         assert [b.key for b in sql.processed_blocks] == [

@@ -1,7 +1,8 @@
 """The progressive loop as it ran before its update phase became a delta.
 
-Kept verbatim as a test-local oracle (classes renamed, the scheduler the
-session builds swapped for :class:`SweepScheduler`):
+Kept as a test-local oracle (classes renamed, the scheduler the session
+builds swapped for :class:`SweepScheduler`, URIs interned at its edge —
+the decision's URI pair, a matcher's URI arguments):
 ``tests/core/test_progressive_differential.py`` drives these and the
 classes in :mod:`repro.core` over the same corpora and requires equal
 answers, pop for pop and float for float.
@@ -12,15 +13,15 @@ What the oracle still does and ``src/`` no longer does:
   queued pair of both endpoints and of all their neighbours — whatever
   the benefit model — and charges the pairs it touched;
 * :meth:`SweepScheduler.add_edges` fills the frontier one
-  :meth:`~repro.core.scheduler.ComparisonScheduler.schedule` (one
-  ``heappush``) per edge;
+  :meth:`~repro.core.scheduler.ComparisonScheduler.add_keys` call per
+  edge;
 * :class:`CopyingPropagator` and :class:`PairwiseEvidenceMatcher` build
   the out∪in neighbourhood union afresh, from two list copies, for every
   decision;
-* :meth:`PairwiseEvidenceMatcher.neighbor_evidence` asks ``are_matched``
-  for every neighbour pair.  Its *value* is the symmetric definition
-  (the smaller of the two directed counts); the directed count it took
-  over verbatim is :func:`_matched_into`.
+* :meth:`PairwiseEvidenceMatcher.neighbor_evidence` asks
+  ``are_matched_ids`` for every neighbour pair.  Its *value* is the
+  symmetric definition (the smaller of the two directed counts); the
+  directed count it took over verbatim is :func:`_matched_into`.
 """
 
 from __future__ import annotations
@@ -43,19 +44,16 @@ class SweepScheduler(ComparisonScheduler):
 
     def add_edges(self, edges: Iterable[WeightedEdge]) -> int:
         added = 0
+        key = self.context.key
         for edge in edges:
-            if self.schedule(edge.left, edge.right, edge.weight):
-                added += 1
+            added += self.add_keys([key(edge.left, edge.right)], [edge.weight])
         return added
 
 
 class CopyingPropagator(NeighborEvidencePropagator):
     """Update phase over per-decision neighbourhood copies."""
 
-    def on_match(self, decision, scheduler, context) -> int:
-        if not decision.is_match:
-            return 0
-        left, right = decision.pair
+    def on_match(self, left, right, scheduler, context) -> int:
         neighbors_left = self._neighborhood(left, context)
         neighbors_right = self._neighborhood(right, context)
         if not neighbors_left or not neighbors_right:
@@ -70,57 +68,58 @@ class CopyingPropagator(NeighborEvidencePropagator):
                 if n_left == n_right:
                     continue
                 # Neighbours already known to co-refer need no evidence.
-                if context.match_graph.are_matched(n_left, n_right):
+                if context.match_graph.are_matched_ids(n_left, n_right):
                     continue
                 # Descriptions of the same KB never match in clean-clean ER.
-                if context.same_source(n_left, n_right):
+                if context.same_source_ids(n_left, n_right):
                     continue
                 touched += 1
                 operations += 1
-                if scheduler.boost(n_left, n_right, self.boost_factor):
+                if scheduler.boost_ids(n_left, n_right, self.boost_factor):
                     self.boosted += 1
                 elif self.discovery_weight > 0:
-                    if scheduler.discover(n_left, n_right, self.discovery_weight):
+                    if scheduler.discover_ids(n_left, n_right, self.discovery_weight):
                         self.discovered += 1
         return operations
 
-    def _neighborhood(self, uri: str, context) -> list[str]:
-        neighbors = context.neighbors(uri)
+    def _neighborhood(self, entity_id: int, context) -> list[int]:
+        neighbors = list(context.neighbor_ids(entity_id))
         if self.use_inverse_neighbors:
             seen = dict.fromkeys(neighbors)
-            for other in context.inverse_neighbors(uri):
+            for other in context.inverse_neighbor_ids(entity_id):
                 seen.setdefault(other)
             neighbors = list(seen)
         return neighbors
 
 
-def _neighborhood(context, uri: str) -> list[str]:
-    seen = dict.fromkeys(context.neighbors(uri))
-    for other in context.inverse_neighbors(uri):
+def _neighborhood(context, entity_id: int) -> list[int]:
+    seen = dict.fromkeys(context.neighbor_ids(entity_id))
+    for other in context.inverse_neighbor_ids(entity_id):
         seen.setdefault(other)
     return list(seen)
 
 
-def _matched_into(graph, neighbors_a: list[str], neighbors_b: list[str]) -> int:
+def _matched_into(graph, neighbors_a: list[int], neighbors_b: list[int]) -> int:
     """Members of *neighbors_a* matched with some member of *neighbors_b*."""
     matched = 0
     for left in neighbors_a:
-        if not graph.is_resolved(left):
+        if left not in graph.partner_ids:  # not resolved
             continue
-        if any(graph.are_matched(left, right) for right in neighbors_b):
+        if any(graph.are_matched_ids(left, right) for right in neighbors_b):
             matched += 1
     return matched
 
 
 class PairwiseEvidenceMatcher(NeighborAwareMatcher):
-    """Evidence from |Nₐ|·|N_b| ``are_matched`` calls."""
+    """Evidence from |Nₐ|·|N_b| ``are_matched_ids`` calls."""
 
     def neighbor_evidence(self, uri_a: str, uri_b: str) -> float:
         context = self._context
         if context is None or self.evidence_weight == 0:
             return 0.0
-        neighbors_a = _neighborhood(context, uri_a)
-        neighbors_b = _neighborhood(context, uri_b)
+        get = context.interner.get
+        neighbors_a = _neighborhood(context, get(uri_a))
+        neighbors_b = _neighborhood(context, get(uri_b))
         if not neighbors_a or not neighbors_b:
             return 0.0
         graph = context.match_graph
@@ -162,7 +161,7 @@ class SweepSession(ProgressiveSession):
         self.scheduler.add_edges(edges)
         self.budget = CostBudget(0, scheduling_cost_weight=scheduling_cost_weight)
 
-        self._blocked_pairs = {edge.pair for edge in edges}
+        self._blocked = {self.context.key(edge.left, edge.right) for edge in edges}
         self._found_gold = 0
         self._gold_total = len(gold.matches) if gold is not None else 0
         curve = ProgressiveCurve(label=label or self.benefit.name)
@@ -182,32 +181,34 @@ class SweepSession(ProgressiveSession):
         scheduler = self.scheduler
         budget = self.budget
         context = self.context
+        uris = context.uris
         graph = context.match_graph
         while scheduler and not budget.exhausted:
-            pair, _priority = scheduler.pop()
-            if pair in graph:
+            key, _priority = scheduler.pop_key()
+            if key in graph.rows:
                 self.result.skipped_decided += 1
                 continue
-            decision = self.matcher.decide(pair[0], pair[1])
+            a, b = context.oriented(key)
+            decision = self.matcher.decide(uris[a], uris[b])
             budget.charge_comparison()
-            graph.record(decision)
-            self.result.benefit_total += self.benefit.realized(decision, context)
+            graph.record_ids(a, b, decision.similarity, decision.is_match)
             if decision.is_match:
-                if self.gold is not None and pair in self.gold.matches:
+                self.result.benefit_total += self.benefit.realized_ids(a, b, context)
+                if self.gold is not None and (uris[a], uris[b]) in self.gold.matches:
                     self._found_gold += 1
-                if pair not in self._blocked_pairs:
+                if key not in self._blocked:
                     self.result.discovered_matches += 1
                 if self.updater is not None:
-                    operations = self.updater.on_match(decision, scheduler, context)
+                    operations = self.updater.on_match(a, b, scheduler, context)
                     budget.charge_scheduling(operations)
                 if self.refresh_estimates:
                     refreshed = 0
-                    touched = set(pair)
-                    for uri in pair:
-                        touched.update(context.neighbors(uri))
-                        touched.update(context.inverse_neighbors(uri))
-                    for uri in touched:
-                        refreshed += scheduler.refresh_involving(uri)
+                    touched = {a, b}
+                    for entity_id in (a, b):
+                        touched.update(context.neighbor_ids(entity_id))
+                        touched.update(context.inverse_neighbor_ids(entity_id))
+                    for entity_id in touched:
+                        refreshed += scheduler.refresh_involving_ids((entity_id,))
                     budget.charge_scheduling(refreshed)
             if budget.comparisons_executed % self.checkpoint_every == 0:
                 self._checkpoint()

@@ -13,7 +13,6 @@ from repro.core.benefit import (
     RelationshipCompletenessBenefit,
 )
 from repro.core.engine import ResolutionContext
-from repro.matching.matcher import MatchDecision
 from repro.model.collection import EntityCollection
 from repro.model.description import EntityDescription
 
@@ -46,17 +45,22 @@ def context() -> ResolutionContext:
     return ResolutionContext([kb1, kb2])
 
 
-def match(a: str, b: str) -> MatchDecision:
-    return MatchDecision(a, b, 1.0, True)
+def ids(ctx: ResolutionContext, uri_a: str, uri_b: str) -> tuple[int, int]:
+    """Context ids of a URI pair (models read context ids)."""
+    return ctx.interner.get(uri_a), ctx.interner.get(uri_b)
 
 
-def non_match(a: str, b: str) -> MatchDecision:
-    return MatchDecision(a, b, 0.0, False)
+def record_match(ctx: ResolutionContext, uri_a: str, uri_b: str) -> None:
+    ctx.match_graph.record_ids(*ids(ctx, uri_a, uri_b), 1.0, True)
 
 
 def estimate(model, uri_a: str, uri_b: str, ctx: ResolutionContext) -> float:
-    """The model's estimate of a URI pair (models read context ids)."""
-    return model.estimate(ctx.interner.get(uri_a), ctx.interner.get(uri_b), ctx)
+    return model.estimate(*ids(ctx, uri_a, uri_b), ctx)
+
+
+def realized(model, uri_a: str, uri_b: str, ctx: ResolutionContext) -> float:
+    """The model's benefit of the confirmed match of a URI pair."""
+    return model.realized_ids(*ids(ctx, uri_a, uri_b), ctx)
 
 
 class TestQuantity:
@@ -65,11 +69,9 @@ class TestQuantity:
         model = QuantityBenefit()
         assert estimate(model, "http://a/film", "http://b/film", ctx) == 1.0
 
-    def test_realized_counts_matches_only(self):
+    def test_realized_counts_one_per_match(self):
         ctx = context()
-        model = QuantityBenefit()
-        assert model.realized(match("http://a/film", "http://b/film"), ctx) == 1.0
-        assert model.realized(non_match("http://a/film", "http://b/person"), ctx) == 0.0
+        assert realized(QuantityBenefit(), "http://a/film", "http://b/film", ctx) == 1.0
 
 
 class TestAttributeCompleteness:
@@ -96,14 +98,8 @@ class TestAttributeCompleteness:
     def test_realized_rewards_new_evidence(self):
         ctx = context()
         model = AttributeCompletenessBenefit()
-        decision = match("http://a/film", "http://b/film")
-        ctx.match_graph.record(decision)
-        assert model.realized(decision, ctx) > 0.5
-
-    def test_realized_zero_for_non_match(self):
-        ctx = context()
-        model = AttributeCompletenessBenefit()
-        assert model.realized(non_match("http://a/film", "http://b/film"), ctx) == 0.0
+        record_match(ctx, "http://a/film", "http://b/film")
+        assert realized(model, "http://a/film", "http://b/film", ctx) > 0.5
 
 
 class TestEntityCoverage:
@@ -114,8 +110,8 @@ class TestEntityCoverage:
 
     def test_resolved_pair_estimated_low(self):
         ctx = context()
-        ctx.match_graph.record(match("http://a/film", "http://b/film"))
-        ctx.match_graph.record(match("http://a/person", "http://b/person"))
+        record_match(ctx, "http://a/film", "http://b/film")
+        record_match(ctx, "http://a/person", "http://b/person")
         model = EntityCoverageBenefit()
         assert (
             estimate(model, "http://a/film", "http://b/person", ctx)
@@ -124,24 +120,21 @@ class TestEntityCoverage:
 
     def test_half_resolved_pair_estimated_mid(self):
         ctx = context()
-        ctx.match_graph.record(match("http://a/film", "http://b/film"))
+        record_match(ctx, "http://a/film", "http://b/film")
         model = EntityCoverageBenefit()
         assert estimate(model, "http://a/film", "http://b/person", ctx) == 0.5
 
     def test_realized_new_entity(self):
         ctx = context()
-        decision = match("http://a/film", "http://b/film")
-        ctx.match_graph.record(decision)
-        assert EntityCoverageBenefit().realized(decision, ctx) == 1.0
+        record_match(ctx, "http://a/film", "http://b/film")
+        assert realized(EntityCoverageBenefit(), "http://a/film", "http://b/film", ctx) == 1.0
 
     def test_realized_extension(self):
         ctx = context()
-        first = match("http://a/film", "http://b/film")
-        ctx.match_graph.record(first)
-        second = match("http://b/film", "http://a/person")
-        ctx.match_graph.record(second)
+        record_match(ctx, "http://a/film", "http://b/film")
+        record_match(ctx, "http://b/film", "http://a/person")
         assert (
-            EntityCoverageBenefit().realized(second, ctx)
+            realized(EntityCoverageBenefit(), "http://b/film", "http://a/person", ctx)
             == EntityCoverageBenefit.extension_value
         )
 
@@ -152,18 +145,19 @@ class TestRelationshipCompleteness:
         model = RelationshipCompletenessBenefit()
         before = estimate(model, "http://a/film", "http://b/film", ctx)
         # Resolve the directors; the films' neighbourhood is now resolved.
-        ctx.match_graph.record(match("http://a/person", "http://b/person"))
+        record_match(ctx, "http://a/person", "http://b/person")
         after = estimate(model, "http://a/film", "http://b/film", ctx)
         assert after > before
 
     def test_realized_counts_completed_edges(self):
         ctx = context()
         model = RelationshipCompletenessBenefit()
-        ctx.match_graph.record(match("http://a/person", "http://b/person"))
-        decision = match("http://a/film", "http://b/film")
-        ctx.match_graph.record(decision)
+        record_match(ctx, "http://a/person", "http://b/person")
+        record_match(ctx, "http://a/film", "http://b/film")
         # Both films reference their (resolved) director: 2 completed edges.
-        assert model.realized(decision, ctx) == pytest.approx(model.base_value + 2)
+        assert realized(model, "http://a/film", "http://b/film", ctx) == pytest.approx(
+            model.base_value + 2
+        )
 
     def test_no_neighbors_gets_base(self):
         ctx = context()

@@ -64,33 +64,61 @@ class TestResolutionContext:
         assert context.uris == list(index._rows) == [*kb1.uris(), *kb2.uris()[1:]]
         assert context.has_shared_descriptions()
 
-    def test_neighborhood_ids_are_the_uri_neighbourhood(self):
-        kb1, kb2, _ = simple_world()
-        context = ResolutionContext([kb1, kb2])
-        for uri in [*kb1.uris(), *kb2.uris(), "ghost"]:
-            ids = context.neighborhood_ids(context.interner.get(uri))
-            assert [context.uris[i] for i in ids] == list(context.neighborhood(uri))
-            assert context.neighborhood_ids(context.interner.get(uri)) is ids
-
     def test_description_lookup(self):
         kb1, kb2, _ = simple_world()
         context = ResolutionContext([kb1, kb2])
-        assert context.description("http://a/1") is not None
+        assert context.description("http://a/1") is kb1["http://a/1"]
         assert context.description("ghost") is None
 
-    def test_source_and_same_source(self):
+    def test_same_source(self):
         kb1, kb2, _ = simple_world()
         context = ResolutionContext([kb1, kb2])
-        assert context.source_of("http://a/1") == "kb1"
-        assert context.same_source("http://a/1", "http://a/2")
-        assert not context.same_source("http://a/1", "http://b/1")
-        assert not context.same_source("ghost", "ghost2")
+        a1, a2, b1 = context.interner.ids_of(["http://a/1", "http://a/2", "http://b/1"])
+        assert context.same_source_ids(a1, a2)
+        assert not context.same_source_ids(a1, b1)
+        assert not context.same_source_ids(-1, -1)  # unknown URIs
 
     def test_neighbors_routed_to_home_collection(self):
         kb1, kb2, _ = simple_world()
         context = ResolutionContext([kb1, kb2])
-        assert context.neighbors("http://a/1") == ["http://a/2"]
-        assert context.inverse_neighbors("http://b/2") == ["http://b/1"]
+        a1, a2, b1, b2 = context.interner.ids_of(["http://a/1", "http://a/2", "http://b/1", "http://b/2"])
+        assert context.neighbor_ids(a1) == (a2,)
+        assert context.inverse_neighbor_ids(b2) == (b1,)
+        # memoised: a second read is the same tuple
+        assert context.neighborhood_ids(a1) is context.neighborhood_ids(a1)
+
+    def test_neighborhood_ids_are_the_uri_neighbourhood(self):
+        # Out-neighbours, then in-neighbours not already listed, from the
+        # home collection's URI graph, interned at the test's edge.
+        kb1, kb2, _ = simple_world()
+        kb1.add(EntityDescription("http://a/2", {"r": ["http://a/1", "http://a/3"]}))
+        context = ResolutionContext([kb1, kb2])
+        for kb in (kb1, kb2):
+            out, inverse = kb.graph()
+            for uri in kb.uris():
+                expected = list(dict.fromkeys(out.get(uri, []) + inverse.get(uri, [])))
+                ids = context.neighborhood_ids(context.interner.id_of(uri))
+                assert [context.uris[i] for i in ids] == expected
+        a1, a2 = context.interner.ids_of(["http://a/1", "http://a/2"])
+        assert context.neighborhood_ids(a2) == (a1, context.interner.id_of("http://a/3"))
+
+    def test_unknown_ids_have_no_links(self):
+        kb1, kb2, _ = simple_world()
+        context = ResolutionContext([kb1, kb2])
+        unseen = context.interner.intern("http://c/1")  # interned, described nowhere
+        for entity_id in (unseen, -1):
+            assert context.neighbor_ids(entity_id) == ()
+            assert context.inverse_neighbor_ids(entity_id) == ()
+            assert context.neighborhood_ids(entity_id) == ()
+
+    def test_vicinity_ids(self):
+        kb1, kb2, _ = simple_world()
+        context = ResolutionContext([kb1, kb2])
+        a1, a2, a3, b1, b2 = context.interner.ids_of(
+            ["http://a/1", "http://a/2", "http://a/3", "http://b/1", "http://b/2"]
+        )
+        assert context.vicinity_ids(a1, b1) == {a1, a2, b1, b2}
+        assert context.vicinity_ids(a3, b2) == {a3, b2, b1}
 
 
 class TestRun:
@@ -115,6 +143,13 @@ class TestRun:
         engine = ProgressiveER(matcher=OracleMatcher(gold.matches))
         result = engine.run(edges_for(gold), [kb1, kb2])
         assert result.benefit_total == pytest.approx(4.0)
+
+    def test_non_matches_realize_no_benefit(self):
+        kb1, kb2, gold = simple_world()
+        engine = ProgressiveER(matcher=OracleMatcher(set()))
+        result = engine.run(edges_for(gold), [kb1, kb2])
+        assert result.comparisons_executed == 4
+        assert result.benefit_total == 0.0
 
     def test_duplicate_edges_not_reexecuted(self):
         kb1, kb2, gold = simple_world()

@@ -15,6 +15,8 @@ from repro.model.collection import EntityCollection
 from repro.model.description import EntityDescription
 from repro.stream.resolver import StreamResolver
 
+from .id_views import decisions
+
 
 class StubMatcher(Matcher):
     """Fixed value-similarity matrix for testing."""
@@ -34,6 +36,12 @@ class StubMatcher(Matcher):
     def decide(self, uri_a: str, uri_b: str) -> MatchDecision:
         score = self.similarity(uri_a, uri_b)
         return MatchDecision(uri_a, uri_b, score, score >= self.threshold)
+
+
+def record_match(graph, uri_a: str, uri_b: str) -> None:
+    """Record a match of two URIs, interning them at the test's edge."""
+    intern = graph.interner.intern
+    graph.record_ids(intern(uri_a), intern(uri_b), 1.0, True)
 
 
 def film_context() -> ResolutionContext:
@@ -99,9 +107,7 @@ class TestEvidence:
         # The films fail on value alone.
         assert not matcher.decide("a_film", "b_film").is_match
         # Their directors get matched...
-        context.match_graph.record(
-            MatchDecision("http://x/a_dir", "http://y/b_dir", 1.0, True)
-        )
+        record_match(context.match_graph, "http://x/a_dir", "http://y/b_dir")
         # ...and now the films pass: 0.1 + 0.3 * 1.0 = 0.4 >= 0.3.
         decision = matcher.decide("a_film", "b_film")
         assert decision.is_match
@@ -112,9 +118,7 @@ class TestEvidence:
         base = StubMatcher({}, threshold=0.2)  # all value scores 0
         matcher = NeighborAwareMatcher(base, evidence_weight=1.0)
         matcher.bind(context)
-        context.match_graph.record(
-            MatchDecision("http://x/a_dir", "http://y/b_dir", 1.0, True)
-        )
+        record_match(context.match_graph, "http://x/a_dir", "http://y/b_dir")
         # Full neighbour evidence, but no value support: rejected.
         decision = matcher.decide("a_film", "b_film")
         assert decision.similarity >= 0.2
@@ -126,8 +130,8 @@ class TestEvidence:
         matcher = NeighborAwareMatcher(base, evidence_weight=0.3)
         matcher.bind(context)
         # Directors matched transitively through a third description.
-        context.match_graph.record(MatchDecision("http://x/a_dir", "z", 1.0, True))
-        context.match_graph.record(MatchDecision("z", "http://y/b_dir", 1.0, True))
+        record_match(context.match_graph, "http://x/a_dir", "z")
+        record_match(context.match_graph, "z", "http://y/b_dir")
         assert matcher.neighbor_evidence("a_film", "b_film") == 1.0
 
     def test_zero_weight_disables_evidence(self):
@@ -135,9 +139,7 @@ class TestEvidence:
         base = StubMatcher({("a_film", "b_film"): 0.1}, threshold=0.3)
         matcher = NeighborAwareMatcher(base, evidence_weight=0.0)
         matcher.bind(context)
-        context.match_graph.record(
-            MatchDecision("http://x/a_dir", "http://y/b_dir", 1.0, True)
-        )
+        record_match(context.match_graph, "http://x/a_dir", "http://y/b_dir")
         assert not matcher.decide("a_film", "b_film").is_match
 
     def test_inverse_neighbors_contribute(self):
@@ -148,7 +150,7 @@ class TestEvidence:
         matcher = NeighborAwareMatcher(base, evidence_weight=0.3)
         matcher.bind(context)
         # The films (which *reference* the directors) are matched.
-        context.match_graph.record(MatchDecision("a_film", "b_film", 1.0, True))
+        record_match(context.match_graph, "a_film", "b_film")
         decision = matcher.decide("http://x/a_dir", "http://y/b_dir")
         assert decision.is_match
 
@@ -178,7 +180,7 @@ class TestEvidenceIsAFraction:
         )
         matcher = self.bound(context)
         for left in ("http://n/a1", "http://n/a2"):
-            context.match_graph.record(MatchDecision(left, "http://n/b1", 1.0, True))
+            record_match(context.match_graph, left, "http://n/b1")
         assert matcher.neighbor_evidence("http://h/x", "http://h/y") == 1.0
         assert matcher.neighbor_evidence("http://h/y", "http://h/x") == 1.0
 
@@ -191,9 +193,9 @@ class TestEvidenceIsAFraction:
         )
         matcher = self.bound(context)
         graph = context.match_graph
-        graph.record(MatchDecision("http://n/a1", "http://n/b1", 1.0, True))
-        graph.record(MatchDecision("http://n/a2", "http://n/b1", 1.0, True))
-        graph.record(MatchDecision("http://n/a3", "http://n/zz", 1.0, True))
+        record_match(graph, "http://n/a1", "http://n/b1")
+        record_match(graph, "http://n/a2", "http://n/b1")
+        record_match(graph, "http://n/a3", "http://n/zz")
         # 2 of N(x) reach N(y), 1 of N(y) reaches N(x); min(2, 1) / min(3, 2).
         assert matcher.neighbor_evidence("http://h/x", "http://h/y") == 0.5
         assert matcher.neighbor_evidence("http://h/y", "http://h/x") == 0.5
@@ -204,7 +206,7 @@ class TestEvidenceIsAFraction:
         )
         matcher = self.bound(context)
         assert matcher.neighbor_evidence("http://h/x", "http://h/y") == 0.0
-        context.match_graph.record(MatchDecision("http://n/c", "http://n/d", 1.0, True))
+        record_match(context.match_graph, "http://n/c", "http://n/d")
         assert matcher.neighbor_evidence("http://h/x", "http://h/y") == 1.0
 
     def test_resolved_neighbours_on_one_side_only(self):
@@ -212,7 +214,7 @@ class TestEvidenceIsAFraction:
             {"http://h/x": ["http://n/a1"], "http://h/y": ["http://n/b1"]}
         )
         matcher = self.bound(context)
-        context.match_graph.record(MatchDecision("http://n/a1", "http://n/q", 1.0, True))
+        record_match(context.match_graph, "http://n/a1", "http://n/q")
         assert matcher.neighbor_evidence("http://h/x", "http://h/y") == 0.0
         assert matcher.neighbor_evidence("http://h/y", "http://h/x") == 0.0
 
@@ -233,9 +235,7 @@ class TestEvidenceIsAFraction:
         )
         matcher = self.bound(context)
         for a, b in matches:
-            context.match_graph.record(
-                MatchDecision(f"http://n/{a}", f"http://n/{b}", 1.0, True)
-            )
+            record_match(context.match_graph, f"http://n/{a}", f"http://n/{b}")
         forward = matcher.neighbor_evidence("http://h/x", "http://h/y")
         assert 0.0 <= forward <= 1.0
         assert forward == matcher.neighbor_evidence("http://h/y", "http://h/x")
@@ -253,7 +253,7 @@ class TestThroughTheLoops:
 
     @staticmethod
     def decisions(result) -> list[tuple[str, str, float, bool]]:
-        return [(d.left, d.right, d.similarity, d.is_match) for d in result.match_graph.decisions()]
+        return decisions(result.match_graph)
 
     def test_a_bind_overriding_matcher_through_progressive_er(self):
         stub = self.stub()

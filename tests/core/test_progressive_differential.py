@@ -32,8 +32,8 @@ from repro.matching.matcher import MatchDecision, Matcher
 from repro.metablocking.graph import WeightedEdge
 from repro.model.collection import EntityCollection
 from repro.model.description import EntityDescription
-from repro.model.interner import unpack_pair
 
+from .id_views import decisions, pair_of, queued
 from .progressive_oracle import CopyingPropagator, PairwiseEvidenceMatcher, SweepSession
 
 SHARED = "http://s/shared"
@@ -121,15 +121,15 @@ def run(session_type, matcher_type, propagator_type, problem, config):
         scheduling_cost_weight=cost_weight,
         refresh_estimates=update_phase,
     )
-    # Both loops pop through ``pop_key`` (the URI ``pop`` of the sweep
-    # wraps it); a pop is observed as its URI-sorted pair and priority.
+    # Both loops pop through ``pop_key``; a pop is observed as its
+    # URI-sorted pair and priority.
     pops = []
     pop_key = session.scheduler.pop_key
     uris = session.context.uris
 
     def observed_pop_key():
         key, priority = pop_key()
-        pops.append((tuple(sorted(map(uris.__getitem__, unpack_pair(key)))), priority))
+        pops.append((pair_of(uris, key), priority))
         return key, priority
 
     session.scheduler.pop_key = observed_pop_key
@@ -138,7 +138,7 @@ def run(session_type, matcher_type, propagator_type, problem, config):
     graph = result.match_graph
     return {
         "pops": pops,
-        "decisions": [(d.pair, d.similarity, d.is_match) for d in graph.decisions()],
+        "decisions": [(tuple(sorted(d[:2])), *d[2:]) for d in decisions(graph)],
         "matched_pairs": result.matched_pairs(),
         "comparisons_executed": result.comparisons_executed,
         "scheduling_operations": result.budget.scheduling_operations,
@@ -148,7 +148,7 @@ def run(session_type, matcher_type, propagator_type, problem, config):
         "discovered_matches": result.discovered_matches,
         "skipped_decided": result.skipped_decided,
         "curve": (result.curve.comparisons, result.curve.series),
-        "left_queued": sorted(session.scheduler.queued_pairs()),
+        "left_queued": sorted(queued(session.scheduler).items()),
     }
 
 

@@ -15,6 +15,8 @@ from repro.metablocking.graph import WeightedEdge
 from repro.model.collection import EntityCollection
 from repro.model.description import EntityDescription
 
+from .id_views import priorities, unpack
+
 
 def make_context(n: int = 40) -> ResolutionContext:
     collection = EntityCollection(
@@ -36,40 +38,44 @@ edge_lists = st.lists(
 )
 
 
+def filled_scheduler(edges: list[WeightedEdge]) -> tuple[ComparisonScheduler, list[int]]:
+    """A quantity scheduler holding *edges*, interned at the test's edge,
+    and each edge's packed key."""
+    scheduler = ComparisonScheduler(QuantityBenefit(), make_context())
+    keys = [scheduler.context.key(edge.left, edge.right) for edge in edges]
+    scheduler.add_keys(keys, [edge.weight for edge in edges])
+    return scheduler, keys
+
+
 class TestSchedulerProperties:
     @settings(max_examples=40, deadline=None)
     @given(edge_lists)
     def test_quantity_pop_order_is_weight_order(self, edges):
-        scheduler = ComparisonScheduler(QuantityBenefit(), make_context())
-        scheduler.add_edges(edges)
+        scheduler, _ = filled_scheduler(edges)
         popped = []
         while scheduler:
-            popped.append(scheduler.pop()[1])
+            popped.append(scheduler.pop_key()[1])
         assert popped == sorted(popped, reverse=True)
 
     @settings(max_examples=40, deadline=None)
     @given(edge_lists)
     def test_duplicate_edges_keep_max_weight(self, edges):
-        scheduler = ComparisonScheduler(QuantityBenefit(), make_context())
-        scheduler.add_edges(edges)
-        best: dict[tuple[str, str], float] = {}
-        for edge in edges:
-            best[edge.pair] = max(best.get(edge.pair, 0.0), edge.weight)
-        assert len(scheduler) == len(best)
-        for pair, weight in best.items():
-            assert scheduler.base_weight(*pair) == pytest.approx(weight)
+        scheduler, keys = filled_scheduler(edges)
+        best: dict[int, float] = {}
+        for key, edge in zip(keys, edges):
+            best[key] = max(best.get(key, 0.0), edge.weight)
+        assert priorities(scheduler) == best  # quantity: priority == base weight
 
     @settings(max_examples=30, deadline=None)
     @given(edge_lists, st.floats(0.1, 10))
     def test_boost_only_raises_priority(self, edges, delta):
-        scheduler = ComparisonScheduler(QuantityBenefit(), make_context())
-        scheduler.add_edges(edges)
+        scheduler, _ = filled_scheduler(edges)
         if not scheduler:
             return
-        pair, before = scheduler.peek()
-        scheduler.boost(pair[0], pair[1], delta)
-        _, after = scheduler.peek()
-        assert after >= before
+        before = priorities(scheduler)
+        key = max(before, key=before.get)
+        assert scheduler.boost_ids(*unpack(key), delta)
+        assert priorities(scheduler)[key] >= before[key]
 
 
 class TestBudgetProperties:

@@ -1,10 +1,11 @@
 """The report is derived from the decision columns, and equals the old objects.
 
 The digests were recorded when the match graph still stored one
-``MatchDecision`` per comparison, keyed by URI pair.  They cover every
-report accessor the match graph has, orientation included: a decision
-reported as ``(right, left)`` or a score taken in the other orientation
-changes the digest.
+``MatchDecision`` per comparison, keyed by URI pair, and had a URI
+accessor per view: matched pairs, matches in execution order, clusters
+and partners.  :func:`report` rebuilds each view from the id columns,
+orientation included: a decision reported as ``(right, left)`` or a
+score taken in the other orientation changes the digest.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import pytest
 
 from repro.api import Pipeline, PipelineSpec
 from repro.core.benefit import BENEFITS
+
+from .id_views import clusters, decisions, partners
 
 #: sha256 of :func:`report` per (benefit model, update phase); 91 matches
 #: in 820 comparisons with the update phase, 84 in 795 without
@@ -33,10 +36,10 @@ DIGESTS = {
 def report(graph) -> str:
     matched = sorted(graph.matched_pairs())
     lines = [repr(matched)]
-    lines += [repr((d.left, d.right, d.similarity, d.is_match)) for d in graph.matches()]
-    lines.append(repr([sorted(cluster) for cluster in graph.clusters()]))
+    lines += [repr(decision) for decision in decisions(graph) if decision[3]]
+    lines.append(repr(sorted(clusters(graph), key=lambda c: (-len(c), sorted(map(repr, c))))))
     for uri in sorted({uri for pair in matched for uri in pair}):
-        lines.append(repr((uri, sorted(graph.partners(uri)))))
+        lines.append(repr((uri, sorted(partners(graph, uri)))))
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 

@@ -1,4 +1,4 @@
-"""Stateful test of the comparison scheduler against a naive model."""
+"""Stateful test of the comparison scheduler's id API against a naive model."""
 
 from __future__ import annotations
 
@@ -7,14 +7,15 @@ from hypothesis import settings
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 from hypothesis import strategies as st
 
-from repro.blocking.block import comparison_pair
 from repro.core.benefit import QuantityBenefit
 from repro.core.engine import ResolutionContext
 from repro.core.scheduler import ComparisonScheduler
 from repro.model.collection import EntityCollection
 from repro.model.description import EntityDescription
 
-uris = st.integers(0, 12).map(lambda i: f"http://e/{i}")
+from .id_views import priorities, unpack
+
+entities = st.integers(0, 12)
 weights = st.floats(0.01, 100, allow_nan=False)
 
 
@@ -26,68 +27,78 @@ def make_context() -> ResolutionContext:
     return ResolutionContext([collection])
 
 
+def at_least(value: float, bound: float) -> bool:
+    """``value >= bound`` up to float-order slack: model and scheduler
+    accumulate boosts in different orders."""
+    return value >= bound - max(1e-9 * abs(bound), 1e-9)
+
+
 class SchedulerMachine(RuleBasedStateMachine):
     """With the quantity benefit, priority == base weight + boosts; the
-    model tracks exactly that and checks pop order and bookkeeping."""
+    model tracks exactly that, per packed key, and checks pop order and
+    bookkeeping.  Entities are drawn as numbers and interned once."""
 
     def __init__(self):
         super().__init__()
         self.scheduler = ComparisonScheduler(QuantityBenefit(), make_context())
-        self.queued: dict[tuple[str, str], float] = {}
-        self.popped: set[tuple[str, str]] = set()
+        self.queued: dict[int, float] = {}
+        self.popped: set[int] = set()
 
-    @rule(a=uris, b=uris, weight=weights)
+    def key(self, a: int, b: int) -> int:
+        return self.scheduler.context.key(f"http://e/{a}", f"http://e/{b}")
+
+    def priority(self, key: int) -> float:
+        return priorities(self.scheduler)[key]
+
+    @rule(a=entities, b=entities, weight=weights)
     def schedule(self, a, b, weight):
         if a == b:
             return
-        pair = comparison_pair(a, b)
-        result = self.scheduler.schedule(a, b, weight)
-        if pair in self.popped:
-            assert result is False
-        elif pair in self.queued:
-            assert result is False
+        key = self.key(a, b)
+        added = self.scheduler.add_keys([key], [weight])
+        if key in self.popped:
+            assert added == 0
+        elif key in self.queued:
+            assert added == 0
             # Base weight merges to the max; boosts are preserved, so the
             # model priority only changes when the new base is larger.
-            current_base = self.scheduler.base_weight(a, b)
-            assert current_base >= weight or current_base >= self.queued[pair]
-            self.queued[pair] = self.scheduler.priority(*pair)
+            assert at_least(self.priority(key), max(weight, self.queued[key]))
+            self.queued[key] = self.priority(key)
         else:
-            assert result is True
-            self.queued[pair] = weight
+            assert added == 1
+            self.queued[key] = weight
 
     @precondition(lambda self: self.queued)
     @rule(delta=st.floats(0.01, 20), data=st.data())
     def boost(self, delta, data):
-        pair = data.draw(st.sampled_from(sorted(self.queued)))
-        assert self.scheduler.boost(pair[0], pair[1], delta) is True
-        self.queued[pair] += delta
+        key = data.draw(st.sampled_from(sorted(self.queued)))
+        assert self.scheduler.boost_ids(*unpack(key), delta) is True
+        self.queued[key] += delta
 
-    @rule(a=uris, b=uris, delta=weights)
+    @rule(a=entities, b=entities, delta=weights)
     def boost_unqueued_is_noop(self, a, b, delta):
         if a == b:
             return
-        pair = comparison_pair(a, b)
-        if pair not in self.queued:
-            assert self.scheduler.boost(a, b, delta) is False
+        key = self.key(a, b)
+        if key not in self.queued:
+            assert self.scheduler.boost_ids(*unpack(key), delta) is False
 
     @precondition(lambda self: self.queued)
     @rule()
     def pop_is_maximal(self):
-        pair, priority = self.scheduler.pop()
-        best = max(self.queued.values())
-        # Tolerances: model and scheduler accumulate boosts in different
-        # float orders.
-        assert priority == pytest.approx(self.queued[pair], rel=1e-9, abs=1e-9)
-        assert priority >= best - max(1e-9 * abs(best), 1e-9)
-        del self.queued[pair]
-        self.popped.add(pair)
+        key, priority = self.scheduler.pop_key()
+        assert priority == pytest.approx(self.queued[key], rel=1e-9, abs=1e-9)  # float order
+        assert at_least(priority, max(self.queued.values()))
+        del self.queued[key]
+        self.popped.add(key)
 
     @precondition(lambda self: self.popped)
     @rule(data=st.data(), weight=weights)
     def popped_pairs_never_resurrect(self, data, weight):
-        pair = data.draw(st.sampled_from(sorted(self.popped)))
-        assert self.scheduler.schedule(pair[0], pair[1], weight) is False
-        assert pair not in self.scheduler
+        key = data.draw(st.sampled_from(sorted(self.popped)))
+        assert self.scheduler.add_keys([key], [weight]) == 0
+        assert self.scheduler.discover_ids(*unpack(key), weight) is False
+        assert key not in self.scheduler._heap
 
     @invariant()
     def sizes_agree(self):

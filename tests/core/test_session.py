@@ -104,7 +104,7 @@ class TestInstalments:
     def test_matched_pairs_accessible_between_instalments(self):
         session, _ = make_session()
         session.advance(2)
-        assert len(session.matched_pairs()) == 2
+        assert len(session.result.matched_pairs()) == 2
 
 
 class TestEngineEquivalence:
@@ -132,7 +132,7 @@ class TestEngineEquivalence:
             )
             for instalment in splits:
                 session.advance(instalment)
-            return session.matched_pairs()
+            return session.result.matched_pairs()
 
         assert run_split([6]) == run_split([1, 2, 3]) == run_split([2, 2, 2])
 

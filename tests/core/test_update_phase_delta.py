@@ -1,7 +1,7 @@
 """What the delta update phase no longer does — counted, not timed.
 
 The work the loop used to repeat is visible as call counts: benefit
-estimates per queued pair, neighbour-list copies per decision.  The
+estimates per queued pair.  The
 equality of the *results* with the old loop is
 ``test_progressive_differential.py``'s job.
 """
@@ -18,6 +18,7 @@ from repro.core.updater import NeighborEvidencePropagator
 from repro.model.collection import EntityCollection
 from repro.model.description import EntityDescription
 
+from .id_views import decisions
 from .progressive_oracle import CopyingPropagator, SweepSession
 
 
@@ -67,20 +68,6 @@ def test_quantity_estimates_once_per_queued_pair_and_boost(job):
     assert swept.estimates > 2 * benefit.estimates
 
 
-def test_neighbour_lists_are_not_copied_per_decision(job, monkeypatch):
-    calls = []
-    neighbors = EntityCollection.neighbors
-    monkeypatch.setattr(
-        EntityCollection,
-        "neighbors",
-        lambda self, uri: calls.append(uri) or neighbors(self, uri),
-    )
-    session, _ = drain(ProgressiveSession, NeighborEvidencePropagator, job, None)
-    descriptions = sum(len(collection) for collection in job[0])
-    assert session.result.comparisons_executed > descriptions
-    assert len(calls) <= descriptions
-
-
 class ThirdPartyCoverage(BenefitModel):
     """A model written against the two-method interface: its estimate
     reads the match state of the endpoints *and* of their neighbours."""
@@ -100,18 +87,16 @@ class ThirdPartyCoverage(BenefitModel):
 def test_model_without_stale_after_is_refreshed_on_the_conservative_set(job):
     collections = job[0]
     context = ResolutionContext(collections)
-    some_pair = job[1][0].pair
-    a, b = map(context.interner.get, some_pair)
+    a, b = map(context.interner.get, job[1][0].pair)
     stale = ThirdPartyCoverage().stale_after(a, b, context)
-    assert {context.uris[entity_id] for entity_id in stale} == (
-        set(some_pair)
-        | set(context.neighborhood(some_pair[0]))
-        | set(context.neighborhood(some_pair[1]))
-    )
+    assert set(stale) == {a, b, *context.neighborhood_ids(a), *context.neighborhood_ids(b)}
+
+    def decided(session) -> list[tuple[str, str]]:
+        return [decision[:2] for decision in decisions(session.result.match_graph)]
 
     def pops(session_type, propagator_type):
         session, _ = drain(session_type, propagator_type, job, ThirdPartyCoverage())
-        return [d.pair for d in session.result.match_graph.decisions()]
+        return decided(session)
 
     delta = pops(ProgressiveSession, NeighborEvidencePropagator)
     assert delta == pops(SweepSession, CopyingPropagator)
@@ -124,28 +109,7 @@ def test_model_without_stale_after_is_refreshed_on_the_conservative_set(job):
         refresh_estimates=False,
     )
     static.advance()
-    assert delta != [d.pair for d in static.result.match_graph.decisions()]
-
-
-def test_neighbourhood_read_follows_collection_mutation():
-    kb = EntityCollection(
-        [
-            EntityDescription("http://e/a", {"rel": ["http://e/b"]}),
-            EntityDescription("http://e/b", {"n": ["v"]}),
-            EntityDescription("http://e/c", {"rel": ["http://e/a"]}),
-        ]
-    )
-    context = ResolutionContext([kb])
-    assert context.neighborhood("http://e/a") == ("http://e/b", "http://e/c")
-    assert context.neighborhood("http://e/a") is context.neighborhood("http://e/a")
-    kb.add(EntityDescription("http://e/a", {"rel": ["http://e/c"]}))
-    assert context.neighborhood("http://e/a") == ("http://e/b", "http://e/c")
-    assert kb.neighbors("http://e/a") == ["http://e/b", "http://e/c"]
-    kb.remove("http://e/b")
-    assert context.neighborhood("http://e/a") == ("http://e/c",)
-    kb.add(EntityDescription("http://e/d", {"rel": ["http://e/a"]}))
-    assert context.neighborhood("http://e/a") == ("http://e/c", "http://e/d")
-    assert context.neighborhood("http://e/unknown") == ()
+    assert delta != decided(static)
 
 
 def test_same_source_reads_the_scanned_source_table():
@@ -155,11 +119,14 @@ def test_same_source_reads_the_scanned_source_table():
                             EntityDescription("http://s/both", {"n": ["v"]}, source="kb2"),
                             EntityDescription("http://b/untagged", {"n": ["v"]})])
     context = ResolutionContext([kb1, kb2])
-    assert context.source_of("http://s/both") == "kb1"  # the home collection's
-    assert context.same_source("http://a/1", "http://s/both")
-    assert not context.same_source("http://b/1", "http://s/both")
-    assert not context.same_source("http://a/1", "http://b/1")
-    assert not context.same_source("http://b/untagged", "http://b/untagged")
-    assert not context.same_source("http://nowhere/x", "http://nowhere/x")
+    a1, both, b1, untagged, nowhere = map(
+        context.interner.get,
+        ["http://a/1", "http://s/both", "http://b/1", "http://b/untagged", "http://nowhere/x"],
+    )
+    assert context.same_source_ids(a1, both)  # the home collection's source
+    assert not context.same_source_ids(b1, both)
+    assert not context.same_source_ids(a1, b1)
+    assert not context.same_source_ids(untagged, untagged)
+    assert not context.same_source_ids(nowhere, nowhere)
     assert context.has_shared_descriptions()
     assert not ResolutionContext([kb1]).has_shared_descriptions()

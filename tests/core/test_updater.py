@@ -9,10 +9,12 @@ from repro.core.engine import ResolutionContext
 from repro.core.scheduler import ComparisonScheduler
 from repro.core.session import ProgressiveSession
 from repro.core.updater import NeighborEvidencePropagator
-from repro.matching.matcher import MatchDecision, OracleMatcher
+from repro.matching.matcher import OracleMatcher
 from repro.metablocking.graph import WeightedEdge
 from repro.model.collection import EntityCollection
 from repro.model.description import EntityDescription
+
+from .id_views import priorities, queued, unpack
 
 
 def film_context() -> ResolutionContext:
@@ -58,15 +60,18 @@ class TestPropagation:
     def test_boosts_queued_neighbor_pairs(self):
         context = film_context()
         scheduler = ComparisonScheduler(QuantityBenefit(), context)
-        scheduler.schedule("http://a/film1", "http://b/film1", 1.0)
-        scheduler.schedule("http://a/film2", "http://b/film2", 1.0)
+        key = context.key
+        scheduler.add_keys(
+            [key("http://a/film1", "http://b/film1"), key("http://a/film2", "http://b/film2")],
+            [1.0, 1.0],
+        )
         propagator = NeighborEvidencePropagator(boost_factor=2.0, discovery_weight=0)
         operations = propagate(propagator, director_match(), scheduler, context)
         # Inverse neighbours of the directors are film1/film2 on each side:
         # 2x2 cross pairs, all eligible.
         assert operations == 4
         assert propagator.boosted == 2
-        assert scheduler.peek()[1] == pytest.approx(3.0)
+        assert max(queued(scheduler).values()) == pytest.approx(3.0)
 
     def test_discovers_unblocked_pairs(self):
         context = film_context()
@@ -108,18 +113,18 @@ class TestPropagation:
         scheduler = ComparisonScheduler(QuantityBenefit(), context)
         propagator = NeighborEvidencePropagator()
         propagate(propagator, director_match(), scheduler, context)
-        for pair, _ in scheduler.queued_pairs():
-            assert not context.same_source(pair[0], pair[1])
+        assert queued(scheduler)
+        for key in priorities(scheduler):
+            assert not context.same_source_ids(*unpack(key))
 
     def test_already_matched_neighbors_skipped(self):
         context = film_context()
-        context.match_graph.record(
-            MatchDecision("http://a/film1", "http://b/film1", 1.0, True)
-        )
+        film1 = context.interner.ids_of(["http://a/film1", "http://b/film1"])
+        context.match_graph.record_ids(*film1, 1.0, True)
         scheduler = ComparisonScheduler(QuantityBenefit(), context)
         propagator = NeighborEvidencePropagator()
         propagate(propagator, director_match(), scheduler, context)
-        assert ("http://a/film1", "http://b/film1") not in scheduler
+        assert ("http://a/film1", "http://b/film1") not in queued(scheduler)
 
     def test_fanout_cap(self):
         context = film_context()
@@ -134,7 +139,7 @@ class TestPropagation:
         propagator = NeighborEvidencePropagator(discovery_weight=0.5)
         propagate(propagator, ("http://a/film1", "http://b/film1"), scheduler, context)
         # The films' out-neighbours are the directors.
-        assert ("http://a/dir", "http://b/dir") in scheduler
+        assert ("http://a/dir", "http://b/dir") in queued(scheduler)
 
     def test_inverse_neighbors_can_be_disabled(self):
         context = film_context()

@@ -33,17 +33,17 @@ class TestShapes:
 
     def test_relationships_resolved(self, people):
         kb_a, kb_b, _ = people
-        assert kb_a.neighbors("http://kba.example.org/people/elena_marchetti") == [
+        assert kb_a.graph()[0].get("http://kba.example.org/people/elena_marchetti") == [
             "http://kba.example.org/org/institute_of_data_science"
         ]
-        assert kb_b.neighbors("http://kbb.example.org/researcher/r001") == [
+        assert kb_b.graph()[0].get("http://kbb.example.org/researcher/r001") == [
             "http://kbb.example.org/institution/i10"
         ]
 
     def test_institutions_have_members(self, people):
         kb_a, _, _ = people
         org = "http://kba.example.org/org/nordic_web_lab"
-        assert len(kb_a.inverse_neighbors(org)) == 3
+        assert len(kb_a.graph()[1][org]) == 3
 
     def test_noise_researchers_present(self, people):
         kb_a, kb_b, gold = people

@@ -54,15 +54,15 @@ class TestMovies:
     def test_relationships_present(self, movies):
         kb_a, kb_b, _ = movies
         film = "http://kba.example.org/film/Starfall_Odyssey"
-        assert kb_a.neighbors(film) == ["http://kba.example.org/person/Miranda_Velasquez"]
-        assert kb_b.neighbors("http://kbb.example.org/m/0f1a2") == [
+        assert kb_a.graph()[0].get(film) == ["http://kba.example.org/person/Miranda_Velasquez"]
+        assert kb_b.graph()[0].get("http://kbb.example.org/m/0f1a2") == [
             "http://kbb.example.org/m/0d9x1"
         ]
 
     def test_directors_have_inverse_neighbors(self, movies):
         kb_a, _, _ = movies
         director = "http://kba.example.org/person/Miranda_Velasquez"
-        assert len(kb_a.inverse_neighbors(director)) == 2
+        assert len(kb_a.graph()[1][director]) == 2
 
     def test_abbreviated_titles_are_somehow_similar(self, movies):
         # 'Crimson Meridian' appears as just 'Meridian' in KB-B: the

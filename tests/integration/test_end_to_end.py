@@ -177,6 +177,7 @@ class TestBenefitSteering:
                 benefit=registry.create("benefit", benefit_name),
             )
             result = engine.run(edges, [dataset.kb1, dataset.kb2])
-            return len(result.match_graph.clusters())
+            graph = result.match_graph
+            return len(set(graph.roots(graph.partner_ids)))  # resolved clusters
 
         assert covered_entities("entity-coverage") >= covered_entities("quantity")

@@ -5,15 +5,13 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.matching.matcher import (
-    MatchDecision,
-    MatchGraph,
-    OracleMatcher,
-    ThresholdMatcher,
-)
+from repro.matching.matcher import MatchGraph, OracleMatcher, ThresholdMatcher
 from repro.matching.similarity import SimilarityIndex
 from repro.model.collection import EntityCollection
 from repro.model.description import EntityDescription
+from repro.model.interner import pack_pair
+
+from core.id_views import clusters, decisions, partners
 
 
 def index() -> SimilarityIndex:
@@ -67,99 +65,126 @@ class TestOracleMatcher:
         assert not oracle.decide("a", "c").is_match
 
 
+def record(graph: MatchGraph, left: str, right: str, score: float, is_match: bool) -> bool:
+    """Record a decision on two URIs, interned at the test's edge."""
+    intern = graph.interner.intern
+    return graph.record_ids(intern(left), intern(right), score, is_match)
+
+
+def are_matched(graph: MatchGraph, left: str, right: str) -> bool:
+    return graph.are_matched_ids(graph.interner.get(left), graph.interner.get(right))
+
+
 class TestMatchGraph:
     def test_record_and_lookup(self):
         graph = MatchGraph()
-        decision = MatchDecision("a", "b", 0.9, True)
-        assert graph.record(decision) is True
-        assert ("a", "b") in graph
-        assert graph.decision_for("b", "a") == decision
+        assert record(graph, "a", "b", 0.9, True) is True
+        assert pack_pair(*graph.interner.ids_of(["b", "a"])) in graph.rows
+        assert decisions(graph) == [("a", "b", 0.9, True)]
 
     def test_duplicate_record_ignored(self):
         graph = MatchGraph()
-        graph.record(MatchDecision("a", "b", 0.9, True))
-        assert graph.record(MatchDecision("b", "a", 0.1, False)) is False
+        record(graph, "a", "b", 0.9, True)
+        assert record(graph, "b", "a", 0.1, False) is False
         assert graph.match_count == 1
 
     def test_negative_decisions_tracked_but_not_matched(self):
         graph = MatchGraph()
-        graph.record(MatchDecision("a", "b", 0.1, False))
-        assert len(graph) == 1
+        record(graph, "a", "b", 0.1, False)
+        assert len(graph.rows) == 1
         assert graph.match_count == 0
-        assert not graph.are_matched("a", "b")
+        assert not are_matched(graph, "a", "b")
 
     def test_transitive_clustering(self):
         graph = MatchGraph()
-        graph.record(MatchDecision("a", "b", 1.0, True))
-        graph.record(MatchDecision("b", "c", 1.0, True))
-        assert graph.are_matched("a", "c")
-        assert graph.cluster_of("a") == frozenset({"a", "b", "c"})
-
-    def test_partners_direct_only(self):
-        graph = MatchGraph()
-        graph.record(MatchDecision("a", "b", 1.0, True))
-        graph.record(MatchDecision("b", "c", 1.0, True))
-        assert graph.partners("b") == {"a", "c"}
-        assert graph.partners("a") == {"b"}
-        assert graph.partners("ghost") == set()
+        record(graph, "a", "b", 1.0, True)
+        record(graph, "b", "c", 1.0, True)
+        assert are_matched(graph, "a", "c")
+        assert clusters(graph) == [["a", "b", "c"]]
 
     def test_is_resolved(self):
         graph = MatchGraph()
-        assert not graph.is_resolved("a")
-        graph.record(MatchDecision("a", "b", 1.0, True))
-        assert graph.is_resolved("a")
-        assert graph.is_resolved("b")
-        assert not graph.is_resolved("c")
-
-    def test_clusters_non_singleton(self):
-        graph = MatchGraph()
-        graph.record(MatchDecision("a", "b", 1.0, True))
-        graph.record(MatchDecision("x", "y", 0.2, False))
-        clusters = graph.clusters()
-        assert clusters == [frozenset({"a", "b"})]
+        record(graph, "a", "b", 1.0, True)
+        record(graph, "c", "d", 0.2, False)
+        resolved = {graph.uris[i] for i in graph.partner_ids}
+        assert resolved == {"a", "b"}  # a non-match resolves neither side
 
     def test_cluster_of_unmatched_is_singleton(self):
         graph = MatchGraph()
-        assert graph.cluster_of("solo") == frozenset({"solo"})
+        record(graph, "a", "b", 1.0, True)
+        solo = graph.interner.intern("solo")  # interned after the last union
+        assert graph.roots([solo]) == []
+        assert not graph.are_matched_ids(solo, solo)
+        assert not are_matched(graph, "a", "solo")
 
     def test_transitive_pairs(self):
         graph = MatchGraph()
-        graph.record(MatchDecision("a", "b", 1.0, True))
-        graph.record(MatchDecision("b", "c", 1.0, True))
-        assert graph.transitive_pairs() == {("a", "b"), ("a", "c"), ("b", "c")}
+        record(graph, "a", "b", 1.0, True)
+        record(graph, "b", "c", 1.0, True)
+        record(graph, "c", "d", 0.1, False)
+        nodes = "abcd"
+        transitive = {(x, y) for x in nodes for y in nodes if x < y and are_matched(graph, x, y)}
+        assert transitive == {("a", "b"), ("a", "c"), ("b", "c")}
+
+    def test_union_relabels_the_smaller_cluster(self):
+        graph = MatchGraph()
+        record(graph, "a", "b", 1.0, True)
+        record(graph, "b", "c", 1.0, True)
+        record(graph, "x", "y", 1.0, True)
+        (big,) = set(graph.roots(graph.interner.ids_of("abc")))
+        record(graph, "y", "a", 1.0, True)
+        assert set(graph.roots(graph.interner.ids_of("abcxy"))) == {big}
+        assert clusters(graph) == [["a", "b", "c", "x", "y"]]
+
+    def test_partners_direct_only(self):
+        graph = MatchGraph()
+        record(graph, "a", "b", 1.0, True)
+        record(graph, "b", "c", 1.0, True)
+        assert partners(graph, "b") == {"a", "c"}
+        assert partners(graph, "a") == {"b"}
+        assert partners(graph, "ghost") == set()
+
+    def test_roots_skip_unresolved_ids(self):
+        graph = MatchGraph()
+        record(graph, "a", "b", 1.0, True)
+        record(graph, "x", "y", 0.2, False)
+        a, b, x, y = graph.interner.ids_of("abxy")
+        assert graph.roots([x, a, y, b]) == [graph.roots([a])[0]] * 2
+        assert clusters(graph) == [["a", "b"]]
 
     def test_matched_pairs_direct(self):
         graph = MatchGraph()
-        graph.record(MatchDecision("a", "b", 1.0, True))
-        graph.record(MatchDecision("b", "c", 1.0, True))
+        record(graph, "a", "b", 1.0, True)
+        record(graph, "b", "c", 1.0, True)
         assert graph.matched_pairs() == {("a", "b"), ("b", "c")}
 
     def test_decisions_keep_their_recorded_orientation(self):
         graph = MatchGraph()
-        graph.record(MatchDecision("y", "x", 0.25, False))
-        graph.record(MatchDecision("a", "b", 1.0, True))
-        assert list(graph.decisions()) == [
-            MatchDecision("y", "x", 0.25, False),
-            MatchDecision("a", "b", 1.0, True),
-        ]
+        record(graph, "y", "x", 0.25, False)
+        record(graph, "a", "b", 1.0, True)
+        assert decisions(graph) == [("y", "x", 0.25, False), ("a", "b", 1.0, True)]
         assert graph.matched_pairs() == {("a", "b")}
 
-    def test_self_comparison_rejected(self):
-        with pytest.raises(ValueError):
-            MatchGraph().record(MatchDecision("a", "a", 1.0, True))
+    def test_matches_in_execution_order(self):
+        graph = MatchGraph()
+        record(graph, "x", "y", 1.0, True)
+        record(graph, "c", "d", 0.1, False)
+        record(graph, "a", "b", 1.0, True)
+        assert [d[:2] for d in decisions(graph) if d[3]] == [("x", "y"), ("a", "b")]
+        assert graph.match_count == 2
 
     def test_forget_drops_decisions_and_reclusters(self):
         graph = MatchGraph()
-        graph.record(MatchDecision("a", "b", 1.0, True))
-        graph.record(MatchDecision("b", "c", 1.0, True))
-        graph.record(MatchDecision("c", "d", 0.1, False))
-        graph.record(MatchDecision("x", "y", 1.0, True))
+        record(graph, "a", "b", 1.0, True)
+        record(graph, "b", "c", 1.0, True)
+        record(graph, "c", "d", 0.1, False)
+        record(graph, "x", "y", 1.0, True)
         graph.forget(graph.interner.id_of("b"))
-        assert [d.pair for d in graph.decisions()] == [("c", "d"), ("x", "y")]
-        assert not graph.are_matched("a", "c")
-        assert graph.partners("a") == set() and not graph.is_resolved("c")
-        assert graph.clusters() == [frozenset({"x", "y"})]
-        assert graph.match_count == 1 and ("a", "b") not in graph
+        assert [d[:2] for d in decisions(graph)] == [("c", "d"), ("x", "y")]
+        assert not are_matched(graph, "a", "c")
+        assert partners(graph, "a") == set() and graph.interner.id_of("c") not in graph.partner_ids
+        assert clusters(graph) == [["x", "y"]]
+        assert graph.match_count == 1 and len(graph.rows) == 2
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -180,28 +205,23 @@ class TestMatchGraph:
                 node = f"n{step}"
                 if graph.interner.get(node) >= 0:
                     graph.forget(graph.interner.id_of(node))
-                survivors = [d for d in survivors if node not in d.pair]
+                survivors = [d for d in survivors if node not in d[:2]]
             else:
-                decision = MatchDecision(f"n{step[0]}", f"n{step[1]}", 0.5, step[2])
-                if graph.record(decision):
+                decision = (f"n{step[0]}", f"n{step[1]}", 0.5, step[2])
+                if record(graph, *decision):
                     survivors.append(decision)
         fresh = MatchGraph()
         for decision in survivors:
-            fresh.record(decision)
-        assert list(graph.decisions()) == survivors
-        assert graph.clusters() == fresh.clusters()
-        assert graph.match_count == fresh.match_count and len(graph) == len(fresh)
+            record(fresh, *decision)
+        # The rows and the decision columns hold the survivors, in order.
+        assert decisions(graph) == survivors
+        assert clusters(graph) == clusters(fresh)
+        assert graph.match_count == fresh.match_count and len(graph.rows) == len(fresh.rows)
         nodes = [f"n{i}" for i in range(8)]
         for x in nodes:
-            assert graph.partners(x) == fresh.partners(x)
+            assert partners(graph, x) == partners(fresh, x)
             for y in nodes:
-                assert graph.are_matched(x, y) == fresh.are_matched(x, y)
-        # The rows and the decision columns hold the survivors, in order.
-        uris = graph.uris
-        assert [
-            (uris[graph.a[row]], uris[graph.b[row]], graph.score[row], graph.is_match[row])
-            for row in graph.rows.values()
-        ] == [(d.left, d.right, d.similarity, d.is_match) for d in survivors]
+                assert are_matched(graph, x, y) == are_matched(fresh, x, y)
         assert len(graph.a) <= 2 * len(graph.rows)
         # Forgetting any node drops exactly its decisions: recording the
         # survivors again adds just those, after the rest.
@@ -209,16 +229,10 @@ class TestMatchGraph:
             if graph.interner.get(node) < 0:
                 continue
             graph.forget(graph.interner.id_of(node))
-            kept = [d for d in survivors if node not in d.pair]
-            assert list(graph.decisions()) == kept
-            assert [graph.record(d) for d in survivors] == [node in d.pair for d in survivors]
-            survivors = kept + [d for d in survivors if node in d.pair]
-            assert list(graph.decisions()) == survivors
-            assert graph.match_count == sum(d.is_match for d in survivors)
-        assert graph.clusters() == fresh.clusters()
-
-    def test_matches_in_execution_order(self):
-        graph = MatchGraph()
-        graph.record(MatchDecision("x", "y", 1.0, True))
-        graph.record(MatchDecision("a", "b", 1.0, True))
-        assert [d.pair for d in graph.matches()] == [("x", "y"), ("a", "b")]
+            kept = [d for d in survivors if node not in d[:2]]
+            assert decisions(graph) == kept
+            assert [record(graph, *d) for d in survivors] == [node in d[:2] for d in survivors]
+            survivors = kept + [d for d in survivors if node in d[:2]]
+            assert decisions(graph) == survivors
+            assert graph.match_count == sum(d[3] for d in survivors)
+        assert clusters(graph) == clusters(fresh)

@@ -47,8 +47,14 @@ def reference_edges(blocks, scheme) -> dict[tuple[str, str], float]:
     }
 
 
+def graph_weights(graph) -> dict[tuple[str, str], float]:
+    """A :class:`BlockingGraph`'s pair → weight dict, in row order, read
+    off its columns: what :func:`reference_edges` returns."""
+    return dict(zip(graph.pair_table().pairs, graph.weights.tolist()))
+
+
 def sorted_edges(edges: dict[tuple[str, str], float]) -> list[WeightedEdge]:
-    """The pair-sorted edge list ``BlockingGraph.edges()`` iterates."""
+    """The edge list of *edges*, in pair order."""
     return [WeightedEdge(pair[0], pair[1], edges[pair]) for pair in sorted(edges)]
 
 

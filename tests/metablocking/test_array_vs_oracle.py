@@ -11,9 +11,10 @@ and ``parallel_metablocking_ids`` on the serial executor at 1–3 workers.
 
 The second half pins the columnar contract itself: WEP / CEP cuts that
 sit exactly on a tie, an astral-plane URI and a shared-URI self-pair;
-the ``materialize()`` mapping view against the oracle dict (content,
-order, ``len``, ``in``, missing keys, ``weight_of``); and a string-only
-plugin scheme weighed through the table's derived ``pairs``.
+the graph's table and weight column against the oracle dict
+(content, order, ``len``, row lookup of present, reversed and missing
+pairs); and a string-only plugin scheme weighed through the table's
+derived ``pairs``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from hypothesis import strategies as st
 from repro.api import registry
 from repro.blocking.block import Block, BlockCollection
 from repro.mapreduce import MapReduceEngine, parallel_metablocking_ids
-from repro.metablocking.graph import BlockingGraph
+from repro.metablocking.graph import BlockingGraph, mean_weight
 from repro.metablocking.pruning import (
     CEP,
     CNP,
@@ -35,7 +36,7 @@ from repro.metablocking.pruning import (
 )
 from repro.metablocking.weighting import ARCS, CBS, SCHEMES, WeightingScheme
 
-from .string_graph_oracle import reference_edges, reference_prune
+from .string_graph_oracle import graph_weights, reference_edges, reference_prune
 
 #: URIs whose code-point order differs from their ASCII neighbours', an
 #: astral character included (UTF-16 and code-point order disagree on it)
@@ -102,7 +103,7 @@ def _as_pairs(edges):
 def _assert_all_equal(blocks: BlockCollection, scheme_name: str, pruner, workers: int):
     expected = _as_pairs(reference_prune(blocks, registry.create("weighting", scheme_name), pruner))
     graph = BlockingGraph(blocks, registry.create("weighting", scheme_name))
-    assert graph.materialize() == reference_edges(blocks, registry.create("weighting", scheme_name))
+    assert graph_weights(graph) == reference_edges(blocks, registry.create("weighting", scheme_name))
     assert _as_pairs(pruner.prune(graph)) == expected
     parallel, metrics = parallel_metablocking_ids(
         MapReduceEngine(workers), blocks, registry.create("weighting", scheme_name), pruner
@@ -175,8 +176,7 @@ def _prune_everywhere(blocks, scheme_name, pruner):
 
 
 def test_wep_keeps_the_edges_exactly_at_the_mean():
-    graph = BlockingGraph(CBS_LADDER, CBS())
-    assert graph.average_weight() == 2.0
+    assert mean_weight(BlockingGraph(CBS_LADDER, CBS()).weights) == 2.0
     kept = _prune_everywhere(CBS_LADDER, "CBS", WEP())
     assert [(edge.pair, edge.weight) for edge in kept] == [
         (("http://e/a", "http://e/b"), 3.0),
@@ -202,8 +202,7 @@ def test_wep_mean_is_the_python_fold_over_row_order(scheme_name):
     WEP keeps all fifteen edges or none."""
     oracle = reference_edges(TIED, registry.create("weighting", scheme_name))
     graph = BlockingGraph(TIED, registry.create("weighting", scheme_name))
-    assert graph.total_weight() == sum(oracle.values())
-    assert graph.average_weight() == sum(oracle.values()) / 15
+    assert mean_weight(graph.weights) == sum(oracle.values()) / 15
     assert len(_prune_everywhere(TIED, scheme_name, WEP())) in (0, 15)
 
 
@@ -213,7 +212,7 @@ def test_astral_uri_ranks_by_code_point():
     for pruner in (CEP(k=1), WEP()):
         kept = _prune_everywhere(blocks, "CBS", pruner)
         assert kept[0].pair == (URIS[0], HALFWIDTH)
-    assert [e.pair for e in BlockingGraph(blocks, CBS()).edges()] == [
+    assert sorted(graph_weights(BlockingGraph(blocks, CBS()))) == [
         (URIS[0], HALFWIDTH), (URIS[0], ASTRAL),
     ]
 
@@ -226,7 +225,7 @@ def test_shared_uri_self_pair_is_never_an_edge(pruner):
 
 
 # ---------------------------------------------------------------------------
-# The mapping view over the columns == the oracle dict
+# The weighed columns == the oracle dict
 # ---------------------------------------------------------------------------
 
 
@@ -235,32 +234,20 @@ def test_shared_uri_self_pair_is_never_an_edge(pruner):
 @example(blocks=EMPTY, scheme_name="ARCS")
 @example(blocks=NON_ASCII, scheme_name="EJS")
 @example(blocks=SHARED_URI, scheme_name="ARCS")
-def test_edge_view_behaves_like_the_oracle_dict(blocks, scheme_name):
+def test_weighed_columns_equal_the_oracle_dict(blocks, scheme_name):
     oracle = reference_edges(blocks, registry.create("weighting", scheme_name))
     graph = BlockingGraph(blocks, registry.create("weighting", scheme_name))
-    view = graph.materialize()
-    assert len(view) == len(graph) == len(oracle)
-    assert list(view) == list(oracle)  # row order == insertion order
-    assert list(view.items()) == list(oracle.items())
-    assert list(view.values()) == list(oracle.values())
-    assert view == oracle and oracle == view
-    assert list(graph.weights) == list(oracle.values())
-    for pair, weight in oracle.items():
-        assert pair in view and view[pair] == weight
-        assert type(view[pair]) is float
-        assert graph.weight_of(*pair) == graph.weight_of(*reversed(pair)) == weight
-        # The dict holds canonical pairs only; so does the view.
-        assert pair[::-1] not in view and view.get(pair[::-1]) is None
-    for missing in [("http://e/a", "http://nowhere"), ("http://e/a", "http://e/a"), ("", "")]:
-        assert missing not in view
-        with pytest.raises(KeyError):
-            view[missing]
-    for left in URIS[:4]:
-        for right in URIS_2[:3]:
-            if left != right:
-                expected = oracle.get((min(left, right), max(left, right)), 0.0)
-                assert graph.weight_of(left, right) == expected
-    assert not hasattr(view, "__setitem__")
+    table, weights = graph.pair_table(), graph.weights
+    assert len(graph.materialize()) == len(oracle)
+    # row order == insertion order, weights as Python floats
+    assert list(zip(table.pairs, weights.tolist())) == list(oracle.items())
+    interner = blocks.interner()
+    rows = table.rows_of(interner, list(oracle))
+    assert [weights[row].item() for row in rows] == list(oracle.values())
+    # The dict holds canonical pairs only; so does the table.
+    assert (table.rows_of(interner, [pair[::-1] for pair in oracle]) == -1).all()
+    missing = [("http://e/a", "http://nowhere"), ("http://e/a", "http://e/a"), ("", "")]
+    assert (table.rows_of(interner, missing) == -1).all()
 
 
 class _StringOnlyScheme(WeightingScheme):
@@ -281,7 +268,7 @@ def test_string_only_plugin_scheme_weighs_through_derived_pairs(blocks, pruner_n
     pruner = registry.create("pruner", pruner_name)
     expected = _as_pairs(reference_prune(blocks, _StringOnlyScheme(), pruner))
     graph = BlockingGraph(blocks, _StringOnlyScheme())
-    assert graph.materialize() == reference_edges(blocks, _StringOnlyScheme())
+    assert graph_weights(graph) == reference_edges(blocks, _StringOnlyScheme())
     assert _as_pairs(pruner.prune(graph)) == expected
     parallel, _ = parallel_metablocking_ids(
         MapReduceEngine(2), blocks, _StringOnlyScheme(), pruner

@@ -18,6 +18,8 @@ from repro.metablocking.pruning import (
 )
 from repro.metablocking.weighting import CBS
 
+from .string_graph_oracle import graph_weights
+
 
 def graph() -> BlockingGraph:
     blocks = BlockCollection(
@@ -140,12 +142,12 @@ class TestRegistry:
     def test_pruning_reduces_or_preserves_edges(self, name):
         g = graph()
         survivors = registry.create("pruner", name).prune(g)
-        assert len(survivors) <= len(g)
+        assert len(survivors) <= len(g.materialize())
 
     @pytest.mark.parametrize("name", sorted(PRUNERS))
     def test_survivors_exist_in_graph(self, name):
         g = graph()
-        edges = g.materialize()
+        edges = graph_weights(g)
         for edge in registry.create("pruner", name).prune(g):
             assert edge.pair in edges
             assert edge.weight == edges[edge.pair]

@@ -12,7 +12,7 @@ exactly one place.  Two gates here:
   mismatch means the refactor changed the *math*, not just the module
   layout.  Regenerate (only after deliberately changing a formula) by
   hashing ``"{left}|{right}|{weight!r}"`` joined with ``";"`` over
-  ``BlockingGraph(blocks, scheme).edges()``.
+  the pair-sorted edges of ``BlockingGraph(blocks, scheme)``.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ from repro.datasets.samples import load_movies, load_restaurants
 from repro.metablocking import BlockingGraph
 from repro.metablocking import scheme_defs
 from repro.metablocking.weighting import SCHEMES
+
+from .string_graph_oracle import graph_weights, sorted_edges
 
 np = pytest.importorskip("numpy")
 
@@ -56,7 +58,7 @@ CORPORA = {"movies": load_movies, "restaurants": load_restaurants}
 
 
 def edges_digest(blocks, scheme_name):
-    edges = list(BlockingGraph(blocks, registry.create("weighting", scheme_name)).edges())
+    edges = sorted_edges(graph_weights(BlockingGraph(blocks, registry.create("weighting", scheme_name))))
     text = ";".join(f"{e.left}|{e.right}|{e.weight!r}" for e in edges)
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 

@@ -18,6 +18,8 @@ from repro.metablocking.weighting import (
     SCHEMES,
 )
 
+from .string_graph_oracle import graph_weights
+
 
 def blocks() -> BlockCollection:
     return BlockCollection(
@@ -31,7 +33,7 @@ def blocks() -> BlockCollection:
 
 
 def weights_for(scheme) -> dict[tuple[str, str], float]:
-    return BlockingGraph(blocks(), scheme).materialize()
+    return graph_weights(BlockingGraph(blocks(), scheme))
 
 
 class TestCBS:

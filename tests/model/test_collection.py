@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.model.collection import EntityCollection
+from repro.model.collection import EntityCollection, adjacency
 from repro.model.description import EntityDescription
 
 
@@ -45,67 +45,80 @@ class TestContainer:
         assert len(collection) == 3
         assert collection["http://ex.org/film/F"].first("year") == "1999"
 
-    def test_index_of_stable(self):
-        collection = build_collection()
-        assert collection.index_of("http://ex.org/film/F") == 0
-        assert collection.index_of("http://ex.org/person/E") == 2
+    def test_ids_are_insertion_rank(self):
+        interner = build_collection().interner
+        assert interner.id_of("http://ex.org/film/F") == 0
+        assert interner.id_of("http://ex.org/person/E") == 2
         with pytest.raises(KeyError):
-            collection.index_of("missing")
+            interner.id_of("missing")
 
     def test_uris_order(self):
         assert build_collection().uris()[0] == "http://ex.org/film/F"
 
-    def test_union_dirty(self):
-        a = build_collection()
-        b = EntityCollection(
-            [EntityDescription("http://other.org/x", {"p": ["v"]})], name="b"
-        )
-        merged = a.union(b)
-        assert len(merged) == 4
-        # Deep copies: mutating merged must not touch the originals.
-        merged["http://ex.org/film/F"].add("title", "F2")
-        assert a["http://ex.org/film/F"].get("title") == ["F"]
+    def test_remove_keeps_the_id(self):
+        collection = build_collection()
+        assert collection.remove("http://ex.org/film/F") is True
+        assert collection.remove("http://ex.org/film/F") is False
+        assert collection.uris() == ["http://ex.org/person/D", "http://ex.org/person/E"]
+        collection.add(EntityDescription("http://ex.org/film/F", {"year": ["1999"]}))
+        assert collection.interner.id_of("http://ex.org/film/F") == 0
+        assert "title" not in collection["http://ex.org/film/F"].properties()  # starts empty
+
+def out(collection: EntityCollection, uri: str) -> list[str]:
+    return collection.graph()[0].get(uri, [])
+
+
+def inverse(collection: EntityCollection, uri: str) -> list[str]:
+    return collection.graph()[1].get(uri, [])
 
 
 class TestRelationshipGraph:
     def test_out_neighbors(self):
         collection = build_collection()
-        assert collection.neighbors("http://ex.org/film/F") == ["http://ex.org/person/D"]
+        assert out(collection, "http://ex.org/film/F") == ["http://ex.org/person/D"]
 
     def test_inverse_neighbors(self):
         collection = build_collection()
-        assert collection.inverse_neighbors("http://ex.org/person/D") == [
-            "http://ex.org/film/F"
-        ]
+        assert inverse(collection, "http://ex.org/person/D") == ["http://ex.org/film/F"]
 
-    def test_all_neighbors_deduplicated(self):
+    def test_references_in_description_then_value_order(self):
         collection = build_collection()
-        assert collection.all_neighbors("http://ex.org/person/D") == (
-            "http://ex.org/person/E",
-            "http://ex.org/film/F",
+        collection.add(
+            EntityDescription("http://ex.org/person/E", {"knows": ["http://ex.org/film/F"]})
         )
+        assert collection.references() == (
+            ["http://ex.org/film/F", "http://ex.org/person/D", "http://ex.org/person/E"],
+            ["http://ex.org/person/D", "http://ex.org/person/E", "http://ex.org/film/F"],
+        )
+
+    def test_adjacency_over_ids(self):
+        # The same fold serves URIs and ids; edge order is kept per node.
+        assert adjacency([0, 0, 2], [1, 2, 0]) == ({0: [1, 2], 2: [0]}, {1: [0], 2: [0], 0: [2]})
 
     def test_dangling_references_ignored(self):
         collection = EntityCollection(
             [EntityDescription("u", {"p": ["http://nowhere.org/missing"]})]
         )
-        assert collection.neighbors("u") == []
+        assert collection.graph() == ({}, {})
 
     def test_self_references_ignored(self):
         collection = EntityCollection(
             [EntityDescription("http://e.org/a", {"p": ["http://e.org/a"]})]
         )
-        assert collection.neighbors("http://e.org/a") == []
+        assert collection.graph() == ({}, {})
 
-    def test_graph_invalidated_on_add(self):
+    def test_graph_invalidated_on_add_and_remove(self):
         collection = build_collection()
-        assert collection.neighbors("http://ex.org/person/E") == []
+        assert out(collection, "http://ex.org/person/E") == []
         collection.add(
             EntityDescription(
                 "http://ex.org/person/E", {"knows": ["http://ex.org/film/F"]}
             )
         )
-        assert collection.neighbors("http://ex.org/person/E") == ["http://ex.org/film/F"]
+        assert out(collection, "http://ex.org/person/E") == ["http://ex.org/film/F"]
+        collection.remove("http://ex.org/film/F")
+        assert out(collection, "http://ex.org/person/E") == []
+        assert inverse(collection, "http://ex.org/person/D") == []
 
 
 class TestStatistics:

@@ -8,7 +8,8 @@ from hypothesis import given, strategies as st
 from repro.blocking.block import Block, BlockCollection
 from repro.model.collection import EntityCollection
 from repro.model.description import EntityDescription
-from repro.model.interner import EntityInterner, pack_pair, unpack_pair
+from core.id_views import unpack
+from repro.model.interner import EntityInterner, pack_pair
 
 
 class TestInterner:
@@ -21,7 +22,7 @@ class TestInterner:
     def test_lookup_round_trip(self):
         interner = EntityInterner(["x", "y"])
         assert interner.id_of("y") == 1
-        assert interner.uri_of(1) == "y"
+        assert interner.uris()[1] == "y"
         assert interner.get("nope") == -1
         with pytest.raises(KeyError):
             interner.id_of("nope")
@@ -31,13 +32,27 @@ class TestInterner:
         assert list(interner) == ["c", "a", "b"]
         assert interner.uris() == ["c", "a", "b"]
         assert len(interner) == 3
-        assert "a" in interner and "z" not in interner
+        assert interner.get("a") == 1 and interner.get("z") == -1
+
+    def test_uri_table_is_live_and_uris_a_copy(self):
+        interner = EntityInterner(["x"])
+        table, copy = interner.uri_table(), interner.uris()
+        interner.intern("y")
+        assert table == ["x", "y"] and copy == ["x"]
+
+    def test_ids_of_keeps_order_and_rejects_unknown(self):
+        interner = EntityInterner(["x", "y", "z"])
+        assert interner.ids_of(["z", "x", "z"]) == [2, 0, 2]
+        with pytest.raises(KeyError):
+            interner.ids_of(["x", "nope"])
+        assert len(interner) == 3  # a lookup interns nothing
 
     @given(st.lists(st.text(min_size=1, max_size=6)))
     def test_bijection(self, uris):
         interner = EntityInterner(uris)
+        table = interner.uri_table()
         for uri in uris:
-            assert interner.uri_of(interner.id_of(uri)) == uri
+            assert table[interner.id_of(uri)] == uri
         assert len(interner) == len(set(uris))
 
 
@@ -45,13 +60,13 @@ class TestPackedPairs:
     @given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
     def test_pack_unpack_round_trip(self, a, b):
         low, high = min(a, b), max(a, b)
-        assert unpack_pair(pack_pair(a, b)) == (low, high)
+        assert unpack(pack_pair(a, b)) == (low, high)
         assert pack_pair(a, b) == pack_pair(b, a)
 
     def test_packed_order_matches_tuple_order(self):
         pairs = [(0, 5), (1, 2), (0, 1), (3, 4)]
         packed = sorted(pack_pair(a, b) for a, b in pairs)
-        assert [unpack_pair(k) for k in packed] == sorted(pairs)
+        assert [unpack(k) for k in packed] == sorted(pairs)
 
 
 class TestCollectionInterner:
@@ -60,15 +75,12 @@ class TestCollectionInterner:
             [EntityDescription(f"http://e/{i}", {"p": ["v"]}) for i in range(3)]
         )
         assert collection.interner.id_of("http://e/2") == 2
-        assert collection.index_of("http://e/1") == collection.interner.id_of(
-            "http://e/1"
-        )
 
     def test_ids_stable_under_growth(self):
         collection = EntityCollection([EntityDescription("http://e/a", {"p": ["v"]})])
-        first = collection.index_of("http://e/a")
+        first = collection.interner.id_of("http://e/a")
         collection.add(EntityDescription("http://e/b", {"p": ["v"]}))
-        assert collection.index_of("http://e/a") == first
+        assert collection.interner.id_of("http://e/a") == first
 
 
 class TestBlockCollectionIdViews:
@@ -82,13 +94,13 @@ class TestBlockCollectionIdViews:
 
     def test_id_blocks_align_with_blocks(self):
         blocks = self.collection()
-        interner = blocks.interner()
+        uris = blocks.interner().uri_table()
         (ids1_a, ids2_a, card_a), (ids1_b, ids2_b, card_b) = blocks.id_blocks()
-        assert [interner.uri_of(i) for i in ids1_a] == ["a", "b"]
+        assert [uris[i] for i in ids1_a] == ["a", "b"]
         assert ids2_a is None and card_a == 1
-        assert [interner.uri_of(i) for i in ids1_b] == ["b", "c"]
+        assert [uris[i] for i in ids1_b] == ["b", "c"]
         assert ids2_b is not None
-        assert [interner.uri_of(i) for i in ids2_b] == ["c", "d"]
+        assert [uris[i] for i in ids2_b] == ["c", "d"]
         # 2x2 cross pairs minus the (c, c) self-pair.
         assert card_b == 3
 
@@ -133,11 +145,12 @@ class TestIdOverflow:
             [EntityDescription(f"http://e/{i}", {"p": ["v"]}) for i in range(4)]
         )
         monkeypatch.setattr(module, "MAX_ENTITIES", 4)
-        scheduler = ComparisonScheduler(QuantityBenefit(), ResolutionContext([collection]))
-        scheduler.schedule("http://e/0", "http://e/1", 1.0)
-        scheduler.schedule("http://e/2", "http://e/3", 1.0)
+        context = ResolutionContext([collection])
+        scheduler = ComparisonScheduler(QuantityBenefit(), context)
+        key = context.key  # what a loop interns its URI pairs with
+        scheduler.add_keys([key("http://e/0", "http://e/1"), key("http://e/2", "http://e/3")], [1.0, 1.0])
         with pytest.raises(EntityIdOverflowError):
-            scheduler.schedule("http://e/0", "http://e/4", 1.0)
+            key("http://e/0", "http://e/4")
         assert len(scheduler) == 2
         blocks = BlockCollection([Block("k", ["a", "b", "c"]), Block("l", ["d", "e"])])
         with pytest.raises(EntityIdOverflowError):

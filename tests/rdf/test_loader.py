@@ -48,7 +48,7 @@ class TestGrouping:
 
     def test_relationships_resolved(self):
         collection = collection_from_triples(triples())
-        assert collection.neighbors("http://e/a") == ["http://e/b"]
+        assert collection.graph()[0].get("http://e/a") == ["http://e/b"]
 
     def test_interleaved_subjects_merge_in_first_seen_order(self):
         interleaved = [

@@ -20,7 +20,8 @@ weigh identical columns exactly when their stars agree.
 
 from __future__ import annotations
 
-from repro.model.interner import pack_pair, unpack_pair
+from core.id_views import unpack
+from repro.model.interner import pack_pair
 from repro.stream.index import DeltaConsumer, IncrementalBlockIndex
 from repro.stream.pairs import DeltaPairTable
 
@@ -137,7 +138,7 @@ class EagerPairTable(DeltaConsumer):
         """Every entity sharing a comparison cell with *entity_id*."""
         return sorted(
             id_b if id_a == entity_id else id_a
-            for id_a, id_b in map(unpack_pair, self.common)
+            for id_a, id_b in map(unpack, self.common)
             if entity_id in (id_a, id_b)
         )
 
@@ -183,5 +184,5 @@ class EagerPairTable(DeltaConsumer):
         uris = self.index.store.interner.uri_table()
         return {
             tuple(sorted((uris[id_a], uris[id_b]))): self.pair_stats(id_a, id_b)
-            for id_a, id_b in map(unpack_pair, self.common)
+            for id_a, id_b in map(unpack, self.common)
         }

@@ -29,5 +29,5 @@ def assert_stars_match(table, scheme_name: str, edges) -> None:
         )
         assert list(weights) == sorted(partners)
         for partner, weight in weights.items():
-            pair = tuple(sorted((center, interner.uri_of(partner))))
+            pair = tuple(sorted((center, interner.uri_table()[partner])))
             assert weight == edges[pair], (scheme_name, pair)

@@ -22,7 +22,7 @@ from repro.metablocking.pruning import PRUNERS
 from repro.metablocking.weighting import SCHEMES
 from repro.stream import StreamResolver
 
-from metablocking.string_graph_oracle import reference_pair_statistics
+from metablocking.string_graph_oracle import graph_weights, reference_pair_statistics
 
 from .star_weights import assert_stars_match
 
@@ -119,9 +119,9 @@ class TestPairStatisticsEquivalence:
         placements = {
             uri: len(keys) for uri, keys in raw.entity_index().items()
         }
-        interner = streamed.store.interner
+        uris = streamed.store.interner.uri_table()
         ours = {
-            interner.uri_of(entity_id): count
+            uris[entity_id]: count
             for entity_id, count in streamed.pairs.placements.items()
         }
         assert ours == placements
@@ -132,8 +132,8 @@ class TestWeightEquivalence:
     def test_per_pair_weights_bit_identical(self, corpus, streamed, scheme_name):
         kb1, kb2 = corpus
         raw = TokenBlocking().build(kb1, kb2)
-        edges = BlockingGraph(raw, registry.create("weighting", scheme_name)).materialize()
-        assert_stars_match(streamed.pairs, scheme_name, dict(edges.items()))
+        edges = graph_weights(BlockingGraph(raw, registry.create("weighting", scheme_name)))
+        assert_stars_match(streamed.pairs, scheme_name, edges)
 
     def test_pruned_edges_bit_identical(self, corpus, streamed, scheme_name):
         kb1, kb2 = corpus

@@ -8,6 +8,7 @@ from repro.datasets import load_restaurants
 from repro.metablocking.pruning import node_budget
 from repro.metablocking.weighting import WeightingScheme
 from repro.model.description import EntityDescription
+from repro.model.interner import pack_pair
 from repro.stream import StreamResolver
 from repro.stream.durability import capture_state
 from repro.stream.resolver import prune_neighbourhood, query_components
@@ -242,22 +243,23 @@ class TestContextFollowsDeletes:
         context = resolver.context
         uri = "http://e/mover"
         resolver.ingest(EntityDescription(uri, {"p": ["x y"]}, source="one"), 0)
-        assert context.source_of(uri) == "one"
+        entity_id = context.interner.id_of(uri)
+        assert context._source[entity_id] == "one"
         resolver.delete(uri)
-        assert context.description(uri) is None and context.source_of(uri) == ""
+        assert context.description(uri) is None and entity_id not in context._source
         resolver.ingest(EntityDescription(uri, {"p": ["y z"]}, source="two"), 1)
         assert context.description(uri) is resolver.store.get(uri) is not None
-        assert context.source_of(uri) == "two"
-        assert context._home[context.interner.id_of(uri)] is resolver.store.collections[1]
+        assert context._source[entity_id] == "two"
+        assert context._home[entity_id] is resolver.store.collections[1]
 
     def test_a_uri_held_by_both_sources_is_forgotten_once_retracted(self):
         resolver = StreamResolver(clean_clean=True)
         uri = "http://e/both"
         resolver.ingest(EntityDescription(uri, {"p": ["x"]}, source="one"), 0)
         resolver.ingest(EntityDescription(uri, {"p": ["x"]}, source="two"), 1)
-        assert resolver.context.source_of(uri) == "one"  # first home wins
-        resolver.delete(uri)
         entity_id = resolver.store.interner.id_of(uri)
+        assert resolver.context._source[entity_id] == "one"  # first home wins
+        resolver.delete(uri)
         assert entity_id not in resolver.context._home
         assert entity_id not in resolver.context._source
 
@@ -286,8 +288,9 @@ class TestMatchGraphFollowsDeletes:
         assert resolver.similarity.cosine("http://a/x", "http://b/y") == 0.0
         again = resolver.resolve(query, source=1, ingest=False)
         assert again.matches == []
-        assert resolver.match_graph.partners("http://b/y") == set()
-        assert resolver.match_graph.decision_for("http://a/x", "http://b/y") is None
+        graph, get = resolver.match_graph, resolver.store.interner.get
+        assert get("http://b/y") not in graph.partner_ids
+        assert pack_pair(get("http://a/x"), get("http://b/y")) not in graph.rows
 
     def test_insert_query_delete_cycles_leave_the_graph_empty(self):
         resolver = self.resolver_with_fillers()
@@ -298,7 +301,7 @@ class TestMatchGraphFollowsDeletes:
             assert result.comparisons >= 1
             assert resolver.delete(uri)
             graph = resolver.match_graph
-            assert len(graph) == graph.match_count == 0
+            assert graph.match_count == 0
             assert not graph.rows and not graph.partner_ids
             # No stale key stays behind on the fillers, no dead row in
             # the columns.

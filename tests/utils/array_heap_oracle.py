@@ -1,6 +1,7 @@
 """The sift-based addressable binary heap that ``heapq`` replaced.
 
-Kept verbatim (class renamed) as a test-local oracle:
+Kept verbatim (class renamed, the operations the heap no longer has
+dropped) as a test-local oracle:
 ``tests/utils/test_heap_differential.py`` drives it and
 :class:`repro.utils.heap.AddressableMaxHeap` through the same operations
 and requires identical answers, pop for pop.
@@ -89,41 +90,6 @@ class ArrayMaxHeap(Generic[T]):
         elif priority < old:
             self._sift_down(pos)
 
-    def increase_if_higher(self, item: T, priority: float) -> bool:
-        """Raise the priority of *item* to *priority* if that is higher.
-
-        Returns:
-            True if the priority changed.
-        """
-        pos = self._positions[item]
-        if priority <= self._entries[pos][0]:
-            return False
-        self._entries[pos][0] = priority
-        self._sift_up(pos)
-        return True
-
-    def add_to_priority(self, item: T, delta: float) -> float:
-        """Add *delta* to the priority of a queued *item*.
-
-        Returns:
-            The new priority.
-        """
-        pos = self._positions[item]
-        new = self._entries[pos][0] + delta
-        self.update(item, new)
-        return new
-
-    def peek(self) -> tuple[T, float]:
-        """Return ``(item, priority)`` of the maximum without removing it.
-
-        Raises:
-            IndexError: if the heap is empty.
-        """
-        if not self._entries:
-            raise IndexError("peek from an empty heap")
-        entry = self._entries[0]
-        return entry[2], entry[0]
-
     def pop(self) -> tuple[T, float]:
         """Remove and return ``(item, priority)`` of the maximum.
 
@@ -141,38 +107,10 @@ class ArrayMaxHeap(Generic[T]):
             self._sift_down(0)
         return top[2], top[0]
 
-    def remove(self, item: T) -> float:
-        """Remove *item* from the heap and return its priority.
-
-        Raises:
-            KeyError: if *item* is not queued.
-        """
-        pos = self._positions.pop(item)
-        entry = self._entries[pos]
-        last = self._entries.pop()
-        if pos < len(self._entries):
-            self._entries[pos] = last
-            self._positions[last[2]] = pos
-            self._sift_down(pos)
-            self._sift_up(pos)
-        return entry[0]
-
-    def discard(self, item: T) -> bool:
-        """Remove *item* if queued.  Returns True if it was present."""
-        if item not in self._positions:
-            return False
-        self.remove(item)
-        return True
-
     def items(self) -> Iterator[tuple[T, float]]:
         """Iterate over ``(item, priority)`` pairs in arbitrary heap order."""
         for priority, _tie, item in self._entries:
             yield item, priority
-
-    def clear(self) -> None:
-        """Drop every queued item."""
-        self._entries.clear()
-        self._positions.clear()
 
     # -- internal sifting -------------------------------------------------
 

@@ -35,16 +35,6 @@ class TestBasics:
         with pytest.raises(IndexError):
             AddressableMaxHeap().pop()
 
-    def test_peek_empty_raises(self):
-        with pytest.raises(IndexError):
-            AddressableMaxHeap().peek()
-
-    def test_peek_does_not_remove(self):
-        heap = AddressableMaxHeap()
-        heap.push("x", 2.0)
-        assert heap.peek() == ("x", 2.0)
-        assert len(heap) == 1
-
     def test_duplicate_push_rejected(self):
         heap = AddressableMaxHeap()
         heap.push("x", 1.0)
@@ -63,6 +53,22 @@ class TestBasics:
         heap.push("second", 1.0)
         heap.push("third", 1.0)
         assert [heap.pop()[0] for _ in range(3)] == ["first", "second", "third"]
+
+    def test_queued_filters_in_the_given_order(self):
+        heap = AddressableMaxHeap()
+        for item in "abc":
+            heap.push(item, 1.0)
+        heap.pop()
+        assert list(heap.queued("cxbay")) == ["c", "b"]
+
+    def test_reusable_after_draining(self):
+        heap = AddressableMaxHeap()
+        heap.push("a", 1.0)
+        heap.update("a", 2.0)
+        heap.pop()
+        heap.push("a", 0.5)  # a popped item may come back
+        assert heap.pop() == ("a", 0.5)
+        assert not heap._entries
 
 
 class TestUpdates:
@@ -84,67 +90,35 @@ class TestUpdates:
         with pytest.raises(KeyError):
             AddressableMaxHeap().update("ghost", 1.0)
 
-    def test_priority_lookup(self):
-        heap = AddressableMaxHeap()
-        heap.push("a", 4.0)
-        assert heap.priority("a") == 4.0
-        heap.update("a", 6.0)
-        assert heap.priority("a") == 6.0
-
     def test_push_or_update(self):
         heap = AddressableMaxHeap()
         heap.push_or_update("a", 1.0)
         heap.push_or_update("a", 7.0)
-        assert heap.priority("a") == 7.0
         assert len(heap) == 1
+        assert heap.pop() == ("a", 7.0)
 
-    def test_increase_if_higher_only_raises(self):
-        heap = AddressableMaxHeap()
-        heap.push("a", 5.0)
-        assert heap.increase_if_higher("a", 3.0) is False
-        assert heap.priority("a") == 5.0
-        assert heap.increase_if_higher("a", 8.0) is True
-        assert heap.priority("a") == 8.0
-
-    def test_add_to_priority(self):
+    def test_update_to_the_same_priority_pushes_no_entry(self):
         heap = AddressableMaxHeap()
         heap.push("a", 1.0)
-        assert heap.add_to_priority("a", 2.5) == 3.5
-        assert heap.priority("a") == 3.5
+        heap.update("a", 1.0)
+        assert len(heap._entries) == 1
 
-    def test_remove(self):
+    def test_update_keeps_the_insertion_rank_among_ties(self):
         heap = AddressableMaxHeap()
-        heap.push("a", 1.0)
-        heap.push("b", 2.0)
-        heap.push("c", 3.0)
-        assert heap.remove("b") == 2.0
-        assert "b" not in heap
-        assert heap.pop() == ("c", 3.0)
+        heap.push("first", 1.0)
+        heap.push("second", 2.0)
+        heap.update("first", 3.0)
+        heap.update("first", 2.0)  # ties with "second", pushed later
+        assert [heap.pop()[0] for _ in range(2)] == ["first", "second"]
+
+    def test_pop_skips_stale_entries(self):
+        heap = AddressableMaxHeap()
+        heap.push("a", 9.0)
+        heap.push("b", 5.0)
+        heap.update("a", 1.0)  # the 9.0 entry stays in the array, stale
+        assert heap.pop() == ("b", 5.0)
         assert heap.pop() == ("a", 1.0)
-
-    def test_remove_missing_raises(self):
-        with pytest.raises(KeyError):
-            AddressableMaxHeap().remove("ghost")
-
-    def test_discard(self):
-        heap = AddressableMaxHeap()
-        heap.push("a", 1.0)
-        assert heap.discard("a") is True
-        assert heap.discard("a") is False
-
-    def test_clear(self):
-        heap = AddressableMaxHeap()
-        heap.push("a", 1.0)
-        heap.clear()
         assert not heap
-        heap.push("a", 2.0)  # reusable after clear
-        assert heap.pop() == ("a", 2.0)
-
-    def test_items_iteration(self):
-        heap = AddressableMaxHeap()
-        heap.push("a", 1.0)
-        heap.push("b", 2.0)
-        assert dict(heap.items()) == {"a": 1.0, "b": 2.0}
 
 
 class TestProperties:
@@ -179,20 +153,20 @@ class TestProperties:
         st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=100),
         st.data(),
     )
-    def test_agrees_with_heapq_after_removals(self, priorities, data):
+    def test_agrees_with_heapq_after_updates(self, priorities, data):
         heap = AddressableMaxHeap()
         for index, priority in enumerate(priorities):
             heap.push(index, priority)
         alive = dict(enumerate(priorities))
-        to_remove = data.draw(
-            st.lists(st.sampled_from(sorted(alive)), unique=True, max_size=len(alive))
+        updates = data.draw(
+            st.lists(st.tuples(st.sampled_from(sorted(alive)), st.floats(-1e6, 1e6)), max_size=100)
         )
-        for key in to_remove:
-            heap.remove(key)
-            del alive[key]
-        expected = sorted(alive.values(), reverse=True)
+        for key, priority in updates:
+            heap.update(key, priority)
+            alive[key] = priority
+        assert len(heap._entries) <= 2 * len(heap)
         mirror = [-p for p in alive.values()]
         heapq.heapify(mirror)
         result = [heap.pop()[1] for _ in range(len(alive))]
-        assert result == expected
+        assert result == sorted(alive.values(), reverse=True)
         assert result == [-heapq.heappop(mirror) for _ in range(len(mirror))]

@@ -2,8 +2,8 @@
 
 Both heaps define the same total order (priority descending, then
 insertion order, which an item keeps across updates), so every answer —
-each popped ``(item, priority)``, each peek, each returned priority, each
-``len()`` — must be identical whatever the interleaving.  Priorities come
+each popped ``(item, priority)``, each ``len()``, the queued priorities —
+must be identical whatever the interleaving.  Priorities come
 from five values, so ties and updates to an *equal* priority are the
 common case, and the runs are long enough to cross the compaction
 threshold of the lazy heap many times.
@@ -20,6 +20,7 @@ from hypothesis.stateful import (
     rule,
 )
 
+from core.id_views import live
 from repro.utils.heap import AddressableMaxHeap
 
 from .array_heap_oracle import ArrayMaxHeap
@@ -71,43 +72,15 @@ class TwoHeaps(RuleBasedStateMachine):
         priority = self.old.priority(item) + delta
         self.both(lambda heap: heap.update(item, priority))
 
-    @precondition(lambda self: self.old)
-    @rule(data=st.data(), priority=tied)
-    def increase_if_higher(self, data, priority):
-        item = self.queued(data)
-        self.both(lambda heap: heap.increase_if_higher(item, priority))
-
-    @precondition(lambda self: self.old)
-    @rule(data=st.data(), delta=st.sampled_from([0.25, -0.25, 0.0]))
-    def add_to_priority(self, data, delta):
-        item = self.queued(data)
-        self.both(lambda heap: heap.add_to_priority(item, delta))
-
-    @rule(item=items)
-    def remove(self, item):
-        self.both(lambda heap: heap.remove(item))
-
-    @rule(item=items)
-    def discard(self, item):
-        self.both(lambda heap: heap.discard(item))
-
     @rule()
     def pop(self):
         self.both(lambda heap: heap.pop())
-
-    @rule()
-    def peek(self):
-        self.both(lambda heap: heap.peek())
-
-    @rule()
-    def clear(self):
-        self.both(lambda heap: heap.clear())
 
     @invariant()
     def same_size_and_content(self):
         assert len(self.new) == len(self.old)
         assert bool(self.new) == bool(self.old)
-        assert dict(self.new.items()) == dict(self.old.items())
+        assert live(self.new) == dict(self.old.items())
 
     @invariant()
     def stale_entries_are_bounded(self):
@@ -133,8 +106,6 @@ def test_update_storm_pops_identically(size):
         for step in range(6 * size):
             item = (step * 7) % size
             heap.push_or_update(item, float((step * 3 + item) % 4))
-            if step % 11 == 0:
-                heap.discard((step * 5) % size)
     assert len(new._entries) <= 2 * len(new)
     drained = [[heap.pop() for _ in range(len(heap))] for heap in (new, old)]
     assert drained[0] == drained[1]
@@ -164,7 +135,7 @@ def test_push_many_rejects_queued_and_repeated_items_atomically():
     for batch in ([("b", 2.0), ("a", 3.0)], [("b", 2.0), ("c", 1.0), ("b", 0.0)]):
         with pytest.raises(ValueError):
             heap.push_many(*zip(*batch))
-        assert dict(heap.items()) == {"a": 1.0}
+        assert live(heap) == {"a": 1.0}
     heap.push("b", 2.0)  # the rejected batch consumed no insertion rank
     heap.push("c", 2.0)
     assert [heap.pop()[0] for _ in range(3)] == ["b", "c", "a"]
