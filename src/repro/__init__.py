@@ -31,9 +31,6 @@ from repro.model import (
 )
 from repro.rdf import (
     parse_ntriples,
-    parse_turtle,
-    serialize_turtle,
-    TripleStore,
     load_collection,
 )
 from repro.blocking import (
@@ -117,8 +114,6 @@ __all__ = [
     "EntityIdOverflowError",
     "Tokenizer",
     "parse_ntriples",
-    "parse_turtle",
-    "TripleStore",
     "load_collection",
     "Block",
     "BlockCollection",
@@ -157,7 +152,6 @@ __all__ = [
     "OracleMatcher",
     "NeighborAwareMatcher",
     "QGramsBlocking",
-    "serialize_turtle",
     "format_table",
     "format_series",
     "random_order_baseline",

@@ -102,9 +102,7 @@ def _finish_obs(obs, args: argparse.Namespace) -> None:
 def _add_spec_flags(parser: argparse.ArgumentParser) -> None:
     """The spec and input flags shared by run and sql explain."""
     parser.add_argument("--spec", required=True, help="PipelineSpec JSON file")
-    parser.add_argument(
-        "--kb1", help="first KB (.nt or .ttl); overrides the spec's data node"
-    )
+    parser.add_argument("--kb1", help="first KB (.nt); overrides the spec's data node")
     parser.add_argument("--kb2", help="second KB (needs --kb1)")
     parser.add_argument(
         "--engine", metavar="ENGINE",

@@ -1,6 +1,6 @@
 """Embedded sample corpora.
 
-Two hand-curated clean-clean corpora ship with the package as N-Triples
+Three hand-curated clean-clean corpora ship with the package as N-Triples
 plus gold CSVs:
 
 * **restaurants** — the classic ER demonstration domain: two directories
@@ -14,6 +14,7 @@ plus gold CSVs:
   progressive update phase: a director match is evidence for the films
   that cite them — including films whose abbreviated titles token
   blocking alone scores poorly.
+* **people** — researchers and their institutions; see :func:`load_people`.
 """
 
 from __future__ import annotations
@@ -56,14 +57,13 @@ def load_movies() -> tuple[EntityCollection, EntityCollection, GoldStandard]:
 
 
 def load_people() -> tuple[EntityCollection, EntityCollection, GoldStandard]:
-    """The people corpus (researchers + institutions), shipped as Turtle.
+    """The people corpus (researchers + institutions): ``(kb_a, kb_b, gold)``.
 
-    Exercises the Turtle loading path end to end; people reference their
-    institutions inside each KB (``affiliation`` / ``memberOf``), several
-    names are abbreviated on one side ("E. Marchetti"), and each side has
-    one researcher with no counterpart.
+    People reference their institutions inside each KB (``affiliation`` /
+    ``memberOf``), several names are abbreviated on one side
+    ("E. Marchetti"), and each side has one researcher with no counterpart.
     """
-    kb_a = load_collection(sample_path("people_a.ttl"), name="people-a")
-    kb_b = load_collection(sample_path("people_b.ttl"), name="people-b")
+    kb_a = load_collection(sample_path("people_a.nt"), name="people-a")
+    kb_b = load_collection(sample_path("people_b.nt"), name="people-b")
     gold = load_gold_csv(sample_path("people_gold.csv"))
     return kb_a, kb_b, gold

@@ -1,17 +1,15 @@
-"""RDF substrate: parsing, storage and loading of Linked Data.
+"""RDF substrate: parsing and loading of Linked Data.
 
 MinoanER resolves entities "described by linked data in the Web (e.g., in
 RDF)".  With no network and no third-party RDF stack available, this package
-implements the substrate from scratch:
+implements the substrate from scratch, for one syntax: N-Triples, the one
+LOD dumps such as BTC and DBpedia are published in.
 
-* :mod:`repro.rdf.ntriples` — a line-oriented N-Triples parser/serializer
-  (the format LOD dumps such as BTC are published in);
-* :mod:`repro.rdf.turtle` — a reader for the commonly used Turtle subset
-  (prefixes, ``a``, predicate/object lists);
-* :mod:`repro.rdf.graph` — an in-memory triple store with SPO/POS/OSP
-  indexes and simple pattern matching;
-* :mod:`repro.rdf.loader` — grouping triples by subject into
-  :class:`~repro.model.EntityCollection` instances.
+* :mod:`repro.rdf.ntriples` — a line-oriented N-Triples parser/serializer;
+* :mod:`repro.rdf.loader` — :func:`load_collection` scans an ``.nt`` file
+  straight into an :class:`~repro.model.EntityCollection`, one description
+  per subject; :func:`collection_from_triples` groups parsed triples the
+  same way, the reference the scanner is tested against.
 """
 
 from repro.rdf.ntriples import (
@@ -21,8 +19,6 @@ from repro.rdf.ntriples import (
     parse_ntriples_line,
     serialize_ntriples,
 )
-from repro.rdf.turtle import parse_turtle, serialize_turtle
-from repro.rdf.graph import TripleStore
 from repro.rdf.loader import collection_from_triples, load_collection
 
 __all__ = [
@@ -31,9 +27,6 @@ __all__ = [
     "parse_ntriples",
     "parse_ntriples_line",
     "serialize_ntriples",
-    "parse_turtle",
-    "serialize_turtle",
-    "TripleStore",
     "collection_from_triples",
     "load_collection",
 ]

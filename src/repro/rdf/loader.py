@@ -17,38 +17,23 @@ from typing import Iterable
 from repro.model.collection import EntityCollection
 from repro.model.description import EntityDescription
 from repro.rdf.ntriples import _STATEMENT, Triple, _read_line
-from repro.rdf.turtle import parse_turtle
-
-_RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 
 
 def collection_from_triples(
-    triples: Iterable[Triple],
-    name: str = "collection",
-    source: str = "",
-    skip_blank_nodes: bool = True,
-    skip_rdf_type: bool = False,
+    triples: Iterable[Triple], name: str = "collection"
 ) -> EntityCollection:
-    """Group *triples* by subject into an :class:`EntityCollection`.
+    """Group *triples* by subject into an :class:`EntityCollection` named
+    *name*, with *name* as every description's source.
 
-    Args:
-        triples: statements to group.
-        name: collection label.
-        source: source tag stamped on every description (defaults to *name*).
-        skip_blank_nodes: drop triples whose subject is a blank node —
-            blank nodes are document-scoped and not resolvable entities.
-        skip_rdf_type: drop ``rdf:type`` statements (types are often
-            KB-specific noise for schema-agnostic blocking; keep them by
-            default since attribute-clustering blocking can exploit them).
+    Blank-node subjects are skipped: they are document-scoped, not
+    resolvable entities.  ``rdf:type`` statements are kept, since
+    attribute-clustering blocking can exploit them.
     """
-    source = source or name
     collection = EntityCollection(name=name)
-    if skip_rdf_type:
-        triples = (t for t in triples if t.predicate != _RDF_TYPE)
     # Dumps list a subject's statements together: touch the collection once
     # per run of equal subjects, not once per statement.
     for subject, statements in groupby(triples, key=attrgetter("subject")):
-        description = _description_of(collection, subject, source, skip_blank_nodes)
+        description = _description_of(collection, subject)
         if description is not None:
             add = description.add
             for triple in statements:
@@ -56,58 +41,40 @@ def collection_from_triples(
     return collection
 
 
-def _description_of(
-    collection: EntityCollection, subject: str, source: str, skip_blank_nodes: bool
-) -> EntityDescription | None:
+def _description_of(collection: EntityCollection, subject: str) -> EntityDescription | None:
     """The description of *subject*, added on first sight; None for a
     skipped blank node."""
-    if skip_blank_nodes and subject.startswith("_:"):
+    if subject.startswith("_:"):
         return None
     description = collection.get(subject)
     if description is None:
-        description = EntityDescription(subject, source=source)
+        description = EntityDescription(subject, source=collection.name)
         collection.add(description)
     return description
 
 
-def load_collection(
-    path: str,
-    name: str = "",
-    source: str = "",
-    **kwargs,
-) -> EntityCollection:
-    """Load an entity collection from an ``.nt`` or ``.ttl`` file.
+def load_collection(path: str, name: str = "") -> EntityCollection:
+    """Load an entity collection from an N-Triples (``.nt``) file, named
+    *name* (the file's stem by default).
 
-    The syntax is chosen by file extension, compared case-insensitively;
-    a UTF-8 byte-order mark is skipped.  Additional keyword arguments are
-    those of :func:`collection_from_triples`, whose result over the parsed
-    statements this equals.
+    The extension compares case-insensitively; a UTF-8 byte-order mark is
+    skipped.  The result equals :func:`collection_from_triples` over
+    :func:`~repro.rdf.ntriples.parse_ntriples` of the text.
 
     Raises:
-        ValueError: for unsupported extensions.
+        ValueError: for an extension other than ``.nt`` / ``.ntriples``.
         NTriplesParseError: on a malformed statement (a ``ValueError``).
         OSError: if the file cannot be read.
     """
-    base = os.path.basename(path)
-    stem, ext = os.path.splitext(base)
-    name = name or stem
-    ext = ext.lower()
-    if ext not in (".nt", ".ntriples", ".ttl", ".turtle"):
-        raise ValueError(f"unsupported RDF extension {ext!r} (use .nt or .ttl)")
+    stem, ext = os.path.splitext(os.path.basename(path))
+    if ext.lower() not in (".nt", ".ntriples"):
+        raise ValueError(f"unsupported RDF extension {ext.lower()!r} (use .nt)")
     # utf-8-sig: a byte-order mark is not part of the first statement.
     with open(path, "r", encoding="utf-8-sig") as handle:
-        if ext in (".nt", ".ntriples"):
-            return _scan_ntriples(handle, name, source or name, **kwargs)
-        return collection_from_triples(parse_turtle(handle.read()), name, source, **kwargs)
+        return _scan_ntriples(handle, name or stem)
 
 
-def _scan_ntriples(
-    lines: Iterable[str],
-    name: str,
-    source: str,
-    skip_blank_nodes: bool = True,
-    skip_rdf_type: bool = False,
-) -> EntityCollection:
+def _scan_ntriples(lines: Iterable[str], name: str) -> EntityCollection:
     """:func:`collection_from_triples` over ``parse_ntriples(lines)``, in one
     pass that streams the lines: a plain statement line is read from the
     groups of its match, and only an escaped, indented, comment, blank or
@@ -127,13 +94,11 @@ def _scan_ntriples(
             if triple is None:
                 continue
             line_subject, predicate, value = triple.subject, triple.predicate, triple.object
-        if skip_rdf_type and predicate == _RDF_TYPE:
-            continue
         # Dumps list a subject's statements together: touch the collection
         # once per run of equal subjects, not once per statement.
         if line_subject != subject:
             subject = line_subject
-            description = _description_of(collection, subject, source, skip_blank_nodes)
+            description = _description_of(collection, subject)
             attributes = None if description is None else description.attributes()
         if attributes is not None:
             values = attributes.get(predicate)

@@ -16,9 +16,8 @@ One statement is one regex match (the scanning runs in C); the serializer
 escapes exactly the characters the scanner refuses to read raw, so
 ``parse(serialize(triples)) == triples`` for any IRI or literal text.
 
-Datatypes and language tags are preserved on the :class:`Triple` but the
-``object_value`` convenience accessor exposes the plain lexical form, which
-is what blocking tokenizes.
+Datatypes and language tags are preserved on the :class:`Triple`; its
+``object`` is the plain lexical form, which is what blocking tokenizes.
 """
 
 from __future__ import annotations
@@ -58,11 +57,6 @@ class Triple:
     is_literal: bool = False
     language: str = ""
     datatype: str = ""
-
-    @property
-    def object_value(self) -> str:
-        """The object's lexical form (same as ``object``; symmetry helper)."""
-        return self.object
 
 
 # One statement, one match: every term is a character-class run with the

@@ -1,6 +1,8 @@
-"""Tests for the Turtle-shipped people corpus."""
+"""Tests for the people corpus (researchers + institutions)."""
 
 from __future__ import annotations
+
+import hashlib
 
 import pytest
 
@@ -26,7 +28,7 @@ class TestShapes:
         assert {d.source for d in kb_a} == {"people-a"}
         assert {d.source for d in kb_b} == {"people-b"}
 
-    def test_turtle_prefixes_expanded(self, people):
+    def test_attributes_keyed_by_full_predicate_iris(self, people):
         kb_a, _, _ = people
         person = kb_a["http://kba.example.org/people/elena_marchetti"]
         assert person.first("http://kba.example.org/vocab/fullName") == "Elena Marchetti"
@@ -50,6 +52,21 @@ class TestShapes:
         gold_uris = {uri for pair in gold.matches for uri in pair}
         assert "http://kba.example.org/people/tomas_keller" not in gold_uris
         assert "http://kbb.example.org/researcher/r008" not in gold_uris
+
+
+def digest(kb) -> str:
+    """sha256 over every description's ``(uri, source, attributes)`` in load
+    order, then the relationship graph."""
+    shape = [(d.uri, d.source, list(d.attributes().items())) for d in kb]
+    return hashlib.sha256(repr((shape, kb.graph())).encode("utf-8")).hexdigest()
+
+
+def test_corpus_loads_as_it_did_from_turtle(people):
+    # Recorded from the Turtle files the corpus shipped as before it was
+    # converted to N-Triples: the same descriptions, attribute order and graph.
+    kb_a, kb_b, _ = people
+    assert digest(kb_a) == "effcc3dbd2036492457f842d3d4b9ab8f0779a92d69cd422558d91649f2dd6e2"
+    assert digest(kb_b) == "6e0098c6948926c68fdc68122dd2ec0a30139281f14f53fe90d134e33bcf29b4"
 
 
 class TestResolution:

@@ -5,6 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.datasets.samples import load_movies, load_restaurants, sample_path
+from repro.rdf.loader import collection_from_triples, load_collection
+from repro.rdf.ntriples import parse_ntriples, serialize_ntriples
+
+SHIPPED_KBS = [
+    f"{corpus}_{side}.nt" for corpus in ("restaurants", "movies", "people") for side in "ab"
+]
 
 
 class TestSamplePath:
@@ -77,3 +83,20 @@ class TestMovies:
         a2, b2, g2 = load_movies()
         assert a1.uris() == a2.uris()
         assert g1.matches == g2.matches
+
+
+@pytest.mark.parametrize("filename", SHIPPED_KBS)
+class TestShippedKnowledgeBases:
+    def test_scan_equals_parse_then_group(self, filename):
+        path = sample_path(filename)
+        with open(path, encoding="utf-8") as handle:
+            reference = collection_from_triples(parse_ntriples(handle.read()), "kb")
+        scanned = load_collection(path, name="kb")
+        assert [(d.uri, d.source, d.attributes()) for d in scanned] == [
+            (d.uri, d.source, d.attributes()) for d in reference
+        ]
+
+    def test_serialization_round_trips(self, filename):
+        with open(sample_path(filename), encoding="utf-8") as handle:
+            triples = list(parse_ntriples(handle.read()))
+        assert triples and list(parse_ntriples(serialize_ntriples(triples))) == triples

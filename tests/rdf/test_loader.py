@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.rdf.loader import collection_from_triples, load_collection
-from repro.rdf.ntriples import Triple
+from repro.rdf.ntriples import NTriplesParseError, Triple
 
 _RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 
@@ -26,23 +26,15 @@ class TestGrouping:
         assert len(collection) == 2
         assert collection["http://e/a"].first("http://p/name") == "Alpha"
 
-    def test_blank_nodes_skipped_by_default(self):
+    def test_blank_nodes_skipped(self):
         collection = collection_from_triples(triples())
         assert "_:blank" not in collection
 
-    def test_blank_nodes_kept_on_request(self):
-        collection = collection_from_triples(triples(), skip_blank_nodes=False)
-        assert "_:blank" in collection
-
-    def test_rdf_type_kept_by_default(self):
+    def test_rdf_type_kept(self):
         collection = collection_from_triples(triples())
         assert collection["http://e/a"].get(_RDF_TYPE) == ["http://t/Person"]
 
-    def test_rdf_type_skippable(self):
-        collection = collection_from_triples(triples(), skip_rdf_type=True)
-        assert collection["http://e/a"].get(_RDF_TYPE) == []
-
-    def test_source_defaults_to_name(self):
+    def test_source_is_the_name(self):
         collection = collection_from_triples(triples(), name="mykb")
         assert collection["http://e/a"].source == "mykb"
 
@@ -59,14 +51,10 @@ class TestGrouping:
             Triple("http://e/a", "http://p/name", "Alfa", True),
             Triple("http://e/b", _RDF_TYPE, "http://t/Person"),
         ]
-        collection = collection_from_triples(interleaved, skip_rdf_type=True)
+        collection = collection_from_triples(interleaved)
         assert collection.uris() == ["http://e/a", "http://e/b"]
         assert collection["http://e/a"].get("http://p/name") == ["Alpha", "Alfa"]
-        assert collection["http://e/b"].properties() == ["http://p/name"]
-
-    def test_subject_with_only_skipped_statements_is_absent(self):
-        only_type = [Triple("http://e/a", _RDF_TYPE, "http://t/Person")]
-        assert len(collection_from_triples(only_type, skip_rdf_type=True)) == 0
+        assert collection["http://e/b"].properties() == ["http://p/name", _RDF_TYPE]
 
 
 class TestFileLoading:
@@ -77,24 +65,9 @@ class TestFileLoading:
         assert len(collection) == 1
         assert collection.name == "data"
 
-    def test_load_ttl(self, tmp_path):
-        path = tmp_path / "data.ttl"
-        path.write_text('@prefix p: <http://p/> .\n<http://e/a> p:name "Alpha" .\n')
-        collection = load_collection(str(path))
-        assert collection["http://e/a"].first("http://p/name") == "Alpha"
-
-    @pytest.mark.parametrize(
-        "filename, text",
-        [
-            ("data.nt", '<http://e/a> <http://p/name> "Alpha" .\n'),
-            ("data.ttl", '@prefix p: <http://p/> .\n<http://e/a> p:name "Alpha" .\n'),
-        ],
-    )
-    def test_byte_order_mark_is_not_part_of_the_first_statement(
-        self, tmp_path, filename, text
-    ):
-        path = tmp_path / filename
-        path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    def test_byte_order_mark_is_not_part_of_the_first_statement(self, tmp_path):
+        path = tmp_path / "data.nt"
+        path.write_bytes(b"\xef\xbb\xbf" + b'<http://e/a> <http://p/name> "Alpha" .\n')
         collection = load_collection(str(path))
         assert collection["http://e/a"].first("http://p/name") == "Alpha"
 
@@ -114,19 +87,59 @@ class TestFileLoading:
         assert collection["http://e/a"].first("http://p/name") == "Al\u2028pha\x85"
         assert collection["http://e/b"].first("http://p/name") == "Beta"
 
-    def test_unknown_extension_rejected(self, tmp_path):
-        path = tmp_path / "data.json"
-        path.write_text("{}")
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("filename", ["data.nt", "data.NT", "data.ntriples", "data.NTriples"])
+    def test_n_triples_extensions_accepted(self, tmp_path, filename):
+        path = tmp_path / filename
+        path.write_text('<http://e/a> <http://p/name> "Alpha" .\n')
+        collection = load_collection(str(path))
+        assert (collection.name, collection.uris()) == ("data", ["http://e/a"])
+
+    @pytest.mark.parametrize(
+        "filename",
+        [
+            "data.json", "data.ttl", "data.n3", "data.nq",
+            "data.rdf", "data.jsonld", "data.nt.gz", "data",
+        ],
+    )
+    def test_unknown_extension_rejected(self, tmp_path, filename):
+        path = tmp_path / filename
+        path.write_text('<http://e/a> <http://p/name> "Alpha" .\n')
+        with pytest.raises(ValueError, match=r"unsupported RDF extension .* \(use \.nt\)"):
             load_collection(str(path))
+
+    @pytest.mark.parametrize(
+        "text", ["", "# a comment\n\n", '_:b <http://p/name> "Anonymous" .\n']
+    )
+    def test_file_without_named_subjects_loads_empty(self, tmp_path, text):
+        path = tmp_path / "data.nt"
+        path.write_text(text)
+        collection = load_collection(str(path))
+        assert (collection.name, len(collection)) == ("data", 0)
+
+    def test_values_are_lexical_forms_without_duplicates(self, tmp_path):
+        path = tmp_path / "data.nt"
+        path.write_text(
+            '<http://e/a> <http://p/name> "Alpha" .\n'
+            '<http://e/a> <http://p/name> "Alpha"@en .\n'
+            '<http://e/a> <http://p/name> "Alpha"^^<http://t/s> .\n'
+            '<http://e/a> <http://p/name> "Alfa" .\n'
+        )
+        assert load_collection(str(path))["http://e/a"].get("http://p/name") == ["Alpha", "Alfa"]
+
+    def test_malformed_line_names_its_line(self, tmp_path):
+        path = tmp_path / "data.nt"
+        path.write_text('<http://e/a> <http://p/name> "Alpha" .\n# c\n<http://e/b> oops .\n')
+        with pytest.raises(NTriplesParseError, match="^line 3: malformed predicate") as excinfo:
+            load_collection(str(path))
+        assert excinfo.value.line_number == 3
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(OSError):
             load_collection(str(tmp_path / "nope.nt"))
 
-    def test_explicit_name_and_source(self, tmp_path):
+    def test_explicit_name_is_the_source(self, tmp_path):
         path = tmp_path / "data.nt"
         path.write_text('<http://e/a> <http://p/name> "Alpha" .\n')
-        collection = load_collection(str(path), name="custom", source="src")
+        collection = load_collection(str(path), name="custom")
         assert collection.name == "custom"
-        assert collection["http://e/a"].source == "src"
+        assert collection["http://e/a"].source == "custom"

@@ -81,6 +81,20 @@ class TestParseLine:
         triple = parse_ntriples_line(r'<http://a> <http://p> "1"^^<http://t/a\u0020b> .')
         assert triple.datatype == "http://t/a b"
 
+    @pytest.mark.parametrize("tag", ["en-US", "de-AT", "zh-Hant-TW", "EN", "x-1"])
+    def test_language_tag_kept_as_written(self, tag):
+        triple = parse_ntriples_line(f'<http://a> <http://p> "v"@{tag} .')
+        assert (triple.object, triple.language, triple.datatype) == ("v", tag, "")
+
+    @pytest.mark.parametrize("text", ["", "a . b # c", "Ἀθῆναι", "\u2028\x85"])
+    def test_literal_text_is_taken_verbatim(self, text):
+        triple = parse_ntriples_line(f'<http://a> <http://p> "{text}" .')
+        assert triple == Triple("http://a", "http://p", text, True)
+
+    def test_long_literal(self):
+        text = "Ω lorem ipsum " * 2000
+        assert parse_ntriples_line(f'<http://a> <http://p> "{text}" .').object == text
+
 
 class TestParseErrors:
     @pytest.mark.parametrize(
@@ -174,6 +188,31 @@ class TestParseDocument:
         lines = ["<http://a> <http://p> <http://b> ."] * 3
         assert len(list(parse_ntriples(lines))) == 3
 
+    @pytest.mark.parametrize("text", ["", "\n\n", "# only a comment\n", "  \t\n\t# c\n   "])
+    def test_document_without_statements(self, text):
+        assert list(parse_ntriples(text)) == []
+
+    def test_statements_keep_document_order(self):
+        text = "<http://b> <http://p> <http://c> .\n<http://a> <http://p> <http://b> .\n"
+        assert [t.subject for t in parse_ntriples(text)] == ["http://b", "http://a"]
+
+
+class TestParseError:
+    def test_is_a_value_error(self):
+        assert issubclass(NTriplesParseError, ValueError)
+
+    def test_message_alone(self):
+        error = NTriplesParseError("bad term")
+        assert (str(error), error.line_number) == ("bad term", 0)
+
+    def test_line_number_prefixes_the_message(self):
+        error = NTriplesParseError("bad term", 7)
+        assert (str(error), error.line_number) == ("line 7: bad term", 7)
+
+    def test_line_is_echoed_without_its_terminator(self):
+        error = NTriplesParseError("bad term", 2, "<x> oops .\r\n")
+        assert str(error) == "line 2: bad term: '<x> oops .'"
+
 
 class TestRoundTrip:
     CASES = [
@@ -183,6 +222,11 @@ class TestRoundTrip:
         Triple("http://a", "http://p", "hola", True, "es"),
         Triple("http://a", "http://p", "42", True, "", "http://www.w3.org/2001/XMLSchema#integer"),
         Triple("http://a", "http://p", 'tricky "quotes"\nand\tlines\\', True),
+        Triple("http://a", "http://p", "", True),
+        Triple("http://a", "http://p", "Ἀθῆναι\u2028\x85", True, "el"),
+        Triple("_:b.1", "http://p", "_:b.2"),
+        Triple("http://a/café", "http://p#x", "http://b?q=1&r=2"),
+        Triple("http://a", "http://p", "1", True, "", "http://t#x y"),
     ]
 
     @pytest.mark.parametrize("triple", CASES)
@@ -193,6 +237,17 @@ class TestRoundTrip:
     def test_document_round_trip(self):
         text = serialize_ntriples(self.CASES)
         assert list(parse_ntriples(text)) == self.CASES
+
+    def test_empty_input(self):
+        assert serialize_ntriples([]) == ""
+
+    def test_blank_nodes_are_written_raw(self):
+        line = serialize_triple(Triple("_:s", "http://p", "_:o"))
+        assert line == "_:s <http://p> _:o ."
+
+    def test_language_tag_wins_over_a_datatype(self):
+        line = serialize_triple(Triple("http://a", "http://p", "v", True, "en", "http://t"))
+        assert line == '<http://a> <http://p> "v"@en .'
 
     @pytest.mark.parametrize("char", list(' <>\\"{}|^`\n\r\t\x00\x1f'))
     def test_unsafe_iri_characters_are_escaped(self, char):

@@ -12,6 +12,7 @@ attribute order, de-duplicated values and ``source``, and the same
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.rdf.loader import collection_from_triples, load_collection
@@ -73,20 +74,15 @@ def outcome(load):
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-@given(document, st.booleans(), st.booleans(), st.booleans(), st.booleans(), st.data())
-def test_scan_equals_parse_then_group(
-    tmp_path, lines, skip_blank_nodes, skip_rdf_type, crlf, bom, data
-):
+@given(document, st.booleans(), st.booleans(), st.data())
+def test_scan_equals_parse_then_group(tmp_path, lines, crlf, bom, data):
     if data.draw(st.booleans()):
         lines = malformed(lines, data)
     text = ("\r\n" if crlf else "\n").join(lines)
     path = tmp_path / "kb.nt"
     path.write_bytes((("\ufeff" if bom else "") + text).encode("utf-8"))
-    options = dict(skip_blank_nodes=skip_blank_nodes, skip_rdf_type=skip_rdf_type)
-    scanned = outcome(lambda: load_collection(str(path), source="s", **options))
-    parsed = outcome(
-        lambda: collection_from_triples(parse_ntriples(text), "kb", "s", **options)
-    )
+    scanned = outcome(lambda: load_collection(str(path)))
+    parsed = outcome(lambda: collection_from_triples(parse_ntriples(text), "kb"))
     assert scanned == parsed
 
 
@@ -101,3 +97,24 @@ def test_subject_coming_back_merges_into_its_first_description(tmp_path):
     kb = load_collection(str(path))
     assert [d.uri for d in kb] == ["http://e/a", "http://e/b"]
     assert kb["http://e/a"].attributes() == {"http://p/n": ["1"], "http://p/m": ["3"]}
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '<http://e/\\u0061> <http://p/n> "x\\ty" .\n',  # escapes take the per-line parser
+        '  \t<http://e/a> <http://p/n> "1" .\n<http://e/a> <http://p/n> "2" .\n',  # indent
+        '<http://e/a> <http://p/n> "1" . # note\n',  # trailing comment
+        '<http://e/a> <http://p/n> "1" .\n_:b <http://p/n> "2" .\n'
+        '<http://e/a> <http://p/m> "3" .\n',  # a blank-node subject between runs
+        f'<http://e/a> {RDF_TYPE} <http://t/T> .\n<http://e/a> <http://p/n> <http://e/a> .\n',
+        '<http://e/a> <http://p/n> "1" .\r\n\r\n<http://e/b>\t<http://p/n>\t"1"@en\t.\r\n',
+        '\ufeff<http://e/a> <http://p/n> "1" .\n',  # byte-order mark
+        '<http://e/a> <http://p/n> "1" .\n<http://e/a> <http://p/n> "1" .\n',  # duplicate
+    ],
+)
+def test_named_documents_scan_as_parsed(tmp_path, text):
+    path = tmp_path / "kb.nt"
+    path.write_bytes(text.encode("utf-8"))
+    parsed = collection_from_triples(parse_ntriples(text.lstrip("\ufeff")), "kb")
+    assert shape(load_collection(str(path))) == shape(parsed) != []

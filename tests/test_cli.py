@@ -47,6 +47,7 @@ class TestUnloadableInput:
             ("bad.nt", '<http://a/1> <http://p> "ok" .\nnot a triple\n', 2, "line 2: "),
             ("missing.nt", None, 2, "No such file"),
             ("data.json", "{}", 2, "unsupported RDF extension"),
+            ("data.ttl", '<http://a/1> <http://p> "ok" .\n', 2, "unsupported RDF extension"),
             ("UPPER.NT", '<http://a/1> <http://p> "ok" .\n', 0, "Pipeline summary"),
         ],
     )

@@ -15,7 +15,6 @@ MODULE_NAMES = [
     "repro.utils.text",
     "repro.model.interner",
     "repro.model.namespaces",
-    "repro.rdf.graph",
     "repro.blocking.qgrams",
     "repro.matching.clustering",
 ]
